@@ -179,11 +179,10 @@ def build_block(box=None, cubes=None, origin=None, spacing=None, dimension=None)
     raise BlockError("either box or cubes must be given")
 
 
-def classify_boundary(b, fieldd, samples_per_face=None, margin_tol=None,
-                      lam=None, tols=DEFAULT):
+def classify_boundary(b, fieldd, margin_tol=None, lam=None, tols=DEFAULT):
     """Tag each boundary face Egress / Ingress / Unresolved by the sign of
     the outward flux X . nu at a sample lattice.  Returns a new GridBlock."""
-    n = tols.face_samples if samples_per_face is None else samples_per_face
+    n = tols.face_samples
     tol = tols.margin_tol if margin_tol is None else margin_tol
     if fieldd.dimension != b.dimension:
         raise BlockError("field dimension does not match block")
@@ -270,15 +269,13 @@ class IsolationReport:
         return self.verdict
 
 
-def check_isolation(b, fieldd, t_budget=None, density=None, lam=None,
-                    tols=DEFAULT):
+def check_isolation(b, fieldd, lam=None, tols=DEFAULT):
     """Every boundary sample must leave the block in forward or backward
     time within the budget; otherwise the invariant set touches the
     boundary and the block is not isolating."""
     from . import flow  # local import to avoid a cycle at module load
 
-    budget = tols.cert_t_budget if t_budget is None else t_budget
-    n = tols.isolation_samples_per_face if density is None else density
+    budget = tols.cert_t_budget
     samples, failures = [], []
     worst = math.inf
 
@@ -287,7 +284,7 @@ def check_isolation(b, fieldd, t_budget=None, density=None, lam=None,
             return ("out", t) if not b.contains(x) else None
         return stop
 
-    for f, s in b.boundary_samples(n):
+    for f, s in b.boundary_samples(tols.isolation_samples_per_face):
         outcome = "trapped"
         exit_t = budget
         # backward first: on dissipative systems boundary points leave the

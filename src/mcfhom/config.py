@@ -32,7 +32,6 @@ class Tolerances:
 
     # connection counting
     delta_u: float = 1e-3      # unstable offset of orbit seeds
-    ref_radius: float = 1e-2   # reference sphere radius at the target
     n_dir_seeds: int = 64      # initial directions on the unstable sphere
     dir_tol: float = 1e-12     # bisection resolution on directions
     det_tol: float = 1e-6      # orientation determinant threshold

@@ -37,8 +37,7 @@ class Quadruple:
     with the Euclidean metric and the canonical orientation frames."""
 
     f: object          # Expr after perturbation
-    metric: str        # "euclidean"
-    block: object
+    block: object      # with its boundary faces classified
     crits: list
     base: object       # base Lyapunov Expr
     epsilon: float
@@ -55,24 +54,22 @@ class HIResult:
 
 
 def compute_HI(fieldd, b, lyap, s_decl, lam=None, seed=0, epsilon=None,
-               perturbation=None, coeff="Z", tols=DEFAULT, precheck=True):
+               perturbation=None, coeff="Z", tols=DEFAULT):
     """Full pipeline: verify the inputs, Morse-perturb the Lyapunov
     function, find critical points, count connections, take homology."""
-    if precheck:
-        classified = block_mod.classify_boundary(b, fieldd, lam=lam,
-                                                 tols=tols)
-        block_mod.exit_set(classified)  # raises on unresolved faces
-        iso = block_mod.check_isolation(b, fieldd, lam=lam, tols=tols)
-        if not iso:
-            raise PipelineError(
-                f"block is not isolating (trapped samples {iso.failures[:3]})")
-        rep = lyapunov.verify_lyapunov(lyap, fieldd, b, s_decl, lam=lam,
-                                       tols=tols)
-        if not rep:
-            raise PipelineError(
-                f"Lyapunov verification failed (min decrease "
-                f"{rep.min_decrease:.3e} at {rep.min_location}, "
-                f"f spread over S {rep.value_spread:.3e})")
+    classified = block_mod.classify_boundary(b, fieldd, lam=lam, tols=tols)
+    block_mod.exit_set(classified)  # raises on unresolved faces
+    iso = block_mod.check_isolation(b, fieldd, lam=lam, tols=tols)
+    if not iso:
+        raise PipelineError(
+            f"block is not isolating (trapped samples {iso.failures[:3]})")
+    rep = lyapunov.verify_lyapunov(lyap, fieldd, b, s_decl, lam=lam,
+                                   tols=tols)
+    if not rep:
+        raise PipelineError(
+            f"Lyapunov verification failed (min decrease "
+            f"{rep.min_decrease:.3e} at {rep.min_location}, "
+            f"f spread over S {rep.value_spread:.3e})")
     rng = np.random.default_rng(seed)
     eps = tols.epsilon if epsilon is None else epsilon
     f, cert = lyapunov.morse_perturb(lyap, b, epsilon=eps,
@@ -82,7 +79,7 @@ def compute_HI(fieldd, b, lyap, s_decl, lam=None, seed=0, epsilon=None,
     complex_, counts = morse.build_complex(
         f, b, crits, lam=lam, tols=tols, coeff=coeff, seed=seed)
     h = homalg.homology(complex_, coeff=coeff)
-    quad = Quadruple(f, "euclidean", b, crits, lyap, eps, seed, cert)
+    quad = Quadruple(f, classified, crits, lyap, eps, seed, cert)
     return HIResult(h, quad, complex_, counts)
 
 
@@ -101,7 +98,7 @@ def verify_exit_theorem(fieldd, b, lyap, s_decl, lam=None, seed=0,
     res = compute_HI(fieldd, b, lyap, s_decl, lam=lam, seed=seed,
                      epsilon=epsilon, perturbation=perturbation,
                      coeff=coeff, tols=tols)
-    classified = block_mod.classify_boundary(b, fieldd, lam=lam, tols=tols)
+    classified = res.quadruple.block
     exitc = block_mod.exit_set(classified)
     rel = homalg.cubical_relative_homology(classified, exitc, coeff=coeff)
     return ExitTheoremReport(res.homology == rel, res.homology, rel), res
@@ -348,17 +345,18 @@ class ContinuationFunction:
         return expr.add(body, bump)
 
 
-def continuation_r_bound(f_lam, b, delta, samples=9, mu_samples=41):
+def continuation_r_bound(f_lam, b, delta):
     """Sampled bound max |omega'(mu) d/dlam f_lam| / (pi sin(pi delta))
-    over the block times the mu circle."""
+    over a 9-per-axis lattice on the block times 41 points of the mu
+    circle."""
     m = b.dimension
     dflam = expr.compile_scalar(expr.derive(f_lam, "lam"))
     lo, hi = b.bounding_box()
-    axes = [np.linspace(lo[i], hi[i], samples) for i in range(m)]
+    axes = [np.linspace(lo[i], hi[i], 9) for i in range(m)]
     grid = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grid], axis=-1)
     best = 0.0
-    for mu in np.linspace(-1.0, 1.0, mu_samples):
+    for mu in np.linspace(-1.0, 1.0, 41):
         w1 = expr.ramp_eval(1, delta, mu)
         if w1 == 0.0:
             continue
@@ -370,13 +368,12 @@ def continuation_r_bound(f_lam, b, delta, samples=9, mu_samples=41):
     return best / (math.pi * math.sin(math.pi * delta))
 
 
-def build_continuation_function(f_lam, b, delta=0.2, kappa=1.0, r=None,
-                                samples=9):
+def build_continuation_function(f_lam, b, delta=0.2, kappa=1.0, r=None):
     """Assemble the continuation function, choosing the amplitude r from
     the sampled bound when not supplied."""
     if not 0.0 < delta < 0.25:
         raise ContinuationError(f"delta must lie in (0, 1/4), got {delta}")
-    bound = continuation_r_bound(f_lam, b, delta, samples=samples)
+    bound = continuation_r_bound(f_lam, b, delta)
     if r is None:
         r = max(2.0 * bound, 1.0)
     elif r <= bound:

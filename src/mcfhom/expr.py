@@ -679,9 +679,3 @@ def compile_jacobian(field):
 
 def hessian(f, m):
     return jacobian(FieldDef(m, gradient(f, m)))
-
-
-def field_param_derivative(field):
-    """Componentwise d/dlam of the field."""
-    return FieldDef(field.dimension,
-                    tuple(derive(c, "lam") for c in field.components))

@@ -62,9 +62,6 @@ _E = _B5 - _B4
 class Trajectory:
     ts: list
     xs: list  # list of np arrays
-    field: object
-    rtol: float
-    atol: float
     steps: int = 0
     rejected: int = 0
 
@@ -97,11 +94,10 @@ def integrate(fieldd, x0, T, rtol=None, atol=None, lam=None, tols=DEFAULT):
     atol = tols.atol if atol is None else atol
     if T == 0.0:
         x = np.asarray(x0, dtype=float)
-        return Trajectory([0.0], [x.copy()], fieldd, rtol, atol)
+        return Trajectory([0.0], [x.copy()])
     direction = 1 if T > 0 else -1
     F = _wrap_field(fieldd, lam)
-    traj = Trajectory([0.0], [np.asarray(x0, dtype=float).copy()],
-                      fieldd, rtol, atol)
+    traj = Trajectory([0.0], [np.asarray(x0, dtype=float).copy()])
     target = abs(T)
     for t, x, f0, h in _clamped_steps(F, traj.xs[0], direction, rtol, atol,
                                       tols.max_steps, target):
@@ -183,7 +179,7 @@ def integrate_until(fieldd, x0, stop, t_max, direction=1, rtol=None,
     atol = tols.atol if atol is None else atol
     F = _wrap_field(fieldd, lam)
     x = np.asarray(x0, dtype=float).copy()
-    traj = Trajectory([0.0], [x.copy()], fieldd, rtol, atol)
+    traj = Trajectory([0.0], [x.copy()])
     for t, xn, f0, h in _clamped_steps(F, x, direction, rtol, atol,
                                        tols.max_steps, t_max):
         prev = traj.xs[-1]
@@ -227,7 +223,6 @@ def transport_frame(fieldd, x0, T, frame, rtol=None, atol=None, lam=None,
         return out
 
     z = np.concatenate([np.asarray(x0, dtype=float)] + V)
-    scales = [1.0] * kf  # accumulated log-magnitude is not needed, only signs
     direction = 1 if T > 0 else -1
     t = 0.0
     target = abs(T)
@@ -284,7 +279,7 @@ def field_scale(fieldd, block, lam=None, n=5):
 
 
 def classify_limit(gradfield, x0, crits, block, tols=DEFAULT, lam=None,
-                   direction=1, scale=None):
+                   scale=None):
     """Run the orbit of x0 until capture at a critical point, exit from the
     block, or time budget.  Capture requires both proximity within the
     capture radius and speed below the speed tolerance."""
@@ -310,8 +305,8 @@ def classify_limit(gradfield, x0, crits, block, tols=DEFAULT, lam=None,
                 return ("converged", near[0])
         return None
 
-    traj, sv = integrate_until(gradfield, x0, stop, tols.t_budget,
-                               direction=direction, lam=lam, tols=tols)
+    traj, sv = integrate_until(gradfield, x0, stop, tols.t_budget, lam=lam,
+                               tols=tols)
     if sv is None:
         return LimitClass("budget"), traj
     if sv[0] == "exited":

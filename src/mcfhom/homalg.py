@@ -1,8 +1,10 @@
 """Exact integer homological algebra.
 
-Matrices are lists of int rows (Python big integers throughout).  The rank
-computations run twice along independent routes: Smith normal form over the
-integers and fraction-free Gaussian elimination over the rationals.
+Matrices are lists of int rows (Python big integers throughout).  Homology
+reduces each boundary matrix once: by the Smith normal form over Z, or by
+bit-packed elimination over Z/2.  Exact Gauss-Jordan elimination over Q
+serves the connection-matrix algebra, and the tests use it as a rank
+oracle for the Smith normal form.
 """
 from __future__ import annotations
 
@@ -169,69 +171,48 @@ def smith_normal_form(A):
     return diag, U, V
 
 
-def snf_rank(A):
-    return len(smith_normal_form(A)[0])
-
-
 # ---------------------------------------------------------------------------
-# rational elimination (independent rank route)
+# rational elimination
 
-def rank_fractions(A):
-    """Rank over Q by Gaussian elimination with exact Fraction arithmetic."""
-    n, m = shape(A)
-    M = [[Fraction(v) for v in row] for row in A]
-    rank = 0
-    col = 0
-    for col in range(m):
-        piv = None
-        for i in range(rank, n):
-            if M[i][col]:
-                piv = i
-                break
+def _rref(rows, ncols):
+    """Reduced row echelon form over Q by exact Gauss-Jordan elimination.
+
+    Pivots are sought in the first ``ncols`` columns only; any further
+    columns (an augmented right-hand side) are carried along.  Returns the
+    reduced rows as Fractions and the list of pivot columns."""
+    M = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(M)) if M[i][col]), None)
         if piv is None:
             continue
-        M[rank], M[piv] = M[piv], M[rank]
-        pv = M[rank][col]
-        for i in range(rank + 1, n):
-            f = M[i][col] / pv
-            if f:
-                M[i] = [a - f * b for a, b in zip(M[i], M[rank])]
-        rank += 1
-        if rank == n:
-            break
-    return rank
+        M[r], M[piv] = M[piv], M[r]
+        pv = M[r][col]
+        M[r] = [v / pv for v in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][col]:
+                f = M[i][col]
+                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+        pivots.append(col)
+    return M, pivots
+
+
+def rank_fractions(A):
+    """Rank over Q by exact elimination."""
+    return len(_rref(A, shape(A)[1])[1])
 
 
 def kernel_basis_fractions(A, ncols=None):
     """Basis (list of Fraction column vectors) of ker A over Q.
 
     ``ncols`` disambiguates the domain dimension when A has no rows."""
-    n, m = shape(A)
-    if not A and ncols is not None:
-        m = ncols
-    M = [[Fraction(v) for v in row] for row in A]
-    pivots = []
-    rank = 0
-    for col in range(m):
-        piv = None
-        for i in range(rank, n):
-            if M[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        pv = M[rank][col]
-        M[rank] = [v / pv for v in M[rank]]
-        for i in range(n):
-            if i != rank and M[i][col]:
-                f = M[i][col]
-                M[i] = [a - f * b for a, b in zip(M[i], M[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [j for j in range(m) if j not in pivots]
+    m = ncols if not A and ncols is not None else shape(A)[1]
+    M, pivots = _rref(A, m)
     basis = []
-    for j in free:
+    for j in range(m):
+        if j in pivots:
+            continue
         v = [Fraction(0)] * m
         v[j] = Fraction(1)
         for r, pc in enumerate(pivots):
@@ -246,30 +227,9 @@ def solve_fractions(A, b):
     ``A`` is a list of rows (ints or Fractions), ``b`` a column vector.
     """
     n, m = shape(A)
-    M = [[Fraction(v) for v in row] + [Fraction(b[i])]
-         for i, row in enumerate(A)]
-    pivots = []
-    rank = 0
-    for col in range(m):
-        piv = None
-        for i in range(rank, n):
-            if M[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        pv = M[rank][col]
-        M[rank] = [v / pv for v in M[rank]]
-        for i in range(n):
-            if i != rank and M[i][col]:
-                f = M[i][col]
-                M[i] = [a - f * c for a, c in zip(M[i], M[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, n):
-        if M[i][m]:
-            return None
+    M, pivots = _rref([list(row) + [b[i]] for i, row in enumerate(A)], m)
+    if any(M[i][m] for i in range(len(pivots), n)):
+        return None
     z = [Fraction(0)] * m
     for r, pc in enumerate(pivots):
         z[pc] = M[r][m]
@@ -331,13 +291,16 @@ class ChainComplex:
         return zeros(rows, cols)
 
 
-def verify_d_squared(c):
-    """Check d_{k} . d_{k+1} = 0 exactly; returns the first offending entry
+def verify_d_squared(c, coeff="Z"):
+    """Check d_{k} . d_{k+1} = 0 exactly over the coefficient ring (entries
+    reduced mod 2 with ``coeff="Z2"``); returns the first offending entry
     or None."""
     for k in range(1, c.top + 1):
         P = matmul(c.boundary(k), c.boundary(k + 1))
         for i, row in enumerate(P):
             for j, v in enumerate(row):
+                if coeff == "Z2":
+                    v %= 2
                 if v:
                     return (k, i, j, v)
     return None
@@ -376,31 +339,29 @@ class HomologyResult:
         return "; ".join(parts) if parts else "0"
 
 
-def homology(c, coeff="Z", check=True):
+def homology(c, coeff="Z"):
     """Homology of a chain complex; Betti numbers and torsion over Z, or
-    mod-2 Betti numbers with ``coeff="Z2"``."""
-    if check:
-        bad = verify_d_squared(c)
-        if bad is not None:
-            k, i, j, v = bad
-            raise NotAComplexError(
-                f"d_{k} . d_{k + 1} has entry {v} at ({i}, {j})")
-    betti = []
+    mod-2 Betti numbers with ``coeff="Z2"``.  d^2 = 0 is verified over the
+    coefficient ring, then each boundary is reduced once."""
+    bad = verify_d_squared(c, coeff)
+    if bad is not None:
+        k, i, j, v = bad
+        raise NotAComplexError(
+            f"d_{k} . d_{k + 1} has entry {v} at ({i}, {j})")
+    ranks = [0] * (c.top + 2)
     torsion = {}
-    for k in range(c.top + 1):
-        dk = c.boundary(k)
-        dk1 = c.boundary(k + 1)
+    for k in range(1, c.top + 1):
         if coeff == "Z2":
-            rk = rank_mod2(dk) if c.dims[k] else 0
-            rk1 = rank_mod2(dk1)
-            betti.append(c.dims[k] - rk - rk1)
+            ranks[k] = rank_mod2(c.boundary(k))
         else:
-            diag_k = smith_normal_form(dk)[0] if c.dims[k] else []
-            diag_k1 = smith_normal_form(dk1)[0]
-            betti.append(c.dims[k] - len(diag_k) - len(diag_k1))
-            tors = [d for d in diag_k1 if d > 1]
+            diag = smith_normal_form(c.boundary(k))[0]
+            ranks[k] = len(diag)
+            tors = [d for d in diag if d > 1]
             if tors:
-                torsion[k] = tors
+                torsion[k - 1] = tors
+    betti = []
+    for k in range(c.top + 1):
+        betti.append(c.dims[k] - ranks[k] - ranks[k + 1])
         if betti[-1] < 0:
             raise HomalgError(f"negative Betti number in degree {k}")
     return HomologyResult(betti, torsion)

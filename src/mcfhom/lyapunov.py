@@ -64,12 +64,10 @@ def _lattice(b, n):
     return [p for p in pts if b.contains(p)]
 
 
-def verify_lyapunov(f, fieldd, b, s_decl, samples=None, lam=None,
-                    tols=DEFAULT):
+def verify_lyapunov(f, fieldd, b, s_decl, lam=None, tols=DEFAULT):
     """Check df.X < 0 on a lattice over the block outside the S collar,
     and that f is constant over the declared S samples."""
     m = b.dimension
-    n = tols.verify_samples if samples is None else samples
     df = [expr.compile_scalar(expr.derive(f, i)) for i in range(m)]
     F = expr.compile_field(fieldd)
     fval = expr.compile_scalar(f)
@@ -84,7 +82,7 @@ def verify_lyapunov(f, fieldd, b, s_decl, samples=None, lam=None,
     best = math.inf
     best_loc = None
     violating = None
-    for p in _lattice(b, n):
+    for p in _lattice(b, tols.verify_samples):
         if s_pts and min(float(np.linalg.norm(p - s)) for s in s_pts) <= rad:
             continue
         X = F(p, lam)

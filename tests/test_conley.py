@@ -1,11 +1,12 @@
 """Pipeline orchestration: exit theorem, decompositions, attractor-repeller
 pairs, and continuation."""
 import math
+import os
 
 import numpy as np
 import pytest
 
-from mcfhom import block, conley, expr, homalg, lyapunov, morse
+from mcfhom import block, cli, conley, expr, homalg, lyapunov, morse
 
 DW_FIELD = ["x1 - x1^3"]
 DW_LYAP = "x1^4/4 - x1^2/2"
@@ -46,6 +47,25 @@ def test_hi_attracting_interval():
     assert rep.verdict
     assert rep.hi.describe() == "H_0 = Z"
     assert [c.index for c in res.quadruple.crits] == [0, 1, 0]
+
+
+def test_exit_theorem_classifies_the_boundary_once(monkeypatch):
+    path = os.path.join(os.path.dirname(__file__), "data", "saddle.json")
+    fld, b, lyap, sd, lam, eps, pert = cli._parse_system(
+        cli.load_system(path))
+    calls = []
+    classify = block.classify_boundary
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr(block, "classify_boundary", counting)
+    rep, res = conley.verify_exit_theorem(fld, b, lyap, sd, lam=lam, seed=0,
+                                          epsilon=eps, perturbation=pert)
+    assert rep.verdict
+    assert len(calls) == 1
+    assert block.UNRESOLVED not in res.quadruple.block.face_tags.values()
 
 
 def test_hi_precheck_rejects_unresolved_faces():

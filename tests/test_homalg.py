@@ -74,7 +74,8 @@ def test_rank_helpers_agree():
     rng = random.Random(1)
     for _ in range(20):
         A = [[rng.randint(-4, 4) for _ in range(5)] for _ in range(4)]
-        assert homalg.snf_rank(A) == homalg.rank_fractions(A)
+        assert len(homalg.smith_normal_form(A)[0]) == \
+            homalg.rank_fractions(A)
 
 
 def test_rank_mod2():
@@ -131,6 +132,16 @@ def test_homology_torsion():
 def test_homology_rejects_non_complex():
     c = homalg.ChainComplex([1, 1, 1], {1: [[1]], 2: [[1]]})
     assert homalg.verify_d_squared(c) == (1, 0, 0, 1)
+    with pytest.raises(homalg.NotAComplexError):
+        homalg.homology(c)
+
+
+def test_d_squared_is_checked_over_the_coefficient_ring():
+    # d_1 . d_2 = [[2]]: not a complex over Z, but one over Z/2
+    c = homalg.ChainComplex([1, 2, 1], {1: [[1, 1]], 2: [[1], [1]]})
+    assert homalg.verify_d_squared(c) == (1, 0, 0, 2)
+    assert homalg.verify_d_squared(c, "Z2") is None
+    assert homalg.homology(c, coeff="Z2").betti == [0, 0, 0]
     with pytest.raises(homalg.NotAComplexError):
         homalg.homology(c)
 

@@ -116,7 +116,7 @@ def test_build_complex_flags_missing_orbits():
     # a hand-corrupted finder that drops one connection breaks d^2 = 0 only
     # for longer complexes; here we check the verifier surface directly
     c = homalg.ChainComplex([1, 1, 1], {1: [[1]], 2: [[1]]})
-    assert morse.verify_d_squared(c) == (1, 0, 0, 1)
+    assert homalg.verify_d_squared(c) == (1, 0, 0, 1)
 
 
 def test_connection_counts_independent_of_seed():
