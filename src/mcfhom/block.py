@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -114,7 +115,38 @@ class GridBlock:
                 return True
         return False
 
-    def find_exit_face(self, point, tol=None):
+    @cached_property
+    def _occupancy(self):
+        """(lowest index, occupancy array) of the cubes, padded by one empty
+        layer on every side so that clipped indices land on empty cells."""
+        idx = np.array(sorted(self.cubes))
+        lo = idx.min(axis=0) - 1
+        occ = np.zeros(idx.max(axis=0) - lo + 2, dtype=bool)
+        occ[tuple((idx - lo).T)] = True
+        return lo, occ
+
+    def contains_columns(self, X):
+        """Column form of ``contains``: for each column of the (m, N) array
+        X, whether it lies in the block, with the same candidate cubes and
+        the same boundary tolerance."""
+        tol = DEFAULT.boundary_tol
+        m = self.dimension
+        lo_idx, occ = self._occupancy
+        X = np.asarray(X, dtype=float)
+        origin = np.asarray(self.origin)[:, None]
+        deltas = np.array(list(itertools.product((0, -1), repeat=m)),
+                          dtype=float)[:, :, None]
+        with np.errstate(invalid="ignore"):
+            c = np.floor((X - origin) / self.spacing) + deltas  # (2^m, m, N)
+            lo = origin + self.spacing * c
+            inside = np.logical_and.reduce(
+                (lo - tol <= X) & (X <= lo + self.spacing + tol), axis=1)
+            shifted = c - lo_idx[:, None]
+            k = np.fmin(np.fmax(shifted, 0), np.array(occ.shape)[:, None] - 1)
+            occupied = occ[tuple(k.astype(np.intp).transpose(1, 0, 2))]
+        return np.logical_or.reduce(occupied & inside, axis=0)
+
+    def find_exit_face(self, point):
         """Boundary face nearest to a point just outside (or on) the block."""
         p = np.asarray(point, dtype=float)
         best, bestd = None, math.inf
@@ -127,23 +159,28 @@ class GridBlock:
         return best
 
     def boundary_samples(self, per_face=2):
-        """Sample lattice on each boundary face (interior-of-face points)."""
-        out = []
-        for f in self.face_tags:
-            out.extend((f, s) for s in self.face_samples(f, per_face))
-        return out
-
-    def face_samples(self, f, n):
-        lo, hi = self.face_box(f)
-        axes = []
-        for i in range(self.dimension):
-            if i == f.axis:
-                axes.append(np.array([lo[i]]))
-            else:
-                # strictly interior sample positions to avoid corner ties
-                axes.append(np.linspace(lo[i], hi[i], n + 2)[1:-1])
-        grid = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grid], axis=-1)
+        """Sample lattice on the boundary faces, as one (n_faces * per_face
+        ** (m - 1), m) array: face by face in ``face_tags`` order, each face
+        a grid of ``per_face`` strictly interior positions (avoiding corner
+        ties) per tangent axis, in C order over the axes."""
+        m, n = self.dimension, per_face
+        faces = list(self.face_tags)
+        axis = np.array([f.axis for f in faces])
+        rows = np.arange(len(faces))
+        lo = np.asarray(self.origin) + self.spacing * np.array(
+            [f.cube for f in faces], dtype=float)
+        hi = lo + self.spacing
+        # positions along every axis as np.linspace(lo, hi, n + 2)[1:-1]
+        pos = np.arange(1, n + 1) * ((hi - lo) / (n + 1))[..., None] \
+            + lo[..., None]
+        pos[rows, axis, 0] = np.where([f.side for f in faces],
+                                      hi[rows, axis], lo[rows, axis])
+        # per normal axis, the lattice multi-indices with that axis fixed
+        grid = np.array([list(itertools.product(
+            *(range(1 if i == a else n) for i in range(m))))
+            for a in range(m)])
+        pts = pos[rows[:, None, None], np.arange(m), grid[axis]]
+        return pts.reshape(-1, m)
 
 
 def build_block(box=None, cubes=None, origin=None, spacing=None, dimension=None):
@@ -188,9 +225,11 @@ def classify_boundary(b, fieldd, margin_tol=None, lam=None, tols=DEFAULT):
         raise BlockError("field dimension does not match block")
     F = expr.compile_field(fieldd)
     tags = {}
-    for f in b.face_tags:
+    samples = b.boundary_samples(n).reshape(len(b.face_tags), -1,
+                                            b.dimension)
+    for f, face_samples in zip(b.face_tags, samples):
         nu = b.outward_normal(f)
-        fluxes = [float(np.dot(F(s, lam), nu)) for s in b.face_samples(f, n)]
+        fluxes = [float(np.dot(F(s, lam), nu)) for s in face_samples]
         if all(v >= tol for v in fluxes):
             tags[f] = EGRESS
         elif all(v <= -tol for v in fluxes):
@@ -272,40 +311,32 @@ class IsolationReport:
 def check_isolation(b, fieldd, lam=None, tols=DEFAULT):
     """Every boundary sample must leave the block in forward or backward
     time within the budget; otherwise the invariant set touches the
-    boundary and the block is not isolating."""
+    boundary and the block is not isolating.
+
+    All samples are integrated as one batch, backward first: on
+    dissipative systems boundary points leave the block almost immediately
+    in reverse time.  The samples that did not leave backward, within the
+    budget or because their integration failed, then go forward as a
+    second batch."""
     from . import flow  # local import to avoid a cycle at module load
 
     budget = tols.cert_t_budget
-    samples, failures = [], []
-    worst = math.inf
-
-    def make_stop():
-        def stop(t, xprev, x):
-            return ("out", t) if not b.contains(x) else None
-        return stop
-
-    for f, s in b.boundary_samples(tols.isolation_samples_per_face):
-        outcome = "trapped"
-        exit_t = budget
-        # backward first: on dissipative systems boundary points leave the
-        # block almost immediately in reverse time
-        for direction, label in ((-1, "backward"), (1, "forward")):
-            try:
-                _, sv = flow.integrate_until(
-                    fieldd, s, make_stop(), budget, direction=direction,
-                    lam=lam, tols=tols)
-            except flow.IntegrationError:
-                sv = None
-            if sv is not None:
-                outcome = label
-                exit_t = abs(sv[1])
-                break
-        samples.append((tuple(float(v) for v in s), outcome))
-        if outcome == "trapped":
-            failures.append(tuple(float(v) for v in s))
-        else:
-            worst = min(worst, budget - exit_t)
-    verdict = not failures
-    if worst is math.inf:
-        worst = 0.0
-    return IsolationReport(verdict, samples, failures, worst)
+    pts = b.boundary_samples(tols.isolation_samples_per_face)
+    outcomes = ["trapped"] * len(pts)
+    exit_t = np.full(len(pts), np.nan)
+    todo = np.arange(len(pts))
+    for direction, label in ((-1, "backward"), (1, "forward")):
+        if not todo.size:
+            break
+        t, left = flow.integrate_columns(
+            fieldd, pts[todo].T, lambda X: ~b.contains_columns(X), budget,
+            direction=direction, lam=lam, tols=tols)
+        for i in todo[left]:
+            outcomes[i] = label
+        exit_t[todo[left]] = np.abs(t[left])
+        todo = todo[~left]
+    samples = [(tuple(float(v) for v in s), o) for s, o in zip(pts, outcomes)]
+    failures = [s for s, o in samples if o == "trapped"]
+    exited = exit_t[~np.isnan(exit_t)]
+    worst = float(np.min(budget - exited)) if exited.size else 0.0
+    return IsolationReport(not failures, samples, failures, worst)

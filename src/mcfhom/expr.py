@@ -2,14 +2,18 @@
 
 Expressions are immutable trees supporting exact symbolic differentiation,
 pointwise evaluation with domain checking, and compilation to plain Python
-functions for use in integration loops.  Decimal literals are parsed to the
-nearest binary floating point value.
+functions for use in integration loops.  The code generator has two
+backends: ``math`` evaluates one point with Python floats, ``numpy``
+evaluates the columns of an (m, N) array at once.  Decimal literals are
+parsed to the nearest binary floating point value.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 
 class ExprError(Exception):
@@ -466,6 +470,19 @@ def ramp_eval(order, delta, mu):
     return val
 
 
+def _ramp_array(order, delta, mu):
+    """``ramp_eval`` over an array of mu, with the same operations."""
+    t = np.fmod(np.asarray(mu, dtype=float) + 1.0, 2.0)
+    t = np.where(t < 0.0, t + 2.0, t) - 1.0
+    u = np.abs(t)
+    w = 1.0 - 2.0 * delta
+    val = _smoothstep_deriv(order, (u - delta) / w) / (w ** order)
+    if order % 2 == 1:
+        val = np.where(t < 0.0, -val, val)
+    val = np.where(u >= 1.0 - delta, 1.0 if order == 0 else 0.0, val)
+    return np.where(u <= delta, 0.0, val)
+
+
 # ---------------------------------------------------------------------------
 # differentiation
 
@@ -584,29 +601,34 @@ def _to_py(e):
     return f"({_to_py(e.lhs)} {e.op} {_to_py(e.rhs)})"
 
 
-_COMPILE_ENV = {
-    "_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
-    "_log": math.log, "_sqrt": math.sqrt, "_ramp": ramp_eval,
-    "__builtins__": {},
+_BACKENDS = {
+    "math": {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
+             "_log": math.log, "_sqrt": math.sqrt, "_ramp": ramp_eval},
+    "numpy": {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp,
+              "_log": np.log, "_sqrt": np.sqrt, "_ramp": _ramp_array},
 }
 
 
 @lru_cache(maxsize=4096)
-def _compile_scalar_cached(e):
-    """Compile an Expr to ``f(x, lam=None) -> float``.
-
-    The compiled function evaluates operations in the same order as
-    ``evaluate`` and therefore produces identical floating point results,
-    but without per-node interpretation overhead.  Domain violations raise
-    built-in ValueError/ZeroDivisionError/OverflowError; callers in hot
-    loops translate them as needed.
-    """
+def _compile_scalar_cached(e, backend):
     src = f"lambda x, lam=None: {_to_py(e)}"
-    return eval(src, dict(_COMPILE_ENV))  # noqa: S307 - source is generated
+    env = dict(_BACKENDS[backend], __builtins__={})
+    return eval(src, env)  # noqa: S307 - source is generated
 
 
-def compile_scalar(e):
-    return _compile_scalar_cached(e)
+def compile_scalar(e, backend="math"):
+    """Compile an Expr to ``f(x, lam=None)``.
+
+    With the ``math`` backend ``x`` is one point and the compiled function
+    evaluates operations in the same order as ``evaluate``, so it produces
+    identical floating point results without per-node interpretation
+    overhead; domain violations raise built-in
+    ValueError/ZeroDivisionError/OverflowError, which callers in hot loops
+    translate as needed.  With the ``numpy`` backend ``x`` is an (m, N)
+    array, the result has one value per column (a constant stays a scalar),
+    and domain violations give non-finite values.
+    """
+    return _compile_scalar_cached(e, backend)
 
 
 # ---------------------------------------------------------------------------
@@ -656,12 +678,22 @@ def jacobian(field):
     return tuple(tuple(derive(c, j) for j in range(m)) for c in field.components)
 
 
-def compile_field(field):
-    """Compile to ``F(x, lam=None) -> list[float]``."""
-    fns = tuple(compile_scalar(c) for c in field.components)
-
-    def F(x, lam=None):
-        return [fn(x, lam) for fn in fns]
+def compile_field(field, backend="math"):
+    """Compile to ``F(x, lam=None) -> list[float]`` at one point, or with
+    ``backend="numpy"`` to ``F(X, lam=None)``, the (m, N) array of the field
+    at the columns of the (m, N) array X.  The numpy form evaluates under
+    ``np.errstate(all="ignore")``: a domain error is a non-finite entry."""
+    fns = tuple(compile_scalar(c, backend) for c in field.components)
+    if backend == "math":
+        def F(x, lam=None):
+            return [fn(x, lam) for fn in fns]
+    else:
+        def F(X, lam=None):
+            out = np.empty((len(fns),) + np.shape(X)[1:])
+            with np.errstate(all="ignore"):
+                for i, fn in enumerate(fns):
+                    out[i] = fn(X, lam)
+            return out
 
     return F
 

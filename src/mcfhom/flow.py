@@ -1,9 +1,12 @@
 """Numerical integration of flows, frame transport, and limit classification.
 
-The integrator is an embedded Dormand-Prince 5(4) pair with PI step-size
-control.  All downstream orbit decisions (limit classification, connection
-counting) sit on top of the two entry points ``integrate`` and
-``integrate_until``.
+One embedded Dormand-Prince 5(4) stepper with PI step-size control,
+``_dopri5``, advances an (m, N) state: N orbits side by side, each column
+with its own time, step size, controller history and attempt count.  A
+single orbit is the case N = 1: ``integrate``, ``integrate_until`` and
+``transport_frame`` drive it with one column, and ``integrate_columns``
+runs a whole batch.  All downstream orbit decisions (limit classification,
+connection counting, isolation) sit on top of these entry points.
 """
 from __future__ import annotations
 
@@ -40,22 +43,32 @@ class AmbiguousCaptureError(Exception):
         self.ids = ids
 
 
-# Dormand-Prince 5(4) coefficients.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    [],
+# Dormand-Prince 5(4) tableau.  Each row is kept as (stages, coefficients)
+# of its nonzero entries: stage i uses _A[i], the solution _B5, the error _E.
+def _nonzero(row):
+    idx = [j for j, a in enumerate(row) if a != 0.0]
+    coef = np.array([row[j] for j in idx])[:, None, None]
+    if idx == list(range(idx[0], idx[-1] + 1)):
+        return slice(idx[0], idx[-1] + 1), coef  # selected without a copy
+    return np.array(idx), coef
+
+
+_A = (None,) + tuple(_nonzero(row) for row in (
     [1 / 5],
     [3 / 40, 9 / 40],
     [44 / 45, -56 / 15, 32 / 9],
     [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
-                11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                -92097 / 339200, 187 / 2100, 1 / 40])
-_E = _B5 - _B4
+))
+_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+       187 / 2100, 1 / 40)
+_E = _nonzero([b5 - b4 for b5, b4 in zip(_B5, _B4)])
+_B5 = _nonzero(_B5)
+
+# column outcomes of _dopri5; 0 while a column is still running
+DONE, STOPPED, UNDERFLOW, EXHAUSTED = 1, 2, 3, 4
 
 
 @dataclass
@@ -63,7 +76,7 @@ class Trajectory:
     ts: list
     xs: list  # list of np arrays
     steps: int = 0
-    rejected: int = 0
+    rejected: int = 0  # attempts rejected by error control or a bad stage
 
     @property
     def terminal(self):
@@ -74,126 +87,243 @@ class Trajectory:
         return self.ts[-1] - self.ts[0]
 
 
-def _error_norm(err, x, xnew, rtol, atol):
-    scale = atol + rtol * np.maximum(np.abs(x), np.abs(xnew))
-    return math.sqrt(float(np.mean((err / scale) ** 2)))
+@dataclass
+class _Run:
+    """Per-column result of ``_dopri5``: signed end time, end state
+    (m, N), accepted and rejected attempts, and outcome code."""
+
+    t: np.ndarray
+    x: np.ndarray
+    steps: np.ndarray
+    rejected: np.ndarray
+    status: np.ndarray
 
 
-def _wrap_field(fieldd, lam):
-    F = expr.compile_field(fieldd)
+def _combine(row, K):
+    """sum_j row_j K[j] over the nonzero entries, added in stage order."""
+    stages, coef = row
+    return np.add.reduce(coef * K[stages], axis=0)
 
-    def f(x):
-        return np.array(F(x, lam), dtype=float)
 
-    return f
+def _rows(a):
+    """Each column of a as a contiguous row, so that reductions over a
+    column add in the same order as over a 1-D vector."""
+    return np.ascontiguousarray(a.T)
+
+
+def _norms(a):
+    r = _rows(a)
+    return np.sqrt(np.vecdot(r, r))
+
+
+# The controller uses np.float_power, which calls the C library's pow like
+# Python's float **; np.power may use SIMD approximations whose last bit
+# differs from one CPU to another.
+def _grow(err, errprev):
+    """PI step-size factor after an accepted step."""
+    fac = 0.9 * np.float_power(err + 1e-30, -0.7 / 5) \
+        * np.float_power(errprev, 0.4 / 5)
+    return np.fmin(5.0, np.fmax(0.2, fac))
+
+
+def _shrink(err):
+    """Step-size factor after a step rejected by error control."""
+    return np.fmin(1.0, np.fmax(0.1, 0.9 * np.float_power(err, -1.0 / 5)))
+
+
+def _dopri5(F, x0, direction, target, rtol, atol, max_steps, accepted=None):
+    """Advance every column of the (m, N) state x0 from t = 0 until
+    |t| = target.
+
+    ``F`` maps an (m, n) array of states to their derivatives.  A stage
+    that is not finite, or for which F raises ValueError, ZeroDivisionError
+    or OverflowError, rejects the step of its column with h *= 0.25.
+    ``accepted(cols, t, x_old, x_new, f_new)``, if given, is called after
+    each round for the columns ``cols`` (indices into x0) whose step was
+    accepted, with their signed times, old and new states and the field at
+    the new states; it may rescale ``x_new`` and ``f_new`` in place, and
+    returns True for each column that stops there.  A column also leaves
+    once it reaches the target, its step underflows or it has made
+    ``max_steps`` attempts.
+
+    The running columns are kept packed: a column that leaves is written to
+    the result and dropped from the working arrays, so a round works on
+    whole arrays.  Fancy indexing is needed only in a round where columns
+    leave, or where some but not all steps are accepted; a single orbit
+    needs it only once, when it ends.  Reductions over a column add in the
+    order they would over a 1-D vector, so every column steps exactly as it
+    would alone.
+    """
+    m, n = x0.shape
+    out = _Run(np.zeros(n), np.array(x0, dtype=float), np.zeros(n, int),
+               np.zeros(n, int), np.zeros(n, int))
+    cols = np.arange(n)
+    X = out.x.copy()
+    f0 = F(X)
+    t = np.zeros(n)
+    h = np.minimum(np.minimum(1e-2 * (_norms(X) + 1.0)
+                              / (_norms(f0) + 1e-30), 1.0), target)
+    errprev = np.ones(n)
+    attempts = np.zeros(n, dtype=int)
+    steps = np.zeros(n, dtype=int)
+    rejected = np.zeros(n, dtype=int)
+    code = np.where(attempts >= max_steps, EXHAUSTED,
+                    np.where(h >= 1e-14, 0, UNDERFLOW))
+    K = np.empty((7, m, n))
+    with np.errstate(all="ignore"):
+        while True:
+            if code.any():
+                gone = code != 0
+                c = cols[gone]
+                out.t[c], out.x[:, c], out.steps[c] = t[gone], X[:, gone], \
+                    steps[gone]
+                out.rejected[c], out.status[c] = rejected[gone], code[gone]
+                keep = ~gone
+                cols, X, f0, t, h, errprev = (cols[keep], X[:, keep],
+                                              f0[:, keep], t[keep],
+                                              h[keep], errprev[keep])
+                attempts, steps, rejected = (attempts[keep], steps[keep],
+                                             rejected[keep])
+                K = np.empty((7, m, cols.size))
+            if not cols.size:
+                break
+            hc = np.minimum(h, target - t)
+            dh = direction * hc
+            K[0] = f0
+            try:
+                for i in range(1, 7):
+                    K[i] = F(X + dh * _combine(_A[i], K))
+            except (ValueError, ZeroDivisionError, OverflowError):
+                bad = np.ones(cols.size, dtype=bool)
+                ok, err = ~bad, hc
+            else:
+                xnew = X + dh * _combine(_B5, K)
+                bad = ~(np.logical_and.reduce(np.isfinite(K[1:]), axis=(0, 1))
+                        & np.logical_and.reduce(np.isfinite(xnew), axis=0))
+                scale = atol + rtol * np.maximum(np.abs(X), np.abs(xnew))
+                q = (hc * _combine(_E, K) / scale) ** 2
+                err = np.sqrt(np.add.reduce(_rows(q), axis=1) / m)
+                ok = ~bad & (err <= 1.0)
+            n_ok = np.count_nonzero(ok)
+            every = n_ok == cols.size
+            h = hc * (_grow(err, errprev) if every else np.where(
+                bad, 0.25, np.where(ok, _grow(err, errprev), _shrink(err))))
+            attempts += 1
+            code = np.where(attempts >= max_steps, EXHAUSTED, 0)
+            if n_ok:
+                t = np.where(ok, t + hc, t)
+                errprev = np.where(ok, np.fmax(err, 1e-10), errprev)
+                steps += ok
+                sel = slice(None) if every else ok
+                # K is refilled next round, so the new field values are a copy
+                xa, fa = (xnew, K[6].copy()) if every else \
+                    (xnew[:, ok], K[6][:, ok])
+                stop = False
+                if accepted is not None:
+                    stop = np.asarray(accepted(
+                        cols[sel], direction * t[sel], X[:, sel], xa, fa),
+                        dtype=bool)
+                if every:
+                    X, f0 = xa, fa
+                else:
+                    X[:, ok], f0[:, ok] = xa, fa
+                code[sel] = np.where(stop, STOPPED, np.where(
+                    t[sel] >= target, DONE, code[sel]))
+            rejected += ~ok
+            code[(code == 0) & ~(h >= 1e-14 * (np.abs(t) + 1.0))] = UNDERFLOW
+    out.t *= direction
+    return out
+
+
+def _single(F1, *args):
+    """A one-point field function ``F1(x, *args)`` (1-D state in, sequence
+    out) as the (m, 1) column function ``_dopri5`` expects."""
+    def F(X):
+        return np.array(F1(X[:, 0], *args), dtype=float)[:, None]
+    return F
+
+
+def _raise_failure(run, max_steps):
+    """The exception a one-column run that ended in failure raises."""
+    if run.status[0] == UNDERFLOW:
+        raise StepUnderflowError(float(run.t[0]), run.x[:, 0].copy())
+    if run.status[0] == EXHAUSTED:
+        raise IntegrationError(
+            f"exceeded {max_steps} steps at t={float(run.t[0])!r}")
 
 
 def integrate(fieldd, x0, T, rtol=None, atol=None, lam=None, tols=DEFAULT):
     """Integrate x' = X(x) from x0 over signed duration T."""
     rtol = tols.rtol if rtol is None else rtol
     atol = tols.atol if atol is None else atol
+    x = np.asarray(x0, dtype=float)
+    traj = Trajectory([0.0], [x.copy()])
     if T == 0.0:
-        x = np.asarray(x0, dtype=float)
-        return Trajectory([0.0], [x.copy()])
+        return traj
+    F1 = expr.compile_field(fieldd)
     direction = 1 if T > 0 else -1
-    F = _wrap_field(fieldd, lam)
-    traj = Trajectory([0.0], [np.asarray(x0, dtype=float).copy()])
-    target = abs(T)
-    for t, x, f0, h in _clamped_steps(F, traj.xs[0], direction, rtol, atol,
-                                      tols.max_steps, target):
-        traj.ts.append(direction * t)
-        traj.xs.append(x.copy())
-        traj.steps += 1
+
+    def record(cols, t, x_old, x_new, f_new):
+        traj.ts.append(float(t[0]))
+        traj.xs.append(x_new[:, 0].copy())
+
+    run = _dopri5(_single(F1, lam), x[:, None], direction,
+                  abs(T), rtol, atol, tols.max_steps, record)
+    _raise_failure(run, tols.max_steps)
+    traj.steps, traj.rejected = int(run.steps[0]), int(run.rejected[0])
     return traj
 
 
-def _clamped_steps(F, x0, direction, rtol, atol, max_steps, target):
-    """Accepted steps in |t|, with the final step landing exactly on target.
-
-    Implemented as a thin re-stepper: we run the adaptive stepper and, when
-    a step would overshoot, redo it with a classical RK step of exactly the
-    remaining width (error is controlled since the adaptive h was accepted).
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    t = 0.0
-    f0 = F(x)
-    errprev = 1.0
-    d0 = float(np.linalg.norm(x)) + 1.0
-    d1 = float(np.linalg.norm(f0)) + 1e-30
-    h = min(1e-2 * d0 / d1, 1.0, target)
-    k = [None] * 7
-    for _ in range(max_steps):
-        if h < 1e-14 * (abs(t) + 1.0):
-            raise StepUnderflowError(direction * t, x)
-        h = min(h, target - t)
-        k[0] = f0
-        bad = False
-        for i in range(1, 7):
-            xi = x + (direction * h) * sum(
-                (a * k[j] for j, a in enumerate(_A[i]) if a != 0.0),
-                np.zeros_like(x))
-            try:
-                k[i] = F(xi)
-            except (ValueError, ZeroDivisionError, OverflowError):
-                bad = True
-                break
-            if not np.all(np.isfinite(k[i])):
-                bad = True
-                break
-        if not bad:
-            xnew = x + (direction * h) * sum(
-                (b * k[i] for i, b in enumerate(_B5) if b != 0.0),
-                np.zeros_like(x))
-            err_vec = h * sum((e * k[i] for i, e in enumerate(_E)
-                               if e != 0.0), np.zeros_like(x))
-            if not np.all(np.isfinite(xnew)):
-                bad = True
-        if bad:
-            h *= 0.25
-            continue
-        err = _error_norm(err_vec, x, xnew, rtol, atol)
-        if err <= 1.0:
-            t = t + h
-            x = xnew
-            f0 = k[6]  # FSAL: last stage is F at the new point
-            yield t, x, f0, h
-            if t >= target:
-                return
-            fac = 0.9 * (err + 1e-30) ** (-0.7 / 5) * errprev ** (0.4 / 5)
-            errprev = max(err, 1e-10)
-            h *= min(5.0, max(0.2, fac))
-        else:
-            h *= min(1.0, max(0.1, 0.9 * err ** (-1.0 / 5)))
-    raise IntegrationError(f"exceeded {max_steps} steps at t={direction * t!r}")
-
-
-def integrate_until(fieldd, x0, stop, t_max, direction=1, rtol=None,
-                    atol=None, lam=None, tols=DEFAULT):
+def integrate_until(fieldd, x0, stop, t_max, direction=1, lam=None,
+                    tols=DEFAULT):
     """Integrate until ``stop(t, x_prev, x) -> truthy`` or |t| reaches t_max.
 
     Returns (trajectory, stop_value).  stop_value is None on budget end.
     The stop callback sees the signed time and the endpoints of the step
     just taken, so it can bisect inside the step if needed.
     """
-    rtol = tols.rtol if rtol is None else rtol
-    atol = tols.atol if atol is None else atol
-    F = _wrap_field(fieldd, lam)
-    x = np.asarray(x0, dtype=float).copy()
+    F1 = expr.compile_field(fieldd)
+    x = np.asarray(x0, dtype=float)
     traj = Trajectory([0.0], [x.copy()])
-    for t, xn, f0, h in _clamped_steps(F, x, direction, rtol, atol,
-                                       tols.max_steps, t_max):
+    hit = [None]
+
+    def record(cols, t, x_old, x_new, f_new):
         prev = traj.xs[-1]
-        traj.ts.append(direction * t)
-        traj.xs.append(xn.copy())
-        traj.steps += 1
-        sv = stop(direction * t, prev, xn)
-        if sv:
-            return traj, sv
-    return traj, None
+        xn = x_new[:, 0].copy()
+        traj.ts.append(float(t[0]))
+        traj.xs.append(xn)
+        hit[0] = stop(traj.ts[-1], prev, xn)
+        return bool(hit[0])
+
+    run = _dopri5(_single(F1, lam), x[:, None], direction,
+                  t_max, tols.rtol, tols.atol, tols.max_steps, record)
+    _raise_failure(run, tols.max_steps)
+    traj.steps, traj.rejected = int(run.steps[0]), int(run.rejected[0])
+    return traj, (hit[0] if run.status[0] == STOPPED else None)
 
 
-def transport_frame(fieldd, x0, T, frame, rtol=None, atol=None, lam=None,
-                    tols=DEFAULT):
+def integrate_columns(fieldd, x0, stop, t_max, direction, lam=None,
+                      tols=DEFAULT):
+    """Integrate every column of the (m, N) array x0 until ``stop(X)``,
+    given the (m, n) states just reached, is True for it, or |t| reaches
+    t_max.
+
+    Returns (t, stopped): the signed time at which each column ended, and
+    whether ``stop`` ended it.  A column whose step underflows or that runs
+    out of steps counts as not stopped.
+    """
+    F = expr.compile_field(fieldd, backend="numpy")
+
+    def check(cols, t, x_old, x_new, f_new):
+        return stop(x_new)
+
+    run = _dopri5(lambda X: F(X, lam), np.asarray(x0, dtype=float),
+                  direction, t_max, tols.rtol, tols.atol, tols.max_steps,
+                  check)
+    return run.t, run.status == STOPPED
+
+
+def transport_frame(fieldd, x0, T, frame, lam=None, tols=DEFAULT):
     """Transport tangent vectors along the orbit of x0 over duration T.
 
     Solves the variational equation v' = DX(x(t)) v for each frame vector
@@ -201,8 +331,6 @@ def transport_frame(fieldd, x0, T, frame, rtol=None, atol=None, lam=None,
     accepted step; directions are never altered, so the sign pattern of the
     frame determinant is preserved.  Returns (transported frame, terminal x).
     """
-    rtol = tols.rtol if rtol is None else rtol
-    atol = tols.atol if atol is None else atol
     m = fieldd.dimension
     V = [np.asarray(v, dtype=float) for v in frame]
     kf = len(V)
@@ -222,22 +350,23 @@ def transport_frame(fieldd, x0, T, frame, rtol=None, atol=None, lam=None,
             out[m + i * m: m + (i + 1) * m] = Jx @ z[m + i * m: m + (i + 1) * m]
         return out
 
-    z = np.concatenate([np.asarray(x0, dtype=float)] + V)
-    direction = 1 if T > 0 else -1
-    t = 0.0
-    target = abs(T)
-    for t, z, f0, h in _clamped_steps(G, z, direction, rtol, atol,
-                                      tols.max_steps, target):
-        # renormalize magnitudes in place between steps; the variational
-        # block of G is linear in v, so the cached end-of-step derivative
-        # stays consistent when scaled by the same factor
+    def renormalize(cols, t, z_old, z, f):
+        # rescale magnitudes in place between steps; the variational block
+        # of G is linear in v, so the end-of-step derivative reused by the
+        # next step stays consistent when scaled by the same factor
         for i in range(kf):
-            seg = z[m + i * m: m + (i + 1) * m]
+            seg = z[m + i * m: m + (i + 1) * m, 0]
             nrm = float(np.linalg.norm(seg))
             if nrm == 0.0:
                 raise FrameDegenerateError("frame vector collapsed to zero")
             seg /= nrm
-            f0[m + i * m: m + (i + 1) * m] /= nrm
+            f[m + i * m: m + (i + 1) * m, 0] /= nrm
+
+    z0 = np.concatenate([np.asarray(x0, dtype=float)] + V)
+    run = _dopri5(_single(G), z0[:, None], 1 if T > 0 else -1, abs(T),
+                  tols.rtol, tols.atol, tols.max_steps, renormalize)
+    _raise_failure(run, tols.max_steps)
+    z = run.x[:, 0]
     W = [z[m + i * m: m + (i + 1) * m].copy() for i in range(kf)]
     if kf:
         M = np.column_stack(W)
@@ -256,16 +385,16 @@ class LimitClass:
     exit_face: object = None
 
 
-def field_scale(fieldd, block, lam=None, n=5):
-    """Mean field magnitude over a coarse lattice on the block's bounding
-    box; used to make the speed tolerance dimensionless.  The mean (rather
-    than the median) keeps the scale positive even when the lattice happens
-    to hit several equilibria."""
+def field_scale(fieldd, block, lam=None):
+    """Mean field magnitude over a 5-per-axis lattice on the block's
+    bounding box; used to make the speed tolerance dimensionless.  The mean
+    (rather than the median) keeps the scale positive even when the lattice
+    happens to hit several equilibria."""
     lo, hi = block.bounding_box()
     F = expr.compile_field(fieldd)
     mags = []
     m = fieldd.dimension
-    axes = [np.linspace(lo[i], hi[i], n) for i in range(m)]
+    axes = [np.linspace(lo[i], hi[i], 5) for i in range(m)]
     grid = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grid], axis=-1)
     for p in pts:
@@ -288,21 +417,22 @@ def classify_limit(gradfield, x0, crits, block, tols=DEFAULT, lam=None,
     speed_tol = tols.speed_tol_factor * scale
     F = expr.compile_field(gradfield)
     cap = tols.capture_radius
-    coords = [np.asarray(c.coords, dtype=float) for c in crits]
+    coords = np.array([c.coords for c in crits], dtype=float).reshape(
+        len(crits), gradfield.dimension)
 
     def stop(t, xprev, x):
         if not block.contains(x):
             texit, xexit = _bisect_exit(gradfield, block, xprev, x, lam)
             face = block.find_exit_face(xexit)
             return ("exited", t, face)
-        near = [i for i, c in enumerate(coords)
-                if float(np.linalg.norm(x - c)) < cap]
+        d = x - coords
+        near = np.flatnonzero(np.sqrt(np.vecdot(d, d)) < cap)
         if len(near) > 1:
             raise AmbiguousCaptureError(x, [crits[i].ident for i in near])
-        if near:
+        if len(near):
             v = np.array(F(x, lam), dtype=float)
             if float(np.linalg.norm(v)) < speed_tol:
-                return ("converged", near[0])
+                return ("converged", int(near[0]))
         return None
 
     traj, sv = integrate_until(gradfield, x0, stop, tols.t_budget, lam=lam,

@@ -310,9 +310,11 @@ def verify_d_squared(c, coeff="Z"):
 class HomologyResult:
     betti: list  # betti[k]
     torsion: dict  # k -> list of invariant factors > 1
+    coeff: str = "Z"  # coefficient ring: "Z" or "Z2"
 
     def __eq__(self, other):
-        return (self.trimmed_betti() == other.trimmed_betti()
+        return (self.coeff == other.coeff
+                and self.trimmed_betti() == other.trimmed_betti()
                 and {k: v for k, v in self.torsion.items() if v}
                 == {k: v for k, v in other.torsion.items() if v})
 
@@ -333,7 +335,7 @@ class HomologyResult:
                 continue
             terms = []
             if b:
-                terms.append("Z" if b == 1 else f"Z^{b}")
+                terms.append(self.coeff if b == 1 else f"{self.coeff}^{b}")
             terms.extend(f"Z/{d}" for d in tors)
             parts.append(f"H_{k} = " + " + ".join(terms))
         return "; ".join(parts) if parts else "0"
@@ -364,7 +366,7 @@ def homology(c, coeff="Z"):
         betti.append(c.dims[k] - ranks[k] - ranks[k + 1])
         if betti[-1] < 0:
             raise HomalgError(f"negative Betti number in degree {k}")
-    return HomologyResult(betti, torsion)
+    return HomologyResult(betti, torsion, coeff)
 
 
 # ---------------------------------------------------------------------------

@@ -158,19 +158,21 @@ def morse_perturb(base, b, epsilon=None, perturbation=None, rng=None,
     m = b.dimension
     steps = tols.cert_lambda_steps
     lambdas = tuple(i / steps for i in range(steps + 1))
+    samples = b.boundary_samples(tols.isolation_samples_per_face)
     min_bgrad = math.inf
     for lv in lambdas:
         interp = expr.add(base,
                           expr.mul(expr.Const(float(lv * eps)), perturbation))
-        grad = [expr.compile_scalar(g) for g in expr.gradient(interp, m)]
-        for face, s in b.boundary_samples(tols.isolation_samples_per_face):
-            gn = math.sqrt(sum(g(s, lam) ** 2 for g in grad))
-            min_bgrad = min(min_bgrad, gn)
-            if gn <= tols.margin_tol:
-                raise CertificationError(
-                    lv, f"critical point of the interpolant touches the "
-                        f"boundary near {tuple(float(v) for v in s)}")
         gradfield = expr.negative_gradient(interp, m)
+        G = expr.compile_field(gradfield, backend="numpy")(samples.T, lam)
+        gn = np.sqrt(np.add.reduce(G * G, axis=0))
+        min_bgrad = min(min_bgrad, float(np.fmin.reduce(gn)))
+        touching = np.flatnonzero(gn <= tols.margin_tol)
+        if touching.size:
+            s = samples[touching[0]]
+            raise CertificationError(
+                lv, f"critical point of the interpolant touches the "
+                    f"boundary near {tuple(float(v) for v in s)}")
         rep = block_mod.check_isolation(b, gradfield, lam=lam, tols=tols)
         if not rep:
             raise CertificationError(

@@ -1,8 +1,9 @@
 """Cubical blocks: construction, boundary classification, exit sets,
 isolation."""
+import numpy as np
 import pytest
 
-from mcfhom import block, expr
+from mcfhom import block, expr, flow
 from mcfhom.config import DEFAULT
 
 
@@ -155,3 +156,91 @@ def test_find_exit_face():
     b = block.build_block(box=[(0, 1)], spacing=0.5)
     f = b.find_exit_face((1.01,))
     assert f.axis == 0 and f.side == 1
+
+
+# ---------------------------------------------------------------------------
+# column containment, boundary samples and batched isolation
+
+def _l_shape():
+    # three cubes of an L in the x1-x2 plane, two layers deep: non-convex
+    cubes = [(i, j, k) for i, j in ((0, 0), (1, 0), (0, 1)) for k in (0, 1)]
+    return block.build_block(cubes=cubes, origin=(-0.5, -0.5, -0.5),
+                             spacing=0.5)
+
+
+def _face_lattice(b, f, n):
+    lo, hi = b.face_box(f)
+    axes = [np.array([lo[i]]) if i == f.axis
+            else np.linspace(lo[i], hi[i], n + 2)[1:-1]
+            for i in range(b.dimension)]
+    grid = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grid], axis=-1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_boundary_samples_are_the_face_lattices(n):
+    for b in (_l_shape(), block.build_block(box=[(0, 1)], spacing=0.5),
+              block.build_block(box=[(-1, 1), (-1, 0.5)], spacing=0.5)):
+        want = np.concatenate([_face_lattice(b, f, n) for f in b.face_tags])
+        assert np.array_equal(b.boundary_samples(n), want)
+
+
+def test_contains_columns_equals_contains():
+    rng = np.random.default_rng(11)
+    tol = DEFAULT.boundary_tol
+    for b in (_l_shape(),
+              block.build_block(box=[(-1, 1), (-1, 1)], spacing=0.25),
+              block.build_block(box=[(0, 1)], spacing=0.5)):
+        m = b.dimension
+        lo, hi = b.bounding_box()
+        P = rng.uniform(np.array(lo) - 0.6, np.array(hi) + 0.6,
+                        size=(2000, m))
+        # snap coordinates onto grid planes, on either side of the
+        # tolerance: faces, edges and corners, inside and outside
+        o = np.asarray(b.origin)
+        plane = o + b.spacing * np.round((P - o) / b.spacing)
+        jitter = rng.choice([0.0, 0.5 * tol, -0.5 * tol, 2 * tol, -2 * tol],
+                            size=P.shape)
+        P = np.where(rng.random(P.shape) < 0.6, plane + jitter, P)
+        # far outside the occupancy grid, and not a number
+        P = np.vstack([P, np.full((1, m), 1e6), np.full((1, m), -1e300),
+                       np.full((1, m), np.nan)])
+        with np.errstate(invalid="ignore"):  # NaN has no cube index
+            want = [b.contains(p) for p in P]
+        assert any(want) and not all(want)
+        assert list(b.contains_columns(P.T)) == want
+
+
+def test_batched_isolation_matches_single_orbits():
+    b = _l_shape()
+    # the plane x1 = 0, which holds boundary faces of the inner corner, is
+    # all equilibria: its samples are trapped
+    fld = expr.parse_field(
+        ["x1", "-x1*x2 + 0.3*sin(x1)", "x1*x3*exp(x2)"], 3)
+    rep = block.check_isolation(b, fld)
+
+    def left(t, xprev, x):
+        return ("out", t) if not b.contains(x) else None
+
+    budget = DEFAULT.cert_t_budget
+    margins = []
+    for (s, outcome), p in zip(rep.samples,
+                               b.boundary_samples(
+                                   DEFAULT.isolation_samples_per_face)):
+        assert s == tuple(p)
+        want = "trapped"
+        for direction, label in ((-1, "backward"), (1, "forward")):
+            try:
+                _, sv = flow.integrate_until(fld, p, left, budget,
+                                             direction=direction)
+            except flow.IntegrationError:
+                sv = None
+            if sv is not None:
+                want = label
+                margins.append(budget - abs(sv[1]))
+                break
+        assert outcome == want
+    outcomes = {o for _, o in rep.samples}
+    assert outcomes == {"backward", "forward", "trapped"}
+    assert not rep.verdict
+    assert rep.worst_margin == pytest.approx(min(margins), abs=1e-9)

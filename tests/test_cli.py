@@ -125,7 +125,8 @@ def test_z2_coefficients(capsys):
     code = cli.main(["hi", _path("saddle.json"), "--coeff", "Z2"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert out["hi"]["pretty"] == "H_1 = Z"
+    assert out["hi"]["pretty"] == "H_1 = Z2"
+    assert out["relative_cubical"]["pretty"] == "H_1 = Z2"
     assert out["coeff"] == "Z2"
 
 

@@ -218,6 +218,49 @@ def test_ramp_node_derivative_chain_rule():
 
 
 # ---------------------------------------------------------------------------
+# numpy backend
+
+@pytest.mark.parametrize("text,exact", [
+    ("x1*x2 - 3*x1/(1 + x2^2) + (-x2)", True),
+    ("sin(x1)", False), ("exp(x1)", False), ("cos(x2)", False)])
+def test_numpy_backend_matches_math_backend(text, exact):
+    # arithmetic is correctly rounded in both backends; exp and sin may come
+    # from SIMD routines that are faithfully rather than correctly rounded
+    e = expr.parse(text, 2)
+    X = np.random.default_rng(3).uniform(-4, 4, size=(2, 500))
+    got = expr.compile_scalar(e, backend="numpy")(X)
+    f = expr.compile_scalar(e)
+    want = np.array([f(X[:, j]) for j in range(X.shape[1])])
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_array_max_ulp(got, want, maxulp=1)
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_numpy_ramp_equals_math_ramp(order):
+    delta = 0.25
+    # both flat zones, the quintic, t < 0, u == delta and u == 1 - delta
+    mu = np.concatenate([np.linspace(-3.1, 3.1, 125),
+                         [delta, -delta, 1 - delta, delta - 1, 2 + delta,
+                          1.0, -1.0, 0.0]])
+    node = expr.RampProfile(order, delta, expr.Var(0))
+    got = expr.compile_scalar(node, backend="numpy")(mu[None, :])
+    want = [expr.ramp_eval(order, delta, float(v)) for v in mu]
+    assert np.array_equal(got, want)
+
+
+def test_numpy_field_broadcasts_constants_and_flags_domain_errors():
+    fld = expr.parse_field(["2", "log(x1)", "1/x2"], 3)
+    F = expr.compile_field(fld, backend="numpy")
+    V = F(np.array([[1.0, -1.0, 2.0], [4.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))
+    assert V.shape == (3, 3)
+    assert list(V[0]) == [2.0, 2.0, 2.0]
+    assert V[1, 0] == 0.0 and np.isnan(V[1, 1])
+    assert V[2, 0] == 0.25 and np.isinf(V[2, 2])
+
+
+# ---------------------------------------------------------------------------
 # fields
 
 def test_field_requires_matching_component_count():

@@ -1,4 +1,5 @@
 """Integrator, frame transport, and orbit limit classification."""
+import dataclasses
 import math
 
 import numpy as np
@@ -209,3 +210,95 @@ def test_ambiguous_capture_error():
     twin = dataclasses.replace(c0, ident=1, coords=(1e-6,))
     with pytest.raises(flow.AmbiguousCaptureError):
         flow.classify_limit(fld, (0.5,), [c0, twin], b)
+
+
+# ---------------------------------------------------------------------------
+# the batched stepper
+
+def test_rejected_attempts_are_counted():
+    # x' = -50 (x - 1) started next to its equilibrium: the tiny field value
+    # makes the first step as long as the integration, far too long for the
+    # stiff decay, so error control rejects it before stepping on
+    fld = expr.parse_field(["-50*(x1 - 1)"], 1)
+    traj = flow.integrate(fld, (1.0 + 1e-9,), 1.0)
+    assert traj.rejected > 0
+    assert traj.steps == len(traj.ts) - 1
+    assert abs(traj.terminal[0] - 1.0) < 1e-9
+
+
+def test_domain_error_is_a_rejected_step():
+    # x' = -sqrt(x) reaches 0 at t = 2 sqrt(x0); the first step is long
+    # enough for its stages to go negative, where sqrt has no value
+    fld = expr.parse_field(["-sqrt(x1)"], 1)
+    traj = flow.integrate(fld, (1e-6,), 1.9e-3)
+    assert traj.rejected > 0
+    assert traj.terminal[0] == pytest.approx((1e-3 - 0.95e-3) ** 2,
+                                             rel=1e-6)
+
+
+def test_numpy_backend_domain_error_is_a_rejected_step():
+    # the same with log, evaluated by the numpy backend: a stage at a
+    # negative state is NaN and rejects the step instead of raising
+    fld = expr.parse_field(["-sqrt(x1) + 0*log(x1)"], 1)
+    F = expr.compile_field(fld, backend="numpy")
+    run = flow._dopri5(F, np.array([[1e-6, 4e-6]]), 1, 1.9e-3,
+                       DEFAULT.rtol, DEFAULT.atol, DEFAULT.max_steps)
+    assert list(run.status) == [flow.DONE, flow.DONE]
+    assert all(run.rejected > 0)
+    assert run.x[0] == pytest.approx(
+        [(1e-3 - 0.95e-3) ** 2, (2e-3 - 0.95e-3) ** 2], rel=1e-6)
+
+
+def _columns_and_singles(F, X0, direction, target, accepted=None):
+    many = flow._dopri5(F, X0, direction, target, DEFAULT.rtol,
+                        DEFAULT.atol, 2000, accepted)
+    ones = [flow._dopri5(F, X0[:, j:j + 1], direction, target, DEFAULT.rtol,
+                         DEFAULT.atol, 2000, accepted)
+            for j in range(X0.shape[1])]
+    return many, ones
+
+
+def test_columns_equal_single_runs_bit_for_bit():
+    # a damped pendulum with exp and integer powers: columns leave at
+    # different rounds (disk exit, budget, step underflow at the singular
+    # line of the second field), so the packed and the single-column runs
+    # take different code paths
+    fld = expr.parse_field(
+        ["x2", "-sin(x1) - 0.3*x2 + 0.1*exp(-x1^2)*x2^3"], 2)
+    F = expr.compile_field(fld, backend="numpy")
+
+    def leave_disk(cols, t, x_old, x_new, f_new):
+        return np.sum(x_new ** 2, axis=0) > 9.0
+
+    rng = np.random.default_rng(7)
+    X0 = rng.uniform(-3, 3, size=(2, 24))
+    for direction in (1, -1):
+        many, ones = _columns_and_singles(F, X0, direction, 7.5, leave_disk)
+        assert set(many.status) >= {flow.STOPPED, flow.DONE}
+        for j, one in enumerate(ones):
+            assert one.t[0] == many.t[j]
+            assert np.array_equal(one.x[:, 0], many.x[:, j])
+            assert (one.steps[0], one.rejected[0], one.status[0]) == \
+                (many.steps[j], many.rejected[j], many.status[j])
+
+    blowup = expr.compile_field(expr.parse_field(["-1/x1"], 1),
+                                backend="numpy")
+    many, ones = _columns_and_singles(blowup, np.array([[1.0, 3.0, -3.0]]),
+                                      1, 2.0)
+    assert list(many.status) == [flow.UNDERFLOW, flow.DONE, flow.DONE]
+    for j, one in enumerate(ones):
+        assert (one.t[0], one.x[0, 0], one.steps[0], one.rejected[0],
+                one.status[0]) == (many.t[j], many.x[0, j], many.steps[j],
+                                   many.rejected[j], many.status[j])
+
+
+def test_single_column_step_limit():
+    fld = expr.parse_field(["x2", "-x1"], 2)
+    F = expr.compile_field(fld, backend="numpy")
+    run = flow._dopri5(F, np.array([[1.0], [0.0]]), 1, 100.0, DEFAULT.rtol,
+                       DEFAULT.atol, 5)
+    assert run.status[0] == flow.EXHAUSTED
+    assert run.steps[0] + run.rejected[0] == 5
+    with pytest.raises(flow.IntegrationError, match="exceeded 5 steps"):
+        flow.integrate(fld, (1.0, 0.0), 100.0,
+                       tols=dataclasses.replace(DEFAULT, max_steps=5))

@@ -129,6 +129,14 @@ def test_homology_torsion():
     assert h.describe() == "H_0 = Z/2"
 
 
+def test_homology_names_its_coefficient_ring():
+    c = homalg.ChainComplex([2, 1], {1: [[0], [0]]})
+    assert homalg.homology(c).describe() == "H_0 = Z^2; H_1 = Z"
+    h2 = homalg.homology(c, coeff="Z2")
+    assert h2.describe() == "H_0 = Z2^2; H_1 = Z2"
+    assert h2 != homalg.homology(c)
+
+
 def test_homology_rejects_non_complex():
     c = homalg.ChainComplex([1, 1, 1], {1: [[1]], 2: [[1]]})
     assert homalg.verify_d_squared(c) == (1, 0, 0, 1)
