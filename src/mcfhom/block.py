@@ -103,7 +103,9 @@ class GridBlock:
     def contains(self, point, tol=None):
         tol = DEFAULT.boundary_tol if tol is None else tol
         p = np.asarray(point, dtype=float)
-        idx = np.floor((p - np.asarray(self.origin)) / self.spacing).astype(int)
+        idx = np.floor((p - np.asarray(self.origin)) / self.spacing).tolist()
+        if not all(map(math.isfinite, idx)):
+            return False  # no cube index
         # a boundary point belongs to several candidate cubes
         for delta in itertools.product((0, -1), repeat=self.dimension):
             c = tuple(int(idx[i]) + delta[i] for i in range(self.dimension))

@@ -595,17 +595,22 @@ def _to_py(e):
     if isinstance(e, Call):
         return f"_{e.func}({_to_py(e.arg)})"
     if isinstance(e, Pow):
-        return f"({_to_py(e.base)})**{e.exponent}"
+        return f"_pow({_to_py(e.base)}, {e.exponent})"
     if isinstance(e, RampProfile):
         return f"_ramp({e.order}, {e.delta!r}, {_to_py(e.arg)})"
     return f"({_to_py(e.lhs)} {e.op} {_to_py(e.rhs)})"
 
 
+# np.float_power calls the C library's pow, as Python's float ** does, so
+# integer powers agree bit for bit between the backends; the ndarray **
+# operator may square by multiplication or use SIMD pow routines.
 _BACKENDS = {
     "math": {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
-             "_log": math.log, "_sqrt": math.sqrt, "_ramp": ramp_eval},
+             "_log": math.log, "_sqrt": math.sqrt, "_ramp": ramp_eval,
+             "_pow": pow},
     "numpy": {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp,
-              "_log": np.log, "_sqrt": np.sqrt, "_ramp": _ramp_array},
+              "_log": np.log, "_sqrt": np.sqrt, "_ramp": _ramp_array,
+              "_pow": np.float_power},
 }
 
 

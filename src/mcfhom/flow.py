@@ -4,9 +4,13 @@ One embedded Dormand-Prince 5(4) stepper with PI step-size control,
 ``_dopri5``, advances an (m, N) state: N orbits side by side, each column
 with its own time, step size, controller history and attempt count.  A
 single orbit is the case N = 1: ``integrate``, ``integrate_until`` and
-``transport_frame`` drive it with one column, and ``integrate_columns``
-runs a whole batch.  All downstream orbit decisions (limit classification,
-connection counting, isolation) sit on top of these entry points.
+``transport_frame`` drive it with one column, while ``integrate_columns``
+and ``classify_limit`` run a whole batch.  ``classify_limit`` labels the
+orbits of N start points in one run, with a column-wise stop test (left
+the block, captured at a critical point) after every round; an exit is
+reported by the first point reached outside the block, with no bisection
+onto the boundary.  All downstream orbit decisions (connection counting,
+isolation) sit on top of these entry points.
 """
 from __future__ import annotations
 
@@ -243,13 +247,13 @@ def _single(F1, *args):
     return F
 
 
-def _raise_failure(run, max_steps):
-    """The exception a one-column run that ended in failure raises."""
-    if run.status[0] == UNDERFLOW:
-        raise StepUnderflowError(float(run.t[0]), run.x[:, 0].copy())
-    if run.status[0] == EXHAUSTED:
+def _raise_failure(run, max_steps, j=0):
+    """The exception raised for column j of a run if it ended in failure."""
+    if run.status[j] == UNDERFLOW:
+        raise StepUnderflowError(float(run.t[j]), run.x[:, j].copy())
+    if run.status[j] == EXHAUSTED:
         raise IntegrationError(
-            f"exceeded {max_steps} steps at t={float(run.t[0])!r}")
+            f"exceeded {max_steps} steps at t={float(run.t[j])!r}")
 
 
 def integrate(fieldd, x0, T, rtol=None, atol=None, lam=None, tols=DEFAULT):
@@ -377,14 +381,6 @@ def transport_frame(fieldd, x0, T, frame, lam=None, tols=DEFAULT):
     return W, z[:m].copy()
 
 
-@dataclass(frozen=True)
-class LimitClass:
-    tag: str  # "converged" | "exited" | "budget"
-    crit_id: int = -1
-    exit_time: float = 0.0
-    exit_face: object = None
-
-
 def field_scale(fieldd, block, lam=None):
     """Mean field magnitude over a 5-per-axis lattice on the block's
     bounding box; used to make the speed tolerance dimensionless.  The mean
@@ -407,52 +403,62 @@ def field_scale(fieldd, block, lam=None):
     return max(float(np.mean(mags)), 1e-12) if mags else 1.0
 
 
-def classify_limit(gradfield, x0, crits, block, tols=DEFAULT, lam=None,
+@dataclass(frozen=True)
+class LimitClass:
+    """Per-column outcome of ``classify_limit``."""
+
+    tag: tuple  # "converged" | "exited" | "budget", one per column
+    crit_id: tuple  # ident of the capturing critical point, else -1
+
+
+def classify_limit(gradfield, X0, crits, block, tols=DEFAULT, lam=None,
                    scale=None):
-    """Run the orbit of x0 until capture at a critical point, exit from the
-    block, or time budget.  Capture requires both proximity within the
-    capture radius and speed below the speed tolerance."""
+    """Run the orbit of every column of the (m, N) array X0 until capture
+    at a critical point, exit from the block, or time budget, as one
+    ``_dopri5`` batch with the ``numpy`` backend.
+
+    After each accepted step a column is tested in this order: it has
+    exited once its new point lies outside the block; it is captured once
+    exactly one critical point lies within the capture radius and its speed
+    is below the speed tolerance.  Two critical points within the radius
+    raise AmbiguousCaptureError.  Returns (limits, run): the tag and the
+    capturing ident of each column, and the ``_Run`` of the batch, whose
+    ``t`` and ``x`` are each column's signed end time and end point (for an
+    exit, the first point reached outside the block; there is no bisection
+    onto the boundary).  A column whose step underflows or that runs out of
+    steps raises, as ``integrate_until`` does."""
     if scale is None:
         scale = field_scale(gradfield, block, lam)
     speed_tol = tols.speed_tol_factor * scale
-    F = expr.compile_field(gradfield)
+    F = expr.compile_field(gradfield, backend="numpy")
     cap = tols.capture_radius
+    X0 = np.asarray(X0, dtype=float)
+    m, n = X0.shape
     coords = np.array([c.coords for c in crits], dtype=float).reshape(
-        len(crits), gradfield.dimension)
+        len(crits), m)
+    captor = np.full(n, -1)  # index into crits of a captured column
 
-    def stop(t, xprev, x):
-        if not block.contains(x):
-            texit, xexit = _bisect_exit(gradfield, block, xprev, x, lam)
-            face = block.find_exit_face(xexit)
-            return ("exited", t, face)
-        d = x - coords
-        near = np.flatnonzero(np.sqrt(np.vecdot(d, d)) < cap)
-        if len(near) > 1:
-            raise AmbiguousCaptureError(x, [crits[i].ident for i in near])
-        if len(near):
-            v = np.array(F(x, lam), dtype=float)
-            if float(np.linalg.norm(v)) < speed_tol:
-                return ("converged", int(near[0]))
-        return None
+    def stop(cols, t, x_old, X, f_new):
+        out = ~block.contains_columns(X)
+        d = _rows(X) - coords[:, None, :]  # (n_crits, n, m)
+        near = (np.sqrt(np.vecdot(d, d)) < cap) & ~out
+        count = np.count_nonzero(near, axis=0)
+        if (count > 1).any():
+            j = int(np.argmax(count > 1))
+            raise AmbiguousCaptureError(
+                X[:, j], [crits[i].ident for i in np.flatnonzero(near[:, j])])
+        caught = (count == 1) & (_norms(f_new) < speed_tol)
+        if caught.any():
+            captor[cols[caught]] = np.argmax(near[:, caught], axis=0)
+        return out | caught
 
-    traj, sv = integrate_until(gradfield, x0, stop, tols.t_budget, lam=lam,
-                               tols=tols)
-    if sv is None:
-        return LimitClass("budget"), traj
-    if sv[0] == "exited":
-        return LimitClass("exited", exit_time=sv[1], exit_face=sv[2]), traj
-    return LimitClass("converged", crit_id=crits[sv[1]].ident), traj
-
-
-def _bisect_exit(fieldd, block, x_in, x_out, lam):
-    """Refine the boundary crossing between an inside and an outside point
-    of one accepted step by short re-integrations."""
-    # secant on straight chord is adequate for face identification
-    a, b = np.asarray(x_in, float), np.asarray(x_out, float)
-    for _ in range(60):
-        mid = 0.5 * (a + b)
-        if block.contains(mid):
-            a = mid
-        else:
-            b = mid
-    return 0.0, b
+    run = _dopri5(lambda X: F(X, lam), X0, 1, tols.t_budget, tols.rtol,
+                  tols.atol, tols.max_steps, stop)
+    failed = np.flatnonzero((run.status == UNDERFLOW)
+                            | (run.status == EXHAUSTED))
+    if failed.size:
+        _raise_failure(run, tols.max_steps, failed[0])
+    tag = tuple("budget" if s == DONE else "exited" if c < 0 else "converged"
+                for s, c in zip(run.status, captor))
+    ids = tuple(crits[c].ident if c >= 0 else -1 for c in captor)
+    return LimitClass(tag, ids), run

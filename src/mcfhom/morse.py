@@ -5,19 +5,26 @@ Connections are counted only between critical points of adjacent index.
 For an index-k source the seeds live on a small sphere inside the unstable
 eigenspace; basin boundaries on that sphere are isolated by adaptive
 bisection and each witness orbit receives a sign by transporting the
-source's unstable frame along it.
+source's unstable frame along it.  The bisection runs breadth-first: the
+initial vertices form one ``flow.classify_limit`` batch, and each later
+level (the new vertices of every simplex split at the level before, plus
+the midpoints of simplices already below ``dir_tol``) forms another.
+Directions whose orbit hits the time budget count as non-connecting; they
+are counted in ``ConnectionFinder.budget_hits`` and logged as a warning on
+the ``mcfhom.morse`` logger.
 """
 from __future__ import annotations
 
 import itertools
-import math
-import warnings
-from dataclasses import dataclass, field as dc_field
+import logging
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr, flow, homalg
 from .config import DEFAULT
+
+log = logging.getLogger(__name__)
 
 
 class MorseError(Exception):
@@ -198,6 +205,11 @@ def _split(sp):
     return [a, bsp]
 
 
+def _key(d):
+    """Cache key of a direction: equal for directions equal to 14 places."""
+    return tuple(np.round(d, 14))
+
+
 def _diameter(sp):
     return max(float(np.linalg.norm(a - b))
                for a, b in itertools.combinations(sp, 2)) if len(sp) > 1 else 0.0
@@ -222,7 +234,7 @@ class ConnectionFinder:
         self._rngs = {}
         self.seed = seed
         self._witnesses = {}  # source ident -> {target ident: [Witness]}
-        self._budget_hits = 0
+        self.budget_hits = 0  # directions whose orbit hit the time budget
 
     def _rotation(self, k):
         if k not in self._rngs:
@@ -237,19 +249,26 @@ class ConnectionFinder:
         U = x.frame_matrix()
         return np.asarray(x.coords) + self.tols.delta_u * (U @ d)
 
-    def _label(self, x, d):
-        """Classify the orbit leaving x along direction d (coefficients in
-        the unstable eigenspace)."""
-        p0 = self._seed_point(x, d)
-        lc, traj = flow.classify_limit(
-            self.gradfield, p0, self.crits, self.b, tols=self.tols,
+    def _classify(self, x, dirs):
+        """Classify the orbits leaving x along the directions ``dirs``
+        (coefficients in the unstable eigenspace) as one batch: for each,
+        its label ("crit", ident), ("exit",) or ("budget",) and its signed
+        end time."""
+        P0 = np.column_stack([self._seed_point(x, d) for d in dirs])
+        lc, run = flow.classify_limit(
+            self.gradfield, P0, self.crits, self.b, tols=self.tols,
             lam=self.lam, scale=self.scale)
-        if lc.tag == "converged":
-            return ("crit", lc.crit_id), traj
-        if lc.tag == "exited":
-            return ("exit",), traj
-        self._budget_hits += 1
-        return ("budget",), traj
+        out = []
+        for tag, ident, t in zip(lc.tag, lc.crit_id, run.t):
+            if tag == "converged":
+                lab = ("crit", ident)
+            elif tag == "exited":
+                lab = ("exit",)
+            else:
+                lab = ("budget",)
+                self.budget_hits += 1
+            out.append((lab, float(t)))
+        return out
 
     def witnesses_for(self, source_ident):
         if source_ident not in self._witnesses:
@@ -257,58 +276,89 @@ class ConnectionFinder:
                 self.by_id[source_ident])
         return self._witnesses[source_ident]
 
+    def _refine(self, sp, labels):
+        """What a simplex of the sphere asks for, given the labels of its
+        vertices: (children, None) to split it, ([], midpoint) to label its
+        midpoint once it is below ``dir_tol``, or ([], None).  Directions
+        that hit the time budget count as non-connecting."""
+        labs = {labels[_key(v)][0] for v in sp} - {("budget",)}
+        if len(labs) < 2:
+            return [], None
+        if _diameter(sp) < self.tols.dir_tol:
+            mid = sum(sp) / len(sp)
+            return [], mid / np.linalg.norm(mid)
+        return (_split(sp) if len(sp) > 1 else []), None
+
     def _search(self, x):
         k = x.index
-        out = {}
         if k == 0:
-            return out
+            return {}
         targets = {c.ident for c in self.crits if c.index == k - 1}
         if not targets:
-            return out
-        found = []  # (direction ndarray, target ident, capture time)
-        labels = {}
-
-        def label_of(d):
-            # Every capture of a target is recorded the moment it is seen:
-            # refinement vertices that land inside a capture window are just
-            # as valid witnesses as the initial seeds, and the windows can be
-            # far narrower than the seed spacing.  _collect merges the
-            # cluster of directions inside one window into a single witness.
-            key = tuple(np.round(d, 14))
-            if key not in labels:
-                lab, traj = self._label(x, d)
-                labels[key] = (lab, traj.ts[-1] if traj.ts else 0.0)
-                if lab[0] == "crit" and lab[1] in targets:
-                    found.append((np.asarray(d, float), lab[1],
-                                  abs(labels[key][1])))
-            return labels[key]
-
+            return {}
         rot = self._rotation(k) if k > 1 else np.eye(1)
-        work = list(_initial_simplices(k, self.tols.n_dir_seeds, rot))
+        initial = _initial_simplices(k, self.tols.n_dir_seeds, rot)
+        labels = {}  # direction key -> (label, signed end time)
+
+        def label_all(dirs):
+            todo = {}
+            for d in dirs:
+                key = _key(d)
+                if key not in labels:
+                    todo.setdefault(key, d)
+            if todo:
+                labels.update(zip(todo, self._classify(x, [*todo.values()])))
+
+        # Breadth-first: one batch per level, the vertices of the simplices
+        # split at the previous level plus the midpoints it asked for.
+        # Refinement reads only a simplex's own labels, so the labelled
+        # directions do not depend on the order.
+        level = initial
+        label_all([v for sp in level for v in sp])
+        while level:
+            nxt, mids = [], []
+            for sp in level:
+                children, mid = self._refine(sp, labels)
+                nxt.extend(children)
+                if mid is not None:
+                    mids.append(mid)
+            label_all([v for sp in nxt for v in sp] + mids)
+            level = nxt
+        hits = sum(lab == ("budget",) for lab, _ in labels.values())
+        if hits:
+            log.warning("%d directions on the unstable sphere of critical "
+                        "point %d hit the time budget; treated as "
+                        "non-connecting", hits, x.ident)
+
+        # Witnesses in depth-first order of first touch, which fixes the
+        # cluster representatives that _collect keeps.  Every capture of a
+        # target counts: refinement vertices inside a capture window are
+        # as valid witnesses as the initial seeds, and the windows can be
+        # far narrower than the seed spacing.  _collect merges the cluster
+        # of directions inside one window into a single witness.
+        found = []  # (direction, target ident, capture time)
+        seen = set()
+
+        def touch(d):
+            key = _key(d)
+            if key not in seen:
+                seen.add(key)
+                lab, t = labels[key]
+                if lab[0] == "crit" and lab[1] in targets:
+                    found.append((np.asarray(d, float), lab[1], abs(t)))
+
+        work = list(initial)
         for sp in work:
             for v in sp:
-                label_of(v)
-        budget_warned = False
+                touch(v)
         while work:
             sp = work.pop()
-            labs = []
             for v in sp:
-                lab, t = label_of(v)
-                labs.append(lab)
-            if any(l[0] == "budget" for l in labs):
-                if not budget_warned:
-                    warnings.warn(
-                        "time budget exceeded while labeling directions; "
-                        "treating as non-connecting", stacklevel=2)
-                    budget_warned = True
-                labs = [l for l in labs if l[0] != "budget"]
-            if len(set(labs)) < 2:
-                continue
-            if _diameter(sp) < self.tols.dir_tol:
-                mid = sum(sp) / len(sp)
-                label_of(mid / np.linalg.norm(mid))
-                continue
-            work.extend(_split(sp) if len(sp) > 1 else [])
+                touch(v)
+            children, mid = self._refine(sp, labels)
+            if mid is not None:
+                touch(mid)
+            work.extend(children)
         return self._collect(x, found)
 
     def _same_orbit(self, x, tgt, d1, d2):
@@ -319,7 +369,7 @@ class ConnectionFinder:
         nm = float(np.linalg.norm(mid))
         if nm < 1e-12:
             return False
-        lab, _ = self._label(x, mid / nm)
+        (lab, _), = self._classify(x, [mid / nm])
         return lab == ("crit", tgt)
 
     def _collect(self, x, found):

@@ -1,5 +1,7 @@
 """Cubical blocks: construction, boundary classification, exit sets,
 isolation."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,16 @@ def test_isolation_fails_on_trapped_boundary():
     assert any(abs(s[0]) < 1e-12 for s in rep.failures)
 
 
+def test_contains_is_false_for_non_finite_and_far_points():
+    b = block.build_block(box=[(-1, 1), (-1, 1)], spacing=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in ((np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.5),
+                  (np.nan, np.nan), (np.inf, -np.inf), (1e300, 0.0)):
+            assert not b.contains(p)
+        assert b.contains((1.0, -1.0))
+
+
 def test_find_exit_face():
     b = block.build_block(box=[(0, 1)], spacing=0.5)
     f = b.find_exit_face((1.01,))
@@ -205,8 +217,7 @@ def test_contains_columns_equals_contains():
         # far outside the occupancy grid, and not a number
         P = np.vstack([P, np.full((1, m), 1e6), np.full((1, m), -1e300),
                        np.full((1, m), np.nan)])
-        with np.errstate(invalid="ignore"):  # NaN has no cube index
-            want = [b.contains(p) for p in P]
+        want = [b.contains(p) for p in P]
         assert any(want) and not all(want)
         assert list(b.contains_columns(P.T)) == want
 

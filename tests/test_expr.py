@@ -237,6 +237,19 @@ def test_numpy_backend_matches_math_backend(text, exact):
         np.testing.assert_array_max_ulp(got, want, maxulp=1)
 
 
+def test_numpy_backend_integer_powers_match_math_backend():
+    # the ndarray ** operator squares by multiplication and may take other
+    # powers from SIMD routines; both differ from Python's float ** in the
+    # last bit for some bases
+    X = np.random.default_rng(5).uniform(-4, 4, size=(1, 20000))
+    for n in (2, 3, 4, 5, -1, -2):
+        e = expr.powi(expr.parse("x1", 1), n)
+        got = expr.compile_scalar(e, backend="numpy")(X)
+        f = expr.compile_scalar(e)
+        want = np.array([f(X[:, j]) for j in range(X.shape[1])])
+        assert np.array_equal(got, want), n
+
+
 @pytest.mark.parametrize("order", range(7))
 def test_numpy_ramp_equals_math_ramp(order):
     delta = 0.25

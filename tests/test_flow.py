@@ -1,6 +1,7 @@
 """Integrator, frame transport, and orbit limit classification."""
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -170,35 +171,55 @@ def _double_well_setup():
     return f, fld, b, crits
 
 
+def _captor(lc, crits, j=0):
+    assert lc.tag[j] == "converged"
+    return crits[[c.ident for c in crits].index(lc.crit_id[j])]
+
+
 def test_classify_converges_to_nearest_minimum():
     _, fld, b, crits = _double_well_setup()
-    lc, _ = flow.classify_limit(fld, (0.5, 0.3), crits, b)
-    assert lc.tag == "converged"
-    got = crits[[c.ident for c in crits].index(lc.crit_id)]
-    assert got.coords == pytest.approx((1.0, 0.0), abs=1e-6)
+    lc, _ = flow.classify_limit(fld, np.array([[0.5], [0.3]]), crits, b)
+    assert _captor(lc, crits).coords == pytest.approx((1.0, 0.0), abs=1e-6)
 
 
 def test_classify_stable_manifold_of_saddle():
     _, fld, b, crits = _double_well_setup()
-    lc, _ = flow.classify_limit(fld, (0.0, 0.7), crits, b)
-    assert lc.tag == "converged"
-    got = crits[[c.ident for c in crits].index(lc.crit_id)]
-    assert got.coords == pytest.approx((0.0, 0.0), abs=1e-6)
+    lc, _ = flow.classify_limit(fld, np.array([[0.0], [0.7]]), crits, b)
+    assert _captor(lc, crits).coords == pytest.approx((0.0, 0.0), abs=1e-6)
 
 
 def test_classify_exit_face():
     fld = expr.parse_field(["1"], 1)
     b = block.build_block(box=[(0, 1)], spacing=0.5)
-    lc, _ = flow.classify_limit(fld, (0.5,), [], b)
-    assert lc.tag == "exited"
-    assert lc.exit_face.axis == 0 and lc.exit_face.side == 1
+    lc, run = flow.classify_limit(fld, np.array([[0.5]]), [], b)
+    assert lc.tag == ("exited",) and lc.crit_id == (-1,)
+    assert not b.contains(run.x[:, 0])
+    face = b.find_exit_face(run.x[:, 0])
+    assert face.axis == 0 and face.side == 1
+
+
+def test_classify_exit_is_tested_before_capture():
+    # a slow critical point placed on the first point outside the block:
+    # the column still counts as exited
+    fld = expr.parse_field(["1"], 1)
+    b = block.build_block(box=[(0, 1)], spacing=0.5)
+    _, run = flow.classify_limit(fld, np.array([[0.5]]), [], b)
+    crit = types.SimpleNamespace(ident=7, coords=tuple(run.x[:, 0]))
+    lc, again = flow.classify_limit(fld, np.array([[0.5]]), [crit], b,
+                                    scale=1e7)
+    assert lc.tag == ("exited",) and again.t[0] == run.t[0]
+    lc, _ = flow.classify_limit(fld, np.array([[0.5]]), [crit],
+                                block.build_block(box=[(0, 2)], spacing=0.5),
+                                scale=1e7)
+    assert lc.tag == ("converged",) and lc.crit_id == (7,)
 
 
 def test_classify_budget_exceeded():
     fld = expr.parse_field(["0"], 1)
     b = block.build_block(box=[(-1, 1)], spacing=0.5)
-    lc, _ = flow.classify_limit(fld, (0.5,), [], b)
-    assert lc.tag == "budget"
+    lc, run = flow.classify_limit(fld, np.array([[0.5]]), [], b)
+    assert lc.tag == ("budget",)
+    assert run.t[0] == DEFAULT.t_budget
 
 
 def test_ambiguous_capture_error():
@@ -206,10 +227,83 @@ def test_ambiguous_capture_error():
     fld = expr.negative_gradient(f, 1)
     b = block.build_block(box=[(-1, 1)], spacing=0.5)
     c0 = morse.find_critical_points(f, b)[0]
-    import dataclasses
     twin = dataclasses.replace(c0, ident=1, coords=(1e-6,))
     with pytest.raises(flow.AmbiguousCaptureError):
-        flow.classify_limit(fld, (0.5,), [c0, twin], b)
+        flow.classify_limit(fld, np.array([[0.5]]), [c0, twin], b)
+
+
+def _saddle_sheet_setup():
+    # -grad of (x1^2 - 1)^2 - x2^2 on [-2, 2]^2: orbits on the x1 axis run
+    # into the index-1 points (+-1, 0), all others leave through x2 = +-2
+    f = expr.parse("(x1^2 - 1)^2 - x2^2", 2)
+    fld = expr.negative_gradient(f, 2)
+    b = block.build_block(box=[(-2, 2), (-2, 2)], spacing=0.5)
+    return fld, b, morse.find_critical_points(f, b)
+
+
+def test_classify_columns_equal_single_columns_bit_for_bit():
+    fld, b, crits = _saddle_sheet_setup()
+    # with t = 2 the orbits that start next to the index-2 point at the
+    # origin are still on their way
+    tols = dataclasses.replace(DEFAULT, t_budget=2.0)
+    x1 = np.array([-1.9, -1.3, -0.6, -2e-4, 3e-4, 0.4, 1.2, 1.7])
+    X0 = np.vstack([np.tile(x1, 3), np.repeat([0.0, 0.3, -1e-3], x1.size)])
+    lc, run = flow.classify_limit(fld, X0, crits, b, tols=tols)
+    assert set(lc.tag) == {"converged", "exited", "budget"}
+
+    # reference: each orbit alone through integrate_until (math backend),
+    # stopped by the point tests contains, capture radius, then speed
+    speed_tol = tols.speed_tol_factor * flow.field_scale(fld, b)
+    F = expr.compile_field(fld)
+    coords = np.array([c.coords for c in crits])
+
+    def stop(t, x_prev, x):
+        if not b.contains(x):
+            return ("exited", -1)
+        near = np.flatnonzero(np.linalg.norm(x - coords, axis=1)
+                              < tols.capture_radius)
+        if len(near) == 1 and np.linalg.norm(F(x)) < speed_tol:
+            return ("converged", crits[near[0]].ident)
+        return None
+
+    for j in range(X0.shape[1]):
+        one, one_run = flow.classify_limit(fld, X0[:, j:j + 1], crits, b,
+                                           tols=tols)
+        assert (one.tag[0], one.crit_id[0]) == (lc.tag[j], lc.crit_id[j])
+        assert one_run.t[0] == run.t[j]
+        assert np.array_equal(one_run.x[:, 0], run.x[:, j])
+        assert (one_run.steps[0], one_run.rejected[0]) == \
+            (run.steps[j], run.rejected[j])
+        traj, sv = flow.integrate_until(fld, X0[:, j], stop, tols.t_budget,
+                                        tols=tols)
+        assert (lc.tag[j], lc.crit_id[j]) == (sv or ("budget", -1))
+        assert run.t[j] == traj.ts[-1] and run.steps[j] == traj.steps
+        assert np.array_equal(run.x[:, j], traj.xs[-1])
+
+    # a twin of the point (1, 0) makes the columns that run into it
+    # ambiguous: the batch raises as the single column does
+    right = next(c for c in crits if c.coords[0] > 0.5)
+    twin = dataclasses.replace(right, ident=99,
+                               coords=(right.coords[0] + 1e-5, 0.0))
+    j = lc.crit_id.index(right.ident)
+    for cols in (X0, X0[:, j:j + 1]):
+        with pytest.raises(flow.AmbiguousCaptureError) as err:
+            flow.classify_limit(fld, cols, crits + [twin], b, tols=tols)
+        assert err.value.ids == [right.ident, 99]
+
+
+def test_classify_raises_on_step_failure():
+    fld, b, crits = _saddle_sheet_setup()
+    X0 = np.array([[0.5, -0.5], [0.3, 0.0]])
+    tols = dataclasses.replace(DEFAULT, max_steps=5)
+    with pytest.raises(flow.IntegrationError, match="exceeded 5 steps"):
+        flow.classify_limit(fld, X0, crits, b, tols=tols)
+    # x' = -1/x1 reaches the singular line x1 = 0 at t = 1/2
+    blowup = expr.parse_field(["-1/x1"], 1)
+    wide = block.build_block(box=[(-2, 2)], spacing=0.5)
+    with pytest.raises(flow.StepUnderflowError):
+        flow.classify_limit(blowup, np.array([[1.0, 1.5]]), [], wide,
+                            scale=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 """Critical points, connection counting, and the Morse chain complex."""
+import dataclasses
+import logging
+import math
+
 import numpy as np
 import pytest
 
-from mcfhom import block, expr, homalg, morse
+from mcfhom import block, expr, flow, homalg, morse
+from mcfhom.config import DEFAULT
 
 
 def test_find_critical_points_double_well():
@@ -126,3 +131,134 @@ def test_connection_counts_independent_of_seed():
         cols.add(tuple(row[0] for row in c.boundaries[1]))
     # sign pattern is canonical given the frame normalization
     assert len(cols) == 1
+
+
+# ---------------------------------------------------------------------------
+# batched labelling of the direction sphere
+
+def _index_two_source(f="(x1^2 - 1)^2 - x2^2", box=2.0):
+    f = expr.parse(f, 2)
+    b = block.build_block(box=[(-box, box)] * 2, spacing=0.5)
+    return f, b, morse.find_critical_points(f, b)
+
+
+def test_batched_labels_equal_one_column_labels(monkeypatch):
+    # the product double well: index 2 at the origin, index 1 at the four
+    # points (+-1, 0), (0, +-1), index 0 at (+-1, +-1).  The basins of the
+    # minima meet on the source's unstable circle, so the search refines
+    # towards the four saddle connections level by level.  Coarse
+    # tolerances keep the orbits short.
+    f, b, crits = _index_two_source(
+        "(x1^2 - 1)^2 + (x2^2 - 1)^2", box=1.5)
+    assert sorted(c.index for c in crits) == [0] * 4 + [1] * 4 + [2]
+    tols = dataclasses.replace(
+        DEFAULT, rtol=1e-6, atol=1e-9, n_dir_seeds=8, dir_tol=1e-4,
+        capture_radius=1e-3, speed_tol_factor=1e-3, delta_u=1e-2)
+    _, batched = morse.build_complex(f, b, crits, tols=tols, seed=3)
+    source = next(c.ident for c in crits if c.index == 2)
+    from_source = [cc for cc in batched if cc.source == source]
+    assert sorted(cc.n for cc in from_source) == [-1, -1, 1, 1]
+
+    classify = flow.classify_limit
+    widths = []
+
+    def one_column_at_a_time(gradfield, X0, *args, **kwargs):
+        widths.append(X0.shape[1])
+        parts = [classify(gradfield, X0[:, j:j + 1], *args, **kwargs)
+                 for j in range(X0.shape[1])]
+        lc = flow.LimitClass(sum((p[0].tag for p in parts), ()),
+                             sum((p[0].crit_id for p in parts), ()))
+        run = flow._Run(*(np.concatenate([getattr(p[1], fd.name)
+                                          for p in parts], axis=-1)
+                          for fd in dataclasses.fields(flow._Run)))
+        return lc, run
+
+    monkeypatch.setattr(flow, "classify_limit", one_column_at_a_time)
+    _, single = morse.build_complex(f, b, crits, tols=tols, seed=3)
+    assert max(widths) > 1
+    assert single == batched  # counts and witnesses, bit for bit
+
+
+def test_budget_hits_are_counted_and_logged(caplog):
+    # index 2 at the origin, index 1 at (+-1, 0)
+    f, b, crits = _index_two_source()
+    assert sorted(c.index for c in crits) == [1, 1, 2]
+    finder = morse.ConnectionFinder(
+        f, expr.negative_gradient(f, 2), b, crits,
+        tols=dataclasses.replace(DEFAULT, t_budget=1e-3))
+    source = next(c for c in crits if c.index == 2)
+    with caplog.at_level(logging.WARNING, logger="mcfhom.morse"):
+        assert finder.witnesses_for(source.ident) == {}
+    # every direction of the initial circle is still on its way
+    assert finder.budget_hits == DEFAULT.n_dir_seeds
+    records = [r for r in caplog.records if r.name == "mcfhom.morse"]
+    assert len(records) == 1 and records[0].levelno == logging.WARNING
+    assert f"{DEFAULT.n_dir_seeds} directions" in records[0].getMessage()
+
+
+def test_witnesses_keep_depth_first_order(monkeypatch):
+    # Labels come from a stub that cuts the source's unstable circle into
+    # four basins of minima with a 2e-9 rad window to a saddle at each cut,
+    # so refinement runs down to dir_tol and several directions of one
+    # window become witnesses.  The breadth-first search must label the
+    # same directions as the old depth-first search, in fewer calls, and
+    # hand _collect the witnesses in depth-first order of first touch.
+    f, b, crits = _index_two_source(
+        "(x1^2 - 1)^2 + (x2^2 - 1)^2", box=1.5)
+    finder = morse.ConnectionFinder(f, expr.negative_gradient(f, 2), b,
+                                    crits)
+    source = next(c for c in crits if c.index == 2)
+    saddles = [c.ident for c in crits if c.index == 1]
+    minima = [c.ident for c in crits if c.index == 0]
+    quarter = math.pi / 2
+
+    def label(d):
+        a = (math.atan2(d[1], d[0]) - 0.3) % (2 * math.pi)
+        q = int(a // quarter)
+        if min(a - q * quarter, (q + 1) * quarter - a) < 1e-9:
+            return ("crit", saddles[round(a / quarter) % 4]), a
+        return ("crit", minima[q]), a
+
+    labelled, calls = [], []
+
+    def classify(x, dirs):
+        calls.append(len(dirs))
+        labelled.extend(morse._key(d) for d in dirs)
+        return [label(d) for d in dirs]
+
+    got = []
+    monkeypatch.setattr(finder, "_classify", classify)
+    monkeypatch.setattr(finder, "_collect", lambda x, found: got.extend(
+        (tuple(d), tgt, t) for d, tgt, t in found) or {})
+    finder.witnesses_for(source.ident)
+
+    want, labels = [], {}
+
+    def label_of(d):
+        key = morse._key(d)
+        if key not in labels:
+            labels[key] = label(d)
+            lab, t = labels[key]
+            if lab[1] in saddles:
+                want.append((tuple(d), lab[1], t))
+        return labels[key][0]
+
+    work = list(morse._initial_simplices(2, DEFAULT.n_dir_seeds,
+                                         finder._rotation(2)))
+    for sp in work:
+        for v in sp:
+            label_of(v)
+    while work:
+        sp = work.pop()
+        if len({label_of(v) for v in sp}) < 2:
+            continue
+        if morse._diameter(sp) < DEFAULT.dir_tol:
+            mid = sum(sp) / len(sp)
+            label_of(mid / np.linalg.norm(mid))
+            continue
+        work.extend(morse._split(sp))
+
+    assert sorted(labelled) == sorted(labels)
+    assert len(calls) < len(labels) / 4
+    assert len(want) > 2 * len(saddles)
+    assert got == want
