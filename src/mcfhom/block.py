@@ -103,10 +103,12 @@ class GridBlock:
     def contains(self, point, tol=None):
         tol = DEFAULT.boundary_tol if tol is None else tol
         p = np.asarray(point, dtype=float)
-        idx = np.floor((p - np.asarray(self.origin)) / self.spacing).tolist()
+        # the cubes within tol of p along an axis are the cube holding
+        # p + tol and the one before it
+        idx = np.floor((p - (np.asarray(self.origin) - tol))
+                       / self.spacing).tolist()
         if not all(map(math.isfinite, idx)):
             return False  # no cube index
-        # a boundary point belongs to several candidate cubes
         for delta in itertools.product((0, -1), repeat=self.dimension):
             c = tuple(int(idx[i]) + delta[i] for i in range(self.dimension))
             if c not in self.cubes:
@@ -139,7 +141,8 @@ class GridBlock:
         deltas = np.array(list(itertools.product((0, -1), repeat=m)),
                           dtype=float)[:, :, None]
         with np.errstate(invalid="ignore"):
-            c = np.floor((X - origin) / self.spacing) + deltas  # (2^m, m, N)
+            # candidate cubes, shape (2^m, m, N)
+            c = np.floor((X - (origin - tol)) / self.spacing) + deltas
             lo = origin + self.spacing * c
             inside = np.logical_and.reduce(
                 (lo - tol <= X) & (X <= lo + self.spacing + tol), axis=1)

@@ -167,6 +167,16 @@ def _parse_system(doc):
     return fieldd, b, lyap, s_decl, lam, eps, pert
 
 
+def _fixed_system(doc):
+    """``_parse_system`` for the commands that work at one parameter value:
+    an expression that mentions lam needs ``options.lam``."""
+    fieldd, b, lyap, s_decl, lam, eps, pert = _parse_system(doc)
+    if lam is None and (fieldd.has_param or any(
+            e is not None and expr.mentions_param(e) for e in (lyap, pert))):
+        raise InputError("the system mentions lam but options.lam is absent")
+    return fieldd, b, lyap, s_decl, lam, eps, pert
+
+
 def _s_decl(spec):
     if spec is None:
         return lyapunov.SDeclaration((), 0.0)
@@ -196,7 +206,7 @@ def _base_report(args):
 
 def cmd_block(args):
     doc = load_system(args.file)
-    fieldd, b, _, _, lam, _, _ = _parse_system(doc)
+    fieldd, b, _, _, lam, _, _ = _fixed_system(doc)
     report, tols = _base_report(args)
     classified = block_mod.classify_boundary(b, fieldd, lam=lam, tols=tols)
     tags = sorted((str(f), tag) for f, tag in classified.face_tags.items())
@@ -214,7 +224,7 @@ def cmd_block(args):
 
 def cmd_lyapunov(args):
     doc = load_system(args.file)
-    fieldd, b, lyap, s_decl, lam, _, _ = _parse_system(doc)
+    fieldd, b, lyap, s_decl, lam, _, _ = _fixed_system(doc)
     if lyap is None:
         raise InputError("system file has no lyapunov expression")
     report, tols = _base_report(args)
@@ -232,7 +242,7 @@ def cmd_lyapunov(args):
 
 def cmd_hi(args):
     doc = load_system(args.file)
-    fieldd, b, lyap, s_decl, lam, eps, pert = _parse_system(doc)
+    fieldd, b, lyap, s_decl, lam, eps, pert = _fixed_system(doc)
     if lyap is None:
         raise InputError("system file has no lyapunov expression")
     report, tols = _base_report(args)
@@ -255,7 +265,7 @@ def cmd_hi(args):
 
 def cmd_cubical(args):
     doc = load_system(args.file)
-    fieldd, b, _, _, lam, _, _ = _parse_system(doc)
+    fieldd, b, _, _, lam, _, _ = _fixed_system(doc)
     report, tols = _base_report(args)
     classified = block_mod.classify_boundary(b, fieldd, lam=lam, tols=tols)
     exitc = block_mod.exit_set(classified)
@@ -268,9 +278,9 @@ def cmd_cubical(args):
 
 def cmd_relations(args):
     doc = load_system(args.file)
+    fieldd, b, lyap, s_decl, lam, eps, _ = _fixed_system(doc)
     if "decomposition" not in doc:
         raise InputError("system file has no decomposition section")
-    fieldd, b, lyap, s_decl, lam, eps, _ = _parse_system(doc)
     if lyap is None:
         raise InputError("system file has no lyapunov expression")
     report, tols = _base_report(args)

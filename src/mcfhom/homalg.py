@@ -1,15 +1,19 @@
 """Exact integer homological algebra.
 
 Matrices are lists of int rows (Python big integers throughout).  Homology
-reduces each boundary matrix once: by the Smith normal form over Z, or by
-bit-packed elimination over Z/2.  Exact Gauss-Jordan elimination over Q
-serves the connection-matrix algebra, and the tests use it as a rank
-oracle for the Smith normal form.
+first reduces the chain complex: every boundary entry that is a unit of the
+coefficient ring (+-1 over Z, odd over Z/2) cancels its pair of generators
+by an elementary reduction, a chain homotopy equivalence.  What is left is
+small, and one Smith normal form over Z (or one mod-2 rank) per degree of
+that residue gives the homology.  Exact Gauss-Jordan elimination over Q
+serves the connection-matrix algebra, and the tests use it, the Smith
+normal form and the mod-2 rank as oracles.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import compress
 
 from . import block as block_mod
 
@@ -291,18 +295,41 @@ class ChainComplex:
         return zeros(rows, cols)
 
 
+def _sparse_columns(c, coeff):
+    """The boundaries of ``c`` as sparse columns: ``cols[k][j]`` is column
+    j of d_k as a dict {row: nonzero value}, values reduced mod 2 with
+    ``coeff="Z2"``."""
+    cols = {}
+    for k in range(1, c.top + 1):
+        ck = [{} for _ in range(c.dims[k])]
+        for i, row in enumerate(c.boundaries.get(k, ())):
+            for j in compress(range(len(row)), row):
+                v = row[j] % 2 if coeff == "Z2" else row[j]
+                if v:
+                    ck[j][i] = v
+        cols[k] = ck
+    return cols
+
+
 def verify_d_squared(c, coeff="Z"):
     """Check d_{k} . d_{k+1} = 0 exactly over the coefficient ring (entries
     reduced mod 2 with ``coeff="Z2"``); returns the first offending entry
-    or None."""
-    for k in range(1, c.top + 1):
-        P = matmul(c.boundary(k), c.boundary(k + 1))
-        for i, row in enumerate(P):
-            for j, v in enumerate(row):
+    (k, row, column, value) in row-major order, or None."""
+    cols = _sparse_columns(c, coeff)
+    for k in range(1, c.top):
+        bad = []
+        for j, col in enumerate(cols[k + 1]):
+            acc = {}
+            for t, a in col.items():
+                for i, b in cols[k][t].items():
+                    acc[i] = acc.get(i, 0) + a * b
+            for i, v in acc.items():
                 if coeff == "Z2":
                     v %= 2
                 if v:
-                    return (k, i, j, v)
+                    bad.append((i, j, v))
+        if bad:
+            return (k, *min(bad))
     return None
 
 
@@ -341,29 +368,99 @@ class HomologyResult:
         return "; ".join(parts) if parts else "0"
 
 
+def _reduce(cols, dims, coeff):
+    """Cancel every unit entry of the sparse boundaries ``cols`` in place,
+    top degree first and each degree in index order, and return the
+    surviving generators of each degree.
+
+    Cancelling a pair (a in C_k, b in C_{k-1}) with u = <d a, b> a unit is
+    an elementary reduction, a chain homotopy equivalence: it drops row a
+    of d_{k+1}, column b of d_{k-1}, and column a and row b of d_k after
+    <d a', b'> -= <d a', b> u <d a, b'> for every other column a' (u^-1 = u
+    for u = +-1).  Degree k is passed over until it has no unit entry left;
+    later reductions of lower degrees only delete entries of d_k, so the
+    residue has no unit entry anywhere."""
+    alive = [[True] * n for n in dims]
+    # rows[k][i]: the columns of d_k with a nonzero entry in row i
+    rows = {k: [set() for _ in range(dims[k - 1])] for k in cols}
+    for k, ck in cols.items():
+        for j, col in enumerate(ck):
+            for i in col:
+                rows[k][i].add(j)
+    for k in range(len(dims) - 1, 0, -1):
+        ck, rk = cols[k], rows[k]
+        cancelled = True
+        while cancelled:
+            cancelled = False
+            for a, col in enumerate(ck):
+                units = [i for i, v in col.items() if v == 1 or v == -1]
+                if not units:
+                    continue
+                b = min(units)
+                u = col[b]
+                for a2 in rk[b] - {a}:
+                    other = ck[a2]
+                    f = other[b] * u
+                    for i, v in col.items():
+                        w = other.get(i, 0) - f * v
+                        if coeff == "Z2":
+                            w %= 2
+                        if w:
+                            other[i] = w
+                            rk[i].add(a2)
+                        else:
+                            del other[i]
+                            rk[i].discard(a2)
+                for i in col:
+                    rk[i].discard(a)
+                ck[a] = {}
+                if k + 1 in cols:
+                    for c2 in rows[k + 1][a]:
+                        del cols[k + 1][c2][a]
+                    rows[k + 1][a] = set()
+                if k - 1 in cols:
+                    for i in cols[k - 1][b]:
+                        rows[k - 1][i].discard(b)
+                    cols[k - 1][b] = {}
+                alive[k][a] = alive[k - 1][b] = False
+                cancelled = True
+    return [[i for i, ok in enumerate(al) if ok] for al in alive]
+
+
 def homology(c, coeff="Z"):
     """Homology of a chain complex; Betti numbers and torsion over Z, or
-    mod-2 Betti numbers with ``coeff="Z2"``.  d^2 = 0 is verified over the
-    coefficient ring, then each boundary is reduced once."""
+    mod-2 Betti numbers with ``coeff="Z2"``.
+
+    d^2 = 0 is verified over the coefficient ring.  The boundaries are then
+    reduced as sparse columns (``_reduce``), and the residue, which has no
+    unit entry left, gets one Smith normal form (or mod-2 rank) per
+    degree."""
     bad = verify_d_squared(c, coeff)
     if bad is not None:
         k, i, j, v = bad
         raise NotAComplexError(
             f"d_{k} . d_{k + 1} has entry {v} at ({i}, {j})")
+    cols = _sparse_columns(c, coeff)
+    keep = _reduce(cols, c.dims, coeff)
     ranks = [0] * (c.top + 2)
     torsion = {}
     for k in range(1, c.top + 1):
+        pos = {i: r for r, i in enumerate(keep[k - 1])}
+        M = zeros(len(keep[k - 1]), len(keep[k]))
+        for r, j in enumerate(keep[k]):
+            for i, v in cols[k][j].items():
+                M[pos[i]][r] = v
         if coeff == "Z2":
-            ranks[k] = rank_mod2(c.boundary(k))
+            ranks[k] = rank_mod2(M)
         else:
-            diag = smith_normal_form(c.boundary(k))[0]
+            diag = smith_normal_form(M)[0]
             ranks[k] = len(diag)
             tors = [d for d in diag if d > 1]
             if tors:
                 torsion[k - 1] = tors
     betti = []
     for k in range(c.top + 1):
-        betti.append(c.dims[k] - ranks[k] - ranks[k + 1])
+        betti.append(len(keep[k]) - ranks[k] - ranks[k + 1])
         if betti[-1] < 0:
             raise HomalgError(f"negative Betti number in degree {k}")
     return HomologyResult(betti, torsion, coeff)

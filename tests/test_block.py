@@ -1,5 +1,6 @@
 """Cubical blocks: construction, boundary classification, exit sets,
 isolation."""
+import itertools
 import warnings
 
 import numpy as np
@@ -48,6 +49,20 @@ def test_contains_with_boundary_tolerance():
     assert b.contains((-1.0,))
     assert not b.contains((1.1,))
     assert b.contains((1.0 + 0.5 * DEFAULT.boundary_tol,))
+
+
+def test_boundary_tolerance_is_symmetric():
+    # just outside the upper and the lower end, and every corner of a square
+    tol = DEFAULT.boundary_tol
+    for box in ([(0, 1)], [(0, 1), (0, 1)]):
+        b = block.build_block(box=box, spacing=0.5)
+        m = b.dimension
+        for corner in itertools.product((-1, 1), repeat=m):
+            near = [1e-10 * s + (1.0 if s > 0 else 0.0) for s in corner]
+            far = [2 * tol * s + (1.0 if s > 0 else 0.0) for s in corner]
+            assert b.contains(near) and not b.contains(far)
+            assert list(b.contains_columns(np.array([near, far]).T)) == \
+                [True, False]
 
 
 def test_classify_saddle_faces():

@@ -75,6 +75,15 @@ def test_continue_command(capsys):
     assert out["hi_end"]["pretty"] == "H_0 = Z"
 
 
+@pytest.mark.parametrize("command",
+                         ["hi", "block", "lyapunov", "cubical", "relations"])
+def test_lam_without_a_value_is_an_input_error(command, capsys):
+    # the field mentions lam, which only `continue` sweeps
+    assert cli.main([command, _path("double_well_continue.json")]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "options.lam" in err
+
+
 def test_reports_are_byte_identical_under_fixed_seed(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -1,4 +1,5 @@
 """Exact integer homological algebra."""
+import math
 import random
 
 import pytest
@@ -154,6 +155,26 @@ def test_d_squared_is_checked_over_the_coefficient_ring():
         homalg.homology(c)
 
 
+def test_d_squared_reports_the_first_entry_in_row_major_order():
+    rng = random.Random(5)
+    for _ in range(30):
+        dims = [rng.randint(1, 4) for _ in range(4)]
+        c = homalg.ChainComplex(dims, {
+            k: [[rng.choice((0, 0, 1, -1, 2)) for _ in range(dims[k])]
+                for _ in range(dims[k - 1])] for k in (1, 2, 3)})
+        for coeff in ("Z", "Z2"):
+            want = None
+            for k in (1, 2):
+                P = homalg.matmul(c.boundary(k), c.boundary(k + 1))
+                want = next(((k, i, j, v % 2 if coeff == "Z2" else v)
+                             for i, row in enumerate(P)
+                             for j, v in enumerate(row)
+                             if (v % 2 if coeff == "Z2" else v)), None)
+                if want:
+                    break
+            assert homalg.verify_d_squared(c, coeff) == want
+
+
 def test_homology_invariant_under_column_negation():
     c1 = homalg.ChainComplex([2, 2], {1: [[1, 2], [-1, 0]]})
     c2 = homalg.ChainComplex([2, 2], {1: [[1, -2], [-1, 0]]})
@@ -172,6 +193,112 @@ def test_mod2_homology():
     h2 = homalg.homology(c, coeff="Z2")
     # Z/2 contributes a rank in degrees 0 and 1 over Z/2 coefficients
     assert h2.betti == [1, 1]
+
+
+# ---------------------------------------------------------------------------
+# reduction against the Smith normal form of the unreduced complex
+
+def _oracle_homology(c, coeff):
+    """Homology from one SNF (or mod-2 rank) of every unreduced d_k."""
+    ranks = [0] * (c.top + 2)
+    torsion = {}
+    for k in range(1, c.top + 1):
+        if coeff == "Z2":
+            ranks[k] = homalg.rank_mod2(c.boundary(k))
+        else:
+            diag = homalg.smith_normal_form(c.boundary(k))[0]
+            ranks[k] = len(diag)
+            torsion[k - 1] = [d for d in diag if d > 1]
+    betti = [c.dims[k] - ranks[k] - ranks[k + 1] for k in range(c.top + 1)]
+    return homalg.HomologyResult(betti, torsion, coeff)
+
+
+def _unimodular(rng, n):
+    """(P, P^-1) for a random product of elementary integer operations."""
+    P, Q = homalg.identity(n), homalg.identity(n)
+    for _ in range(rng.randint(0, 3 * n)):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i == j or rng.random() < 0.2:
+            # negate row i of P and column i of P^-1
+            P[i] = [-v for v in P[i]]
+            for row in Q:
+                row[i] = -row[i]
+            continue
+        q = rng.choice((-2, -1, 1, 1, 2))
+        # P <- E P with E = I + q e_i e_j^T; P^-1 <- P^-1 E^-1
+        P[i] = [a + q * b for a, b in zip(P[i], P[j])]
+        for row in Q:
+            row[j] -= q * row[i]
+    return P, Q
+
+
+def _known_complex(rng, top):
+    """d_k = P_{k-1} D_k P_k^-1 with D_k diagonal over invariant factors
+    drawn from 1, 2, 6 and 0, together with its homology over Z and Z/2.
+
+    C_k is spanned by the targets of d_{k+1}, some free generators and the
+    sources of d_k, in that order, so that D_k D_{k+1} = 0."""
+    factors = [[]] + [[rng.choice((1, 1, 2, 6, 0)) for _ in
+                       range(rng.randint(0, 3))] for _ in range(top)]
+    factors.append([])
+    free = [rng.randint(0, 2) for _ in range(top + 1)]
+    dims = [len(factors[k + 1]) + free[k] + len(factors[k])
+            for k in range(top + 1)]
+    P = [_unimodular(rng, n) for n in dims]
+    boundaries = {}
+    for k in range(1, top + 1):
+        D = homalg.zeros(dims[k - 1], dims[k])
+        first = len(factors[k + 1]) + free[k]
+        for s, t in enumerate(factors[k]):
+            D[s][first + s] = t
+        if dims[k - 1] and dims[k]:
+            boundaries[k] = homalg.matmul(homalg.matmul(P[k - 1][0], D),
+                                          P[k][1])
+    betti = [free[k] + factors[k].count(0) + factors[k + 1].count(0)
+             for k in range(top + 1)]
+    torsion = {k - 1: sorted(t for t in factors[k] if t > 1)
+               for k in range(1, top + 1)}
+    odd = [sum(t % 2 for t in f) for f in factors]
+    betti2 = [dims[k] - odd[k] - odd[k + 1] for k in range(top + 1)]
+    return (homalg.ChainComplex(dims, boundaries),
+            homalg.HomologyResult(betti, torsion),
+            homalg.HomologyResult(betti2, {}, "Z2"))
+
+
+def test_reduction_recovers_known_invariant_factors():
+    rng = random.Random(11)
+    for _ in range(40):
+        c, want, want2 = _known_complex(rng, rng.randint(1, 3))
+        assert homalg.verify_d_squared(c) is None
+        assert homalg.homology(c) == want == _oracle_homology(c, "Z")
+        assert homalg.homology(c, "Z2") == want2 == \
+            _oracle_homology(c, "Z2")
+
+
+def _random_cells(rng, shape):
+    """A random closed cubical cell set in the grid of the given shape:
+    the closure of random cells of every dimension."""
+    picks = []
+    for _ in range(rng.randint(1, 2 * math.prod(shape))):
+        cell = []
+        for n in shape:
+            lo = rng.randrange(n)
+            cell.append((lo, lo + rng.randint(0, 1)))
+        picks.append(tuple(cell))
+    return block.closure(picks)
+
+
+@pytest.mark.parametrize("shape,cases", [((5, 5), 30), ((3, 3, 3), 12)])
+def test_reduction_matches_snf_on_random_cubical_pairs(shape, cases):
+    rng = random.Random(sum(shape))
+    for _ in range(cases):
+        cells = _random_cells(rng, shape)
+        ordered = sorted(cells)
+        sub = block.closure(rng.sample(ordered,
+                                       rng.randint(0, len(ordered) // 3)))
+        c = homalg.build_cubical_complex(cells, sub)
+        for coeff in ("Z", "Z2"):
+            assert homalg.homology(c, coeff) == _oracle_homology(c, coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +337,14 @@ def test_cubical_annulus_absolute():
     b = block.build_block(cubes=cubes, origin=(-2.0, -2.0), spacing=0.5)
     h = homalg.cubical_relative_homology(b, set())
     assert h.describe() == "H_0 = Z; H_1 = Z"
+
+
+def test_cubical_saddle_3d_quarter_spacing():
+    # 512 cubes, chain groups [567, 1656, 1600, 512]
+    cb, ex = _classified([(-1, 1)] * 3, ["x1", "-x2", "-x3"], spacing=0.25)
+    for coeff, want in (("Z", "H_1 = Z"), ("Z2", "H_1 = Z2")):
+        h = homalg.cubical_relative_homology(cb, ex, coeff=coeff)
+        assert h.describe() == want
 
 
 def test_cubical_rejects_non_closed_subcomplex():
