@@ -100,6 +100,14 @@ class GridBlock:
         hi = [max(v[i] for v in his) for i in range(self.dimension)]
         return lo, hi
 
+    def lattice(self, n):
+        """The ``n``-per-axis lattice over the bounding box, as an (n^m, m)
+        array whose rows run in ``itertools.product`` order of the axes."""
+        lo, hi = self.bounding_box()
+        axes = [np.linspace(lo[i], hi[i], n) for i in range(self.dimension)]
+        grid = np.meshgrid(*axes, indexing="ij")
+        return np.stack([g.ravel() for g in grid], axis=-1)
+
     def contains(self, point, tol=None):
         tol = DEFAULT.boundary_tol if tol is None else tol
         p = np.asarray(point, dtype=float)

@@ -1,6 +1,11 @@
 """Pipeline orchestration and structural theorems: exit-set equivalence,
 block independence, Morse decompositions with connection matrices, and
 continuation.
+
+For continuation, the critical points of F on B x S^1 come from the Newton
+solver of ``morse`` with mu as a periodic coordinate, and the sampled bound
+on the amplitude r is one array evaluation over the block's lattice and
+the mu circle.
 """
 from __future__ import annotations
 
@@ -348,24 +353,17 @@ class ContinuationFunction:
 def continuation_r_bound(f_lam, b, delta):
     """Sampled bound max |omega'(mu) d/dlam f_lam| / (pi sin(pi delta))
     over a 9-per-axis lattice on the block times 41 points of the mu
-    circle."""
-    m = b.dimension
-    dflam = expr.compile_scalar(expr.derive(f_lam, "lam"))
-    lo, hi = b.bounding_box()
-    axes = [np.linspace(lo[i], hi[i], 9) for i in range(m)]
-    grid = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grid], axis=-1)
-    best = 0.0
-    for mu in np.linspace(-1.0, 1.0, 41):
-        w1 = expr.ramp_eval(1, delta, mu)
-        if w1 == 0.0:
-            continue
-        w0 = expr.ramp_eval(0, delta, mu)
-        for p in pts:
-            v = abs(w1 * dflam(p, w0))
-            if v > best:
-                best = v
-    return best / (math.pi * math.sin(math.pi * delta))
+    circle, evaluated as one array on the ``numpy`` backend."""
+    dflam = expr.compile_scalar(expr.derive(f_lam, "lam"), backend="numpy")
+    mus = np.linspace(-1.0, 1.0, 41)
+    w1 = np.array([expr.ramp_eval(1, delta, mu) for mu in mus])[:, None]
+    w0 = np.array([expr.ramp_eval(0, delta, mu) for mu in mus])[:, None]
+    with np.errstate(all="ignore"):
+        v = np.abs(w1 * dflam(b.lattice(9).T, w0))
+    # a value of mu with omega' = 0 adds nothing, even where d/dlam f_lam
+    # is not finite, and NaN never raises the maximum
+    best = np.fmax.reduce(np.where(w1 != 0.0, v, 0.0), axis=None, initial=0.0)
+    return float(best) / (math.pi * math.sin(math.pi * delta))
 
 
 def build_continuation_function(f_lam, b, delta=0.2, kappa=1.0, r=None):
@@ -391,86 +389,28 @@ class IndexSplitReport:
     failures: list
 
 
-def _wrap_mu(mu):
-    t = math.fmod(mu, 2.0)
-    if t < 0.0:
-        t += 2.0
-    return t  # representative in [0, 2)
-
-
 def verify_index_split(cf, b, tols=DEFAULT):
     """Find the critical points of F on B x S^1 and check they sit at
-    mu in {0, 1} with the index shift of the endpoints' Morse functions."""
+    mu in {0, 1} with the index shift of the endpoints' Morse functions.
+
+    F is searched as a function of m + 1 coordinates, the last being the
+    period-2 coordinate mu, by ``morse.newton`` from the seed lattice of the
+    block times 16 values of mu."""
     m = b.dimension
-    F = cf.expr_in_mu
-    vars_ = list(range(m)) + ["lam"]
-    grads = [expr.compile_scalar(expr.derive(F, v)) for v in vars_]
-    hess_rows = []
-    for v in vars_:
-        gv = expr.derive(F, v)
-        hess_rows.append([expr.compile_scalar(expr.derive(gv, w))
-                          for w in vars_])
-
-    def gradv(p, mu):
-        return np.array([g(p, mu) for g in grads])
-
-    def hessm(p, mu):
-        return np.array([[e(p, mu) for e in row] for row in hess_rows])
-
-    lo, hi = b.bounding_box()
-    lo = np.asarray(lo)
-    hi = np.asarray(hi)
-    span = np.asarray(hi) - np.asarray(lo)
-    axes = [np.linspace(lo[i], hi[i], tols.seed_density) for i in range(m)]
+    F = expr.substitute_param(cf.expr_in_mu, expr.Var(m))
+    lat = b.lattice(tols.seed_density)
     mu_seeds = np.linspace(0.0, 2.0, 17)[:-1]
-    import itertools as _it
-    roots = []
-    for seed in _it.product(*axes):
-        for mu0 in mu_seeds:
-            p = np.array(seed, dtype=float)
-            mu = float(mu0)
-            ok = False
-            for _ in range(80):
-                g = gradv(p, mu)
-                if not np.all(np.isfinite(g)):
-                    break
-                if float(np.linalg.norm(g)) < tols.newton_tol:
-                    ok = True
-                    break
-                H = hessm(p, mu)
-                try:
-                    step = np.linalg.lstsq(H, g, rcond=None)[0]
-                except np.linalg.LinAlgError:
-                    break
-                ns = float(np.linalg.norm(step))
-                capn = float(np.max(span))
-                if ns > capn:
-                    step *= capn / ns
-                p = p - step[:m]
-                mu = _wrap_mu(mu - step[m])
-                if np.any(p < lo - span) or np.any(p > hi + span):
-                    break
-            if ok and b.contains(p):
-                roots.append((p, mu))
-    dedupe = max(10 * tols.newton_tol, 1e-7)
-    uniq = []
-    for p, mu in roots:
-        dup = False
-        for q, nu in uniq:
-            dmu = min(abs(mu - nu), 2.0 - abs(mu - nu))
-            if float(np.linalg.norm(p - q)) < dedupe and dmu < dedupe:
-                dup = True
-                break
-        if not dup:
-            uniq.append((p, mu))
+    seeds = np.column_stack([np.repeat(lat, mu_seeds.size, axis=0),
+                             np.tile(mu_seeds, len(lat))]).T
+    P, H = morse.newton(F, b, seeds, None, tols.newton_tol, 2.0,
+                        max(10 * tols.newton_tol, 1e-7))
+    index = np.sum(np.linalg.eigvalsh(0.5 * (H + H.transpose(0, 2, 1))) < 0,
+                   axis=1)
     crit_mu = []
     failures = []
-    for p, mu in uniq:
-        H = hessm(p, mu)
-        H = 0.5 * (H + H.T)
-        evals = np.linalg.eigvalsh(H)
-        idx = int(np.sum(evals < 0))
-        crit_mu.append((tuple(float(v) for v in p), float(mu), idx))
+    for p, idx in zip(P.T, index):
+        mu = float(p[m])
+        crit_mu.append((tuple(float(v) for v in p[:m]), mu, int(idx)))
         dmu0 = min(mu, 2.0 - mu)
         dmu1 = abs(mu - 1.0)
         if min(dmu0, dmu1) > 1e-6:

@@ -395,7 +395,10 @@ def _to_str(e):
 
 def evaluate(e, point, lam=None):
     """Evaluate ``e`` at ``point`` (sequence of floats).  Domain violations
-    raise EvalDomainError naming the offending subexpression."""
+    raise EvalDomainError naming the offending subexpression.
+
+    The package itself evaluates compiled code; this tree walk is the
+    reference that the ``math`` and ``numpy`` backends are tested against."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):

@@ -14,7 +14,6 @@ isolation) sit on top of these entry points.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -385,22 +384,12 @@ def field_scale(fieldd, block, lam=None):
     """Mean field magnitude over a 5-per-axis lattice on the block's
     bounding box; used to make the speed tolerance dimensionless.  The mean
     (rather than the median) keeps the scale positive even when the lattice
-    happens to hit several equilibria."""
-    lo, hi = block.bounding_box()
-    F = expr.compile_field(fieldd)
-    mags = []
-    m = fieldd.dimension
-    axes = [np.linspace(lo[i], hi[i], 5) for i in range(m)]
-    grid = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grid], axis=-1)
-    for p in pts:
-        try:
-            v = F(p, lam)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            continue
-        mags.append(float(np.linalg.norm(v)))
-    mags = [v for v in mags if math.isfinite(v)]
-    return max(float(np.mean(mags)), 1e-12) if mags else 1.0
+    happens to hit several equilibria.  Lattice points where the field is
+    not finite are left out."""
+    F = expr.compile_field(fieldd, backend="numpy")
+    mags = _norms(F(block.lattice(5).T, lam))
+    mags = mags[np.isfinite(mags)]
+    return max(float(np.mean(mags)), 1e-12) if mags.size else 1.0
 
 
 @dataclass(frozen=True)

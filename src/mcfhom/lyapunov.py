@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import block as block_mod
-from . import expr
+from . import expr, flow
 from .config import DEFAULT
 
 
@@ -56,50 +56,47 @@ class LyapunovReport:
         return self.verdict
 
 
-def _lattice(b, n):
-    lo, hi = b.bounding_box()
-    axes = [np.linspace(lo[i], hi[i], n) for i in range(b.dimension)]
-    grid = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grid], axis=-1)
-    return [p for p in pts if b.contains(p)]
-
-
 def verify_lyapunov(f, fieldd, b, s_decl, lam=None, tols=DEFAULT):
     """Check df.X < 0 on a lattice over the block outside the S collar,
-    and that f is constant over the declared S samples."""
+    and that f is constant over the declared S samples.  The lattice points
+    inside the block are evaluated as one array on the ``numpy`` backend;
+    the minimum decrease and the first violation are taken in lattice
+    order."""
     m = b.dimension
-    df = [expr.compile_scalar(expr.derive(f, i)) for i in range(m)]
-    F = expr.compile_field(fieldd)
-    fval = expr.compile_scalar(f)
-
-    from .flow import field_scale
-    scale = field_scale(fieldd, b, lam)
+    scale = flow.field_scale(fieldd, b, lam)
     tol = tols.strict_decrease_tol * max(scale, 1.0)
 
     s_pts = [np.asarray(s, dtype=float) for s in s_decl.samples]
     rad = s_decl.radius
+    pts = b.lattice(tols.verify_samples)
+    keep = b.contains_columns(pts.T)
+    for s in s_pts:
+        d = pts - s
+        keep &= np.sqrt(np.vecdot(d, d)) > rad
+    pts = pts[keep]
+    df = expr.compile_field(expr.FieldDef(m, expr.gradient(f, m)),
+                            backend="numpy")(pts.T, lam)
+    X = expr.compile_field(fieldd, backend="numpy")(pts.T, lam)
+    # summed from integer 0, as by Python's sum, so a zero decrease is -0.0
+    decrease = -sum(df[i] * X[i] for i in range(m))
 
     best = math.inf
     best_loc = None
     violating = None
-    for p in _lattice(b, tols.verify_samples):
-        if s_pts and min(float(np.linalg.norm(p - s)) for s in s_pts) <= rad:
-            continue
-        X = F(p, lam)
-        decrease = -sum(df[i](p, lam) * X[i] for i in range(m))
-        if decrease < best:
-            best = decrease
-            best_loc = tuple(float(v) for v in p)
-        if decrease <= tol and violating is None:
-            violating = tuple(float(v) for v in p)
+    lower = np.flatnonzero(decrease < best)  # NaN never lowers the minimum
+    if lower.size:
+        j = lower[np.argmin(decrease[lower])]
+        best, best_loc = float(decrease[j]), tuple(float(v) for v in pts[j])
+    bad = np.flatnonzero(decrease <= tol)
+    if bad.size:
+        violating = tuple(float(v) for v in pts[bad[0]])
     spread = 0.0
     if s_pts:
+        fval = expr.compile_scalar(f)
         vals = [fval(s, lam) for s in s_pts]
         spread = max(vals) - min(vals)
     verdict = bool((best > tol if best_loc is not None else True)
                    and spread <= s_decl.value_tol)
-    if best_loc is None:
-        best = math.inf
     return LyapunovReport(verdict, best, best_loc, rad, spread, violating)
 
 

@@ -1,6 +1,13 @@
 """Critical points, signed connecting-orbit counts, and the Morse chain
 complex of a gradient flow on a cubical block.
 
+Critical points come from one damped Newton solver, ``newton``, which steps
+every seed of a lattice at once on the ``numpy`` backend: one stacked
+linear solve per round, a least-squares step where a Hessian is singular,
+and an optional periodic last coordinate.  ``find_critical_points`` runs it
+on the block's bounding-box lattice, and the index split of
+``conley.verify_index_split`` on that lattice times the mu circle.
+
 Connections are counted only between critical points of adjacent index.
 For an index-k source the seeds live on a small sphere inside the unstable
 eigenspace; basin boundaries on that sphere are isolated by adaptive
@@ -66,79 +73,115 @@ def _sign_normalize(v):
     return v
 
 
-def find_critical_points(f, b, lam=None, tols=DEFAULT):
-    """Newton search for critical points of f inside the block.
+def _norms(rows):
+    """Euclidean norm of each row of a C-contiguous (k, n) array, added in
+    the order ``np.linalg.norm`` adds one row on its own."""
+    return np.sqrt(np.vecdot(rows, rows))
 
-    Seeds form a lattice over the bounding box; converged roots are kept if
-    they lie in the block, deduplicated, and checked for nondegeneracy.
+
+def newton(f, b, seeds, lam, tol, period, radius):
+    """Critical points of f reached by damped Newton iteration from every
+    column of the (n, N) array ``seeds`` at once, on the ``numpy`` backend.
+
+    The first m = ``b.dimension`` coordinates are those of the block; with
+    a ``period``, the one more coordinate that follows is reduced by fmod
+    into [0, period] after every step.  A column takes at most 80 steps:
+    it converges once its gradient norm is below ``tol``, and fails once
+    its gradient is not finite or it leaves the bounding box widened by its
+    span on every side.  Steps are capped at the longest side of the box.
+    One stacked ``np.linalg.solve`` gives the steps of all running columns,
+    and a column whose Hessian is exactly singular takes the least-squares
+    step, so every column steps as it would alone.
+
+    Returns (P, H): as an (n, K) array in seed order, the converged points
+    inside the block that lie at least ``radius`` from every earlier one
+    (in block coordinates and, with a period, on the circle as well), and
+    the (K, n, n) Hessians there.
     """
+    n, N = seeds.shape
     m = b.dimension
-    grad = [expr.compile_scalar(g) for g in expr.gradient(f, m)]
-    hess = [[expr.compile_scalar(e) for e in row]
-            for row in expr.hessian(f, m)]
+    grad = expr.compile_field(expr.FieldDef(n, expr.gradient(f, n)),
+                              backend="numpy")
+    rows = [expr.compile_field(expr.FieldDef(n, row), backend="numpy")
+            for row in expr.hessian(f, n)]
 
-    def gradv(p):
-        return np.array([g(p, lam) for g in grad])
+    def hess(Z):
+        return np.stack([r(Z, lam) for r in rows]).transpose(2, 0, 1)
 
-    def hessm(p):
-        return np.array([[e(p, lam) for e in row] for row in hess])
-
-    lo, hi = b.bounding_box()
-    lo = np.asarray(lo)
-    hi = np.asarray(hi)
+    lo, hi = (np.asarray(v, dtype=float)[:, None] for v in b.bounding_box())
     span = hi - lo
-    axes = [np.linspace(lo[i], hi[i], tols.seed_density) for i in range(m)]
-    seeds = [np.array(p) for p in itertools.product(*axes)]
-    found = []
-    dedupe = max(10 * tols.newton_tol, 1e-8)
-    for s in seeds:
-        p = s.copy()
-        ok = False
+    cap = float(np.max(span))
+    Z = np.array(seeds, dtype=float)
+    ok = np.zeros(N, dtype=bool)
+    cols = np.arange(N)
+    with np.errstate(all="ignore"):
         for _ in range(80):
-            try:
-                g = gradv(p)
-            except (ValueError, ZeroDivisionError, OverflowError):
+            g = np.ascontiguousarray(grad(Z[:, cols], lam).T)
+            finite = np.logical_and.reduce(np.isfinite(g), axis=1)
+            done = finite & (_norms(g) < tol)
+            ok[cols[done]] = True
+            cols, g = cols[finite & ~done], g[finite & ~done]
+            if not cols.size:
                 break
-            if not np.all(np.isfinite(g)):
-                break
-            if float(np.linalg.norm(g)) < tols.newton_tol:
-                ok = True
-                break
-            H = hessm(p)
-            try:
-                step = np.linalg.solve(H, g)
-            except np.linalg.LinAlgError:
-                break
-            # crude damping to keep iterates near the block
-            ns = float(np.linalg.norm(step))
-            if ns > float(np.max(span)):
-                step *= float(np.max(span)) / ns
-            p = p - step
-            if np.any(p < lo - span) or np.any(p > hi + span):
-                break
-        if not ok or not b.contains(p):
-            continue
-        if any(float(np.linalg.norm(p - q)) < dedupe for q in found):
-            continue
-        found.append(p)
+            H = hess(Z[:, cols])
+            # the stacked solve raises if any matrix in it is singular;
+            # slogdet runs the same LU factorization and flags exactly those
+            singular = np.linalg.slogdet(H)[0] == 0
+            step = np.empty_like(g)
+            step[~singular] = np.linalg.solve(
+                H[~singular], g[~singular, :, None])[..., 0]
+            for j in np.flatnonzero(singular):
+                step[j] = np.linalg.lstsq(H[j], g[j], rcond=None)[0]
+            ns = _norms(step)
+            long = ns > cap
+            step[long] *= (cap / ns[long])[:, None]
+            X = Z[:, cols] - step.T
+            if period is not None:
+                t = np.fmod(X[m], period)
+                X[m] = np.where(t < 0.0, t + period, t)
+            Z[:, cols] = X
+            out = np.logical_or.reduce((X[:m] < lo - span)
+                                       | (X[:m] > hi + span), axis=0)
+            cols = cols[~out]
+    P = Z[:, ok & b.contains_columns(Z[:m])]
+    # greedy in seed order: keep the first point left, drop all near it
+    keep, rest = [], np.arange(P.shape[1])
+    while rest.size:
+        keep.append(rest[0])
+        d = P.T[rest] - P[:, rest[0]]
+        near = _norms(np.ascontiguousarray(d[:, :m])) < radius
+        if period is not None:
+            a = np.abs(d[:, m])
+            near &= np.minimum(a, period - a) < radius
+        rest = rest[~near]
+    P = P[:, keep]
+    return P, hess(P)
+
+
+def find_critical_points(f, b, lam=None, tols=DEFAULT):
+    """Critical points of f inside the block, by ``newton`` from a
+    ``tols.seed_density``-per-axis lattice over the bounding box; each is
+    checked for nondegeneracy.  Idents follow the lexicographic order of
+    the coordinates."""
+    P, H = newton(f, b, b.lattice(tols.seed_density).T, lam,
+                  tols.newton_tol, None, max(10 * tols.newton_tol, 1e-8))
+    order = np.lexsort(P[::-1])
+    evals, evecs = np.linalg.eigh(0.5 * (H + H.transpose(0, 2, 1))[order])
+    fval = expr.compile_scalar(f)
     crits = []
-    for i, p in enumerate(sorted(found, key=lambda q: tuple(q))):
-        H = hessm(p)
-        H = 0.5 * (H + H.T)
-        evals, evecs = np.linalg.eigh(H)
-        margin = float(np.min(np.abs(evals)))
+    for i, p in enumerate(P.T[order]):
+        margin = float(np.min(np.abs(evals[i])))
         if margin <= tols.margin_tol:
             raise DegenerateCriticalPointError(
                 tuple(float(v) for v in p), margin)
-        k = int(np.sum(evals < 0))
-        frame = tuple(tuple(float(v) for v in _sign_normalize(evecs[:, j]))
+        k = int(np.sum(evals[i] < 0))
+        frame = tuple(tuple(float(v) for v in _sign_normalize(evecs[i][:, j]))
                       for j in range(k))
-        fv = expr.compile_scalar(f)(p, lam)
         crits.append(CriticalPoint(
             ident=i,
             coords=tuple(float(v) for v in p),
-            f_value=float(fv),
-            eigenvalues=tuple(float(v) for v in evals),
+            f_value=float(fval(p, lam)),
+            eigenvalues=tuple(float(v) for v in evals[i]),
             index=k,
             margin=margin,
             frame=frame))
@@ -221,7 +264,6 @@ class ConnectionFinder:
 
     def __init__(self, f, gradfield, b, crits, lam=None, tols=DEFAULT,
                  seed=0):
-        self.f = f
         self.gradfield = gradfield
         self.b = b
         self.crits = crits

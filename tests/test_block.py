@@ -212,6 +212,17 @@ def test_boundary_samples_are_the_face_lattices(n):
         assert np.array_equal(b.boundary_samples(n), want)
 
 
+@pytest.mark.parametrize("n", [2, 5])
+def test_lattice_rows_run_in_product_order(n):
+    for b in (block.build_block(box=[(0, 1)], spacing=0.5),
+              block.build_block(box=[(-1, 1), (-1, 0.5)], spacing=0.5),
+              _l_shape()):
+        lo, hi = b.bounding_box()
+        axes = [np.linspace(lo[i], hi[i], n) for i in range(b.dimension)]
+        want = np.array(list(itertools.product(*axes)))
+        assert np.array_equal(b.lattice(n), want)
+
+
 def test_contains_columns_equals_contains():
     rng = np.random.default_rng(11)
     tol = DEFAULT.boundary_tol

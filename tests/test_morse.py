@@ -49,6 +49,41 @@ def test_degenerate_critical_point_rejected():
         morse.find_critical_points(f, b)
 
 
+def test_newton_takes_a_least_squares_step_at_a_singular_hessian():
+    # the Hessian [[2 x1, 1], [1, 1]] is exactly singular at x1 = 1/2, which
+    # makes a stacked solve over all three seeds raise; that seed reaches
+    # the root (0, 0) only through its least-squares step
+    f = expr.parse("x1^3/3 + x1*x2 + x2^2/2", 2)
+    b = block.build_block(box=[(-2, 2), (-2, 2)], spacing=0.5)
+    seeds = np.array([[0.5, 0.0], [1.5, -1.5], [-0.3, 0.2]]).T
+    P, H = morse.newton(f, b, seeds, None, 1e-10, None, 1e-8)
+    assert P.T == pytest.approx(np.array([[0.0, 0.0], [1.0, -1.0]]),
+                                abs=1e-9)
+    assert H == pytest.approx(np.array([[[0, 1], [1, 1]], [[2, 1], [1, 1]]]),
+                              abs=1e-8)
+    # every column steps as it would alone
+    alone = [morse.newton(f, b, seeds[:, [j]], None, 1e-10, None, 1e-300)[0]
+             for j in range(3)]
+    assert np.array_equal(P[:, 0], alone[0][:, 0])
+    assert np.array_equal(P[:, 1], alone[1][:, 0])
+
+
+def test_newton_wraps_the_periodic_coordinate_across_the_seam():
+    # f = x1^2/2 - cos(pi mu) on [-1, 1] x (R / 2Z): the Newton step from
+    # mu = 1.9 goes past 2 and is wrapped to mu = 0.0034; from mu = 0.1 the
+    # root is reached from below the seam, and both are the one minimum
+    f = expr.parse("x1^2/2 - cos(3.141592653589793*x2)", 2)
+    b = block.build_block(box=[(-1, 1)], spacing=0.5)
+    seeds = np.array([[0.0, 1.9], [0.0, 0.1]]).T
+    for cols in ([0], [1], [0, 1]):
+        P, _ = morse.newton(f, b, seeds[:, cols], None, 1e-10, 2.0, 1e-7)
+        assert P.shape == (2, 1)
+        assert 0.0 <= P[1, 0] <= 2.0
+        assert min(P[1, 0], 2.0 - P[1, 0]) < 1e-9
+        if cols == [0]:
+            assert P[1, 0] < 1.0  # wrapped, not left at 2 + 0.0034
+
+
 def _double_well_complex(coeff="Z", seed=0):
     f = expr.parse("(x1^2 - 1)^2 + x2^2", 2)
     b = block.build_block(box=[(-2, 2), (-2, 2)], spacing=0.5)
