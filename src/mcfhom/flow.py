@@ -2,15 +2,17 @@
 
 One embedded Dormand-Prince 5(4) stepper with PI step-size control,
 ``_dopri5``, advances an (m, N) state: N orbits side by side, each column
-with its own time, step size, controller history and attempt count.  A
-single orbit is the case N = 1: ``integrate``, ``integrate_until`` and
-``transport_frame`` drive it with one column, while ``integrate_columns``
-and ``classify_limit`` run a whole batch.  ``classify_limit`` labels the
-orbits of N start points in one run, with a column-wise stop test (left
-the block, captured at a critical point) after every round; an exit is
-reported by the first point reached outside the block, with no bisection
-onto the boundary.  All downstream orbit decisions (connection counting,
-isolation) sit on top of these entry points.
+with its own time, step size, controller history, attempt count and
+target time.  Every entry point runs a whole batch on the ``numpy``
+backend.  ``integrate_columns`` runs orbits until a column-wise stop test;
+``classify_limit`` labels the orbits of N start points, with a column-wise
+stop test (left the block, captured at a critical point) after every
+round, and reports an exit by the first point reached outside the block,
+with no bisection onto the boundary, and a failed orbit by its error,
+without raising it; ``transport_frame`` carries a tangent frame along each
+of N orbits as one (m + k m, N) variational system.  All downstream orbit
+decisions (connection counting, isolation) sit on top of these entry
+points.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from .config import DEFAULT
 
 
 class IntegrationError(Exception):
-    pass
+    column = None  # the failing column of a batch, where there is one
 
 
 class StepUnderflowError(IntegrationError):
@@ -75,22 +77,6 @@ DONE, STOPPED, UNDERFLOW, EXHAUSTED = 1, 2, 3, 4
 
 
 @dataclass
-class Trajectory:
-    ts: list
-    xs: list  # list of np arrays
-    steps: int = 0
-    rejected: int = 0  # attempts rejected by error control or a bad stage
-
-    @property
-    def terminal(self):
-        return self.xs[-1]
-
-    @property
-    def duration(self):
-        return self.ts[-1] - self.ts[0]
-
-
-@dataclass
 class _Run:
     """Per-column result of ``_dopri5``: signed end time, end state
     (m, N), accepted and rejected attempts, and outcome code."""
@@ -136,7 +122,7 @@ def _shrink(err):
 
 def _dopri5(F, x0, direction, target, rtol, atol, max_steps, accepted=None):
     """Advance every column of the (m, N) state x0 from t = 0 until
-    |t| = target.
+    |t| = target, a scalar or one value per column.
 
     ``F`` maps an (m, n) array of states to their derivatives.  A stage
     that is not finite, or for which F raises ValueError, ZeroDivisionError
@@ -158,6 +144,7 @@ def _dopri5(F, x0, direction, target, rtol, atol, max_steps, accepted=None):
     would alone.
     """
     m, n = x0.shape
+    target = np.broadcast_to(np.asarray(target, dtype=float), (n,)).copy()
     out = _Run(np.zeros(n), np.array(x0, dtype=float), np.zeros(n, int),
                np.zeros(n, int), np.zeros(n, int))
     cols = np.arange(n)
@@ -185,8 +172,8 @@ def _dopri5(F, x0, direction, target, rtol, atol, max_steps, accepted=None):
                 cols, X, f0, t, h, errprev = (cols[keep], X[:, keep],
                                               f0[:, keep], t[keep],
                                               h[keep], errprev[keep])
-                attempts, steps, rejected = (attempts[keep], steps[keep],
-                                             rejected[keep])
+                attempts, steps, rejected, target = (
+                    attempts[keep], steps[keep], rejected[keep], target[keep])
                 K = np.empty((7, m, cols.size))
             if not cols.size:
                 break
@@ -231,78 +218,24 @@ def _dopri5(F, x0, direction, target, rtol, atol, max_steps, accepted=None):
                 else:
                     X[:, ok], f0[:, ok] = xa, fa
                 code[sel] = np.where(stop, STOPPED, np.where(
-                    t[sel] >= target, DONE, code[sel]))
+                    t[sel] >= target[sel], DONE, code[sel]))
             rejected += ~ok
             code[(code == 0) & ~(h >= 1e-14 * (np.abs(t) + 1.0))] = UNDERFLOW
     out.t *= direction
     return out
 
 
-def _single(F1, *args):
-    """A one-point field function ``F1(x, *args)`` (1-D state in, sequence
-    out) as the (m, 1) column function ``_dopri5`` expects."""
-    def F(X):
-        return np.array(F1(X[:, 0], *args), dtype=float)[:, None]
-    return F
-
-
-def _raise_failure(run, max_steps, j=0):
-    """The exception raised for column j of a run if it ended in failure."""
+def _failure(run, max_steps, j):
+    """The error of column j of a run that ended in failure, else None."""
     if run.status[j] == UNDERFLOW:
-        raise StepUnderflowError(float(run.t[j]), run.x[:, j].copy())
-    if run.status[j] == EXHAUSTED:
-        raise IntegrationError(
+        err = StepUnderflowError(float(run.t[j]), run.x[:, j].copy())
+    elif run.status[j] == EXHAUSTED:
+        err = IntegrationError(
             f"exceeded {max_steps} steps at t={float(run.t[j])!r}")
-
-
-def integrate(fieldd, x0, T, rtol=None, atol=None, lam=None, tols=DEFAULT):
-    """Integrate x' = X(x) from x0 over signed duration T."""
-    rtol = tols.rtol if rtol is None else rtol
-    atol = tols.atol if atol is None else atol
-    x = np.asarray(x0, dtype=float)
-    traj = Trajectory([0.0], [x.copy()])
-    if T == 0.0:
-        return traj
-    F1 = expr.compile_field(fieldd)
-    direction = 1 if T > 0 else -1
-
-    def record(cols, t, x_old, x_new, f_new):
-        traj.ts.append(float(t[0]))
-        traj.xs.append(x_new[:, 0].copy())
-
-    run = _dopri5(_single(F1, lam), x[:, None], direction,
-                  abs(T), rtol, atol, tols.max_steps, record)
-    _raise_failure(run, tols.max_steps)
-    traj.steps, traj.rejected = int(run.steps[0]), int(run.rejected[0])
-    return traj
-
-
-def integrate_until(fieldd, x0, stop, t_max, direction=1, lam=None,
-                    tols=DEFAULT):
-    """Integrate until ``stop(t, x_prev, x) -> truthy`` or |t| reaches t_max.
-
-    Returns (trajectory, stop_value).  stop_value is None on budget end.
-    The stop callback sees the signed time and the endpoints of the step
-    just taken, so it can bisect inside the step if needed.
-    """
-    F1 = expr.compile_field(fieldd)
-    x = np.asarray(x0, dtype=float)
-    traj = Trajectory([0.0], [x.copy()])
-    hit = [None]
-
-    def record(cols, t, x_old, x_new, f_new):
-        prev = traj.xs[-1]
-        xn = x_new[:, 0].copy()
-        traj.ts.append(float(t[0]))
-        traj.xs.append(xn)
-        hit[0] = stop(traj.ts[-1], prev, xn)
-        return bool(hit[0])
-
-    run = _dopri5(_single(F1, lam), x[:, None], direction,
-                  t_max, tols.rtol, tols.atol, tols.max_steps, record)
-    _raise_failure(run, tols.max_steps)
-    traj.steps, traj.rejected = int(run.steps[0]), int(run.rejected[0])
-    return traj, (hit[0] if run.status[0] == STOPPED else None)
+    else:
+        return None
+    err.column = j
+    return err
 
 
 def integrate_columns(fieldd, x0, stop, t_max, direction, lam=None,
@@ -326,58 +259,89 @@ def integrate_columns(fieldd, x0, stop, t_max, direction, lam=None,
     return run.t, run.status == STOPPED
 
 
-def transport_frame(fieldd, x0, T, frame, lam=None, tols=DEFAULT):
-    """Transport tangent vectors along the orbit of x0 over duration T.
+def transport_frame(fieldd, X0, T, frames, lam=None, tols=DEFAULT):
+    """Transport a tangent frame along the orbit of every column of the
+    (m, N) array X0, column j over the duration T[j] >= 0 (T may also be
+    one scalar for all).
 
-    Solves the variational equation v' = DX(x(t)) v for each frame vector
-    as one augmented system.  Vector magnitudes are renormalized after each
-    accepted step; directions are never altered, so the sign pattern of the
-    frame determinant is preserved.  Returns (transported frame, terminal x).
+    ``frames`` is a (k, m, N) array: frames[:, :, j] are the k vectors of
+    column j.  The variational equations v' = DX(x(t)) v of all vectors and
+    the orbits are solved as one (m + k m, N) system on the ``numpy``
+    backend.  Vector magnitudes are renormalized after each accepted step;
+    directions are never altered, so the sign pattern of each frame
+    determinant is preserved.  Returns (W, X): the transported (k, m, N)
+    frames and the (m, N) end points.  A column with T[j] = 0, or any
+    column when k = 0, keeps its frame and start point.
+
+    A column fails when its start frame is dependent, a vector collapses to
+    zero, its step underflows or it runs out of steps, or its transported
+    frame has condition number above 1e8.  The error of the first failing
+    column is raised, with that column's index as its ``column``.
     """
-    m = fieldd.dimension
-    V = [np.asarray(v, dtype=float) for v in frame]
-    kf = len(V)
-    if kf and np.linalg.matrix_rank(np.column_stack(V)) < kf:
-        raise FrameDegenerateError("initial frame vectors are dependent")
-    if T == 0.0 or not V:
-        return [v.copy() for v in V], np.asarray(x0, dtype=float)
-    F = expr.compile_field(fieldd)
-    J = expr.compile_jacobian(fieldd)
+    X0 = np.asarray(X0, dtype=float)
+    frames = np.asarray(frames, dtype=float)
+    k, m, n = frames.shape
+    T = np.broadcast_to(np.asarray(T, dtype=float), (n,))
+    W, X = frames.copy(), X0.copy()
+    if not k:
+        return W, X
+    errors = [None] * n
+    dependent = np.linalg.matrix_rank(frames.transpose(2, 1, 0)) < k
+    for j in np.flatnonzero(dependent):
+        errors[j] = FrameDegenerateError("initial frame vectors are dependent")
+    go = np.flatnonzero((T != 0.0) & ~dependent)
+    F = expr.compile_field(fieldd, backend="numpy")
+    J = [expr.compile_field(expr.FieldDef(m, row), backend="numpy")
+         for row in expr.jacobian(fieldd)]
 
-    def G(z):
-        x = z[:m]
-        out = np.empty_like(z)
-        out[:m] = F(x, lam)
-        Jx = np.array(J(x, lam), dtype=float)
-        for i in range(kf):
-            out[m + i * m: m + (i + 1) * m] = Jx @ z[m + i * m: m + (i + 1) * m]
+    def G(Z):
+        out = np.empty_like(Z)
+        out[:m] = F(Z[:m], lam)
+        DX = np.stack([row(Z[:m], lam) for row in J])  # (m, m, n)
+        V = Z[m:].reshape(k, m, -1)
+        dV = out[m:].reshape(k, m, -1)
+        # (DX v)_a = sum_b DX_ab v_b, added in the order of b
+        dV[:] = DX[None, :, 0] * V[:, None, 0]
+        for b in range(1, m):
+            dV += DX[None, :, b] * V[:, None, b]
         return out
+
+    collapsed = np.zeros(go.size, dtype=bool)
 
     def renormalize(cols, t, z_old, z, f):
         # rescale magnitudes in place between steps; the variational block
         # of G is linear in v, so the end-of-step derivative reused by the
         # next step stays consistent when scaled by the same factor
-        for i in range(kf):
-            seg = z[m + i * m: m + (i + 1) * m, 0]
-            nrm = float(np.linalg.norm(seg))
-            if nrm == 0.0:
-                raise FrameDegenerateError("frame vector collapsed to zero")
-            seg /= nrm
-            f[m + i * m: m + (i + 1) * m, 0] /= nrm
+        V = np.ascontiguousarray(z[m:].reshape(k, m, -1).transpose(0, 2, 1))
+        nrm = np.sqrt(np.vecdot(V, V))  # (k, n), one per vector
+        zero = np.logical_or.reduce(nrm == 0.0, axis=0)
+        collapsed[cols[zero]] = True
+        by_row = np.repeat(nrm, m, axis=0)
+        z[m:] /= by_row
+        f[m:] /= by_row
+        return zero
 
-    z0 = np.concatenate([np.asarray(x0, dtype=float)] + V)
-    run = _dopri5(_single(G), z0[:, None], 1 if T > 0 else -1, abs(T),
-                  tols.rtol, tols.atol, tols.max_steps, renormalize)
-    _raise_failure(run, tols.max_steps)
-    z = run.x[:, 0]
-    W = [z[m + i * m: m + (i + 1) * m].copy() for i in range(kf)]
-    if kf:
-        M = np.column_stack(W)
-        sv = np.linalg.svd(M, compute_uv=False)
-        if sv[-1] == 0.0 or sv[0] / sv[-1] > 1e8:
-            raise FrameDegenerateError(
-                f"transported frame degenerate (condition {sv[0] / max(sv[-1], 1e-300):.3e})")
-    return W, z[:m].copy()
+    if go.size:
+        Z0 = np.concatenate([X0[:, go], frames[:, :, go].reshape(k * m, -1)])
+        run = _dopri5(G, Z0, 1, T[go], tols.rtol, tols.atol, tols.max_steps,
+                      renormalize)
+        X[:, go] = run.x[:m]
+        W[:, :, go] = run.x[m:].reshape(k, m, -1)
+        for i, j in enumerate(go):
+            errors[j] = (FrameDegenerateError("frame vector collapsed to zero")
+                         if collapsed[i] else _failure(run, tols.max_steps, i))
+        done = [j for j in go if errors[j] is None]
+        sv = np.linalg.svd(W[:, :, done].transpose(2, 1, 0), compute_uv=False)
+        for j, s in zip(done, sv):
+            cond = s[0] / max(s[-1], 1e-300)
+            if s[-1] == 0.0 or cond > 1e8:
+                errors[j] = FrameDegenerateError(
+                    f"transported frame degenerate (condition {cond:.3e})")
+    for j, err in enumerate(errors):
+        if err is not None:
+            err.column = j
+            raise err
+    return W, X
 
 
 def field_scale(fieldd, block, lam=None):
@@ -396,8 +360,9 @@ def field_scale(fieldd, block, lam=None):
 class LimitClass:
     """Per-column outcome of ``classify_limit``."""
 
-    tag: tuple  # "converged" | "exited" | "budget", one per column
+    tag: tuple  # "converged" | "exited" | "budget" | "failed", per column
     crit_id: tuple  # ident of the capturing critical point, else -1
+    errors: tuple  # the error of a failed column, else None
 
 
 def classify_limit(gradfield, X0, crits, block, tols=DEFAULT, lam=None,
@@ -409,13 +374,18 @@ def classify_limit(gradfield, X0, crits, block, tols=DEFAULT, lam=None,
     After each accepted step a column is tested in this order: it has
     exited once its new point lies outside the block; it is captured once
     exactly one critical point lies within the capture radius and its speed
-    is below the speed tolerance.  Two critical points within the radius
-    raise AmbiguousCaptureError.  Returns (limits, run): the tag and the
-    capturing ident of each column, and the ``_Run`` of the batch, whose
-    ``t`` and ``x`` are each column's signed end time and end point (for an
-    exit, the first point reached outside the block; there is no bisection
-    onto the boundary).  A column whose step underflows or that runs out of
-    steps raises, as ``integrate_until`` does."""
+    is below the speed tolerance.  Returns (limits, run): the tag, the
+    capturing ident and the error of each column, and the ``_Run`` of the
+    batch, whose ``t`` and ``x`` are each column's signed end time and end
+    point (for an exit, the first point reached outside the block; there is
+    no bisection onto the boundary).
+
+    A column fails, and stops, with AmbiguousCaptureError once two critical
+    points lie within the radius of its point, and with the error of
+    ``_dopri5`` once its step underflows or it runs out of steps.  Nothing
+    is raised: a failed column is tagged "failed" and carries its error, so
+    the other columns of the batch keep their labels.  The caller decides
+    whether a failed column matters."""
     if scale is None:
         scale = field_scale(gradfield, block, lam)
     speed_tol = tols.speed_tol_factor * scale
@@ -426,28 +396,28 @@ def classify_limit(gradfield, X0, crits, block, tols=DEFAULT, lam=None,
     coords = np.array([c.coords for c in crits], dtype=float).reshape(
         len(crits), m)
     captor = np.full(n, -1)  # index into crits of a captured column
+    errors = [None] * n
 
     def stop(cols, t, x_old, X, f_new):
         out = ~block.contains_columns(X)
         d = _rows(X) - coords[:, None, :]  # (n_crits, n, m)
         near = (np.sqrt(np.vecdot(d, d)) < cap) & ~out
         count = np.count_nonzero(near, axis=0)
-        if (count > 1).any():
-            j = int(np.argmax(count > 1))
-            raise AmbiguousCaptureError(
+        ambiguous = count > 1
+        for j in np.flatnonzero(ambiguous):
+            errors[cols[j]] = AmbiguousCaptureError(
                 X[:, j], [crits[i].ident for i in np.flatnonzero(near[:, j])])
         caught = (count == 1) & (_norms(f_new) < speed_tol)
         if caught.any():
             captor[cols[caught]] = np.argmax(near[:, caught], axis=0)
-        return out | caught
+        return out | caught | ambiguous
 
     run = _dopri5(lambda X: F(X, lam), X0, 1, tols.t_budget, tols.rtol,
                   tols.atol, tols.max_steps, stop)
-    failed = np.flatnonzero((run.status == UNDERFLOW)
-                            | (run.status == EXHAUSTED))
-    if failed.size:
-        _raise_failure(run, tols.max_steps, failed[0])
-    tag = tuple("budget" if s == DONE else "exited" if c < 0 else "converged"
-                for s, c in zip(run.status, captor))
+    for j in range(n):
+        errors[j] = errors[j] or _failure(run, tols.max_steps, j)
+    tag = tuple("failed" if e is not None else "budget" if s == DONE
+                else "exited" if c < 0 else "converged"
+                for s, c, e in zip(run.status, captor, errors))
     ids = tuple(crits[c].ident if c >= 0 else -1 for c in captor)
-    return LimitClass(tag, ids), run
+    return LimitClass(tag, ids, tuple(errors)), run

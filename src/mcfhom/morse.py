@@ -12,11 +12,18 @@ Connections are counted only between critical points of adjacent index.
 For an index-k source the seeds live on a small sphere inside the unstable
 eigenspace; basin boundaries on that sphere are isolated by adaptive
 bisection and each witness orbit receives a sign by transporting the
-source's unstable frame along it.  The bisection runs breadth-first: the
-initial vertices form one ``flow.classify_limit`` batch, and each later
-level (the new vertices of every simplex split at the level before, plus
-the midpoints of simplices already below ``dir_tol``) forms another.
-Directions whose orbit hits the time budget count as non-connecting; they
+source's unstable frame along it.  The bisection runs breadth-first and
+labels ahead of itself: a walk refines every simplex whose labels are
+known, and each simplex where it stops has the vertices of its subtree,
+``_LOOK_AHEAD`` levels deep, labelled in the next batch.  The spheres of
+all sources are refined in lockstep, so each batch is one
+``flow.classify_limit`` call for every source.  The witness list comes from
+a depth-first replay of the same refinement, so it does not depend on how
+far ahead the batches labelled.  Nor does whether the search fails: the
+error of a failed orbit is raised only where the refinement reads its
+label.  After clustering, the witnesses of all sources with one frame size
+are signed by one ``flow.transport_frame`` batch.  Directions read by the
+refinement whose orbit hits the time budget count as non-connecting; they
 are counted in ``ConnectionFinder.budget_hits`` and logged as a warning on
 the ``mcfhom.morse`` logger.
 """
@@ -85,7 +92,7 @@ def newton(f, b, seeds, lam, tol, period, radius):
 
     The first m = ``b.dimension`` coordinates are those of the block; with
     a ``period``, the one more coordinate that follows is reduced by fmod
-    into [0, period] after every step.  A column takes at most 80 steps:
+    into [0, period) after every step.  A column takes at most 80 steps:
     it converges once its gradient norm is below ``tol``, and fails once
     its gradient is not finite or it leaves the bounding box widened by its
     span on every side.  Steps are capped at the longest side of the box.
@@ -138,7 +145,9 @@ def newton(f, b, seeds, lam, tol, period, radius):
             X = Z[:, cols] - step.T
             if period is not None:
                 t = np.fmod(X[m], period)
-                X[m] = np.where(t < 0.0, t + period, t)
+                t = np.where(t < 0.0, t + period, t)
+                # a tiny negative remainder plus the period rounds to it
+                X[m] = np.where(t == period, 0.0, t)
             Z[:, cols] = X
             out = np.logical_or.reduce((X[:m] < lo - span)
                                        | (X[:m] > hi + span), axis=0)
@@ -258,12 +267,172 @@ def _diameter(sp):
                for a, b in itertools.combinations(sp, 2)) if len(sp) > 1 else 0.0
 
 
+def _midpoint(sp):
+    """The normalised vertex mean of a simplex of the sphere."""
+    mid = sum(sp) / len(sp)
+    return mid / np.linalg.norm(mid)
+
+
+def _subtree(sp, depth, dir_tol):
+    """The vertices of the simplex sp and of its binary subtree ``depth``
+    levels deep, where a simplex below ``dir_tol`` gives its midpoint
+    instead of children."""
+    yield from sp
+    if len(sp) > 1:
+        if _diameter(sp) < dir_tol:
+            yield _midpoint(sp)
+        elif depth:
+            for child in _split(sp):
+                yield from _subtree(child, depth - 1, dir_tol)
+
+
+# Levels of the binary subtree below a simplex that lacks a label, labelled
+# in the same batch ahead of the walk.  `mcfhom hi
+# benchmarks/systems/connections.json --seed 3` on a 2-core Xeon, as depth:
+# DOPRI rounds and orbits of the whole run, median CPU seconds of
+# build_complex over 3 runs:
+#   2: 6,500, 1,338, 3.06   3: 5,320, 1,626, 2.78   4: 4,443, 2,086, 2.67
+#   5: 4,013, 2,892, 3.11   6: 3,593, 4,210, 3.59
+# Deeper batches take fewer rounds, but every round pays for the orbits
+# that the walk never reads.
+_LOOK_AHEAD = 4
+
+# The errors of a failed orbit, which ``flow.classify_limit`` reports per
+# column.
+_FAILURES = (flow.IntegrationError, flow.AmbiguousCaptureError)
+
+
+class _Sphere:
+    """The breadth-first refinement of the unstable sphere of one source,
+    labelled ahead of the walk.
+
+    ``wanted`` walks the refinement as far as the known labels allow and
+    returns the directions to label next: the vertices of the subtree of
+    depth ``_LOOK_AHEAD`` below every simplex that lacks a label but has
+    one, with the midpoints of the subtree's simplices below ``dir_tol``;
+    the vertices of every simplex with no label yet; and the midpoints the
+    walk asked for.  ``learn`` stores their labels.  The walk reads only a
+    simplex's own labels, so the simplices it refines and the directions it
+    reads do not depend on how far ahead a batch labelled.
+
+    A direction whose orbit failed is labelled ("failed", error), and the
+    error is raised only where the walk or ``replay`` reads that label.  A
+    look-ahead direction that the refinement never reads can therefore not
+    stop the search.  Once the walk reads a failure, the sphere keeps the
+    error in ``error`` and wants nothing more.
+    """
+
+    def __init__(self, x, targets, initial, dir_tol):
+        self.x = x
+        self.targets = targets
+        self.initial = initial
+        self.dir_tol = dir_tol
+        self.level = list(initial)  # simplices not refined yet
+        self.labels = {}  # direction key -> (label, signed end time)
+        self.error = None  # the first failure the walk read
+
+    def wanted(self):
+        if self.error is not None:
+            return []
+        try:
+            return self._walk()
+        except _FAILURES as err:
+            self.error = err
+            return []
+
+    def _walk(self):
+        labels, want = self.labels, {}
+
+        def ask(d):
+            key = _key(d)
+            if key not in labels:
+                want.setdefault(key, d)
+
+        blocked, level = [], self.level
+        while level:
+            nxt = []
+            for sp in level:
+                if any(_key(v) not in labels for v in sp):
+                    blocked.append(sp)
+                    continue
+                children, mid = self._refine(sp)
+                nxt.extend(children)
+                if mid is not None:
+                    ask(mid)
+            level = nxt
+        self.level = blocked
+        for sp in blocked:
+            # below a simplex with no label at all, such as an initial one,
+            # nothing says where a basin boundary is: label it alone
+            ahead = _LOOK_AHEAD if any(_key(v) in labels for v in sp) else 0
+            for d in _subtree(sp, ahead, self.dir_tol):
+                ask(d)
+        return [*want.values()]
+
+    def _refine(self, sp):
+        """What a simplex asks for, given the labels of its vertices:
+        (children, None) to split it, ([], midpoint) to label its midpoint
+        once it is below ``dir_tol``, or ([], None).  Directions that hit
+        the time budget count as non-connecting."""
+        labs = {self._label(v)[0] for v in sp} - {("budget",)}
+        if len(labs) < 2:
+            return [], None
+        if _diameter(sp) < self.dir_tol:
+            return [], _midpoint(sp)
+        return (_split(sp) if len(sp) > 1 else []), None
+
+    def _label(self, d):
+        """The label and signed end time of direction d; raises the error
+        of a direction whose orbit failed."""
+        lab, t = self.labels[_key(d)]
+        if lab[0] == "failed":
+            raise lab[1]
+        return lab, t
+
+    def learn(self, dirs, labels):
+        self.labels.update(zip(map(_key, dirs), labels))
+
+    def replay(self):
+        """Replay the refinement depth-first.  Returns the witnesses
+        (direction, target ident, capture time) in depth-first order of
+        first touch, which fixes the cluster representatives that
+        ``_collect`` keeps, and the number of directions the refinement
+        reads whose orbit hit the time budget.  Every capture of a target
+        counts: refinement vertices inside a capture window are as valid
+        witnesses as the initial seeds, and the windows can be far narrower
+        than the seed spacing.  ``_collect`` merges the cluster of
+        directions inside one window into a single witness."""
+        found = []
+        seen = set()
+
+        def touch(d):
+            key = _key(d)
+            if key not in seen:
+                seen.add(key)
+                lab, t = self._label(d)
+                if lab[0] == "crit" and lab[1] in self.targets:
+                    found.append((np.asarray(d, float), lab[1], abs(t)))
+
+        work = list(self.initial)
+        for sp in work:
+            for v in sp:
+                touch(v)
+        while work:
+            sp = work.pop()
+            for v in sp:
+                touch(v)
+            children, mid = self._refine(sp)
+            if mid is not None:
+                touch(mid)
+            work.extend(children)
+        return found, sum(self.labels[key][0] == ("budget",) for key in seen)
+
+
 class ConnectionFinder:
-    """Counts connecting orbits from one source critical point to every
+    """Counts connecting orbits from source critical points to every
     index-adjacent target, sharing the direction labeling across targets."""
 
-    def __init__(self, f, gradfield, b, crits, lam=None, tols=DEFAULT,
-                 seed=0):
+    def __init__(self, gradfield, b, crits, lam=None, tols=DEFAULT, seed=0):
         self.gradfield = gradfield
         self.b = b
         self.crits = crits
@@ -271,8 +440,6 @@ class ConnectionFinder:
         self.lam = lam
         self.tols = tols
         self.scale = flow.field_scale(gradfield, b, lam)
-        self.grad = [expr.compile_scalar(g)
-                     for g in expr.gradient(f, b.dimension)]
         self._rngs = {}
         self.seed = seed
         self._witnesses = {}  # source ident -> {target ident: [Witness]}
@@ -291,117 +458,94 @@ class ConnectionFinder:
         U = x.frame_matrix()
         return np.asarray(x.coords) + self.tols.delta_u * (U @ d)
 
-    def _classify(self, x, dirs):
-        """Classify the orbits leaving x along the directions ``dirs``
-        (coefficients in the unstable eigenspace) as one batch: for each,
-        its label ("crit", ident), ("exit",) or ("budget",) and its signed
-        end time."""
-        P0 = np.column_stack([self._seed_point(x, d) for d in dirs])
+    def _classify(self, jobs):
+        """Classify as one batch the orbits leaving each source x along the
+        directions ``dirs`` (coefficients in its unstable eigenspace), for
+        the pairs (x, dirs) of ``jobs``: one list per pair of each
+        direction's label ("crit", ident), ("exit",), ("budget",) or
+        ("failed", error) and signed end time."""
+        P0 = np.column_stack([self._seed_point(x, d)
+                              for x, dirs in jobs for d in dirs])
         lc, run = flow.classify_limit(
             self.gradfield, P0, self.crits, self.b, tols=self.tols,
             lam=self.lam, scale=self.scale)
-        out = []
-        for tag, ident, t in zip(lc.tag, lc.crit_id, run.t):
-            if tag == "converged":
-                lab = ("crit", ident)
-            elif tag == "exited":
-                lab = ("exit",)
-            else:
-                lab = ("budget",)
-                self.budget_hits += 1
-            out.append((lab, float(t)))
+        labels = [(("crit", ident) if tag == "converged" else
+                   ("exit",) if tag == "exited" else
+                   ("failed", err) if tag == "failed" else ("budget",),
+                   float(t))
+                  for tag, ident, err, t in zip(lc.tag, lc.crit_id,
+                                                lc.errors, run.t)]
+        out, i = [], 0
+        for _, dirs in jobs:
+            out.append(labels[i:i + len(dirs)])
+            i += len(dirs)
         return out
 
     def witnesses_for(self, source_ident):
         if source_ident not in self._witnesses:
-            self._witnesses[source_ident] = self._search(
-                self.by_id[source_ident])
+            self.search([self.by_id[source_ident]])
         return self._witnesses[source_ident]
 
-    def _refine(self, sp, labels):
-        """What a simplex of the sphere asks for, given the labels of its
-        vertices: (children, None) to split it, ([], midpoint) to label its
-        midpoint once it is below ``dir_tol``, or ([], None).  Directions
-        that hit the time budget count as non-connecting."""
-        labs = {labels[_key(v)][0] for v in sp} - {("budget",)}
-        if len(labs) < 2:
-            return [], None
-        if _diameter(sp) < self.tols.dir_tol:
-            mid = sum(sp) / len(sp)
-            return [], mid / np.linalg.norm(mid)
-        return (_split(sp) if len(sp) > 1 else []), None
+    def search(self, sources):
+        """Find and sign the witnesses of every source not searched yet.
 
-    def _search(self, x):
-        k = x.index
-        if k == 0:
-            return {}
-        targets = {c.ident for c in self.crits if c.index == k - 1}
-        if not targets:
-            return {}
-        rot = self._rotation(k) if k > 1 else np.eye(1)
-        initial = _initial_simplices(k, self.tols.n_dir_seeds, rot)
-        labels = {}  # direction key -> (label, signed end time)
+        The spheres of all sources are refined in lockstep: each step labels
+        what every unfinished sphere wants in one ``flow.classify_limit``
+        batch.  Directions read by the refinement whose orbit hits the time
+        budget count as non-connecting; they are added to ``budget_hits``
+        and logged as one warning per source.  After clustering, the
+        witnesses are signed by ``_signs``.
 
-        def label_all(dirs):
-            todo = {}
-            for d in dirs:
-                key = _key(d)
-                if key not in labels:
-                    todo.setdefault(key, d)
-            if todo:
-                labels.update(zip(todo, self._classify(x, [*todo.values()])))
-
-        # Breadth-first: one batch per level, the vertices of the simplices
-        # split at the previous level plus the midpoints it asked for.
-        # Refinement reads only a simplex's own labels, so the labelled
-        # directions do not depend on the order.
-        level = initial
-        label_all([v for sp in level for v in sp])
-        while level:
-            nxt, mids = [], []
-            for sp in level:
-                children, mid = self._refine(sp, labels)
-                nxt.extend(children)
-                if mid is not None:
-                    mids.append(mid)
-            label_all([v for sp in nxt for v in sp] + mids)
-            level = nxt
-        hits = sum(lab == ("budget",) for lab, _ in labels.values())
-        if hits:
-            log.warning("%d directions on the unstable sphere of critical "
-                        "point %d hit the time budget; treated as "
-                        "non-connecting", hits, x.ident)
-
-        # Witnesses in depth-first order of first touch, which fixes the
-        # cluster representatives that _collect keeps.  Every capture of a
-        # target counts: refinement vertices inside a capture window are
-        # as valid witnesses as the initial seeds, and the windows can be
-        # far narrower than the seed spacing.  _collect merges the cluster
-        # of directions inside one window into a single witness.
-        found = []  # (direction, target ident, capture time)
-        seen = set()
-
-        def touch(d):
-            key = _key(d)
-            if key not in seen:
-                seen.add(key)
-                lab, t = labels[key]
-                if lab[0] == "crit" and lab[1] in targets:
-                    found.append((np.asarray(d, float), lab[1], abs(t)))
-
-        work = list(initial)
-        for sp in work:
-            for v in sp:
-                touch(v)
-        while work:
-            sp = work.pop()
-            for v in sp:
-                touch(v)
-            children, mid = self._refine(sp, labels)
-            if mid is not None:
-                touch(mid)
-            work.extend(children)
-        return self._collect(x, found)
+        Failures are raised in the order of a search of one source after
+        the other: a failure of a source's search or clustering is raised
+        only after the witnesses of the sources before it, and of the
+        targets clustered before it, are signed without one.  Which failure
+        of one sphere's refinement is raised, where several are read, may
+        depend on the batches."""
+        spheres = []
+        for x in sources:
+            if x.ident in self._witnesses:
+                continue
+            targets = {c.ident for c in self.crits if c.index == x.index - 1}
+            if targets:
+                rot = self._rotation(x.index) if x.index > 1 else np.eye(1)
+                spheres.append(_Sphere(x, targets, _initial_simplices(
+                    x.index, self.tols.n_dir_seeds, rot), self.tols.dir_tol))
+            else:
+                self._witnesses[x.ident] = {}
+        while True:
+            asks = [(s, s.wanted()) for s in spheres]
+            asks = [(s, dirs) for s, dirs in asks if dirs]
+            if not asks:
+                break
+            for (s, dirs), labels in zip(
+                    asks, self._classify([(s.x, dirs) for s, dirs in asks])):
+                s.learn(dirs, labels)
+        reps, jobs = [], []
+        try:
+            for s in spheres:
+                if s.error is not None:
+                    raise s.error
+                found, hits = s.replay()
+                self.budget_hits += hits
+                if hits:
+                    log.warning("%d directions on the unstable sphere of "
+                                "critical point %d hit the time budget; "
+                                "treated as non-connecting", hits, s.x.ident)
+                reps.append({})
+                for tgt, items in self._collect(s.x, found):
+                    reps[-1][tgt] = items
+                    jobs.extend((s.x, self.by_id[tgt], d, t)
+                                for d, t in items)
+        except _FAILURES:
+            self._signs(jobs)  # a witness found before may fail first
+            raise
+        signs = iter(self._signs(jobs))
+        for s, by_target in zip(spheres, reps):
+            self._witnesses[s.x.ident] = {
+                tgt: [Witness(tuple(float(v) for v in d), next(signs), t)
+                      for d, t in items]
+                for tgt, items in by_target.items()}
 
     def _same_orbit(self, x, tgt, d1, d2):
         """Two directions converging to the same target represent one
@@ -411,12 +555,17 @@ class ConnectionFinder:
         nm = float(np.linalg.norm(mid))
         if nm < 1e-12:
             return False
-        (lab, _), = self._classify(x, [mid / nm])
+        [[(lab, _)]] = self._classify([(x, [mid / nm])])
+        if lab[0] == "failed":
+            raise lab[1]
+        if lab == ("budget",):
+            self.budget_hits += 1
         return lab == ("crit", tgt)
 
     def _collect(self, x, found):
-        """Cluster witness directions and attach signs."""
-        out = {}
+        """Cluster witness directions: yield (target ident, [(direction,
+        capture time)]), one representative per cluster, target by
+        target."""
         cluster_tol = max(100 * self.tols.dir_tol, 1e-8)
         by_target = {}
         for d, tgt, t in found:
@@ -430,24 +579,42 @@ class ConnectionFinder:
                         break
                 else:
                     reps.append((d, t))
-            ws = []
-            for d, t in reps:
-                sign = self._orientation_sign(x, self.by_id[tgt], d, t)
-                ws.append(Witness(tuple(float(v) for v in d), sign, t))
-            out[tgt] = ws
-        return out
+            yield tgt, reps
 
-    def _orientation_sign(self, x, y, d, t_capture):
-        """Sign of a witness orbit: transport the unstable frame of x along
-        the orbit, then express it in the basis (flow direction at the
-        arrival point) + (unstable frame of y); the determinant sign of
-        that change of basis is the orientation number."""
-        p0 = self._seed_point(x, d)
-        frame = [np.asarray(v, float) for v in x.frame]
-        W, p = flow.transport_frame(
-            self.gradfield, p0, t_capture, frame, lam=self.lam,
-            tols=self.tols)
-        v_flow = -np.array([g(p, self.lam) for g in self.grad])
+    def _signs(self, jobs):
+        """Orientation signs of the witnesses (source, target, direction,
+        capture time) of ``jobs``.  Each run of witnesses whose sources
+        share one index (one frame size) is signed by one batch.  Raises for
+        the first witness, in the order of ``jobs``, whose transport or
+        orientation fails."""
+        return [sign for _, run in itertools.groupby(
+            jobs, key=lambda job: job[0].index)
+            for sign in self._sign_batch(list(run))]
+
+    def _sign_batch(self, jobs):
+        """The signs of witnesses whose sources share one index, from one
+        ``flow.transport_frame`` batch of the sources' unstable frames."""
+        if not jobs:
+            return []
+        P0 = np.column_stack([self._seed_point(x, d) for x, _, d, _ in jobs])
+        frames = np.stack([np.array(x.frame) for x, *_ in jobs], axis=-1)
+        try:
+            W, P = flow.transport_frame(
+                self.gradfield, P0, [t for *_, t in jobs], frames,
+                lam=self.lam, tols=self.tols)
+        except flow.IntegrationError as err:
+            # a witness before the failing one may fail its orientation
+            self._sign_batch(jobs[:err.column])
+            raise
+        V = expr.compile_field(self.gradfield, backend="numpy")(P, self.lam)
+        return [self._orientation_sign(x, y, W[:, :, j], V[:, j])
+                for j, (x, y, _, _) in enumerate(jobs)]
+
+    def _orientation_sign(self, x, y, W, v_flow):
+        """Sign of a witness orbit from its transported frame W (k, m) and
+        the flow direction at its arrival point: express the frame in the
+        basis (flow direction) + (unstable frame of y); the determinant
+        sign of that change of basis is the orientation number."""
         nf = float(np.linalg.norm(v_flow))
         if nf == 0.0:
             raise OrientationError(
@@ -455,8 +622,7 @@ class ConnectionFinder:
         cols = [v_flow / nf]
         cols.extend(np.asarray(v, float) for v in y.frame)
         B = np.column_stack(cols)
-        Wm = np.column_stack(W)
-        C, *_ = np.linalg.lstsq(B, Wm, rcond=None)
+        C, *_ = np.linalg.lstsq(B, W.T, rcond=None)
         det = float(np.linalg.det(C))
         if abs(det) < self.tols.det_tol:
             raise OrientationError(
@@ -483,11 +649,11 @@ def build_complex(f, b, crits, lam=None, tols=DEFAULT, coeff="Z", seed=0):
     """Assemble the Morse chain complex over the given critical points.
     ``homalg.homology`` checks its d^2 = 0, which a missed or double-counted
     connecting orbit breaks."""
-    gradfield = expr.negative_gradient(f, b.dimension)
-    finder = ConnectionFinder(f, gradfield, b, crits, lam=lam, tols=tols,
-                              seed=seed)
+    finder = ConnectionFinder(expr.negative_gradient(f, b.dimension), b,
+                              crits, lam=lam, tols=tols, seed=seed)
     top = max((c.index for c in crits), default=0)
     gens = [[c for c in crits if c.index == k] for k in range(top + 1)]
+    finder.search([x for g in gens[1:] for x in g])
     dims = [len(g) for g in gens]
     boundaries = {}
     counts = []

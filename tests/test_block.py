@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import flow_oracle as oracle
 from mcfhom import block, expr, flow
 from mcfhom.config import DEFAULT
 
@@ -268,8 +269,8 @@ def test_batched_isolation_matches_single_orbits():
         want = "trapped"
         for direction, label in ((-1, "backward"), (1, "forward")):
             try:
-                _, sv = flow.integrate_until(fld, p, left, budget,
-                                             direction=direction)
+                _, sv = oracle.integrate_until(fld, p, left, budget,
+                                               direction=direction)
             except flow.IntegrationError:
                 sv = None
             if sv is not None:

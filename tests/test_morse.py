@@ -78,7 +78,7 @@ def test_newton_wraps_the_periodic_coordinate_across_the_seam():
     for cols in ([0], [1], [0, 1]):
         P, _ = morse.newton(f, b, seeds[:, cols], None, 1e-10, 2.0, 1e-7)
         assert P.shape == (2, 1)
-        assert 0.0 <= P[1, 0] <= 2.0
+        assert 0.0 <= P[1, 0] < 2.0
         assert min(P[1, 0], 2.0 - P[1, 0]) < 1e-9
         if cols == [0]:
             assert P[1, 0] < 1.0  # wrapped, not left at 2 + 0.0034
@@ -177,18 +177,24 @@ def _index_two_source(f="(x1^2 - 1)^2 - x2^2", box=2.0):
     return f, b, morse.find_critical_points(f, b)
 
 
+# The product double well: index 2 at the origin, index 1 at the four
+# points (+-1, 0), (0, +-1), index 0 at (+-1, +-1).  The basins of the
+# minima meet on the source's unstable circle, so the search refines
+# towards the four saddle connections level by level.  Coarse tolerances
+# keep the orbits short.
+_COARSE = dataclasses.replace(
+    DEFAULT, rtol=1e-6, atol=1e-9, n_dir_seeds=8, dir_tol=1e-4,
+    capture_radius=1e-3, speed_tol_factor=1e-3, delta_u=1e-2)
+
+
+def _product_double_well():
+    return _index_two_source("(x1^2 - 1)^2 + (x2^2 - 1)^2", box=1.5)
+
+
 def test_batched_labels_equal_one_column_labels(monkeypatch):
-    # the product double well: index 2 at the origin, index 1 at the four
-    # points (+-1, 0), (0, +-1), index 0 at (+-1, +-1).  The basins of the
-    # minima meet on the source's unstable circle, so the search refines
-    # towards the four saddle connections level by level.  Coarse
-    # tolerances keep the orbits short.
-    f, b, crits = _index_two_source(
-        "(x1^2 - 1)^2 + (x2^2 - 1)^2", box=1.5)
+    f, b, crits = _product_double_well()
     assert sorted(c.index for c in crits) == [0] * 4 + [1] * 4 + [2]
-    tols = dataclasses.replace(
-        DEFAULT, rtol=1e-6, atol=1e-9, n_dir_seeds=8, dir_tol=1e-4,
-        capture_radius=1e-3, speed_tol_factor=1e-3, delta_u=1e-2)
+    tols = _COARSE
     _, batched = morse.build_complex(f, b, crits, tols=tols, seed=3)
     source = next(c.ident for c in crits if c.index == 2)
     from_source = [cc for cc in batched if cc.source == source]
@@ -201,8 +207,9 @@ def test_batched_labels_equal_one_column_labels(monkeypatch):
         widths.append(X0.shape[1])
         parts = [classify(gradfield, X0[:, j:j + 1], *args, **kwargs)
                  for j in range(X0.shape[1])]
-        lc = flow.LimitClass(sum((p[0].tag for p in parts), ()),
-                             sum((p[0].crit_id for p in parts), ()))
+        lc = flow.LimitClass(*(sum((getattr(p[0], fd.name) for p in parts),
+                                   ()) for fd in dataclasses.fields(
+                                       flow.LimitClass)))
         run = flow._Run(*(np.concatenate([getattr(p[1], fd.name)
                                           for p in parts], axis=-1)
                           for fd in dataclasses.fields(flow._Run)))
@@ -219,7 +226,7 @@ def test_budget_hits_are_counted_and_logged(caplog):
     f, b, crits = _index_two_source()
     assert sorted(c.index for c in crits) == [1, 1, 2]
     finder = morse.ConnectionFinder(
-        f, expr.negative_gradient(f, 2), b, crits,
+        expr.negative_gradient(f, 2), b, crits,
         tols=dataclasses.replace(DEFAULT, t_budget=1e-3))
     source = next(c for c in crits if c.index == 2)
     with caplog.at_level(logging.WARNING, logger="mcfhom.morse"):
@@ -231,18 +238,11 @@ def test_budget_hits_are_counted_and_logged(caplog):
     assert f"{DEFAULT.n_dir_seeds} directions" in records[0].getMessage()
 
 
-def test_witnesses_keep_depth_first_order(monkeypatch):
-    # Labels come from a stub that cuts the source's unstable circle into
-    # four basins of minima with a 2e-9 rad window to a saddle at each cut,
-    # so refinement runs down to dir_tol and several directions of one
-    # window become witnesses.  The breadth-first search must label the
-    # same directions as the old depth-first search, in fewer calls, and
-    # hand _collect the witnesses in depth-first order of first touch.
-    f, b, crits = _index_two_source(
-        "(x1^2 - 1)^2 + (x2^2 - 1)^2", box=1.5)
-    finder = morse.ConnectionFinder(f, expr.negative_gradient(f, 2), b,
-                                    crits)
-    source = next(c for c in crits if c.index == 2)
+def _quarter_labels(crits):
+    """A stub labelling that cuts the unstable circle of the product double
+    well's source into four basins of minima, with a 2e-9 rad window to a
+    saddle at each cut, so refinement runs down to dir_tol and several
+    directions of one window become witnesses."""
     saddles = [c.ident for c in crits if c.index == 1]
     minima = [c.ident for c in crits if c.index == 0]
     quarter = math.pi / 2
@@ -254,19 +254,35 @@ def test_witnesses_keep_depth_first_order(monkeypatch):
             return ("crit", saddles[round(a / quarter) % 4]), a
         return ("crit", minima[q]), a
 
-    labelled, calls = [], []
+    return label
 
-    def classify(x, dirs):
+
+def _stub_search(monkeypatch, f, b, crits, label):
+    """Search the index-2 source with ``_classify`` replaced by ``label``
+    and ``_collect`` by a recorder.  Returns the labelled direction keys,
+    the batch sizes, the witnesses handed to ``_collect`` and the
+    finder."""
+    source = next(c for c in crits if c.index == 2)
+    finder = morse.ConnectionFinder(expr.negative_gradient(f, 2), b, crits)
+    labelled, calls, got = [], [], []
+
+    def classify(jobs):
+        (x, dirs), = jobs
         calls.append(len(dirs))
         labelled.extend(morse._key(d) for d in dirs)
-        return [label(d) for d in dirs]
+        return [[label(d) for d in dirs]]
 
-    got = []
     monkeypatch.setattr(finder, "_classify", classify)
     monkeypatch.setattr(finder, "_collect", lambda x, found: got.extend(
-        (tuple(d), tgt, t) for d, tgt, t in found) or {})
+        (tuple(d), tgt, t) for d, tgt, t in found) or ())
     finder.witnesses_for(source.ident)
+    return labelled, calls, got, finder
 
+
+def _depth_first(finder, label):
+    """The labels of the one-source depth-first search without look-ahead,
+    {direction key: (label, time)}, and its witnesses to saddles in order
+    of first touch."""
     want, labels = [], {}
 
     def label_of(d):
@@ -274,7 +290,7 @@ def test_witnesses_keep_depth_first_order(monkeypatch):
         if key not in labels:
             labels[key] = label(d)
             lab, t = labels[key]
-            if lab[1] in saddles:
+            if lab[1] in finder.by_id and finder.by_id[lab[1]].index == 1:
                 want.append((tuple(d), lab[1], t))
         return labels[key][0]
 
@@ -292,8 +308,175 @@ def test_witnesses_keep_depth_first_order(monkeypatch):
             label_of(mid / np.linalg.norm(mid))
             continue
         work.extend(morse._split(sp))
+    return labels, want
 
-    assert sorted(labelled) == sorted(labels)
-    assert len(calls) < len(labels) / 4
-    assert len(want) > 2 * len(saddles)
+
+def test_witnesses_keep_depth_first_order(monkeypatch):
+    # The search labels ahead of its breadth-first walk: it must label
+    # every direction the old depth-first search labelled, none twice, in
+    # fewer batches than a walk without look-ahead, and hand _collect the
+    # witnesses in depth-first order of first touch.
+    f, b, crits = _product_double_well()
+    label = _quarter_labels(crits)
+    labelled, calls, got, finder = _stub_search(monkeypatch, f, b, crits,
+                                                label)
+    with monkeypatch.context() as mp:
+        mp.setattr(morse, "_LOOK_AHEAD", 0)
+        _, level_calls, level_got, _ = _stub_search(mp, f, b, crits, label)
+    assert len(calls) < len(level_calls)
+    assert level_got == got
+
+    labels, want = _depth_first(finder, label)
+    assert set(labelled) >= set(labels)
+    assert len(set(labelled)) == len(labelled)
+    assert len(level_calls) < len(labels) / 4
+    assert len(want) > 2 * sum(c.index == 1 for c in crits)
     assert got == want
+
+
+def test_failed_orbits_stop_the_search_only_where_it_reads_them(
+        monkeypatch):
+    # Every look-ahead direction outside the depth-first search fails: the
+    # search still hands _collect the depth-first witnesses.  A failure of
+    # a direction that the depth-first search labelled is raised.
+    f, b, crits = _product_double_well()
+    label = _quarter_labels(crits)
+    finder = morse.ConnectionFinder(expr.negative_gradient(f, 2), b, crits)
+    labels, want = _depth_first(finder, label)
+
+    def failing(fails):
+        def stub(d):
+            if fails(morse._key(d)):
+                return ("failed", flow.StepUnderflowError(0.5, d)), 0.5
+            return label(d)
+        return stub
+
+    labelled, _, got, _ = _stub_search(
+        monkeypatch, f, b, crits, failing(lambda key: key not in labels))
+    assert len(set(labelled) - set(labels)) > 100
+    assert got == want
+    for d, _, _ in (want[0], want[-1]):
+        with pytest.raises(flow.StepUnderflowError):
+            _stub_search(monkeypatch, f, b, crits, failing(
+                lambda key: key == morse._key(np.array(d))))
+
+
+def test_search_raises_failures_in_source_order(monkeypatch):
+    # Two saddles of the product double well: every orbit of the second
+    # fails.  Searched first, or after a first that signs cleanly, its
+    # failure is raised; after a first whose signing fails, that error is.
+    f, b, crits = _product_double_well()
+    first, second = [c for c in crits if c.index == 1][:2]
+
+    def search(sources, tols):
+        finder = morse.ConnectionFinder(expr.negative_gradient(f, 2), b,
+                                        crits, tols=tols, seed=3)
+        classify = finder._classify
+
+        def second_fails(jobs):
+            return [[(("failed", flow.IntegrationError("injected")), 0.0)
+                     for _ in labels] if x is second else labels
+                    for (x, _), labels in zip(jobs, classify(jobs))]
+
+        monkeypatch.setattr(finder, "_classify", second_fails)
+        finder.search(sources)
+
+    unsigned = dataclasses.replace(_COARSE, det_tol=10.0)
+    with pytest.raises(flow.IntegrationError, match="injected"):
+        search([first, second], _COARSE)
+    with pytest.raises(morse.OrientationError, match="unresolved"):
+        search([first, second], unsigned)
+    with pytest.raises(flow.IntegrationError, match="injected"):
+        search([second, first], unsigned)
+
+
+def test_look_ahead_keeps_counts_and_witnesses(monkeypatch):
+    f, b, crits = _product_double_well()
+    _, ahead = morse.build_complex(f, b, crits, tols=_COARSE, seed=3)
+    monkeypatch.setattr(morse, "_LOOK_AHEAD", 0)
+    _, level = morse.build_complex(f, b, crits, tols=_COARSE, seed=3)
+    assert sorted(cc.n for cc in ahead if cc.n) == [-1] * 6 + [1] * 6
+    assert ahead == level  # counts and witnesses, bit for bit
+
+
+def test_look_ahead_orbits_that_fail_leave_the_complex_unchanged(
+        monkeypatch):
+    # every orbit that the search without look-ahead does not start fails
+    f, b, crits = _product_double_well()
+    classify = flow.classify_limit
+    started = set()
+
+    def record(gradfield, X0, *args, **kwargs):
+        started.update(col.tobytes() for col in X0.T)
+        return classify(gradfield, X0, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(morse, "_LOOK_AHEAD", 0)
+        mp.setattr(flow, "classify_limit", record)
+        _, level = morse.build_complex(f, b, crits, tols=_COARSE, seed=3)
+    failed = []
+
+    def fail_the_rest(gradfield, X0, *args, **kwargs):
+        lc, run = classify(gradfield, X0, *args, **kwargs)
+        new = [col.tobytes() not in started for col in X0.T]
+        failed.extend(j for j, fails in enumerate(new) if fails)
+        return flow.LimitClass(
+            tuple("failed" if fails else tag
+                  for fails, tag in zip(new, lc.tag)),
+            tuple(-1 if fails else i for fails, i in zip(new, lc.crit_id)),
+            tuple(flow.StepUnderflowError(0.5, X0[:, j]) if fails else err
+                  for j, (fails, err) in enumerate(zip(new, lc.errors)))), run
+
+    monkeypatch.setattr(flow, "classify_limit", fail_the_rest)
+    _, ahead = morse.build_complex(f, b, crits, tols=_COARSE, seed=3)
+    assert len(failed) > 100
+    assert ahead == level  # counts and witnesses, bit for bit
+
+
+def test_lockstep_search_equals_per_source_searches(monkeypatch):
+    f, b, crits = _product_double_well()
+    batches = []
+    classify = flow.classify_limit
+
+    def counted(gradfield, X0, *args, **kwargs):
+        batches.append(X0.shape[1])
+        return classify(gradfield, X0, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "classify_limit", counted)
+    _, counts = morse.build_complex(f, b, crits, tols=_COARSE, seed=3)
+    lockstep = len(batches)
+    finder = morse.ConnectionFinder(expr.negative_gradient(f, 2), b, crits,
+                                    tols=_COARSE, seed=3)
+    for x in crits:
+        if x.index:
+            finder.witnesses_for(x.ident)
+    assert lockstep < len(batches) - lockstep
+    assert counts
+    for cc in counts:
+        assert finder.witnesses_for(cc.source).get(cc.target, []) == \
+            cc.witnesses
+
+
+def test_signing_raises_for_the_first_failing_witness(monkeypatch):
+    # the saddle of the double well has one witness to each minimum; the
+    # transport is made to fail on the second.  When the first witness
+    # fails its orientation test, that error comes first.
+    f = expr.parse("(x1^2 - 1)^2 + x2^2", 2)
+    b = block.build_block(box=[(-2, 2), (-2, 2)], spacing=0.5)
+    crits = morse.find_critical_points(f, b)
+    transport = flow.transport_frame
+
+    def second_fails(fieldd, X0, *args, **kwargs):
+        out = transport(fieldd, X0, *args, **kwargs)
+        if X0.shape[1] > 1:
+            err = flow.FrameDegenerateError("injected")
+            err.column = 1
+            raise err
+        return out
+
+    monkeypatch.setattr(flow, "transport_frame", second_fails)
+    with pytest.raises(flow.FrameDegenerateError, match="injected"):
+        morse.build_complex(f, b, crits)
+    with pytest.raises(morse.OrientationError, match="unresolved"):
+        morse.build_complex(f, b, crits,
+                            tols=dataclasses.replace(DEFAULT, det_tol=10.0))
