@@ -7,7 +7,6 @@ cubes of the block; each carries a transversality tag once classified.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -83,17 +82,6 @@ class GridBlock:
         hi = [v + self.spacing for v in lo]
         return lo, hi
 
-    def face_box(self, f):
-        lo, hi = self.cube_bounds(f.cube)
-        v = hi[f.axis] if f.side else lo[f.axis]
-        lo[f.axis] = hi[f.axis] = v
-        return lo, hi
-
-    def outward_normal(self, f):
-        nu = np.zeros(self.dimension)
-        nu[f.axis] = 1.0 if f.side else -1.0
-        return nu
-
     def bounding_box(self):
         los, his = zip(*(self.cube_bounds(c) for c in self.cubes))
         lo = [min(v[i] for v in los) for i in range(self.dimension)]
@@ -108,24 +96,11 @@ class GridBlock:
         grid = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in grid], axis=-1)
 
-    def contains(self, point, tol=None):
-        tol = DEFAULT.boundary_tol if tol is None else tol
-        p = np.asarray(point, dtype=float)
-        # the cubes within tol of p along an axis are the cube holding
-        # p + tol and the one before it
-        idx = np.floor((p - (np.asarray(self.origin) - tol))
-                       / self.spacing).tolist()
-        if not all(map(math.isfinite, idx)):
-            return False  # no cube index
-        for delta in itertools.product((0, -1), repeat=self.dimension):
-            c = tuple(int(idx[i]) + delta[i] for i in range(self.dimension))
-            if c not in self.cubes:
-                continue
-            lo, hi = self.cube_bounds(c)
-            if all(lo[i] - tol <= p[i] <= hi[i] + tol
-                   for i in range(self.dimension)):
-                return True
-        return False
+    def contains(self, point):
+        """Whether one point lies in the block: ``contains_columns`` of the
+        one column."""
+        X = np.asarray(point, dtype=float)[:, None]
+        return bool(self.contains_columns(X)[0])
 
     @cached_property
     def _occupancy(self):
@@ -138,9 +113,9 @@ class GridBlock:
         return lo, occ
 
     def contains_columns(self, X):
-        """Column form of ``contains``: for each column of the (m, N) array
-        X, whether it lies in the block, with the same candidate cubes and
-        the same boundary tolerance."""
+        """For each column of the (m, N) array X, whether it lies in a cube
+        of the block widened by the boundary tolerance on every side.  A
+        column that is not finite lies in no cube."""
         tol = DEFAULT.boundary_tol
         m = self.dimension
         lo_idx, occ = self._occupancy
@@ -149,7 +124,9 @@ class GridBlock:
         deltas = np.array(list(itertools.product((0, -1), repeat=m)),
                           dtype=float)[:, :, None]
         with np.errstate(invalid="ignore"):
-            # candidate cubes, shape (2^m, m, N)
+            # candidate cubes, shape (2^m, m, N): along each axis, the cubes
+            # within tol of a point are the cube holding the point + tol
+            # and the one before it
             c = np.floor((X - (origin - tol)) / self.spacing) + deltas
             lo = origin + self.spacing * c
             inside = np.logical_and.reduce(
@@ -159,19 +136,7 @@ class GridBlock:
             occupied = occ[tuple(k.astype(np.intp).transpose(1, 0, 2))]
         return np.logical_or.reduce(occupied & inside, axis=0)
 
-    def find_exit_face(self, point):
-        """Boundary face nearest to a point just outside (or on) the block."""
-        p = np.asarray(point, dtype=float)
-        best, bestd = None, math.inf
-        for f in self.face_tags:
-            lo, hi = self.face_box(f)
-            q = np.minimum(np.maximum(p, lo), hi)
-            d = float(np.linalg.norm(p - q))
-            if d < bestd:
-                best, bestd = f, d
-        return best
-
-    def boundary_samples(self, per_face=2):
+    def boundary_samples(self, per_face):
         """Sample lattice on the boundary faces, as one (n_faces * per_face
         ** (m - 1), m) array: face by face in ``face_tags`` order, each face
         a grid of ``per_face`` strictly interior positions (avoiding corner
@@ -229,26 +194,28 @@ def build_block(box=None, cubes=None, origin=None, spacing=None, dimension=None)
     raise BlockError("either box or cubes must be given")
 
 
-def classify_boundary(b, fieldd, margin_tol=None, lam=None, tols=DEFAULT):
+def classify_boundary(b, fieldd, lam=None, tols=DEFAULT):
     """Tag each boundary face Egress / Ingress / Unresolved by the sign of
-    the outward flux X . nu at a sample lattice.  Returns a new GridBlock."""
-    n = tols.face_samples
-    tol = tols.margin_tol if margin_tol is None else margin_tol
+    the outward flux X . nu at a sample lattice, with the field at every
+    sample of every face evaluated as one array.  A sample where the field
+    is not finite is not transverse, so its face is Unresolved.  Returns a
+    new GridBlock."""
     if fieldd.dimension != b.dimension:
         raise BlockError("field dimension does not match block")
-    F = expr.compile_field(fieldd)
-    tags = {}
-    samples = b.boundary_samples(n).reshape(len(b.face_tags), -1,
-                                            b.dimension)
-    for f, face_samples in zip(b.face_tags, samples):
-        nu = b.outward_normal(f)
-        fluxes = [float(np.dot(F(s, lam), nu)) for s in face_samples]
-        if all(v >= tol for v in fluxes):
-            tags[f] = EGRESS
-        elif all(v <= -tol for v in fluxes):
-            tags[f] = INGRESS
-        else:
-            tags[f] = UNRESOLVED
+    faces = list(b.face_tags)
+    rows = np.arange(len(faces))
+    V = expr.compile_field(fieldd)(b.boundary_samples(tols.face_samples).T,
+                                   lam).reshape(b.dimension, len(faces), -1)
+    # nu is the unit vector along the face's axis, signed by its side
+    axis = np.array([f.axis for f in faces])
+    side = np.array([1.0 if f.side else -1.0 for f in faces])
+    flux = side[:, None] * V[axis, rows]
+    finite = np.logical_and.reduce(np.isfinite(V), axis=0)
+    tol = tols.margin_tol
+    egress = np.logical_and.reduce(finite & (flux >= tol), axis=1)
+    ingress = np.logical_and.reduce(finite & (flux <= -tol), axis=1)
+    tags = {f: EGRESS if e else INGRESS if i else UNRESOLVED
+            for f, e, i in zip(faces, egress, ingress)}
     return GridBlock(b.dimension, b.origin, b.spacing, b.cubes, tags)
 
 

@@ -353,11 +353,11 @@ class ContinuationFunction:
 def continuation_r_bound(f_lam, b, delta):
     """Sampled bound max |omega'(mu) d/dlam f_lam| / (pi sin(pi delta))
     over a 9-per-axis lattice on the block times 41 points of the mu
-    circle, evaluated as one array on the ``numpy`` backend."""
-    dflam = expr.compile_scalar(expr.derive(f_lam, "lam"), backend="numpy")
-    mus = np.linspace(-1.0, 1.0, 41)
-    w1 = np.array([expr.ramp_eval(1, delta, mu) for mu in mus])[:, None]
-    w0 = np.array([expr.ramp_eval(0, delta, mu) for mu in mus])[:, None]
+    circle, evaluated as one array."""
+    dflam = expr.compile_scalar(expr.derive(f_lam, "lam"))
+    mus = np.linspace(-1.0, 1.0, 41)[None, :]
+    w0, w1 = (expr.compile_scalar(expr.RampProfile(k, delta, expr.Var(0)))(
+        mus)[:, None] for k in (0, 1))
     with np.errstate(all="ignore"):
         v = np.abs(w1 * dflam(b.lattice(9).T, w0))
     # a value of mu with omega' = 0 adds nothing, even where d/dlam f_lam

@@ -2,9 +2,9 @@
 
 Expressions are immutable trees supporting exact symbolic differentiation,
 pointwise evaluation with domain checking, and compilation to plain Python
-functions for use in integration loops.  The code generator has two
-backends: ``math`` evaluates one point with Python floats, ``numpy``
-evaluates the columns of an (m, N) array at once.  Decimal literals are
+functions that evaluate the columns of an (m, N) array at once with numpy.
+``evaluate``, a tree walk over one point with Python floats, is the
+reference that compiled code is tested against.  Decimal literals are
 parsed to the nearest binary floating point value.
 """
 from __future__ import annotations
@@ -398,7 +398,10 @@ def evaluate(e, point, lam=None):
     raise EvalDomainError naming the offending subexpression.
 
     The package itself evaluates compiled code; this tree walk is the
-    reference that the ``math`` and ``numpy`` backends are tested against."""
+    reference that ``compile_scalar`` is tested against.  Compiled code
+    gives the same floats for arithmetic, integer powers and the ramp, and
+    agrees within 1 ulp on sin, cos, exp, log and sqrt, which numpy may
+    take from faithfully rounded SIMD routines."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
@@ -605,38 +608,25 @@ def _to_py(e):
 
 
 # np.float_power calls the C library's pow, as Python's float ** does, so
-# integer powers agree bit for bit between the backends; the ndarray **
+# integer powers agree bit for bit with ``evaluate``; the ndarray **
 # operator may square by multiplication or use SIMD pow routines.
-_BACKENDS = {
-    "math": {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
-             "_log": math.log, "_sqrt": math.sqrt, "_ramp": ramp_eval,
-             "_pow": pow},
-    "numpy": {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp,
-              "_log": np.log, "_sqrt": np.sqrt, "_ramp": _ramp_array,
-              "_pow": np.float_power},
-}
+_ENV = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_log": np.log,
+        "_sqrt": np.sqrt, "_ramp": _ramp_array, "_pow": np.float_power}
 
 
 @lru_cache(maxsize=4096)
-def _compile_scalar_cached(e, backend):
+def _compile_scalar_cached(e):
     src = f"lambda x, lam=None: {_to_py(e)}"
-    env = dict(_BACKENDS[backend], __builtins__={})
-    return eval(src, env)  # noqa: S307 - source is generated
+    return eval(src, dict(_ENV, __builtins__={}))  # noqa: S307 - generated
 
 
-def compile_scalar(e, backend="math"):
-    """Compile an Expr to ``f(x, lam=None)``.
-
-    With the ``math`` backend ``x`` is one point and the compiled function
-    evaluates operations in the same order as ``evaluate``, so it produces
-    identical floating point results without per-node interpretation
-    overhead; domain violations raise built-in
-    ValueError/ZeroDivisionError/OverflowError, which callers in hot loops
-    translate as needed.  With the ``numpy`` backend ``x`` is an (m, N)
-    array, the result has one value per column (a constant stays a scalar),
-    and domain violations give non-finite values.
-    """
-    return _compile_scalar_cached(e, backend)
+def compile_scalar(e):
+    """Compile an Expr to ``f(x, lam=None)``, the value of ``e`` at each
+    column of the (m, N) array ``x`` (a constant stays a scalar).  A domain
+    violation gives a non-finite value, and a numpy warning unless the
+    caller evaluates under ``np.errstate``.  ``evaluate`` is the reference
+    (see there for how closely the two agree)."""
+    return _compile_scalar_cached(e)
 
 
 # ---------------------------------------------------------------------------
@@ -686,35 +676,20 @@ def jacobian(field):
     return tuple(tuple(derive(c, j) for j in range(m)) for c in field.components)
 
 
-def compile_field(field, backend="math"):
-    """Compile to ``F(x, lam=None) -> list[float]`` at one point, or with
-    ``backend="numpy"`` to ``F(X, lam=None)``, the (m, N) array of the field
-    at the columns of the (m, N) array X.  The numpy form evaluates under
+def compile_field(field):
+    """Compile to ``F(X, lam=None)``, the (m, N) array of the field at the
+    columns of the (m, N) array X.  It evaluates under
     ``np.errstate(all="ignore")``: a domain error is a non-finite entry."""
-    fns = tuple(compile_scalar(c, backend) for c in field.components)
-    if backend == "math":
-        def F(x, lam=None):
-            return [fn(x, lam) for fn in fns]
-    else:
-        def F(X, lam=None):
-            out = np.empty((len(fns),) + np.shape(X)[1:])
-            with np.errstate(all="ignore"):
-                for i, fn in enumerate(fns):
-                    out[i] = fn(X, lam)
-            return out
+    fns = tuple(compile_scalar(c) for c in field.components)
+
+    def F(X, lam=None):
+        out = np.empty((len(fns),) + np.shape(X)[1:])
+        with np.errstate(all="ignore"):
+            for i, fn in enumerate(fns):
+                out[i] = fn(X, lam)
+        return out
 
     return F
-
-
-def compile_jacobian(field):
-    """Compile to ``J(x, lam=None) -> list[list[float]]``."""
-    rows = tuple(tuple(compile_scalar(e) for e in row)
-                 for row in jacobian(field))
-
-    def J(x, lam=None):
-        return [[fn(x, lam) for fn in row] for row in rows]
-
-    return J
 
 
 def hessian(f, m):

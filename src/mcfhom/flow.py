@@ -3,8 +3,8 @@
 One embedded Dormand-Prince 5(4) stepper with PI step-size control,
 ``_dopri5``, advances an (m, N) state: N orbits side by side, each column
 with its own time, step size, controller history, attempt count and
-target time.  Every entry point runs a whole batch on the ``numpy``
-backend.  ``integrate_columns`` runs orbits until a column-wise stop test;
+target time.  Every entry point runs a whole batch.
+``integrate_columns`` runs orbits until a column-wise stop test;
 ``classify_limit`` labels the orbits of N start points, with a column-wise
 stop test (left the block, captured at a critical point) after every
 round, and reports an exit by the first point reached outside the block,
@@ -248,7 +248,7 @@ def integrate_columns(fieldd, x0, stop, t_max, direction, lam=None,
     whether ``stop`` ended it.  A column whose step underflows or that runs
     out of steps counts as not stopped.
     """
-    F = expr.compile_field(fieldd, backend="numpy")
+    F = expr.compile_field(fieldd)
 
     def check(cols, t, x_old, x_new, f_new):
         return stop(x_new)
@@ -266,8 +266,8 @@ def transport_frame(fieldd, X0, T, frames, lam=None, tols=DEFAULT):
 
     ``frames`` is a (k, m, N) array: frames[:, :, j] are the k vectors of
     column j.  The variational equations v' = DX(x(t)) v of all vectors and
-    the orbits are solved as one (m + k m, N) system on the ``numpy``
-    backend.  Vector magnitudes are renormalized after each accepted step;
+    the orbits are solved as one (m + k m, N) system.  Vector magnitudes
+    are renormalized after each accepted step;
     directions are never altered, so the sign pattern of each frame
     determinant is preserved.  Returns (W, X): the transported (k, m, N)
     frames and the (m, N) end points.  A column with T[j] = 0, or any
@@ -290,8 +290,8 @@ def transport_frame(fieldd, X0, T, frames, lam=None, tols=DEFAULT):
     for j in np.flatnonzero(dependent):
         errors[j] = FrameDegenerateError("initial frame vectors are dependent")
     go = np.flatnonzero((T != 0.0) & ~dependent)
-    F = expr.compile_field(fieldd, backend="numpy")
-    J = [expr.compile_field(expr.FieldDef(m, row), backend="numpy")
+    F = expr.compile_field(fieldd)
+    J = [expr.compile_field(expr.FieldDef(m, row))
          for row in expr.jacobian(fieldd)]
 
     def G(Z):
@@ -350,7 +350,7 @@ def field_scale(fieldd, block, lam=None):
     (rather than the median) keeps the scale positive even when the lattice
     happens to hit several equilibria.  Lattice points where the field is
     not finite are left out."""
-    F = expr.compile_field(fieldd, backend="numpy")
+    F = expr.compile_field(fieldd)
     mags = _norms(F(block.lattice(5).T, lam))
     mags = mags[np.isfinite(mags)]
     return max(float(np.mean(mags)), 1e-12) if mags.size else 1.0
@@ -369,7 +369,7 @@ def classify_limit(gradfield, X0, crits, block, tols=DEFAULT, lam=None,
                    scale=None):
     """Run the orbit of every column of the (m, N) array X0 until capture
     at a critical point, exit from the block, or time budget, as one
-    ``_dopri5`` batch with the ``numpy`` backend.
+    ``_dopri5`` batch.
 
     After each accepted step a column is tested in this order: it has
     exited once its new point lies outside the block; it is captured once
@@ -389,7 +389,7 @@ def classify_limit(gradfield, X0, crits, block, tols=DEFAULT, lam=None,
     if scale is None:
         scale = field_scale(gradfield, block, lam)
     speed_tol = tols.speed_tol_factor * scale
-    F = expr.compile_field(gradfield, backend="numpy")
+    F = expr.compile_field(gradfield)
     cap = tols.capture_radius
     X0 = np.asarray(X0, dtype=float)
     m, n = X0.shape

@@ -241,6 +241,9 @@ def solve_fractions(A, b):
 
 
 def rank_mod2(A):
+    """Rank over Z/2 of an integer matrix, by elimination on bit rows.
+    ``homology`` needs no mod-2 rank (its Z/2 residue is empty); this is the
+    independent oracle that tests compare mod-2 Betti numbers against."""
     n, m = shape(A)
     rows = []
     for row in A:
@@ -433,8 +436,9 @@ def homology(c, coeff="Z"):
 
     d^2 = 0 is verified over the coefficient ring.  The boundaries are then
     reduced as sparse columns (``_reduce``), and the residue, which has no
-    unit entry left, gets one Smith normal form (or mod-2 rank) per
-    degree."""
+    unit entry left, gets one Smith normal form per degree.  Over Z/2 every
+    nonzero entry is a unit, so the residue has no entries and its ranks
+    are 0; that is checked, not assumed."""
     bad = verify_d_squared(c, coeff)
     if bad is not None:
         k, i, j, v = bad
@@ -445,19 +449,20 @@ def homology(c, coeff="Z"):
     ranks = [0] * (c.top + 2)
     torsion = {}
     for k in range(1, c.top + 1):
+        if coeff == "Z2":
+            if any(cols[k][j] for j in keep[k]):
+                raise HomalgError(f"mod-2 residue of d_{k} is not empty")
+            continue
         pos = {i: r for r, i in enumerate(keep[k - 1])}
         M = zeros(len(keep[k - 1]), len(keep[k]))
         for r, j in enumerate(keep[k]):
             for i, v in cols[k][j].items():
                 M[pos[i]][r] = v
-        if coeff == "Z2":
-            ranks[k] = rank_mod2(M)
-        else:
-            diag = smith_normal_form(M)[0]
-            ranks[k] = len(diag)
-            tors = [d for d in diag if d > 1]
-            if tors:
-                torsion[k - 1] = tors
+        diag = smith_normal_form(M)[0]
+        ranks[k] = len(diag)
+        tors = [d for d in diag if d > 1]
+        if tors:
+            torsion[k - 1] = tors
     betti = []
     for k in range(c.top + 1):
         betti.append(len(keep[k]) - ranks[k] - ranks[k + 1])

@@ -59,9 +59,10 @@ class LyapunovReport:
 def verify_lyapunov(f, fieldd, b, s_decl, lam=None, tols=DEFAULT):
     """Check df.X < 0 on a lattice over the block outside the S collar,
     and that f is constant over the declared S samples.  The lattice points
-    inside the block are evaluated as one array on the ``numpy`` backend;
+    inside the block are evaluated as one array, and so are the S samples;
     the minimum decrease and the first violation are taken in lattice
-    order."""
+    order.  Where f is not finite at an S sample, the value spread is not
+    finite and the verdict is false."""
     m = b.dimension
     scale = flow.field_scale(fieldd, b, lam)
     tol = tols.strict_decrease_tol * max(scale, 1.0)
@@ -74,9 +75,8 @@ def verify_lyapunov(f, fieldd, b, s_decl, lam=None, tols=DEFAULT):
         d = pts - s
         keep &= np.sqrt(np.vecdot(d, d)) > rad
     pts = pts[keep]
-    df = expr.compile_field(expr.FieldDef(m, expr.gradient(f, m)),
-                            backend="numpy")(pts.T, lam)
-    X = expr.compile_field(fieldd, backend="numpy")(pts.T, lam)
+    df = expr.compile_field(expr.FieldDef(m, expr.gradient(f, m)))(pts.T, lam)
+    X = expr.compile_field(fieldd)(pts.T, lam)
     # summed from integer 0, as by Python's sum, so a zero decrease is -0.0
     decrease = -sum(df[i] * X[i] for i in range(m))
 
@@ -92,9 +92,11 @@ def verify_lyapunov(f, fieldd, b, s_decl, lam=None, tols=DEFAULT):
         violating = tuple(float(v) for v in pts[bad[0]])
     spread = 0.0
     if s_pts:
-        fval = expr.compile_scalar(f)
-        vals = [fval(s, lam) for s in s_pts]
-        spread = max(vals) - min(vals)
+        S = np.array(s_pts).T
+        with np.errstate(all="ignore"):
+            # a constant f compiles to one scalar for all samples
+            vals = np.broadcast_to(expr.compile_scalar(f)(S, lam), len(s_pts))
+            spread = float(np.max(vals) - np.min(vals))
     verdict = bool((best > tol if best_loc is not None else True)
                    and spread <= s_decl.value_tol)
     return LyapunovReport(verdict, best, best_loc, rad, spread, violating)
@@ -161,7 +163,7 @@ def morse_perturb(base, b, epsilon=None, perturbation=None, rng=None,
         interp = expr.add(base,
                           expr.mul(expr.Const(float(lv * eps)), perturbation))
         gradfield = expr.negative_gradient(interp, m)
-        G = expr.compile_field(gradfield, backend="numpy")(samples.T, lam)
+        G = expr.compile_field(gradfield)(samples.T, lam)
         gn = np.sqrt(np.add.reduce(G * G, axis=0))
         min_bgrad = min(min_bgrad, float(np.fmin.reduce(gn)))
         touching = np.flatnonzero(gn <= tols.margin_tol)

@@ -2,11 +2,11 @@
 complex of a gradient flow on a cubical block.
 
 Critical points come from one damped Newton solver, ``newton``, which steps
-every seed of a lattice at once on the ``numpy`` backend: one stacked
-linear solve per round, a least-squares step where a Hessian is singular,
-and an optional periodic last coordinate.  ``find_critical_points`` runs it
-on the block's bounding-box lattice, and the index split of
-``conley.verify_index_split`` on that lattice times the mu circle.
+every seed of a lattice at once: one stacked linear solve per round, a
+least-squares step where a Hessian is singular, and an optional periodic
+last coordinate.  ``find_critical_points`` runs it on the block's
+bounding-box lattice, and the index split of ``conley.verify_index_split``
+on that lattice times the mu circle.
 
 Connections are counted only between critical points of adjacent index.
 For an index-k source the seeds live on a small sphere inside the unstable
@@ -88,7 +88,7 @@ def _norms(rows):
 
 def newton(f, b, seeds, lam, tol, period, radius):
     """Critical points of f reached by damped Newton iteration from every
-    column of the (n, N) array ``seeds`` at once, on the ``numpy`` backend.
+    column of the (n, N) array ``seeds`` at once.
 
     The first m = ``b.dimension`` coordinates are those of the block; with
     a ``period``, the one more coordinate that follows is reduced by fmod
@@ -107,9 +107,8 @@ def newton(f, b, seeds, lam, tol, period, radius):
     """
     n, N = seeds.shape
     m = b.dimension
-    grad = expr.compile_field(expr.FieldDef(n, expr.gradient(f, n)),
-                              backend="numpy")
-    rows = [expr.compile_field(expr.FieldDef(n, row), backend="numpy")
+    grad = expr.compile_field(expr.FieldDef(n, expr.gradient(f, n)))
+    rows = [expr.compile_field(expr.FieldDef(n, row))
             for row in expr.hessian(f, n)]
 
     def hess(Z):
@@ -176,7 +175,9 @@ def find_critical_points(f, b, lam=None, tols=DEFAULT):
                   tols.newton_tol, None, max(10 * tols.newton_tol, 1e-8))
     order = np.lexsort(P[::-1])
     evals, evecs = np.linalg.eigh(0.5 * (H + H.transpose(0, 2, 1))[order])
-    fval = expr.compile_scalar(f)
+    with np.errstate(all="ignore"):
+        fvals = np.broadcast_to(expr.compile_scalar(f)(P, lam),
+                                order.shape)[order]
     crits = []
     for i, p in enumerate(P.T[order]):
         margin = float(np.min(np.abs(evals[i])))
@@ -189,7 +190,7 @@ def find_critical_points(f, b, lam=None, tols=DEFAULT):
         crits.append(CriticalPoint(
             ident=i,
             coords=tuple(float(v) for v in p),
-            f_value=float(fval(p, lam)),
+            f_value=float(fvals[i]),
             eigenvalues=tuple(float(v) for v in evals[i]),
             index=k,
             margin=margin,
@@ -606,7 +607,7 @@ class ConnectionFinder:
             # a witness before the failing one may fail its orientation
             self._sign_batch(jobs[:err.column])
             raise
-        V = expr.compile_field(self.gradfield, backend="numpy")(P, self.lam)
+        V = expr.compile_field(self.gradfield)(P, self.lam)
         return [self._orientation_sign(x, y, W[:, :, j], V[:, j])
                 for j, (x, y, _, _) in enumerate(jobs)]
 

@@ -1,9 +1,12 @@
-"""One-orbit integration on the ``math`` backend: the reference that the
+"""One-orbit integration on ``expr.evaluate``: the reference that the
 batched entry points of ``mcfhom.flow`` are tested against.
 
 ``integrate``, ``integrate_until`` and ``transport_frame_one`` drive
-``flow._dopri5`` with a single column whose field is evaluated point by
-point with Python floats, and record every accepted step.
+``flow._dopri5`` with a single column whose field and Jacobian are
+evaluated point by point with Python floats by the tree walk
+``expr.evaluate``, not by compiled code, and record every accepted step.
+A domain error of the tree walk is raised as ValueError, which
+``_dopri5`` takes as a rejected step.
 """
 from __future__ import annotations
 
@@ -31,11 +34,22 @@ class Trajectory:
         return self.ts[-1] - self.ts[0]
 
 
-def _single(F1, *args):
-    """A one-point field function ``F1(x, *args)`` (1-D state in, sequence
-    out) as the (m, 1) column function ``_dopri5`` expects."""
+def _point_function(exprs, lam):
+    """The Exprs ``exprs`` at one point (1-D state in, list out) by
+    ``expr.evaluate``, with a domain error raised as ValueError."""
+    def F1(x):
+        try:
+            return [expr.evaluate(e, x, lam) for e in exprs]
+        except expr.EvalDomainError as exc:
+            raise ValueError(str(exc)) from exc
+    return F1
+
+
+def _single(F1):
+    """A one-point function ``F1(x)`` (1-D state in, sequence out) as the
+    (m, 1) column function ``_dopri5`` expects."""
     def F(X):
-        return np.array(F1(X[:, 0], *args), dtype=float)[:, None]
+        return np.array(F1(X[:, 0]), dtype=float)[:, None]
     return F
 
 
@@ -53,14 +67,14 @@ def integrate(fieldd, x0, T, rtol=None, atol=None, lam=None, tols=DEFAULT):
     traj = Trajectory([0.0], [x.copy()])
     if T == 0.0:
         return traj
-    F1 = expr.compile_field(fieldd)
+    F1 = _point_function(fieldd.components, lam)
     direction = 1 if T > 0 else -1
 
     def record(cols, t, x_old, x_new, f_new):
         traj.ts.append(float(t[0]))
         traj.xs.append(x_new[:, 0].copy())
 
-    run = flow._dopri5(_single(F1, lam), x[:, None], direction,
+    run = flow._dopri5(_single(F1), x[:, None], direction,
                        abs(T), rtol, atol, tols.max_steps, record)
     _raise_failure(run, tols.max_steps)
     traj.steps, traj.rejected = int(run.steps[0]), int(run.rejected[0])
@@ -75,7 +89,7 @@ def integrate_until(fieldd, x0, stop, t_max, direction=1, lam=None,
     The stop callback sees the signed time and the endpoints of the step
     just taken.
     """
-    F1 = expr.compile_field(fieldd)
+    F1 = _point_function(fieldd.components, lam)
     x = np.asarray(x0, dtype=float)
     traj = Trajectory([0.0], [x.copy()])
     hit = [None]
@@ -88,7 +102,7 @@ def integrate_until(fieldd, x0, stop, t_max, direction=1, lam=None,
         hit[0] = stop(traj.ts[-1], prev, xn)
         return bool(hit[0])
 
-    run = flow._dopri5(_single(F1, lam), x[:, None], direction,
+    run = flow._dopri5(_single(F1), x[:, None], direction,
                        t_max, tols.rtol, tols.atol, tols.max_steps, record)
     _raise_failure(run, tols.max_steps)
     traj.steps, traj.rejected = int(run.steps[0]), int(run.rejected[0])
@@ -102,13 +116,14 @@ def transport_frame_one(fieldd, x0, T, frame, lam=None, tols=DEFAULT):
     m = fieldd.dimension
     V = [np.asarray(v, dtype=float) for v in frame]
     kf = len(V)
-    F = expr.compile_field(fieldd)
-    J = expr.compile_jacobian(fieldd)
+    F = _point_function(fieldd.components, lam)
+    J = _point_function([e for row in expr.jacobian(fieldd) for e in row],
+                        lam)
 
     def G(z):
         out = np.empty_like(z)
-        out[:m] = F(z[:m], lam)
-        Jx = np.array(J(z[:m], lam), dtype=float)
+        out[:m] = F(z[:m])
+        Jx = np.array(J(z[:m]), dtype=float).reshape(m, m)
         for i in range(kf):
             seg = slice(m + i * m, m + (i + 1) * m)
             out[seg] = Jx @ z[seg]

@@ -145,3 +145,48 @@ def test_strict_profile_echoed(capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["tolerances"]["rtol"] == 1e-11
+
+
+# x1 + 0.9 < 0 on the strip x1 < -0.9: the field has no value at the
+# boundary samples of the x1 = -1 side
+_UNDEFINED_ON_A_SIDE = {
+    "dimension": 2,
+    "field": ["sqrt(x1 + 0.9)", "-x2"],
+    "block": {"box": [[-1, 1], [-1, 1]], "spacing": 1},
+    "lyapunov": "x1^2 - x2^2",
+}
+
+
+def _write(tmp_path, doc):
+    p = tmp_path / "system.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def test_block_with_undefined_field_has_a_false_verdict(tmp_path, capsys):
+    code = cli.main(["block", _write(tmp_path, _UNDEFINED_ON_A_SIDE)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["verdict"] is False
+    assert out["unresolved"]
+
+
+@pytest.mark.parametrize("command", ["hi", "cubical"])
+def test_undefined_field_is_an_untransverse_face_error(command, tmp_path,
+                                                       capsys):
+    code = cli.main([command, _write(tmp_path, _UNDEFINED_ON_A_SIDE)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: boundary faces not transverse" in err
+
+
+def test_lyapunov_undefined_at_an_s_sample_has_a_false_verdict(tmp_path,
+                                                               capsys):
+    # f has no value at the S sample x1 = -0.5
+    doc = dict(_UNDEFINED_ON_A_SIDE, lyapunov="x1^2 + sqrt(x1 + 0.1)",
+               invariant_set={"samples": [[-0.5, 0.0]], "radius": 0.1})
+    code = cli.main(["lyapunov", _write(tmp_path, doc)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["verdict"] is False
+    assert out["lyapunov"]["verdict"] is False

@@ -65,9 +65,8 @@ def test_halving_tolerance_converges():
 def test_gradient_flow_monotone_decrease():
     f = expr.parse("(x1^2 - 1)^2 + x2^2", 2)
     fld = expr.negative_gradient(f, 2)
-    fc = expr.compile_scalar(f)
     traj = oracle.integrate(fld, (0.5, 0.8), 8.0)
-    vals = [fc(x, None) for x in traj.xs]
+    vals = [expr.evaluate(f, x) for x in traj.xs]
     for a, b in zip(vals, vals[1:]):
         assert b <= a + 1e-9 * (1 + abs(a))
 
@@ -167,7 +166,7 @@ def _frames(*cols):
 
 def test_batched_transport_matches_one_column_runs():
     # each column of a batch equals its one-column run bit for bit, and
-    # the math-backend reference up to the orientation of its frame; with
+    # the expr.evaluate reference up to the orientation of its frame; with
     # a polynomial field the arithmetic differs only in the order of the
     # Jacobian-vector sums, so the frames agree to rounding as well
     poly = expr.negative_gradient(
@@ -261,8 +260,8 @@ def test_classify_exit_face():
     lc, run = flow.classify_limit(fld, np.array([[0.5]]), [], b)
     assert lc.tag == ("exited",) and lc.crit_id == (-1,)
     assert not b.contains(run.x[:, 0])
-    face = b.find_exit_face(run.x[:, 0])
-    assert face.axis == 0 and face.side == 1
+    # outside the block, beyond its x1 = 1 side
+    assert run.x[0, 0] > 1.0
 
 
 def test_classify_exit_is_tested_before_capture():
@@ -320,10 +319,9 @@ def test_classify_columns_equal_single_columns_bit_for_bit():
     lc, run = flow.classify_limit(fld, X0, crits, b, tols=tols)
     assert set(lc.tag) == {"converged", "exited", "budget"}
 
-    # reference: each orbit alone through integrate_until (math backend),
+    # reference: each orbit alone through integrate_until (expr.evaluate),
     # stopped by the point tests contains, capture radius, then speed
     speed_tol = tols.speed_tol_factor * flow.field_scale(fld, b)
-    F = expr.compile_field(fld)
     coords = np.array([c.coords for c in crits])
 
     def stop(t, x_prev, x):
@@ -331,7 +329,8 @@ def test_classify_columns_equal_single_columns_bit_for_bit():
             return ("exited", -1)
         near = np.flatnonzero(np.linalg.norm(x - coords, axis=1)
                               < tols.capture_radius)
-        if len(near) == 1 and np.linalg.norm(F(x)) < speed_tol:
+        v = [expr.evaluate(c, x) for c in fld.components]
+        if len(near) == 1 and np.linalg.norm(v) < speed_tol:
             return ("converged", crits[near[0]].ident)
         return None
 
@@ -415,10 +414,10 @@ def test_domain_error_is_a_rejected_step():
 
 
 def test_numpy_backend_domain_error_is_a_rejected_step():
-    # the same with log, evaluated by the numpy backend: a stage at a
+    # the same with log, evaluated as compiled columns: a stage at a
     # negative state is NaN and rejects the step instead of raising
     fld = expr.parse_field(["-sqrt(x1) + 0*log(x1)"], 1)
-    F = expr.compile_field(fld, backend="numpy")
+    F = expr.compile_field(fld)
     run = flow._dopri5(F, np.array([[1e-6, 4e-6]]), 1, 1.9e-3,
                        DEFAULT.rtol, DEFAULT.atol, DEFAULT.max_steps)
     assert list(run.status) == [flow.DONE, flow.DONE]
@@ -449,7 +448,7 @@ def test_columns_equal_single_runs_bit_for_bit():
     # different rounds (disk exit, budget, step underflow at the singular
     # line of the second field), so the packed and the single-column runs
     # take different code paths
-    F = expr.compile_field(_PENDULUM, backend="numpy")
+    F = expr.compile_field(_PENDULUM)
     rng = np.random.default_rng(7)
     X0 = rng.uniform(-3, 3, size=(2, 24))
     for direction in (1, -1):
@@ -461,8 +460,7 @@ def test_columns_equal_single_runs_bit_for_bit():
             assert (one.steps[0], one.rejected[0], one.status[0]) == \
                 (many.steps[j], many.rejected[j], many.status[j])
 
-    blowup = expr.compile_field(expr.parse_field(["-1/x1"], 1),
-                                backend="numpy")
+    blowup = expr.compile_field(expr.parse_field(["-1/x1"], 1))
     many, ones = _columns_and_singles(blowup, np.array([[1.0, 3.0, -3.0]]),
                                       1, 2.0)
     assert list(many.status) == [flow.UNDERFLOW, flow.DONE, flow.DONE]
@@ -475,7 +473,7 @@ def test_columns_equal_single_runs_bit_for_bit():
 def test_per_column_targets_equal_single_runs_bit_for_bit():
     # the pendulum again, each column with its own end time: columns reach
     # their targets in different rounds, and some leave the disk first
-    F = expr.compile_field(_PENDULUM, backend="numpy")
+    F = expr.compile_field(_PENDULUM)
     rng = np.random.default_rng(11)
     X0 = rng.uniform(-3, 3, size=(2, 16))
     T = rng.uniform(0.5, 7.5, size=16)
@@ -496,7 +494,7 @@ def test_per_column_targets_equal_single_runs_bit_for_bit():
 
 def test_single_column_step_limit():
     fld = expr.parse_field(["x2", "-x1"], 2)
-    F = expr.compile_field(fld, backend="numpy")
+    F = expr.compile_field(fld)
     run = flow._dopri5(F, np.array([[1.0], [0.0]]), 1, 100.0, DEFAULT.rtol,
                        DEFAULT.atol, 5)
     assert run.status[0] == flow.EXHAUSTED

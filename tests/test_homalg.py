@@ -195,6 +195,17 @@ def test_mod2_homology():
     assert h2.betti == [1, 1]
 
 
+def test_mod2_residue_with_an_entry_is_an_error(monkeypatch):
+    # over Z/2 every nonzero entry is a unit, so the reduction leaves no
+    # entry; a residue that keeps one is reported, not taken as rank 0
+    c = homalg.ChainComplex([1, 1], {1: [[1]]})
+    monkeypatch.setattr(homalg, "_reduce",
+                        lambda cols, dims, coeff: [list(range(n))
+                                                   for n in dims])
+    with pytest.raises(homalg.HomalgError, match="mod-2 residue of d_1"):
+        homalg.homology(c, coeff="Z2")
+
+
 # ---------------------------------------------------------------------------
 # reduction against the Smith normal form of the unreduced complex
 
