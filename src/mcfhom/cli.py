@@ -118,7 +118,11 @@ class InputError(Exception):
     pass
 
 
+_validator = None  # of SYSTEM_SCHEMA, made by the first load_system
+
+
 def load_system(path):
+    global _validator
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -126,10 +130,13 @@ def load_system(path):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
-    try:
-        jsonschema.validate(doc, SYSTEM_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise InputError(f"invalid system file: {exc.message}") from exc
+    if _validator is None:
+        # SYSTEM_SCHEMA itself is checked against its meta-schema by a test
+        _validator = jsonschema.Draft202012Validator(SYSTEM_SCHEMA)
+    # the error jsonschema.validate would raise
+    err = jsonschema.exceptions.best_match(_validator.iter_errors(doc))
+    if err is not None:
+        raise InputError(f"invalid system file: {err.message}")
     return doc
 
 
@@ -353,9 +360,20 @@ def make_parser():
     return p
 
 
+def _finite(v):
+    """``v`` with every non-finite float in it replaced by None."""
+    if isinstance(v, float):
+        return v if v - v == 0 else None  # inf - inf and NaN - NaN are NaN
+    if isinstance(v, dict):
+        return {k: _finite(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite(x) for x in v]
+    return v
+
+
 def _emit(report, args):
-    text = json.dumps(report, sort_keys=True, indent=2,
-                      default=str) + "\n"
+    text = json.dumps(_finite(report), sort_keys=True, indent=2,
+                      default=str, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

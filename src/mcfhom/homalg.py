@@ -1,17 +1,20 @@
 """Exact integer homological algebra.
 
-Matrices are lists of int rows (Python big integers throughout).  Homology
-first reduces the chain complex: every boundary entry that is a unit of the
-coefficient ring (+-1 over Z, odd over Z/2) cancels its pair of generators
-by an elementary reduction, a chain homotopy equivalence.  What is left is
-small, and one Smith normal form over Z (or one mod-2 rank) per degree of
-that residue gives the homology.  Exact Gauss-Jordan elimination over Q
-serves the connection-matrix algebra, and the tests use it, the Smith
-normal form and the mod-2 rank as oracles.
+A chain complex stores each boundary d_k once, as sparse columns over Z
+(dicts {row: value}); a cubical complex is built straight into them from
+the signed faces of its cells.  Other matrices are lists of int rows
+(Python big integers throughout).  Homology first reduces the complex:
+every boundary entry that is a unit of the coefficient ring (+-1 over Z,
+odd over Z/2) cancels its pair of generators by an elementary reduction, a
+chain homotopy equivalence.  What is left is small, and one Smith normal
+form over Z per degree of that residue gives the homology; over Z/2 the
+residue has no entries.  Exact Gauss-Jordan elimination over Q serves the
+connection-matrix algebra, and the tests use it, the Smith normal form and
+the mod-2 rank as oracles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 
@@ -274,51 +277,45 @@ def rank_mod2(A):
 # ---------------------------------------------------------------------------
 # chain complexes and homology
 
-@dataclass
 class ChainComplex:
-    """Finitely generated free complex over Z (or Z/2).
+    """Finitely generated free complex over Z; ``dims[k]`` is the rank of
+    C_k, degrees 0..top.
 
-    ``dims[k]`` is the rank of C_k; ``boundaries[k]`` is the matrix of
-    d_k : C_k -> C_{k-1}, shape (dims[k-1], dims[k]).  Degrees run 0..top.
-    """
+    Each boundary d_k : C_k -> C_{k-1} is stored once, as sparse columns:
+    ``columns[k][j]`` is column j of d_k, a dict {row: value} with no zero
+    entry.  Pass ``columns`` (a degree left out is zero), or ``boundaries``,
+    dense matrices of shape (dims[k-1], dims[k]) that are converted here.
+    ``boundary(k)`` builds the dense matrix of d_k on request."""
 
-    dims: list
-    boundaries: dict  # k -> matrix
-    labels: dict = dc_field(default_factory=dict)  # k -> generator names
+    def __init__(self, dims, boundaries=None, labels=None, columns=None):
+        self.dims = list(dims)
+        self.labels = labels or {}  # k -> generator names
+        self.columns = {}
+        for k in range(1, self.top + 1):
+            ck = (columns or {}).get(k) or [{} for _ in range(self.dims[k])]
+            for i, row in enumerate((boundaries or {}).get(k, ())):
+                for j in compress(range(len(row)), row):
+                    ck[j][i] = row[j]
+            self.columns[k] = ck
 
     @property
     def top(self):
         return len(self.dims) - 1
 
     def boundary(self, k):
-        if k in self.boundaries:
-            return self.boundaries[k]
         rows = self.dims[k - 1] if 1 <= k <= self.top else 0
-        cols = self.dims[k] if 0 <= k <= self.top else 0
-        return zeros(rows, cols)
-
-
-def _sparse_columns(c, coeff):
-    """The boundaries of ``c`` as sparse columns: ``cols[k][j]`` is column
-    j of d_k as a dict {row: nonzero value}, values reduced mod 2 with
-    ``coeff="Z2"``."""
-    cols = {}
-    for k in range(1, c.top + 1):
-        ck = [{} for _ in range(c.dims[k])]
-        for i, row in enumerate(c.boundaries.get(k, ())):
-            for j in compress(range(len(row)), row):
-                v = row[j] % 2 if coeff == "Z2" else row[j]
-                if v:
-                    ck[j][i] = v
-        cols[k] = ck
-    return cols
+        M = zeros(rows, self.dims[k] if 0 <= k <= self.top else 0)
+        for j, col in enumerate(self.columns.get(k, ())):
+            for i, v in col.items():
+                M[i][j] = v
+        return M
 
 
 def verify_d_squared(c, coeff="Z"):
     """Check d_{k} . d_{k+1} = 0 exactly over the coefficient ring (entries
     reduced mod 2 with ``coeff="Z2"``); returns the first offending entry
     (k, row, column, value) in row-major order, or None."""
-    cols = _sparse_columns(c, coeff)
+    cols = c.columns
     for k in range(1, c.top):
         bad = []
         for j, col in enumerate(cols[k + 1]):
@@ -434,31 +431,29 @@ def homology(c, coeff="Z"):
     """Homology of a chain complex; Betti numbers and torsion over Z, or
     mod-2 Betti numbers with ``coeff="Z2"``.
 
-    d^2 = 0 is verified over the coefficient ring.  The boundaries are then
-    reduced as sparse columns (``_reduce``), and the residue, which has no
-    unit entry left, gets one Smith normal form per degree.  Over Z/2 every
-    nonzero entry is a unit, so the residue has no entries and its ranks
-    are 0; that is checked, not assumed."""
+    d^2 = 0 is verified over the coefficient ring.  A copy of the stored
+    columns, reduced mod 2 over Z/2, is then reduced (``_reduce``), and a
+    residue degree with entries left, none of them a unit, gets one Smith
+    normal form.  Over Z/2 every nonzero entry is a unit, so the residue
+    has no entries and its ranks are 0; that is checked, not assumed."""
     bad = verify_d_squared(c, coeff)
     if bad is not None:
         k, i, j, v = bad
         raise NotAComplexError(
             f"d_{k} . d_{k + 1} has entry {v} at ({i}, {j})")
-    cols = _sparse_columns(c, coeff)
+    cols = {k: [{i: v % 2 for i, v in col.items() if v % 2}
+                if coeff == "Z2" else dict(col) for col in ck]
+            for k, ck in c.columns.items()}
     keep = _reduce(cols, c.dims, coeff)
     ranks = [0] * (c.top + 2)
     torsion = {}
     for k in range(1, c.top + 1):
-        if coeff == "Z2":
-            if any(cols[k][j] for j in keep[k]):
-                raise HomalgError(f"mod-2 residue of d_{k} is not empty")
+        if not any(cols[k][j] for j in keep[k]):
             continue
-        pos = {i: r for r, i in enumerate(keep[k - 1])}
-        M = zeros(len(keep[k - 1]), len(keep[k]))
-        for r, j in enumerate(keep[k]):
-            for i, v in cols[k][j].items():
-                M[pos[i]][r] = v
-        diag = smith_normal_form(M)[0]
+        if coeff == "Z2":
+            raise HomalgError(f"mod-2 residue of d_{k} is not empty")
+        diag = smith_normal_form([[cols[k][j].get(i, 0) for j in keep[k]]
+                                  for i in keep[k - 1]])[0]
         ranks[k] = len(diag)
         tors = [d for d in diag if d > 1]
         if tors:
@@ -515,7 +510,7 @@ def build_cubical_complex(cells, relative_to=frozenset()):
                 raise HomalgError("cell set is not closed under faces")
     use = sorted(c for c in allcells if c not in sub)
     if not use:
-        return ChainComplex([0], {})
+        return ChainComplex([0])
     top = max(_cell_dim(c) for c in use)
     by_dim = [[] for _ in range(top + 1)]
     for c in use:
@@ -526,17 +521,17 @@ def build_cubical_complex(cells, relative_to=frozenset()):
         for i, c in enumerate(lst):
             index[c] = i
     dims = [len(lst) for lst in by_dim]
-    boundaries = {}
+    columns = {}
     for k in range(1, top + 1):
-        Mtx = zeros(dims[k - 1], dims[k])
-        for j, c in enumerate(by_dim[k]):
+        ck = columns[k] = []
+        for c in by_dim[k]:
+            col = {}
             for f, sign in cell_boundary(c):
-                if f in sub:
-                    continue
-                Mtx[index[f]][j] += sign
-        boundaries[k] = Mtx
+                if f not in sub:
+                    col[index[f]] = col.get(index[f], 0) + sign
+            ck.append({i: v for i, v in col.items() if v})
     labels = {k: [str(c) for c in lst] for k, lst in enumerate(by_dim)}
-    return ChainComplex(dims, boundaries, labels)
+    return ChainComplex(dims, labels=labels, columns=columns)
 
 
 def cubical_relative_homology(b, subcells, coeff="Z"):

@@ -61,8 +61,10 @@ def verify_lyapunov(f, fieldd, b, s_decl, lam=None, tols=DEFAULT):
     and that f is constant over the declared S samples.  The lattice points
     inside the block are evaluated as one array, and so are the S samples;
     the minimum decrease and the first violation are taken in lattice
-    order.  Where f is not finite at an S sample, the value spread is not
-    finite and the verdict is false."""
+    order.  A lattice point where f or df.X is not finite has no decrease:
+    it does not lower the minimum and it is a violation.  Where f is not
+    finite at an S sample, the value spread is not finite.  Either makes
+    the verdict false."""
     m = b.dimension
     scale = flow.field_scale(fieldd, b, lam)
     tol = tols.strict_decrease_tol * max(scale, 1.0)
@@ -79,6 +81,15 @@ def verify_lyapunov(f, fieldd, b, s_decl, lam=None, tols=DEFAULT):
     X = expr.compile_field(fieldd)(pts.T, lam)
     # summed from integer 0, as by Python's sum, so a zero decrease is -0.0
     decrease = -sum(df[i] * X[i] for i in range(m))
+    F = expr.compile_scalar(f)
+
+    def values(P):
+        """f at the rows of P; a constant f compiles to one scalar."""
+        with np.errstate(all="ignore"):
+            return np.broadcast_to(F(P.T, lam), len(P))
+
+    # the symbolic df can be finite where f has no value, as for 0*sqrt(u)
+    decrease[~np.isfinite(values(pts))] = np.nan
 
     best = math.inf
     best_loc = None
@@ -87,18 +98,15 @@ def verify_lyapunov(f, fieldd, b, s_decl, lam=None, tols=DEFAULT):
     if lower.size:
         j = lower[np.argmin(decrease[lower])]
         best, best_loc = float(decrease[j]), tuple(float(v) for v in pts[j])
-    bad = np.flatnonzero(decrease <= tol)
+    bad = np.flatnonzero(~(decrease > tol))  # a NaN decrease violates
     if bad.size:
         violating = tuple(float(v) for v in pts[bad[0]])
     spread = 0.0
     if s_pts:
-        S = np.array(s_pts).T
+        vals = values(np.array(s_pts))
         with np.errstate(all="ignore"):
-            # a constant f compiles to one scalar for all samples
-            vals = np.broadcast_to(expr.compile_scalar(f)(S, lam), len(s_pts))
             spread = float(np.max(vals) - np.min(vals))
-    verdict = bool((best > tol if best_loc is not None else True)
-                   and spread <= s_decl.value_tol)
+    verdict = bool(violating is None and spread <= s_decl.value_tol)
     return LyapunovReport(verdict, best, best_loc, rad, spread, violating)
 
 

@@ -21,8 +21,10 @@ all sources are refined in lockstep, so each batch is one
 a depth-first replay of the same refinement, so it does not depend on how
 far ahead the batches labelled.  Nor does whether the search fails: the
 error of a failed orbit is raised only where the refinement reads its
-label.  After clustering, the witnesses of all sources with one frame size
-are signed by one ``flow.transport_frame`` batch.  Directions read by the
+label.  Witnesses of one orbit are clustered by labelling the midpoints
+between them, one batch per pass of the clustering.  After clustering, the
+witnesses of all sources with one frame size are signed by one
+``flow.transport_frame`` batch.  Directions read by the
 refinement whose orbit hits the time budget count as non-connecting; they
 are counted in ``ConnectionFinder.budget_hits`` and logged as a warning on
 the ``mcfhom.morse`` logger.
@@ -548,39 +550,67 @@ class ConnectionFinder:
                       for d, t in items]
                 for tgt, items in by_target.items()}
 
-    def _same_orbit(self, x, tgt, d1, d2):
-        """Two directions converging to the same target represent one
-        connecting orbit iff their geodesic midpoint also converges to it
-        (the capture window around a transverse orbit is connected)."""
-        mid = d1 + d2
-        nm = float(np.linalg.norm(mid))
-        if nm < 1e-12:
-            return False
-        [[(lab, _)]] = self._classify([(x, [mid / nm])])
-        if lab[0] == "failed":
-            raise lab[1]
-        if lab == ("budget",):
-            self.budget_hits += 1
-        return lab == ("crit", tgt)
-
     def _collect(self, x, found):
         """Cluster witness directions: yield (target ident, [(direction,
-        capture time)]), one representative per cluster, target by
-        target."""
-        cluster_tol = max(100 * self.tols.dir_tol, 1e-8)
+        capture time)]), one representative per cluster, target by target.
+
+        A direction joins the first representative that lies within
+        ``cluster_tol`` of it or shares its orbit: two directions converging
+        to the same target represent one connecting orbit iff their geodesic
+        midpoint also converges to it (the capture window around a
+        transverse orbit is connected).  The midpoints are labelled in
+        passes: each pass replays the clustering of all targets, takes a
+        midpoint with no label yet as the same orbit, and labels every such
+        midpoint in one batch.  The pass that labels none is the sequential
+        clustering; ``_clusters`` then replays it once more, and only that
+        replay raises a failed label or counts a budget hit."""
         by_target = {}
         for d, tgt, t in found:
             by_target.setdefault(tgt, []).append((d, t))
+        labels = {}
+        while True:
+            want = {}
+            for _ in self._clusters(by_target, labels, want):
+                pass
+            if not want:
+                break
+            [labs] = self._classify([(x, [*want.values()])])
+            labels.update(zip(want, (lab for lab, _ in labs)))
+        yield from self._clusters(by_target, labels)
+
+    def _clusters(self, by_target, labels, want=None):
+        """One pass of ``_collect`` over ``labels``, {(target, item, rep):
+        label of the midpoint of the two directions}.  With ``want``, a
+        midpoint with no label is added to it and taken as the same orbit;
+        a failed label ends the pass if ``want`` is still empty, since the
+        final replay (``want`` None) raises it there."""
+        cluster_tol = max(100 * self.tols.dir_tol, 1e-8)
         for tgt, items in by_target.items():
             reps = []
-            for d, t in items:
-                for rep in reps:
-                    if (float(np.linalg.norm(d - rep[0])) < cluster_tol
-                            or self._same_orbit(x, tgt, d, rep[0])):
+            for i, (d, _) in enumerate(items):
+                for r in reps:
+                    if float(np.linalg.norm(d - items[r][0])) < cluster_tol:
+                        break
+                    mid = d + items[r][0]
+                    nm = float(np.linalg.norm(mid))
+                    if nm < 1e-12:
+                        continue
+                    key = (tgt, i, r)
+                    if key not in labels:
+                        want[key] = mid / nm
+                        break
+                    lab = labels[key]
+                    if lab[0] == "failed" and not want:
+                        if want is None:
+                            raise lab[1]
+                        return
+                    if lab == ("budget",) and want is None:
+                        self.budget_hits += 1
+                    if lab == ("crit", tgt):
                         break
                 else:
-                    reps.append((d, t))
-            yield tgt, reps
+                    reps.append(i)
+            yield tgt, [items[r] for r in reps]
 
     def _signs(self, jobs):
         """Orientation signs of the witnesses (source, target, direction,
@@ -655,16 +685,17 @@ def build_complex(f, b, crits, lam=None, tols=DEFAULT, coeff="Z", seed=0):
     top = max((c.index for c in crits), default=0)
     gens = [[c for c in crits if c.index == k] for k in range(top + 1)]
     finder.search([x for g in gens[1:] for x in g])
-    dims = [len(g) for g in gens]
-    boundaries = {}
+    columns = {}
     counts = []
     for k in range(1, top + 1):
-        M = homalg.zeros(dims[k - 1], dims[k])
-        for j, x in enumerate(gens[k]):
+        ck = columns[k] = []
+        for x in gens[k]:
+            ck.append({})
             for i, y in enumerate(gens[k - 1]):
                 cc = count_connections(x, y, finder, coeff=coeff)
                 counts.append(cc)
-                M[i][j] = cc.n
-        boundaries[k] = M
+                if cc.n:
+                    ck[-1][i] = cc.n
     labels = {k: [str(c.coords) for c in g] for k, g in enumerate(gens)}
-    return homalg.ChainComplex(dims, boundaries, labels), counts
+    return homalg.ChainComplex([len(g) for g in gens], labels=labels,
+                               columns=columns), counts

@@ -401,8 +401,8 @@ def test_criterion_09_algebra_property_tests():
     crits = morse.find_critical_points(f, b2)
     cz, _ = morse.build_complex(f, b2, crits, coeff="Z", seed=0)
     c2, _ = morse.build_complex(f, b2, crits, coeff="Z2", seed=0)
-    for k in cz.boundaries:
-        for ra, rb in zip(cz.boundaries[k], c2.boundaries[k]):
+    for k in range(1, cz.top + 1):
+        for ra, rb in zip(cz.boundary(k), c2.boundary(k)):
             if [v % 2 for v in ra] != [v % 2 for v in rb]:
                 failures.append(f"mod-2 complex differs in degree {k}")
     _verdict(9, "Smith normal form and homology property tests",
@@ -445,7 +445,7 @@ def test_criterion_10_numerics_property_tests():
         b = block.build_block(box=box, spacing=0.5)
         crits = morse.find_critical_points(f, b, tols=tols)
         c, _ = morse.build_complex(f, b, crits, seed=0, tols=tols)
-        return {k: [list(r) for r in v] for k, v in c.boundaries.items()}
+        return {k: c.boundary(k) for k in range(1, c.top + 1)}
 
     refined = dataclasses.replace(DEFAULT,
                                   n_dir_seeds=2 * DEFAULT.n_dir_seeds,

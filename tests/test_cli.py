@@ -2,6 +2,7 @@
 import json
 import os
 
+import jsonschema
 import pytest
 
 from mcfhom import cli
@@ -110,6 +111,34 @@ def test_unknown_key_exits_two(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_system_schema_is_a_valid_schema():
+    # load_system builds its validator without checking the schema
+    jsonschema.Draft202012Validator.check_schema(cli.SYSTEM_SCHEMA)
+    assert jsonschema.validators.validator_for(cli.SYSTEM_SCHEMA) is \
+        jsonschema.Draft202012Validator
+
+
+@pytest.mark.parametrize("doc", [
+    {"dimension": 0, "field": [], "block": {"spacing": -1}, "extra": 1},
+    {"dimension": "2", "field": ["x1", 3], "block": {"box": [[0]]}},
+    {"field": ["x1"], "block": {"spacing": 1, "cubes": []},
+     "options": {"epsilon": 0, "lam": "a"}},
+    {"dimension": 1, "field": ["x1"], "block": {"spacing": 1},
+     "invariant_set": {"samples": [["a"]], "radius": -1, "x": 0}},
+    {"dimension": 1, "field": ["x1"], "block": {"spacing": 1},
+     "decomposition": {"sets": [{"block": {}}]},
+     "continuation": {"grid": [0]}},
+])
+def test_schema_errors_are_those_of_jsonschema_validate(doc, tmp_path,
+                                                        capsys):
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(doc, cli.SYSTEM_SCHEMA)
+    code = cli.main(["block", _write(tmp_path, doc)])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"input error: invalid system file: {want.value.message}\n"
+
+
 def test_missing_file_exits_two(capsys):
     assert cli.main(["hi", "/nonexistent/system.json"]) == 2
 
@@ -189,4 +218,22 @@ def test_lyapunov_undefined_at_an_s_sample_has_a_false_verdict(tmp_path,
     out = json.loads(capsys.readouterr().out)
     assert code == 1
     assert out["verdict"] is False
+    assert out["lyapunov"]["verdict"] is False
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_non_finite_report_values_are_null(tmp_path, capsys):
+    # f has no value at the S sample x1 = -0.5, so the spread is NaN
+    doc = dict(_UNDEFINED_ON_A_SIDE, lyapunov="x1^2 + sqrt(x1 + 0.1)",
+               invariant_set={"samples": [[-0.5, 0.0], [0.5, 0.0]],
+                              "radius": 0.1})
+    code = cli.main(["lyapunov", _write(tmp_path, doc)])
+    out = _strict_json(capsys.readouterr().out)
+    assert code == 1
+    assert out["lyapunov"]["value_spread"] is None
     assert out["lyapunov"]["verdict"] is False

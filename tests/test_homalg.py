@@ -299,17 +299,84 @@ def _random_cells(rng, shape):
     return block.closure(picks)
 
 
-@pytest.mark.parametrize("shape,cases", [((5, 5), 30), ((3, 3, 3), 12)])
-def test_reduction_matches_snf_on_random_cubical_pairs(shape, cases):
+def _random_pairs(shape, cases):
+    """Random closed cubical pairs (cells, subcomplex) in the grid."""
     rng = random.Random(sum(shape))
     for _ in range(cases):
         cells = _random_cells(rng, shape)
         ordered = sorted(cells)
-        sub = block.closure(rng.sample(ordered,
-                                       rng.randint(0, len(ordered) // 3)))
+        yield cells, block.closure(rng.sample(
+            ordered, rng.randint(0, len(ordered) // 3)))
+
+
+_RANDOM_PAIRS = [((5, 5), 30), ((3, 3, 3), 12)]
+
+
+@pytest.mark.parametrize("shape,cases", _RANDOM_PAIRS)
+def test_reduction_matches_snf_on_random_cubical_pairs(shape, cases):
+    for cells, sub in _random_pairs(shape, cases):
         c = homalg.build_cubical_complex(cells, sub)
         for coeff in ("Z", "Z2"):
             assert homalg.homology(c, coeff) == _oracle_homology(c, coeff)
+
+
+def _dense_cubical_boundaries(cells, sub):
+    """Dense boundary matrices of the pair, filled entry by entry from
+    ``cell_boundary`` with the cells of each dimension in sorted order."""
+    use = sorted(set(cells) - set(sub))
+    by_dim = {}
+    for c in use:
+        by_dim.setdefault(sum(lo != hi for lo, hi in c), []).append(c)
+    index = {c: i for lst in by_dim.values() for i, c in enumerate(lst)}
+    top = max(by_dim, default=0)
+    dims = [len(by_dim.get(k, ())) for k in range(top + 1)]
+    boundaries = {}
+    for k in range(1, top + 1):
+        M = [[0] * dims[k] for _ in range(dims[k - 1])]
+        for j, c in enumerate(by_dim[k]):
+            for f, sign in homalg.cell_boundary(c):
+                if f not in sub:
+                    M[index[f]][j] += sign
+        boundaries[k] = M
+    return dims, boundaries
+
+
+@pytest.mark.parametrize("shape,cases", _RANDOM_PAIRS)
+def test_cubical_columns_match_the_dense_boundaries(shape, cases):
+    for cells, sub in _random_pairs(shape, cases):
+        c = homalg.build_cubical_complex(cells, sub)
+        dims, boundaries = _dense_cubical_boundaries(cells, sub)
+        assert c.dims == dims
+        for k in range(1, c.top + 1):
+            assert c.boundary(k) == boundaries[k]
+            assert all(0 not in col.values() for col in c.columns[k])
+        dense = homalg.ChainComplex(dims, boundaries)
+        assert dense.columns == c.columns
+        for coeff in ("Z", "Z2"):
+            assert homalg.homology(dense, coeff) == homalg.homology(c, coeff)
+
+
+def test_complexes_from_matrices_and_from_columns_agree():
+    rng = random.Random(7)
+    for _ in range(40):
+        dims = [rng.randint(0, 4) for _ in range(rng.randint(1, 4))]
+        boundaries = {k: [[rng.choice((0, 0, 0, 1, -1, 2))
+                           for _ in range(dims[k])]
+                          for _ in range(dims[k - 1])]
+                      for k in range(1, len(dims)) if rng.random() < 0.8}
+        dense = homalg.ChainComplex(dims, boundaries)
+        columns = {k: [{i: row[j] for i, row in enumerate(M) if row[j]}
+                       for j in range(dims[k])]
+                   for k, M in boundaries.items()}
+        sparse = homalg.ChainComplex(dims, columns=columns)
+        for k in range(len(dims) + 1):
+            assert dense.boundary(k) == sparse.boundary(k)
+        for coeff in ("Z", "Z2"):
+            bad = homalg.verify_d_squared(dense, coeff)
+            assert bad == homalg.verify_d_squared(sparse, coeff)
+            if bad is None:
+                assert homalg.homology(dense, coeff) == \
+                    homalg.homology(sparse, coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +420,26 @@ def test_cubical_annulus_absolute():
 def test_cubical_saddle_3d_quarter_spacing():
     # 512 cubes, chain groups [567, 1656, 1600, 512]
     cb, ex = _classified([(-1, 1)] * 3, ["x1", "-x2", "-x3"], spacing=0.25)
+    for coeff, want in (("Z", "H_1 = Z"), ("Z2", "H_1 = Z2")):
+        h = homalg.cubical_relative_homology(cb, ex, coeff=coeff)
+        assert h.describe() == want
+
+
+def test_cubical_path_builds_no_dense_matrix(monkeypatch):
+    cb, ex = _classified([(-1, 1)] * 3, ["x1", "-x2", "-x3"], spacing=0.25)
+
+    def dense(r, c):
+        raise AssertionError("dense matrix on the cubical path")
+
+    monkeypatch.setattr(homalg, "zeros", dense)
+    for coeff, want in (("Z", "H_1 = Z"), ("Z2", "H_1 = Z2")):
+        h = homalg.cubical_relative_homology(cb, ex, coeff=coeff)
+        assert h.describe() == want
+
+
+def test_cubical_saddle_3d_eighth_spacing():
+    # 4,096 cubes, chain groups [4335, 12784, 12544, 4096]
+    cb, ex = _classified([(-1, 1)] * 3, ["x1", "-x2", "-x3"], spacing=0.125)
     for coeff, want in (("Z", "H_1 = Z"), ("Z2", "H_1 = Z2")):
         h = homalg.cubical_relative_homology(cb, ex, coeff=coeff)
         assert h.describe() == want

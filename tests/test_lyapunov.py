@@ -44,6 +44,30 @@ def test_verify_checks_value_spread_on_s():
     assert not rep.verdict
 
 
+def test_verify_fails_where_f_has_no_value():
+    # df = 2x has a value everywhere, but f has none on x1 < -0.5
+    b = block.build_block(box=[(-1, 1), (-1, 1)], spacing=0.5)
+    rep = lyapunov.verify_lyapunov(
+        expr.parse("x1^2 + x2^2 + 0*sqrt(x1 + 0.5)", 2),
+        expr.parse_field(["-x1", "-x2"], 2), b,
+        lyapunov.SDeclaration(((0.0, 0.0),), 0.1))
+    assert not rep.verdict
+    # the first lattice point, in itertools.product order of the axes
+    assert rep.violating_sample == (-1.0, -1.0)
+    assert rep.min_decrease > 0 and rep.min_location[0] >= -0.5
+
+
+def test_verify_fails_where_the_decrease_has_no_value():
+    b = block.build_block(box=[(-1, 1), (-1, 1)], spacing=0.5)
+    rep = lyapunov.verify_lyapunov(
+        expr.parse("x1^2 + x2^2", 2),
+        expr.parse_field(["-x1", "-x2 * sqrt(0.5 - x1)"], 2), b,
+        lyapunov.SDeclaration(((0.0, 0.0),), 0.1))
+    assert not rep.verdict
+    assert rep.violating_sample[0] > 0.5
+    assert rep.min_decrease > 0
+
+
 def test_combine_scaling():
     fa = expr.parse("-x1", 1)
     g = lyapunov.combine(fa, fa, 1.0, 1.0)

@@ -95,7 +95,7 @@ def _double_well_complex(coeff="Z", seed=0):
 def test_double_well_boundary_matrix():
     c, counts, crits = _double_well_complex()
     assert c.dims == [2, 1]
-    col = [row[0] for row in c.boundaries[1]]
+    col = [row[0] for row in c.boundary(1)]
     assert sorted(col) == [-1, 1]
     # one witness per connection, opposite signs
     nonzero = [cc for cc in counts if cc.n != 0]
@@ -118,10 +118,8 @@ def test_mod2_mode_matches_integer_reduction():
     cz, _, _ = _double_well_complex(coeff="Z")
     c2, _, _ = _double_well_complex(coeff="Z2")
     assert cz.dims == c2.dims
-    for k in cz.boundaries:
-        A = cz.boundaries[k]
-        B = c2.boundaries[k]
-        for ra, rb in zip(A, B):
+    for k in range(1, cz.top + 1):
+        for ra, rb in zip(cz.boundary(k), c2.boundary(k)):
             assert [v % 2 for v in ra] == [v % 2 for v in rb]
 
 
@@ -163,7 +161,7 @@ def test_connection_counts_independent_of_seed():
     cols = set()
     for seed in range(3):
         c, _, _ = _double_well_complex(seed=seed)
-        cols.add(tuple(row[0] for row in c.boundaries[1]))
+        cols.add(tuple(row[0] for row in c.boundary(1)))
     # sign pattern is canonical given the frame normalization
     assert len(cols) == 1
 
@@ -480,3 +478,82 @@ def test_signing_raises_for_the_first_failing_witness(monkeypatch):
     with pytest.raises(morse.OrientationError, match="unresolved"):
         morse.build_complex(f, b, crits,
                             tols=dataclasses.replace(DEFAULT, det_tol=10.0))
+
+
+def test_collect_labels_the_midpoints_of_the_sequential_clustering(
+        monkeypatch):
+    # Witness directions on the source's unstable circle, to two saddles.
+    # A midpoint is labelled by the angle windows below: inside a window of
+    # the target it joins the two directions into one orbit; elsewhere it
+    # exits, or hits the time budget, and they stay apart.
+    f, b, crits = _product_double_well()
+    finder = morse.ConnectionFinder(expr.negative_gradient(f, 2), b, crits)
+    source = next(c for c in crits if c.index == 2)
+    t1, t2 = [c.ident for c in crits if c.index == 1][:2]
+    windows = {t1: [(0.0, 0.5), (1.0, 1.2), (2.0, 2.6)],
+               t2: [(3.5, 4.0), (4.5, 5.2)], "budget": [(1.4, 1.7)]}
+
+    def label(d):
+        a = math.atan2(d[1], d[0]) % (2 * math.pi)
+        for tgt, ws in windows.items():
+            if any(lo <= a <= hi for lo, hi in ws):
+                return (("budget",) if tgt == "budget" else ("crit", tgt)), a
+        return ("exit",), a
+
+    angles = [(0.1, t1), (3.6, t2), (1.1, t1), (0.4, t1), (4.6, t2),
+              (2.1, t1), (3.9, t2), (1.15, t1), (5.1, t2), (2.5, t1),
+              (0.2, t1), (3.55, t2), (2.9, t1)]
+    found = [(np.array([math.cos(a), math.sin(a)]), tgt, a)
+             for a, tgt in angles]
+
+    # the sequential clustering, one midpoint label at a time
+    cluster_tol = max(100 * DEFAULT.dir_tol, 1e-8)
+    want, one_by_one, hits = [], 0, 0
+    for tgt in (t1, t2):
+        reps = []
+        for d, tg, t in found:
+            if tg != tgt:
+                continue
+            for rd, _ in reps:
+                if np.linalg.norm(d - rd) < cluster_tol:
+                    break
+                mid = (d + rd) / np.linalg.norm(d + rd)
+                one_by_one += 1
+                lab = label(mid)[0]
+                hits += lab == ("budget",)
+                if lab == ("crit", tgt):
+                    break
+            else:
+                reps.append((d, t))
+        want.append((tgt, [(tuple(d), t) for d, t in reps]))
+    assert 2 <= len(want[0][1]) < 7 and 2 <= len(want[1][1]) < 5
+    assert hits
+
+    calls, stub = [], [label]
+
+    def classify(jobs):
+        (x, dirs), = jobs
+        assert x is source
+        calls.append(len(dirs))
+        return [[stub[0](d) for d in dirs]]
+
+    monkeypatch.setattr(finder, "_classify", classify)
+    got = [(tgt, [(tuple(d), t) for d, t in reps])
+           for tgt, reps in finder._collect(source, found)]
+    assert got == want
+    assert finder.budget_hits == hits
+    assert len(calls) < one_by_one
+
+    # a failed midpoint label is raised where the clustering reads it,
+    # after the targets clustered before it
+    def failing(d):
+        lab, a = label(d)
+        if abs(a - 4.1) < 1e-9:  # the midpoint of 3.6 and 4.6
+            return ("failed", flow.StepUnderflowError(0.5, d)), a
+        return lab, a
+
+    stub[0] = failing
+    clusters = finder._collect(source, found)
+    assert next(clusters)[0] == t1
+    with pytest.raises(flow.StepUnderflowError):
+        next(clusters)
