@@ -530,8 +530,7 @@ def build_cubical_complex(cells, relative_to=frozenset()):
                 if f not in sub:
                     col[index[f]] = col.get(index[f], 0) + sign
             ck.append({i: v for i, v in col.items() if v})
-    labels = {k: [str(c) for c in lst] for k, lst in enumerate(by_dim)}
-    return ChainComplex(dims, labels=labels, columns=columns)
+    return ChainComplex(dims, columns=columns)
 
 
 def cubical_relative_homology(b, subcells, coeff="Z"):

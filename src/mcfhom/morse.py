@@ -8,15 +8,36 @@ last coordinate.  ``find_critical_points`` runs it on the block's
 bounding-box lattice, and the index split of ``conley.verify_index_split``
 on that lattice times the mu circle.
 
-Connections are counted only between critical points of adjacent index.
-For an index-k source the seeds live on a small sphere inside the unstable
-eigenspace; basin boundaries on that sphere are isolated by adaptive
-bisection and each witness orbit receives a sign by transporting the
-source's unstable frame along it.  The bisection runs breadth-first and
-labels ahead of itself: a walk refines every simplex whose labels are
-known, and each simplex where it stops has the vertices of its subtree,
-``_LOOK_AHEAD`` levels deep, labelled in the next batch.  The spheres of
-all sources are refined in lockstep, so each batch is one
+Connections are counted only between critical points of adjacent index.  A
+connecting orbit p -> q, with ind p = k and ind q = k - 1, lies on the
+unstable manifold of p and on the stable manifold of q, so it crosses both
+the unstable sphere S^{k-1} of p and the stable sphere S^{m-k} of q.  It is
+counted on a zero-sphere wherever one side is one:
+
+- k = 1: forward on -grad f from the seeds p +- delta_u v_u, where v_u is
+  the unstable eigenvector of p.  The sign of a witness is the sign of its
+  direction coefficient, the orientation convention for an index-0 target.
+- k = m: backward on +grad f from the seeds q +- delta_u v_s of every target
+  q, where v_s is the stable eigenvector of q.  An orbit from q + sigma
+  delta_u v_s that reaches p is a witness of p -> q; its sign is
+  sign det(U_p) * sign det[-sigma v_s, U_q], with U the unstable frames,
+  since the flow's Jacobian has positive determinant (Liouville's formula).
+
+Every seed of a zero-sphere is read, so its orbit must settle: one that
+hits the time budget, or that is captured at a critical point of another
+index than the adjacent one (a connection that is not Morse-Smale), raises
+``MorseError``.  All forward zero-sphere seeds of a search go in one
+``flow.classify_limit`` batch, and all backward ones in another.
+
+For 1 < k < m the seeds live on a small sphere inside the unstable
+eigenspace of p (``ConnectionFinder.sphere_search``, which also serves as
+the test oracle for every k); basin boundaries on that sphere are isolated
+by adaptive bisection (``sphere.Sphere``) and each witness orbit receives a
+sign by transporting the source's unstable frame along it.  The bisection
+runs breadth-first and labels ahead of itself: a walk refines every simplex
+whose labels are known, and each simplex where it stops has the vertices of
+its subtree, ``sphere.LOOK_AHEAD`` levels deep, labelled in the next batch.
+The spheres of all sources are refined in lockstep, so each batch is one
 ``flow.classify_limit`` call for every source.  The witness list comes from
 a depth-first replay of the same refinement, so it does not depend on how
 far ahead the batches labelled.  Nor does whether the search fails: the
@@ -24,10 +45,10 @@ error of a failed orbit is raised only where the refinement reads its
 label.  Witnesses of one orbit are clustered by labelling the midpoints
 between them, one batch per pass of the clustering.  After clustering, the
 witnesses of all sources with one frame size are signed by one
-``flow.transport_frame`` batch.  Directions read by the
-refinement whose orbit hits the time budget count as non-connecting; they
-are counted in ``ConnectionFinder.budget_hits`` and logged as a warning on
-the ``mcfhom.morse`` logger.
+``flow.transport_frame`` batch.  Directions read by the refinement whose
+orbit hits the time budget count as non-connecting; they are counted in
+``ConnectionFinder.budget_hits`` and logged as a warning on the
+``mcfhom.morse`` logger.
 """
 from __future__ import annotations
 
@@ -37,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr, flow, homalg
+from . import expr, flow, homalg, sphere
 from .config import DEFAULT
 
 log = logging.getLogger(__name__)
@@ -69,6 +90,7 @@ class CriticalPoint:
     index: int          # number of negative eigenvalues
     margin: float       # min |eigenvalue|
     frame: tuple        # unstable eigenvectors, ascending eigenvalue order
+    stable: tuple       # stable eigenvectors, ascending eigenvalue order
 
     def frame_matrix(self):
         return (np.column_stack([np.asarray(v) for v in self.frame])
@@ -187,8 +209,8 @@ def find_critical_points(f, b, lam=None, tols=DEFAULT):
             raise DegenerateCriticalPointError(
                 tuple(float(v) for v in p), margin)
         k = int(np.sum(evals[i] < 0))
-        frame = tuple(tuple(float(v) for v in _sign_normalize(evecs[i][:, j]))
-                      for j in range(k))
+        vecs = [tuple(float(v) for v in _sign_normalize(evecs[i][:, j]))
+                for j in range(len(p))]
         crits.append(CriticalPoint(
             ident=i,
             coords=tuple(float(v) for v in p),
@@ -196,14 +218,19 @@ def find_critical_points(f, b, lam=None, tols=DEFAULT):
             eigenvalues=tuple(float(v) for v in evals[i]),
             index=k,
             margin=margin,
-            frame=frame))
+            frame=tuple(vecs[:k]),
+            stable=tuple(vecs[k:])))
     return crits
 
 
 @dataclass
 class Witness:
-    direction: tuple  # coefficients on the unstable sphere of the source
+    # coefficients on the unstable sphere of the source; for a witness found
+    # backward (source of index m), sigma = +-1 on the stable S^0 of the
+    # target
+    direction: tuple
     sign: int
+    # the time from the seed to capture; backward time for a backward witness
     capture_time: float
 
 
@@ -215,225 +242,10 @@ class ConnectionCount:
     witnesses: list
 
 
-# ---------------------------------------------------------------------------
-# direction-sphere refinement
-
-def _initial_simplices(k, n_min, rot):
-    """Triangulated unit sphere S^{k-1} in coefficient space: the boundary
-    of the cross-polytope, uniformly refined until at least ``n_min``
-    vertices, then rotated to avoid axis coincidences."""
-    if k == 1:
-        return [(np.array([1.0]),), (np.array([-1.0]),)]
-    simplices = []
-    for signs in itertools.product((-1.0, 1.0), repeat=k):
-        verts = []
-        for i in range(k):
-            e = np.zeros(k)
-            e[i] = signs[i]
-            verts.append(e)
-        simplices.append(tuple(verts))
-    while _vertex_count(simplices) < n_min:
-        simplices = [s for sp in simplices for s in _split(sp)]
-    return [tuple(rot @ v for v in sp) for sp in simplices]
-
-
-def _vertex_count(simplices):
-    seen = set()
-    for sp in simplices:
-        for v in sp:
-            seen.add(tuple(np.round(v, 12)))
-    return len(seen)
-
-
-def _split(sp):
-    """Longest-edge bisection with the new vertex pushed to the sphere."""
-    besti, bestj, bestd = 0, 1, -1.0
-    for i in range(len(sp)):
-        for j in range(i + 1, len(sp)):
-            d = float(np.linalg.norm(sp[i] - sp[j]))
-            if d > bestd:
-                besti, bestj, bestd = i, j, d
-    mid = 0.5 * (sp[besti] + sp[bestj])
-    mid = mid / np.linalg.norm(mid)
-    a = tuple(mid if t == bestj else v for t, v in enumerate(sp))
-    bsp = tuple(mid if t == besti else v for t, v in enumerate(sp))
-    return [a, bsp]
-
-
-def _key(d):
-    """Cache key of a direction: equal for directions equal to 14 places."""
-    return tuple(np.round(d, 14))
-
-
-def _diameter(sp):
-    return max(float(np.linalg.norm(a - b))
-               for a, b in itertools.combinations(sp, 2)) if len(sp) > 1 else 0.0
-
-
-def _midpoint(sp):
-    """The normalised vertex mean of a simplex of the sphere."""
-    mid = sum(sp) / len(sp)
-    return mid / np.linalg.norm(mid)
-
-
-def _subtree(sp, depth, dir_tol):
-    """The vertices of the simplex sp and of its binary subtree ``depth``
-    levels deep, where a simplex below ``dir_tol`` gives its midpoint
-    instead of children."""
-    yield from sp
-    if len(sp) > 1:
-        if _diameter(sp) < dir_tol:
-            yield _midpoint(sp)
-        elif depth:
-            for child in _split(sp):
-                yield from _subtree(child, depth - 1, dir_tol)
-
-
-# Levels of the binary subtree below a simplex that lacks a label, labelled
-# in the same batch ahead of the walk.  `mcfhom hi
-# benchmarks/systems/connections.json --seed 3` on a 2-core Xeon, as depth:
-# DOPRI rounds and orbits of the whole run, median CPU seconds of
-# build_complex over 3 runs:
-#   2: 6,500, 1,338, 3.06   3: 5,320, 1,626, 2.78   4: 4,443, 2,086, 2.67
-#   5: 4,013, 2,892, 3.11   6: 3,593, 4,210, 3.59
-# Deeper batches take fewer rounds, but every round pays for the orbits
-# that the walk never reads.
-_LOOK_AHEAD = 4
-
-# The errors of a failed orbit, which ``flow.classify_limit`` reports per
-# column.
-_FAILURES = (flow.IntegrationError, flow.AmbiguousCaptureError)
-
-
-class _Sphere:
-    """The breadth-first refinement of the unstable sphere of one source,
-    labelled ahead of the walk.
-
-    ``wanted`` walks the refinement as far as the known labels allow and
-    returns the directions to label next: the vertices of the subtree of
-    depth ``_LOOK_AHEAD`` below every simplex that lacks a label but has
-    one, with the midpoints of the subtree's simplices below ``dir_tol``;
-    the vertices of every simplex with no label yet; and the midpoints the
-    walk asked for.  ``learn`` stores their labels.  The walk reads only a
-    simplex's own labels, so the simplices it refines and the directions it
-    reads do not depend on how far ahead a batch labelled.
-
-    A direction whose orbit failed is labelled ("failed", error), and the
-    error is raised only where the walk or ``replay`` reads that label.  A
-    look-ahead direction that the refinement never reads can therefore not
-    stop the search.  Once the walk reads a failure, the sphere keeps the
-    error in ``error`` and wants nothing more.
-    """
-
-    def __init__(self, x, targets, initial, dir_tol):
-        self.x = x
-        self.targets = targets
-        self.initial = initial
-        self.dir_tol = dir_tol
-        self.level = list(initial)  # simplices not refined yet
-        self.labels = {}  # direction key -> (label, signed end time)
-        self.error = None  # the first failure the walk read
-
-    def wanted(self):
-        if self.error is not None:
-            return []
-        try:
-            return self._walk()
-        except _FAILURES as err:
-            self.error = err
-            return []
-
-    def _walk(self):
-        labels, want = self.labels, {}
-
-        def ask(d):
-            key = _key(d)
-            if key not in labels:
-                want.setdefault(key, d)
-
-        blocked, level = [], self.level
-        while level:
-            nxt = []
-            for sp in level:
-                if any(_key(v) not in labels for v in sp):
-                    blocked.append(sp)
-                    continue
-                children, mid = self._refine(sp)
-                nxt.extend(children)
-                if mid is not None:
-                    ask(mid)
-            level = nxt
-        self.level = blocked
-        for sp in blocked:
-            # below a simplex with no label at all, such as an initial one,
-            # nothing says where a basin boundary is: label it alone
-            ahead = _LOOK_AHEAD if any(_key(v) in labels for v in sp) else 0
-            for d in _subtree(sp, ahead, self.dir_tol):
-                ask(d)
-        return [*want.values()]
-
-    def _refine(self, sp):
-        """What a simplex asks for, given the labels of its vertices:
-        (children, None) to split it, ([], midpoint) to label its midpoint
-        once it is below ``dir_tol``, or ([], None).  Directions that hit
-        the time budget count as non-connecting."""
-        labs = {self._label(v)[0] for v in sp} - {("budget",)}
-        if len(labs) < 2:
-            return [], None
-        if _diameter(sp) < self.dir_tol:
-            return [], _midpoint(sp)
-        return (_split(sp) if len(sp) > 1 else []), None
-
-    def _label(self, d):
-        """The label and signed end time of direction d; raises the error
-        of a direction whose orbit failed."""
-        lab, t = self.labels[_key(d)]
-        if lab[0] == "failed":
-            raise lab[1]
-        return lab, t
-
-    def learn(self, dirs, labels):
-        self.labels.update(zip(map(_key, dirs), labels))
-
-    def replay(self):
-        """Replay the refinement depth-first.  Returns the witnesses
-        (direction, target ident, capture time) in depth-first order of
-        first touch, which fixes the cluster representatives that
-        ``_collect`` keeps, and the number of directions the refinement
-        reads whose orbit hit the time budget.  Every capture of a target
-        counts: refinement vertices inside a capture window are as valid
-        witnesses as the initial seeds, and the windows can be far narrower
-        than the seed spacing.  ``_collect`` merges the cluster of
-        directions inside one window into a single witness."""
-        found = []
-        seen = set()
-
-        def touch(d):
-            key = _key(d)
-            if key not in seen:
-                seen.add(key)
-                lab, t = self._label(d)
-                if lab[0] == "crit" and lab[1] in self.targets:
-                    found.append((np.asarray(d, float), lab[1], abs(t)))
-
-        work = list(self.initial)
-        for sp in work:
-            for v in sp:
-                touch(v)
-        while work:
-            sp = work.pop()
-            for v in sp:
-                touch(v)
-            children, mid = self._refine(sp)
-            if mid is not None:
-                touch(mid)
-            work.extend(children)
-        return found, sum(self.labels[key][0] == ("budget",) for key in seen)
-
-
 class ConnectionFinder:
     """Counts connecting orbits from source critical points to every
-    index-adjacent target, sharing the direction labeling across targets."""
+    index-adjacent target, on a zero-sphere where one side of a connection
+    is one and on the unstable direction sphere of the source otherwise."""
 
     def __init__(self, gradfield, b, crits, lam=None, tols=DEFAULT, seed=0):
         self.gradfield = gradfield
@@ -492,6 +304,98 @@ class ConnectionFinder:
     def search(self, sources):
         """Find and sign the witnesses of every source not searched yet.
 
+        Sources of index 1 are searched forward on their unstable S^0 and
+        sources of index m backward from the stable S^0 of every target of
+        index m - 1 (``_zero_sphere``), which finds the witnesses of all
+        sources of index m at once.  The other sources go to
+        ``sphere_search``.  The forward zero-sphere batch is read first,
+        then the backward one, then the spheres."""
+        m = self.b.dimension
+        todo = []
+        for x in sources:
+            if x.ident in self._witnesses:
+                continue
+            if any(c.index == x.index - 1 for c in self.crits):
+                todo.append(x)
+            else:
+                self._witnesses[x.ident] = {}
+        ones = [x for x in todo if x.index == 1]
+        found = self._zero_sphere(self.gradfield,
+                                  [(x, x.frame[0]) for x in ones], 0)
+        for x in ones:
+            self._witnesses[x.ident] = {}
+        for x, sigma, c, t in found:
+            self._witnesses[x.ident].setdefault(c.ident, []).append(
+                Witness((float(sigma),), sigma, t))
+        if any(x.index == m > 1 for x in todo):
+            self._search_backward()
+        self.sphere_search([x for x in todo if 1 < x.index < m])
+
+    def _search_backward(self):
+        """The witnesses of every source of index m, from the orbits of
+        +grad f that leave the stable S^0 of each target of index m - 1."""
+        m = self.b.dimension
+        up = expr.FieldDef(m, tuple(expr.neg(c)
+                                    for c in self.gradfield.components))
+        targets = [q for q in self.crits if q.index == m - 1]
+        found = self._zero_sphere(up, [(q, q.stable[0]) for q in targets], m)
+        tops = [x for x in self.crits
+                if x.index == m and x.ident not in self._witnesses]
+        for x in tops:
+            self._witnesses[x.ident] = {}
+        orient = {x.ident: np.linalg.det(x.frame_matrix()) for x in tops}
+        for q, sigma, x, t in found:
+            if x.ident not in orient:
+                continue
+            B = np.column_stack([-sigma * np.asarray(q.stable[0]),
+                                 q.frame_matrix()])
+            sign = 1 if orient[x.ident] * np.linalg.det(B) > 0 else -1
+            self._witnesses[x.ident].setdefault(q.ident, []).append(
+                Witness((float(sigma),), sign, t))
+
+    def _zero_sphere(self, field, seeds, index):
+        """Run the orbits of ``field`` from x + sigma delta_u v, for each
+        (x, v) of ``seeds`` and sigma = 1, -1 in this order, as one
+        ``flow.classify_limit`` batch.  Returns (x, sigma, c, capture time)
+        for each orbit captured at a critical point c, in seed order.
+
+        Every orbit is read, so the first one, in seed order, that fails
+        raises its error; that hits the time budget, or is captured at a
+        critical point whose index is not ``index`` (a connection that is
+        not Morse-Smale), raises MorseError."""
+        if not seeds:
+            return []
+        X0 = np.column_stack([np.asarray(x.coords) + self.tols.delta_u * (
+            sigma * np.asarray(v)) for x, v in seeds for sigma in (1, -1)])
+        lc, run = flow.classify_limit(
+            field, X0, self.crits, self.b, tols=self.tols, lam=self.lam,
+            scale=self.scale)
+        found = []
+        for j, (tag, ident, err, t) in enumerate(zip(
+                lc.tag, lc.crit_id, lc.errors, run.t)):
+            x, sigma = seeds[j // 2][0], (1, -1)[j % 2]
+            where = (f"the orbit from critical point {x.ident} at "
+                     f"{x.coords} along seed {sigma:+d} of its "
+                     f"{'unstable' if index < x.index else 'stable'} S^0")
+            if tag == "failed":
+                raise err
+            if tag == "budget":
+                raise MorseError(f"{where} hit the time budget; a missed "
+                                 f"orbit would be a miscount")
+            if tag == "converged":
+                c = self.by_id[ident]
+                if c.index != index:
+                    raise MorseError(
+                        f"{where} is captured at critical point {ident} of "
+                        f"index {c.index}: the connection is not "
+                        f"Morse-Smale")
+                found.append((x, sigma, c, abs(float(t))))
+        return found
+
+    def sphere_search(self, sources):
+        """Find and sign the witnesses of every source not searched yet on
+        its unstable direction sphere, whatever its index.
+
         The spheres of all sources are refined in lockstep: each step labels
         what every unfinished sphere wants in one ``flow.classify_limit``
         batch.  Directions read by the refinement whose orbit hits the time
@@ -512,8 +416,10 @@ class ConnectionFinder:
             targets = {c.ident for c in self.crits if c.index == x.index - 1}
             if targets:
                 rot = self._rotation(x.index) if x.index > 1 else np.eye(1)
-                spheres.append(_Sphere(x, targets, _initial_simplices(
-                    x.index, self.tols.n_dir_seeds, rot), self.tols.dir_tol))
+                simplices = sphere.initial_simplices(
+                    x.index, self.tols.n_dir_seeds, rot)
+                spheres.append(sphere.Sphere(x, targets, simplices,
+                                             self.tols.dir_tol))
             else:
                 self._witnesses[x.ident] = {}
         while True:
@@ -540,7 +446,7 @@ class ConnectionFinder:
                     reps[-1][tgt] = items
                     jobs.extend((s.x, self.by_id[tgt], d, t)
                                 for d, t in items)
-        except _FAILURES:
+        except sphere.FAILURES:
             self._signs(jobs)  # a witness found before may fail first
             raise
         signs = iter(self._signs(jobs))

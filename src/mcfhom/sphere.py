@@ -1,0 +1,231 @@
+"""Direction spheres: the unit sphere S^{k-1} in the coefficient space of a
+source's unstable eigenspace, triangulated and refined by longest-edge
+bisection towards the basin boundaries of the orbits that leave the source.
+
+``Sphere`` walks the refinement of one source breadth-first and labels
+ahead of itself, ``LOOK_AHEAD`` levels deep; ``morse.ConnectionFinder``
+labels what every sphere wants in one ``flow.classify_limit`` batch, and
+clusters and signs the witnesses that ``Sphere.replay`` returns.
+"""
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from . import flow
+
+
+def initial_simplices(k, n_min, rot):
+    """Triangulated unit sphere S^{k-1} in coefficient space: the boundary
+    of the cross-polytope, uniformly refined until at least ``n_min``
+    vertices, then rotated to avoid axis coincidences."""
+    if k == 1:
+        return [(np.array([1.0]),), (np.array([-1.0]),)]
+    simplices = []
+    for signs in itertools.product((-1.0, 1.0), repeat=k):
+        verts = []
+        for i in range(k):
+            e = np.zeros(k)
+            e[i] = signs[i]
+            verts.append(e)
+        simplices.append(tuple(verts))
+    while _vertex_count(simplices) < n_min:
+        simplices = [s for sp in simplices for s in split(sp)]
+    return [tuple(rot @ v for v in sp) for sp in simplices]
+
+
+def _vertex_count(simplices):
+    seen = set()
+    for sp in simplices:
+        for v in sp:
+            seen.add(tuple(np.round(v, 12)))
+    return len(seen)
+
+
+def split(sp):
+    """Longest-edge bisection with the new vertex pushed to the sphere."""
+    besti, bestj, bestd = 0, 1, -1.0
+    for i in range(len(sp)):
+        for j in range(i + 1, len(sp)):
+            d = float(np.linalg.norm(sp[i] - sp[j]))
+            if d > bestd:
+                besti, bestj, bestd = i, j, d
+    mid = 0.5 * (sp[besti] + sp[bestj])
+    mid = mid / np.linalg.norm(mid)
+    a = tuple(mid if t == bestj else v for t, v in enumerate(sp))
+    bsp = tuple(mid if t == besti else v for t, v in enumerate(sp))
+    return [a, bsp]
+
+
+def direction_key(d):
+    """Cache key of a direction: equal for directions equal to 14 places."""
+    return tuple(np.round(d, 14))
+
+
+def diameter(sp):
+    return max(float(np.linalg.norm(a - b))
+               for a, b in itertools.combinations(sp, 2)) \
+        if len(sp) > 1 else 0.0
+
+
+def _midpoint(sp):
+    """The normalised vertex mean of a simplex of the sphere."""
+    mid = sum(sp) / len(sp)
+    return mid / np.linalg.norm(mid)
+
+
+def _subtree(sp, depth, dir_tol):
+    """The vertices of the simplex sp and of its binary subtree ``depth``
+    levels deep, where a simplex below ``dir_tol`` gives its midpoint
+    instead of children."""
+    yield from sp
+    if len(sp) > 1:
+        if diameter(sp) < dir_tol:
+            yield _midpoint(sp)
+        elif depth:
+            for child in split(sp):
+                yield from _subtree(child, depth - 1, dir_tol)
+
+
+# Levels of the binary subtree below a simplex that lacks a label, labelled
+# in the same batch ahead of the walk.  `mcfhom hi
+# benchmarks/systems/connections.json --seed 3` on a 2-core Xeon, as depth:
+# DOPRI rounds and orbits of the whole run, median CPU seconds of
+# build_complex over 3 runs:
+#   2: 6,500, 1,338, 3.06   3: 5,320, 1,626, 2.78   4: 4,443, 2,086, 2.67
+#   5: 4,013, 2,892, 3.11   6: 3,593, 4,210, 3.59
+# Deeper batches take fewer rounds, but every round pays for the orbits
+# that the walk never reads.
+LOOK_AHEAD = 4
+
+# The errors of a failed orbit, which ``flow.classify_limit`` reports per
+# column.
+FAILURES = (flow.IntegrationError, flow.AmbiguousCaptureError)
+
+
+class Sphere:
+    """The breadth-first refinement of the unstable sphere of one source,
+    labelled ahead of the walk.
+
+    ``wanted`` walks the refinement as far as the known labels allow and
+    returns the directions to label next: the vertices of the subtree of
+    depth ``LOOK_AHEAD`` below every simplex that lacks a label but has
+    one, with the midpoints of the subtree's simplices below ``dir_tol``;
+    the vertices of every simplex with no label yet; and the midpoints the
+    walk asked for.  ``learn`` stores their labels.  The walk reads only a
+    simplex's own labels, so the simplices it refines and the directions it
+    reads do not depend on how far ahead a batch labelled.
+
+    A direction whose orbit failed is labelled ("failed", error), and the
+    error is raised only where the walk or ``replay`` reads that label.  A
+    look-ahead direction that the refinement never reads can therefore not
+    stop the search.  Once the walk reads a failure, the sphere keeps the
+    error in ``error`` and wants nothing more.
+    """
+
+    def __init__(self, x, targets, initial, dir_tol):
+        self.x = x
+        self.targets = targets
+        self.initial = initial
+        self.dir_tol = dir_tol
+        self.level = list(initial)  # simplices not refined yet
+        self.labels = {}  # direction key -> (label, signed end time)
+        self.error = None  # the first failure the walk read
+
+    def wanted(self):
+        if self.error is not None:
+            return []
+        try:
+            return self._walk()
+        except FAILURES as err:
+            self.error = err
+            return []
+
+    def _walk(self):
+        labels, want = self.labels, {}
+
+        def ask(d):
+            key = direction_key(d)
+            if key not in labels:
+                want.setdefault(key, d)
+
+        blocked, level = [], self.level
+        while level:
+            nxt = []
+            for sp in level:
+                if any(direction_key(v) not in labels for v in sp):
+                    blocked.append(sp)
+                    continue
+                children, mid = self._refine(sp)
+                nxt.extend(children)
+                if mid is not None:
+                    ask(mid)
+            level = nxt
+        self.level = blocked
+        for sp in blocked:
+            # below a simplex with no label at all, such as an initial one,
+            # nothing says where a basin boundary is: label it alone
+            known = any(direction_key(v) in labels for v in sp)
+            ahead = LOOK_AHEAD if known else 0
+            for d in _subtree(sp, ahead, self.dir_tol):
+                ask(d)
+        return [*want.values()]
+
+    def _refine(self, sp):
+        """What a simplex asks for, given the labels of its vertices:
+        (children, None) to split it, ([], midpoint) to label its midpoint
+        once it is below ``dir_tol``, or ([], None).  Directions that hit
+        the time budget count as non-connecting."""
+        labs = {self._label(v)[0] for v in sp} - {("budget",)}
+        if len(labs) < 2:
+            return [], None
+        if diameter(sp) < self.dir_tol:
+            return [], _midpoint(sp)
+        return (split(sp) if len(sp) > 1 else []), None
+
+    def _label(self, d):
+        """The label and signed end time of direction d; raises the error
+        of a direction whose orbit failed."""
+        lab, t = self.labels[direction_key(d)]
+        if lab[0] == "failed":
+            raise lab[1]
+        return lab, t
+
+    def learn(self, dirs, labels):
+        self.labels.update(zip(map(direction_key, dirs), labels))
+
+    def replay(self):
+        """Replay the refinement depth-first.  Returns the witnesses
+        (direction, target ident, capture time) in depth-first order of
+        first touch, which fixes the cluster representatives that
+        ``morse.ConnectionFinder._collect`` keeps, and the number of directions the refinement
+        reads whose orbit hit the time budget.  Every capture of a target
+        counts: refinement vertices inside a capture window are as valid
+        witnesses as the initial seeds, and the windows can be far narrower
+        than the seed spacing.  ``_collect`` merges the cluster of
+        directions inside one window into a single witness."""
+        found = []
+        seen = set()
+
+        def touch(d):
+            key = direction_key(d)
+            if key not in seen:
+                seen.add(key)
+                lab, t = self._label(d)
+                if lab[0] == "crit" and lab[1] in self.targets:
+                    found.append((np.asarray(d, float), lab[1], abs(t)))
+
+        work = list(self.initial)
+        for sp in work:
+            for v in sp:
+                touch(v)
+        while work:
+            sp = work.pop()
+            for v in sp:
+                touch(v)
+            children, mid = self._refine(sp)
+            if mid is not None:
+                touch(mid)
+            work.extend(children)
+        return found, sum(self.labels[key][0] == ("budget",) for key in seen)

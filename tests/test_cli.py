@@ -95,6 +95,28 @@ def test_reports_are_byte_identical_under_fixed_seed(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_hi_report_on_connections_matches_the_golden_report(capsys):
+    # connections_hi_seed3.out is the report of the forward sphere search of
+    # every source; the zero-sphere searches must not change a byte of it
+    system = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                          "benchmarks", "systems", "connections.json")
+    code = cli.main(["hi", system, "--seed", "3"])
+    with open(_path("connections_hi_seed3.out"), "rb") as fh:
+        assert capsys.readouterr().out.encode() == fh.read()
+    assert code == 0
+
+
+def test_hi_on_the_3d_product_well(capsys):
+    # one index-3 source, searched backward from its six targets
+    code = cli.main(["hi", _path("product_well_3d.json"), "--seed", "3"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["hi"]["betti"] == [1, 0, 0, 0]
+    assert out["exit_theorem"] is True
+    assert sorted(c["index"] for c in out["critical_points"]) == \
+        [0] * 8 + [1] * 12 + [2] * 6 + [3]
+
+
 def test_malformed_json_exits_two(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{ not json")

@@ -2,11 +2,12 @@
 import dataclasses
 import logging
 import math
+import os
 
 import numpy as np
 import pytest
 
-from mcfhom import block, expr, flow, homalg, morse
+from mcfhom import block, cli, conley, expr, flow, homalg, morse, sphere
 from mcfhom.config import DEFAULT
 
 
@@ -84,10 +85,14 @@ def test_newton_wraps_the_periodic_coordinate_across_the_seam():
             assert P[1, 0] < 1.0  # wrapped, not left at 2 + 0.0034
 
 
-def _double_well_complex(coeff="Z", seed=0):
+def _double_well():
     f = expr.parse("(x1^2 - 1)^2 + x2^2", 2)
     b = block.build_block(box=[(-2, 2), (-2, 2)], spacing=0.5)
-    crits = morse.find_critical_points(f, b)
+    return f, b, morse.find_critical_points(f, b)
+
+
+def _double_well_complex(coeff="Z", seed=0):
+    f, b, crits = _double_well()
     c, counts = morse.build_complex(f, b, crits, coeff=coeff, seed=seed)
     return c, counts, crits
 
@@ -189,11 +194,23 @@ def _product_double_well():
     return _index_two_source("(x1^2 - 1)^2 + (x2^2 - 1)^2", box=1.5)
 
 
+def _sphere_counts(f, b, crits, tols=DEFAULT, seed=0):
+    """The connection counts of ``morse.build_complex``, with every source
+    searched on its unstable direction sphere, as the search of 1 < k < m
+    does; in 2-D ``build_complex`` itself counts on zero-spheres only."""
+    finder = morse.ConnectionFinder(expr.negative_gradient(f, b.dimension),
+                                    b, crits, tols=tols, seed=seed)
+    finder.sphere_search([x for x in crits if x.index])
+    return [morse.count_connections(x, y, finder) for x in crits
+            for y in crits if x.index == y.index + 1]
+
+
 def test_batched_labels_equal_one_column_labels(monkeypatch):
     f, b, crits = _product_double_well()
     assert sorted(c.index for c in crits) == [0] * 4 + [1] * 4 + [2]
     tols = _COARSE
-    _, batched = morse.build_complex(f, b, crits, tols=tols, seed=3)
+    batched = _sphere_counts(f, b, crits, tols=tols, seed=3)
+    _, complex_batched = morse.build_complex(f, b, crits, tols=tols, seed=3)
     source = next(c.ident for c in crits if c.index == 2)
     from_source = [cc for cc in batched if cc.source == source]
     assert sorted(cc.n for cc in from_source) == [-1, -1, 1, 1]
@@ -214,17 +231,24 @@ def test_batched_labels_equal_one_column_labels(monkeypatch):
         return lc, run
 
     monkeypatch.setattr(flow, "classify_limit", one_column_at_a_time)
-    _, single = morse.build_complex(f, b, crits, tols=tols, seed=3)
+    single = _sphere_counts(f, b, crits, tols=tols, seed=3)
     assert max(widths) > 1
     assert single == batched  # counts and witnesses, bit for bit
+    del widths[:]
+    _, complex_single = morse.build_complex(f, b, crits, tols=tols, seed=3)
+    assert max(widths) > 1
+    assert complex_single == complex_batched
 
 
 def test_budget_hits_are_counted_and_logged(caplog):
-    # index 2 at the origin, index 1 at (+-1, 0)
-    f, b, crits = _index_two_source()
+    # index 2 at the origin, index 1 at (+-1, 0, 0): in 3-D the origin is
+    # searched forward on its unstable circle
+    f = expr.parse("(x1^2 - 1)^2 - x2^2 + x3^2", 3)
+    b = block.build_block(box=[(-2, 2)] * 3, spacing=0.5)
+    crits = morse.find_critical_points(f, b)
     assert sorted(c.index for c in crits) == [1, 1, 2]
     finder = morse.ConnectionFinder(
-        expr.negative_gradient(f, 2), b, crits,
+        expr.negative_gradient(f, 3), b, crits,
         tols=dataclasses.replace(DEFAULT, t_budget=1e-3))
     source = next(c for c in crits if c.index == 2)
     with caplog.at_level(logging.WARNING, logger="mcfhom.morse"):
@@ -267,13 +291,13 @@ def _stub_search(monkeypatch, f, b, crits, label):
     def classify(jobs):
         (x, dirs), = jobs
         calls.append(len(dirs))
-        labelled.extend(morse._key(d) for d in dirs)
+        labelled.extend(sphere.direction_key(d) for d in dirs)
         return [[label(d) for d in dirs]]
 
     monkeypatch.setattr(finder, "_classify", classify)
     monkeypatch.setattr(finder, "_collect", lambda x, found: got.extend(
         (tuple(d), tgt, t) for d, tgt, t in found) or ())
-    finder.witnesses_for(source.ident)
+    finder.sphere_search([source])
     return labelled, calls, got, finder
 
 
@@ -284,7 +308,7 @@ def _depth_first(finder, label):
     want, labels = [], {}
 
     def label_of(d):
-        key = morse._key(d)
+        key = sphere.direction_key(d)
         if key not in labels:
             labels[key] = label(d)
             lab, t = labels[key]
@@ -292,7 +316,7 @@ def _depth_first(finder, label):
                 want.append((tuple(d), lab[1], t))
         return labels[key][0]
 
-    work = list(morse._initial_simplices(2, DEFAULT.n_dir_seeds,
+    work = list(sphere.initial_simplices(2, DEFAULT.n_dir_seeds,
                                          finder._rotation(2)))
     for sp in work:
         for v in sp:
@@ -301,11 +325,11 @@ def _depth_first(finder, label):
         sp = work.pop()
         if len({label_of(v) for v in sp}) < 2:
             continue
-        if morse._diameter(sp) < DEFAULT.dir_tol:
+        if sphere.diameter(sp) < DEFAULT.dir_tol:
             mid = sum(sp) / len(sp)
             label_of(mid / np.linalg.norm(mid))
             continue
-        work.extend(morse._split(sp))
+        work.extend(sphere.split(sp))
     return labels, want
 
 
@@ -319,7 +343,7 @@ def test_witnesses_keep_depth_first_order(monkeypatch):
     labelled, calls, got, finder = _stub_search(monkeypatch, f, b, crits,
                                                 label)
     with monkeypatch.context() as mp:
-        mp.setattr(morse, "_LOOK_AHEAD", 0)
+        mp.setattr(sphere, "LOOK_AHEAD", 0)
         _, level_calls, level_got, _ = _stub_search(mp, f, b, crits, label)
     assert len(calls) < len(level_calls)
     assert level_got == got
@@ -344,7 +368,7 @@ def test_failed_orbits_stop_the_search_only_where_it_reads_them(
 
     def failing(fails):
         def stub(d):
-            if fails(morse._key(d)):
+            if fails(sphere.direction_key(d)):
                 return ("failed", flow.StepUnderflowError(0.5, d)), 0.5
             return label(d)
         return stub
@@ -356,7 +380,7 @@ def test_failed_orbits_stop_the_search_only_where_it_reads_them(
     for d, _, _ in (want[0], want[-1]):
         with pytest.raises(flow.StepUnderflowError):
             _stub_search(monkeypatch, f, b, crits, failing(
-                lambda key: key == morse._key(np.array(d))))
+                lambda key: key == sphere.direction_key(np.array(d))))
 
 
 def test_search_raises_failures_in_source_order(monkeypatch):
@@ -377,7 +401,7 @@ def test_search_raises_failures_in_source_order(monkeypatch):
                     for (x, _), labels in zip(jobs, classify(jobs))]
 
         monkeypatch.setattr(finder, "_classify", second_fails)
-        finder.search(sources)
+        finder.sphere_search(sources)
 
     unsigned = dataclasses.replace(_COARSE, det_tol=10.0)
     with pytest.raises(flow.IntegrationError, match="injected"):
@@ -390,9 +414,9 @@ def test_search_raises_failures_in_source_order(monkeypatch):
 
 def test_look_ahead_keeps_counts_and_witnesses(monkeypatch):
     f, b, crits = _product_double_well()
-    _, ahead = morse.build_complex(f, b, crits, tols=_COARSE, seed=3)
-    monkeypatch.setattr(morse, "_LOOK_AHEAD", 0)
-    _, level = morse.build_complex(f, b, crits, tols=_COARSE, seed=3)
+    ahead = _sphere_counts(f, b, crits, tols=_COARSE, seed=3)
+    monkeypatch.setattr(sphere, "LOOK_AHEAD", 0)
+    level = _sphere_counts(f, b, crits, tols=_COARSE, seed=3)
     assert sorted(cc.n for cc in ahead if cc.n) == [-1] * 6 + [1] * 6
     assert ahead == level  # counts and witnesses, bit for bit
 
@@ -409,9 +433,9 @@ def test_look_ahead_orbits_that_fail_leave_the_complex_unchanged(
         return classify(gradfield, X0, *args, **kwargs)
 
     with monkeypatch.context() as mp:
-        mp.setattr(morse, "_LOOK_AHEAD", 0)
+        mp.setattr(sphere, "LOOK_AHEAD", 0)
         mp.setattr(flow, "classify_limit", record)
-        _, level = morse.build_complex(f, b, crits, tols=_COARSE, seed=3)
+        level = _sphere_counts(f, b, crits, tols=_COARSE, seed=3)
     failed = []
 
     def fail_the_rest(gradfield, X0, *args, **kwargs):
@@ -426,7 +450,7 @@ def test_look_ahead_orbits_that_fail_leave_the_complex_unchanged(
                   for j, (fails, err) in enumerate(zip(new, lc.errors)))), run
 
     monkeypatch.setattr(flow, "classify_limit", fail_the_rest)
-    _, ahead = morse.build_complex(f, b, crits, tols=_COARSE, seed=3)
+    ahead = _sphere_counts(f, b, crits, tols=_COARSE, seed=3)
     assert len(failed) > 100
     assert ahead == level  # counts and witnesses, bit for bit
 
@@ -441,13 +465,13 @@ def test_lockstep_search_equals_per_source_searches(monkeypatch):
         return classify(gradfield, X0, *args, **kwargs)
 
     monkeypatch.setattr(flow, "classify_limit", counted)
-    _, counts = morse.build_complex(f, b, crits, tols=_COARSE, seed=3)
+    counts = _sphere_counts(f, b, crits, tols=_COARSE, seed=3)
     lockstep = len(batches)
     finder = morse.ConnectionFinder(expr.negative_gradient(f, 2), b, crits,
                                     tols=_COARSE, seed=3)
     for x in crits:
         if x.index:
-            finder.witnesses_for(x.ident)
+            finder.sphere_search([x])
     assert lockstep < len(batches) - lockstep
     assert counts
     for cc in counts:
@@ -459,9 +483,7 @@ def test_signing_raises_for_the_first_failing_witness(monkeypatch):
     # the saddle of the double well has one witness to each minimum; the
     # transport is made to fail on the second.  When the first witness
     # fails its orientation test, that error comes first.
-    f = expr.parse("(x1^2 - 1)^2 + x2^2", 2)
-    b = block.build_block(box=[(-2, 2), (-2, 2)], spacing=0.5)
-    crits = morse.find_critical_points(f, b)
+    f, b, crits = _double_well()
     transport = flow.transport_frame
 
     def second_fails(fieldd, X0, *args, **kwargs):
@@ -472,12 +494,17 @@ def test_signing_raises_for_the_first_failing_witness(monkeypatch):
             raise err
         return out
 
+    saddle = next(c for c in crits if c.index == 1)
+
+    def search(tols):
+        morse.ConnectionFinder(expr.negative_gradient(f, 2), b, crits,
+                               tols=tols).sphere_search([saddle])
+
     monkeypatch.setattr(flow, "transport_frame", second_fails)
     with pytest.raises(flow.FrameDegenerateError, match="injected"):
-        morse.build_complex(f, b, crits)
+        search(DEFAULT)
     with pytest.raises(morse.OrientationError, match="unresolved"):
-        morse.build_complex(f, b, crits,
-                            tols=dataclasses.replace(DEFAULT, det_tol=10.0))
+        search(dataclasses.replace(DEFAULT, det_tol=10.0))
 
 
 def test_collect_labels_the_midpoints_of_the_sequential_clustering(
@@ -557,3 +584,149 @@ def test_collect_labels_the_midpoints_of_the_sequential_clustering(
     assert next(clusters)[0] == t1
     with pytest.raises(flow.StepUnderflowError):
         next(clusters)
+
+
+# ---------------------------------------------------------------------------
+# connections counted on a zero-sphere
+
+def _product_well_3d():
+    # index 3 at the origin, index 2 at the six points with one coordinate
+    # +-1, index 1 at the twelve with two, index 0 at the eight corners
+    f = expr.parse("(x1^2 - 1)^2 + (x2^2 - 1)^2 + (x3^2 - 1)^2", 3)
+    b = block.build_block(box=[(-2, 2)] * 3, spacing=0.5)
+    return f, b, morse.find_critical_points(f, b)
+
+
+def test_zero_sphere_budget_hit_raises():
+    # forward on the unstable S^0 of the double well's saddle, and backward
+    # from the stable S^0 of the first index-1 target of an index-2 source
+    short = dataclasses.replace(DEFAULT, t_budget=1e-3)
+    f, b, crits = _double_well()
+    saddle = next(c for c in crits if c.index == 1)
+    finder = morse.ConnectionFinder(expr.negative_gradient(f, 2), b, crits,
+                                    tols=short)
+    with pytest.raises(morse.MorseError, match=(
+            rf"critical point {saddle.ident} at .* seed \+1 of its "
+            r"unstable S\^0 hit the time budget")):
+        finder.witnesses_for(saddle.ident)
+    f, b, crits = _index_two_source()
+    source = next(c for c in crits if c.index == 2)
+    target = next(c for c in crits if c.index == 1)
+    finder = morse.ConnectionFinder(expr.negative_gradient(f, 2), b, crits,
+                                    tols=short)
+    with pytest.raises(morse.MorseError, match=(
+            rf"critical point {target.ident} at .* seed \+1 of its "
+            r"stable S\^0 hit the time budget")):
+        finder.witnesses_for(source.ident)
+    assert finder.budget_hits == 0
+
+
+def _first_orbit_captured_at(monkeypatch, ident):
+    classify = flow.classify_limit
+
+    def stub(*args, **kwargs):
+        lc, run = classify(*args, **kwargs)
+        return dataclasses.replace(
+            lc, tag=("converged",) + lc.tag[1:],
+            crit_id=(ident,) + lc.crit_id[1:]), run
+
+    monkeypatch.setattr(flow, "classify_limit", stub)
+
+
+def test_zero_sphere_capture_outside_the_adjacent_index_raises(monkeypatch):
+    # the first orbit of a zero-sphere is made to end at an index-1 point:
+    # a saddle-to-saddle connection, which is not Morse-Smale
+    f, b, crits = _double_well()
+    saddle = next(c for c in crits if c.index == 1)
+    finder = morse.ConnectionFinder(expr.negative_gradient(f, 2), b, crits)
+    with monkeypatch.context() as mp:
+        _first_orbit_captured_at(mp, saddle.ident)
+        with pytest.raises(morse.MorseError, match=(
+                rf"critical point {saddle.ident} at .* unstable S\^0 is "
+                rf"captured at critical point {saddle.ident} of index 1: "
+                r"the connection is not Morse-Smale")):
+            finder.witnesses_for(saddle.ident)
+    f, b, crits = _index_two_source()
+    source = next(c for c in crits if c.index == 2)
+    first, other = [c for c in crits if c.index == 1]
+    finder = morse.ConnectionFinder(expr.negative_gradient(f, 2), b, crits)
+    _first_orbit_captured_at(monkeypatch, other.ident)
+    with pytest.raises(morse.MorseError, match=(
+            rf"critical point {first.ident} at .* stable S\^0 is captured "
+            rf"at critical point {other.ident} of index 1")):
+        finder.witnesses_for(source.ident)
+
+
+def test_closed_form_signs_equal_transported_signs():
+    # every index-1 source of the double well and of the 3-D product well:
+    # the witnesses of the zero-sphere search, with the sign of the
+    # direction coefficient, are those of the sphere search, signed by
+    # frame transport, bit for bit
+    for f, b, crits in (_double_well(), _product_well_3d()):
+        ones = [c for c in crits if c.index == 1]
+        gradfield = expr.negative_gradient(f, b.dimension)
+        closed = morse.ConnectionFinder(gradfield, b, crits)
+        closed.search(ones)
+        transported = morse.ConnectionFinder(gradfield, b, crits)
+        transported.sphere_search(ones)
+        signs = []
+        for x in ones:
+            assert closed.witnesses_for(x.ident) == \
+                transported.witnesses_for(x.ident)
+            signs.extend(w.sign for ws in closed.witnesses_for(
+                x.ident).values() for w in ws)
+        assert sorted(signs) == [-1] * len(ones) + [1] * len(ones)
+
+
+def test_backward_search_finds_the_top_connections_of_the_3d_product_well(
+        monkeypatch):
+    # the stable S^0 of each index-2 saddle, 12 orbits of +grad f in one
+    # batch, and no direction sphere: one orbit per saddle reaches the top
+    f, b, crits = _product_well_3d()
+    assert sorted(c.index for c in crits) == \
+        [0] * 8 + [1] * 12 + [2] * 6 + [3]
+    top = next(c for c in crits if c.index == 3)
+    classify = flow.classify_limit
+    widths = []
+
+    def counted(gradfield, X0, *args, **kwargs):
+        widths.append(X0.shape[1])
+        return classify(gradfield, X0, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "classify_limit", counted)
+    monkeypatch.setattr(sphere, "Sphere", None)
+    finder = morse.ConnectionFinder(expr.negative_gradient(f, 3), b, crits)
+    ws = finder.witnesses_for(top.ident)
+    assert widths == [12]
+    assert sorted(ws) == sorted(c.ident for c in crits if c.index == 2)
+    for items in ws.values():
+        assert len(items) == 1 and abs(items[0].sign) == 1
+        assert items[0].direction in ((1.0,), (-1.0,))
+
+
+@pytest.mark.parametrize("seed", [3, 5, 11])
+def test_zero_sphere_counts_equal_sphere_counts_on_connections(seed):
+    # the benchmark system `connections` through the pipeline: the counts
+    # of build_complex (zero-spheres only) against the forward sphere
+    # search of every source, equal in n and witness count; the index-1
+    # witnesses are equal bit for bit
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "benchmarks", "systems", "connections.json")
+    fieldd, b, lyap, s_decl, lam, eps, pert = cli._fixed_system(
+        cli.load_system(path))
+    res = conley.compute_HI(fieldd, b, lyap, s_decl, lam=lam, seed=seed,
+                            epsilon=eps, perturbation=pert)
+    crits = res.quadruple.crits
+    finder = morse.ConnectionFinder(
+        expr.negative_gradient(res.quadruple.f, 2), b, crits, lam=lam,
+        seed=seed)
+    finder.sphere_search([x for x in crits if x.index])
+    source = next(c for c in crits if c.index == 2)
+    assert sum(len(cc.witnesses) for cc in res.counts
+               if cc.source == source.ident) == 4
+    for cc in res.counts:
+        forward = finder.witnesses_for(cc.source).get(cc.target, [])
+        assert (cc.n, len(cc.witnesses)) == \
+            (sum(w.sign for w in forward), len(forward))
+        if cc.source != source.ident:
+            assert cc.witnesses == forward
