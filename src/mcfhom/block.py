@@ -104,37 +104,56 @@ class GridBlock:
 
     @cached_property
     def _occupancy(self):
-        """(lowest index, occupancy array) of the cubes, padded by one empty
-        layer on every side so that clipped indices land on empty cells."""
+        """The occupancy of the cubes as a flat boolean array over a box of
+        cube indices, padded by one empty layer on every side so that
+        clipped indices land on empty cells, with the lowest index and the
+        highest offset of that box per axis (as (m, 1) float columns) and
+        its C-order strides (as an (m, 1) column)."""
         idx = np.array(sorted(self.cubes))
         lo = idx.min(axis=0) - 1
         occ = np.zeros(idx.max(axis=0) - lo + 2, dtype=bool)
         occ[tuple((idx - lo).T)] = True
-        return lo, occ
+        strides = np.cumprod((1,) + occ.shape[:0:-1])[::-1]
+        return (occ.ravel(), lo[:, None].astype(float),
+                np.array(occ.shape, dtype=float)[:, None] - 1.0,
+                strides[:, None])
 
     def contains_columns(self, X):
         """For each column of the (m, N) array X, whether it lies in a cube
         of the block widened by the boundary tolerance on every side.  A
-        column that is not finite lies in no cube."""
+        column that is not finite lies in no cube.
+
+        Along each axis, the cubes within tol of a point are the cube
+        holding the point + tol and the one before it: a (2, m, N) array of
+        candidate indices.  A candidate the point is not within tol of is
+        sent to the empty padding layer, and the 2^m products of the
+        per-axis candidates are read from the occupancy through one flat
+        (2^m, N) index."""
         tol = DEFAULT.boundary_tol
-        m = self.dimension
-        lo_idx, occ = self._occupancy
+        h = self.spacing
+        occ, lo_idx, top, strides = self._occupancy
         X = np.asarray(X, dtype=float)
+        m, n = X.shape
         origin = np.asarray(self.origin)[:, None]
-        deltas = np.array(list(itertools.product((0, -1), repeat=m)),
-                          dtype=float)[:, :, None]
-        with np.errstate(invalid="ignore"):
-            # candidate cubes, shape (2^m, m, N): along each axis, the cubes
-            # within tol of a point are the cube holding the point + tol
-            # and the one before it
-            c = np.floor((X - (origin - tol)) / self.spacing) + deltas
-            lo = origin + self.spacing * c
-            inside = np.logical_and.reduce(
-                (lo - tol <= X) & (X <= lo + self.spacing + tol), axis=1)
-            shifted = c - lo_idx[:, None]
-            k = np.fmin(np.fmax(shifted, 0), np.array(occ.shape)[:, None] - 1)
-            occupied = occ[tuple(k.astype(np.intp).transpose(1, 0, 2))]
-        return np.logical_or.reduce(occupied & inside, axis=0)
+        c = np.empty((2, m, n))
+        c[0] = np.floor((X - (origin - tol)) / h)
+        np.subtract(c[0], 1.0, out=c[1])
+        lo = h * c
+        lo += origin
+        inside = lo - tol <= X
+        lo += h
+        lo += tol
+        inside &= X <= lo
+        c -= lo_idx
+        np.fmax(c, 0.0, out=c)
+        np.fmin(c, top, out=c)
+        c *= inside
+        k = c.astype(np.intp)
+        k *= strides
+        flat = k[:, 0]
+        for i in range(1, m):
+            flat = (flat[:, None] + k[None, :, i]).reshape(-1, n)
+        return np.logical_or.reduce(occ[flat], axis=0)
 
     def boundary_samples(self, per_face):
         """Sample lattice on the boundary faces, as one (n_faces * per_face
@@ -283,15 +302,41 @@ class IsolationReport:
     samples: list  # (point, outcome) with outcome in {forward, backward, trapped}
     failures: list
     worst_margin: float
+    members: tuple = ()  # of a family: the report of each member, in order
 
     def __bool__(self):
         return self.verdict
 
 
-def check_isolation(b, fieldd, lam=None, tols=DEFAULT):
+_OUTCOMES = ("trapped", "backward", "forward")
+
+
+def _worst_margin(exit_t, budget):
+    """The least time left in the budget when a sample left, or 0.0 when
+    none left (``exit_t`` is NaN for a trapped sample)."""
+    exited = exit_t[~np.isnan(exit_t)]
+    return float(np.min(budget - exited)) if exited.size else 0.0
+
+
+def _isolation_report(points, outcome, exit_t, budget):
+    samples = [(p, _OUTCOMES[o]) for p, o in zip(points, outcome)]
+    failures = [s for s, o in samples if o == "trapped"]
+    return IsolationReport(not failures, samples, failures,
+                           _worst_margin(exit_t, budget))
+
+
+def check_isolation(b, field, lam=None, tols=DEFAULT):
     """Every boundary sample must leave the block in forward or backward
     time within the budget; otherwise the invariant set touches the
     boundary and the block is not isolating.
+
+    ``field`` is a FieldDef or a compiled field ``F(X, lam)``.  ``lam`` is
+    one value, or a sequence of values: a family of fields, checked as one
+    batch whose columns are the samples of every member, each with its
+    member's value.  A single field is a family of one.  Every column
+    steps as it would alone, so each member's report is the report of its
+    own check.  The report of a family holds the samples of all members,
+    member after member, and the report of each member in ``members``.
 
     All samples are integrated as one batch, backward first: on
     dissipative systems boundary points leave the block almost immediately
@@ -300,23 +345,33 @@ def check_isolation(b, fieldd, lam=None, tols=DEFAULT):
     second batch."""
     from . import flow  # local import to avoid a cycle at module load
 
+    family = np.ndim(lam) == 1
+    lams = np.asarray(lam, dtype=float) if family else None
+    k = len(lams) if family else 1
     budget = tols.cert_t_budget
     pts = b.boundary_samples(tols.isolation_samples_per_face)
-    outcomes = ["trapped"] * len(pts)
-    exit_t = np.full(len(pts), np.nan)
-    todo = np.arange(len(pts))
-    for direction, label in ((-1, "backward"), (1, "forward")):
+    n = len(pts)
+    cols = np.tile(pts.T, k)
+    outcome = np.zeros(k * n, dtype=int)  # an index into _OUTCOMES
+    exit_t = np.full(k * n, np.nan)
+    todo = np.arange(k * n)
+    for direction, label in ((-1, 1), (1, 2)):
         if not todo.size:
             break
         t, left = flow.integrate_columns(
-            fieldd, pts[todo].T, lambda X: ~b.contains_columns(X), budget,
-            direction=direction, lam=lam, tols=tols)
-        for i in todo[left]:
-            outcomes[i] = label
+            field, cols[:, todo], lambda X: ~b.contains_columns(X), budget,
+            direction=direction, lam=lams[todo // n] if family else lam,
+            tols=tols)
+        outcome[todo[left]] = label
         exit_t[todo[left]] = np.abs(t[left])
         todo = todo[~left]
-    samples = [(tuple(float(v) for v in s), o) for s, o in zip(pts, outcomes)]
-    failures = [s for s, o in samples if o == "trapped"]
-    exited = exit_t[~np.isnan(exit_t)]
-    worst = float(np.min(budget - exited)) if exited.size else 0.0
-    return IsolationReport(not failures, samples, failures, worst)
+    points = [tuple(float(v) for v in s) for s in pts]
+    if not family:
+        return _isolation_report(points, outcome, exit_t, budget)
+    members = tuple(_isolation_report(points, outcome[i * n:(i + 1) * n],
+                                      exit_t[i * n:(i + 1) * n], budget)
+                    for i in range(k))
+    return IsolationReport(
+        all(members), [s for r in members for s in r.samples],
+        [s for r in members for s in r.failures],
+        _worst_margin(exit_t, budget), members)

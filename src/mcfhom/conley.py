@@ -450,13 +450,16 @@ def _endpoint_indices(f_lam, b, lam, tols):
 
 def continuation_invariance(family, b, lam_grid, lyap0, lyap1, s_decl0,
                             s_decl1, seed=0, epsilon=None, tols=DEFAULT):
-    """Check isolation along the grid, then equality of endpoint HI."""
-    for lv in lam_grid:
-        rep = block_mod.check_isolation(b, family, lam=float(lv), tols=tols)
-        if not rep:
+    """Check isolation along the grid, as one family batch, then equality
+    of endpoint HI.  The error names the first lam of the grid at which the
+    block is not isolating."""
+    lams = [float(lv) for lv in lam_grid]
+    rep = block_mod.check_isolation(b, family, lam=lams, tols=tols)
+    for lv, r in zip(lams, rep.members):
+        if not r:
             raise ContinuationError(
-                f"block stops isolating at lam = {float(lv)} (trapped "
-                f"samples {rep.failures[:3]}); not a continuation")
+                f"block stops isolating at lam = {lv} (trapped "
+                f"samples {r.failures[:3]}); not a continuation")
     r0 = compute_HI(family, b, lyap0, s_decl0, lam=float(lam_grid[0]),
                     seed=seed, epsilon=epsilon, tols=tols)
     r1 = compute_HI(family, b, lyap1, s_decl1, lam=float(lam_grid[-1]),

@@ -3,7 +3,9 @@
 One embedded Dormand-Prince 5(4) stepper with PI step-size control,
 ``_dopri5``, advances an (m, N) state: N orbits side by side, each column
 with its own time, step size, controller history, attempt count and
-target time.  Every entry point runs a whole batch.
+target time, and optionally its own value of the field's parameter lam,
+so that one batch can integrate a whole family of fields.  Every entry
+point runs a whole batch.
 ``integrate_columns`` runs orbits until a column-wise stop test;
 ``classify_limit`` labels the orbits of N start points, with a column-wise
 stop test (left the block, captured at a critical point) after every
@@ -120,11 +122,15 @@ def _shrink(err):
     return np.fmin(1.0, np.fmax(0.1, 0.9 * np.float_power(err, -1.0 / 5)))
 
 
-def _dopri5(F, x0, direction, target, rtol, atol, max_steps, accepted=None):
+def _dopri5(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
+            lam=None):
     """Advance every column of the (m, N) state x0 from t = 0 until
     |t| = target, a scalar or one value per column.
 
-    ``F`` maps an (m, n) array of states to their derivatives.  A stage
+    ``F(X, lam)`` maps an (m, n) array of states to their derivatives.
+    ``lam`` is one parameter value for all columns, or an (N,) array of one
+    value per column; an array is packed with the running columns, so ``F``
+    gets the values of the n columns it evaluates.  A stage
     that is not finite, or for which F raises ValueError, ZeroDivisionError
     or OverflowError, rejects the step of its column with h *= 0.25.
     ``accepted(cols, t, x_old, x_new, f_new)``, if given, is called after
@@ -144,12 +150,13 @@ def _dopri5(F, x0, direction, target, rtol, atol, max_steps, accepted=None):
     would alone.
     """
     m, n = x0.shape
+    per_column = np.ndim(lam) == 1
     target = np.broadcast_to(np.asarray(target, dtype=float), (n,)).copy()
     out = _Run(np.zeros(n), np.array(x0, dtype=float), np.zeros(n, int),
                np.zeros(n, int), np.zeros(n, int))
     cols = np.arange(n)
     X = out.x.copy()
-    f0 = F(X)
+    f0 = F(X, lam)
     t = np.zeros(n)
     h = np.minimum(np.minimum(1e-2 * (_norms(X) + 1.0)
                               / (_norms(f0) + 1e-30), 1.0), target)
@@ -174,6 +181,8 @@ def _dopri5(F, x0, direction, target, rtol, atol, max_steps, accepted=None):
                                               h[keep], errprev[keep])
                 attempts, steps, rejected, target = (
                     attempts[keep], steps[keep], rejected[keep], target[keep])
+                if per_column:
+                    lam = lam[keep]
                 K = np.empty((7, m, cols.size))
             if not cols.size:
                 break
@@ -182,7 +191,7 @@ def _dopri5(F, x0, direction, target, rtol, atol, max_steps, accepted=None):
             K[0] = f0
             try:
                 for i in range(1, 7):
-                    K[i] = F(X + dh * _combine(_A[i], K))
+                    K[i] = F(X + dh * _combine(_A[i], K), lam)
             except (ValueError, ZeroDivisionError, OverflowError):
                 bad = np.ones(cols.size, dtype=bool)
                 ok, err = ~bad, hc
@@ -238,24 +247,26 @@ def _failure(run, max_steps, j):
     return err
 
 
-def integrate_columns(fieldd, x0, stop, t_max, direction, lam=None,
+def integrate_columns(field, x0, stop, t_max, direction, lam=None,
                       tols=DEFAULT):
     """Integrate every column of the (m, N) array x0 until ``stop(X)``,
     given the (m, n) states just reached, is True for it, or |t| reaches
     t_max.
 
+    ``field`` is a FieldDef or a compiled field ``F(X, lam)``; ``lam`` is
+    one value, or an (N,) array of one value per column (see ``_dopri5``).
     Returns (t, stopped): the signed time at which each column ended, and
     whether ``stop`` ended it.  A column whose step underflows or that runs
     out of steps counts as not stopped.
     """
-    F = expr.compile_field(fieldd)
+    F = expr.compile_field(field) if isinstance(field, expr.FieldDef) \
+        else field
 
     def check(cols, t, x_old, x_new, f_new):
         return stop(x_new)
 
-    run = _dopri5(lambda X: F(X, lam), np.asarray(x0, dtype=float),
-                  direction, t_max, tols.rtol, tols.atol, tols.max_steps,
-                  check)
+    run = _dopri5(F, np.asarray(x0, dtype=float), direction, t_max,
+                  tols.rtol, tols.atol, tols.max_steps, check, lam)
     return run.t, run.status == STOPPED
 
 
@@ -294,7 +305,7 @@ def transport_frame(fieldd, X0, T, frames, lam=None, tols=DEFAULT):
     J = [expr.compile_field(expr.FieldDef(m, row))
          for row in expr.jacobian(fieldd)]
 
-    def G(Z):
+    def G(Z, lam):
         out = np.empty_like(Z)
         out[:m] = F(Z[:m], lam)
         DX = np.stack([row(Z[:m], lam) for row in J])  # (m, m, n)
@@ -324,7 +335,7 @@ def transport_frame(fieldd, X0, T, frames, lam=None, tols=DEFAULT):
     if go.size:
         Z0 = np.concatenate([X0[:, go], frames[:, :, go].reshape(k * m, -1)])
         run = _dopri5(G, Z0, 1, T[go], tols.rtol, tols.atol, tols.max_steps,
-                      renormalize)
+                      renormalize, lam)
         X[:, go] = run.x[:m]
         W[:, :, go] = run.x[m:].reshape(k, m, -1)
         for i, j in enumerate(go):
@@ -412,8 +423,8 @@ def classify_limit(gradfield, X0, crits, block, tols=DEFAULT, lam=None,
             captor[cols[caught]] = np.argmax(near[:, caught], axis=0)
         return out | caught | ambiguous
 
-    run = _dopri5(lambda X: F(X, lam), X0, 1, tols.t_budget, tols.rtol,
-                  tols.atol, tols.max_steps, stop)
+    run = _dopri5(F, X0, 1, tols.t_budget, tols.rtol, tols.atol,
+                  tols.max_steps, stop, lam)
     for j in range(n):
         errors[j] = errors[j] or _failure(run, tols.max_steps, j)
     tag = tuple("failed" if e is not None else "budget" if s == DONE

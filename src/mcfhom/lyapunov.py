@@ -152,6 +152,15 @@ def morse_perturb(base, b, epsilon=None, perturbation=None, rng=None,
     base + lambda*eps*perturbation keeps the block isolating and that no
     critical point of the interpolant touches the boundary (minimum
     gradient norm over boundary samples stays positive).
+
+    The grid runs as one family: -grad(base) and -grad(perturbation) are
+    compiled once, and the interpolant with coefficient s = lambda*eps is
+    -grad(base) + s * -grad(perturbation), which rounds exactly as the
+    compiled gradient of the interpolant itself.  Its gradient norms are
+    one array, and its isolation checks are two ``check_isolation``
+    batches, each of half the grid, with s a value per column.  The error
+    names the first lambda that fails, the boundary gradient before
+    isolation at each lambda.
     """
     eps = tols.epsilon if epsilon is None else epsilon
     if eps <= 0:
@@ -165,24 +174,47 @@ def morse_perturb(base, b, epsilon=None, perturbation=None, rng=None,
     m = b.dimension
     steps = tols.cert_lambda_steps
     lambdas = tuple(i / steps for i in range(steps + 1))
+    coef = np.array([lv * eps for lv in lambdas])
+    grad_base = expr.compile_field(expr.negative_gradient(base, m))
+    grad_pert = expr.compile_field(expr.negative_gradient(perturbation, m))
+
+    def interpolant(X, s):
+        """-grad(base + s*perturbation) at the columns of X, column j with
+        the coefficient s[j] (an (n,) array, or one value for all).  At
+        s = 0 the perturbation drops out, as it does from the Expr, even
+        where its gradient has no value.  It is evaluated under
+        ``np.errstate(all="ignore")``, as the integrator evaluates it."""
+        return grad_base(X, lam) + np.where(s != 0.0,
+                                            s * grad_pert(X, lam), 0.0)
+
     samples = b.boundary_samples(tols.isolation_samples_per_face)
+    with np.errstate(all="ignore"):
+        G = interpolant(np.tile(samples.T, len(lambdas)),
+                        np.repeat(coef, len(samples)))
+    gn = np.sqrt(np.add.reduce(G * G, axis=0)).reshape(len(lambdas), -1)
     min_bgrad = math.inf
-    for lv in lambdas:
-        interp = expr.add(base,
-                          expr.mul(expr.Const(float(lv * eps)), perturbation))
-        gradfield = expr.negative_gradient(interp, m)
-        G = expr.compile_field(gradfield)(samples.T, lam)
-        gn = np.sqrt(np.add.reduce(G * G, axis=0))
-        min_bgrad = min(min_bgrad, float(np.fmin.reduce(gn)))
-        touching = np.flatnonzero(gn <= tols.margin_tol)
-        if touching.size:
-            s = samples[touching[0]]
-            raise CertificationError(
-                lv, f"critical point of the interpolant touches the "
-                    f"boundary near {tuple(float(v) for v in s)}")
-        rep = block_mod.check_isolation(b, gradfield, lam=lam, tols=tols)
-        if not rep:
-            raise CertificationError(
-                lv, f"block stops isolating (trapped boundary samples "
-                    f"{rep.failures[:3]})")
+    touching = None  # (lambda, the first sample it touches at)
+    for i, g in enumerate(gn):
+        min_bgrad = min(min_bgrad, float(np.fmin.reduce(g)))
+        near = np.flatnonzero(g <= tols.margin_tol)
+        if near.size:
+            touching = (lambdas[i], samples[near[0]])
+            break
+    clear = i if touching else len(lambdas)  # the lambdas before it
+    # in two batches: the integrator's memory grows with its width
+    width = max(-(-clear // 2), 1)
+    for lo in range(0, clear, width):
+        hi = min(lo + width, clear)
+        rep = block_mod.check_isolation(b, interpolant, lam=coef[lo:hi],
+                                        tols=tols)
+        for lv, r in zip(lambdas[lo:hi], rep.members):
+            if not r:
+                raise CertificationError(
+                    lv, f"block stops isolating (trapped boundary samples "
+                        f"{r.failures[:3]})")
+    if touching:
+        lv, s = touching
+        raise CertificationError(
+            lv, f"critical point of the interpolant touches the "
+                f"boundary near {tuple(float(v) for v in s)}")
     return perturbed, HomotopyCertificate(lambdas, min_bgrad)

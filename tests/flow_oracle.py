@@ -48,7 +48,7 @@ def _point_function(exprs, lam):
 def _single(F1):
     """A one-point function ``F1(x)`` (1-D state in, sequence out) as the
     (m, 1) column function ``_dopri5`` expects."""
-    def F(X):
+    def F(X, lam=None):
         return np.array(F1(X[:, 0]), dtype=float)[:, None]
     return F
 

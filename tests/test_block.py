@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import block_oracle
 import flow_oracle as oracle
 from mcfhom import block, expr, flow
 from mcfhom.config import DEFAULT
@@ -272,6 +273,44 @@ def test_contains_columns_equals_contains():
         assert any(want) and not all(want)
         assert [b.contains(p) for p in P] == want
         assert list(b.contains_columns(P.T)) == want
+
+
+def _irregular_cubes(m, rng):
+    """Half the cubes of a 5^m grid around the origin, with holes and
+    cubes that touch only at edges or corners."""
+    grid = np.array(list(itertools.product(range(-2, 3), repeat=m)))
+    return [tuple(c) for c in grid[rng.random(len(grid)) < 0.5]] or \
+        [(0,) * m]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_contains_columns_equals_the_oracle(m):
+    rng = np.random.default_rng(20 + m)
+    tol = DEFAULT.boundary_tol
+    blocks = (block.build_block(box=[(-1, 1)] * m, spacing=0.5),
+              block.build_block(cubes=_irregular_cubes(m, rng),
+                                origin=tuple(rng.uniform(-1, 1, m)),
+                                spacing=0.3))
+    for b in blocks:
+        lo, hi = b.bounding_box()
+        P = rng.uniform(np.array(lo) - 0.5, np.array(hi) + 0.5,
+                        size=(3000, m))
+        # coordinates within 1e-12, 1e-10 and 1e-9 (the tolerance) of a
+        # grid plane, on either side, and 2e-9 away
+        o = np.asarray(b.origin)
+        plane = o + b.spacing * np.round((P - o) / b.spacing)
+        off = rng.choice([0.0, 1e-12, 1e-10, tol, 2 * tol], size=P.shape)
+        off *= rng.choice([-1.0, 1.0], size=P.shape)
+        P = np.where(rng.random(P.shape) < 0.7, plane + off, P)
+        # not finite: whole columns and single coordinates
+        bad = np.array([np.nan, np.inf, -np.inf])
+        P[:3] = bad[:, None]
+        P[3:9, 0] = np.tile(bad, 2)
+        P[6:9, -1] = 0.0
+        got = b.contains_columns(P.T)
+        assert np.array_equal(got, block_oracle.contains_columns(b, P.T))
+        assert got.any() and not got.all()
+        assert not got[:6].any()
 
 
 def test_batched_isolation_matches_single_orbits():

@@ -106,6 +106,17 @@ def test_hi_report_on_connections_matches_the_golden_report(capsys):
     assert code == 0
 
 
+def test_hi_report_on_certificate_matches_the_golden_report(capsys):
+    # certificate_hi_seed3.out is the report of the homotopy certificate
+    # checked one lambda at a time; the batched grid must not change a byte
+    system = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                          "benchmarks", "systems", "certificate.json")
+    code = cli.main(["hi", system, "--seed", "3"])
+    with open(_path("certificate_hi_seed3.out"), "rb") as fh:
+        assert capsys.readouterr().out.encode() == fh.read()
+    assert code == 0
+
+
 def test_hi_on_the_3d_product_well(capsys):
     # one index-3 source, searched backward from its six targets
     code = cli.main(["hi", _path("product_well_3d.json"), "--seed", "3"])

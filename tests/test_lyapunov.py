@@ -1,8 +1,13 @@
 """Lyapunov verification, combinations, and Morse perturbations."""
+import json
+import math
+import os
+
 import numpy as np
 import pytest
 
-from mcfhom import block, expr, lyapunov, morse
+from mcfhom import block, expr, flow, lyapunov, morse
+from mcfhom.config import DEFAULT
 
 
 def _b1():
@@ -150,3 +155,135 @@ def test_morse_perturb_default_direction_is_seeded():
 def test_morse_perturb_rejects_nonpositive_epsilon():
     with pytest.raises(lyapunov.LyapunovError):
         lyapunov.morse_perturb(expr.parse("-x1", 1), _b1(), epsilon=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the homotopy certificate as one family against one lambda at a time
+
+_SYSTEMS = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "benchmarks", "systems")
+
+
+def _per_lambda(base, b, eps, pert, lam=None, tols=DEFAULT):
+    """The certificate one lambda at a time, each interpolant built and
+    compiled as an Expr of its own: the reference of the batched grid.
+    Returns (isolation reports, minimum boundary gradient), or the
+    CertificationError with the reports made before it."""
+    m = b.dimension
+    steps = tols.cert_lambda_steps
+    samples = b.boundary_samples(tols.isolation_samples_per_face)
+    reports, min_bgrad = [], math.inf
+    for lv in (i / steps for i in range(steps + 1)):
+        interp = expr.add(base, expr.mul(expr.Const(float(lv * eps)), pert))
+        gradfield = expr.negative_gradient(interp, m)
+        G = expr.compile_field(gradfield)(samples.T, lam)
+        gn = np.sqrt(np.add.reduce(G * G, axis=0))
+        min_bgrad = min(min_bgrad, float(np.fmin.reduce(gn)))
+        touching = np.flatnonzero(gn <= tols.margin_tol)
+        if touching.size:
+            s = samples[touching[0]]
+            return reports, lyapunov.CertificationError(
+                lv, f"critical point of the interpolant touches the "
+                    f"boundary near {tuple(float(v) for v in s)}")
+        rep = block.check_isolation(b, gradfield, lam=lam, tols=tols)
+        reports.append(rep)
+        if not rep:
+            return reports, lyapunov.CertificationError(
+                lv, f"block stops isolating (trapped boundary samples "
+                    f"{rep.failures[:3]})")
+    return reports, min_bgrad
+
+
+def _batched(monkeypatch, base, b, eps, pert, lam=None):
+    """morse_perturb, with the member reports of its isolation batches and
+    the direction of every integrator run it makes, batch by batch."""
+    batches = []
+    check, dopri5 = block.check_isolation, flow._dopri5
+
+    def spy_check(*args, **kwargs):
+        batches.append([])
+        rep = check(*args, **kwargs)
+        batches[-1] = (batches[-1], rep.members)
+        return rep
+
+    def spy_dopri5(F, x0, direction, *args, **kwargs):
+        batches[-1].append(direction)
+        return dopri5(F, x0, direction, *args, **kwargs)
+
+    monkeypatch.setattr(block, "check_isolation", spy_check)
+    monkeypatch.setattr(flow, "_dopri5", spy_dopri5)
+    try:
+        _, cert = lyapunov.morse_perturb(base, b, epsilon=eps,
+                                         perturbation=pert, lam=lam)
+        result = cert.min_boundary_gradient
+    except lyapunov.CertificationError as exc:
+        result = exc
+    finally:
+        monkeypatch.undo()
+    runs = [d for d, _ in batches]
+    return [r for _, members in batches for r in members], result, runs
+
+
+def _same_certificate(monkeypatch, base, b, eps, pert, lam=None):
+    want_reports, want = _per_lambda(base, b, eps, pert, lam)
+    reports, got, runs = _batched(monkeypatch, base, b, eps, pert, lam)
+    # two batches at most, each one backward run and at most one forward
+    assert len(runs) <= 2
+    assert all(d in ([-1], [-1, 1]) for d in runs)
+    assert len(reports) >= len(want_reports)
+    for r, w in zip(reports, want_reports):
+        assert (r.verdict, r.samples, r.failures, r.worst_margin) == \
+            (w.verdict, w.samples, w.failures, w.worst_margin)
+    if isinstance(want, Exception):
+        assert isinstance(got, lyapunov.CertificationError)
+        assert (got.lam, str(got)) == (want.lam, str(want))
+    else:
+        assert len(reports) == len(want_reports) == \
+            DEFAULT.cert_lambda_steps + 1
+        assert got == want
+    return runs, got
+
+
+@pytest.mark.parametrize("name", ["certificate", "connections"])
+@pytest.mark.parametrize("seed", [0, 3, 4, 11])
+def test_batched_certificate_equals_one_lambda_at_a_time(monkeypatch, name,
+                                                         seed):
+    with open(os.path.join(_SYSTEMS, f"{name}.json")) as fh:
+        doc = json.load(fh)
+    m = doc["dimension"]
+    b = block.build_block(box=doc["block"]["box"],
+                          spacing=doc["block"]["spacing"])
+    base = expr.parse(doc["lyapunov"], m)
+    pert = lyapunov.linear_perturbation(m, np.random.default_rng(seed))
+    runs, _ = _same_certificate(monkeypatch, base, b, DEFAULT.epsilon, pert)
+    assert len(runs) == 2
+
+
+@pytest.mark.parametrize("eps", [2.0, 0.5, 1e-3])
+def test_batched_certificate_on_the_quartic_repeller(monkeypatch, eps):
+    _same_certificate(monkeypatch, expr.parse("-(x1^4)/4", 1), _b1(), eps,
+                      expr.parse("x1", 1))
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.3])
+def test_batched_certificate_with_a_nonlinear_perturbation(monkeypatch, eps):
+    b = block.build_block(box=[(-1, 1), (-1, 1)], spacing=0.5)
+    _same_certificate(monkeypatch, expr.parse("-(x1^2 + x2^2)^2/4", 2), b,
+                      eps, expr.parse("sin(x1)*x2 + x1^3", 2))
+
+
+def test_batched_certificate_with_lam_in_the_lyapunov_function(monkeypatch):
+    b = block.build_block(box=[(-1, 1), (-1, 1)], spacing=0.5)
+    _same_certificate(monkeypatch,
+                      expr.parse("-(x1^4 + x2^4)/4 - lam*(x1^2 + x2^2)/2", 2),
+                      b, 1e-2, expr.parse("x1 - 0.5*x2 + lam*x1*x2", 2),
+                      lam=0.4)
+
+
+def test_batched_certificate_where_the_perturbation_has_no_value(
+        monkeypatch):
+    # sqrt(x1) has no value on the sample x1 = -1: the perturbation drops
+    # out at lambda = 0 and the block first fails at lambda = 0.1
+    _, err = _same_certificate(monkeypatch, expr.parse("-(x1^4)/4", 1),
+                               _b1(), 1e-3, expr.parse("sqrt(x1)", 1))
+    assert err.lam == 0.1
