@@ -3,6 +3,11 @@
 A block is a finite union of closed grid cubes ``origin + h * [i, i+1]``
 per axis.  Boundary faces are the codimension-one faces not shared by two
 cubes of the block; each carries a transversality tag once classified.
+
+A set of cubical cells is a boolean mask on the doubled grid of the
+block's cube-index box: the interval (lo, hi) of an axis sits at lo + hi
+less twice the lowest cube index, so odd marks a nondegenerate axis, and
+the C order of the mask is the lexicographic order of the intervals.
 """
 from __future__ import annotations
 
@@ -103,15 +108,22 @@ class GridBlock:
         return bool(self.contains_columns(X)[0])
 
     @cached_property
+    def _cube_box(self):
+        """The sorted cube indices as an (n, m) array, with the lowest index
+        and one past the highest per axis."""
+        idx = np.array(sorted(self.cubes))
+        return idx, idx.min(axis=0), idx.max(axis=0) + 1
+
+    @cached_property
     def _occupancy(self):
         """The occupancy of the cubes as a flat boolean array over a box of
         cube indices, padded by one empty layer on every side so that
         clipped indices land on empty cells, with the lowest index and the
         highest offset of that box per axis (as (m, 1) float columns) and
         its C-order strides (as an (m, 1) column)."""
-        idx = np.array(sorted(self.cubes))
-        lo = idx.min(axis=0) - 1
-        occ = np.zeros(idx.max(axis=0) - lo + 2, dtype=bool)
+        idx, lo, hi = self._cube_box
+        lo = lo - 1
+        occ = np.zeros(hi - lo + 1, dtype=bool)
         occ[tuple((idx - lo).T)] = True
         strides = np.cumprod((1,) + occ.shape[:0:-1])[::-1]
         return (occ.ravel(), lo[:, None].astype(float),
@@ -208,6 +220,9 @@ def build_block(box=None, cubes=None, origin=None, spacing=None, dimension=None)
             raise BlockError("inconsistent cube index dimensions")
         if origin is None:
             origin = (0.0,) * m
+        elif len(origin) != m:
+            raise BlockError(
+                f"origin has {len(origin)} entries, dimension is {m}")
         return GridBlock(m, tuple(float(v) for v in origin), float(spacing),
                          cubes)
     raise BlockError("either box or cubes must be given")
@@ -238,62 +253,49 @@ def classify_boundary(b, fieldd, lam=None, tols=DEFAULT):
     return GridBlock(b.dimension, b.origin, b.spacing, b.cubes, tags)
 
 
-def _face_cell(b, f):
-    """The face as a cubical cell: tuple of (lo, hi) integer interval pairs
-    in grid units."""
-    cell = []
-    for i in range(b.dimension):
-        lo = f.cube[i]
-        if i == f.axis:
-            v = lo + f.side
-            cell.append((v, v))
-        else:
-            cell.append((lo, lo + 1))
-    return tuple(cell)
-
-
-def cell_faces(cell):
-    """All proper subcells of codimension one."""
-    out = []
-    for i, (lo, hi) in enumerate(cell):
-        if lo != hi:
-            out.append(cell[:i] + ((lo, lo),) + cell[i + 1:])
-            out.append(cell[:i] + ((hi, hi),) + cell[i + 1:])
+def closure(mask):
+    """Close a cell mask under taking faces: along each axis in turn, every
+    even position takes in the odd positions beside it."""
+    out = np.array(mask, dtype=bool)
+    for a in range(out.ndim):
+        v = np.moveaxis(out, a, 0)
+        v[:-1:2] |= v[1::2]
+        v[2::2] |= v[1::2]
     return out
 
 
-def closure(cells):
-    """Close a cell set under taking faces."""
-    seen = set(cells)
-    frontier = list(cells)
-    while frontier:
-        c = frontier.pop()
-        for f in cell_faces(c):
-            if f not in seen:
-                seen.add(f)
-                frontier.append(f)
-    return seen
+def _grid_mask(b, cubes, shift=0):
+    """The closure of the cells at 2 (c - lo) + 1 + shift for the rows c of
+    the (n, m) array ``cubes``, on the grid of the block's cube-index box."""
+    _, lo, hi = b._cube_box
+    mask = np.zeros(2 * (hi - lo) + 1, dtype=bool)
+    mask[tuple((2 * (cubes - lo) + 1 + shift).T)] = True
+    return closure(mask)
 
 
 def exit_set(b):
-    """The closed cubical subcomplex spanned by the Egress faces.
+    """The closed cubical subcomplex spanned by the Egress faces, as a mask
+    on the grid of ``block_cells``.
 
     Raises if any face is still Unresolved; Ingress-only blocks give the
     empty complex."""
     unresolved = [f for f, tag in b.face_tags.items() if tag == UNRESOLVED]
     if unresolved:
         raise UnresolvedFacesError(unresolved)
-    top = [_face_cell(b, f) for f, tag in b.face_tags.items() if tag == EGRESS]
-    return closure(top)
+    faces = [f for f, tag in b.face_tags.items() if tag == EGRESS]
+    cubes = np.array([f.cube for f in faces], dtype=int).reshape(
+        len(faces), b.dimension)
+    # a face lies one step below or above its cube along its axis
+    shift = np.zeros_like(cubes)
+    shift[np.arange(len(faces)), [f.axis for f in faces]] = \
+        [2 * f.side - 1 for f in faces]
+    return _grid_mask(b, cubes, shift)
 
 
 def block_cells(b):
-    """All cells of the block as a closed cubical complex (the closures of
-    the full-dimensional cubes)."""
-    top = []
-    for c in b.cubes:
-        top.append(tuple((c[i], c[i] + 1) for i in range(b.dimension)))
-    return closure(top)
+    """All cells of the block (the closures of its cubes), as a mask on the
+    doubled grid of its cube-index box."""
+    return _grid_mask(b, b._cube_box[0])
 
 
 @dataclass

@@ -277,7 +277,7 @@ def cmd_cubical(args):
     classified = block_mod.classify_boundary(b, fieldd, lam=lam, tols=tols)
     exitc = block_mod.exit_set(classified)
     h = homalg.cubical_relative_homology(classified, exitc, coeff=args.coeff)
-    report["exit_cells"] = len(exitc)
+    report["exit_cells"] = int(exitc.sum())
     report["relative_cubical"] = _homology_table(h)
     report["verdict"] = True
     return report, 0

@@ -2,7 +2,8 @@
 
 A chain complex stores each boundary d_k once, as sparse columns over Z
 (dicts {row: value}); a cubical complex is built straight into them from
-the signed faces of its cells.  Other matrices are lists of int rows
+two cell masks on a doubled grid (see ``block``), the faces of each cell
+found by strides.  Other matrices are lists of int rows
 (Python big integers throughout).  Homology first reduces the complex:
 every boundary entry that is a unit of the coefficient ring (+-1 over Z,
 odd over Z/2) cancels its pair of generators by an elementary reduction, a
@@ -17,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+
+import numpy as np
 
 from . import block as block_mod
 
@@ -469,76 +472,57 @@ def homology(c, coeff="Z"):
 # ---------------------------------------------------------------------------
 # cubical chain complex
 
-def _cell_dim(cell):
-    return sum(1 for lo, hi in cell if lo != hi)
-
-
-def cell_boundary(cell):
-    """Signed codimension-one boundary of a cubical cell: list of
-    (face_cell, sign) with sign (-1)^(number of earlier nondegenerate axes)
-    times (+1 for the upper face, -1 for the lower)."""
-    out = []
-    nd_seen = 0
-    for i, (lo, hi) in enumerate(cell):
-        if lo == hi:
-            continue
-        sign = (-1) ** nd_seen
-        upper = cell[:i] + ((hi, hi),) + cell[i + 1:]
-        lower = cell[:i] + ((lo, lo),) + cell[i + 1:]
-        out.append((upper, sign))
-        out.append((lower, -sign))
-        nd_seen += 1
-    return out
-
-
-def build_cubical_complex(cells, relative_to=frozenset()):
+def build_cubical_complex(cells, relative_to=None):
     """Chain complex of a closed cubical cell set, modulo a closed subset.
 
-    ``cells`` must be closed under faces; ``relative_to`` likewise.  Cells
-    of the subcomplex are dropped (their chain groups are quotiented away).
-    """
-    sub = set(relative_to)
-    for c in sub:
-        for f in block_mod.cell_faces(c):
-            if f not in sub:
-                raise HomalgError(
-                    "relative subcomplex is not closed under faces")
-    allcells = set(cells) | sub
-    for c in allcells:
-        for f in block_mod.cell_faces(c):
-            if f not in allcells:
-                raise HomalgError("cell set is not closed under faces")
-    use = sorted(c for c in allcells if c not in sub)
-    if not use:
+    ``cells`` and ``relative_to`` are cell masks of one shape on a doubled
+    grid (see ``block``), each closed under faces; the cells of
+    ``relative_to`` are dropped (their chain groups are quotiented away).
+    C_k has the cells odd along k axes, in C order.  A cell's faces lie one
+    stride either side of it along each odd axis: the upper one with sign
+    (-1)^(number of odd axes before it), the lower one the opposite."""
+    cells = np.asarray(cells, dtype=bool)
+    sub = (np.zeros_like(cells) if relative_to is None
+           else np.asarray(relative_to, dtype=bool))
+    if sub.shape != cells.shape or not all(n % 2 for n in cells.shape):
+        raise HomalgError("cells and subcomplex are not masks of one "
+                          "doubled grid")
+    for mask, name in ((sub, "relative subcomplex"),
+                       (cells | sub, "cell set")):
+        if not np.array_equal(block_mod.closure(mask), mask):
+            raise HomalgError(f"{name} is not closed under faces")
+    use = np.flatnonzero(cells & ~sub)
+    if not use.size:
         return ChainComplex([0])
-    top = max(_cell_dim(c) for c in use)
-    by_dim = [[] for _ in range(top + 1)]
-    for c in use:
-        by_dim[_cell_dim(c)].append(c)
-    index = {}
-    for k, lst in enumerate(by_dim):
-        lst.sort()
-        for i, c in enumerate(lst):
-            index[c] = i
-    dims = [len(lst) for lst in by_dim]
+    # bit a of a cell's code is set when the cell is odd along axis a
+    code = sum(o << a for a, o in enumerate(
+        np.ix_(*(np.arange(n) & 1 for n in cells.shape)))).ravel()[use]
+    odd = (code[:, None] >> np.arange(cells.ndim)) & 1
+    dim = odd.sum(axis=1)
+    dims = np.bincount(dim).tolist()
+    rank = np.full(cells.size, -1)  # stays -1 on the cells of ``sub``
+    for k, n in enumerate(dims):
+        rank[use[dim == k]] = np.arange(n)
+    strides = np.cumprod((1,) + cells.shape[:0:-1])[::-1]
     columns = {}
-    for k in range(1, top + 1):
-        ck = columns[k] = []
-        for c in by_dim[k]:
-            col = {}
-            for f, sign in cell_boundary(c):
-                if f not in sub:
-                    col[index[f]] = col.get(index[f], 0) + sign
-            ck.append({i: v for i, v in col.items() if v})
+    for k in range(1, len(dims)):
+        c, o = use[dim == k], odd[dim == k]
+        sign = 1 - 2 * ((np.cumsum(o, axis=1) - o) & 1)
+        # the faces of each cell in axis order, upper then lower per axis
+        face = rank[np.stack([c[:, None] + strides, c[:, None] - strides],
+                             axis=2)[o == 1]].reshape(len(c), 2 * k)
+        sign = np.stack([sign, -sign], axis=2)[o == 1].reshape(len(c), 2 * k)
+        columns[k] = [{i: v for i, v in zip(fr, sr) if i >= 0}
+                      for fr, sr in zip(face.tolist(), sign.tolist())]
     return ChainComplex(dims, columns=columns)
 
 
 def cubical_relative_homology(b, subcells, coeff="Z"):
     """H_*(B, A) for a GridBlock B and a closed cubical subcomplex A of
-    its boundary."""
+    its boundary, a mask on the doubled grid of ``block.block_cells(b)``."""
     cells = block_mod.block_cells(b)
-    sub = set(subcells)
-    if not sub <= cells:
+    sub = np.asarray(subcells, dtype=bool)
+    if sub.shape != cells.shape or (sub & ~cells).any():
         raise HomalgError("subcomplex is not contained in the block")
     return homology(build_cubical_complex(cells, sub), coeff=coeff)
 

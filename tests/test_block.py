@@ -41,6 +41,12 @@ def test_empty_block_rejected():
         block.build_block(box=[(-1, 1)], spacing=-0.5)
 
 
+@pytest.mark.parametrize("origin", [[-1.0], [-1.0, -1.0, -1.0]])
+def test_origin_must_have_one_entry_per_axis(origin):
+    with pytest.raises(block.BlockError, match="origin has"):
+        block.build_block(cubes=[(0, 0), (1, 0)], origin=origin, spacing=0.5)
+
+
 def test_box_must_align_with_grid():
     with pytest.raises(block.BlockError):
         block.build_block(box=[(0, 1.3)], spacing=0.5)
@@ -120,27 +126,36 @@ def test_classify_monotone_in_tol():
     assert any(t == block.UNRESOLVED for t in high.face_tags.values())
 
 
+def _cell_dims(mask):
+    """The dimension of every position of a doubled-grid mask: the number
+    of axes along which it is odd."""
+    return sum(np.ix_(*(np.arange(n) % 2 for n in mask.shape)))
+
+
 def test_exit_set_saddle_closed():
     b = block.build_block(box=[(-1, 1), (-1, 1)], spacing=0.5)
     fld = expr.parse_field(["x1", "-x2"], 2)
     cb = block.classify_boundary(b, fld)
     ex = block.exit_set(cb)
+    assert ex.shape == (9, 9)
     # two vertical segments of 4 edges each, plus their 10 vertices
-    edges = [c for c in ex if sum(1 for lo, hi in c if lo != hi) == 1]
-    verts = [c for c in ex if all(lo == hi for lo, hi in c)]
-    assert len(edges) == 8
-    assert len(verts) == 10
-    # closed under faces
-    for c in ex:
-        for f in block.cell_faces(c):
-            assert f in ex
+    dims = _cell_dims(ex)
+    assert np.count_nonzero(ex & (dims == 1)) == 8
+    assert np.count_nonzero(ex & (dims == 0)) == 10
+    assert np.count_nonzero(ex) == 18
+    # on the lines x1 = -1 and x1 = 1, and closed under faces
+    assert not ex[1:-1].any()
+    assert np.array_equal(block.closure(ex), ex)
+    assert block.block_cells(cb)[ex].all()
 
 
 def test_exit_set_empty_for_attractor():
     b = block.build_block(box=[(-2, 2)], spacing=0.5)
     fld = expr.parse_field(["x1 - x1^3"], 1)
     cb = block.classify_boundary(b, fld)
-    assert block.exit_set(cb) == set()
+    ex = block.exit_set(cb)
+    assert ex.shape == (17,)
+    assert np.count_nonzero(ex) == 0
 
 
 def test_exit_set_repeller_two_points():
@@ -148,8 +163,22 @@ def test_exit_set_repeller_two_points():
     fld = expr.parse_field(["x1"], 1)
     cb = block.classify_boundary(b, fld)
     ex = block.exit_set(cb)
-    assert len(ex) == 2
-    assert all(all(lo == hi for lo, hi in c) for c in ex)
+    assert np.count_nonzero(ex) == 2
+    assert np.flatnonzero(ex).tolist() == [0, 8]
+    assert (_cell_dims(ex)[ex] == 0).all()
+
+
+def test_block_cells_of_an_off_origin_block():
+    # cube indices from -2: the grid starts at the lowest cube index, and
+    # the cube c sits at 2 (c - lo) + 1
+    b = block.build_block(cubes=[(-2, 1), (-1, 1), (-1, 2)], spacing=0.5)
+    cells = block.block_cells(b)
+    assert cells.shape == (5, 5)
+    assert np.flatnonzero(cells[1::2, 1::2]).tolist() == [0, 2, 3]
+    # 3 squares, 10 edges, 8 vertices
+    dims = _cell_dims(cells)
+    assert [np.count_nonzero(cells & (dims == k)) for k in range(3)] == \
+        [8, 10, 3]
 
 
 def test_exit_set_unresolved_raises():

@@ -117,6 +117,21 @@ def test_hi_report_on_certificate_matches_the_golden_report(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("system,name", [
+    ("benchmarks/systems/cubical.json", "cubical"),
+    ("tests/data/saddle.json", "saddle"),
+])
+@pytest.mark.parametrize("coeff", ["Z", "Z2"])
+def test_cubical_report_matches_the_golden_report(system, name, coeff,
+                                                  capsys):
+    # the golden reports were written by the builder of tuple cells
+    root = os.path.dirname(os.path.dirname(__file__))
+    code = cli.main(["cubical", os.path.join(root, system), "--coeff", coeff])
+    with open(_path(f"{name}_cubical_{coeff}.out"), "rb") as fh:
+        assert capsys.readouterr().out.encode() == fh.read()
+    assert code == 0
+
+
 def test_hi_on_the_3d_product_well(capsys):
     # one index-3 source, searched backward from its six targets
     code = cli.main(["hi", _path("product_well_3d.json"), "--seed", "3"])
@@ -170,6 +185,16 @@ def test_schema_errors_are_those_of_jsonschema_validate(doc, tmp_path,
     assert code == 2
     assert capsys.readouterr().err == \
         f"input error: invalid system file: {want.value.message}\n"
+
+
+@pytest.mark.parametrize("origin", [[-1.0], [-1.0, -1.0, -1.0]])
+def test_origin_of_the_wrong_length_exits_two(origin, tmp_path, capsys):
+    doc = {"dimension": 2, "field": ["x1", "-x2"],
+           "block": {"cubes": [[0, 0], [1, 0]], "origin": origin,
+                     "spacing": 0.5}}
+    assert cli.main(["block", _write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == \
+        f"input error: origin has {len(origin)} entries, dimension is 2\n"
 
 
 def test_missing_file_exits_two(capsys):

@@ -2,8 +2,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+import cubical_oracle
 from mcfhom import block, expr, homalg
 
 
@@ -286,9 +288,8 @@ def test_reduction_recovers_known_invariant_factors():
             _oracle_homology(c, "Z2")
 
 
-def _random_cells(rng, shape):
-    """A random closed cubical cell set in the grid of the given shape:
-    the closure of random cells of every dimension."""
+def _random_picks(rng, shape):
+    """Random cells of every dimension in the grid of the given shape."""
     picks = []
     for _ in range(rng.randint(1, 2 * math.prod(shape))):
         cell = []
@@ -296,25 +297,49 @@ def _random_cells(rng, shape):
             lo = rng.randrange(n)
             cell.append((lo, lo + rng.randint(0, 1)))
         picks.append(tuple(cell))
-    return block.closure(picks)
+    return picks
+
+
+def _random_cells(rng, shape):
+    """A random closed cubical cell set in the grid of the given shape:
+    the closure of random cells of every dimension."""
+    return cubical_oracle.closure(_random_picks(rng, shape))
 
 
 def _random_pairs(shape, cases):
-    """Random closed cubical pairs (cells, subcomplex) in the grid."""
+    """Random closed cubical pairs (cells, subcomplex) in the grid, as
+    (lo, hi) tuple sets and as masks on the doubled grid."""
     rng = random.Random(sum(shape))
+    doubled = tuple(2 * n + 1 for n in shape)
     for _ in range(cases):
         cells = _random_cells(rng, shape)
         ordered = sorted(cells)
-        yield cells, block.closure(rng.sample(
+        sub = cubical_oracle.closure(rng.sample(
             ordered, rng.randint(0, len(ordered) // 3)))
+        yield (cells, sub, cubical_oracle.mask_of(cells, doubled),
+               cubical_oracle.mask_of(sub, doubled))
 
 
-_RANDOM_PAIRS = [((5, 5), 30), ((3, 3, 3), 12)]
+_RANDOM_PAIRS = [((5, 5), 30), ((3, 3, 3), 12), ((9,), 40),
+                 ((2, 2, 2, 2), 38)]
+
+
+@pytest.mark.parametrize("shape,cases", _RANDOM_PAIRS)
+def test_closure_matches_the_oracle(shape, cases):
+    rng = random.Random(-sum(shape))
+    doubled = tuple(2 * n + 1 for n in shape)
+    for _ in range(cases):
+        picks = _random_picks(rng, shape)
+        mask = cubical_oracle.mask_of(picks, doubled)
+        closed = block.closure(mask)
+        assert np.array_equal(closed, cubical_oracle.mask_of(
+            cubical_oracle.closure(picks), doubled))
+        assert np.array_equal(mask, cubical_oracle.mask_of(picks, doubled))
 
 
 @pytest.mark.parametrize("shape,cases", _RANDOM_PAIRS)
 def test_reduction_matches_snf_on_random_cubical_pairs(shape, cases):
-    for cells, sub in _random_pairs(shape, cases):
+    for _, _, cells, sub in _random_pairs(shape, cases):
         c = homalg.build_cubical_complex(cells, sub)
         for coeff in ("Z", "Z2"):
             assert homalg.homology(c, coeff) == _oracle_homology(c, coeff)
@@ -322,7 +347,8 @@ def test_reduction_matches_snf_on_random_cubical_pairs(shape, cases):
 
 def _dense_cubical_boundaries(cells, sub):
     """Dense boundary matrices of the pair, filled entry by entry from
-    ``cell_boundary`` with the cells of each dimension in sorted order."""
+    the oracle's ``cell_boundary`` with the cells of each dimension in
+    sorted order."""
     use = sorted(set(cells) - set(sub))
     by_dim = {}
     for c in use:
@@ -334,17 +360,28 @@ def _dense_cubical_boundaries(cells, sub):
     for k in range(1, top + 1):
         M = [[0] * dims[k] for _ in range(dims[k - 1])]
         for j, c in enumerate(by_dim[k]):
-            for f, sign in homalg.cell_boundary(c):
+            for f, sign in cubical_oracle.cell_boundary(c):
                 if f not in sub:
                     M[index[f]][j] += sign
         boundaries[k] = M
     return dims, boundaries
 
 
+def _assert_matches_the_oracle(c, oc):
+    """The same chain groups and columns, dict for dict, as the oracle's
+    complex, and the same homology over Z and over Z/2."""
+    assert c.dims == oc.dims
+    assert c.columns == oc.columns
+    for coeff in ("Z", "Z2"):
+        assert homalg.homology(c, coeff) == homalg.homology(oc, coeff)
+
+
 @pytest.mark.parametrize("shape,cases", _RANDOM_PAIRS)
 def test_cubical_columns_match_the_dense_boundaries(shape, cases):
-    for cells, sub in _random_pairs(shape, cases):
-        c = homalg.build_cubical_complex(cells, sub)
+    for cells, sub, cell_mask, sub_mask in _random_pairs(shape, cases):
+        c = homalg.build_cubical_complex(cell_mask, sub_mask)
+        _assert_matches_the_oracle(c, cubical_oracle.build_cubical_complex(
+            cells, sub))
         dims, boundaries = _dense_cubical_boundaries(cells, sub)
         assert c.dims == dims
         for k in range(1, c.top + 1):
@@ -396,9 +433,25 @@ def test_cubical_square_relative_two_edges():
     assert h.describe() == "H_1 = Z"
 
 
+def _assert_block_matches_the_oracle(b, ex=None):
+    """The cells, the exit set ``ex`` (none by default) and the relative
+    complex of a block agree with the oracle's tuple forms."""
+    _, lo, _ = b._cube_box
+    cells = block.block_cells(b)
+    assert cubical_oracle.cells_of(cells, lo) == cubical_oracle.block_cells(b)
+    if ex is None:
+        ex, oex = np.zeros_like(cells), set()
+    else:
+        oex = cubical_oracle.exit_set(b)
+    assert cubical_oracle.cells_of(ex, lo) == oex
+    _assert_matches_the_oracle(homalg.build_cubical_complex(cells, ex),
+                               cubical_oracle.build_cubical_complex(
+                                   cubical_oracle.block_cells(b), oex))
+
+
 def test_cubical_interval_absolute():
     cb, ex = _classified([(-2, 2)], ["x1 - x1^3"])
-    assert ex == set()
+    assert np.count_nonzero(ex) == 0
     h = homalg.cubical_relative_homology(cb, ex)
     assert h.describe() == "H_0 = Z"
 
@@ -413,13 +466,28 @@ def test_cubical_annulus_absolute():
     cubes = [(i, j) for i in range(8) for j in range(8)
              if not (i in (3, 4) and j in (3, 4))]
     b = block.build_block(cubes=cubes, origin=(-2.0, -2.0), spacing=0.5)
-    h = homalg.cubical_relative_homology(b, set())
+    none = np.zeros_like(block.block_cells(b))
+    h = homalg.cubical_relative_homology(b, none)
+    assert h.describe() == "H_0 = Z; H_1 = Z"
+
+
+def test_cubical_annulus_at_negative_cube_indices():
+    # the annulus above, its cube indices starting at -4 instead of 0
+    cubes = [(i, j) for i in range(-4, 4) for j in range(-4, 4)
+             if not (i in (-1, 0) and j in (-1, 0))]
+    b = block.build_block(cubes=cubes, origin=(0.0, 0.0), spacing=0.5)
+    cells = block.block_cells(b)
+    assert cells.shape == (17, 17)
+    assert np.count_nonzero(cells) == len(cubical_oracle.block_cells(b))
+    _assert_block_matches_the_oracle(b)
+    h = homalg.cubical_relative_homology(b, np.zeros_like(cells))
     assert h.describe() == "H_0 = Z; H_1 = Z"
 
 
 def test_cubical_saddle_3d_quarter_spacing():
     # 512 cubes, chain groups [567, 1656, 1600, 512]
     cb, ex = _classified([(-1, 1)] * 3, ["x1", "-x2", "-x3"], spacing=0.25)
+    _assert_block_matches_the_oracle(cb, ex)
     for coeff, want in (("Z", "H_1 = Z"), ("Z2", "H_1 = Z2")):
         h = homalg.cubical_relative_homology(cb, ex, coeff=coeff)
         assert h.describe() == want
@@ -440,6 +508,7 @@ def test_cubical_path_builds_no_dense_matrix(monkeypatch):
 def test_cubical_saddle_3d_eighth_spacing():
     # 4,096 cubes, chain groups [4335, 12784, 12544, 4096]
     cb, ex = _classified([(-1, 1)] * 3, ["x1", "-x2", "-x3"], spacing=0.125)
+    _assert_block_matches_the_oracle(cb, ex)
     for coeff, want in (("Z", "H_1 = Z"), ("Z2", "H_1 = Z2")):
         h = homalg.cubical_relative_homology(cb, ex, coeff=coeff)
         assert h.describe() == want
@@ -447,18 +516,38 @@ def test_cubical_saddle_3d_eighth_spacing():
 
 def test_cubical_rejects_non_closed_subcomplex():
     b = block.build_block(box=[(0, 1)], spacing=0.5)
-    edge = ((0, 1),)
-    with pytest.raises(homalg.HomalgError):
-        homalg.build_cubical_complex(block.block_cells(b), {edge})
+    cells = block.block_cells(b)
+    edge = np.zeros_like(cells)
+    edge[1] = True  # the edge (0, 1) without its end points
+    with pytest.raises(homalg.HomalgError, match="relative subcomplex"):
+        homalg.build_cubical_complex(cells, edge)
+    with pytest.raises(homalg.HomalgError, match="cell set"):
+        homalg.build_cubical_complex(edge, np.zeros_like(cells))
+    with pytest.raises(homalg.HomalgError, match="doubled grid"):
+        homalg.build_cubical_complex(cells, edge[:3])
+    with pytest.raises(homalg.HomalgError, match="doubled grid"):
+        homalg.build_cubical_complex(cells[:4], edge[:4])
 
 
 def test_cell_boundary_of_boundary_vanishes():
-    square = ((0, 1), (0, 1))
-    acc = {}
-    for face, s in homalg.cell_boundary(square):
-        for sub, s2 in homalg.cell_boundary(face):
-            acc[sub] = acc.get(sub, 0) + s * s2
-    assert all(v == 0 for v in acc.values())
+    # the closed unit cube of every dimension 1..4: each k-cell has 2k
+    # faces of sign +-1, and d_{k-1} d_k = 0 entry by entry
+    for m in range(1, 5):
+        cube = np.zeros((3,) * m, dtype=bool)
+        cube[(1,) * m] = True
+        c = homalg.build_cubical_complex(block.closure(cube))
+        assert c.dims == [math.comb(m, k) * 2 ** (m - k)
+                          for k in range(m + 1)]
+        for k in range(1, m + 1):
+            assert all(len(col) == 2 * k and set(col.values()) <= {1, -1}
+                       for col in c.columns[k])
+        for k in range(2, m + 1):
+            for col in c.columns[k]:
+                acc = {}
+                for face, s in col.items():
+                    for sub, s2 in c.columns[k - 1][face].items():
+                        acc[sub] = acc.get(sub, 0) + s * s2
+                assert all(v == 0 for v in acc.values())
 
 
 # ---------------------------------------------------------------------------
