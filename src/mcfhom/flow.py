@@ -3,8 +3,9 @@
 One embedded Dormand-Prince 5(4) stepper with PI step-size control,
 ``_dopri5``, advances an (m, N) state: N orbits side by side, each column
 with its own time, step size, controller history, attempt count and
-target time, and optionally its own value of the field's parameter lam,
-so that one batch can integrate a whole family of fields.  Every entry
+target time, and optionally its own direction of time and its own value
+of the field's parameter lam, so that one batch can integrate forward and
+backward orbits, or a whole family of fields.  Every entry
 point runs a whole batch.
 ``integrate_columns`` runs orbits until a column-wise stop test;
 ``classify_limit`` labels the orbits of N start points, with a column-wise
@@ -127,10 +128,12 @@ def _dopri5(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
     """Advance every column of the (m, N) state x0 from t = 0 until
     |t| = target, a scalar or one value per column.
 
-    ``F(X, lam)`` maps an (m, n) array of states to their derivatives.
-    ``lam`` is one parameter value for all columns, or an (N,) array of one
-    value per column; an array is packed with the running columns, so ``F``
-    gets the values of the n columns it evaluates.  A stage
+    ``direction`` is the direction of time, +1 or -1, for all columns or as
+    an (N,) array of one sign per column.  ``F(X, lam)`` maps an (m, n)
+    array of states to their derivatives.  ``lam`` is one parameter value
+    for all columns, or an (N,) array of one value per column; an array is
+    packed with the running columns, so ``F`` gets the values of the n
+    columns it evaluates.  A stage
     that is not finite, or for which F raises ValueError, ZeroDivisionError
     or OverflowError, rejects the step of its column with h *= 0.25.
     ``accepted(cols, t, x_old, x_new, f_new)``, if given, is called after
@@ -152,6 +155,7 @@ def _dopri5(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
     m, n = x0.shape
     per_column = np.ndim(lam) == 1
     target = np.broadcast_to(np.asarray(target, dtype=float), (n,)).copy()
+    direction = np.broadcast_to(np.asarray(direction, dtype=float), (n,))
     out = _Run(np.zeros(n), np.array(x0, dtype=float), np.zeros(n, int),
                np.zeros(n, int), np.zeros(n, int))
     cols = np.arange(n)
@@ -172,15 +176,16 @@ def _dopri5(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
             if code.any():
                 gone = code != 0
                 c = cols[gone]
-                out.t[c], out.x[:, c], out.steps[c] = t[gone], X[:, gone], \
-                    steps[gone]
+                out.t[c], out.x[:, c], out.steps[c] = \
+                    direction[gone] * t[gone], X[:, gone], steps[gone]
                 out.rejected[c], out.status[c] = rejected[gone], code[gone]
                 keep = ~gone
                 cols, X, f0, t, h, errprev = (cols[keep], X[:, keep],
                                               f0[:, keep], t[keep],
                                               h[keep], errprev[keep])
-                attempts, steps, rejected, target = (
-                    attempts[keep], steps[keep], rejected[keep], target[keep])
+                attempts, steps, rejected, target, direction = (
+                    attempts[keep], steps[keep], rejected[keep], target[keep],
+                    direction[keep])
                 if per_column:
                     lam = lam[keep]
                 K = np.empty((7, m, cols.size))
@@ -220,8 +225,8 @@ def _dopri5(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
                 stop = False
                 if accepted is not None:
                     stop = np.asarray(accepted(
-                        cols[sel], direction * t[sel], X[:, sel], xa, fa),
-                        dtype=bool)
+                        cols[sel], direction[sel] * t[sel], X[:, sel], xa,
+                        fa), dtype=bool)
                 if every:
                     X, f0 = xa, fa
                 else:
@@ -230,7 +235,6 @@ def _dopri5(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
                     t[sel] >= target[sel], DONE, code[sel]))
             rejected += ~ok
             code[(code == 0) & ~(h >= 1e-14 * (np.abs(t) + 1.0))] = UNDERFLOW
-    out.t *= direction
     return out
 
 
@@ -377,10 +381,12 @@ class LimitClass:
 
 
 def classify_limit(gradfield, X0, crits, block, tols=DEFAULT, lam=None,
-                   scale=None):
+                   scale=None, direction=1):
     """Run the orbit of every column of the (m, N) array X0 until capture
     at a critical point, exit from the block, or time budget, as one
-    ``_dopri5`` batch.
+    ``_dopri5`` batch.  ``direction`` is the direction of time, one sign
+    for all columns or an (N,) array of one sign per column, so that one
+    batch can run forward and backward orbits of the same field.
 
     After each accepted step a column is tested in this order: it has
     exited once its new point lies outside the block; it is captured once
@@ -423,7 +429,7 @@ def classify_limit(gradfield, X0, crits, block, tols=DEFAULT, lam=None,
             captor[cols[caught]] = np.argmax(near[:, caught], axis=0)
         return out | caught | ambiguous
 
-    run = _dopri5(F, X0, 1, tols.t_budget, tols.rtol, tols.atol,
+    run = _dopri5(F, X0, direction, tols.t_budget, tols.rtol, tols.atol,
                   tols.max_steps, stop, lam)
     for j in range(n):
         errors[j] = errors[j] or _failure(run, tols.max_steps, j)

@@ -17,17 +17,20 @@ counted on a zero-sphere wherever one side is one:
 - k = 1: forward on -grad f from the seeds p +- delta_u v_u, where v_u is
   the unstable eigenvector of p.  The sign of a witness is the sign of its
   direction coefficient, the orientation convention for an index-0 target.
-- k = m: backward on +grad f from the seeds q +- delta_u v_s of every target
-  q, where v_s is the stable eigenvector of q.  An orbit from q + sigma
-  delta_u v_s that reaches p is a witness of p -> q; its sign is
-  sign det(U_p) * sign det[-sigma v_s, U_q], with U the unstable frames,
-  since the flow's Jacobian has positive determinant (Liouville's formula).
+- k = m: backward in time on -grad f (forward on +grad f) from the seeds
+  q +- delta_u v_s of every target q, where v_s is the stable eigenvector
+  of q.  An orbit from q + sigma delta_u v_s that reaches p is a witness of
+  p -> q; its sign is sign det(U_p) * sign det[-sigma v_s, U_q], with U the
+  unstable frames, since the flow's Jacobian has positive determinant
+  (Liouville's formula).
 
 Every seed of a zero-sphere is read, so its orbit must settle: one that
 hits the time budget, or that is captured at a critical point of another
 index than the adjacent one (a connection that is not Morse-Smale), raises
-``MorseError``.  All forward zero-sphere seeds of a search go in one
-``flow.classify_limit`` batch, and all backward ones in another.
+``MorseError``.  All zero-sphere seeds of a search go in one
+``flow.classify_limit`` batch on the same field, each column with its own
+direction of time: the forward seeds first, then the backward ones, which
+are read in this order.
 
 For 1 < k < m the seeds live on a small sphere inside the unstable
 eigenspace of p (``ConnectionFinder.sphere_search``, which also serves as
@@ -306,10 +309,11 @@ class ConnectionFinder:
 
         Sources of index 1 are searched forward on their unstable S^0 and
         sources of index m backward from the stable S^0 of every target of
-        index m - 1 (``_zero_sphere``), which finds the witnesses of all
-        sources of index m at once.  The other sources go to
-        ``sphere_search``.  The forward zero-sphere batch is read first,
-        then the backward one, then the spheres."""
+        index m - 1, which finds the witnesses of all sources of index m at
+        once.  Both kinds of seed run in one ``_zero_sphere`` batch, the
+        forward ones first; its forward orbits are read and stored first,
+        then its backward ones.  The other sources go to
+        ``sphere_search``."""
         m = self.b.dimension
         todo = []
         for x in sources:
@@ -320,25 +324,26 @@ class ConnectionFinder:
             else:
                 self._witnesses[x.ident] = {}
         ones = [x for x in todo if x.index == 1]
-        found = self._zero_sphere(self.gradfield,
-                                  [(x, x.frame[0]) for x in ones], 0)
+        backward = any(x.index == m > 1 for x in todo)
+        targets = [q for q in self.crits if q.index == m - 1] \
+            if backward else []
+        orbits = self._zero_sphere([(x, x.frame[0], 1) for x in ones]
+                                   + [(q, q.stable[0], -1) for q in targets])
+        found = self._captures(orbits[:2 * len(ones)])
         for x in ones:
             self._witnesses[x.ident] = {}
         for x, sigma, c, t in found:
             self._witnesses[x.ident].setdefault(c.ident, []).append(
                 Witness((float(sigma),), sigma, t))
-        if any(x.index == m > 1 for x in todo):
-            self._search_backward()
+        if backward:
+            self._sign_backward(self._captures(orbits[2 * len(ones):]))
         self.sphere_search([x for x in todo if 1 < x.index < m])
 
-    def _search_backward(self):
-        """The witnesses of every source of index m, from the orbits of
-        +grad f that leave the stable S^0 of each target of index m - 1."""
+    def _sign_backward(self, found):
+        """Store the witnesses of every source of index m, from the
+        captures (q, sigma, x, t) of the orbits that leave the stable S^0
+        of each target q of index m - 1 backward in time."""
         m = self.b.dimension
-        up = expr.FieldDef(m, tuple(expr.neg(c)
-                                    for c in self.gradfield.components))
-        targets = [q for q in self.crits if q.index == m - 1]
-        found = self._zero_sphere(up, [(q, q.stable[0]) for q in targets], m)
         tops = [x for x in self.crits
                 if x.index == m and x.ident not in self._witnesses]
         for x in tops:
@@ -353,30 +358,39 @@ class ConnectionFinder:
             self._witnesses[x.ident].setdefault(q.ident, []).append(
                 Witness((float(sigma),), sign, t))
 
-    def _zero_sphere(self, field, seeds, index):
-        """Run the orbits of ``field`` from x + sigma delta_u v, for each
-        (x, v) of ``seeds`` and sigma = 1, -1 in this order, as one
-        ``flow.classify_limit`` batch.  Returns (x, sigma, c, capture time)
-        for each orbit captured at a critical point c, in seed order.
-
-        Every orbit is read, so the first one, in seed order, that fails
-        raises its error; that hits the time budget, or is captured at a
-        critical point whose index is not ``index`` (a connection that is
-        not Morse-Smale), raises MorseError."""
+    def _zero_sphere(self, seeds):
+        """Run the orbits of the gradient field from x + sigma delta_u v,
+        for each (x, v, direction) of ``seeds`` and sigma = 1, -1 in this
+        order, as one ``flow.classify_limit`` batch: forward in time where
+        direction is 1, backward where it is -1.  Returns, per orbit in
+        seed order, (x, sigma, direction, tag, capturing ident, error,
+        signed end time)."""
         if not seeds:
             return []
-        X0 = np.column_stack([np.asarray(x.coords) + self.tols.delta_u * (
-            sigma * np.asarray(v)) for x, v in seeds for sigma in (1, -1)])
+        seeds = [(x, sigma, d, sigma * np.asarray(v))
+                 for x, v, d in seeds for sigma in (1, -1)]
+        X0 = np.column_stack([np.asarray(x.coords) + self.tols.delta_u * v
+                              for x, _, _, v in seeds])
         lc, run = flow.classify_limit(
-            field, X0, self.crits, self.b, tols=self.tols, lam=self.lam,
-            scale=self.scale)
+            self.gradfield, X0, self.crits, self.b, tols=self.tols,
+            lam=self.lam, scale=self.scale,
+            direction=np.array([d for _, _, d, _ in seeds]))
+        return [(x, sigma, d, *label) for (x, sigma, d, _), *label in zip(
+            seeds, lc.tag, lc.crit_id, lc.errors, run.t)]
+
+    def _captures(self, orbits):
+        """(x, sigma, c, capture time) for each orbit of ``_zero_sphere``
+        captured at a critical point c, in seed order.
+
+        Every orbit is read, so the first one that fails raises its error;
+        that hits the time budget, or is captured at a critical point whose
+        index is not the adjacent one, x.index - direction (a connection
+        that is not Morse-Smale), raises MorseError."""
         found = []
-        for j, (tag, ident, err, t) in enumerate(zip(
-                lc.tag, lc.crit_id, lc.errors, run.t)):
-            x, sigma = seeds[j // 2][0], (1, -1)[j % 2]
+        for x, sigma, d, tag, ident, err, t in orbits:
             where = (f"the orbit from critical point {x.ident} at "
                      f"{x.coords} along seed {sigma:+d} of its "
-                     f"{'unstable' if index < x.index else 'stable'} S^0")
+                     f"{'unstable' if d > 0 else 'stable'} S^0")
             if tag == "failed":
                 raise err
             if tag == "budget":
@@ -384,7 +398,7 @@ class ConnectionFinder:
                                  f"orbit would be a miscount")
             if tag == "converged":
                 c = self.by_id[ident]
-                if c.index != index:
+                if c.index != x.index - d:
                     raise MorseError(
                         f"{where} is captured at critical point {ident} of "
                         f"index {c.index}: the connection is not "

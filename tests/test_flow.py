@@ -370,6 +370,49 @@ def test_classify_columns_equal_single_columns_bit_for_bit():
             assert amb_run.t[j] == run.t[j]
 
 
+def test_classify_per_column_direction_equals_single_columns_bit_for_bit():
+    # the saddle sheet's -grad f scaled by 1 + lam, every third column
+    # backward in time: those run into the index-2 point at the origin or
+    # leave through x1 = +-2; each column has its own lam as well
+    fld0, b, crits = _saddle_sheet_setup()
+    fld = expr.parse_field(["-(1 + lam)*4*x1*(x1^2 - 1)",
+                            "(1 + lam)*2*x2"], 2)
+    tols = dataclasses.replace(DEFAULT, t_budget=2.0)
+    scale = flow.field_scale(fld0, b)
+    x1 = np.array([-1.9, -1.3, -0.6, -2e-4, 3e-4, 0.4, 1.2, 1.7])
+    X0 = np.vstack([np.tile(x1, 3), np.repeat([0.0, 0.3, -1e-3], x1.size)])
+    n = X0.shape[1]
+    direction = np.where(np.arange(n) % 3 == 0, -1, 1)
+    lam = np.where(np.arange(n) % 2 == 1, 0.5, 0.0)
+    lc, run = flow.classify_limit(fld, X0, crits, b, tols=tols, lam=lam,
+                                  scale=scale, direction=direction)
+    for d in (1, -1):
+        assert {tag for tag, dj in zip(lc.tag, direction) if dj == d} == \
+            {"converged", "exited", "budget"}
+    assert np.array_equal(np.sign(run.t), direction)
+    # columns leave in different rounds, and some rounds reject the steps
+    # of some columns only
+    assert len(set(run.steps + run.rejected)) > 1
+    assert 0 < np.count_nonzero(run.rejected) < n
+    # a backward column is also, bit for bit, a forward column of +grad f
+    up = expr.FieldDef(2, tuple(expr.neg(c) for c in fld.components))
+    back = direction < 0
+    up_lc, up_run = flow.classify_limit(up, X0[:, back], crits, b, tols=tols,
+                                        lam=lam[back], scale=scale)
+    assert up_lc.tag == tuple(np.array(lc.tag)[back])
+    assert np.array_equal(-up_run.t, run.t[back])
+    assert np.array_equal(up_run.x, run.x[:, back])
+    for j in range(n):
+        one, one_run = flow.classify_limit(
+            fld, X0[:, j:j + 1], crits, b, tols=tols, lam=float(lam[j]),
+            scale=scale, direction=int(direction[j]))
+        assert (one.tag[0], one.crit_id[0]) == (lc.tag[j], lc.crit_id[j])
+        assert one_run.t[0] == run.t[j]
+        assert np.array_equal(one_run.x[:, 0], run.x[:, j])
+        assert (one_run.steps[0], one_run.rejected[0]) == \
+            (run.steps[j], run.rejected[j])
+
+
 def test_classify_raises_on_step_failure():
     fld, b, crits = _saddle_sheet_setup()
     X0 = np.array([[0.5, -0.5], [0.3, 0.0]])
@@ -477,14 +520,22 @@ def test_per_column_targets_equal_single_runs_bit_for_bit():
     rng = np.random.default_rng(11)
     X0 = rng.uniform(-3, 3, size=(2, 16))
     T = rng.uniform(0.5, 7.5, size=16)
-    for direction in (1, -1):
+    # last, a batch with its own direction of time per column
+    for direction in (1, -1, np.where(np.arange(16) % 3 == 0, -1, 1)):
+        signs = np.broadcast_to(direction, (16,))
+
+        def leave_disk(cols, t, x_old, x_new, f_new):
+            # the times handed over are signed column by column
+            assert np.array_equal(np.sign(t), signs[cols])
+            return _leave_disk(cols, t, x_old, x_new, f_new)
+
         many = flow._dopri5(F, X0, direction, T, DEFAULT.rtol, DEFAULT.atol,
-                            2000, _leave_disk)
+                            2000, leave_disk)
         assert set(many.status) == {flow.STOPPED, flow.DONE}
         done = many.status == flow.DONE
-        assert np.array_equal(direction * many.t[done], T[done])
+        assert np.array_equal(signs[done] * many.t[done], T[done])
         for j in range(X0.shape[1]):
-            one = flow._dopri5(F, X0[:, j:j + 1], direction, T[j],
+            one = flow._dopri5(F, X0[:, j:j + 1], signs[j], T[j],
                                DEFAULT.rtol, DEFAULT.atol, 2000, _leave_disk)
             assert one.t[0] == many.t[j]
             assert np.array_equal(one.x[:, 0], many.x[:, j])

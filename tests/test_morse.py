@@ -218,9 +218,11 @@ def test_batched_labels_equal_one_column_labels(monkeypatch):
     classify = flow.classify_limit
     widths = []
 
-    def one_column_at_a_time(gradfield, X0, *args, **kwargs):
+    def one_column_at_a_time(gradfield, X0, *args, direction=1, **kwargs):
         widths.append(X0.shape[1])
-        parts = [classify(gradfield, X0[:, j:j + 1], *args, **kwargs)
+        signs = np.broadcast_to(direction, X0.shape[1:])
+        parts = [classify(gradfield, X0[:, j:j + 1], *args,
+                          direction=signs[j], **kwargs)
                  for j in range(X0.shape[1])]
         lc = flow.LimitClass(*(sum((getattr(p[0], fd.name) for p in parts),
                                    ()) for fd in dataclasses.fields(
@@ -619,6 +621,47 @@ def test_zero_sphere_budget_hit_raises():
             r"stable S\^0 hit the time budget")):
         finder.witnesses_for(source.ident)
     assert finder.budget_hits == 0
+
+
+def test_zero_spheres_of_one_search_share_one_batch(monkeypatch):
+    # the product double well in 2-D: the four index-1 saddles are searched
+    # forward on their unstable S^0, and the source at the origin backward
+    # from their stable S^0, all in one batch of 2 (4 + 4) orbits
+    f, b, crits = _product_double_well()
+    gradfield = expr.negative_gradient(f, 2)
+    ones = [c for c in crits if c.index == 1]
+    top = next(c for c in crits if c.index == 2)
+    classify = flow.classify_limit
+    widths = []
+
+    def counted(gradfield, X0, *args, **kwargs):
+        widths.append(X0.shape[1])
+        return classify(gradfield, X0, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "classify_limit", counted)
+    monkeypatch.setattr(sphere, "Sphere", None)
+    one = morse.ConnectionFinder(gradfield, b, crits, tols=_COARSE)
+    one.search(ones + [top])
+    assert widths == [16]
+    apart = morse.ConnectionFinder(gradfield, b, crits, tols=_COARSE)
+    apart.search(ones)
+    apart.search([top])
+    assert widths == [16, 8, 8]
+    for x in ones + [top]:
+        assert one.witnesses_for(x.ident) == apart.witnesses_for(x.ident)
+    assert sum(len(ws) for ws in one.witnesses_for(top.ident).values()) == 4
+
+    # in one batch the forward orbits are still read first: with a short
+    # budget every orbit hits it, and the first one of the first index-1
+    # source is the one raised; the batch holds its two orbits and the
+    # eight from the stable S^0 of every index-1 target
+    short = dataclasses.replace(_COARSE, t_budget=1e-3)
+    finder = morse.ConnectionFinder(gradfield, b, crits, tols=short)
+    with pytest.raises(morse.MorseError, match=(
+            rf"critical point {ones[0].ident} at .* seed \+1 of its "
+            r"unstable S\^0 hit the time budget")):
+        finder.search([top, ones[0]])
+    assert widths[3:] == [10]
 
 
 def _first_orbit_captured_at(monkeypatch, ident):
