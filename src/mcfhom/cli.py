@@ -302,7 +302,7 @@ def cmd_relations(args):
                      _s_decl(entry["invariant_set"])))
     dec, whole, parts = conley.decomposition_analysis(
         fieldd, b, lyap, s_decl, subs, lam=lam, seed=args.seed,
-        epsilon=eps, tols=tols)
+        epsilon=eps, coeff=args.coeff, tols=tols)
     report["poincare_whole"] = str(dec.whole)
     report["poincare_parts"] = [str(p) for p in dec.parts]
     report["q_t"] = str(dec.q)
@@ -327,7 +327,7 @@ def cmd_continue(args):
     ok, r0, r1 = conley.continuation_invariance(
         fieldd, b, cont["grid"], lyap, lyap1, s_decl,
         _s_decl(cont["invariant_set_end"]), seed=args.seed, epsilon=eps,
-        tols=tols)
+        coeff=args.coeff, tols=tols)
     report["hi_start"] = _homology_table(r0.homology)
     report["hi_end"] = _homology_table(r1.homology)
     report["verdict"] = ok

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -128,18 +127,19 @@ class DecompositionReport:
 
 
 def decomposition_analysis(fieldd, s_block, s_lyap, s_decl, sub_specs,
-                           lam=None, seed=0, epsilon=None, tols=DEFAULT):
+                           lam=None, seed=0, epsilon=None, coeff="Z",
+                           tols=DEFAULT):
     """Morse relations for a declared decomposition.
 
     ``sub_specs`` is a list of (block, lyapunov Expr, SDeclaration) for the
     Morse sets, pairwise disjoint inside the S block.
     """
     whole = compute_HI(fieldd, s_block, s_lyap, s_decl, lam=lam, seed=seed,
-                       epsilon=epsilon, tols=tols)
+                       epsilon=epsilon, coeff=coeff, tols=tols)
     parts = []
     for sb, sl, sd in sub_specs:
         parts.append(compute_HI(fieldd, sb, sl, sd, lam=lam, seed=seed,
-                                epsilon=epsilon, tols=tols))
+                                epsilon=epsilon, coeff=coeff, tols=tols))
     pw = homalg.poincare(whole.homology)
     pp = [homalg.poincare(p.homology) for p in parts]
     q = homalg.relations_check(pp, pw)
@@ -163,18 +163,16 @@ class AttractorRepellerReport:
                 and self.q == self.q_deficit)
 
 
-def _split_complex(complex_, crits, a_block, r_block):
-    """Partition generators of the S complex into attractor and repeller
-    generators by containment of their coordinates, and return per-degree
-    index lists (A first)."""
-    by_label = {}
-    for c in crits:
-        by_label[str(c.coords)] = c
-    order = {}
-    for k, labels in complex_.labels.items():
+def _split_complex(crits, top, a_block, r_block):
+    """Partition the generators of the S complex into attractor and
+    repeller generators by containment of their coordinates, and return
+    per-degree index lists (A first).  The generators of degree k are the
+    critical points of index k, in ``crits`` order, as ``morse.build_complex``
+    lays them out."""
+    order = []
+    for k in range(top + 1):
         a_idx, r_idx = [], []
-        for i, lab in enumerate(labels):
-            c = by_label[lab]
+        for i, c in enumerate(c for c in crits if c.index == k):
             p = np.asarray(c.coords)
             in_a = a_block.contains(p)
             in_r = r_block.contains(p)
@@ -183,7 +181,7 @@ def _split_complex(complex_, crits, a_block, r_block):
                     f"critical point {c.coords} is in "
                     f"{'both' if in_a else 'neither'} sub-block")
             (a_idx if in_a else r_idx).append(i)
-        order[k] = (a_idx, r_idx)
+        order.append((a_idx, r_idx))
     return order
 
 
@@ -192,20 +190,15 @@ def attractor_repeller(s_result, a_block, r_block):
     form, extract the connection data, and check the rank identity against
     the Poincare deficit."""
     complex_ = s_result.complex
-    crits = s_result.quadruple.crits
-    order = _split_complex(complex_, crits, a_block, r_block)
-    blocks = {}
-    na = {}
-    nr = {}
-    for k in range(complex_.top + 1):
-        a_idx, r_idx = order.get(k, ([], []))
-        na[k] = len(a_idx)
-        nr[k] = len(r_idx)
-    dA, dR, delta = {}, {}, {}
-    for k in range(1, complex_.top + 1):
+    top = complex_.top
+    order = _split_complex(s_result.quadruple.crits, top, a_block, r_block)
+    na = [len(a_idx) for a_idx, _ in order]
+    nr = [len(r_idx) for _, r_idx in order]
+    blocks, dA, dR, delta = {}, {}, {}, {}
+    for k in range(1, top + 1):
         M = complex_.boundary(k)
-        arow, rrow = order.get(k - 1, ([], []))
-        acol, rcol = order.get(k, ([], []))
+        arow, rrow = order[k - 1]
+        acol, rcol = order[k]
         dA[k] = [[M[i][j] for j in acol] for i in arow]
         dR[k] = [[M[i][j] for j in rcol] for i in rrow]
         delta[k] = [[M[i][j] for j in rcol] for i in arow]
@@ -217,111 +210,60 @@ def attractor_repeller(s_result, a_block, r_block):
                 f"(entry {v} at boundary degree {k}, row {i}, col {j}); "
                 "not an attractor-repeller pair at this resolution")
         blocks[k] = (dA[k], delta[k], dR[k])
-    ca = homalg.ChainComplex([na.get(k, 0) for k in range(complex_.top + 1)],
-                             {k: _pad(dA[k], na.get(k - 1, 0), na.get(k, 0))
-                              for k in dA})
-    cr = homalg.ChainComplex([nr.get(k, 0) for k in range(complex_.top + 1)],
-                             {k: _pad(dR[k], nr.get(k - 1, 0), nr.get(k, 0))
-                              for k in dR})
-    ha = homalg.homology(ca)
-    hr = homalg.homology(cr)
+    ha = homalg.homology(homalg.ChainComplex(na, dA))
+    hr = homalg.homology(homalg.ChainComplex(nr, dR))
     # induced map on homology: rank of delta_k restricted to cycles of the
     # repeller complex, modulo boundaries of the attractor complex
-    dranks = {}
-    for k in range(1, complex_.top + 1):
-        dranks[k] = _induced_rank(
-            _pad(delta[k], na.get(k - 1, 0), nr.get(k, 0)),
-            _pad(dR.get(k, []), nr.get(k - 1, 0), nr.get(k, 0)),
-            _pad(dA.get(k, []), na.get(k - 1, 0), na.get(k, 0)),
-            nr.get(k, 0))
-    squares = _delta_squares_to_zero(complex_.top, dA, dR, delta, na, nr)
+    dranks = {k: _induced_rank(delta[k], dR[k], dA[k], nr[k])
+              for k in range(1, top + 1)}
+    squares = _delta_squares_to_zero(top, dA, dR, delta, na, nr)
     # rank identity: Q_t = sum_k rank(delta_k on homology) t^{k-1}
-    qcoeffs = [0] * (complex_.top + 1)
-    for k, r in dranks.items():
-        if r:
-            qcoeffs[k - 1] += r
-    q = homalg.PoincarePolynomial(tuple(qcoeffs))
+    q = homalg.PoincarePolynomial(tuple(dranks[k] for k in range(1, top + 1)))
     deficit = homalg.relations_check(
         [homalg.poincare(ha), homalg.poincare(hr)],
         homalg.poincare(s_result.homology))
     return AttractorRepellerReport(blocks, dranks, q, deficit, squares), ha, hr
 
 
-def _pad(M, rows, cols):
-    if not M:
-        return homalg.zeros(rows, cols)
-    return M
+def _rank(rows, *blocks):
+    """Rank over Q of the integer matrix [B_1 | B_2 | ...] with ``rows``
+    rows, as its number of Smith invariant factors.  A block with no
+    columns may be given with no rows."""
+    M = [[] for _ in range(rows)]
+    for B in blocks:
+        for out, row in zip(M, B):
+            out.extend(row)
+    return len(homalg.smith_normal_form(M)[0])
 
 
 def _delta_squares_to_zero(top, dA, dR, delta, na, nr):
-    """Assemble the connection matrix Delta on cycle coordinates of
-    H_*(A) + H_*(R) and verify its square vanishes exactly.
+    """Check that the connection matrix Delta on H_*(A) + H_*(R) exists
+    and squares to zero.
 
     Delta carries H_k(R) into H_{k-1}(A) via the induced delta_k and is
-    zero on H_*(A); the square is computed over Q on the assembled total
-    matrix."""
-    # cycle bases per degree
-    KA = {k: homalg.kernel_basis_fractions(
-        _pad(dA.get(k, []), na.get(k - 1, 0), na.get(k, 0)),
-        ncols=na.get(k, 0)) for k in range(top + 1)}
-    KR = {k: homalg.kernel_basis_fractions(
-        _pad(dR.get(k, []), nr.get(k - 1, 0), nr.get(k, 0)),
-        ncols=nr.get(k, 0)) for k in range(top + 1)}
-    # block entries: coordinates of delta_k (R cycle) in [KA_{k-1} | im dA_k]
-    blocks = {}
+    zero on H_*(A).  It exists when delta_k takes every R-cycle into
+    span(ker dA_{k-1}, im dA_k), that is when
+    rank [KA_{k-1} | dA_k | delta_k KR_k] = rank [KA_{k-1} | dA_k]
+    for the kernel bases KA and KR.  Its only nonzero block maps
+    R-coordinates into A-coordinates, so Delta^2 = 0 for any such Delta."""
     for k in range(1, top + 1):
-        dk = _pad(delta.get(k, []), na.get(k - 1, 0), nr.get(k, 0))
-        cols = []
-        basisA = KA.get(k - 1, [])
-        imA = _pad(dA.get(k, []), na.get(k - 1, 0), na.get(k, 0))
-        ncA = len(imA[0]) if imA and imA[0] else 0
-        rows = na.get(k - 1, 0)
-        span = [[basisA[j][i] for j in range(len(basisA))]
-                + [imA[i][j] for j in range(ncA)] for i in range(rows)]
-        for v in KR.get(k, []):
-            img = [sum(Fraction(dk[i][t]) * v[t] for t in range(len(v)))
-                   for i in range(rows)]
-            z = homalg.solve_fractions(span, img) if rows else []
-            if z is None:
-                return False  # delta of a cycle fails to be a cycle
-            cols.append(z[:len(basisA)])
-        blocks[k] = (cols, len(basisA))
-    # assemble the total matrix over all degrees and square it exactly
-    offA = {}
-    offR = {}
-    N = 0
-    for k in range(top + 1):
-        offA[k] = N
-        N += len(KA.get(k, []))
-    for k in range(top + 1):
-        offR[k] = N
-        N += len(KR.get(k, []))
-    D = [[Fraction(0)] * N for _ in range(N)]
-    for k, (cols, nak) in blocks.items():
-        for j, col in enumerate(cols):
-            for i, v in enumerate(col):
-                D[offA[k - 1] + i][offR[k] + j] = v
-    sq = homalg.matmul(D, D)
-    return all(all(v == 0 for v in row) for row in sq)
+        span = (homalg.kernel_basis(dA.get(k - 1, []), na[k - 1]), dA[k])
+        image = homalg.matmul(delta[k], homalg.kernel_basis(dR[k], nr[k]))
+        if _rank(na[k - 1], *span, image) != _rank(na[k - 1], *span):
+            return False  # delta of a cycle fails to be a cycle
+    return True
 
 
 def _induced_rank(delta, dR_k, dA_k, nr_k):
     """Rank of the map H_k(R) -> H_{k-1}(A) induced by delta.
 
-    Computed over Q: restrict delta to ker(dR_k) and mod out by im(dA_k):
-    rank = rank([delta K | dA_k]) - rank(dA_k), where K is a kernel basis.
+    Restrict delta to ker(dR_k) and mod out by im(dA_k):
+    rank = rank([delta K | dA_k]) - rank(dA_k) over Q, where K is a
+    Z-basis of ker(dR_k), which is a basis over Q too.
     """
-    K = homalg.kernel_basis_fractions(dR_k, ncols=nr_k)
+    K = homalg.kernel_basis(dR_k, nr_k)
     rows = len(delta)
-    if rows == 0 or not K:
-        return 0
-    dK = [[sum(Fraction(delta[i][t]) * K[j][t] for t in range(len(K[j])))
-           for j in range(len(K))] for i in range(rows)]
-    acols = len(dA_k[0]) if dA_k and dA_k[0] else 0
-    combined = [[dK[i][j] for j in range(len(K))]
-                + [Fraction(dA_k[i][j]) for j in range(acols)]
-                for i in range(rows)]
-    return homalg.rank_fractions(combined) - homalg.rank_fractions(dA_k)
+    return _rank(rows, homalg.matmul(delta, K), dA_k) - _rank(rows, dA_k)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +391,8 @@ def _endpoint_indices(f_lam, b, lam, tols):
 
 
 def continuation_invariance(family, b, lam_grid, lyap0, lyap1, s_decl0,
-                            s_decl1, seed=0, epsilon=None, tols=DEFAULT):
+                            s_decl1, seed=0, epsilon=None, coeff="Z",
+                            tols=DEFAULT):
     """Check isolation along the grid, as one family batch, then equality
     of endpoint HI.  The error names the first lam of the grid at which the
     block is not isolating."""
@@ -461,7 +404,7 @@ def continuation_invariance(family, b, lam_grid, lyap0, lyap1, s_decl0,
                 f"block stops isolating at lam = {lv} (trapped "
                 f"samples {r.failures[:3]}); not a continuation")
     r0 = compute_HI(family, b, lyap0, s_decl0, lam=float(lam_grid[0]),
-                    seed=seed, epsilon=epsilon, tols=tols)
+                    seed=seed, epsilon=epsilon, coeff=coeff, tols=tols)
     r1 = compute_HI(family, b, lyap1, s_decl1, lam=float(lam_grid[-1]),
-                    seed=seed, epsilon=epsilon, tols=tols)
+                    seed=seed, epsilon=epsilon, coeff=coeff, tols=tols)
     return r0.homology == r1.homology, r0, r1

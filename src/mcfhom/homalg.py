@@ -9,14 +9,13 @@ every boundary entry that is a unit of the coefficient ring (+-1 over Z,
 odd over Z/2) cancels its pair of generators by an elementary reduction, a
 chain homotopy equivalence.  What is left is small, and one Smith normal
 form over Z per degree of that residue gives the homology; over Z/2 the
-residue has no entries.  Exact Gauss-Jordan elimination over Q serves the
-connection-matrix algebra, and the tests use it, the Smith normal form and
-the mod-2 rank as oracles.
+residue has no entries.  The Smith normal form is also the one routine of
+the connection-matrix algebra: its number of invariant factors is a rank
+over Q, and its V gives a kernel basis (``kernel_basis``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 
 import numpy as np
@@ -181,100 +180,15 @@ def smith_normal_form(A):
     return diag, U, V
 
 
-# ---------------------------------------------------------------------------
-# rational elimination
-
-def _rref(rows, ncols):
-    """Reduced row echelon form over Q by exact Gauss-Jordan elimination.
-
-    Pivots are sought in the first ``ncols`` columns only; any further
-    columns (an augmented right-hand side) are carried along.  Returns the
-    reduced rows as Fractions and the list of pivot columns."""
-    M = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(M)) if M[i][col]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        pv = M[r][col]
-        M[r] = [v / pv for v in M[r]]
-        for i in range(len(M)):
-            if i != r and M[i][col]:
-                f = M[i][col]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        pivots.append(col)
-    return M, pivots
-
-
-def rank_fractions(A):
-    """Rank over Q by exact elimination."""
-    return len(_rref(A, shape(A)[1])[1])
-
-
-def kernel_basis_fractions(A, ncols=None):
-    """Basis (list of Fraction column vectors) of ker A over Q.
-
-    ``ncols`` disambiguates the domain dimension when A has no rows."""
-    m = ncols if not A and ncols is not None else shape(A)[1]
-    M, pivots = _rref(A, m)
-    basis = []
-    for j in range(m):
-        if j in pivots:
-            continue
-        v = [Fraction(0)] * m
-        v[j] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -M[r][j]
-        basis.append(v)
-    return basis
-
-
-def solve_fractions(A, b):
-    """One exact solution of A z = b over Q, or None if inconsistent.
-
-    ``A`` is a list of rows (ints or Fractions), ``b`` a column vector.
-    """
-    n, m = shape(A)
-    M, pivots = _rref([list(row) + [b[i]] for i, row in enumerate(A)], m)
-    if any(M[i][m] for i in range(len(pivots), n)):
-        return None
-    z = [Fraction(0)] * m
-    for r, pc in enumerate(pivots):
-        z[pc] = M[r][m]
-    return z
-
-
-def rank_mod2(A):
-    """Rank over Z/2 of an integer matrix, by elimination on bit rows.
-    ``homology`` needs no mod-2 rank (its Z/2 residue is empty); this is the
-    independent oracle that tests compare mod-2 Betti numbers against."""
-    n, m = shape(A)
-    rows = []
-    for row in A:
-        bits = 0
-        for j, v in enumerate(row):
-            if v & 1:
-                bits |= 1 << j
-        if bits:
-            rows.append(bits)
-    rank = 0
-    for col in range(m):
-        mask = 1 << col
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i] & mask:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i] & mask:
-                rows[i] ^= rows[rank]
-        rank += 1
-    return rank
+def kernel_basis(A, ncols):
+    """Z-basis of ker A, as the columns of an (ncols, nullity) matrix: the
+    columns of V after the rank, for U A V the Smith normal form.  Over Q
+    the same columns are a basis of the kernel.  A matrix with no rows
+    gives the identity basis."""
+    if not A:
+        return identity(ncols)
+    diag, _, V = smith_normal_form(A)
+    return [row[len(diag):] for row in V]
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +204,8 @@ class ChainComplex:
     dense matrices of shape (dims[k-1], dims[k]) that are converted here.
     ``boundary(k)`` builds the dense matrix of d_k on request."""
 
-    def __init__(self, dims, boundaries=None, labels=None, columns=None):
+    def __init__(self, dims, boundaries=None, columns=None):
         self.dims = list(dims)
-        self.labels = labels or {}  # k -> generator names
         self.columns = {}
         for k in range(1, self.top + 1):
             ck = (columns or {}).get(k) or [{} for _ in range(self.dims[k])]

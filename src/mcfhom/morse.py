@@ -597,7 +597,8 @@ def count_connections(x, y, finder, coeff="Z"):
 
 
 def build_complex(f, b, crits, lam=None, tols=DEFAULT, coeff="Z", seed=0):
-    """Assemble the Morse chain complex over the given critical points.
+    """Assemble the Morse chain complex over the given critical points:
+    C_k has the critical points of index k, in ``crits`` order.
     ``homalg.homology`` checks its d^2 = 0, which a missed or double-counted
     connecting orbit breaks."""
     finder = ConnectionFinder(expr.negative_gradient(f, b.dimension), b,
@@ -616,6 +617,4 @@ def build_complex(f, b, crits, lam=None, tols=DEFAULT, coeff="Z", seed=0):
                 counts.append(cc)
                 if cc.n:
                     ck[-1][i] = cc.n
-    labels = {k: [str(c.coords) for c in g] for k, g in enumerate(gens)}
-    return homalg.ChainComplex([len(g) for g in gens], labels=labels,
-                               columns=columns), counts
+    return homalg.ChainComplex([len(g) for g in gens], columns=columns), counts

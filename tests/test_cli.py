@@ -5,7 +5,7 @@ import os
 import jsonschema
 import pytest
 
-from mcfhom import cli
+from mcfhom import cli, conley
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -224,6 +224,27 @@ def test_z2_coefficients(capsys):
     assert out["hi"]["pretty"] == "H_1 = Z2"
     assert out["relative_cubical"]["pretty"] == "H_1 = Z2"
     assert out["coeff"] == "Z2"
+
+
+@pytest.mark.parametrize("command", ["relations", "continue"])
+def test_z2_coefficients_reach_every_homology(command, monkeypatch, capsys):
+    coeffs = []
+    compute = conley.compute_HI
+
+    def spy(*args, **kwargs):
+        coeffs.append(kwargs.get("coeff", "Z"))
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(conley, "compute_HI", spy)
+    code = cli.main([command, _path(f"double_well_{command}.json"),
+                     "--coeff", "Z2"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["coeff"] == "Z2"
+    assert coeffs and set(coeffs) == {"Z2"}
+    if command == "continue":
+        assert out["hi_start"]["pretty"] == "H_0 = Z2"
+        assert out["hi_end"]["pretty"] == "H_0 = Z2"
 
 
 def test_strict_profile_echoed(capsys):

@@ -2,10 +2,12 @@
 pairs, and continuation."""
 import math
 import os
+import random
 
 import numpy as np
 import pytest
 
+import algebra_oracle
 from mcfhom import block, cli, conley, expr, homalg, lyapunov, morse
 
 DW_FIELD = ["x1 - x1^3"]
@@ -218,6 +220,65 @@ def test_attractor_repeller_rejects_uncovered_generator():
     r_block = block.build_block(box=[(-0.25, 0.25)], spacing=0.25)
     with pytest.raises(conley.NotAttractorRepellerError, match="neither"):
         conley.attractor_repeller(res, a_block, r_block)
+
+
+def test_attractor_repeller_ring_and_its_repelling_centre():
+    # the unit circle attracts, the origin repels; the connecting orbits
+    # run from the index-2 maximum at the origin down into the ring
+    fld = expr.parse_field(["x1*(1 - x1^2 - x2^2) - 0.2*x2",
+                            "x2*(1 - x1^2 - x2^2) + 0.2*x1"], 2)
+    b = block.build_block(box=[(-2, 2), (-2, 2)], spacing=0.5)
+    V = expr.parse("-((x1^2 + x2^2)/2 - (x1^2 + x2^2)^2/4)", 2)
+    ring = tuple((math.cos(math.pi * i / 16), math.sin(math.pi * i / 16))
+                 for i in range(32))
+    sd = lyapunov.SDeclaration(ring + ((0.0, 0.0),), 0.15, 0.26)
+    res = conley.compute_HI(fld, b, V, sd, seed=0, epsilon=0.15,
+                            perturbation=expr.parse("x1", 2))
+    a_block = block.build_block(
+        cubes=[(i, j) for i in range(8) for j in range(8)
+               if not (3 <= i <= 4 and 3 <= j <= 4)],
+        origin=(-2.0, -2.0), spacing=0.5)
+    r_block = block.build_block(box=[(-0.5, 0.5), (-0.5, 0.5)], spacing=0.5)
+    rep, ha, hr = conley.attractor_repeller(res, a_block, r_block)
+    assert ha.describe() == "H_0 = Z; H_1 = Z"
+    assert hr.describe() == "H_2 = Z"
+    assert rep.delta_ranks == {1: 0, 2: 1}
+    assert str(rep.q) == "t"
+    assert rep.q == rep.q_deficit
+    assert rep.connection_matrix_squares_to_zero
+    assert rep.verdict
+
+
+def _random_block_complex(rng):
+    """Blocks dA, dR and delta of a random upper block-triangular boundary
+    [[dA, delta], [0, dR]] with small entries; d^2 = 0 is not enforced."""
+    top = rng.randint(1, 3)
+    na = [rng.randint(0, 3) for _ in range(top + 1)]
+    nr = [rng.randint(0, 3) for _ in range(top + 1)]
+
+    def mat(rows, cols):
+        return [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(cols)]
+                for _ in range(rows)]
+
+    dA = {k: mat(na[k - 1], na[k]) for k in range(1, top + 1)}
+    dR = {k: mat(nr[k - 1], nr[k]) for k in range(1, top + 1)}
+    delta = {k: mat(na[k - 1], nr[k]) for k in range(1, top + 1)}
+    return top, dA, dR, delta, na, nr
+
+
+def test_connection_matrix_algebra_agrees_with_the_fraction_oracle():
+    rng = random.Random(5)
+    flags = []
+    for _ in range(300):
+        top, dA, dR, delta, na, nr = _random_block_complex(rng)
+        for k in range(1, top + 1):
+            assert conley._induced_rank(delta[k], dR[k], dA[k], nr[k]) == \
+                algebra_oracle.induced_rank(delta[k], dR[k], dA[k], nr[k])
+        flag = conley._delta_squares_to_zero(top, dA, dR, delta, na, nr)
+        assert flag == algebra_oracle.delta_squares_to_zero(
+            top, dA, dR, delta, na, nr)
+        flags.append(flag)
+    assert True in flags and False in flags
 
 
 # ---------------------------------------------------------------------------

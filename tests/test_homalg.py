@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import algebra_oracle
 import cubical_oracle
 from mcfhom import block, expr, homalg
 
@@ -70,7 +71,7 @@ def test_snf_random_matrices_reconstruct():
     for _ in range(25):
         A = [[rng.randint(-9, 9) for _ in range(7)] for _ in range(6)]
         d = _check_snf(A, 6, 7)
-        assert len(d) == homalg.rank_fractions(A)
+        assert len(d) == algebra_oracle.rank_fractions(A)
 
 
 def test_rank_helpers_agree():
@@ -78,18 +79,18 @@ def test_rank_helpers_agree():
     for _ in range(20):
         A = [[rng.randint(-4, 4) for _ in range(5)] for _ in range(4)]
         assert len(homalg.smith_normal_form(A)[0]) == \
-            homalg.rank_fractions(A)
+            algebra_oracle.rank_fractions(A)
 
 
 def test_rank_mod2():
-    assert homalg.rank_mod2([[2, 0], [0, 1]]) == 1
-    assert homalg.rank_mod2([[1, 1], [1, 1]]) == 1
-    assert homalg.rank_mod2([[1, 0], [0, 1]]) == 2
+    assert algebra_oracle.rank_mod2([[2, 0], [0, 1]]) == 1
+    assert algebra_oracle.rank_mod2([[1, 1], [1, 1]]) == 1
+    assert algebra_oracle.rank_mod2([[1, 0], [0, 1]]) == 2
 
 
 def test_kernel_basis_spans_kernel():
     A = [[1, -1, 0], [0, 0, 0]]
-    K = homalg.kernel_basis_fractions(A, ncols=3)
+    K = algebra_oracle.kernel_basis_fractions(A, ncols=3)
     assert len(K) == 2
     for v in K:
         for row in A:
@@ -97,15 +98,40 @@ def test_kernel_basis_spans_kernel():
 
 
 def test_kernel_basis_of_empty_matrix_needs_ncols():
-    K = homalg.kernel_basis_fractions([], ncols=2)
+    K = algebra_oracle.kernel_basis_fractions([], ncols=2)
     assert len(K) == 2
 
 
 def test_solve_fractions():
     A = [[2, 0], [0, 3]]
-    x = homalg.solve_fractions(A, [4, 9])
+    x = algebra_oracle.solve_fractions(A, [4, 9])
     assert [int(v) for v in x] == [2, 3]
-    assert homalg.solve_fractions([[1, 0], [1, 0]], [1, 2]) is None
+    assert algebra_oracle.solve_fractions([[1, 0], [1, 0]], [1, 2]) is None
+
+
+def test_kernel_basis_is_a_z_basis_of_the_kernel():
+    rng = random.Random(3)
+    for trial in range(40):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+        # rank at most 2 on odd trials, so that the kernel is large
+        inner = rng.randint(1, 2) if trial % 2 else cols
+        A = homalg.matmul(
+            [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(rows)],
+            [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(inner)])
+        K = homalg.kernel_basis(A, cols)
+        assert len(K) == cols
+        nullity = cols - algebra_oracle.rank_fractions(A)
+        assert all(len(row) == nullity for row in K)
+        for j in range(nullity):
+            v = [row[j] for row in K]
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in A)
+        # a Z-basis of a kernel is a primitive lattice: invariant factors 1
+        assert homalg.smith_normal_form(K)[0] == [1] * nullity
+
+
+def test_kernel_basis_of_a_matrix_with_no_rows():
+    assert homalg.kernel_basis([], 3) == homalg.identity(3)
+    assert homalg.kernel_basis([], 0) == []
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +243,7 @@ def _oracle_homology(c, coeff):
     torsion = {}
     for k in range(1, c.top + 1):
         if coeff == "Z2":
-            ranks[k] = homalg.rank_mod2(c.boundary(k))
+            ranks[k] = algebra_oracle.rank_mod2(c.boundary(k))
         else:
             diag = homalg.smith_normal_form(c.boundary(k))[0]
             ranks[k] = len(diag)
