@@ -13,7 +13,7 @@ import sys
 
 import jsonschema
 
-from . import __version__, block as block_mod, conley, expr, homalg, \
+from . import __version__, block as block_mod, conley, expr, flow, homalg, \
     lyapunov, morse
 from .config import profile
 
@@ -168,7 +168,7 @@ def _parse_system(doc):
     except expr.ExprError as exc:
         raise InputError(str(exc)) from exc
     b = _build_block(doc["block"], m)
-    s_decl = _s_decl(doc.get("invariant_set"))
+    s_decl = _s_decl(doc.get("invariant_set"), m)
     lam = doc.get("options", {}).get("lam")
     eps = doc.get("options", {}).get("epsilon")
     return fieldd, b, lyap, s_decl, lam, eps, pert
@@ -184,9 +184,13 @@ def _fixed_system(doc):
     return fieldd, b, lyap, s_decl, lam, eps, pert
 
 
-def _s_decl(spec):
+def _s_decl(spec, m):
     if spec is None:
         return lyapunov.SDeclaration((), 0.0)
+    for p in spec["samples"]:
+        if len(p) != m:
+            raise InputError(f"invariant set sample {p} has {len(p)} "
+                             f"coordinates, dimension is {m}")
     return lyapunov.SDeclaration(
         tuple(tuple(p) for p in spec["samples"]), spec["radius"],
         spec.get("value_tol", 1e-8))
@@ -299,7 +303,7 @@ def cmd_relations(args):
         except expr.ExprError as exc:
             raise InputError(str(exc)) from exc
         subs.append((_build_block(entry["block"], m), sl,
-                     _s_decl(entry["invariant_set"])))
+                     _s_decl(entry["invariant_set"], m)))
     dec, whole, parts = conley.decomposition_analysis(
         fieldd, b, lyap, s_decl, subs, lam=lam, seed=args.seed,
         epsilon=eps, coeff=args.coeff, tols=tols)
@@ -326,7 +330,7 @@ def cmd_continue(args):
         raise InputError(str(exc)) from exc
     ok, r0, r1 = conley.continuation_invariance(
         fieldd, b, cont["grid"], lyap, lyap1, s_decl,
-        _s_decl(cont["invariant_set_end"]), seed=args.seed, epsilon=eps,
+        _s_decl(cont["invariant_set_end"], m), seed=args.seed, epsilon=eps,
         coeff=args.coeff, tols=tols)
     report["hi_start"] = _homology_table(r0.homology)
     report["hi_end"] = _homology_table(r1.homology)
@@ -389,7 +393,8 @@ def main(argv=None):
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (block_mod.BlockError, lyapunov.LyapunovError, morse.MorseError,
-            homalg.HomalgError, conley.ConleyError, expr.ExprError) as exc:
+            homalg.HomalgError, conley.ConleyError, expr.ExprError,
+            flow.IntegrationError, flow.AmbiguousCaptureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(report, args)

@@ -5,17 +5,15 @@ One embedded Dormand-Prince 5(4) stepper with PI step-size control,
 with its own time, step size, controller history, attempt count and
 target time, and optionally its own direction of time and its own value
 of the field's parameter lam, so that one batch can integrate forward and
-backward orbits, or a whole family of fields.  Every entry
-point runs a whole batch.
-``integrate_columns`` runs orbits until a column-wise stop test;
-``classify_limit`` labels the orbits of N start points, with a column-wise
-stop test (left the block, captured at a critical point) after every
-round, and reports an exit by the first point reached outside the block,
-with no bisection onto the boundary, and a failed orbit by its error,
-without raising it; ``transport_frame`` carries a tangent frame along each
-of N orbits as one (m + k m, N) variational system.  All downstream orbit
-decisions (connection counting, isolation) sit on top of these entry
-points.
+backward orbits, or a whole family of fields.  Every entry point runs a
+whole batch.  ``integrate_columns`` runs orbits until a column-wise stop
+test; ``classify_limit`` labels the orbits of N start points (captured at
+a critical point, exited at the first point outside the block, out of
+time, or failed with its error, which is not raised), once the critical
+points lie at least twice the capture radius apart; ``transport_frame``
+carries a tangent frame along each of N orbits as one (m + k m, N)
+variational system.  All downstream orbit decisions (connection counting,
+isolation) sit on top of these entry points.
 """
 from __future__ import annotations
 
@@ -44,11 +42,11 @@ class FrameDegenerateError(IntegrationError):
 
 
 class AmbiguousCaptureError(Exception):
-    def __init__(self, point, ids):
-        super().__init__(
-            f"point {list(point)!r} lies within capture radius of critical "
-            f"points {ids}; decrease the capture radius")
-        self.ids = ids
+    def __init__(self, a, b, distance):
+        super().__init__(f"critical points {a.ident} and {b.ident} lie "
+                         f"{float(distance)!r} apart, under twice the "
+                         f"capture radius; decrease the capture radius")
+        self.ids = [a.ident, b.ident]
 
 
 # Dormand-Prince 5(4) tableau.  Each row is kept as (stages, coefficients)
@@ -385,56 +383,53 @@ def classify_limit(gradfield, X0, crits, block, tols=DEFAULT, lam=None,
     """Run the orbit of every column of the (m, N) array X0 until capture
     at a critical point, exit from the block, or time budget, as one
     ``_dopri5`` batch.  ``direction`` is the direction of time, one sign
-    for all columns or an (N,) array of one sign per column, so that one
-    batch can run forward and backward orbits of the same field.
+    for all columns or an (N,) array of one sign per column.
 
-    After each accepted step a column is tested in this order: it has
-    exited once its new point lies outside the block; it is captured once
-    exactly one critical point lies within the capture radius and its speed
-    is below the speed tolerance.  Returns (limits, run): the tag, the
-    capturing ident and the error of each column, and the ``_Run`` of the
-    batch, whose ``t`` and ``x`` are each column's signed end time and end
-    point (for an exit, the first point reached outside the block; there is
-    no bisection onto the boundary).
+    Two critical points closer than twice the capture radius raise
+    AmbiguousCaptureError before any orbit runs, so no point lies within
+    the radius of two.  After each accepted step a column has exited once
+    its new point lies outside the block, and is captured at the critical
+    point within the radius once its speed is below the speed tolerance.
+    Returns (limits, run): the tag, the capturing ident and the error of
+    each column, and the ``_Run`` of the batch, whose ``t`` and ``x`` are
+    each column's signed end time and end point (for an exit, the first
+    point reached outside the block, with no bisection onto the boundary).
 
-    A column fails, and stops, with AmbiguousCaptureError once two critical
-    points lie within the radius of its point, and with the error of
-    ``_dopri5`` once its step underflows or it runs out of steps.  Nothing
-    is raised: a failed column is tagged "failed" and carries its error, so
-    the other columns of the batch keep their labels.  The caller decides
-    whether a failed column matters."""
-    if scale is None:
-        scale = field_scale(gradfield, block, lam)
-    speed_tol = tols.speed_tol_factor * scale
-    F = expr.compile_field(gradfield)
+    A column whose step underflows or that runs out of steps is tagged
+    "failed" and carries the error of ``_dopri5``; nothing is raised, and
+    the other columns keep their labels."""
     cap = tols.capture_radius
     X0 = np.asarray(X0, dtype=float)
     m, n = X0.shape
     coords = np.array([c.coords for c in crits], dtype=float).reshape(
         len(crits), m)
+    i, k = np.triu_indices(len(crits), 1)  # every pair once
+    gap = _norms((coords[i] - coords[k]).T)
+    if np.any(gap < 2 * cap):
+        j = np.argmin(gap)
+        raise AmbiguousCaptureError(crits[i[j]], crits[k[j]], gap[j])
+    if scale is None:
+        scale = field_scale(gradfield, block, lam)
+    speed_tol = tols.speed_tol_factor * scale
+    F = expr.compile_field(gradfield)
     captor = np.full(n, -1)  # index into crits of a captured column
-    errors = [None] * n
 
     def stop(cols, t, x_old, X, f_new):
         out = ~block.contains_columns(X)
-        d = _rows(X) - coords[:, None, :]  # (n_crits, n, m)
-        near = (np.sqrt(np.vecdot(d, d)) < cap) & ~out
-        count = np.count_nonzero(near, axis=0)
-        ambiguous = count > 1
-        for j in np.flatnonzero(ambiguous):
-            errors[cols[j]] = AmbiguousCaptureError(
-                X[:, j], [crits[i].ident for i in np.flatnonzero(near[:, j])])
-        caught = (count == 1) & (_norms(f_new) < speed_tol)
-        if caught.any():
-            captor[cols[caught]] = np.argmax(near[:, caught], axis=0)
-        return out | caught | ambiguous
+        slow = np.flatnonzero(~out & (_norms(f_new) < speed_tol))
+        if slow.size and len(crits):
+            d = _rows(X[:, slow]) - coords[:, None, :]  # (n_crits, slow, m)
+            dist = np.sqrt(np.vecdot(d, d))
+            hit = dist.min(axis=0) < cap
+            captor[cols[slow[hit]]] = np.argmin(dist[:, hit], axis=0)
+            out[slow[hit]] = True
+        return out
 
     run = _dopri5(F, X0, direction, tols.t_budget, tols.rtol, tols.atol,
                   tols.max_steps, stop, lam)
-    for j in range(n):
-        errors[j] = errors[j] or _failure(run, tols.max_steps, j)
+    errors = tuple(_failure(run, tols.max_steps, j) for j in range(n))
     tag = tuple("failed" if e is not None else "budget" if s == DONE
                 else "exited" if c < 0 else "converged"
                 for s, c, e in zip(run.status, captor, errors))
     ids = tuple(crits[c].ident if c >= 0 else -1 for c in captor)
-    return LimitClass(tag, ids, tuple(errors)), run
+    return LimitClass(tag, ids, errors), run

@@ -100,8 +100,8 @@ def _subtree(sp, depth, dir_tol):
 LOOK_AHEAD = 4
 
 # The errors of a failed orbit, which ``flow.classify_limit`` reports per
-# column.
-FAILURES = (flow.IntegrationError, flow.AmbiguousCaptureError)
+# column: a step underflow or an exhausted step budget.
+FAILURES = (flow.IntegrationError,)
 
 
 class Sphere:

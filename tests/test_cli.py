@@ -1,11 +1,12 @@
 """Command-line driver: subcommands, exit codes, and report determinism."""
 import json
 import os
+import types
 
 import jsonschema
 import pytest
 
-from mcfhom import cli, conley
+from mcfhom import cli, conley, flow
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -195,6 +196,45 @@ def test_origin_of_the_wrong_length_exits_two(origin, tmp_path, capsys):
     assert cli.main(["block", _write(tmp_path, doc)]) == 2
     assert capsys.readouterr().err == \
         f"input error: origin has {len(origin)} entries, dimension is 2\n"
+
+
+@pytest.mark.parametrize("command,name,section", [
+    ("hi", "double_well_relations.json", ["invariant_set"]),
+    ("relations", "double_well_relations.json",
+     ["decomposition", "sets", 1, "invariant_set"]),
+    ("continue", "double_well_continue.json",
+     ["continuation", "invariant_set_end"]),
+])
+def test_invariant_set_sample_of_the_wrong_length_exits_two(
+        command, name, section, tmp_path, capsys):
+    with open(_path(name)) as fh:
+        doc = json.load(fh)
+    spec = doc
+    for key in section:
+        spec = spec[key]
+    spec["samples"].append([0, 0])
+    assert cli.main([command, _write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == ("input error: invariant set sample "
+                                       "[0, 0] has 2 coordinates, dimension "
+                                       "is 1\n")
+
+
+@pytest.mark.parametrize("error", [
+    flow.StepUnderflowError(0.25, [0.5, 0.0]),
+    flow.FrameDegenerateError("frame vector collapsed to zero"),
+    flow.IntegrationError("exceeded 5 steps at t=1.0"),
+    flow.AmbiguousCaptureError(types.SimpleNamespace(ident=0),
+                               types.SimpleNamespace(ident=1), 1e-05),
+], ids=lambda e: type(e).__name__)
+def test_flow_errors_exit_one(error, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(flow, "classify_limit", fail)
+    system = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                          "benchmarks", "systems", "connections.json")
+    assert cli.main(["hi", system]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {error}\n"
 
 
 def test_missing_file_exits_two(capsys):

@@ -288,16 +288,26 @@ def test_classify_budget_exceeded():
     assert run.t[0] == DEFAULT.t_budget
 
 
-def test_ambiguous_capture_error():
+def _no_orbit(monkeypatch):
+    """Make every later ``flow._dopri5`` call fail the test."""
+    def spy(*args, **kwargs):
+        raise AssertionError("an orbit ran")
+    monkeypatch.setattr(flow, "_dopri5", spy)
+
+
+def test_ambiguous_capture_error(monkeypatch):
+    # two critical points within twice the capture radius: the critical set
+    # is rejected before any orbit runs
     f = expr.parse("x1^2/2", 1)
     fld = expr.negative_gradient(f, 1)
     b = block.build_block(box=[(-1, 1)], spacing=0.5)
     c0 = morse.find_critical_points(f, b)[0]
     twin = dataclasses.replace(c0, ident=1, coords=(1e-6,))
-    lc, _ = flow.classify_limit(fld, np.array([[0.5]]), [c0, twin], b)
-    assert lc.tag == ("failed",) and lc.crit_id == (-1,)
-    assert isinstance(lc.errors[0], flow.AmbiguousCaptureError)
-    assert lc.errors[0].ids == [c0.ident, 1]
+    _no_orbit(monkeypatch)
+    with pytest.raises(flow.AmbiguousCaptureError, match=r"critical points "
+                       r"0 and 1 lie 1e-06 apart, under twice") as err:
+        flow.classify_limit(fld, np.array([[0.5]]), [c0, twin], b)
+    assert err.value.ids == [c0.ident, 1]
 
 
 def _saddle_sheet_setup():
@@ -309,7 +319,7 @@ def _saddle_sheet_setup():
     return fld, b, morse.find_critical_points(f, b)
 
 
-def test_classify_columns_equal_single_columns_bit_for_bit():
+def test_classify_columns_equal_single_columns_bit_for_bit(monkeypatch):
     fld, b, crits = _saddle_sheet_setup()
     # with t = 2 the orbits that start next to the index-2 point at the
     # origin are still on their way
@@ -348,26 +358,46 @@ def test_classify_columns_equal_single_columns_bit_for_bit():
         assert run.t[j] == traj.ts[-1] and run.steps[j] == traj.steps
         assert np.array_equal(run.x[:, j], traj.xs[-1])
 
-    # a twin of the point (1, 0) makes the columns that run into it
-    # ambiguous: each fails as its single column does, and the other
-    # columns keep their labels
+    # a twin of the point (1, 0) within twice the capture radius: the
+    # critical set is rejected before any orbit runs
     right = next(c for c in crits if c.coords[0] > 0.5)
+    assert right.ident in lc.crit_id
     twin = dataclasses.replace(right, ident=99,
                                coords=(right.coords[0] + 1e-5, 0.0))
-    amb, amb_run = flow.classify_limit(fld, X0, crits + [twin], b, tols=tols)
-    assert right.ident in lc.crit_id
+    _no_orbit(monkeypatch)
+    with pytest.raises(flow.AmbiguousCaptureError) as err:
+        flow.classify_limit(fld, X0, crits + [twin], b, tols=tols)
+    assert err.value.ids == [right.ident, 99]
+
+
+def test_classify_next_to_a_critical_point_just_over_twice_the_radius():
+    # a twin of the point (1, 0) on the x1 axis, just over twice the capture
+    # radius from it: the orbits that run into (1, 0) along the axis cross
+    # the twin's capture ball, too fast to be captured there
+    fld, b, crits = _saddle_sheet_setup()
+    tols = dataclasses.replace(DEFAULT, t_budget=2.0)
+    right = next(c for c in crits if c.coords[0] > 0.5)
+    gap = 2 * tols.capture_radius * (1 + 1e-6)
+    twin = dataclasses.replace(right, ident=99,
+                               coords=(right.coords[0] + gap, 0.0))
+    x1 = np.array([-1.9, -1.3, -0.6, -2e-4, 3e-4, 0.4, 1.2, 1.7])
+    X0 = np.vstack([np.tile(x1, 3), np.repeat([0.0, 0.3, -1e-3], x1.size)])
+    lc, run = flow.classify_limit(fld, X0, crits, b, tols=tols)
+    with_twin, twin_run = flow.classify_limit(fld, X0, crits + [twin], b,
+                                              tols=tols)
+    assert with_twin == lc
+    assert with_twin.crit_id[x1.size - 2:x1.size] == (right.ident,) * 2
+    assert set(with_twin.tag) == {"converged", "exited", "budget"}
     for j in range(X0.shape[1]):
         one, one_run = flow.classify_limit(fld, X0[:, j:j + 1],
                                            crits + [twin], b, tols=tols)
-        assert (one.tag[0], one.crit_id[0]) == (amb.tag[j], amb.crit_id[j])
-        assert one_run.t[0] == amb_run.t[j]
-        if lc.crit_id[j] == right.ident:
-            assert amb.tag[j] == "failed"
-            assert amb.errors[j].ids == one.errors[0].ids == [right.ident, 99]
-        else:
-            assert (amb.tag[j], amb.crit_id[j], amb.errors[j]) == \
-                (lc.tag[j], lc.crit_id[j], None)
-            assert amb_run.t[j] == run.t[j]
+        assert (one.tag[0], one.crit_id[0], one.errors[0]) == \
+            (with_twin.tag[j], with_twin.crit_id[j], None)
+        for r in (run, twin_run):
+            assert one_run.t[0] == r.t[j]
+            assert np.array_equal(one_run.x[:, 0], r.x[:, j])
+            assert (one_run.steps[0], one_run.rejected[0]) == \
+                (r.steps[j], r.rejected[j])
 
 
 def test_classify_per_column_direction_equals_single_columns_bit_for_bit():
