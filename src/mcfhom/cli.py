@@ -1,8 +1,12 @@
 """Command-line driver: JSON system files in, JSON reports out.
 
+A system file is checked against ``SYSTEM_SCHEMA``, the one statement of
+its format, by ``_violation``, a walk of the schema that reads only the
+keywords it uses; JSON numbers must be finite.
+
 Exit codes: 0 on pass, 1 on a mathematical failure (failed verdicts or
-pipeline errors), 2 on input errors (bad JSON, schema violations, unknown
-expressions).
+pipeline errors), 2 on input errors (bad JSON, non-finite numbers, files
+that break the schema, unknown expressions).
 """
 from __future__ import annotations
 
@@ -10,8 +14,6 @@ import argparse
 import dataclasses
 import json
 import sys
-
-import jsonschema
 
 from . import __version__, block as block_mod, conley, expr, flow, homalg, \
     lyapunov, morse
@@ -118,25 +120,83 @@ class InputError(Exception):
     pass
 
 
-_validator = None  # of SYSTEM_SCHEMA, made by the first load_system
+# Draft 2020-12 types: a bool is not a number, and 2.0 is an integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: (isinstance(v, (int, float))
+                         and not isinstance(v, bool)),
+    "integer": lambda v: ((isinstance(v, int) and not isinstance(v, bool))
+                          or (isinstance(v, float) and v.is_integer())),
+}
+# the keywords of SYSTEM_SCHEMA, the only ones _violation reads
+SCHEMA_KEYWORDS = frozenset((
+    "type", "properties", "additionalProperties", "required", "items",
+    "minItems", "maxItems", "minimum", "exclusiveMinimum"))
+
+
+def _violation(v, schema, path=""):
+    """The first way the JSON value ``v`` breaks ``schema``, in document
+    order, as a message naming its path; None if it keeps to it."""
+    where = path or "top level"
+    if not _TYPES[schema["type"]](v):
+        return f"{where}: {json.dumps(v)} is not of type {schema['type']}"
+    if isinstance(v, dict):
+        props = schema.get("properties", {})
+        for key, x in v.items():
+            if key in props:
+                msg = _violation(x, props[key],
+                                 f"{path}.{key}" if path else key)
+                if msg:
+                    return msg
+            elif schema.get("additionalProperties") is False:
+                return f"{where}: unknown property {json.dumps(key)}"
+        for key in schema.get("required", ()):
+            if key not in v:
+                return f"{where}: missing required property {json.dumps(key)}"
+    elif isinstance(v, list):
+        if len(v) < schema.get("minItems", 0):
+            return (f"{where}: {json.dumps(v)} has length {len(v)}, "
+                    f"less than {schema['minItems']}")
+        if "maxItems" in schema and len(v) > schema["maxItems"]:
+            return (f"{where}: {json.dumps(v)} has length {len(v)}, "
+                    f"more than {schema['maxItems']}")
+        for i, x in enumerate(v):
+            msg = _violation(x, schema["items"], f"{path}[{i}]")
+            if msg:
+                return msg
+    elif schema["type"] in ("number", "integer"):
+        if "minimum" in schema and v < schema["minimum"]:
+            return f"{where}: {json.dumps(v)} is less than {schema['minimum']}"
+        if "exclusiveMinimum" in schema and v <= schema["exclusiveMinimum"]:
+            return (f"{where}: {json.dumps(v)} is not greater than "
+                    f"{schema['exclusiveMinimum']}")
+    return None
 
 
 def load_system(path):
-    global _validator
+    def non_finite(text):
+        raise InputError(
+            f"malformed JSON in {path}: non-finite number {text}")
+
+    def number(text):
+        x = float(text)
+        if x - x != 0:  # inf - inf is NaN
+            non_finite(text)
+        return x
+
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=number,
+                            parse_constant=non_finite)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
-    if _validator is None:
-        # SYSTEM_SCHEMA itself is checked against its meta-schema by a test
-        _validator = jsonschema.Draft202012Validator(SYSTEM_SCHEMA)
-    # the error jsonschema.validate would raise
-    err = jsonschema.exceptions.best_match(_validator.iter_errors(doc))
-    if err is not None:
-        raise InputError(f"invalid system file: {err.message}")
+    msg = _violation(doc, SYSTEM_SCHEMA)
+    if msg:
+        raise InputError(f"invalid system file: {msg}")
     return doc
 
 

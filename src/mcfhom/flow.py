@@ -49,29 +49,38 @@ class AmbiguousCaptureError(Exception):
         self.ids = [a.ident, b.ident]
 
 
-# Dormand-Prince 5(4) tableau.  Each row is kept as (stages, coefficients)
-# of its nonzero entries: stage i uses _A[i], the solution _B5, the error _E.
+# Dormand-Prince 5(4) tableau, rows in stage order.  The stages are stored
+# in K in slot order, stage 1 in slot 0 and stage 0 in slot 1, so that the
+# nonzero entries of every row sit in one run of slots and K is selected
+# without a copy; a sum then starts with its terms of stages 1 and 0, in
+# that order, and the sum of two terms does not depend on their order.
+_SLOT = (1, 0, 2, 3, 4, 5, 6)  # the slot of each stage
+
+
 def _nonzero(row):
-    idx = [j for j, a in enumerate(row) if a != 0.0]
-    coef = np.array([row[j] for j in idx])[:, None, None]
-    if idx == list(range(idx[0], idx[-1] + 1)):
-        return slice(idx[0], idx[-1] + 1), coef  # selected without a copy
-    return np.array(idx), coef
+    """(slots, coefficients) of the nonzero entries of a row."""
+    by_slot = [0.0] * len(_SLOT)
+    for stage, a in enumerate(row):
+        by_slot[_SLOT[stage]] = a
+    idx = np.flatnonzero(by_slot)
+    lo, hi = int(idx[0]), int(idx[-1]) + 1
+    assert hi - lo == idx.size  # one run of slots
+    return slice(lo, hi), np.array(by_slot[lo:hi])[:, None, None]
 
 
-_A = (None,) + tuple(_nonzero(row) for row in (
+# stage i uses row i; the input of stage 6 is also the 5th-order solution
+_ROWS = (
     [1 / 5],
     [3 / 40, 9 / 40],
     [44 / 45, -56 / 15, 32 / 9],
     [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-))
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+)
+_A = (None,) + tuple(_nonzero(row) for row in _ROWS)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
        187 / 2100, 1 / 40)
-_E = _nonzero([b5 - b4 for b5, b4 in zip(_B5, _B4)])
-_B5 = _nonzero(_B5)
+_E = _nonzero([b5 - b4 for b5, b4 in zip(_ROWS[-1] + [0.0], _B4)])
 
 # column outcomes of _dopri5; 0 while a column is still running
 DONE, STOPPED, UNDERFLOW, EXHAUSTED = 1, 2, 3, 4
@@ -90,9 +99,9 @@ class _Run:
 
 
 def _combine(row, K):
-    """sum_j row_j K[j] over the nonzero entries, added in stage order."""
-    stages, coef = row
-    return np.add.reduce(coef * K[stages], axis=0)
+    """sum_j row_j K[j] over the nonzero entries, added in slot order."""
+    slots, coef = row
+    return np.add.reduce(coef * K[slots], axis=0)
 
 
 def _rows(a):
@@ -191,16 +200,17 @@ def _dopri5(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
                 break
             hc = np.minimum(h, target - t)
             dh = direction * hc
-            K[0] = f0
+            K[_SLOT[0]] = f0
             try:
                 for i in range(1, 7):
-                    K[i] = F(X + dh * _combine(_A[i], K), lam)
+                    xnew = X + dh * _combine(_A[i], K)
+                    K[_SLOT[i]] = F(xnew, lam)
             except (ValueError, ZeroDivisionError, OverflowError):
                 bad = np.ones(cols.size, dtype=bool)
                 ok, err = ~bad, hc
             else:
-                xnew = X + dh * _combine(_B5, K)
-                bad = ~(np.logical_and.reduce(np.isfinite(K[1:]), axis=(0, 1))
+                # a non-finite stage 0 makes xnew non-finite too
+                bad = ~(np.logical_and.reduce(np.isfinite(K), axis=(0, 1))
                         & np.logical_and.reduce(np.isfinite(xnew), axis=0))
                 scale = atol + rtol * np.maximum(np.abs(X), np.abs(xnew))
                 q = (hc * _combine(_E, K) / scale) ** 2

@@ -1,14 +1,22 @@
 """Command-line driver: subcommands, exit codes, and report determinism."""
+import copy
+import glob
 import json
 import os
+import random
+import subprocess
+import sys
 import types
 
 import jsonschema
 import pytest
 
+import mcfhom
 from mcfhom import cli, conley, flow
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+ROOT = os.path.dirname(os.path.dirname(__file__))
+CONNECTIONS = os.path.join(ROOT, "benchmarks", "systems", "connections.json")
 
 
 def _path(name):
@@ -167,25 +175,161 @@ def test_system_schema_is_a_valid_schema():
         jsonschema.Draft202012Validator
 
 
-@pytest.mark.parametrize("doc", [
-    {"dimension": 0, "field": [], "block": {"spacing": -1}, "extra": 1},
-    {"dimension": "2", "field": ["x1", 3], "block": {"box": [[0]]}},
-    {"field": ["x1"], "block": {"spacing": 1, "cubes": []},
-     "options": {"epsilon": 0, "lam": "a"}},
-    {"dimension": 1, "field": ["x1"], "block": {"spacing": 1},
-     "invariant_set": {"samples": [["a"]], "radius": -1, "x": 0}},
-    {"dimension": 1, "field": ["x1"], "block": {"spacing": 1},
-     "decomposition": {"sets": [{"block": {}}]},
-     "continuation": {"grid": [0]}},
-])
-def test_schema_errors_are_those_of_jsonschema_validate(doc, tmp_path,
-                                                        capsys):
-    with pytest.raises(jsonschema.ValidationError) as want:
+@pytest.mark.parametrize("doc,message", [
+    ({"dimension": 0, "field": [], "block": {"spacing": -1}, "extra": 1},
+     "dimension: 0 is less than 1"),
+    ({"dimension": "2", "field": ["x1", 3], "block": {"box": [[0]]}},
+     'dimension: "2" is not of type integer'),
+    ({"field": ["x1"], "block": {"spacing": 1, "cubes": []},
+      "options": {"epsilon": 0, "lam": "a"}},
+     "block.cubes: [] has length 0, less than 1"),
+    ({"dimension": 1, "field": ["x1"], "block": {"spacing": 1},
+      "invariant_set": {"samples": [["a"]], "radius": -1, "x": 0}},
+     'invariant_set.samples[0][0]: "a" is not of type number'),
+    ({"dimension": 1, "field": ["x1"], "block": {"spacing": 1},
+      "decomposition": {"sets": [{"block": {}}]},
+      "continuation": {"grid": [0]}},
+     'decomposition.sets[0].block: missing required property "spacing"'),
+], ids=[f"doc{i}" for i in range(5)])
+def test_schema_errors_are_those_of_jsonschema_validate(doc, message,
+                                                        tmp_path, capsys):
+    # jsonschema, the reference, rejects each document; the message is the
+    # first violation in document order
+    with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(doc, cli.SYSTEM_SCHEMA)
     code = cli.main(["block", _write(tmp_path, doc)])
     assert code == 2
     assert capsys.readouterr().err == \
-        f"input error: invalid system file: {want.value.message}\n"
+        f"input error: invalid system file: {message}\n"
+
+
+def _subschemas(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+
+
+def test_system_schema_uses_only_the_keywords_the_walker_reads():
+    for schema in _subschemas(cli.SYSTEM_SCHEMA):
+        assert set(schema) <= cli.SCHEMA_KEYWORDS
+        assert schema["type"] in cli._TYPES
+        assert schema.get("additionalProperties", False) is False
+        assert ("items" in schema) == (schema["type"] == "array")
+
+
+def _nodes(doc, schema, path=()):
+    """(path, value, schema) of every node of doc that schema describes."""
+    yield path, doc, schema
+    if isinstance(doc, dict):
+        for key, x in doc.items():
+            if key in schema.get("properties", {}):
+                yield from _nodes(x, schema["properties"][key], path + (key,))
+    elif isinstance(doc, list):
+        for i, x in enumerate(doc):
+            yield from _nodes(x, schema["items"], path + (i,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    out = copy.deepcopy(doc)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+def _mutations(doc, rng):
+    """Single mutations of doc: a dropped or an extra key, a value of
+    another type, true for a number, 2.0 for an integer, numbers at and
+    past each bound, and arrays one short and one long."""
+    for path, v, schema in _nodes(doc, cli.SYSTEM_SCHEMA):
+        for other in (None, True, "1", 1, 1.5, [], {}):
+            yield _replaced(doc, path, other)
+        if isinstance(v, dict):
+            for key in v:
+                yield _replaced(doc, path, {k: x for k, x in v.items()
+                                            if k != key})
+            yield _replaced(doc, path, dict(v, extra=1))
+        if isinstance(v, list):
+            yield _replaced(doc, path, v[:-1])
+            yield _replaced(doc, path, v + v[rng.randrange(len(v)):][:1])
+        if schema["type"] == "integer":
+            yield _replaced(doc, path, float(v))
+        for bound in ("minimum", "exclusiveMinimum"):
+            if bound in schema:
+                b = schema[bound]
+                for x in (b, float(b), b - 1, b - 1e-9, b + 1e-9,
+                          rng.uniform(b - 2, b + 2)):
+                    yield _replaced(doc, path, x)
+
+
+def test_walker_agrees_with_jsonschema():
+    reference = jsonschema.Draft202012Validator(cli.SYSTEM_SCHEMA)
+    docs = []
+    for f in sorted(glob.glob(os.path.join(DATA, "*.json"))
+                    + glob.glob(os.path.join(ROOT, "benchmarks", "systems",
+                                             "*.json"))):
+        with open(f) as fh:
+            docs.append(json.load(fh))
+    assert len(docs) == 9
+    docs.append({"dimension": 2, "field": ["x1", "-x2"],
+                 "block": {"cubes": [[0, 0], [1, 0]], "origin": [-1, -0.5],
+                           "spacing": 0.5}})
+    rng = random.Random(17)
+    verdicts = []
+    for doc in docs:
+        assert cli._violation(doc, cli.SYSTEM_SCHEMA) is None
+        assert reference.is_valid(doc)
+        for mutant in _mutations(doc, rng):
+            valid = cli._violation(mutant, cli.SYSTEM_SCHEMA) is None
+            assert valid == reference.is_valid(mutant), mutant
+            verdicts.append(valid)
+    assert len(verdicts) > 3000
+    assert 0 < verdicts.count(True) < verdicts.count(False)
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("section,key", [
+    ("block", "spacing"), ("invariant_set", "radius"),
+    ("options", "epsilon"), ("options", "lam"),
+])
+def test_non_finite_numbers_exit_two(section, key, text, tmp_path, capsys):
+    # json.load reads NaN and Infinity, and 1e400 as inf, all of which
+    # pass the schema's bounds or types
+    with open(CONNECTIONS) as fh:
+        doc = json.load(fh)
+    doc.setdefault(section, {})[key] = "@"
+    p = tmp_path / "system.json"
+    p.write_text(json.dumps(doc).replace('"@"', text))
+    assert cli.main(["hi", str(p)]) == 2
+    assert capsys.readouterr().err == \
+        f"input error: malformed JSON in {p}: non-finite number {text}\n"
+
+
+def test_the_runtime_never_imports_jsonschema(tmp_path):
+    bad = _write(tmp_path, {"dimension": 1, "field": ["x1"],
+                            "block": {"spacing": -1}})
+    script = (
+        "import sys\n"
+        "from mcfhom import cli\n"
+        f"cli.load_system({CONNECTIONS!r})\n"
+        f"assert cli.main(['hi', {CONNECTIONS!r}]) == 0\n"
+        "assert 'jsonschema' not in sys.modules\n"
+        "sys.modules['jsonschema'] = None  # an import of it now fails\n"
+        f"assert cli.main(['hi', {CONNECTIONS!r}]) == 0\n"
+        f"assert cli.main(['block', {bad!r}]) == 2\n")
+    src = os.path.dirname(os.path.dirname(mcfhom.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.endswith("invalid system file: block.spacing: -1 is "
+                                "not greater than 0\n")
 
 
 @pytest.mark.parametrize("origin", [[-1.0], [-1.0, -1.0, -1.0]])
