@@ -323,6 +323,8 @@ def cmd_hi(args):
     report["hi"] = _homology_table(et.hi)
     report["relative_cubical"] = _homology_table(et.relative)
     report["exit_theorem"] = et.verdict
+    report["perturbation"] = expr.to_str(
+        res.quadruple.certificate.perturbation)
     report["critical_points"] = [
         {"coords": list(c.coords), "index": c.index, "f": c.f_value}
         for c in res.quadruple.crits]
@@ -408,13 +410,28 @@ _COMMANDS = {
 }
 
 
+def _seed(text):
+    """A ``--seed`` value: a non-negative int."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a non-negative integer")
+    return n
+
+
 def make_parser():
     p = argparse.ArgumentParser(
         prog="mcfhom",
         description="Morse-Conley-Floer homology of flows on cubical blocks")
     p.add_argument("command", choices=sorted(_COMMANDS))
     p.add_argument("file", help="system definition JSON file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0,
+                   help="selects the perturbation direction when the file "
+                        "gives none, and the rotation of the seeds on the "
+                        "unstable direction spheres")
     p.add_argument("--tol-profile", choices=["default", "strict"],
                    default="default")
     p.add_argument("--coeff", choices=["Z", "Z2"], default="Z")

@@ -1,10 +1,11 @@
-"""Numeric tolerances and budgets shared across the pipeline.
+"""Numeric tolerances, budgets and seeded draws shared across the pipeline.
 
 All comparisons against zero in the geometric stages go through a named
 field here so that the strict profile can tighten everything in one place.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, replace
 
 
@@ -62,3 +63,12 @@ def profile(name):
         return PROFILES[name]
     except KeyError:
         raise ValueError(f"unknown tolerance profile {name!r}") from None
+
+
+def normals(key, n):
+    """``n`` standard-normal draws seeded by ``key``, a non-negative int or
+    a str.  The standard library's generator seeds a str from all of its
+    bytes, not from its hash, so the draws do not depend on PYTHONHASHSEED;
+    they are the same for a given CPython version."""
+    gauss = random.Random(key).gauss
+    return [gauss(0.0, 1.0) for _ in range(n)]

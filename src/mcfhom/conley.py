@@ -74,10 +74,9 @@ def compute_HI(fieldd, b, lyap, s_decl, lam=None, seed=0, epsilon=None,
             f"Lyapunov verification failed (min decrease "
             f"{rep.min_decrease:.3e} at {rep.min_location}, "
             f"f spread over S {rep.value_spread:.3e})")
-    rng = np.random.default_rng(seed)
     eps = tols.epsilon if epsilon is None else epsilon
     f, cert = lyapunov.morse_perturb(lyap, b, epsilon=eps,
-                                     perturbation=perturbation, rng=rng,
+                                     perturbation=perturbation, seed=seed,
                                      lam=lam, tols=tols)
     crits = morse.find_critical_points(f, b, lam=lam, tols=tols)
     complex_, counts = morse.build_complex(

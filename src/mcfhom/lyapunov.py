@@ -14,7 +14,7 @@ import numpy as np
 
 from . import block as block_mod
 from . import expr, flow
-from .config import DEFAULT
+from .config import DEFAULT, normals
 
 
 class LyapunovError(Exception):
@@ -131,11 +131,13 @@ def shift(c, f, mu_coeff=1.0):
 class HomotopyCertificate:
     lambdas: tuple
     min_boundary_gradient: float  # min |grad f_lam| over boundary samples
+    perturbation: object  # h of the homotopy base + lambda*eps*h
 
 
-def linear_perturbation(m, rng):
-    """Random unit-direction linear form sum_i c_i x_i."""
-    c = rng.standard_normal(m)
+def linear_perturbation(m, seed):
+    """Linear form sum_i c_i x_i with c a unit direction drawn from the int
+    ``seed``."""
+    c = np.array(normals(seed, m))
     c /= np.linalg.norm(c)
     out = expr.ZERO
     for i in range(m):
@@ -143,15 +145,16 @@ def linear_perturbation(m, rng):
     return out
 
 
-def morse_perturb(base, b, epsilon=None, perturbation=None, rng=None,
+def morse_perturb(base, b, epsilon=None, perturbation=None, seed=0,
                   lam=None, tols=DEFAULT):
     """Perturb a Lyapunov function to a Morse function on the block.
 
-    Returns (perturbed Expr, HomotopyCertificate).  The certificate checks,
-    on a lambda grid in [0, 1], that the gradient flow of
-    base + lambda*eps*perturbation keeps the block isolating and that no
-    critical point of the interpolant touches the boundary (minimum
-    gradient norm over boundary samples stays positive).
+    Returns (perturbed Expr, HomotopyCertificate).  Without a
+    ``perturbation`` the direction is ``linear_perturbation`` of ``seed``.
+    The certificate checks, on a lambda grid in [0, 1], that the gradient
+    flow of base + lambda*eps*perturbation keeps the block isolating and
+    that no critical point of the interpolant touches the boundary
+    (minimum gradient norm over boundary samples stays positive).
 
     The grid runs as one family: -grad(base) and -grad(perturbation) are
     compiled once, and the interpolant with coefficient s = lambda*eps is
@@ -166,9 +169,7 @@ def morse_perturb(base, b, epsilon=None, perturbation=None, rng=None,
     if eps <= 0:
         raise LyapunovError("perturbation magnitude must be positive")
     if perturbation is None:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        perturbation = linear_perturbation(b.dimension, rng)
+        perturbation = linear_perturbation(b.dimension, seed)
     perturbed = expr.add(base, expr.mul(expr.Const(float(eps)), perturbation))
 
     m = b.dimension
@@ -217,4 +218,4 @@ def morse_perturb(base, b, epsilon=None, perturbation=None, rng=None,
         raise CertificationError(
             lv, f"critical point of the interpolant touches the "
                 f"boundary near {tuple(float(v) for v in s)}")
-    return perturbed, HomotopyCertificate(lambdas, min_bgrad)
+    return perturbed, HomotopyCertificate(lambdas, min_bgrad, perturbation)

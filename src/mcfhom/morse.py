@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr, flow, homalg, sphere
-from .config import DEFAULT
+from .config import DEFAULT, normals
 
 log = logging.getLogger(__name__)
 
@@ -258,19 +258,18 @@ class ConnectionFinder:
         self.lam = lam
         self.tols = tols
         self.scale = flow.field_scale(gradfield, b, lam)
-        self._rngs = {}
+        self._rotations = {}  # k -> the rotation of S^{k-1}'s initial seeds
         self.seed = seed
         self._witnesses = {}  # source ident -> {target ident: [Witness]}
         self.budget_hits = 0  # directions whose orbit hit the time budget
 
     def _rotation(self, k):
-        if k not in self._rngs:
-            rng = np.random.default_rng((self.seed, k))
-            A = rng.standard_normal((k, k))
+        if k not in self._rotations:
+            # random.Random takes no tuple; a str seeds it from its bytes
+            A = np.array(normals(f"{self.seed}:{k}", k * k)).reshape(k, k)
             Q, R = np.linalg.qr(A)
-            Q = Q * np.sign(np.diag(R))
-            self._rngs[k] = Q
-        return self._rngs[k]
+            self._rotations[k] = Q * np.sign(np.diag(R))
+        return self._rotations[k]
 
     def _seed_point(self, x, d):
         U = x.frame_matrix()

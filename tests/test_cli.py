@@ -2,6 +2,7 @@
 import copy
 import glob
 import json
+import math
 import os
 import random
 import subprocess
@@ -105,19 +106,19 @@ def test_reports_are_byte_identical_under_fixed_seed(tmp_path):
 
 
 def test_hi_report_on_connections_matches_the_golden_report(capsys):
-    # connections_hi_seed3.out is the report of the forward sphere search of
-    # every source; the zero-sphere searches must not change a byte of it
-    system = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                          "benchmarks", "systems", "connections.json")
-    code = cli.main(["hi", system, "--seed", "3"])
+    # connections_hi_seed3.out was written with the draws of
+    # random.Random (config.normals): the perturbation direction and the
+    # rotation of the sphere seeds
+    code = cli.main(["hi", CONNECTIONS, "--seed", "3"])
     with open(_path("connections_hi_seed3.out"), "rb") as fh:
         assert capsys.readouterr().out.encode() == fh.read()
     assert code == 0
 
 
 def test_hi_report_on_certificate_matches_the_golden_report(capsys):
-    # certificate_hi_seed3.out is the report of the homotopy certificate
-    # checked one lambda at a time; the batched grid must not change a byte
+    # certificate_hi_seed3.out was written with the perturbation direction
+    # drawn by random.Random (config.normals) and the batched homotopy
+    # certificate
     system = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                           "benchmarks", "systems", "certificate.json")
     code = cli.main(["hi", system, "--seed", "3"])
@@ -139,6 +140,73 @@ def test_cubical_report_matches_the_golden_report(system, name, coeff,
     with open(_path(f"{name}_cubical_{coeff}.out"), "rb") as fh:
         assert capsys.readouterr().out.encode() == fh.read()
     assert code == 0
+
+
+def _same_complex(a, b):
+    """Assert that the hi reports ``a`` and ``b`` have the same homology
+    and the same Morse complex up to the order and orientation of its
+    generators.  Each critical point of ``b`` is the one of ``a`` within
+    1e-2 (the perturbations move them by at most epsilon each), with the
+    same index.  The (source, target) pairs, |n| and witness counts are
+    equal, and n_b(p, q) = s_p s_q n_a(p, q) for one sign s_p per critical
+    point."""
+    assert (a["hi"], a["relative_cubical"]) == \
+        (b["hi"], b["relative_cubical"])
+    pa, pb = a["critical_points"], b["critical_points"]
+    assert len(pa) == len(pb)
+    to_a = []  # critical point of b -> the one of a at its place
+    for cb in pb:
+        near = [i for i, ca in enumerate(pa)
+                if math.dist(ca["coords"], cb["coords"]) < 1e-2]
+        assert len(near) == 1 and pa[near[0]]["index"] == cb["index"], cb
+        to_a.append(near[0])
+    assert len(set(to_a)) == len(pa)
+    counts = {(c["source"], c["target"]): c for c in a["connection_counts"]}
+    assert len(counts) == len(b["connection_counts"])
+    ratio = {}  # (p, q) -> n_b / n_a, for every n_a != 0
+    for cb in b["connection_counts"]:
+        pair = (to_a[cb["source"]], to_a[cb["target"]])
+        ca = counts[pair]
+        assert (abs(ca["n"]), ca["witnesses"]) == \
+            (abs(cb["n"]), cb["witnesses"]), pair
+        if ca["n"]:
+            ratio[pair] = ratio[pair[::-1]] = cb["n"] // ca["n"]
+    sign = {}
+    for first in range(len(pa)):
+        if first in sign:
+            continue
+        sign[first], todo = 1, [first]
+        while todo:
+            p = todo.pop()
+            for (s, q), r in ratio.items():
+                if s != p:
+                    continue
+                if q not in sign:
+                    sign[q] = sign[p] * r
+                    todo.append(q)
+                assert sign[q] == sign[p] * r, (p, q)
+
+
+def _hi(capsys, system, seed):
+    assert cli.main(["hi", system, "--seed", str(seed)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_the_morse_complex_of_connections_does_not_depend_on_the_seed(
+        seed, capsys):
+    with open(_path("connections_hi_seed3.out")) as fh:
+        golden = json.load(fh)
+    _same_complex(golden, _hi(capsys, CONNECTIONS, seed))
+
+
+def test_the_morse_complex_of_the_3d_product_well_does_not_depend_on_the_seed(
+        capsys):
+    # the sphere search of the six index-2 sources on S^1 with another
+    # rotation of its seeds, and another perturbation direction
+    with open(_path("product_well_3d_hi_seed3.out")) as fh:
+        golden = json.load(fh)
+    _same_complex(golden, _hi(capsys, _path("product_well_3d.json"), 5))
 
 
 def test_hi_on_the_3d_product_well(capsys):
@@ -330,6 +398,55 @@ def test_the_runtime_never_imports_jsonschema(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.endswith("invalid system file: block.spacing: -1 is "
                                 "not greater than 0\n")
+
+
+def test_the_runtime_never_imports_numpy_random():
+    # the seeded draws come from the standard library's random module
+    runs = [["hi", CONNECTIONS],
+            ["relations", _path("double_well_relations.json")],
+            ["continue", _path("double_well_continue.json")]]
+    script = (
+        "import contextlib, io, sys\n"
+        "from mcfhom import cli\n"
+        f"runs = {runs!r}\n"
+        "def run_all():\n"
+        "    for argv in runs:\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            assert cli.main(argv) == 0, argv\n"
+        "run_all()\n"
+        "assert 'numpy.random' not in sys.modules\n"
+        "sys.modules['numpy.random'] = None  # an import of it now fails\n"
+        "run_all()\n")
+    src = os.path.dirname(os.path.dirname(mcfhom.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command,system", [
+    ("hi", "saddle.json"), ("cubical", "saddle.json")])
+@pytest.mark.parametrize("seed", ["-1", "-0.5", "x"])
+def test_a_seed_that_is_not_a_non_negative_integer_exits_two(
+        command, system, seed, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, _path(system), "--seed", seed])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"argument --seed: {seed!r} is not a non-negative integer\n")
+
+
+def test_the_reported_perturbation_gives_the_same_report(tmp_path, capsys):
+    # the seeded direction, passed back as options.perturbation
+    report = _hi(capsys, CONNECTIONS, 3)
+    with open(CONNECTIONS) as fh:
+        doc = json.load(fh)
+    doc.setdefault("options", {})["perturbation"] = report["perturbation"]
+    path = _write(tmp_path, doc)
+    assert cli.main(["hi", path, "--seed", "3"]) == 0
+    with open(_path("connections_hi_seed3.out")) as fh:
+        assert capsys.readouterr().out == fh.read()
 
 
 @pytest.mark.parametrize("origin", [[-1.0], [-1.0, -1.0, -1.0]])
