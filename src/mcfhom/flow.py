@@ -1,11 +1,12 @@
 """Numerical integration of flows, frame transport, and limit classification.
 
-One embedded Dormand-Prince 5(4) stepper with PI step-size control,
-``_dopri5``, advances an (m, N) state: N orbits side by side, each column
-with its own time, step size, controller history, attempt count and
-target time, and optionally its own direction of time and its own value
-of the field's parameter lam, so that one batch can integrate forward and
-backward orbits, or a whole family of fields.  Every entry point runs a
+One embedded Runge-Kutta stepper of order 8, Hairer's DOP853 (the
+Dormand-Prince pair with 5th- and 3rd-order error estimates), ``_dop853``,
+advances an (m, N) state: N orbits side by side, each column with its own
+time, step size, attempt count and target time, and optionally its own
+direction of time and its own value of the field's parameter lam, so that
+one batch can integrate forward and backward orbits, or a whole family of
+fields.  Every entry point runs a
 whole batch.  ``integrate_columns`` runs orbits until a column-wise stop
 test; ``classify_limit`` labels the orbits of N start points (captured at
 a critical point, exited at the first point outside the block, out of
@@ -49,46 +50,74 @@ class AmbiguousCaptureError(Exception):
         self.ids = [a.ident, b.ident]
 
 
-# Dormand-Prince 5(4) tableau, rows in stage order.  The stages are stored
-# in K in slot order, stage 1 in slot 0 and stage 0 in slot 1, so that the
-# nonzero entries of every row sit in one run of slots and K is selected
-# without a copy; a sum then starts with its terms of stages 1 and 0, in
-# that order, and the sum of two terms does not depend on their order.
-_SLOT = (1, 0, 2, 3, 4, 5, 6)  # the slot of each stage
+def _terms(row):
+    """The (stage, coefficient) pairs of the nonzero entries of a row."""
+    return tuple((j, a) for j, a in enumerate(row) if a)
 
 
-def _nonzero(row):
-    """(slots, coefficients) of the nonzero entries of a row."""
-    by_slot = [0.0] * len(_SLOT)
-    for stage, a in enumerate(row):
-        by_slot[_SLOT[stage]] = a
-    idx = np.flatnonzero(by_slot)
-    lo, hi = int(idx[0]), int(idx[-1]) + 1
-    assert hi - lo == idx.size  # one run of slots
-    return slice(lo, hi), np.array(by_slot[lo:hi])[:, None, None]
+# DOP853 tableau (Hairer-Norsett-Wanner, Solving ODEs I, section II.10, and
+# Hairer's dop853.f), rows in stage order with a zero for each stage a row
+# skips.  _A[i] gives the input of stage i + 1; the last row gives that of
+# stage 12, the 8th-order solution, where the field is the next step's
+# stage 0.
+_A = tuple(map(_terms, (
+    [5.26001519587677318785587544488e-2],
+    [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2],
+    [2.95875854768068491816892993775e-2, 0.0,
+     8.87627564304205475450678981324e-2],
+    [2.41365134159266685502369798665e-1, 0.0,
+     -8.84549479328286085344864962717e-1, 9.24834003261792003115737966543e-1],
+    [3.7037037037037037037037037037e-2, 0.0, 0.0,
+     1.70828608729473871279604482173e-1, 1.25467687566822425016691814123e-1],
+    [3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2],
+    [3.70920001185047927108779319836e-2, 0.0, 0.0,
+     1.70383925712239993810214054705e-1, 1.07262030446373284651809199168e-1,
+     -1.53194377486244017527936158236e-2, 8.27378916381402288758473766002e-3],
+    [6.24110958716075717114429577812e-1, 0.0, 0.0,
+     -3.36089262944694129406857109825, -8.68219346841726006818189891453e-1,
+     2.75920996994467083049415600797e1, 2.01540675504778934086186788979e1,
+     -4.34898841810699588477366255144e1],
+    [4.77662536438264365890433908527e-1, 0.0, 0.0,
+     -2.48811461997166764192642586468, -5.90290826836842996371446475743e-1,
+     2.12300514481811942347288949897e1, 1.52792336328824235832596922938e1,
+     -3.32882109689848629194453265587e1, -2.03312017085086261358222928593e-2],
+    [-9.3714243008598732571704021658e-1, 0.0, 0.0,
+     5.18637242884406370830023853209, 1.09143734899672957818500254654,
+     -8.14978701074692612513997267357, -1.85200656599969598641566180701e1,
+     2.27394870993505042818970056734e1, 2.49360555267965238987089396762,
+     -3.0467644718982195003823669022],
+    [2.27331014751653820792359768449, 0.0, 0.0,
+     -1.05344954667372501984066689879e1, -2.00087205822486249909675718444,
+     -1.79589318631187989172765950534e1, 2.79488845294199600508499808837e1,
+     -2.85899827713502369474065508674, -8.87285693353062954433549289258,
+     1.23605671757943030647266201528e1, 6.43392746015763530355970484046e-1],
+    [5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+     4.45031289275240888144113950566, 1.89151789931450038304281599044,
+     -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+     -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+     4.47106157277725905176885569043e-2],
+)))
+# The error estimates: the 8th-order solution minus the 3rd-order one, whose
+# weights _BHH sit at stages 0, 8 and 11, and the 5th-order estimate.
+_BHH = {0: 0.244094488188976377952755905512,
+        8: 0.733846688281611857341361741547,
+        11: 0.220588235294117647058823529412e-1}
+_E3 = tuple((j, b - _BHH.get(j, 0.0)) for j, b in _A[-1])
+_E5 = _terms([
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+    -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+    0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+    -0.2235530786388629525884427845e-1])
 
-
-# stage i uses row i; the input of stage 6 is also the 5th-order solution
-_ROWS = (
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-)
-_A = (None,) + tuple(_nonzero(row) for row in _ROWS)
-_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-       187 / 2100, 1 / 40)
-_E = _nonzero([b5 - b4 for b5, b4 in zip(_ROWS[-1] + [0.0], _B4)])
-
-# column outcomes of _dopri5; 0 while a column is still running
+# column outcomes of _dop853; 0 while a column is still running
 DONE, STOPPED, UNDERFLOW, EXHAUSTED = 1, 2, 3, 4
 
 
 @dataclass
 class _Run:
-    """Per-column result of ``_dopri5``: signed end time, end state
+    """Per-column result of ``_dop853``: signed end time, end state
     (m, N), accepted and rejected attempts, and outcome code."""
 
     t: np.ndarray
@@ -99,9 +128,15 @@ class _Run:
 
 
 def _combine(row, K):
-    """sum_j row_j K[j] over the nonzero entries, added in slot order."""
-    slots, coef = row
-    return np.add.reduce(coef * K[slots], axis=0)
+    """sum_j a_j K[j] over the (stage, a_j) terms of a row, added term by
+    term in stage order.  Every addition is elementwise, so a column sums
+    exactly as it would alone; a reduction over the stage axis would not,
+    as numpy sums it pairwise once that axis is the inner loop."""
+    (j, a), *rest = row
+    s = a * K[j]
+    for j, a in rest:
+        s += a * K[j]
+    return s
 
 
 def _rows(a):
@@ -115,51 +150,78 @@ def _norms(a):
     return np.sqrt(np.vecdot(r, r))
 
 
-# The controller uses np.float_power, which calls the C library's pow like
+def _sumsq(a):
+    """The sum of squares of each column of a."""
+    return np.add.reduce(_rows(a * a), axis=1)
+
+
+# The I-controller of dop853.f: a step-size factor 0.9 err^(-1/8), clipped
+# to [lo, hi].  It uses np.float_power, which calls the C library's pow like
 # Python's float **; np.power may use SIMD approximations whose last bit
-# differs from one CPU to another.
-def _grow(err, errprev):
-    """PI step-size factor after an accepted step."""
-    fac = 0.9 * np.float_power(err + 1e-30, -0.7 / 5) \
-        * np.float_power(errprev, 0.4 / 5)
-    return np.fmin(5.0, np.fmax(0.2, fac))
+# differs from one CPU to another.  err = 0 gives hi.
+def _factor(err, lo, hi):
+    return np.fmin(hi, np.fmax(lo, 0.9 * np.float_power(err, -1 / 8)))
 
 
-def _shrink(err):
-    """Step-size factor after a step rejected by error control."""
-    return np.fmin(1.0, np.fmax(0.1, 0.9 * np.float_power(err, -1.0 / 5)))
+def _attempt(F, X, f0, dh, hc, lam, rtol, atol):
+    """One step of every column of X, whose field is f0, by the signed
+    step dh of size hc: (x_new, f_new, err, finite), the 8th-order
+    solution, the field there, the error norm of dop853.f, and whether
+    every stage was finite.  The stages live only here, so their memory is
+    free again while the caller's ``accepted`` runs."""
+    K = [f0]
+    for row in _A[:-1]:
+        K.append(F(X + dh * _combine(row, K), lam))
+    xnew = X + dh * _combine(_A[-1], K)
+    fnew = F(xnew, lam)
+    finite = np.isfinite(xnew) & np.isfinite(fnew)
+    for k in K:
+        finite &= np.isfinite(k)
+    finite = np.logical_and.reduce(finite, axis=0)
+    scale = atol + rtol * np.maximum(np.abs(X), np.abs(xnew))
+    n5 = _sumsq(_combine(_E5, K) / scale)
+    n3 = _sumsq(_combine(_E3, K) / scale)
+    den = n5 + 0.01 * n3
+    err = hc * n5 / np.sqrt(np.where(den > 0.0, den, 1.0) * X.shape[0])
+    return xnew, fnew, err, finite
 
 
-def _dopri5(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
+def _dop853(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
             lam=None):
     """Advance every column of the (m, N) state x0 from t = 0 until
     |t| = target, a scalar or one value per column.
 
     ``direction`` is the direction of time, +1 or -1, for all columns or as
     an (N,) array of one sign per column.  ``F(X, lam)`` maps an (m, n)
-    array of states to their derivatives.  ``lam`` is one parameter value
-    for all columns, or an (N,) array of one value per column; an array is
-    packed with the running columns, so ``F`` gets the values of the n
-    columns it evaluates.  A stage
-    that is not finite, or for which F raises ValueError, ZeroDivisionError
-    or OverflowError, rejects the step of its column with h *= 0.25.
+    array of states to a new array of their derivatives.  ``lam`` is one
+    parameter value for all columns, or an (N,) array of one value per
+    column; an array is packed with the running columns, so ``F`` gets the
+    values of the n columns it evaluates.  A stage that is not finite, or
+    for which F raises ValueError, ZeroDivisionError or OverflowError,
+    rejects the step of its column with h *= 0.25.
     ``accepted(cols, t, x_old, x_new, f_new)``, if given, is called after
     each round for the columns ``cols`` (indices into x0) whose step was
     accepted, with their signed times, old and new states and the field at
     the new states; it may rescale ``x_new`` and ``f_new`` in place, and
     returns True for each column that stops there.  A column also leaves
     once it reaches the target, its step underflows or it has made
-    ``max_steps`` attempts.
+    ``max_steps`` attempts; a column whose target is 0 is done at t = 0
+    with no attempt.
+
+    A step is accepted when the error norm of dop853.f, which combines the
+    5th- and 3rd-order estimates, is at most 1.  The step size then grows
+    by a factor in [0.333, 6]; after a rejection it shrinks by one in
+    [0.1, 1].
 
     The running columns are kept packed: a column that leaves is written to
     the result and dropped from the working arrays, so a round works on
     whole arrays.  Fancy indexing is needed only in a round where columns
     leave, or where some but not all steps are accepted; a single orbit
-    needs it only once, when it ends.  Reductions over a column add in the
-    order they would over a 1-D vector, so every column steps exactly as it
-    would alone.
+    needs it only once, when it ends.  Stage sums add term by term, and
+    reductions over a column add in the order they would over a 1-D
+    vector, so every column steps exactly as it would alone.
     """
-    m, n = x0.shape
+    n = x0.shape[1]
     per_column = np.ndim(lam) == 1
     target = np.broadcast_to(np.asarray(target, dtype=float), (n,)).copy()
     direction = np.broadcast_to(np.asarray(direction, dtype=float), (n,))
@@ -171,13 +233,12 @@ def _dopri5(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
     t = np.zeros(n)
     h = np.minimum(np.minimum(1e-2 * (_norms(X) + 1.0)
                               / (_norms(f0) + 1e-30), 1.0), target)
-    errprev = np.ones(n)
     attempts = np.zeros(n, dtype=int)
     steps = np.zeros(n, dtype=int)
     rejected = np.zeros(n, dtype=int)
-    code = np.where(attempts >= max_steps, EXHAUSTED,
-                    np.where(h >= 1e-14, 0, UNDERFLOW))
-    K = np.empty((7, m, n))
+    code = np.where(target == 0.0, DONE,
+                    np.where(attempts >= max_steps, EXHAUSTED,
+                             np.where(h >= 1e-14, 0, UNDERFLOW)))
     with np.errstate(all="ignore"):
         while True:
             if code.any():
@@ -187,49 +248,35 @@ def _dopri5(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
                     direction[gone] * t[gone], X[:, gone], steps[gone]
                 out.rejected[c], out.status[c] = rejected[gone], code[gone]
                 keep = ~gone
-                cols, X, f0, t, h, errprev = (cols[keep], X[:, keep],
-                                              f0[:, keep], t[keep],
-                                              h[keep], errprev[keep])
+                cols, X, f0, t, h = (cols[keep], X[:, keep], f0[:, keep],
+                                     t[keep], h[keep])
                 attempts, steps, rejected, target, direction = (
                     attempts[keep], steps[keep], rejected[keep], target[keep],
                     direction[keep])
                 if per_column:
                     lam = lam[keep]
-                K = np.empty((7, m, cols.size))
             if not cols.size:
                 break
             hc = np.minimum(h, target - t)
             dh = direction * hc
-            K[_SLOT[0]] = f0
             try:
-                for i in range(1, 7):
-                    xnew = X + dh * _combine(_A[i], K)
-                    K[_SLOT[i]] = F(xnew, lam)
+                xnew, fnew, err, finite = _attempt(F, X, f0, dh, hc, lam,
+                                                   rtol, atol)
             except (ValueError, ZeroDivisionError, OverflowError):
-                bad = np.ones(cols.size, dtype=bool)
-                ok, err = ~bad, hc
-            else:
-                # a non-finite stage 0 makes xnew non-finite too
-                bad = ~(np.logical_and.reduce(np.isfinite(K), axis=(0, 1))
-                        & np.logical_and.reduce(np.isfinite(xnew), axis=0))
-                scale = atol + rtol * np.maximum(np.abs(X), np.abs(xnew))
-                q = (hc * _combine(_E, K) / scale) ** 2
-                err = np.sqrt(np.add.reduce(_rows(q), axis=1) / m)
-                ok = ~bad & (err <= 1.0)
+                err, finite = hc, np.zeros(cols.size, dtype=bool)
+            ok = finite & (err <= 1.0)
             n_ok = np.count_nonzero(ok)
             every = n_ok == cols.size
-            h = hc * (_grow(err, errprev) if every else np.where(
-                bad, 0.25, np.where(ok, _grow(err, errprev), _shrink(err))))
+            h = hc * (_factor(err, 0.333, 6.0) if every else np.where(
+                finite, np.where(ok, _factor(err, 0.333, 6.0),
+                                 _factor(err, 0.1, 1.0)), 0.25))
             attempts += 1
             code = np.where(attempts >= max_steps, EXHAUSTED, 0)
             if n_ok:
                 t = np.where(ok, t + hc, t)
-                errprev = np.where(ok, np.fmax(err, 1e-10), errprev)
                 steps += ok
                 sel = slice(None) if every else ok
-                # K is refilled next round, so the new field values are a copy
-                xa, fa = (xnew, K[6].copy()) if every else \
-                    (xnew[:, ok], K[6][:, ok])
+                xa, fa = (xnew, fnew) if every else (xnew[:, ok], fnew[:, ok])
                 stop = False
                 if accepted is not None:
                     stop = np.asarray(accepted(
@@ -266,7 +313,7 @@ def integrate_columns(field, x0, stop, t_max, direction, lam=None,
     t_max.
 
     ``field`` is a FieldDef or a compiled field ``F(X, lam)``; ``lam`` is
-    one value, or an (N,) array of one value per column (see ``_dopri5``).
+    one value, or an (N,) array of one value per column (see ``_dop853``).
     Returns (t, stopped): the signed time at which each column ended, and
     whether ``stop`` ended it.  A column whose step underflows or that runs
     out of steps counts as not stopped.
@@ -277,7 +324,7 @@ def integrate_columns(field, x0, stop, t_max, direction, lam=None,
     def check(cols, t, x_old, x_new, f_new):
         return stop(x_new)
 
-    run = _dopri5(F, np.asarray(x0, dtype=float), direction, t_max,
+    run = _dop853(F, np.asarray(x0, dtype=float), direction, t_max,
                   tols.rtol, tols.atol, tols.max_steps, check, lam)
     return run.t, run.status == STOPPED
 
@@ -346,7 +393,7 @@ def transport_frame(fieldd, X0, T, frames, lam=None, tols=DEFAULT):
 
     if go.size:
         Z0 = np.concatenate([X0[:, go], frames[:, :, go].reshape(k * m, -1)])
-        run = _dopri5(G, Z0, 1, T[go], tols.rtol, tols.atol, tols.max_steps,
+        run = _dop853(G, Z0, 1, T[go], tols.rtol, tols.atol, tols.max_steps,
                       renormalize, lam)
         X[:, go] = run.x[:m]
         W[:, :, go] = run.x[m:].reshape(k, m, -1)
@@ -392,7 +439,7 @@ def classify_limit(gradfield, X0, crits, block, tols=DEFAULT, lam=None,
                    scale=None, direction=1):
     """Run the orbit of every column of the (m, N) array X0 until capture
     at a critical point, exit from the block, or time budget, as one
-    ``_dopri5`` batch.  ``direction`` is the direction of time, one sign
+    ``_dop853`` batch.  ``direction`` is the direction of time, one sign
     for all columns or an (N,) array of one sign per column.
 
     Two critical points closer than twice the capture radius raise
@@ -406,7 +453,7 @@ def classify_limit(gradfield, X0, crits, block, tols=DEFAULT, lam=None,
     point reached outside the block, with no bisection onto the boundary).
 
     A column whose step underflows or that runs out of steps is tagged
-    "failed" and carries the error of ``_dopri5``; nothing is raised, and
+    "failed" and carries the error of ``_dop853``; nothing is raised, and
     the other columns keep their labels."""
     cap = tols.capture_radius
     X0 = np.asarray(X0, dtype=float)
@@ -435,7 +482,7 @@ def classify_limit(gradfield, X0, crits, block, tols=DEFAULT, lam=None,
             out[slow[hit]] = True
         return out
 
-    run = _dopri5(F, X0, direction, tols.t_budget, tols.rtol, tols.atol,
+    run = _dop853(F, X0, direction, tols.t_budget, tols.rtol, tols.atol,
                   tols.max_steps, stop, lam)
     errors = tuple(_failure(run, tols.max_steps, j) for j in range(n))
     tag = tuple("failed" if e is not None else "budget" if s == DONE

@@ -90,11 +90,11 @@ def _subtree(sp, depth, dir_tol):
 
 # Levels of the binary subtree below a simplex that lacks a label, labelled
 # in the same batch ahead of the walk.  `mcfhom hi
-# benchmarks/systems/connections.json --seed 3` on a 2-core Xeon, as depth:
-# DOPRI rounds and orbits of the whole run, median CPU seconds of
+# tests/data/product_well_3d.json --seed 3` on a 2-core Xeon, as depth:
+# integrator rounds and orbits of the whole run, median CPU seconds of
 # build_complex over 3 runs:
-#   2: 6,500, 1,338, 3.06   3: 5,320, 1,626, 2.78   4: 4,443, 2,086, 2.67
-#   5: 4,013, 2,892, 3.11   6: 3,593, 4,210, 3.59
+#   2: 1,404, 21,870, 1.86   3: 1,175, 23,502, 1.87   4: 1,018, 26,070, 2.28
+#   5:   943, 31,278, 2.55   6:   875, 37,662, 3.06
 # Deeper batches take fewer rounds, but every round pays for the orbits
 # that the walk never reads.
 LOOK_AHEAD = 4

@@ -2,11 +2,11 @@
 batched entry points of ``mcfhom.flow`` are tested against.
 
 ``integrate``, ``integrate_until`` and ``transport_frame_one`` drive
-``flow._dopri5`` with a single column whose field and Jacobian are
+``flow._dop853`` with a single column whose field and Jacobian are
 evaluated point by point with Python floats by the tree walk
 ``expr.evaluate``, not by compiled code, and record every accepted step.
 A domain error of the tree walk is raised as ValueError, which
-``_dopri5`` takes as a rejected step.
+``_dop853`` takes as a rejected step.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ def _point_function(exprs, lam):
 
 def _single(F1):
     """A one-point function ``F1(x)`` (1-D state in, sequence out) as the
-    (m, 1) column function ``_dopri5`` expects."""
+    (m, 1) column function ``_dop853`` expects."""
     def F(X, lam=None):
         return np.array(F1(X[:, 0]), dtype=float)[:, None]
     return F
@@ -74,7 +74,7 @@ def integrate(fieldd, x0, T, rtol=None, atol=None, lam=None, tols=DEFAULT):
         traj.ts.append(float(t[0]))
         traj.xs.append(x_new[:, 0].copy())
 
-    run = flow._dopri5(_single(F1), x[:, None], direction,
+    run = flow._dop853(_single(F1), x[:, None], direction,
                        abs(T), rtol, atol, tols.max_steps, record)
     _raise_failure(run, tols.max_steps)
     traj.steps, traj.rejected = int(run.steps[0]), int(run.rejected[0])
@@ -102,7 +102,7 @@ def integrate_until(fieldd, x0, stop, t_max, direction=1, lam=None,
         hit[0] = stop(traj.ts[-1], prev, xn)
         return bool(hit[0])
 
-    run = flow._dopri5(_single(F1), x[:, None], direction,
+    run = flow._dop853(_single(F1), x[:, None], direction,
                        t_max, tols.rtol, tols.atol, tols.max_steps, record)
     _raise_failure(run, tols.max_steps)
     traj.steps, traj.rejected = int(run.steps[0]), int(run.rejected[0])
@@ -137,7 +137,7 @@ def transport_frame_one(fieldd, x0, T, frame, lam=None, tols=DEFAULT):
             f[m + i * m: m + (i + 1) * m, 0] /= nrm
 
     z0 = np.concatenate([np.asarray(x0, dtype=float)] + V)
-    run = flow._dopri5(_single(G), z0[:, None], 1, T, tols.rtol, tols.atol,
+    run = flow._dop853(_single(G), z0[:, None], 1, T, tols.rtol, tols.atol,
                        tols.max_steps, renormalize)
     _raise_failure(run, tols.max_steps)
     z = run.x[:, 0]

@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 import mcfhom
-from mcfhom import cli, conley, flow
+from mcfhom import block, cli, conley, flow
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 ROOT = os.path.dirname(os.path.dirname(__file__))
@@ -125,6 +125,47 @@ def test_hi_report_on_certificate_matches_the_golden_report(capsys):
     with open(_path("certificate_hi_seed3.out"), "rb") as fh:
         assert capsys.readouterr().out.encode() == fh.read()
     assert code == 0
+
+
+@pytest.mark.parametrize("system,stage,batches,most", [
+    ("connections.json", "classify_limit", 1, 60),
+    ("certificate.json", "check_isolation", 3, 10),
+])
+def test_hi_integrator_work_stays_low(system, stage, batches, most,
+                                      monkeypatch, capsys):
+    # attempts (accepted and rejected steps) of every column of each
+    # integrator run of `hi --seed 3`, by the function that made the run.
+    # The counts are deterministic; an order-5 pair took 241 attempts per
+    # column in the zero-sphere batch of connections and 41 in each
+    # isolation batch of certificate
+    runs = {"classify_limit": [], "check_isolation": [], None: []}
+    caller = []
+    dop853 = flow._dop853
+
+    def within(name, fn):
+        def spy(*args, **kwargs):
+            caller.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                caller.pop()
+        return spy
+
+    def spy_dop853(*args, **kwargs):
+        run = dop853(*args, **kwargs)
+        runs[caller[-1] if caller else None].append(run.steps + run.rejected)
+        return run
+
+    monkeypatch.setattr(flow, "_dop853", spy_dop853)
+    monkeypatch.setattr(flow, "classify_limit",
+                        within("classify_limit", flow.classify_limit))
+    monkeypatch.setattr(block, "check_isolation",
+                        within("check_isolation", block.check_isolation))
+    assert cli.main(["hi", os.path.join(ROOT, "benchmarks", "systems",
+                                        system), "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert len(runs[stage]) == batches
+    assert all(attempts.max() <= most for attempts in runs[stage])
 
 
 @pytest.mark.parametrize("system,name", [

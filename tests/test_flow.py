@@ -289,10 +289,10 @@ def test_classify_budget_exceeded():
 
 
 def _no_orbit(monkeypatch):
-    """Make every later ``flow._dopri5`` call fail the test."""
+    """Make every later ``flow._dop853`` call fail the test."""
     def spy(*args, **kwargs):
         raise AssertionError("an orbit ran")
-    monkeypatch.setattr(flow, "_dopri5", spy)
+    monkeypatch.setattr(flow, "_dop853", spy)
 
 
 def test_ambiguous_capture_error(monkeypatch):
@@ -491,7 +491,7 @@ def test_numpy_backend_domain_error_is_a_rejected_step():
     # negative state is NaN and rejects the step instead of raising
     fld = expr.parse_field(["-sqrt(x1) + 0*log(x1)"], 1)
     F = expr.compile_field(fld)
-    run = flow._dopri5(F, np.array([[1e-6, 4e-6]]), 1, 1.9e-3,
+    run = flow._dop853(F, np.array([[1e-6, 4e-6]]), 1, 1.9e-3,
                        DEFAULT.rtol, DEFAULT.atol, DEFAULT.max_steps)
     assert list(run.status) == [flow.DONE, flow.DONE]
     assert all(run.rejected > 0)
@@ -508,9 +508,9 @@ def _leave_disk(cols, t, x_old, x_new, f_new):
 
 
 def _columns_and_singles(F, X0, direction, target, accepted=None):
-    many = flow._dopri5(F, X0, direction, target, DEFAULT.rtol,
+    many = flow._dop853(F, X0, direction, target, DEFAULT.rtol,
                         DEFAULT.atol, 2000, accepted)
-    ones = [flow._dopri5(F, X0[:, j:j + 1], direction, target, DEFAULT.rtol,
+    ones = [flow._dop853(F, X0[:, j:j + 1], direction, target, DEFAULT.rtol,
                          DEFAULT.atol, 2000, accepted)
             for j in range(X0.shape[1])]
     return many, ones
@@ -559,13 +559,13 @@ def test_per_column_targets_equal_single_runs_bit_for_bit():
             assert np.array_equal(np.sign(t), signs[cols])
             return _leave_disk(cols, t, x_old, x_new, f_new)
 
-        many = flow._dopri5(F, X0, direction, T, DEFAULT.rtol, DEFAULT.atol,
+        many = flow._dop853(F, X0, direction, T, DEFAULT.rtol, DEFAULT.atol,
                             2000, leave_disk)
         assert set(many.status) == {flow.STOPPED, flow.DONE}
         done = many.status == flow.DONE
         assert np.array_equal(signs[done] * many.t[done], T[done])
         for j in range(X0.shape[1]):
-            one = flow._dopri5(F, X0[:, j:j + 1], signs[j], T[j],
+            one = flow._dop853(F, X0[:, j:j + 1], signs[j], T[j],
                                DEFAULT.rtol, DEFAULT.atol, 2000, _leave_disk)
             assert one.t[0] == many.t[j]
             assert np.array_equal(one.x[:, 0], many.x[:, j])
@@ -576,10 +576,82 @@ def test_per_column_targets_equal_single_runs_bit_for_bit():
 def test_single_column_step_limit():
     fld = expr.parse_field(["x2", "-x1"], 2)
     F = expr.compile_field(fld)
-    run = flow._dopri5(F, np.array([[1.0], [0.0]]), 1, 100.0, DEFAULT.rtol,
+    run = flow._dop853(F, np.array([[1.0], [0.0]]), 1, 100.0, DEFAULT.rtol,
                        DEFAULT.atol, 5)
     assert run.status[0] == flow.EXHAUSTED
     assert run.steps[0] + run.rejected[0] == 5
     with pytest.raises(flow.IntegrationError, match="exceeded 5 steps"):
         oracle.integrate(fld, (1.0, 0.0), 100.0,
                        tols=dataclasses.replace(DEFAULT, max_steps=5))
+
+
+def test_a_zero_target_is_done_at_once():
+    # a column with nothing to integrate ends at t = 0 with no attempt; the
+    # others of its batch step as they would alone
+    F = expr.compile_field(_PENDULUM)
+    X0 = np.array([[1.0, 0.5, -1.0, 2.0], [0.0, 0.2, 0.3, -0.1]])
+    T = np.array([0.0, 1.5, 0.0, 0.75])
+    run = flow._dop853(F, X0, 1, T, DEFAULT.rtol, DEFAULT.atol,
+                       DEFAULT.max_steps)
+    assert list(run.status) == [flow.DONE] * 4
+    assert list(run.t) == list(T)
+    zero = T == 0.0
+    assert np.array_equal(run.x[:, zero], X0[:, zero])
+    assert not (run.steps[zero] + run.rejected[zero]).any()
+    for j in np.flatnonzero(~zero):
+        one = flow._dop853(F, X0[:, j:j + 1], 1, T[j], DEFAULT.rtol,
+                           DEFAULT.atol, DEFAULT.max_steps)
+        assert np.array_equal(one.x[:, 0], run.x[:, j])
+        assert (one.steps[0], one.rejected[0]) == \
+            (run.steps[j], run.rejected[j])
+    # with no time budget every orbit is out of time, none has failed
+    b = block.build_block(box=[(-4, 4), (-4, 4)], spacing=1.0)
+    lc, _ = flow.classify_limit(_PENDULUM, X0, [], b,
+                                tols=dataclasses.replace(DEFAULT, t_budget=0))
+    assert lc.tag == ("budget",) * 4
+
+
+# The nodes c_i of DOP853 as published, stage by stage; the input of the
+# last stage is the solution, at c = 1.
+_S6 = math.sqrt(6.0)
+_NODES = (0.0, (6 - _S6) / 67.5, (6 - _S6) / 45, (6 - _S6) / 30,
+          (6 + _S6) / 30, 1 / 3, 1 / 4, 4 / 13, 127 / 195, 3 / 5, 6 / 7, 1.0,
+          1.0)
+
+
+def test_tableau_rows_sum_to_the_nodes():
+    assert len(flow._A) == len(_NODES) - 1 == 12
+    for row, c in zip(flow._A, _NODES[1:]):
+        assert math.fsum(a for _, a in row) == pytest.approx(c, abs=1e-14)
+
+
+def test_tableau_weights_satisfy_the_quadrature_conditions():
+    b = flow._A[-1]
+    for q in range(1, 9):
+        assert math.fsum(a * _NODES[j] ** (q - 1) for j, a in b) == \
+            pytest.approx(1 / q, abs=1e-14)
+    for e in (flow._E3, flow._E5):
+        assert math.fsum(a for _, a in e) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_stage_sums_add_term_by_term_for_every_batch_size():
+    # a reduction over the stage axis would add pairwise once that axis is
+    # numpy's inner loop, as it is for one column of a 1-D field, so a
+    # column's sum would depend on the batch it is in; widely spread
+    # magnitudes make the order of the terms show
+    rng = np.random.default_rng(3)
+    row = tuple((j, float(a)) for j, a in enumerate(rng.normal(size=13)))
+    for m in (1, 3):
+        K = rng.normal(size=(13, m, 1000)) \
+            * 10.0 ** rng.integers(-12, 12, size=(13, m, 1000))
+        whole = flow._combine(row, K)
+        for n in (1, 9):
+            for j in range(0, 1000 - n, 97):
+                part = flow._combine(row,
+                                     np.ascontiguousarray(K[:, :, j:j + n]))
+                assert np.array_equal(part, whole[:, j:j + n])
+        for i, j in ((0, 0), (m - 1, 500), (0, 999)):
+            s = row[0][1] * float(K[0, i, j])
+            for stage, a in row[1:]:
+                s += a * float(K[stage, i, j])
+            assert s == whole[i, j]

@@ -196,7 +196,7 @@ def _batched(monkeypatch, base, b, eps, pert, lam=None):
     """morse_perturb, with the member reports of its isolation batches and
     the direction of every integrator run it makes, batch by batch."""
     batches = []
-    check, dopri5 = block.check_isolation, flow._dopri5
+    check, dop853 = block.check_isolation, flow._dop853
 
     def spy_check(*args, **kwargs):
         batches.append([])
@@ -204,12 +204,12 @@ def _batched(monkeypatch, base, b, eps, pert, lam=None):
         batches[-1] = (batches[-1], rep.members)
         return rep
 
-    def spy_dopri5(F, x0, direction, *args, **kwargs):
+    def spy_dop853(F, x0, direction, *args, **kwargs):
         batches[-1].append(direction)
-        return dopri5(F, x0, direction, *args, **kwargs)
+        return dop853(F, x0, direction, *args, **kwargs)
 
     monkeypatch.setattr(block, "check_isolation", spy_check)
-    monkeypatch.setattr(flow, "_dopri5", spy_dopri5)
+    monkeypatch.setattr(flow, "_dop853", spy_dop853)
     try:
         _, cert = lyapunov.morse_perturb(base, b, epsilon=eps,
                                          perturbation=pert, lam=lam)
