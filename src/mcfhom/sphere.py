@@ -90,14 +90,13 @@ def _subtree(sp, depth, dir_tol):
 
 # Levels of the binary subtree below a simplex that lacks a label, labelled
 # in the same batch ahead of the walk.  `mcfhom hi
-# tests/data/product_well_3d.json --seed 3` on a 2-core Xeon, as depth:
-# integrator rounds and orbits of the whole run, median CPU seconds of
-# build_complex over 3 runs:
-#   2: 1,404, 21,870, 1.86   3: 1,175, 23,502, 1.87   4: 1,018, 26,070, 2.28
-#   5:   943, 31,278, 2.55   6:   875, 37,662, 3.06
-# Deeper batches take fewer rounds, but every round pays for the orbits
-# that the walk never reads.
-LOOK_AHEAD = 4
+# tests/data/product_well_3d.json --seed 3` with the DOP853 integrator on a
+# 2-core Xeon, as depth: integrator batches and orbits of the whole run,
+# median CPU seconds of the whole run over 6 alternating runs:
+#   2: 25, 21,870, 2.13   4: 20, 26,070, 2.63
+# Deeper look-ahead takes fewer batches, but every batch pays for the
+# orbits that the walk never reads.
+LOOK_AHEAD = 2
 
 # The errors of a failed orbit, which ``flow.classify_limit`` reports per
 # column: a step underflow or an exhausted step budget.

@@ -384,7 +384,7 @@ def test_walker_agrees_with_jsonschema():
                                              "*.json"))):
         with open(f) as fh:
             docs.append(json.load(fh))
-    assert len(docs) == 9
+    assert len(docs) == 10
     docs.append({"dimension": 2, "field": ["x1", "-x2"],
                  "block": {"cubes": [[0, 0], [1, 0]], "origin": [-1, -0.5],
                            "spacing": 0.5}})

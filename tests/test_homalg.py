@@ -363,12 +363,110 @@ def test_closure_matches_the_oracle(shape, cases):
         assert np.array_equal(mask, cubical_oracle.mask_of(picks, doubled))
 
 
+def _complex_of(dims, face, sign):
+    """The chain complex of face and sign arrays in the form of
+    ``homalg._cubical_arrays``, as sparse columns with no zero entry."""
+    return homalg.ChainComplex(dims, columns={
+        k: [{i: v for i, v in zip(fr, sr) if i >= 0 and v}
+            for fr, sr in zip(face[k].tolist(), sign[k].tolist())]
+        for k in face})
+
+
+def _full_complex(cells, sub=None):
+    """The whole cubical complex of the pair."""
+    return _complex_of(*homalg._cubical_arrays(cells, sub)[-3:])
+
+
+def _assert_no_reduction_pair(c):
+    """No cell of the complex has exactly one face or exactly one coface
+    with an entry."""
+    for k in range(1, c.top + 1):
+        assert all(len(col) != 1 for col in c.columns[k])
+        cofaces = [0] * c.dims[k - 1]
+        for col in c.columns[k]:
+            for i in col:
+                cofaces[i] += 1
+        assert 1 not in cofaces
+
+
 @pytest.mark.parametrize("shape,cases", _RANDOM_PAIRS)
 def test_reduction_matches_snf_on_random_cubical_pairs(shape, cases):
-    for _, _, cells, sub in _random_pairs(shape, cases):
-        c = homalg.build_cubical_complex(cells, sub)
+    for cells, sub, cell_mask, sub_mask in _random_pairs(shape, cases):
+        whole = cubical_oracle.build_cubical_complex(cells, sub)
         for coeff in ("Z", "Z2"):
-            assert homalg.homology(c, coeff) == _oracle_homology(c, coeff)
+            c = homalg.build_cubical_complex(cell_mask, sub_mask, coeff)
+            assert len(c.dims) == len(whole.dims)
+            _assert_no_reduction_pair(c)
+            assert homalg.homology(c, coeff) == \
+                _oracle_homology(whole, coeff)
+
+
+def _corrupted(rng, shape, cases, change):
+    """The arrays of random cubical pairs with one to six sign entries
+    changed by ``change(sign)``, and the columns of the changed complex."""
+    for _, _, cells, sub in _random_pairs(shape, cases):
+        *_, dims, face, sign = homalg._cubical_arrays(cells, sub)
+        if len(dims) < 3:
+            continue
+        entries = [(k, j, t) for k in face
+                   for j, t in np.argwhere(face[k] >= 0).tolist()]
+        for k, j, t in rng.sample(entries,
+                                  min(len(entries), rng.randint(1, 6))):
+            sign[k][j, t] = change(sign[k][j, t])
+        yield face, sign, _complex_of(dims, face, sign)
+
+
+def _assert_d_squared_check_agrees(face, sign, c, coeff):
+    """The array check raises exactly when ``verify_d_squared`` finds an
+    entry, and names that entry."""
+    bad = homalg.verify_d_squared(c, coeff)
+    if bad is None:
+        homalg._check_d_squared(face, sign, coeff)
+        return
+    k, i, j, v = bad
+    with pytest.raises(homalg.NotAComplexError) as err:
+        homalg._check_d_squared(face, sign, coeff)
+    assert str(err.value) == f"d_{k} . d_{k + 1} has entry {v} at ({i}, {j})"
+
+
+@pytest.mark.parametrize("shape,cases", _RANDOM_PAIRS)
+def test_array_d_squared_check_names_the_entry_of_the_columns(shape, cases):
+    rng = random.Random(len(shape))
+    failed = 0
+    for face, sign, c in _corrupted(rng, shape, cases,
+                                    lambda s: rng.choice((0, -s, 3 * s))):
+        for coeff in ("Z", "Z2"):
+            _assert_d_squared_check_agrees(face, sign, c, coeff)
+        failed += homalg.verify_d_squared(c) is not None
+    assert failed or shape == (9,)  # a 1-D pair has no d_1 . d_2
+
+
+def test_array_d_squared_check_is_over_the_coefficient_ring():
+    # a sign turned over changes its entry by 2: the pair stays a complex
+    # over Z/2 but is none over Z
+    rng = random.Random(2)
+    seen = 0
+    for face, sign, c in _corrupted(rng, (3, 3, 3), 12, lambda s: -s):
+        homalg._check_d_squared(face, sign, "Z2")
+        if homalg.verify_d_squared(c) is not None:
+            seen += 1
+            _assert_d_squared_check_agrees(face, sign, c, "Z")
+    assert seen
+
+
+def test_d_squared_is_checked_on_the_whole_cubical_complex(monkeypatch):
+    cube = np.zeros((5, 5, 5), dtype=bool)
+    cube[1::2, 1::2, 1::2] = True
+    cells = block.closure(cube)
+    # the check runs before any reduction, over the coefficient ring
+    monkeypatch.setattr(homalg, "_coreduce", None)
+    for change, coeff in ((-1, "Z"), (0, "Z2")):
+        arrays = homalg._cubical_arrays(cells)
+        arrays[-1][2][0, 0] *= change
+        with monkeypatch.context() as mp:
+            mp.setattr(homalg, "_cubical_arrays", lambda *a: arrays)
+            with pytest.raises(homalg.NotAComplexError, match="d_1 . d_2"):
+                homalg.build_cubical_complex(cells, coeff=coeff)
 
 
 def _dense_cubical_boundaries(cells, sub):
@@ -405,7 +503,7 @@ def _assert_matches_the_oracle(c, oc):
 @pytest.mark.parametrize("shape,cases", _RANDOM_PAIRS)
 def test_cubical_columns_match_the_dense_boundaries(shape, cases):
     for cells, sub, cell_mask, sub_mask in _random_pairs(shape, cases):
-        c = homalg.build_cubical_complex(cell_mask, sub_mask)
+        c = _full_complex(cell_mask, sub_mask)
         _assert_matches_the_oracle(c, cubical_oracle.build_cubical_complex(
             cells, sub))
         dims, boundaries = _dense_cubical_boundaries(cells, sub)
@@ -470,7 +568,7 @@ def _assert_block_matches_the_oracle(b, ex=None):
     else:
         oex = cubical_oracle.exit_set(b)
     assert cubical_oracle.cells_of(ex, lo) == oex
-    _assert_matches_the_oracle(homalg.build_cubical_complex(cells, ex),
+    _assert_matches_the_oracle(_full_complex(cells, ex),
                                cubical_oracle.build_cubical_complex(
                                    cubical_oracle.block_cells(b), oex))
 
@@ -486,6 +584,18 @@ def test_cubical_interval_relative_endpoints():
     cb, ex = _classified([(-1, 1)], ["x1"])
     h = homalg.cubical_relative_homology(cb, ex)
     assert h.describe() == "H_1 = Z"
+
+
+def test_cubical_cube_relative_to_its_boundary():
+    # every chain group below the top one is zero
+    for m in range(1, 5):
+        cube = np.zeros((3,) * m, dtype=bool)
+        cube[(1,) * m] = True
+        cells = block.closure(cube)
+        assert _full_complex(cells, cells & ~cube).dims == [0] * m + [1]
+        for coeff in ("Z", "Z2"):
+            c = homalg.build_cubical_complex(cells, cells & ~cube, coeff)
+            assert homalg.homology(c, coeff).describe() == f"H_{m} = {coeff}"
 
 
 def test_cubical_annulus_absolute():
@@ -514,6 +624,9 @@ def test_cubical_saddle_3d_quarter_spacing():
     # 512 cubes, chain groups [567, 1656, 1600, 512]
     cb, ex = _classified([(-1, 1)] * 3, ["x1", "-x2", "-x3"], spacing=0.25)
     _assert_block_matches_the_oracle(cb, ex)
+    # the coreductions and collapses leave one edge, the generator
+    c = homalg.build_cubical_complex(block.block_cells(cb), ex)
+    assert c.dims == [0, 1, 0, 0]
     for coeff, want in (("Z", "H_1 = Z"), ("Z2", "H_1 = Z2")):
         h = homalg.cubical_relative_homology(cb, ex, coeff=coeff)
         assert h.describe() == want
@@ -561,7 +674,7 @@ def test_cell_boundary_of_boundary_vanishes():
     for m in range(1, 5):
         cube = np.zeros((3,) * m, dtype=bool)
         cube[(1,) * m] = True
-        c = homalg.build_cubical_complex(block.closure(cube))
+        c = _full_complex(block.closure(cube))
         assert c.dims == [math.comb(m, k) * 2 ** (m - k)
                           for k in range(m + 1)]
         for k in range(1, m + 1):

@@ -452,9 +452,13 @@ def test_look_ahead_orbits_that_fail_leave_the_complex_unchanged(
                   for j, (fails, err) in enumerate(zip(new, lc.errors)))), run
 
     monkeypatch.setattr(flow, "classify_limit", fail_the_rest)
-    ahead = _sphere_counts(f, b, crits, tols=_COARSE, seed=3)
-    assert len(failed) > 100
-    assert ahead == level  # counts and witnesses, bit for bit
+    # at the package's depth, and at depth 4, which starts more of them
+    for depth, least in ((sphere.LOOK_AHEAD, 50), (4, 100)):
+        failed.clear()
+        monkeypatch.setattr(sphere, "LOOK_AHEAD", depth)
+        ahead = _sphere_counts(f, b, crits, tols=_COARSE, seed=3)
+        assert len(failed) > least
+        assert ahead == level  # counts and witnesses, bit for bit
 
 
 def test_lockstep_search_equals_per_source_searches(monkeypatch):
