@@ -183,6 +183,20 @@ def test_cubical_report_matches_the_golden_report(system, name, coeff,
     assert code == 0
 
 
+@pytest.mark.parametrize("system,code", [
+    ("saddle", 0),
+    ("tangent", 1),  # unresolved faces
+    ("annulus", 0),  # a cube list with a hole, unsorted, one cube twice
+])
+def test_block_report_matches_the_golden_report(system, code, capsys):
+    # the golden reports pin every face line, its tag and the unresolved
+    # list, as the builder of a frozenset of cube tuples wrote them
+    name = "annulus_block" if system == "annulus" else system
+    assert cli.main(["block", _path(f"{name}.json")]) == code
+    with open(_path(f"{system}_block.out"), "rb") as fh:
+        assert capsys.readouterr().out.encode() == fh.read()
+
+
 def _same_complex(a, b):
     """Assert that the hi reports ``a`` and ``b`` have the same homology
     and the same Morse complex up to the order and orientation of its
@@ -384,7 +398,7 @@ def test_walker_agrees_with_jsonschema():
                                              "*.json"))):
         with open(f) as fh:
             docs.append(json.load(fh))
-    assert len(docs) == 10
+    assert len(docs) == 11
     docs.append({"dimension": 2, "field": ["x1", "-x2"],
                  "block": {"cubes": [[0, 0], [1, 0]], "origin": [-1, -0.5],
                            "spacing": 0.5}})
