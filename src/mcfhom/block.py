@@ -11,9 +11,10 @@ the C order of the mask is the lexicographic order of the intervals.
 """
 from __future__ import annotations
 
+import copy
 import itertools
-from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,47 +52,59 @@ class Face:
         return f"face(cube={self.cube}, axis={self.axis}, side={'+' if self.side else '-'})"
 
 
-@dataclass
+@dataclass(eq=False)
 class GridBlock:
+    """A block as arrays, built once from its cubes.
+
+    ``cubes`` is an (n, m) int64 array of cube indices in lexicographic
+    order with no repeats.  ``faces`` holds the boundary faces, the sides
+    of the cubes with no cube beyond them, as three arrays (cube row, axis,
+    side 0 or 1): cube by cube, then axis, then side.  ``tags`` holds one
+    tag per face, all Unresolved until ``classify_boundary``."""
+
     dimension: int
     origin: tuple
     spacing: float
-    cubes: frozenset
-    face_tags: dict = dc_field(default_factory=dict)
+    cubes: np.ndarray
+    tags: np.ndarray = None
 
     def __post_init__(self):
-        if not self.cubes:
+        if not len(self.cubes):
             raise BlockError("empty cube set")
         if self.spacing <= 0:
             raise BlockError("grid spacing must be positive")
-        if not self.face_tags:
-            self.face_tags = {f: UNRESOLVED for f in self._boundary_faces()}
+        # the lowest cube index and the number of cube positions per axis
+        lo = self.cubes.min(axis=0)
+        n = self.cubes.max(axis=0) - lo + 1
+        self._box = lo, n
+        # the occupancy, flat, over the box padded by one empty layer on
+        # every side so that clipped indices land on empty cells; with the
+        # lowest index and the highest offset of that box per axis (as
+        # (m, 1) float columns) and its C-order strides (an (m, 1) column)
+        occ = np.zeros(n + 2, dtype=bool)
+        at = self.cubes - lo + 1
+        occ[tuple(at.T)] = True
+        step = np.cumprod((1,) + occ.shape[:0:-1])[::-1]
+        occ = occ.ravel()
+        self._occupancy = (occ, lo[:, None] - 1.0, n[:, None] + 1.0,
+                           step[:, None])
+        # one shifted read of the occupancy per axis and side
+        self.faces = np.nonzero(
+            ~occ[(at @ step)[:, None, None] + np.stack([-step, step], 1)])
+        if self.tags is None:
+            self.tags = np.full(len(self.faces[0]), UNRESOLVED)
 
-    def _boundary_faces(self):
-        faces = []
-        for c in sorted(self.cubes):
-            for axis in range(self.dimension):
-                for side in (0, 1):
-                    nb = list(c)
-                    nb[axis] += 1 if side else -1
-                    if tuple(nb) not in self.cubes:
-                        faces.append(Face(c, axis, side))
-        return faces
-
-    @property
-    def boundary_faces(self):
-        return list(self.face_tags)
-
-    def cube_bounds(self, c):
-        lo = [self.origin[i] + self.spacing * c[i] for i in range(self.dimension)]
-        hi = [v + self.spacing for v in lo]
-        return lo, hi
+    def face_list(self, which=slice(None)):
+        """The faces selected by ``which`` (a mask or index over the faces)
+        as ``Face`` objects, for reports and errors."""
+        rows, axis, side = (a[which] for a in self.faces)
+        return [Face(tuple(c), a, s) for c, a, s in zip(
+            self.cubes[rows].tolist(), axis.tolist(), side.tolist())]
 
     def bounding_box(self):
-        los, his = zip(*(self.cube_bounds(c) for c in self.cubes))
-        lo = [min(v[i] for v in los) for i in range(self.dimension)]
-        hi = [max(v[i] for v in his) for i in range(self.dimension)]
-        return lo, hi
+        lo, n = self._box
+        o, h = np.asarray(self.origin), self.spacing
+        return (o + h * lo).tolist(), (o + h * (lo + n - 1) + h).tolist()
 
     def lattice(self, n):
         """The ``n``-per-axis lattice over the bounding box, as an (n^m, m)
@@ -106,29 +119,6 @@ class GridBlock:
         one column."""
         X = np.asarray(point, dtype=float)[:, None]
         return bool(self.contains_columns(X)[0])
-
-    @cached_property
-    def _cube_box(self):
-        """The sorted cube indices as an (n, m) array, with the lowest index
-        and one past the highest per axis."""
-        idx = np.array(sorted(self.cubes))
-        return idx, idx.min(axis=0), idx.max(axis=0) + 1
-
-    @cached_property
-    def _occupancy(self):
-        """The occupancy of the cubes as a flat boolean array over a box of
-        cube indices, padded by one empty layer on every side so that
-        clipped indices land on empty cells, with the lowest index and the
-        highest offset of that box per axis (as (m, 1) float columns) and
-        its C-order strides (as an (m, 1) column)."""
-        idx, lo, hi = self._cube_box
-        lo = lo - 1
-        occ = np.zeros(hi - lo + 1, dtype=bool)
-        occ[tuple((idx - lo).T)] = True
-        strides = np.cumprod((1,) + occ.shape[:0:-1])[::-1]
-        return (occ.ravel(), lo[:, None].astype(float),
-                np.array(occ.shape, dtype=float)[:, None] - 1.0,
-                strides[:, None])
 
     def contains_columns(self, X):
         """For each column of the (m, N) array X, whether it lies in a cube
@@ -169,21 +159,18 @@ class GridBlock:
 
     def boundary_samples(self, per_face):
         """Sample lattice on the boundary faces, as one (n_faces * per_face
-        ** (m - 1), m) array: face by face in ``face_tags`` order, each face
-        a grid of ``per_face`` strictly interior positions (avoiding corner
+        ** (m - 1), m) array: face by face in ``faces`` order, each face a
+        grid of ``per_face`` strictly interior positions (avoiding corner
         ties) per tangent axis, in C order over the axes."""
         m, n = self.dimension, per_face
-        faces = list(self.face_tags)
-        axis = np.array([f.axis for f in faces])
-        rows = np.arange(len(faces))
-        lo = np.asarray(self.origin) + self.spacing * np.array(
-            [f.cube for f in faces], dtype=float)
+        cube, axis, side = self.faces
+        rows = np.arange(len(axis))
+        lo = np.asarray(self.origin) + self.spacing * self.cubes[cube]
         hi = lo + self.spacing
         # positions along every axis as np.linspace(lo, hi, n + 2)[1:-1]
         pos = np.arange(1, n + 1) * ((hi - lo) / (n + 1))[..., None] \
             + lo[..., None]
-        pos[rows, axis, 0] = np.where([f.side for f in faces],
-                                      hi[rows, axis], lo[rows, axis])
+        pos[rows, axis, 0] = np.where(side, hi[rows, axis], lo[rows, axis])
         # per normal axis, the lattice multi-indices with that axis fixed
         grid = np.array([list(itertools.product(
             *(range(1 if i == a else n) for i in range(m))))
@@ -192,13 +179,17 @@ class GridBlock:
         return pts.reshape(-1, m)
 
 
+# the most cells the doubled grid of a block's cube-index box may have
+MAX_GRID_CELLS = 2 ** 32
+
+
 def build_block(box=None, cubes=None, origin=None, spacing=None, dimension=None):
     """Build a GridBlock either from an axis-aligned ``box`` (list of
-    (lo, hi) pairs) or from an explicit ``cubes`` index list."""
+    (lo, hi) pairs) or from an explicit ``cubes`` index list, in which a
+    repeated cube counts once."""
     if spacing is None or spacing <= 0:
         raise BlockError("grid spacing must be positive")
     if box is not None:
-        m = len(box)
         origin = tuple(float(lo) for lo, _ in box)
         counts = []
         for lo, hi in box:
@@ -209,23 +200,37 @@ def build_block(box=None, cubes=None, origin=None, spacing=None, dimension=None)
                     f"box side [{lo}, {hi}] is not a whole number of cells "
                     f"at spacing {spacing}")
             counts.append(ni)
-        cubeset = frozenset(itertools.product(*(range(n) for n in counts)))
-        return GridBlock(m, origin, float(spacing), cubeset)
-    if cubes is not None:
-        cubes = frozenset(tuple(int(v) for v in c) for c in cubes)
-        if not cubes:
+    elif cubes is not None:
+        try:
+            idx = np.array(cubes, dtype=np.int64)
+        except OverflowError:
+            raise BlockError("a cube index does not fit in 64 bits") from None
+        except ValueError:
+            raise BlockError("inconsistent cube index dimensions") from None
+        if not len(idx):
             raise BlockError("empty cube set")
-        m = dimension if dimension is not None else len(next(iter(cubes)))
-        if any(len(c) != m for c in cubes):
+        m = dimension if dimension is not None else idx.shape[-1]
+        if idx.ndim != 2 or idx.shape[1] != m:
             raise BlockError("inconsistent cube index dimensions")
         if origin is None:
             origin = (0.0,) * m
         elif len(origin) != m:
             raise BlockError(
                 f"origin has {len(origin)} entries, dimension is {m}")
-        return GridBlock(m, tuple(float(v) for v in origin), float(spacing),
-                         cubes)
-    raise BlockError("either box or cubes must be given")
+        origin = tuple(float(v) for v in origin)
+        counts = [hi - lo + 1 for lo, hi in zip(idx.min(axis=0).tolist(),
+                                                idx.max(axis=0).tolist())]
+    else:
+        raise BlockError("either box or cubes must be given")
+    cells = math.prod(2 * n + 1 for n in counts)
+    if cells > MAX_GRID_CELLS:
+        raise BlockError(f"the cube-index box spans {cells} grid cells, "
+                         f"more than {MAX_GRID_CELLS}")
+    if box is not None:  # np.indices lists the cubes in sorted order
+        idx = np.indices(counts, dtype=np.int64).reshape(len(counts), -1).T
+    else:
+        idx = np.unique(idx, axis=0)
+    return GridBlock(len(counts), origin, float(spacing), idx)
 
 
 def classify_boundary(b, fieldd, lam=None, tols=DEFAULT):
@@ -233,24 +238,22 @@ def classify_boundary(b, fieldd, lam=None, tols=DEFAULT):
     the outward flux X . nu at a sample lattice, with the field at every
     sample of every face evaluated as one array.  A sample where the field
     is not finite is not transverse, so its face is Unresolved.  Returns a
-    new GridBlock."""
+    copy of ``b`` with these tags, which shares its cube and face arrays."""
     if fieldd.dimension != b.dimension:
         raise BlockError("field dimension does not match block")
-    faces = list(b.face_tags)
-    rows = np.arange(len(faces))
+    _, axis, side = b.faces
+    rows = np.arange(len(axis))
     V = expr.compile_field(fieldd)(b.boundary_samples(tols.face_samples).T,
-                                   lam).reshape(b.dimension, len(faces), -1)
+                                   lam).reshape(b.dimension, len(axis), -1)
     # nu is the unit vector along the face's axis, signed by its side
-    axis = np.array([f.axis for f in faces])
-    side = np.array([1.0 if f.side else -1.0 for f in faces])
-    flux = side[:, None] * V[axis, rows]
+    flux = np.where(side, 1.0, -1.0)[:, None] * V[axis, rows]
     finite = np.logical_and.reduce(np.isfinite(V), axis=0)
     tol = tols.margin_tol
     egress = np.logical_and.reduce(finite & (flux >= tol), axis=1)
     ingress = np.logical_and.reduce(finite & (flux <= -tol), axis=1)
-    tags = {f: EGRESS if e else INGRESS if i else UNRESOLVED
-            for f, e, i in zip(faces, egress, ingress)}
-    return GridBlock(b.dimension, b.origin, b.spacing, b.cubes, tags)
+    out = copy.copy(b)
+    out.tags = np.where(egress, EGRESS, np.where(ingress, INGRESS, UNRESOLVED))
+    return out
 
 
 def closure(mask):
@@ -267,8 +270,8 @@ def closure(mask):
 def _grid_mask(b, cubes, shift=0):
     """The closure of the cells at 2 (c - lo) + 1 + shift for the rows c of
     the (n, m) array ``cubes``, on the grid of the block's cube-index box."""
-    _, lo, hi = b._cube_box
-    mask = np.zeros(2 * (hi - lo) + 1, dtype=bool)
+    lo, n = b._box
+    mask = np.zeros(2 * n + 1, dtype=bool)
     mask[tuple((2 * (cubes - lo) + 1 + shift).T)] = True
     return closure(mask)
 
@@ -279,23 +282,19 @@ def exit_set(b):
 
     Raises if any face is still Unresolved; Ingress-only blocks give the
     empty complex."""
-    unresolved = [f for f, tag in b.face_tags.items() if tag == UNRESOLVED]
-    if unresolved:
-        raise UnresolvedFacesError(unresolved)
-    faces = [f for f, tag in b.face_tags.items() if tag == EGRESS]
-    cubes = np.array([f.cube for f in faces], dtype=int).reshape(
-        len(faces), b.dimension)
+    unresolved = b.tags == UNRESOLVED
+    if unresolved.any():
+        raise UnresolvedFacesError(b.face_list(unresolved))
+    cube, axis, side = (a[b.tags == EGRESS] for a in b.faces)
     # a face lies one step below or above its cube along its axis
-    shift = np.zeros_like(cubes)
-    shift[np.arange(len(faces)), [f.axis for f in faces]] = \
-        [2 * f.side - 1 for f in faces]
-    return _grid_mask(b, cubes, shift)
+    shift = (2 * side - 1)[:, None] * (axis[:, None] == np.arange(b.dimension))
+    return _grid_mask(b, b.cubes[cube], shift)
 
 
 def block_cells(b):
     """All cells of the block (the closures of its cubes), as a mask on the
     doubled grid of its cube-index box."""
-    return _grid_mask(b, b._cube_box[0])
+    return _grid_mask(b, b.cubes)
 
 
 @dataclass

@@ -280,7 +280,8 @@ def cmd_block(args):
     fieldd, b, _, _, lam, _, _ = _fixed_system(doc)
     report, tols = _base_report(args)
     classified = block_mod.classify_boundary(b, fieldd, lam=lam, tols=tols)
-    tags = sorted((str(f), tag) for f, tag in classified.face_tags.items())
+    tags = sorted(zip(map(str, classified.face_list()),
+                      classified.tags.tolist()))
     iso = block_mod.check_isolation(b, fieldd, lam=lam, tols=tols)
     report["faces"] = [{"face": f, "tag": t} for f, t in tags]
     report["unresolved"] = [f for f, t in tags if t == block_mod.UNRESOLVED]

@@ -168,19 +168,20 @@ def _split_complex(crits, top, a_block, r_block):
     per-degree index lists (A first).  The generators of degree k are the
     critical points of index k, in ``crits`` order, as ``morse.build_complex``
     lays them out."""
-    order = []
-    for k in range(top + 1):
-        a_idx, r_idx = [], []
-        for i, c in enumerate(c for c in crits if c.index == k):
-            p = np.asarray(c.coords)
-            in_a = a_block.contains(p)
-            in_r = r_block.contains(p)
-            if in_a == in_r:
-                raise NotAttractorRepellerError(
-                    f"critical point {c.coords} is in "
-                    f"{'both' if in_a else 'neither'} sub-block")
-            (a_idx if in_a else r_idx).append(i)
-        order.append((a_idx, r_idx))
+    by_degree = [[c for c in crits if c.index == k] for k in range(top + 1)]
+    points = [c.coords for cs in by_degree for c in cs]
+    X = np.array(points, dtype=float).reshape(len(points), a_block.dimension)
+    in_a = a_block.contains_columns(X.T)
+    bad = np.flatnonzero(in_a == r_block.contains_columns(X.T))
+    if bad.size:
+        raise NotAttractorRepellerError(
+            f"critical point {points[bad[0]]} is in "
+            f"{'both' if in_a[bad[0]] else 'neither'} sub-block")
+    order, start = [], 0
+    for cs in by_degree:
+        a = in_a[start:start + len(cs)]
+        start += len(cs)
+        order.append((np.flatnonzero(a).tolist(), np.flatnonzero(~a).tolist()))
     return order
 
 

@@ -1,16 +1,95 @@
-"""Reference form of ``GridBlock.contains_columns`` for the tests.
+"""Reference forms of the block geometry for the tests.
 
-``contains_columns`` below is the first, plain numpy form of the test: it
-builds all 2^m candidate cubes of every column as one (2^m, m, N) array of
-floats.  The package computes the same candidates as a (2, m, N) array and
-gathers their occupancy through one flat (2^m, N) index; the tests check
-that both give the same answer, column for column.
+A block here is a set of cube index tuples.  ``boundary_faces`` is the
+first, plain Python form of the boundary: a walk over the sorted cubes
+that asks, for every axis and side, whether the neighbour tuple is in the
+set.  ``classify_boundary`` tags each of those faces from the field at
+its own sample lattice, built per face from ``np.linspace``.  The package
+reads the same faces from one shifted occupancy array per axis and side,
+and samples and tags all faces at once; the tests check that both give
+the same faces, in the same order, with the same tags.
+
+``contains_columns`` below is the first, plain numpy form of the
+containment test: it builds all 2^m candidate cubes of every column as one
+(2^m, m, N) array of floats.  The package computes the same candidates as
+a (2, m, N) array and gathers their occupancy through one flat (2^m, N)
+index; the tests check that both give the same answer, column for column.
 """
 import itertools
 
 import numpy as np
 
+from mcfhom import block, expr
 from mcfhom.config import DEFAULT
+
+
+def cube_set(b):
+    """The cubes of the block ``b`` as a set of index tuples."""
+    return {tuple(c) for c in b.cubes.tolist()}
+
+
+def cube_bounds(b, c):
+    """The lower and upper corner of the cube ``c`` as lists."""
+    lo = [b.origin[i] + b.spacing * c[i] for i in range(b.dimension)]
+    return lo, [v + b.spacing for v in lo]
+
+
+def boundary_faces(b):
+    """The boundary faces of ``b`` as ``block.Face`` objects: cube by cube
+    in sorted order, then axis, then side, each a face with no neighbour
+    cube beyond it."""
+    cubes = cube_set(b)
+    faces = []
+    for c in sorted(cubes):
+        for axis in range(b.dimension):
+            for side in (0, 1):
+                nb = list(c)
+                nb[axis] += 1 if side else -1
+                if tuple(nb) not in cubes:
+                    faces.append(block.Face(c, axis, side))
+    return faces
+
+
+def face_tags(b):
+    """The faces of the block ``b`` with their tags, as a dict from
+    ``block.Face`` to tag in the order of its face arrays."""
+    return dict(zip(b.face_list(), b.tags.tolist()))
+
+
+def face_lattice(b, f, n):
+    """The ``n``-per-tangent-axis sample lattice of the face ``f``, strictly
+    inside the face, in C order over the axes."""
+    lo, hi = cube_bounds(b, f.cube)
+    lo[f.axis] = hi[f.axis] if f.side else lo[f.axis]
+    axes = [np.array([lo[i]]) if i == f.axis
+            else np.linspace(lo[i], hi[i], n + 2)[1:-1]
+            for i in range(b.dimension)]
+    grid = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grid], axis=-1)
+
+
+def classify_boundary(b, fieldd, lam=None, tols=DEFAULT):
+    """The tag of every face of ``boundary_faces(b)``, face by face: Egress
+    if the outward flux is at least ``margin_tol`` at every sample, Ingress
+    if it is at most ``-margin_tol`` at every sample, and Unresolved
+    otherwise, or if the field is not finite at a sample."""
+    faces = boundary_faces(b)
+    n = tols.face_samples ** (b.dimension - 1)
+    pts = np.concatenate([face_lattice(b, f, tols.face_samples)
+                          for f in faces])
+    V = expr.compile_field(fieldd)(pts.T, lam)
+    tags = {}
+    for i, f in enumerate(faces):
+        v = V[:, i * n:(i + 1) * n]
+        flux = (1.0 if f.side else -1.0) * v[f.axis]
+        finite = np.isfinite(v).all(axis=0)
+        if (finite & (flux >= tols.margin_tol)).all():
+            tags[f] = block.EGRESS
+        elif (finite & (flux <= -tols.margin_tol)).all():
+            tags[f] = block.INGRESS
+        else:
+            tags[f] = block.UNRESOLVED
+    return tags
 
 
 def contains_columns(b, X):
@@ -18,7 +97,7 @@ def contains_columns(b, X):
     the block ``b`` widened by the boundary tolerance on every side."""
     tol = DEFAULT.boundary_tol
     m = b.dimension
-    idx = np.array(sorted(b.cubes))
+    idx = np.array(sorted(cube_set(b)))
     # occupancy padded by one empty layer on every side, so that clipped
     # indices land on empty cells
     lo_idx = idx.min(axis=0) - 1

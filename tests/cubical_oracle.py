@@ -10,6 +10,7 @@ give the same chain groups and the same columns, dict for dict.
 """
 import numpy as np
 
+import block_oracle
 from mcfhom import block, homalg
 
 
@@ -92,13 +93,14 @@ def build_cubical_complex(cells, relative_to=frozenset()):
 
 def block_cells(b):
     """All cells of the block: the closures of its cubes."""
-    return closure([tuple((v, v + 1) for v in c) for c in b.cubes])
+    return closure([tuple((v, v + 1) for v in c)
+                    for c in block_oracle.cube_set(b)])
 
 
 def exit_set(b):
     """The closure of the Egress faces of a classified block."""
     top = []
-    for f, tag in b.face_tags.items():
+    for f, tag in block_oracle.face_tags(b).items():
         if tag == block.EGRESS:
             top.append(tuple((v + f.side,) * 2 if i == f.axis else (v, v + 1)
                              for i, v in enumerate(f.cube)))

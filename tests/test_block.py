@@ -1,7 +1,10 @@
 """Cubical blocks: construction, boundary classification, exit sets,
 isolation."""
 import dataclasses
+import glob
 import itertools
+import json
+import os
 import warnings
 
 import numpy as np
@@ -9,20 +12,20 @@ import pytest
 
 import block_oracle
 import flow_oracle as oracle
-from mcfhom import block, expr, flow
+from mcfhom import block, cli, expr, flow
 from mcfhom.config import DEFAULT
 
 
 def test_box_counts_2d():
     b = block.build_block(box=[(-1, 1), (-1, 1)], spacing=0.25)
     assert len(b.cubes) == 64
-    assert len(b.boundary_faces) == 32
+    assert len(b.tags) == 32
 
 
 def test_box_counts_1d():
     b = block.build_block(box=[(-1, 1)], spacing=0.5)
     assert len(b.cubes) == 4
-    assert len(b.boundary_faces) == 2
+    assert len(b.tags) == 2
 
 
 def test_annulus_has_inner_and_outer_boundary():
@@ -31,7 +34,7 @@ def test_annulus_has_inner_and_outer_boundary():
     b = block.build_block(cubes=cubes, origin=(-2.0, -2.0), spacing=0.5)
     assert len(b.cubes) == 60
     # outer square contributes 32 faces, inner hole 8
-    assert len(b.boundary_faces) == 40
+    assert len(b.tags) == 40
 
 
 def test_empty_block_rejected():
@@ -78,7 +81,7 @@ def test_classify_saddle_faces():
     b = block.build_block(box=[(-1, 1), (-1, 1)], spacing=0.5)
     fld = expr.parse_field(["x1", "-x2"], 2)
     cb = block.classify_boundary(b, fld)
-    for f, tag in cb.face_tags.items():
+    for f, tag in block_oracle.face_tags(cb).items():
         expected = block.EGRESS if f.axis == 0 else block.INGRESS
         assert tag == expected
 
@@ -87,14 +90,14 @@ def test_classify_double_well_ingress():
     b = block.build_block(box=[(-2, 2)], spacing=0.5)
     fld = expr.parse_field(["x1 - x1^3"], 1)
     cb = block.classify_boundary(b, fld)
-    assert all(tag == block.INGRESS for tag in cb.face_tags.values())
+    assert (cb.tags == block.INGRESS).all()
 
 
 def test_classify_semistable():
     b = block.build_block(box=[(-1, 1)], spacing=0.5)
     fld = expr.parse_field(["x1^2/(1 + x1^2)"], 1)
     cb = block.classify_boundary(b, fld)
-    tags = {f.side: tag for f, tag in cb.face_tags.items()}
+    tags = {f.side: tag for f, tag in block_oracle.face_tags(cb).items()}
     assert tags[1] == block.EGRESS
     assert tags[0] == block.INGRESS
 
@@ -106,7 +109,7 @@ def test_classify_non_finite_sample_leaves_its_face_unresolved():
     b = block.build_block(box=[(-1, 1), (-1, 1)], spacing=1.0)
     fld = expr.parse_field(["1", "1/(x2 + 0.5)"], 2)
     cb = block.classify_boundary(b, fld)
-    for f, tag in cb.face_tags.items():
+    for f, tag in block_oracle.face_tags(cb).items():
         if f.axis == 0:
             want = block.EGRESS if f.side else block.INGRESS
             assert tag == (block.UNRESOLVED if f.cube[1] == 0 else want)
@@ -119,11 +122,10 @@ def test_classify_monotone_in_tol():
         b, fld, tols=dataclasses.replace(DEFAULT, margin_tol=1e-6))
     high = block.classify_boundary(
         b, fld, tols=dataclasses.replace(DEFAULT, margin_tol=10.0))
-    for f in b.face_tags:
-        if high.face_tags[f] != block.UNRESOLVED:
-            assert high.face_tags[f] == low.face_tags[f]
+    resolved = high.tags != block.UNRESOLVED
+    assert np.array_equal(high.tags[resolved], low.tags[resolved])
     # raising the tolerance may only move tags toward Unresolved
-    assert any(t == block.UNRESOLVED for t in high.face_tags.values())
+    assert (high.tags == block.UNRESOLVED).any()
 
 
 def _cell_dims(mask):
@@ -236,21 +238,12 @@ def _l_shape():
                              spacing=0.5)
 
 
-def _face_lattice(b, f, n):
-    lo, hi = b.cube_bounds(f.cube)
-    lo[f.axis] = hi[f.axis] if f.side else lo[f.axis]
-    axes = [np.array([lo[i]]) if i == f.axis
-            else np.linspace(lo[i], hi[i], n + 2)[1:-1]
-            for i in range(b.dimension)]
-    grid = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grid], axis=-1)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_boundary_samples_are_the_face_lattices(n):
     for b in (_l_shape(), block.build_block(box=[(0, 1)], spacing=0.5),
               block.build_block(box=[(-1, 1), (-1, 0.5)], spacing=0.5)):
-        want = np.concatenate([_face_lattice(b, f, n) for f in b.face_tags])
+        want = np.concatenate([block_oracle.face_lattice(b, f, n)
+                               for f in block_oracle.boundary_faces(b)])
         assert np.array_equal(b.boundary_samples(n), want)
 
 
@@ -269,8 +262,8 @@ def _in_some_cube(b, p):
     """Brute force: p lies in some cube widened by the boundary tolerance
     on every side."""
     tol = DEFAULT.boundary_tol
-    for c in b.cubes:
-        lo, hi = b.cube_bounds(c)
+    for c in block_oracle.cube_set(b):
+        lo, hi = block_oracle.cube_bounds(b, c)
         if all(lo[i] - tol <= p[i] <= hi[i] + tol for i in range(b.dimension)):
             return True
     return False
@@ -310,6 +303,80 @@ def _irregular_cubes(m, rng):
     grid = np.array(list(itertools.product(range(-2, 3), repeat=m)))
     return [tuple(c) for c in grid[rng.random(len(grid)) < 0.5]] or \
         [(0,) * m]
+
+
+def _assert_faces_and_tags_match_the_oracle(b, fld, lam=None):
+    # the face arrays in the oracle's order, and the tags of each face
+    assert b.face_list() == block_oracle.boundary_faces(b)
+    want = block_oracle.classify_boundary(b, fld, lam)
+    cb = block.classify_boundary(b, fld, lam)
+    assert block_oracle.face_tags(cb) == want
+    # the classified block shares the arrays of the block it was given
+    assert cb.faces is b.faces and cb.cubes is b.cubes
+    return want
+
+
+def _shipped_systems():
+    root = os.path.dirname(os.path.dirname(__file__))
+    return sorted(glob.glob(os.path.join(root, "tests", "data", "*.json"))
+                  + glob.glob(os.path.join(root, "benchmarks", "systems",
+                                           "*.json")))
+
+
+@pytest.mark.parametrize("path", _shipped_systems(), ids=os.path.basename)
+def test_faces_and_tags_equal_the_oracle_on_shipped_systems(path):
+    with open(path) as fh:
+        fld, b, *_, lam, _, _ = cli._parse_system(json.load(fh))
+    # the continuation system sweeps lam from 0
+    _assert_faces_and_tags_match_the_oracle(
+        b, fld, 0.0 if lam is None and fld.has_param else lam)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_faces_and_tags_equal_the_oracle_on_irregular_cubes(m):
+    rng = np.random.default_rng(40 + m)
+    # a field that turns about the axes, so that some faces see both signs
+    fld = expr.parse_field(
+        [f"x{i + 1} - 2*x{(i + 1) % m + 1} + 0.1" for i in range(m)], m)
+    for _ in range(3):
+        cubes = _irregular_cubes(m, rng)
+        b = block.build_block(cubes=cubes, origin=tuple(rng.uniform(-1, 1, m)),
+                              spacing=0.3)
+        tags = set(_assert_faces_and_tags_match_the_oracle(b, fld).values())
+        assert block.EGRESS in tags and block.INGRESS in tags
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_cube_list_is_sorted_and_merged(m):
+    # the cube array is the sorted set of the listed cubes, however they
+    # are listed, and the bounding box is that of the per-cube corners
+    rng = np.random.default_rng(30 + m)
+    cubes = _irregular_cubes(m, rng)
+    listed = [cubes[i] for i in rng.integers(0, len(cubes), 3 * len(cubes))]
+    b = block.build_block(cubes=listed + cubes, origin=(0.25,) * m,
+                          spacing=0.3)
+    assert b.cubes.dtype == np.int64
+    assert b.cubes.tolist() == [list(c) for c in sorted(set(cubes))]
+    corners = [block_oracle.cube_bounds(b, c) for c in cubes]
+    assert b.bounding_box() == (
+        [min(lo[i] for lo, _ in corners) for i in range(m)],
+        [max(hi[i] for _, hi in corners) for i in range(m)])
+
+
+@pytest.mark.parametrize("cubes,message", [
+    ([(0,), (10 ** 21,)], "a cube index does not fit in 64 bits"),
+    ([(0, 0), (300000, 300000)], "the cube-index box spans 360003600009 "
+                                 "grid cells, more than 4294967296"),
+])
+def test_cube_lists_out_of_range_are_block_errors(cubes, message):
+    with pytest.raises(block.BlockError) as exc:
+        block.build_block(cubes=cubes, spacing=0.5)
+    assert str(exc.value) == message
+
+
+def test_a_box_over_the_grid_limit_is_a_block_error():
+    with pytest.raises(block.BlockError, match="more than 4294967296"):
+        block.build_block(box=[(0, 1)] * 3, spacing=1e-3)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

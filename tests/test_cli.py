@@ -514,6 +514,25 @@ def test_origin_of_the_wrong_length_exits_two(origin, tmp_path, capsys):
         f"input error: origin has {len(origin)} entries, dimension is 2\n"
 
 
+@pytest.mark.parametrize("command", ["block", "cubical"])
+@pytest.mark.parametrize("cubes,message", [
+    ([[0], [10 ** 21]], "a cube index does not fit in 64 bits"),
+    ([[0, 0], [300000, 300000]],
+     "the cube-index box spans 360003600009 grid cells, more than "
+     "4294967296"),
+], ids=["int64-overflow", "grid-too-large"])
+def test_cube_lists_out_of_range_exit_two(command, cubes, message, tmp_path,
+                                          capsys):
+    # a valid JSON cube list whose indices or box the block arrays cannot
+    # hold: an input error, before any array of the box is allocated
+    m = len(cubes[0])
+    doc = {"dimension": m, "field": [f"x{i + 1}" for i in range(m)],
+           "block": {"cubes": cubes, "spacing": 0.5}}
+    assert cli.main([command, _write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"input error: {message}\n"
+
+
 @pytest.mark.parametrize("command,name,section", [
     ("hi", "double_well_relations.json", ["invariant_set"]),
     ("relations", "double_well_relations.json",

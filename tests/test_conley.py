@@ -67,7 +67,7 @@ def test_exit_theorem_classifies_the_boundary_once(monkeypatch):
                                           epsilon=eps, perturbation=pert)
     assert rep.verdict
     assert len(calls) == 1
-    assert block.UNRESOLVED not in res.quadruple.block.face_tags.values()
+    assert not (res.quadruple.block.tags == block.UNRESOLVED).any()
 
 
 def test_hi_precheck_rejects_unresolved_faces():

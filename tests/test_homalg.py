@@ -560,7 +560,7 @@ def test_cubical_square_relative_two_edges():
 def _assert_block_matches_the_oracle(b, ex=None):
     """The cells, the exit set ``ex`` (none by default) and the relative
     complex of a block agree with the oracle's tuple forms."""
-    _, lo, _ = b._cube_box
+    lo = b.cubes.min(axis=0)
     cells = block.block_cells(b)
     assert cubical_oracle.cells_of(cells, lo) == cubical_oracle.block_cells(b)
     if ex is None:
