@@ -285,7 +285,7 @@ def exit_set(b):
     unresolved = b.tags == UNRESOLVED
     if unresolved.any():
         raise UnresolvedFacesError(b.face_list(unresolved))
-    cube, axis, side = (a[b.tags == EGRESS] for a in b.faces)
+    cube, axis, side = np.compress(b.tags == EGRESS, b.faces, axis=1)
     # a face lies one step below or above its cube along its axis
     shift = (2 * side - 1)[:, None] * (axis[:, None] == np.arange(b.dimension))
     return _grid_mask(b, b.cubes[cube], shift)

@@ -177,12 +177,9 @@ def _split_complex(crits, top, a_block, r_block):
         raise NotAttractorRepellerError(
             f"critical point {points[bad[0]]} is in "
             f"{'both' if in_a[bad[0]] else 'neither'} sub-block")
-    order, start = [], 0
-    for cs in by_degree:
-        a = in_a[start:start + len(cs)]
-        start += len(cs)
-        order.append((np.flatnonzero(a).tolist(), np.flatnonzero(~a).tolist()))
-    return order
+    ends = np.cumsum([len(cs) for cs in by_degree])[:-1]
+    return [(np.flatnonzero(a).tolist(), np.flatnonzero(~a).tolist())
+            for a in np.split(in_a, ends)]
 
 
 def attractor_repeller(s_result, a_block, r_block):

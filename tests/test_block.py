@@ -363,18 +363,8 @@ def test_cube_list_is_sorted_and_merged(m):
         [max(hi[i] for _, hi in corners) for i in range(m)])
 
 
-@pytest.mark.parametrize("cubes,message", [
-    ([(0,), (10 ** 21,)], "a cube index does not fit in 64 bits"),
-    ([(0, 0), (300000, 300000)], "the cube-index box spans 360003600009 "
-                                 "grid cells, more than 4294967296"),
-])
-def test_cube_lists_out_of_range_are_block_errors(cubes, message):
-    with pytest.raises(block.BlockError) as exc:
-        block.build_block(cubes=cubes, spacing=0.5)
-    assert str(exc.value) == message
-
-
 def test_a_box_over_the_grid_limit_is_a_block_error():
+    # checked before any array of the box is allocated, as for cube lists
     with pytest.raises(block.BlockError, match="more than 4294967296"):
         block.build_block(box=[(0, 1)] * 3, spacing=1e-3)
 

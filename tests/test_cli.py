@@ -183,17 +183,17 @@ def test_cubical_report_matches_the_golden_report(system, name, coeff,
     assert code == 0
 
 
-@pytest.mark.parametrize("system,code", [
-    ("saddle", 0),
-    ("tangent", 1),  # unresolved faces
-    ("annulus", 0),  # a cube list with a hole, unsorted, one cube twice
+@pytest.mark.parametrize("system,golden,code", [
+    ("saddle.json", "saddle_block.out", 0),
+    ("tangent.json", "tangent_block.out", 1),  # unresolved faces
+    # a cube list with a hole, unsorted, with one cube listed twice
+    ("annulus_block.json", "annulus_block.out", 0),
 ])
-def test_block_report_matches_the_golden_report(system, code, capsys):
+def test_block_report_matches_the_golden_report(system, golden, code, capsys):
     # the golden reports pin every face line, its tag and the unresolved
     # list, as the builder of a frozenset of cube tuples wrote them
-    name = "annulus_block" if system == "annulus" else system
-    assert cli.main(["block", _path(f"{name}.json")]) == code
-    with open(_path(f"{system}_block.out"), "rb") as fh:
+    assert cli.main(["block", _path(system)]) == code
+    with open(_path(golden), "rb") as fh:
         assert capsys.readouterr().out.encode() == fh.read()
 
 

@@ -3,6 +3,7 @@ pairs, and continuation."""
 import math
 import os
 import random
+import types
 
 import numpy as np
 import pytest
@@ -220,6 +221,26 @@ def test_attractor_repeller_rejects_uncovered_generator():
     r_block = block.build_block(box=[(-0.25, 0.25)], spacing=0.25)
     with pytest.raises(conley.NotAttractorRepellerError, match="neither"):
         conley.attractor_repeller(res, a_block, r_block)
+
+
+def test_split_complex_orders_by_degree_and_names_the_first_offender():
+    def crit(index, x):
+        return types.SimpleNamespace(index=index, coords=(x,))
+
+    wells = block.build_block(cubes=[(1,), (2,), (5,), (6,)],
+                              origin=(-2.0,), spacing=0.5)
+    centre = block.build_block(box=[(-0.25, 0.25)], spacing=0.25)
+    crits = [crit(1, 0.0), crit(0, 1.0), crit(0, -1.0)]
+    assert conley._split_complex(crits, 1, wells, centre) == \
+        [([0, 1], []), ([], [0])]
+    # degree 0 is tested before degree 1, whatever the order of crits
+    mixed = [crit(1, 5.0), crit(0, 0.0)]
+    wide = block.build_block(box=[(-1.5, 1.5)], spacing=0.5)
+    for a_block, text in ((wide, "(0.0,) is in both"),
+                          (wells, "(5.0,) is in neither")):
+        with pytest.raises(conley.NotAttractorRepellerError) as exc:
+            conley._split_complex(mixed, 1, a_block, centre)
+        assert str(exc.value) == f"critical point {text} sub-block"
 
 
 def test_attractor_repeller_ring_and_its_repelling_centre():
