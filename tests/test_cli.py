@@ -197,6 +197,21 @@ def test_block_report_matches_the_golden_report(system, golden, code, capsys):
         assert capsys.readouterr().out.encode() == fh.read()
 
 
+@pytest.mark.parametrize("argv,golden", [
+    (["continue", "double_well_continue.json", "--seed", "3"],
+     "double_well_continue_seed3.out"),
+    (["relations", "double_well_relations.json", "--seed", "3"],
+     "double_well_relations_seed3.out"),
+    # a field and options.lam = 0.5 at one parameter value
+    (["hi", "saddle_lam.json", "--seed", "3"], "saddle_lam_hi_seed3.out"),
+    (["lyapunov", "saddle_lam.json"], "saddle_lam_lyapunov.out"),
+])
+def test_report_matches_the_golden_report(argv, golden, capsys):
+    assert cli.main([argv[0], _path(argv[1]), *argv[2:]]) == 0
+    with open(_path(golden), "rb") as fh:
+        assert capsys.readouterr().out.encode() == fh.read()
+
+
 def _same_complex(a, b):
     """Assert that the hi reports ``a`` and ``b`` have the same homology
     and the same Morse complex up to the order and orientation of its
@@ -398,7 +413,7 @@ def test_walker_agrees_with_jsonschema():
                                              "*.json"))):
         with open(f) as fh:
             docs.append(json.load(fh))
-    assert len(docs) == 11
+    assert len(docs) == 12
     docs.append({"dimension": 2, "field": ["x1", "-x2"],
                  "block": {"cubes": [[0, 0], [1, 0]], "origin": [-1, -0.5],
                            "spacing": 0.5}})
