@@ -233,7 +233,7 @@ def build_block(box=None, cubes=None, origin=None, spacing=None, dimension=None)
     return GridBlock(len(counts), origin, float(spacing), idx)
 
 
-def classify_boundary(b, fieldd, lam=None, tols=DEFAULT):
+def classify_boundary(b, fieldd, tols=DEFAULT):
     """Tag each boundary face Egress / Ingress / Unresolved by the sign of
     the outward flux X . nu at a sample lattice, with the field at every
     sample of every face evaluated as one array.  A sample where the field
@@ -243,8 +243,8 @@ def classify_boundary(b, fieldd, lam=None, tols=DEFAULT):
         raise BlockError("field dimension does not match block")
     _, axis, side = b.faces
     rows = np.arange(len(axis))
-    V = expr.compile_field(fieldd)(b.boundary_samples(tols.face_samples).T,
-                                   lam).reshape(b.dimension, len(axis), -1)
+    X = b.boundary_samples(tols.face_samples).T
+    V = expr.compile_field(fieldd)(X).reshape(b.dimension, len(axis), -1)
     # nu is the unit vector along the face's axis, signed by its side
     flux = np.where(side, 1.0, -1.0)[:, None] * V[axis, rows]
     finite = np.logical_and.reduce(np.isfinite(V), axis=0)

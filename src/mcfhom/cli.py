@@ -219,29 +219,38 @@ def _build_block(spec, m):
 
 def _parse_system(doc):
     m = doc["dimension"]
+    opts = doc.get("options", {})
     try:
         fieldd = expr.parse_field(doc["field"], m)
         lyap = expr.parse(doc["lyapunov"], m) if "lyapunov" in doc else None
-        pert = None
-        if "perturbation" in doc.get("options", {}):
-            pert = expr.parse(doc["options"]["perturbation"], m)
+        pert = (expr.parse(opts["perturbation"], m)
+                if "perturbation" in opts else None)
     except expr.ExprError as exc:
         raise InputError(str(exc)) from exc
     b = _build_block(doc["block"], m)
     s_decl = _s_decl(doc.get("invariant_set"), m)
-    lam = doc.get("options", {}).get("lam")
-    eps = doc.get("options", {}).get("epsilon")
-    return fieldd, b, lyap, s_decl, lam, eps, pert
+    return fieldd, b, lyap, s_decl, opts.get("epsilon"), pert
 
 
 def _fixed_system(doc):
     """``_parse_system`` for the commands that work at one parameter value:
-    an expression that mentions lam needs ``options.lam``."""
-    fieldd, b, lyap, s_decl, lam, eps, pert = _parse_system(doc)
-    if lam is None and (fieldd.has_param or any(
-            e is not None and expr.mentions_param(e) for e in (lyap, pert))):
-        raise InputError("the system mentions lam but options.lam is absent")
-    return fieldd, b, lyap, s_decl, lam, eps, pert
+    ``options.lam`` is substituted for lam in the field, the Lyapunov
+    function and the perturbation; without it, none may mention lam."""
+    fieldd, b, lyap, s_decl, eps, pert = _parse_system(doc)
+    lam = doc.get("options", {}).get("lam")
+    if lam is None:
+        if fieldd.has_param or any(e is not None and expr.mentions_param(e)
+                                   for e in (lyap, pert)):
+            raise InputError(
+                "the system mentions lam but options.lam is absent")
+        return fieldd, b, lyap, s_decl, eps, pert
+    try:
+        lyap, pert = (None if e is None else
+                      expr.substitute_param(e, expr.Const(float(lam)))
+                      for e in (lyap, pert))
+        return expr.bind_field(fieldd, lam), b, lyap, s_decl, eps, pert
+    except expr.ExprError as exc:
+        raise InputError(f"at lam = {lam}: {exc}") from exc
 
 
 def _s_decl(spec, m):
@@ -277,12 +286,12 @@ def _base_report(args):
 
 def cmd_block(args):
     doc = load_system(args.file)
-    fieldd, b, _, _, lam, _, _ = _fixed_system(doc)
+    fieldd, b, *_ = _fixed_system(doc)
     report, tols = _base_report(args)
-    classified = block_mod.classify_boundary(b, fieldd, lam=lam, tols=tols)
+    classified = block_mod.classify_boundary(b, fieldd, tols=tols)
     tags = sorted(zip(map(str, classified.face_list()),
                       classified.tags.tolist()))
-    iso = block_mod.check_isolation(b, fieldd, lam=lam, tols=tols)
+    iso = block_mod.check_isolation(b, fieldd, tols=tols)
     report["faces"] = [{"face": f, "tag": t} for f, t in tags]
     report["unresolved"] = [f for f, t in tags if t == block_mod.UNRESOLVED]
     report["isolation"] = {
@@ -296,12 +305,11 @@ def cmd_block(args):
 
 def cmd_lyapunov(args):
     doc = load_system(args.file)
-    fieldd, b, lyap, s_decl, lam, _, _ = _fixed_system(doc)
+    fieldd, b, lyap, s_decl, _, _ = _fixed_system(doc)
     if lyap is None:
         raise InputError("system file has no lyapunov expression")
     report, tols = _base_report(args)
-    rep = lyapunov.verify_lyapunov(lyap, fieldd, b, s_decl, lam=lam,
-                                   tols=tols)
+    rep = lyapunov.verify_lyapunov(lyap, fieldd, b, s_decl, tols=tols)
     report["lyapunov"] = {
         "verdict": rep.verdict,
         "min_decrease": rep.min_decrease,
@@ -314,12 +322,12 @@ def cmd_lyapunov(args):
 
 def cmd_hi(args):
     doc = load_system(args.file)
-    fieldd, b, lyap, s_decl, lam, eps, pert = _fixed_system(doc)
+    fieldd, b, lyap, s_decl, eps, pert = _fixed_system(doc)
     if lyap is None:
         raise InputError("system file has no lyapunov expression")
     report, tols = _base_report(args)
     et, res = conley.verify_exit_theorem(
-        fieldd, b, lyap, s_decl, lam=lam, seed=args.seed, epsilon=eps,
+        fieldd, b, lyap, s_decl, seed=args.seed, epsilon=eps,
         perturbation=pert, coeff=args.coeff, tols=tols)
     report["hi"] = _homology_table(et.hi)
     report["relative_cubical"] = _homology_table(et.relative)
@@ -339,9 +347,9 @@ def cmd_hi(args):
 
 def cmd_cubical(args):
     doc = load_system(args.file)
-    fieldd, b, _, _, lam, _, _ = _fixed_system(doc)
+    fieldd, b, *_ = _fixed_system(doc)
     report, tols = _base_report(args)
-    classified = block_mod.classify_boundary(b, fieldd, lam=lam, tols=tols)
+    classified = block_mod.classify_boundary(b, fieldd, tols=tols)
     exitc = block_mod.exit_set(classified)
     h = homalg.cubical_relative_homology(classified, exitc, coeff=args.coeff)
     report["exit_cells"] = int(exitc.sum())
@@ -352,23 +360,18 @@ def cmd_cubical(args):
 
 def cmd_relations(args):
     doc = load_system(args.file)
-    fieldd, b, lyap, s_decl, lam, eps, _ = _fixed_system(doc)
+    fieldd, b, lyap, s_decl, eps, _ = _fixed_system(doc)
     if "decomposition" not in doc:
         raise InputError("system file has no decomposition section")
     if lyap is None:
         raise InputError("system file has no lyapunov expression")
     report, tols = _base_report(args)
-    m = doc["dimension"]
-    subs = []
-    for entry in doc["decomposition"]["sets"]:
-        try:
-            sl = expr.parse(entry["lyapunov"], m)
-        except expr.ExprError as exc:
-            raise InputError(str(exc)) from exc
-        subs.append((_build_block(entry["block"], m), sl,
-                     _s_decl(entry["invariant_set"], m)))
+    # a set is read as the system with its block, Lyapunov function and
+    # invariant set: (block, bound Lyapunov function, declaration)
+    subs = [_fixed_system(dict(doc, **entry))[1:4]
+            for entry in doc["decomposition"]["sets"]]
     dec, whole, parts = conley.decomposition_analysis(
-        fieldd, b, lyap, s_decl, subs, lam=lam, seed=args.seed,
+        fieldd, b, lyap, s_decl, subs, seed=args.seed,
         epsilon=eps, coeff=args.coeff, tols=tols)
     report["poincare_whole"] = str(dec.whole)
     report["poincare_parts"] = [str(p) for p in dec.parts]
@@ -381,7 +384,7 @@ def cmd_continue(args):
     doc = load_system(args.file)
     if "continuation" not in doc:
         raise InputError("system file has no continuation section")
-    fieldd, b, lyap, s_decl, lam, eps, _ = _parse_system(doc)
+    fieldd, b, lyap, s_decl, eps, _ = _parse_system(doc)
     if lyap is None:
         raise InputError("system file has no lyapunov expression")
     report, tols = _base_report(args)

@@ -43,9 +43,6 @@ class Quadruple:
     f: object          # Expr after perturbation
     block: object      # with its boundary faces classified
     crits: list
-    base: object       # base Lyapunov Expr
-    epsilon: float
-    seed: int
     certificate: object
 
 
@@ -57,32 +54,29 @@ class HIResult:
     counts: list
 
 
-def compute_HI(fieldd, b, lyap, s_decl, lam=None, seed=0, epsilon=None,
+def compute_HI(fieldd, b, lyap, s_decl, seed=0, epsilon=None,
                perturbation=None, coeff="Z", tols=DEFAULT):
     """Full pipeline: verify the inputs, Morse-perturb the Lyapunov
     function, find critical points, count connections, take homology."""
-    classified = block_mod.classify_boundary(b, fieldd, lam=lam, tols=tols)
+    classified = block_mod.classify_boundary(b, fieldd, tols=tols)
     block_mod.exit_set(classified)  # raises on unresolved faces
-    iso = block_mod.check_isolation(b, fieldd, lam=lam, tols=tols)
+    iso = block_mod.check_isolation(b, fieldd, tols=tols)
     if not iso:
         raise PipelineError(
             f"block is not isolating (trapped samples {iso.failures[:3]})")
-    rep = lyapunov.verify_lyapunov(lyap, fieldd, b, s_decl, lam=lam,
-                                   tols=tols)
+    rep = lyapunov.verify_lyapunov(lyap, fieldd, b, s_decl, tols=tols)
     if not rep:
         raise PipelineError(
             f"Lyapunov verification failed (min decrease "
             f"{rep.min_decrease:.3e} at {rep.min_location}, "
             f"f spread over S {rep.value_spread:.3e})")
-    eps = tols.epsilon if epsilon is None else epsilon
-    f, cert = lyapunov.morse_perturb(lyap, b, epsilon=eps,
-                                     perturbation=perturbation, seed=seed,
-                                     lam=lam, tols=tols)
-    crits = morse.find_critical_points(f, b, lam=lam, tols=tols)
+    f, cert = lyapunov.morse_perturb(lyap, b, epsilon=epsilon, seed=seed,
+                                     perturbation=perturbation, tols=tols)
+    crits = morse.find_critical_points(f, b, tols=tols)
     complex_, counts = morse.build_complex(
-        f, b, crits, lam=lam, tols=tols, coeff=coeff, seed=seed)
+        f, b, crits, tols=tols, coeff=coeff, seed=seed)
     h = homalg.homology(complex_, coeff=coeff)
-    quad = Quadruple(f, classified, crits, lyap, eps, seed, cert)
+    quad = Quadruple(f, classified, crits, cert)
     return HIResult(h, quad, complex_, counts)
 
 
@@ -93,14 +87,12 @@ class ExitTheoremReport:
     relative: homalg.HomologyResult
 
 
-def verify_exit_theorem(fieldd, b, lyap, s_decl, lam=None, seed=0,
-                        epsilon=None, perturbation=None, coeff="Z",
-                        tols=DEFAULT):
+def verify_exit_theorem(fieldd, b, lyap, s_decl, seed=0, epsilon=None,
+                        perturbation=None, coeff="Z", tols=DEFAULT):
     """Compare HI against the relative cubical homology of the block and
     its exit set."""
-    res = compute_HI(fieldd, b, lyap, s_decl, lam=lam, seed=seed,
-                     epsilon=epsilon, perturbation=perturbation,
-                     coeff=coeff, tols=tols)
+    res = compute_HI(fieldd, b, lyap, s_decl, seed=seed, epsilon=epsilon,
+                     perturbation=perturbation, coeff=coeff, tols=tols)
     classified = res.quadruple.block
     exitc = block_mod.exit_set(classified)
     rel = homalg.cubical_relative_homology(classified, exitc, coeff=coeff)
@@ -108,12 +100,12 @@ def verify_exit_theorem(fieldd, b, lyap, s_decl, lam=None, seed=0,
 
 
 def block_independence(fieldd, lyap_a, block_a, lyap_b, block_b, s_decl_a,
-                       s_decl_b, lam=None, seed=0, epsilon=None, coeff="Z",
+                       s_decl_b, seed=0, epsilon=None, coeff="Z",
                        tols=DEFAULT):
     """Two blocks isolating the same invariant set must give equal HI."""
-    ra = compute_HI(fieldd, block_a, lyap_a, s_decl_a, lam=lam, seed=seed,
+    ra = compute_HI(fieldd, block_a, lyap_a, s_decl_a, seed=seed,
                     epsilon=epsilon, coeff=coeff, tols=tols)
-    rb = compute_HI(fieldd, block_b, lyap_b, s_decl_b, lam=lam, seed=seed,
+    rb = compute_HI(fieldd, block_b, lyap_b, s_decl_b, seed=seed,
                     epsilon=epsilon, coeff=coeff, tols=tols)
     return ra.homology == rb.homology, ra, rb
 
@@ -126,18 +118,17 @@ class DecompositionReport:
 
 
 def decomposition_analysis(fieldd, s_block, s_lyap, s_decl, sub_specs,
-                           lam=None, seed=0, epsilon=None, coeff="Z",
-                           tols=DEFAULT):
+                           seed=0, epsilon=None, coeff="Z", tols=DEFAULT):
     """Morse relations for a declared decomposition.
 
     ``sub_specs`` is a list of (block, lyapunov Expr, SDeclaration) for the
     Morse sets, pairwise disjoint inside the S block.
     """
-    whole = compute_HI(fieldd, s_block, s_lyap, s_decl, lam=lam, seed=seed,
+    whole = compute_HI(fieldd, s_block, s_lyap, s_decl, seed=seed,
                        epsilon=epsilon, coeff=coeff, tols=tols)
     parts = []
     for sb, sl, sd in sub_specs:
-        parts.append(compute_HI(fieldd, sb, sl, sd, lam=lam, seed=seed,
+        parts.append(compute_HI(fieldd, sb, sl, sd, seed=seed,
                                 epsilon=epsilon, coeff=coeff, tols=tols))
     pw = homalg.poincare(whole.homology)
     pp = [homalg.poincare(p.homology) for p in parts]
@@ -341,7 +332,7 @@ def verify_index_split(cf, b, tols=DEFAULT):
     mu_seeds = np.linspace(0.0, 2.0, 17)[:-1]
     seeds = np.column_stack([np.repeat(lat, mu_seeds.size, axis=0),
                              np.tile(mu_seeds, len(lat))]).T
-    P, H = morse.newton(F, b, seeds, None, tols.newton_tol, 2.0,
+    P, H = morse.newton(F, b, seeds, tols.newton_tol, 2.0,
                         max(10 * tols.newton_tol, 1e-7))
     index = np.sum(np.linalg.eigvalsh(0.5 * (H + H.transpose(0, 2, 1))) < 0,
                    axis=1)
@@ -391,8 +382,9 @@ def continuation_invariance(family, b, lam_grid, lyap0, lyap1, s_decl0,
                             s_decl1, seed=0, epsilon=None, coeff="Z",
                             tols=DEFAULT):
     """Check isolation along the grid, as one family batch, then equality
-    of endpoint HI.  The error names the first lam of the grid at which the
-    block is not isolating."""
+    of HI at the grid's ends, where the family and the Lyapunov functions
+    are bound.  The error names the first lam at which the block is not
+    isolating."""
     lams = [float(lv) for lv in lam_grid]
     rep = block_mod.check_isolation(b, family, lam=lams, tols=tols)
     for lv, r in zip(lams, rep.members):
@@ -400,8 +392,9 @@ def continuation_invariance(family, b, lam_grid, lyap0, lyap1, s_decl0,
             raise ContinuationError(
                 f"block stops isolating at lam = {lv} (trapped "
                 f"samples {r.failures[:3]}); not a continuation")
-    r0 = compute_HI(family, b, lyap0, s_decl0, lam=float(lam_grid[0]),
-                    seed=seed, epsilon=epsilon, coeff=coeff, tols=tols)
-    r1 = compute_HI(family, b, lyap1, s_decl1, lam=float(lam_grid[-1]),
-                    seed=seed, epsilon=epsilon, coeff=coeff, tols=tols)
+    r0, r1 = (compute_HI(expr.bind_field(family, lv), b,
+                         expr.substitute_param(lyap, expr.Const(lv)), sd,
+                         seed=seed, epsilon=epsilon, coeff=coeff, tols=tols)
+              for lv, lyap, sd in ((lams[0], lyap0, s_decl0),
+                                   (lams[-1], lyap1, s_decl1)))
     return r0.homology == r1.homology, r0, r1

@@ -154,7 +154,7 @@ def powi(base, exponent):
     if exponent == 1:
         return base
     if _is_const(base):
-        return Const(base.value ** exponent)
+        return Const(evaluate(Pow(base, exponent), ()))
     return Pow(base, exponent)
 
 
@@ -343,7 +343,7 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pow": 4, "atom": 5}
 
 
 def _fmt_const(v):
-    if v == int(v) and abs(v) < 1e16:
+    if abs(v) < 1e16 and v == int(v):
         return str(int(v))
     return repr(v)
 
@@ -610,8 +610,10 @@ def _to_py(e):
 # np.float_power calls the C library's pow, as Python's float ** does, so
 # integer powers agree bit for bit with ``evaluate``; the ndarray **
 # operator may square by multiplication or use SIMD pow routines.
+# inf and nan: the reprs of non-finite constants, as 1e308/lam at 1e-10
 _ENV = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_log": np.log,
-        "_sqrt": np.sqrt, "_ramp": _ramp_array, "_pow": np.float_power}
+        "_sqrt": np.sqrt, "_ramp": _ramp_array, "_pow": np.float_power,
+        "inf": math.inf, "nan": math.nan}
 
 
 @lru_cache(maxsize=4096)
@@ -659,6 +661,13 @@ def make_field(components, dimension=None):
 
 def parse_field(texts, m):
     return make_field([parse(t, m) for t in texts], m)
+
+
+def bind_field(field, lam):
+    """The field of the family ``field`` at the value ``lam``, by
+    ``substitute_param``; a constant domain error raises ExprError."""
+    return FieldDef(field.dimension, tuple(
+        substitute_param(e, Const(float(lam))) for e in field.components))
 
 
 def negative_gradient(f, m):

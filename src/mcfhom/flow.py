@@ -329,7 +329,7 @@ def integrate_columns(field, x0, stop, t_max, direction, lam=None,
     return run.t, run.status == STOPPED
 
 
-def transport_frame(fieldd, X0, T, frames, lam=None, tols=DEFAULT):
+def transport_frame(fieldd, X0, T, frames, tols=DEFAULT):
     """Transport a tangent frame along the orbit of every column of the
     (m, N) array X0, column j over the duration T[j] >= 0 (T may also be
     one scalar for all).
@@ -364,10 +364,10 @@ def transport_frame(fieldd, X0, T, frames, lam=None, tols=DEFAULT):
     J = [expr.compile_field(expr.FieldDef(m, row))
          for row in expr.jacobian(fieldd)]
 
-    def G(Z, lam):
+    def G(Z, _):
         out = np.empty_like(Z)
-        out[:m] = F(Z[:m], lam)
-        DX = np.stack([row(Z[:m], lam) for row in J])  # (m, m, n)
+        out[:m] = F(Z[:m])
+        DX = np.stack([row(Z[:m]) for row in J])  # (m, m, n)
         V = Z[m:].reshape(k, m, -1)
         dV = out[m:].reshape(k, m, -1)
         # (DX v)_a = sum_b DX_ab v_b, added in the order of b
@@ -394,7 +394,7 @@ def transport_frame(fieldd, X0, T, frames, lam=None, tols=DEFAULT):
     if go.size:
         Z0 = np.concatenate([X0[:, go], frames[:, :, go].reshape(k * m, -1)])
         run = _dop853(G, Z0, 1, T[go], tols.rtol, tols.atol, tols.max_steps,
-                      renormalize, lam)
+                      renormalize)
         X[:, go] = run.x[:m]
         W[:, :, go] = run.x[m:].reshape(k, m, -1)
         for i, j in enumerate(go):
@@ -414,14 +414,14 @@ def transport_frame(fieldd, X0, T, frames, lam=None, tols=DEFAULT):
     return W, X
 
 
-def field_scale(fieldd, block, lam=None):
+def field_scale(fieldd, block):
     """Mean field magnitude over a 5-per-axis lattice on the block's
     bounding box; used to make the speed tolerance dimensionless.  The mean
     (rather than the median) keeps the scale positive even when the lattice
     happens to hit several equilibria.  Lattice points where the field is
     not finite are left out."""
     F = expr.compile_field(fieldd)
-    mags = _norms(F(block.lattice(5).T, lam))
+    mags = _norms(F(block.lattice(5).T))
     mags = mags[np.isfinite(mags)]
     return max(float(np.mean(mags)), 1e-12) if mags.size else 1.0
 
@@ -435,8 +435,8 @@ class LimitClass:
     errors: tuple  # the error of a failed column, else None
 
 
-def classify_limit(gradfield, X0, crits, block, tols=DEFAULT, lam=None,
-                   scale=None, direction=1):
+def classify_limit(gradfield, X0, crits, block, tols=DEFAULT, scale=None,
+                   direction=1):
     """Run the orbit of every column of the (m, N) array X0 until capture
     at a critical point, exit from the block, or time budget, as one
     ``_dop853`` batch.  ``direction`` is the direction of time, one sign
@@ -466,7 +466,7 @@ def classify_limit(gradfield, X0, crits, block, tols=DEFAULT, lam=None,
         j = np.argmin(gap)
         raise AmbiguousCaptureError(crits[i[j]], crits[k[j]], gap[j])
     if scale is None:
-        scale = field_scale(gradfield, block, lam)
+        scale = field_scale(gradfield, block)
     speed_tol = tols.speed_tol_factor * scale
     F = expr.compile_field(gradfield)
     captor = np.full(n, -1)  # index into crits of a captured column
@@ -483,7 +483,7 @@ def classify_limit(gradfield, X0, crits, block, tols=DEFAULT, lam=None,
         return out
 
     run = _dop853(F, X0, direction, tols.t_budget, tols.rtol, tols.atol,
-                  tols.max_steps, stop, lam)
+                  tols.max_steps, stop)
     errors = tuple(_failure(run, tols.max_steps, j) for j in range(n))
     tag = tuple("failed" if e is not None else "budget" if s == DONE
                 else "exited" if c < 0 else "converged"

@@ -48,7 +48,6 @@ class LyapunovReport:
     verdict: bool
     min_decrease: float  # minimum of -df.X over the sampled region
     min_location: tuple
-    collar_radius: float
     value_spread: float  # max |f(s_i) - f(s_j)| over declared S samples
     violating_sample: tuple = None
 
@@ -56,7 +55,7 @@ class LyapunovReport:
         return self.verdict
 
 
-def verify_lyapunov(f, fieldd, b, s_decl, lam=None, tols=DEFAULT):
+def verify_lyapunov(f, fieldd, b, s_decl, tols=DEFAULT):
     """Check df.X < 0 on a lattice over the block outside the S collar,
     and that f is constant over the declared S samples.  The lattice points
     inside the block are evaluated as one array, and so are the S samples;
@@ -66,19 +65,18 @@ def verify_lyapunov(f, fieldd, b, s_decl, lam=None, tols=DEFAULT):
     finite at an S sample, the value spread is not finite.  Either makes
     the verdict false."""
     m = b.dimension
-    scale = flow.field_scale(fieldd, b, lam)
+    scale = flow.field_scale(fieldd, b)
     tol = tols.strict_decrease_tol * max(scale, 1.0)
 
     s_pts = [np.asarray(s, dtype=float) for s in s_decl.samples]
-    rad = s_decl.radius
     pts = b.lattice(tols.verify_samples)
     keep = b.contains_columns(pts.T)
     for s in s_pts:
         d = pts - s
-        keep &= np.sqrt(np.vecdot(d, d)) > rad
+        keep &= np.sqrt(np.vecdot(d, d)) > s_decl.radius
     pts = pts[keep]
-    df = expr.compile_field(expr.FieldDef(m, expr.gradient(f, m)))(pts.T, lam)
-    X = expr.compile_field(fieldd)(pts.T, lam)
+    df = expr.compile_field(expr.FieldDef(m, expr.gradient(f, m)))(pts.T)
+    X = expr.compile_field(fieldd)(pts.T)
     # summed from integer 0, as by Python's sum, so a zero decrease is -0.0
     decrease = -sum(df[i] * X[i] for i in range(m))
     F = expr.compile_scalar(f)
@@ -86,7 +84,7 @@ def verify_lyapunov(f, fieldd, b, s_decl, lam=None, tols=DEFAULT):
     def values(P):
         """f at the rows of P; a constant f compiles to one scalar."""
         with np.errstate(all="ignore"):
-            return np.broadcast_to(F(P.T, lam), len(P))
+            return np.broadcast_to(F(P.T), len(P))
 
     # the symbolic df can be finite where f has no value, as for 0*sqrt(u)
     decrease[~np.isfinite(values(pts))] = np.nan
@@ -107,7 +105,7 @@ def verify_lyapunov(f, fieldd, b, s_decl, lam=None, tols=DEFAULT):
         with np.errstate(all="ignore"):
             spread = float(np.max(vals) - np.min(vals))
     verdict = bool(violating is None and spread <= s_decl.value_tol)
-    return LyapunovReport(verdict, best, best_loc, rad, spread, violating)
+    return LyapunovReport(verdict, best, best_loc, spread, violating)
 
 
 def combine(fa, fb, lam_coeff, mu_coeff):
@@ -146,7 +144,7 @@ def linear_perturbation(m, seed):
 
 
 def morse_perturb(base, b, epsilon=None, perturbation=None, seed=0,
-                  lam=None, tols=DEFAULT):
+                  tols=DEFAULT):
     """Perturb a Lyapunov function to a Morse function on the block.
 
     Returns (perturbed Expr, HomotopyCertificate).  Without a
@@ -185,8 +183,7 @@ def morse_perturb(base, b, epsilon=None, perturbation=None, seed=0,
         s = 0 the perturbation drops out, as it does from the Expr, even
         where its gradient has no value.  It is evaluated under
         ``np.errstate(all="ignore")``, as the integrator evaluates it."""
-        return grad_base(X, lam) + np.where(s != 0.0,
-                                            s * grad_pert(X, lam), 0.0)
+        return grad_base(X) + np.where(s != 0.0, s * grad_pert(X), 0.0)
 
     samples = b.boundary_samples(tols.isolation_samples_per_face)
     with np.errstate(all="ignore"):

@@ -91,7 +91,6 @@ class CriticalPoint:
     f_value: float
     eigenvalues: tuple  # ascending
     index: int          # number of negative eigenvalues
-    margin: float       # min |eigenvalue|
     frame: tuple        # unstable eigenvectors, ascending eigenvalue order
     stable: tuple       # stable eigenvectors, ascending eigenvalue order
 
@@ -113,7 +112,7 @@ def _norms(rows):
     return np.sqrt(np.vecdot(rows, rows))
 
 
-def newton(f, b, seeds, lam, tol, period, radius):
+def newton(f, b, seeds, tol, period, radius):
     """Critical points of f reached by damped Newton iteration from every
     column of the (n, N) array ``seeds`` at once.
 
@@ -139,7 +138,7 @@ def newton(f, b, seeds, lam, tol, period, radius):
             for row in expr.hessian(f, n)]
 
     def hess(Z):
-        return np.stack([r(Z, lam) for r in rows]).transpose(2, 0, 1)
+        return np.stack([r(Z) for r in rows]).transpose(2, 0, 1)
 
     lo, hi = (np.asarray(v, dtype=float)[:, None] for v in b.bounding_box())
     span = hi - lo
@@ -149,7 +148,7 @@ def newton(f, b, seeds, lam, tol, period, radius):
     cols = np.arange(N)
     with np.errstate(all="ignore"):
         for _ in range(80):
-            g = np.ascontiguousarray(grad(Z[:, cols], lam).T)
+            g = np.ascontiguousarray(grad(Z[:, cols]).T)
             finite = np.logical_and.reduce(np.isfinite(g), axis=1)
             done = finite & (_norms(g) < tol)
             ok[cols[done]] = True
@@ -193,17 +192,17 @@ def newton(f, b, seeds, lam, tol, period, radius):
     return P, hess(P)
 
 
-def find_critical_points(f, b, lam=None, tols=DEFAULT):
+def find_critical_points(f, b, tols=DEFAULT):
     """Critical points of f inside the block, by ``newton`` from a
     ``tols.seed_density``-per-axis lattice over the bounding box; each is
     checked for nondegeneracy.  Idents follow the lexicographic order of
     the coordinates."""
-    P, H = newton(f, b, b.lattice(tols.seed_density).T, lam,
-                  tols.newton_tol, None, max(10 * tols.newton_tol, 1e-8))
+    P, H = newton(f, b, b.lattice(tols.seed_density).T, tols.newton_tol,
+                  None, max(10 * tols.newton_tol, 1e-8))
     order = np.lexsort(P[::-1])
     evals, evecs = np.linalg.eigh(0.5 * (H + H.transpose(0, 2, 1))[order])
     with np.errstate(all="ignore"):
-        fvals = np.broadcast_to(expr.compile_scalar(f)(P, lam),
+        fvals = np.broadcast_to(expr.compile_scalar(f)(P),
                                 order.shape)[order]
     crits = []
     for i, p in enumerate(P.T[order]):
@@ -220,7 +219,6 @@ def find_critical_points(f, b, lam=None, tols=DEFAULT):
             f_value=float(fvals[i]),
             eigenvalues=tuple(float(v) for v in evals[i]),
             index=k,
-            margin=margin,
             frame=tuple(vecs[:k]),
             stable=tuple(vecs[k:])))
     return crits
@@ -250,14 +248,13 @@ class ConnectionFinder:
     index-adjacent target, on a zero-sphere where one side of a connection
     is one and on the unstable direction sphere of the source otherwise."""
 
-    def __init__(self, gradfield, b, crits, lam=None, tols=DEFAULT, seed=0):
+    def __init__(self, gradfield, b, crits, tols=DEFAULT, seed=0):
         self.gradfield = gradfield
         self.b = b
         self.crits = crits
         self.by_id = {c.ident: c for c in crits}
-        self.lam = lam
         self.tols = tols
-        self.scale = flow.field_scale(gradfield, b, lam)
+        self.scale = flow.field_scale(gradfield, b)
         self._rotations = {}  # k -> the rotation of S^{k-1}'s initial seeds
         self.seed = seed
         self._witnesses = {}  # source ident -> {target ident: [Witness]}
@@ -285,7 +282,7 @@ class ConnectionFinder:
                               for x, dirs in jobs for d in dirs])
         lc, run = flow.classify_limit(
             self.gradfield, P0, self.crits, self.b, tols=self.tols,
-            lam=self.lam, scale=self.scale)
+            scale=self.scale)
         labels = [(("crit", ident) if tag == "converged" else
                    ("exit",) if tag == "exited" else
                    ("failed", err) if tag == "failed" else ("budget",),
@@ -372,8 +369,7 @@ class ConnectionFinder:
                               for x, _, _, v in seeds])
         lc, run = flow.classify_limit(
             self.gradfield, X0, self.crits, self.b, tols=self.tols,
-            lam=self.lam, scale=self.scale,
-            direction=np.array([d for _, _, d, _ in seeds]))
+            scale=self.scale, direction=np.array([d for _, _, d, _ in seeds]))
         return [(x, sigma, d, *label) for (x, sigma, d, _), *label in zip(
             seeds, lc.tag, lc.crit_id, lc.errors, run.t)]
 
@@ -551,12 +547,12 @@ class ConnectionFinder:
         try:
             W, P = flow.transport_frame(
                 self.gradfield, P0, [t for *_, t in jobs], frames,
-                lam=self.lam, tols=self.tols)
+                tols=self.tols)
         except flow.IntegrationError as err:
             # a witness before the failing one may fail its orientation
             self._sign_batch(jobs[:err.column])
             raise
-        V = expr.compile_field(self.gradfield)(P, self.lam)
+        V = expr.compile_field(self.gradfield)(P)
         return [self._orientation_sign(x, y, W[:, :, j], V[:, j])
                 for j, (x, y, _, _) in enumerate(jobs)]
 
@@ -595,13 +591,13 @@ def count_connections(x, y, finder, coeff="Z"):
     return ConnectionCount(x.ident, y.ident, n, ws)
 
 
-def build_complex(f, b, crits, lam=None, tols=DEFAULT, coeff="Z", seed=0):
+def build_complex(f, b, crits, tols=DEFAULT, coeff="Z", seed=0):
     """Assemble the Morse chain complex over the given critical points:
     C_k has the critical points of index k, in ``crits`` order.
     ``homalg.homology`` checks its d^2 = 0, which a missed or double-counted
     connecting orbit breaks."""
     finder = ConnectionFinder(expr.negative_gradient(f, b.dimension), b,
-                              crits, lam=lam, tols=tols, seed=seed)
+                              crits, tols=tols, seed=seed)
     top = max((c.index for c in crits), default=0)
     gens = [[c for c in crits if c.index == k] for k in range(top + 1)]
     finder.search([x for g in gens[1:] for x in g])

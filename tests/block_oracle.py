@@ -68,7 +68,7 @@ def face_lattice(b, f, n):
     return np.stack([g.ravel() for g in grid], axis=-1)
 
 
-def classify_boundary(b, fieldd, lam=None, tols=DEFAULT):
+def classify_boundary(b, fieldd, tols=DEFAULT):
     """The tag of every face of ``boundary_faces(b)``, face by face: Egress
     if the outward flux is at least ``margin_tol`` at every sample, Ingress
     if it is at most ``-margin_tol`` at every sample, and Unresolved
@@ -77,7 +77,7 @@ def classify_boundary(b, fieldd, lam=None, tols=DEFAULT):
     n = tols.face_samples ** (b.dimension - 1)
     pts = np.concatenate([face_lattice(b, f, tols.face_samples)
                           for f in faces])
-    V = expr.compile_field(fieldd)(pts.T, lam)
+    V = expr.compile_field(fieldd)(pts.T)
     tags = {}
     for i, f in enumerate(faces):
         v = V[:, i * n:(i + 1) * n]

@@ -109,16 +109,16 @@ def integrate_until(fieldd, x0, stop, t_max, direction=1, lam=None,
     return traj, (hit[0] if run.status[0] == flow.STOPPED else None)
 
 
-def transport_frame_one(fieldd, x0, T, frame, lam=None, tols=DEFAULT):
+def transport_frame_one(fieldd, x0, T, frame, tols=DEFAULT):
     """Transport the tangent vectors ``frame`` along the orbit of x0 over
     the duration T > 0, renormalizing them after each accepted step.
     Returns (transported frame, terminal x)."""
     m = fieldd.dimension
     V = [np.asarray(v, dtype=float) for v in frame]
     kf = len(V)
-    F = _point_function(fieldd.components, lam)
+    F = _point_function(fieldd.components, None)
     J = _point_function([e for row in expr.jacobian(fieldd) for e in row],
-                        lam)
+                        None)
 
     def G(z):
         out = np.empty_like(z)

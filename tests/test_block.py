@@ -305,11 +305,11 @@ def _irregular_cubes(m, rng):
         [(0,) * m]
 
 
-def _assert_faces_and_tags_match_the_oracle(b, fld, lam=None):
+def _assert_faces_and_tags_match_the_oracle(b, fld):
     # the face arrays in the oracle's order, and the tags of each face
     assert b.face_list() == block_oracle.boundary_faces(b)
-    want = block_oracle.classify_boundary(b, fld, lam)
-    cb = block.classify_boundary(b, fld, lam)
+    want = block_oracle.classify_boundary(b, fld)
+    cb = block.classify_boundary(b, fld)
     assert block_oracle.face_tags(cb) == want
     # the classified block shares the arrays of the block it was given
     assert cb.faces is b.faces and cb.cubes is b.cubes
@@ -326,10 +326,11 @@ def _shipped_systems():
 @pytest.mark.parametrize("path", _shipped_systems(), ids=os.path.basename)
 def test_faces_and_tags_equal_the_oracle_on_shipped_systems(path):
     with open(path) as fh:
-        fld, b, *_, lam, _, _ = cli._parse_system(json.load(fh))
-    # the continuation system sweeps lam from 0
-    _assert_faces_and_tags_match_the_oracle(
-        b, fld, 0.0 if lam is None and fld.has_param else lam)
+        doc = json.load(fh)
+    if "continuation" in doc:  # it sweeps lam from 0
+        doc["options"] = {"lam": 0.0}
+    fld, b, *_ = cli._fixed_system(doc)
+    _assert_faces_and_tags_match_the_oracle(b, fld)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

@@ -95,6 +95,49 @@ def test_lam_without_a_value_is_an_input_error(command, capsys):
     assert "input error" in err and "options.lam" in err
 
 
+def _relations_with_lam_in_a_set(tmp_path, options):
+    with open(_path("double_well_relations.json")) as fh:
+        doc = json.load(fh)
+    doc["decomposition"]["sets"][0]["lyapunov"] = "lam*(x1^4/4 - x1^2/2)"
+    return _write(tmp_path, dict(doc, **options))
+
+
+def test_relations_with_lam_in_a_set_and_no_value_is_an_input_error(
+        tmp_path, capsys):
+    path = _relations_with_lam_in_a_set(tmp_path, {})
+    assert cli.main(["relations", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("input error: the system mentions lam but "
+                            "options.lam is absent\n")
+
+
+def test_relations_binds_options_lam_in_a_set(tmp_path, capsys):
+    # lam = 2 scales the set's Lyapunov function, which leaves its HI
+    path = _relations_with_lam_in_a_set(tmp_path, {"options": {"lam": 2}})
+    assert cli.main(["relations", path, "--seed", "3"]) == 0
+    with open(_path("double_well_relations_seed3.out"), "rb") as fh:
+        assert capsys.readouterr().out.encode() == fh.read()
+
+
+@pytest.mark.parametrize("command", ["hi", "block", "lyapunov", "cubical"])
+@pytest.mark.parametrize("field,lam,message", [
+    ("x1/lam", 0, "at lam = 0: constant division by zero"),
+    ("x1*log(lam)", -1, "at lam = -1: log of non-positive value -1.0 in "
+                        "log(-1)"),
+    ("x1*lam^-2", 0, "at lam = 0: zero raised to negative power in "
+                     "0^(-2)"),
+])
+def test_a_constant_domain_error_at_options_lam_exits_two(
+        command, field, lam, message, tmp_path, capsys):
+    with open(_path("saddle_lam.json")) as fh:
+        doc = json.load(fh)
+    doc["field"][0] = field
+    doc["options"]["lam"] = lam
+    assert cli.main([command, _write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 def test_reports_are_byte_identical_under_fixed_seed(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -54,8 +54,7 @@ def test_hi_attracting_interval():
 
 def test_exit_theorem_classifies_the_boundary_once(monkeypatch):
     path = os.path.join(os.path.dirname(__file__), "data", "saddle.json")
-    fld, b, lyap, sd, lam, eps, pert = cli._parse_system(
-        cli.load_system(path))
+    fld, b, lyap, sd, eps, pert = cli._parse_system(cli.load_system(path))
     calls = []
     classify = block.classify_boundary
 
@@ -64,7 +63,7 @@ def test_exit_theorem_classifies_the_boundary_once(monkeypatch):
         return classify(*args, **kwargs)
 
     monkeypatch.setattr(block, "classify_boundary", counting)
-    rep, res = conley.verify_exit_theorem(fld, b, lyap, sd, lam=lam, seed=0,
+    rep, res = conley.verify_exit_theorem(fld, b, lyap, sd, seed=0,
                                           epsilon=eps, perturbation=pert)
     assert rep.verdict
     assert len(calls) == 1

@@ -1,10 +1,16 @@
 """Expression parsing, evaluation, and symbolic differentiation."""
+import glob
+import itertools
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from mcfhom import expr
+
+ROOT = os.path.dirname(os.path.dirname(__file__))
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +305,69 @@ def test_negative_gradient_field():
     v = F(np.array([[0.5], [0.3]]))[:, 0]
     assert v[0] == pytest.approx(-(4 * 0.5**3 - 4 * 0.5))
     assert v[1] == pytest.approx(-0.6)
+
+
+def _shipped_lam_fields():
+    """The fields of the shipped system files that mention lam, with the
+    parameter value of the file (0.0 where ``continue`` sweeps it)."""
+    out = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "tests", "data", "*.json"))
+                       + glob.glob(os.path.join(ROOT, "benchmarks", "systems",
+                                                "*.json"))):
+        with open(path) as fh:
+            doc = json.load(fh)
+        fld = expr.parse_field(doc["field"], doc["dimension"])
+        if fld.has_param:
+            out.append((doc["field"], doc.get("options", {}).get("lam", 0.0)))
+    return out
+
+
+def _folds_a_function_of_lam(e):
+    """Whether binding ``e`` folds a call on an argument in lam alone, which
+    ``math`` evaluates where compiled code calls numpy."""
+    if isinstance(e, expr.Call) and expr.mentions_param(e.arg) \
+            and expr.max_var_index(e.arg) < 0:
+        return True
+    return any(_folds_a_function_of_lam(getattr(e, a))
+               for a in ("arg", "base", "lhs", "rhs") if hasattr(e, a))
+
+
+@pytest.mark.parametrize("texts,lam", _shipped_lam_fields() + [
+    # the families of test_isolation_family_equals_one_lam_at_a_time
+    (["x1^2 + 0.2 - 1.2*lam"], 0.5),
+    (["x1 - x1^3 + 0.1*sin(3*lam)"], 0.5),
+    (["x1*cos(lam) - x1^3 + 0.05*lam^2"], 0.5),
+    (["exp(-lam)*x1 - x1^3/(1 + lam)"], 0.5)])
+def test_a_bound_field_computes_the_field_at_that_lam(texts, lam):
+    m = len(texts)
+    fld = expr.parse_field(texts, m)
+    X = np.array(list(itertools.product(np.linspace(-2, 2, 9), repeat=m))).T
+    folds = any(_folds_a_function_of_lam(c) for c in fld.components)
+    for lv in [lam, *np.linspace(0.0, 1.0, 41)]:
+        bound = expr.bind_field(fld, lv)
+        assert not bound.has_param
+        got = expr.compile_field(bound)(X)
+        want = expr.compile_field(fld)(X, lv)
+        if folds:
+            # a folded call within 1 ulp of numpy's (see expr.evaluate)
+            # moves these O(1) values by about an ulp
+            np.testing.assert_allclose(got, want, rtol=2 ** -52,
+                                       atol=2 ** -52)
+        else:
+            # the same floats, but for the sign of a zero
+            np.testing.assert_array_equal(got, want)
+
+
+def test_a_field_bound_to_an_infinite_constant_compiles_and_prints():
+    # 1e308/lam folds to inf at lam = 1e-10, where the compiled field
+    # divides to inf as well
+    fld = expr.parse_field(["1e308/lam*x1", "x2 - 1e308/lam"], 2)
+    bound = expr.bind_field(fld, 1e-10)
+    assert [expr.to_str(c) for c in bound.components] == \
+        ["inf * x1", "x2 - inf"]
+    X = np.array([[-1.0, 0.0, 2.0], [0.5, 0.0, -1.0]])
+    np.testing.assert_array_equal(expr.compile_field(bound)(X),
+                                  expr.compile_field(fld)(X, 1e-10))
 
 
 def test_substitute_param():

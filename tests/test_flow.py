@@ -401,21 +401,18 @@ def test_classify_next_to_a_critical_point_just_over_twice_the_radius():
 
 
 def test_classify_per_column_direction_equals_single_columns_bit_for_bit():
-    # the saddle sheet's -grad f scaled by 1 + lam, every third column
-    # backward in time: those run into the index-2 point at the origin or
-    # leave through x1 = +-2; each column has its own lam as well
-    fld0, b, crits = _saddle_sheet_setup()
-    fld = expr.parse_field(["-(1 + lam)*4*x1*(x1^2 - 1)",
-                            "(1 + lam)*2*x2"], 2)
+    # the saddle sheet's -grad f, every third column backward in time:
+    # those run into the index-2 point at the origin or leave through
+    # x1 = +-2
+    fld, b, crits = _saddle_sheet_setup()
     tols = dataclasses.replace(DEFAULT, t_budget=2.0)
-    scale = flow.field_scale(fld0, b)
+    scale = flow.field_scale(fld, b)
     x1 = np.array([-1.9, -1.3, -0.6, -2e-4, 3e-4, 0.4, 1.2, 1.7])
     X0 = np.vstack([np.tile(x1, 3), np.repeat([0.0, 0.3, -1e-3], x1.size)])
     n = X0.shape[1]
     direction = np.where(np.arange(n) % 3 == 0, -1, 1)
-    lam = np.where(np.arange(n) % 2 == 1, 0.5, 0.0)
-    lc, run = flow.classify_limit(fld, X0, crits, b, tols=tols, lam=lam,
-                                  scale=scale, direction=direction)
+    lc, run = flow.classify_limit(fld, X0, crits, b, tols=tols, scale=scale,
+                                  direction=direction)
     for d in (1, -1):
         assert {tag for tag, dj in zip(lc.tag, direction) if dj == d} == \
             {"converged", "exited", "budget"}
@@ -428,14 +425,14 @@ def test_classify_per_column_direction_equals_single_columns_bit_for_bit():
     up = expr.FieldDef(2, tuple(expr.neg(c) for c in fld.components))
     back = direction < 0
     up_lc, up_run = flow.classify_limit(up, X0[:, back], crits, b, tols=tols,
-                                        lam=lam[back], scale=scale)
+                                        scale=scale)
     assert up_lc.tag == tuple(np.array(lc.tag)[back])
     assert np.array_equal(-up_run.t, run.t[back])
     assert np.array_equal(up_run.x, run.x[:, back])
     for j in range(n):
         one, one_run = flow.classify_limit(
-            fld, X0[:, j:j + 1], crits, b, tols=tols, lam=float(lam[j]),
-            scale=scale, direction=int(direction[j]))
+            fld, X0[:, j:j + 1], crits, b, tols=tols, scale=scale,
+            direction=int(direction[j]))
         assert (one.tag[0], one.crit_id[0]) == (lc.tag[j], lc.crit_id[j])
         assert one_run.t[0] == run.t[j]
         assert np.array_equal(one_run.x[:, 0], run.x[:, j])

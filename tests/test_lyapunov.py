@@ -162,7 +162,7 @@ _SYSTEMS = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                         "benchmarks", "systems")
 
 
-def _per_lambda(base, b, eps, pert, lam=None, tols=DEFAULT):
+def _per_lambda(base, b, eps, pert, tols=DEFAULT):
     """The certificate one lambda at a time, each interpolant built and
     compiled as an Expr of its own: the reference of the batched grid.
     Returns (isolation reports, minimum boundary gradient), or the
@@ -174,7 +174,7 @@ def _per_lambda(base, b, eps, pert, lam=None, tols=DEFAULT):
     for lv in (i / steps for i in range(steps + 1)):
         interp = expr.add(base, expr.mul(expr.Const(float(lv * eps)), pert))
         gradfield = expr.negative_gradient(interp, m)
-        G = expr.compile_field(gradfield)(samples.T, lam)
+        G = expr.compile_field(gradfield)(samples.T)
         gn = np.sqrt(np.add.reduce(G * G, axis=0))
         min_bgrad = min(min_bgrad, float(np.fmin.reduce(gn)))
         touching = np.flatnonzero(gn <= tols.margin_tol)
@@ -183,7 +183,7 @@ def _per_lambda(base, b, eps, pert, lam=None, tols=DEFAULT):
             return reports, lyapunov.CertificationError(
                 lv, f"critical point of the interpolant touches the "
                     f"boundary near {tuple(float(v) for v in s)}")
-        rep = block.check_isolation(b, gradfield, lam=lam, tols=tols)
+        rep = block.check_isolation(b, gradfield, tols=tols)
         reports.append(rep)
         if not rep:
             return reports, lyapunov.CertificationError(
@@ -192,7 +192,7 @@ def _per_lambda(base, b, eps, pert, lam=None, tols=DEFAULT):
     return reports, min_bgrad
 
 
-def _batched(monkeypatch, base, b, eps, pert, lam=None):
+def _batched(monkeypatch, base, b, eps, pert):
     """morse_perturb, with the member reports of its isolation batches and
     the direction of every integrator run it makes, batch by batch."""
     batches = []
@@ -212,7 +212,7 @@ def _batched(monkeypatch, base, b, eps, pert, lam=None):
     monkeypatch.setattr(flow, "_dop853", spy_dop853)
     try:
         _, cert = lyapunov.morse_perturb(base, b, epsilon=eps,
-                                         perturbation=pert, lam=lam)
+                                         perturbation=pert)
         result = cert.min_boundary_gradient
     except lyapunov.CertificationError as exc:
         result = exc
@@ -222,9 +222,9 @@ def _batched(monkeypatch, base, b, eps, pert, lam=None):
     return [r for _, members in batches for r in members], result, runs
 
 
-def _same_certificate(monkeypatch, base, b, eps, pert, lam=None):
-    want_reports, want = _per_lambda(base, b, eps, pert, lam)
-    reports, got, runs = _batched(monkeypatch, base, b, eps, pert, lam)
+def _same_certificate(monkeypatch, base, b, eps, pert):
+    want_reports, want = _per_lambda(base, b, eps, pert)
+    reports, got, runs = _batched(monkeypatch, base, b, eps, pert)
     # two batches at most, each one backward run and at most one forward
     assert len(runs) <= 2
     assert all(d in ([-1], [-1, 1]) for d in runs)
@@ -271,11 +271,15 @@ def test_batched_certificate_with_a_nonlinear_perturbation(monkeypatch, eps):
 
 
 def test_batched_certificate_with_lam_in_the_lyapunov_function(monkeypatch):
+    # lam bound at 0.4, as the command line binds options.lam
     b = block.build_block(box=[(-1, 1), (-1, 1)], spacing=0.5)
-    _same_certificate(monkeypatch,
-                      expr.parse("-(x1^4 + x2^4)/4 - lam*(x1^2 + x2^2)/2", 2),
-                      b, 1e-2, expr.parse("x1 - 0.5*x2 + lam*x1*x2", 2),
-                      lam=0.4)
+    lam = expr.Const(0.4)
+    _same_certificate(
+        monkeypatch,
+        expr.substitute_param(
+            expr.parse("-(x1^4 + x2^4)/4 - lam*(x1^2 + x2^2)/2", 2), lam),
+        b, 1e-2,
+        expr.substitute_param(expr.parse("x1 - 0.5*x2 + lam*x1*x2", 2), lam))
 
 
 def test_batched_certificate_where_the_perturbation_has_no_value(

@@ -57,13 +57,13 @@ def test_newton_takes_a_least_squares_step_at_a_singular_hessian():
     f = expr.parse("x1^3/3 + x1*x2 + x2^2/2", 2)
     b = block.build_block(box=[(-2, 2), (-2, 2)], spacing=0.5)
     seeds = np.array([[0.5, 0.0], [1.5, -1.5], [-0.3, 0.2]]).T
-    P, H = morse.newton(f, b, seeds, None, 1e-10, None, 1e-8)
+    P, H = morse.newton(f, b, seeds, 1e-10, None, 1e-8)
     assert P.T == pytest.approx(np.array([[0.0, 0.0], [1.0, -1.0]]),
                                 abs=1e-9)
     assert H == pytest.approx(np.array([[[0, 1], [1, 1]], [[2, 1], [1, 1]]]),
                               abs=1e-8)
     # every column steps as it would alone
-    alone = [morse.newton(f, b, seeds[:, [j]], None, 1e-10, None, 1e-300)[0]
+    alone = [morse.newton(f, b, seeds[:, [j]], 1e-10, None, 1e-300)[0]
              for j in range(3)]
     assert np.array_equal(P[:, 0], alone[0][:, 0])
     assert np.array_equal(P[:, 1], alone[1][:, 0])
@@ -77,7 +77,7 @@ def test_newton_wraps_the_periodic_coordinate_across_the_seam():
     b = block.build_block(box=[(-1, 1)], spacing=0.5)
     seeds = np.array([[0.0, 1.9], [0.0, 0.1]]).T
     for cols in ([0], [1], [0, 1]):
-        P, _ = morse.newton(f, b, seeds[:, cols], None, 1e-10, 2.0, 1e-7)
+        P, _ = morse.newton(f, b, seeds[:, cols], 1e-10, 2.0, 1e-7)
         assert P.shape == (2, 1)
         assert 0.0 <= P[1, 0] < 2.0
         assert min(P[1, 0], 2.0 - P[1, 0]) < 1e-9
@@ -759,14 +759,13 @@ def test_zero_sphere_counts_equal_sphere_counts_on_connections(seed):
     # witnesses are equal bit for bit
     path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                         "benchmarks", "systems", "connections.json")
-    fieldd, b, lyap, s_decl, lam, eps, pert = cli._fixed_system(
+    fieldd, b, lyap, s_decl, eps, pert = cli._fixed_system(
         cli.load_system(path))
-    res = conley.compute_HI(fieldd, b, lyap, s_decl, lam=lam, seed=seed,
+    res = conley.compute_HI(fieldd, b, lyap, s_decl, seed=seed,
                             epsilon=eps, perturbation=pert)
     crits = res.quadruple.crits
     finder = morse.ConnectionFinder(
-        expr.negative_gradient(res.quadruple.f, 2), b, crits, lam=lam,
-        seed=seed)
+        expr.negative_gradient(res.quadruple.f, 2), b, crits, seed=seed)
     finder.sphere_search([x for x in crits if x.index])
     source = next(c for c in crits if c.index == 2)
     assert sum(len(cc.witnesses) for cc in res.counts
