@@ -470,11 +470,13 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         report, code = _COMMANDS[args.command](args)
-    except InputError as exc:
+    except (InputError, expr.ExprError) as exc:
+        # an ExprError that reaches here comes from folding the constants
+        # of the file's expressions, such as a literal zero denominator
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (block_mod.BlockError, lyapunov.LyapunovError, morse.MorseError,
-            homalg.HomalgError, conley.ConleyError, expr.ExprError,
+            homalg.HomalgError, conley.ConleyError,
             flow.IntegrationError, flow.AmbiguousCaptureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -229,17 +229,17 @@ def _dop853(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
                np.zeros(n, int), np.zeros(n, int))
     cols = np.arange(n)
     X = out.x.copy()
-    f0 = F(X, lam)
     t = np.zeros(n)
-    h = np.minimum(np.minimum(1e-2 * (_norms(X) + 1.0)
-                              / (_norms(f0) + 1e-30), 1.0), target)
     attempts = np.zeros(n, dtype=int)
     steps = np.zeros(n, dtype=int)
     rejected = np.zeros(n, dtype=int)
-    code = np.where(target == 0.0, DONE,
-                    np.where(attempts >= max_steps, EXHAUSTED,
-                             np.where(h >= 1e-14, 0, UNDERFLOW)))
     with np.errstate(all="ignore"):
+        f0 = F(X, lam)
+        h = np.minimum(np.minimum(1e-2 * (_norms(X) + 1.0)
+                                  / (_norms(f0) + 1e-30), 1.0), target)
+        code = np.where(target == 0.0, DONE,
+                        np.where(attempts >= max_steps, EXHAUSTED,
+                                 np.where(h >= 1e-14, 0, UNDERFLOW)))
         while True:
             if code.any():
                 gone = code != 0

@@ -32,14 +32,17 @@ index than the adjacent one (a connection that is not Morse-Smale), raises
 direction of time: the forward seeds first, then the backward ones, which
 are read in this order.
 
-For 1 < k < m the seeds live on a small sphere inside the unstable
-eigenspace of p (``ConnectionFinder.sphere_search``, which also serves as
-the test oracle for every k); basin boundaries on that sphere are isolated
-by adaptive bisection (``sphere.Sphere``) and each witness orbit receives a
-sign by transporting the source's unstable frame along it.  The bisection
-runs breadth-first and labels ahead of itself: a walk refines every simplex
-whose labels are known, and each simplex where it stops has the vertices of
-its subtree, ``sphere.LOOK_AHEAD`` levels deep, labelled in the next batch.
+For k = 2 < m the seeds live on a small circle inside the unstable
+eigenspace of p (``ConnectionFinder.sphere_search``, also the test oracle
+for k = 1 and k = m = 2); basin boundaries on it are isolated by bisection
+of its arcs (``sphere.Sphere``) and each witness orbit receives a sign by
+transporting the source's unstable frame along it.  For 3 <= k <= m - 1
+the connecting directions are isolated points on curves of S^{k-1}, which
+bisection cannot find, so ``search`` raises ``MorseError`` before any
+orbit runs.  The bisection runs breadth-first and labels ahead of itself:
+a walk halves every arc whose labels are known, and each arc where it
+stops has the ends of its subtree, ``sphere.LOOK_AHEAD`` levels deep,
+labelled in the next batch.
 The spheres of all sources are refined in lockstep, so each batch is one
 ``flow.classify_limit`` call for every source.  The witness list comes from
 a depth-first replay of the same refinement, so it does not depend on how
@@ -246,7 +249,7 @@ class ConnectionCount:
 class ConnectionFinder:
     """Counts connecting orbits from source critical points to every
     index-adjacent target, on a zero-sphere where one side of a connection
-    is one and on the unstable direction sphere of the source otherwise."""
+    is one and on the unstable circle of an index-2 source otherwise."""
 
     def __init__(self, gradfield, b, crits, tols=DEFAULT, seed=0):
         self.gradfield = gradfield
@@ -255,45 +258,37 @@ class ConnectionFinder:
         self.by_id = {c.ident: c for c in crits}
         self.tols = tols
         self.scale = flow.field_scale(gradfield, b)
-        self._rotations = {}  # k -> the rotation of S^{k-1}'s initial seeds
         self.seed = seed
         self._witnesses = {}  # source ident -> {target ident: [Witness]}
         self.budget_hits = 0  # directions whose orbit hit the time budget
 
     def _rotation(self, k):
-        if k not in self._rotations:
-            # random.Random takes no tuple; a str seeds it from its bytes
-            A = np.array(normals(f"{self.seed}:{k}", k * k)).reshape(k, k)
-            Q, R = np.linalg.qr(A)
-            self._rotations[k] = Q * np.sign(np.diag(R))
-        return self._rotations[k]
+        # random.Random takes no tuple; a str seeds it from its bytes
+        A = np.array(normals(f"{self.seed}:{k}", k * k)).reshape(k, k)
+        Q, R = np.linalg.qr(A)
+        return Q * np.sign(np.diag(R))
 
     def _seed_point(self, x, d):
         U = x.frame_matrix()
         return np.asarray(x.coords) + self.tols.delta_u * (U @ d)
 
-    def _classify(self, jobs):
-        """Classify as one batch the orbits leaving each source x along the
-        directions ``dirs`` (coefficients in its unstable eigenspace), for
-        the pairs (x, dirs) of ``jobs``: one list per pair of each
-        direction's label ("crit", ident), ("exit",), ("budget",) or
-        ("failed", error) and signed end time."""
-        P0 = np.column_stack([self._seed_point(x, d)
-                              for x, dirs in jobs for d in dirs])
+    def _classify(self, seeds):
+        """Classify as one ``flow.classify_limit`` batch the orbits from the
+        seed points of ``seeds``, pairs (point, direction of time): one
+        (label, signed end time) per seed, with the label ("crit", ident),
+        ("exit",), ("budget",) or ("failed", error)."""
+        if not seeds:
+            return []
         lc, run = flow.classify_limit(
-            self.gradfield, P0, self.crits, self.b, tols=self.tols,
-            scale=self.scale)
-        labels = [(("crit", ident) if tag == "converged" else
-                   ("exit",) if tag == "exited" else
-                   ("failed", err) if tag == "failed" else ("budget",),
-                   float(t))
-                  for tag, ident, err, t in zip(lc.tag, lc.crit_id,
-                                                lc.errors, run.t)]
-        out, i = [], 0
-        for _, dirs in jobs:
-            out.append(labels[i:i + len(dirs)])
-            i += len(dirs)
-        return out
+            self.gradfield, np.column_stack([p for p, _ in seeds]),
+            self.crits, self.b, tols=self.tols, scale=self.scale,
+            direction=np.array([d for _, d in seeds]))
+        return [(("crit", ident) if tag == "converged" else
+                 ("exit",) if tag == "exited" else
+                 ("failed", err) if tag == "failed" else ("budget",),
+                 float(t))
+                for tag, ident, err, t in zip(lc.tag, lc.crit_id, lc.errors,
+                                              run.t)]
 
     def witnesses_for(self, source_ident):
         if source_ident not in self._witnesses:
@@ -303,13 +298,15 @@ class ConnectionFinder:
     def search(self, sources):
         """Find and sign the witnesses of every source not searched yet.
 
-        Sources of index 1 are searched forward on their unstable S^0 and
-        sources of index m backward from the stable S^0 of every target of
-        index m - 1, which finds the witnesses of all sources of index m at
-        once.  Both kinds of seed run in one ``_zero_sphere`` batch, the
+        A source of index 3 <= k <= m - 1 with targets raises
+        ``MorseError`` before any orbit runs.  Sources of index 1 are
+        searched forward on their unstable S^0 and sources of index m
+        backward from the stable S^0 of every target of index m - 1, which
+        finds the witnesses of all sources of index m at once.  Both kinds
+        of seed x + sigma delta_u v, sigma = 1, -1, run in one batch, the
         forward ones first; its forward orbits are read and stored first,
-        then its backward ones.  The other sources go to
-        ``sphere_search``."""
+        then its backward ones.  Sources of index 2 < m are searched on
+        their unstable circle, as ``sphere_search`` does."""
         m = self.b.dimension
         todo = []
         for x in sources:
@@ -319,12 +316,18 @@ class ConnectionFinder:
                 todo.append(x)
             else:
                 self._witnesses[x.ident] = {}
+        spheres = self._spheres([x for x in todo if 1 < x.index < m])
         ones = [x for x in todo if x.index == 1]
         backward = any(x.index == m > 1 for x in todo)
         targets = [q for q in self.crits if q.index == m - 1] \
             if backward else []
-        orbits = self._zero_sphere([(x, x.frame[0], 1) for x in ones]
-                                   + [(q, q.stable[0], -1) for q in targets])
+        seeds = [(x, sigma, d, np.asarray(x.coords)
+                  + self.tols.delta_u * (sigma * np.asarray(v)))
+                 for x, v, d in [(x, x.frame[0], 1) for x in ones]
+                 + [(q, q.stable[0], -1) for q in targets]
+                 for sigma in (1, -1)]
+        orbits = [*zip(seeds, self._classify([(p, d)
+                                              for _, _, d, p in seeds]))]
         found = self._captures(orbits[:2 * len(ones)])
         for x in ones:
             self._witnesses[x.ident] = {}
@@ -333,7 +336,7 @@ class ConnectionFinder:
                 Witness((float(sigma),), sigma, t))
         if backward:
             self._sign_backward(self._captures(orbits[2 * len(ones):]))
-        self.sphere_search([x for x in todo if 1 < x.index < m])
+        self._search_spheres(spheres)
 
     def _sign_backward(self, found):
         """Store the witnesses of every source of index m, from the
@@ -354,63 +357,75 @@ class ConnectionFinder:
             self._witnesses[x.ident].setdefault(q.ident, []).append(
                 Witness((float(sigma),), sign, t))
 
-    def _zero_sphere(self, seeds):
-        """Run the orbits of the gradient field from x + sigma delta_u v,
-        for each (x, v, direction) of ``seeds`` and sigma = 1, -1 in this
-        order, as one ``flow.classify_limit`` batch: forward in time where
-        direction is 1, backward where it is -1.  Returns, per orbit in
-        seed order, (x, sigma, direction, tag, capturing ident, error,
-        signed end time)."""
-        if not seeds:
-            return []
-        seeds = [(x, sigma, d, sigma * np.asarray(v))
-                 for x, v, d in seeds for sigma in (1, -1)]
-        X0 = np.column_stack([np.asarray(x.coords) + self.tols.delta_u * v
-                              for x, _, _, v in seeds])
-        lc, run = flow.classify_limit(
-            self.gradfield, X0, self.crits, self.b, tols=self.tols,
-            scale=self.scale, direction=np.array([d for _, _, d, _ in seeds]))
-        return [(x, sigma, d, *label) for (x, sigma, d, _), *label in zip(
-            seeds, lc.tag, lc.crit_id, lc.errors, run.t)]
-
     def _captures(self, orbits):
-        """(x, sigma, c, capture time) for each orbit of ``_zero_sphere``
-        captured at a critical point c, in seed order.
+        """(x, sigma, c, capture time) for each orbit ((x, sigma, direction,
+        seed point), (label, signed end time)) of a zero-sphere captured at
+        a critical point c, in seed order.
 
         Every orbit is read, so the first one that fails raises its error;
         that hits the time budget, or is captured at a critical point whose
         index is not the adjacent one, x.index - direction (a connection
         that is not Morse-Smale), raises MorseError."""
         found = []
-        for x, sigma, d, tag, ident, err, t in orbits:
+        for (x, sigma, d, _), (lab, t) in orbits:
             where = (f"the orbit from critical point {x.ident} at "
                      f"{x.coords} along seed {sigma:+d} of its "
                      f"{'unstable' if d > 0 else 'stable'} S^0")
-            if tag == "failed":
-                raise err
-            if tag == "budget":
+            if lab[0] == "failed":
+                raise lab[1]
+            if lab == ("budget",):
                 raise MorseError(f"{where} hit the time budget; a missed "
                                  f"orbit would be a miscount")
-            if tag == "converged":
-                c = self.by_id[ident]
+            if lab[0] == "crit":
+                c = self.by_id[lab[1]]
                 if c.index != x.index - d:
                     raise MorseError(
-                        f"{where} is captured at critical point {ident} of "
-                        f"index {c.index}: the connection is not "
+                        f"{where} is captured at critical point {c.ident} "
+                        f"of index {c.index}: the connection is not "
                         f"Morse-Smale")
-                found.append((x, sigma, c, abs(float(t))))
+                found.append((x, sigma, c, abs(t)))
         return found
 
     def sphere_search(self, sources):
         """Find and sign the witnesses of every source not searched yet on
-        its unstable direction sphere, whatever its index.
+        its unstable direction sphere, S^0 or the circle S^1; a source of
+        index 3 or more with targets raises ``MorseError`` before any orbit
+        runs."""
+        self._search_spheres(self._spheres(sources))
 
-        The spheres of all sources are refined in lockstep: each step labels
-        what every unfinished sphere wants in one ``flow.classify_limit``
-        batch.  Directions read by the refinement whose orbit hits the time
-        budget count as non-connecting; they are added to ``budget_hits``
-        and logged as one warning per source.  After clustering, the
-        witnesses are signed by ``_signs``.
+    def _spheres(self, sources):
+        """The unsearched ``sphere.Sphere`` of each source of ``sources``
+        with targets; a source without any has no witnesses."""
+        spheres = []
+        for x in sources:
+            if x.ident in self._witnesses:
+                continue
+            targets = {c.ident for c in self.crits if c.index == x.index - 1}
+            if not targets:
+                self._witnesses[x.ident] = {}
+            elif x.index > 2:
+                raise MorseError(
+                    f"critical point {x.ident} at {x.coords} has index "
+                    f"{x.index}: its connections to index {x.index - 1} "
+                    f"leave its unstable sphere S^{x.index - 1} through "
+                    f"isolated points on curves, which bisection cannot "
+                    f"find; only S^0 and S^1 are searched")
+            else:
+                rot = self._rotation(2) if x.index == 2 else np.eye(1)
+                members = sphere.initial_simplices(
+                    x.index, self.tols.n_dir_seeds, rot)
+                spheres.append(sphere.Sphere(x, targets, members,
+                                             self.tols.dir_tol))
+        return spheres
+
+    def _search_spheres(self, spheres):
+        """Refine ``spheres`` in lockstep and sign their witnesses.
+
+        Each step labels what every unfinished sphere wants in one
+        ``_classify`` batch.  Directions read by the refinement whose orbit
+        hits the time budget count as non-connecting; they are added to
+        ``budget_hits`` and logged as one warning per source.  After
+        clustering, the witnesses are signed by ``_signs``.
 
         Failures are raised in the order of a search of one source after
         the other: a failure of a source's search or clustering is raised
@@ -418,27 +433,15 @@ class ConnectionFinder:
         targets clustered before it, are signed without one.  Which failure
         of one sphere's refinement is raised, where several are read, may
         depend on the batches."""
-        spheres = []
-        for x in sources:
-            if x.ident in self._witnesses:
-                continue
-            targets = {c.ident for c in self.crits if c.index == x.index - 1}
-            if targets:
-                rot = self._rotation(x.index) if x.index > 1 else np.eye(1)
-                simplices = sphere.initial_simplices(
-                    x.index, self.tols.n_dir_seeds, rot)
-                spheres.append(sphere.Sphere(x, targets, simplices,
-                                             self.tols.dir_tol))
-            else:
-                self._witnesses[x.ident] = {}
         while True:
             asks = [(s, s.wanted()) for s in spheres]
             asks = [(s, dirs) for s, dirs in asks if dirs]
             if not asks:
                 break
-            for (s, dirs), labels in zip(
-                    asks, self._classify([(s.x, dirs) for s, dirs in asks])):
-                s.learn(dirs, labels)
+            labels = iter(self._classify([(self._seed_point(s.x, d), 1)
+                                          for s, dirs in asks for d in dirs]))
+            for s, dirs in asks:
+                s.learn(dirs, itertools.islice(labels, len(dirs)))
         reps, jobs = [], []
         try:
             for s in spheres:
@@ -455,7 +458,7 @@ class ConnectionFinder:
                     reps[-1][tgt] = items
                     jobs.extend((s.x, self.by_id[tgt], d, t)
                                 for d, t in items)
-        except sphere.FAILURES:
+        except flow.IntegrationError:
             self._signs(jobs)  # a witness found before may fail first
             raise
         signs = iter(self._signs(jobs))
@@ -489,7 +492,8 @@ class ConnectionFinder:
                 pass
             if not want:
                 break
-            [labs] = self._classify([(x, [*want.values()])])
+            labs = self._classify([(self._seed_point(x, d), 1)
+                                   for d in want.values()])
             labels.update(zip(want, (lab for lab, _ in labs)))
         yield from self._clusters(by_target, labels)
 

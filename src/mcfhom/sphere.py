@@ -1,6 +1,15 @@
 """Direction spheres: the unit sphere S^{k-1} in the coefficient space of a
-source's unstable eigenspace, triangulated and refined by longest-edge
-bisection towards the basin boundaries of the orbits that leave the source.
+source's unstable eigenspace, for k = 1 and k = 2, refined by bisection
+towards the basin boundaries of the orbits that leave the source.
+
+S^0 is two one-point members.  The circle S^1 is a cycle of arcs (a, b) of
+two unit vectors, each halved at the normalised mean of its ends.  On these
+two spheres the directions of the connections to the adjacent index are
+exactly the boundaries between open labels, which bisection finds.  On
+S^{k-1} with k >= 3 they are isolated points on curves between open labels,
+which a bisection of label changes either refines along a whole curve or
+never sees; ``morse.ConnectionFinder`` raises ``MorseError`` for them
+before any orbit.
 
 ``Sphere`` walks the refinement of one source breadth-first and labels
 ahead of itself, ``LOOK_AHEAD`` levels deep; ``morse.ConnectionFinder``
@@ -9,53 +18,35 @@ clusters and signs the witnesses that ``Sphere.replay`` returns.
 """
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from . import flow
 
 
 def initial_simplices(k, n_min, rot):
-    """Triangulated unit sphere S^{k-1} in coefficient space: the boundary
-    of the cross-polytope, uniformly refined until at least ``n_min``
-    vertices, then rotated to avoid axis coincidences."""
+    """The members of S^{k-1} before refinement, for k = 1 or 2: the two
+    points +-1 of S^0, or the four quarter arcs of the circle between the
+    axes, halved until there are at least ``n_min``, then rotated by
+    ``rot`` to avoid axis coincidences."""
     if k == 1:
         return [(np.array([1.0]),), (np.array([-1.0]),)]
-    simplices = []
-    for signs in itertools.product((-1.0, 1.0), repeat=k):
-        verts = []
-        for i in range(k):
-            e = np.zeros(k)
-            e[i] = signs[i]
-            verts.append(e)
-        simplices.append(tuple(verts))
-    while _vertex_count(simplices) < n_min:
-        simplices = [s for sp in simplices for s in split(sp)]
-    return [tuple(rot @ v for v in sp) for sp in simplices]
+    arcs = [(np.array([a, 0.0]), np.array([0.0, b]))
+            for a in (-1.0, 1.0) for b in (-1.0, 1.0)]
+    while len(arcs) < n_min:
+        arcs = [half for arc in arcs for half in split(arc)]
+    return [(rot @ a, rot @ b) for a, b in arcs]
 
 
-def _vertex_count(simplices):
-    seen = set()
-    for sp in simplices:
-        for v in sp:
-            seen.add(tuple(np.round(v, 12)))
-    return len(seen)
+def _midpoint(arc):
+    """The normalised mean of the two ends of an arc."""
+    mid = 0.5 * (arc[0] + arc[1])
+    return mid / np.linalg.norm(mid)
 
 
-def split(sp):
-    """Longest-edge bisection with the new vertex pushed to the sphere."""
-    besti, bestj, bestd = 0, 1, -1.0
-    for i in range(len(sp)):
-        for j in range(i + 1, len(sp)):
-            d = float(np.linalg.norm(sp[i] - sp[j]))
-            if d > bestd:
-                besti, bestj, bestd = i, j, d
-    mid = 0.5 * (sp[besti] + sp[bestj])
-    mid = mid / np.linalg.norm(mid)
-    a = tuple(mid if t == bestj else v for t, v in enumerate(sp))
-    bsp = tuple(mid if t == besti else v for t, v in enumerate(sp))
-    return [a, bsp]
+def split(arc):
+    """The two halves of an arc, at its midpoint."""
+    mid = _midpoint(arc)
+    return [(arc[0], mid), (mid, arc[1])]
 
 
 def direction_key(d):
@@ -64,21 +55,14 @@ def direction_key(d):
 
 
 def diameter(sp):
-    return max(float(np.linalg.norm(a - b))
-               for a, b in itertools.combinations(sp, 2)) \
-        if len(sp) > 1 else 0.0
-
-
-def _midpoint(sp):
-    """The normalised vertex mean of a simplex of the sphere."""
-    mid = sum(sp) / len(sp)
-    return mid / np.linalg.norm(mid)
+    """The chord of an arc; 0 for a point of S^0."""
+    return float(np.linalg.norm(sp[0] - sp[1])) if len(sp) > 1 else 0.0
 
 
 def _subtree(sp, depth, dir_tol):
-    """The vertices of the simplex sp and of its binary subtree ``depth``
-    levels deep, where a simplex below ``dir_tol`` gives its midpoint
-    instead of children."""
+    """The ends of the member sp and of its binary subtree ``depth`` levels
+    deep, where an arc below ``dir_tol`` gives its midpoint instead of
+    halves."""
     yield from sp
     if len(sp) > 1:
         if diameter(sp) < dir_tol:
@@ -88,7 +72,7 @@ def _subtree(sp, depth, dir_tol):
                 yield from _subtree(child, depth - 1, dir_tol)
 
 
-# Levels of the binary subtree below a simplex that lacks a label, labelled
+# Levels of the binary subtree below a member that lacks a label, labelled
 # in the same batch ahead of the walk.  `mcfhom hi
 # tests/data/product_well_3d.json --seed 3` with the DOP853 integrator on a
 # 2-core Xeon, as depth: integrator batches and orbits of the whole run,
@@ -98,23 +82,19 @@ def _subtree(sp, depth, dir_tol):
 # orbits that the walk never reads.
 LOOK_AHEAD = 2
 
-# The errors of a failed orbit, which ``flow.classify_limit`` reports per
-# column: a step underflow or an exhausted step budget.
-FAILURES = (flow.IntegrationError,)
-
 
 class Sphere:
     """The breadth-first refinement of the unstable sphere of one source,
     labelled ahead of the walk.
 
     ``wanted`` walks the refinement as far as the known labels allow and
-    returns the directions to label next: the vertices of the subtree of
-    depth ``LOOK_AHEAD`` below every simplex that lacks a label but has
-    one, with the midpoints of the subtree's simplices below ``dir_tol``;
-    the vertices of every simplex with no label yet; and the midpoints the
-    walk asked for.  ``learn`` stores their labels.  The walk reads only a
-    simplex's own labels, so the simplices it refines and the directions it
-    reads do not depend on how far ahead a batch labelled.
+    returns the directions to label next: the ends of the subtree of depth
+    ``LOOK_AHEAD`` below every member that lacks a label but has one, with
+    the midpoints of the subtree's arcs below ``dir_tol``; the ends of
+    every member with no label yet; and the midpoints the walk asked for.
+    ``learn`` stores their labels.  The walk reads only a member's own
+    labels, so the arcs it halves and the directions it reads do not depend
+    on how far ahead a batch labelled.
 
     A direction whose orbit failed is labelled ("failed", error), and the
     error is raised only where the walk or ``replay`` reads that label.  A
@@ -128,7 +108,7 @@ class Sphere:
         self.targets = targets
         self.initial = initial
         self.dir_tol = dir_tol
-        self.level = list(initial)  # simplices not refined yet
+        self.level = list(initial)  # members not refined yet
         self.labels = {}  # direction key -> (label, signed end time)
         self.error = None  # the first failure the walk read
 
@@ -137,7 +117,7 @@ class Sphere:
             return []
         try:
             return self._walk()
-        except FAILURES as err:
+        except flow.IntegrationError as err:
             self.error = err
             return []
 
@@ -163,7 +143,7 @@ class Sphere:
             level = nxt
         self.level = blocked
         for sp in blocked:
-            # below a simplex with no label at all, such as an initial one,
+            # below a member with no label at all, such as an initial one,
             # nothing says where a basin boundary is: label it alone
             known = any(direction_key(v) in labels for v in sp)
             ahead = LOOK_AHEAD if known else 0
@@ -172,10 +152,10 @@ class Sphere:
         return [*want.values()]
 
     def _refine(self, sp):
-        """What a simplex asks for, given the labels of its vertices:
-        (children, None) to split it, ([], midpoint) to label its midpoint
-        once it is below ``dir_tol``, or ([], None).  Directions that hit
-        the time budget count as non-connecting."""
+        """What a member asks for, given the labels of its ends: (halves,
+        None) to split an arc, ([], midpoint) to label its midpoint once it
+        is below ``dir_tol``, or ([], None).  Directions that hit the time
+        budget count as non-connecting."""
         labs = {self._label(v)[0] for v in sp} - {("budget",)}
         if len(labs) < 2:
             return [], None
@@ -198,12 +178,12 @@ class Sphere:
         """Replay the refinement depth-first.  Returns the witnesses
         (direction, target ident, capture time) in depth-first order of
         first touch, which fixes the cluster representatives that
-        ``morse.ConnectionFinder._collect`` keeps, and the number of directions the refinement
-        reads whose orbit hit the time budget.  Every capture of a target
-        counts: refinement vertices inside a capture window are as valid
-        witnesses as the initial seeds, and the windows can be far narrower
-        than the seed spacing.  ``_collect`` merges the cluster of
-        directions inside one window into a single witness."""
+        ``morse.ConnectionFinder._collect`` keeps, and the number of
+        directions the refinement reads whose orbit hit the time budget.
+        Every capture of a target counts: arc ends inside a capture window
+        are as valid witnesses as the initial seeds, and the windows can be
+        far narrower than the seed spacing.  ``_collect`` merges the
+        cluster of directions inside one window into a single witness."""
         found = []
         seen = set()
 

@@ -5,9 +5,11 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import types
+import warnings
 
 import jsonschema
 import pytest
@@ -136,6 +138,37 @@ def test_a_constant_domain_error_at_options_lam_exits_two(
     doc["options"]["lam"] = lam
     assert cli.main([command, _write(tmp_path, doc)]) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["hi", "lyapunov"])
+def test_a_constant_division_by_zero_of_a_derivative_exits_two(
+        command, tmp_path, capsys):
+    # the literal zero denominator is folded where the Lyapunov function
+    # is differentiated, inside the pipeline
+    with open(_path("saddle.json")) as fh:
+        doc = json.load(fh)
+    doc["lyapunov"] = "-(x1^2 - x2^2)/2 + x1^3/0"
+    assert cli.main([command, _write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == \
+        "input error: constant division by zero\n"
+
+
+def test_an_infinite_perturbation_fails_the_certificate_without_a_warning(
+        tmp_path, capsys):
+    # 1e308/lam at lam = 1e-10 binds to inf: the certificate's lambda
+    # family has no finite field, and the first field the integrator
+    # evaluates is inf * 0
+    with open(_path("saddle_lam.json")) as fh:
+        doc = json.load(fh)
+    doc["options"] = {"lam": 1e-10, "perturbation": "1e308/lam*x1 + x2"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["hi", _write(tmp_path, doc), "--seed", "3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(
+        "error: homotopy certificate failed at lambda=0.1: block stops "
+        "isolating")
 
 
 def test_reports_are_byte_identical_under_fixed_seed(tmp_path):
@@ -333,6 +366,31 @@ def test_hi_on_the_3d_product_well(capsys):
         [0] * 8 + [1] * 12 + [2] * 6 + [3]
 
 
+def test_hi_on_the_4d_product_well_stops_before_any_orbit(monkeypatch,
+                                                         capsys):
+    # eight index-3 sources would search an unstable S^2, where bisection
+    # of label changes cannot isolate the connecting directions: the
+    # connection search, the only stage that classifies orbit limits,
+    # raises before its first batch
+    calls = []
+    classify = flow.classify_limit
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "classify_limit", counted)
+    code = cli.main(["hi", _path("product_well_4d.json"), "--seed", "3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert re.fullmatch(
+        r"error: critical point \d+ at \(.*\) has index 3: its connections "
+        r"to index 2 leave its unstable sphere S\^2 through isolated points "
+        r"on curves, which bisection cannot find; only S\^0 and S\^1 are "
+        r"searched\n", captured.err)
+    assert calls == []
+
+
 def test_malformed_json_exits_two(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{ not json")
@@ -456,7 +514,7 @@ def test_walker_agrees_with_jsonschema():
                                              "*.json"))):
         with open(f) as fh:
             docs.append(json.load(fh))
-    assert len(docs) == 12
+    assert len(docs) == 13
     docs.append({"dimension": 2, "field": ["x1", "-x2"],
                  "block": {"cubes": [[0, 0], [1, 0]], "origin": [-1, -0.5],
                            "spacing": 0.5}})

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import sphere_oracle as oracle
 from mcfhom import block, cli, conley, expr, flow, homalg, morse, sphere
 from mcfhom.config import DEFAULT
 
@@ -281,6 +282,25 @@ def _quarter_labels(crits):
     return label
 
 
+def _label_directions(monkeypatch, finder, source, label):
+    """Make ``finder._classify`` label each direction of the unstable
+    sphere of ``source`` by ``label``: its seed point is the direction
+    itself.  Returns the list of batches, each a list of directions."""
+    batches = []
+
+    def seed_point(x, d):
+        assert x is source
+        return d
+
+    def classify(seeds):
+        batches.append([d for d, _ in seeds])
+        return [label(d) for d, _ in seeds]
+
+    monkeypatch.setattr(finder, "_seed_point", seed_point)
+    monkeypatch.setattr(finder, "_classify", classify)
+    return batches
+
+
 def _stub_search(monkeypatch, f, b, crits, label):
     """Search the index-2 source with ``_classify`` replaced by ``label``
     and ``_collect`` by a recorder.  Returns the labelled direction keys,
@@ -288,25 +308,20 @@ def _stub_search(monkeypatch, f, b, crits, label):
     finder."""
     source = next(c for c in crits if c.index == 2)
     finder = morse.ConnectionFinder(expr.negative_gradient(f, 2), b, crits)
-    labelled, calls, got = [], [], []
-
-    def classify(jobs):
-        (x, dirs), = jobs
-        calls.append(len(dirs))
-        labelled.extend(sphere.direction_key(d) for d in dirs)
-        return [[label(d) for d in dirs]]
-
-    monkeypatch.setattr(finder, "_classify", classify)
+    batches = _label_directions(monkeypatch, finder, source, label)
+    got = []
     monkeypatch.setattr(finder, "_collect", lambda x, found: got.extend(
         (tuple(d), tgt, t) for d, tgt, t in found) or ())
     finder.sphere_search([source])
-    return labelled, calls, got, finder
+    labelled = [sphere.direction_key(d) for dirs in batches for d in dirs]
+    return labelled, [len(dirs) for dirs in batches], got, finder
 
 
 def _depth_first(finder, label):
-    """The labels of the one-source depth-first search without look-ahead,
-    {direction key: (label, time)}, and its witnesses to saddles in order
-    of first touch."""
+    """The labels of the one-source depth-first search without look-ahead
+    on the triangulated circle of ``sphere_oracle``, {direction key:
+    (label, time)}, and its witnesses to saddles in order of first
+    touch."""
     want, labels = [], {}
 
     def label_of(d):
@@ -318,7 +333,7 @@ def _depth_first(finder, label):
                 want.append((tuple(d), lab[1], t))
         return labels[key][0]
 
-    work = list(sphere.initial_simplices(2, DEFAULT.n_dir_seeds,
+    work = list(oracle.initial_simplices(2, DEFAULT.n_dir_seeds,
                                          finder._rotation(2)))
     for sp in work:
         for v in sp:
@@ -327,12 +342,40 @@ def _depth_first(finder, label):
         sp = work.pop()
         if len({label_of(v) for v in sp}) < 2:
             continue
-        if sphere.diameter(sp) < DEFAULT.dir_tol:
-            mid = sum(sp) / len(sp)
-            label_of(mid / np.linalg.norm(mid))
+        if oracle.diameter(sp) < DEFAULT.dir_tol:
+            label_of(oracle.midpoint(sp))
             continue
-        work.extend(sphere.split(sp))
+        work.extend(oracle.split(sp))
     return labels, want
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_arcs_equal_the_triangulated_circle_bit_for_bit(n):
+    # the quarter arcs, halved and rotated, and two levels of their halves,
+    # chords and midpoints, against the cross-polytope of sphere_oracle
+    f, b, crits = _product_double_well()
+    gradfield = expr.negative_gradient(f, 2)
+
+    def same(new, old):
+        assert [[v.tobytes() for v in sp] for sp in new] == \
+            [[v.tobytes() for v in sp] for sp in old]
+
+    same(sphere.initial_simplices(1, n, np.eye(1)),
+         oracle.initial_simplices(1, n, np.eye(1)))
+    for seed in range(6):
+        rot = morse.ConnectionFinder(gradfield, b, crits,
+                                     seed=seed)._rotation(2)
+        arcs = sphere.initial_simplices(2, n, rot)
+        assert len(arcs) == n
+        same(arcs, oracle.initial_simplices(2, n, rot))
+        for _ in range(2):
+            for arc in arcs:
+                assert sphere.diameter(arc) == oracle.diameter(arc)
+                assert sphere._midpoint(arc).tobytes() == \
+                    oracle.midpoint(arc).tobytes()
+            halves = [h for arc in arcs for h in sphere.split(arc)]
+            same(halves, [h for arc in arcs for h in oracle.split(arc)])
+            arcs = halves
 
 
 def test_witnesses_keep_depth_first_order(monkeypatch):
@@ -395,13 +438,21 @@ def test_search_raises_failures_in_source_order(monkeypatch):
     def search(sources, tols):
         finder = morse.ConnectionFinder(expr.negative_gradient(f, 2), b,
                                         crits, tols=tols, seed=3)
-        classify = finder._classify
+        seed_point, classify = finder._seed_point, finder._classify
+        of_second = set()
 
-        def second_fails(jobs):
-            return [[(("failed", flow.IntegrationError("injected")), 0.0)
-                     for _ in labels] if x is second else labels
-                    for (x, _), labels in zip(jobs, classify(jobs))]
+        def recorded(x, d):
+            p = seed_point(x, d)
+            if x is second:
+                of_second.add(p.tobytes())
+            return p
 
+        def second_fails(seeds):
+            return [(("failed", flow.IntegrationError("injected")), 0.0)
+                    if p.tobytes() in of_second else label
+                    for (p, _), label in zip(seeds, classify(seeds))]
+
+        monkeypatch.setattr(finder, "_seed_point", recorded)
         monkeypatch.setattr(finder, "_classify", second_fails)
         finder.sphere_search(sources)
 
@@ -562,15 +613,9 @@ def test_collect_labels_the_midpoints_of_the_sequential_clustering(
     assert 2 <= len(want[0][1]) < 7 and 2 <= len(want[1][1]) < 5
     assert hits
 
-    calls, stub = [], [label]
-
-    def classify(jobs):
-        (x, dirs), = jobs
-        assert x is source
-        calls.append(len(dirs))
-        return [[stub[0](d) for d in dirs]]
-
-    monkeypatch.setattr(finder, "_classify", classify)
+    stub = [label]
+    calls = _label_directions(monkeypatch, finder, source,
+                              lambda d: stub[0](d))
     got = [(tgt, [(tuple(d), t) for d, t in reps])
            for tgt, reps in finder._collect(source, found)]
     assert got == want
@@ -749,6 +794,26 @@ def test_backward_search_finds_the_top_connections_of_the_3d_product_well(
     for items in ws.values():
         assert len(items) == 1 and abs(items[0].sign) == 1
         assert items[0].direction in ((1.0,), (-1.0,))
+
+
+def test_sphere_search_refuses_the_unstable_s2_before_any_orbit(
+        monkeypatch):
+    # the sources of the 3-D product well in ident order: the spheres of
+    # those before the index-3 source are built, and it raises before any
+    # of them runs an orbit, naming the point, its index and its S^2
+    f, b, crits = _product_well_3d()
+    top = next(c for c in crits if c.index == 3)
+
+    def no_orbit(*args, **kwargs):
+        raise AssertionError("an orbit ran")
+
+    monkeypatch.setattr(flow, "classify_limit", no_orbit)
+    finder = morse.ConnectionFinder(expr.negative_gradient(f, 3), b, crits)
+    assert any(c.index and c.ident < top.ident for c in crits)
+    with pytest.raises(morse.MorseError, match=(
+            rf"critical point {top.ident} at .* has index 3: .* unstable "
+            r"sphere S\^2 .* only S\^0 and S\^1 are searched")):
+        finder.sphere_search([c for c in crits if c.index])
 
 
 @pytest.mark.parametrize("seed", [3, 5, 11])
