@@ -34,27 +34,23 @@ are read in this order.
 
 For k = 2 < m the seeds live on a small circle inside the unstable
 eigenspace of p (``ConnectionFinder.sphere_search``, also the test oracle
-for k = 1 and k = m = 2); basin boundaries on it are isolated by bisection
-of its arcs (``sphere.Sphere``) and each witness orbit receives a sign by
-transporting the source's unstable frame along it.  For 3 <= k <= m - 1
-the connecting directions are isolated points on curves of S^{k-1}, which
-bisection cannot find, so ``search`` raises ``MorseError`` before any
-orbit runs.  The bisection runs breadth-first and labels ahead of itself:
-a walk halves every arc whose labels are known, and each arc where it
-stops has the ends of its subtree, ``sphere.LOOK_AHEAD`` levels deep,
-labelled in the next batch.
-The spheres of all sources are refined in lockstep, so each batch is one
-``flow.classify_limit`` call for every source.  The witness list comes from
-a depth-first replay of the same refinement, so it does not depend on how
-far ahead the batches labelled.  Nor does whether the search fails: the
-error of a failed orbit is raised only where the refinement reads its
-label.  Witnesses of one orbit are clustered by labelling the midpoints
-between them, one batch per pass of the clustering.  After clustering, the
+for k = 1 and k = m = 2), held as a cycle of directions in angular order
+(``sphere.Circle``).  Every gap whose end labels differ is refined by
+halving, ``sphere.DEPTH`` levels in one batch, down to ``dir_tol``; the
+circles of all sources are refined in lockstep, so each batch is one
+``flow.classify_limit`` call for every source.  A connecting orbit has a
+capture window, an interval of the circle, so a witness is a run of
+neighbours captured at one target, and its first direction receives a
+sign by transporting the source's unstable frame along its orbit; the
 witnesses of all sources with one frame size are signed by one
-``flow.transport_frame`` batch.  Directions read by the refinement whose
-orbit hits the time budget count as non-connecting; they are counted in
-``ConnectionFinder.budget_hits`` and logged as a warning on the
-``mcfhom.morse`` logger.
+``flow.transport_frame`` batch.  Every label is read: a failed orbit stops
+its circle, and its error is raised after the witnesses of the sources
+before it are signed.  Directions whose orbit hits the time budget count
+as non-connecting; they are counted in ``ConnectionFinder.budget_hits``
+and logged as a warning on the ``mcfhom.morse`` logger.  For
+3 <= k <= m - 1 the connecting directions are isolated points on curves of
+S^{k-1}, which bisection cannot find, so ``search`` raises ``MorseError``
+before any orbit runs.
 """
 from __future__ import annotations
 
@@ -394,7 +390,7 @@ class ConnectionFinder:
         self._search_spheres(self._spheres(sources))
 
     def _spheres(self, sources):
-        """The unsearched ``sphere.Sphere`` of each source of ``sources``
+        """The unsearched ``sphere.Circle`` of each source of ``sources``
         with targets; a source without any has no witnesses."""
         spheres = []
         for x in sources:
@@ -412,27 +408,24 @@ class ConnectionFinder:
                     f"find; only S^0 and S^1 are searched")
             else:
                 rot = self._rotation(2) if x.index == 2 else np.eye(1)
-                members = sphere.initial_simplices(
-                    x.index, self.tols.n_dir_seeds, rot)
-                spheres.append(sphere.Sphere(x, targets, members,
-                                             self.tols.dir_tol))
+                spheres.append(sphere.Circle(x, targets, sphere.cycles(
+                    x.index, self.tols.n_dir_seeds, rot), self.tols.dir_tol))
         return spheres
 
     def _search_spheres(self, spheres):
         """Refine ``spheres`` in lockstep and sign their witnesses.
 
         Each step labels what every unfinished sphere wants in one
-        ``_classify`` batch.  Directions read by the refinement whose orbit
-        hits the time budget count as non-connecting; they are added to
-        ``budget_hits`` and logged as one warning per source.  After
-        clustering, the witnesses are signed by ``_signs``.
+        ``_classify`` batch.  Directions whose orbit hits the time budget
+        count as non-connecting; they are added to ``budget_hits`` and
+        logged as one warning per source.  The witnesses are signed by
+        ``_signs``.
 
         Failures are raised in the order of a search of one source after
-        the other: a failure of a source's search or clustering is raised
-        only after the witnesses of the sources before it, and of the
-        targets clustered before it, are signed without one.  Which failure
-        of one sphere's refinement is raised, where several are read, may
-        depend on the batches."""
+        the other: the failure of a sphere is raised only after the
+        witnesses of the spheres before it are signed without one.  Of
+        several failures of one sphere, the first one labelled is
+        raised."""
         while True:
             asks = [(s, s.wanted()) for s in spheres]
             asks = [(s, dirs) for s, dirs in asks if dirs]
@@ -441,95 +434,27 @@ class ConnectionFinder:
             labels = iter(self._classify([(self._seed_point(s.x, d), 1)
                                           for s, dirs in asks for d in dirs]))
             for s, dirs in asks:
-                s.learn(dirs, itertools.islice(labels, len(dirs)))
+                s.learn(itertools.islice(labels, len(dirs)))
         reps, jobs = [], []
-        try:
-            for s in spheres:
-                if s.error is not None:
-                    raise s.error
-                found, hits = s.replay()
-                self.budget_hits += hits
-                if hits:
-                    log.warning("%d directions on the unstable sphere of "
-                                "critical point %d hit the time budget; "
-                                "treated as non-connecting", hits, s.x.ident)
-                reps.append({})
-                for tgt, items in self._collect(s.x, found):
-                    reps[-1][tgt] = items
-                    jobs.extend((s.x, self.by_id[tgt], d, t)
-                                for d, t in items)
-        except flow.IntegrationError:
-            self._signs(jobs)  # a witness found before may fail first
-            raise
+        for s in spheres:
+            if s.error is not None:
+                self._signs(jobs)  # a witness found before may fail first
+                raise s.error
+            by_target, hits = s.witnesses()
+            self.budget_hits += hits
+            if hits:
+                log.warning("%d directions on the unstable sphere of "
+                            "critical point %d hit the time budget; "
+                            "treated as non-connecting", hits, s.x.ident)
+            reps.append(by_target)
+            jobs.extend((s.x, self.by_id[tgt], d, t)
+                        for tgt, items in by_target.items() for d, t in items)
         signs = iter(self._signs(jobs))
         for s, by_target in zip(spheres, reps):
             self._witnesses[s.x.ident] = {
                 tgt: [Witness(tuple(float(v) for v in d), next(signs), t)
                       for d, t in items]
                 for tgt, items in by_target.items()}
-
-    def _collect(self, x, found):
-        """Cluster witness directions: yield (target ident, [(direction,
-        capture time)]), one representative per cluster, target by target.
-
-        A direction joins the first representative that lies within
-        ``cluster_tol`` of it or shares its orbit: two directions converging
-        to the same target represent one connecting orbit iff their geodesic
-        midpoint also converges to it (the capture window around a
-        transverse orbit is connected).  The midpoints are labelled in
-        passes: each pass replays the clustering of all targets, takes a
-        midpoint with no label yet as the same orbit, and labels every such
-        midpoint in one batch.  The pass that labels none is the sequential
-        clustering; ``_clusters`` then replays it once more, and only that
-        replay raises a failed label or counts a budget hit."""
-        by_target = {}
-        for d, tgt, t in found:
-            by_target.setdefault(tgt, []).append((d, t))
-        labels = {}
-        while True:
-            want = {}
-            for _ in self._clusters(by_target, labels, want):
-                pass
-            if not want:
-                break
-            labs = self._classify([(self._seed_point(x, d), 1)
-                                   for d in want.values()])
-            labels.update(zip(want, (lab for lab, _ in labs)))
-        yield from self._clusters(by_target, labels)
-
-    def _clusters(self, by_target, labels, want=None):
-        """One pass of ``_collect`` over ``labels``, {(target, item, rep):
-        label of the midpoint of the two directions}.  With ``want``, a
-        midpoint with no label is added to it and taken as the same orbit;
-        a failed label ends the pass if ``want`` is still empty, since the
-        final replay (``want`` None) raises it there."""
-        cluster_tol = max(100 * self.tols.dir_tol, 1e-8)
-        for tgt, items in by_target.items():
-            reps = []
-            for i, (d, _) in enumerate(items):
-                for r in reps:
-                    if float(np.linalg.norm(d - items[r][0])) < cluster_tol:
-                        break
-                    mid = d + items[r][0]
-                    nm = float(np.linalg.norm(mid))
-                    if nm < 1e-12:
-                        continue
-                    key = (tgt, i, r)
-                    if key not in labels:
-                        want[key] = mid / nm
-                        break
-                    lab = labels[key]
-                    if lab[0] == "failed" and not want:
-                        if want is None:
-                            raise lab[1]
-                        return
-                    if lab == ("budget",) and want is None:
-                        self.budget_hits += 1
-                    if lab == ("crit", tgt):
-                        break
-                else:
-                    reps.append(i)
-            yield tgt, [items[r] for r in reps]
 
     def _signs(self, jobs):
         """Orientation signs of the witnesses (source, target, direction,

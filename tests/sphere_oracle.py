@@ -1,12 +1,13 @@
 """The triangulated direction sphere of any dimension: the reference that
-the arcs of ``mcfhom.sphere`` are tested against.
+the cycles of ``mcfhom.sphere`` are tested against.
 
 ``initial_simplices`` builds the boundary of the cross-polytope of R^k from
 sign products and refines it uniformly by ``split``, longest-edge bisection
 with the new vertex pushed to the sphere, until it has at least ``n_min``
 vertices.  On the circle (k = 2) its simplices are arcs of two vertices,
-and the arcs, halves, chords and midpoints of ``mcfhom.sphere`` must equal
-these bit for bit.
+and the points, neighbours, sections and midpoints of the cycle of
+``mcfhom.sphere`` must equal its vertices, arcs, splits and midpoints bit
+for bit.
 """
 from __future__ import annotations
 

@@ -349,16 +349,25 @@ def test_the_morse_complex_of_connections_does_not_depend_on_the_seed(
 def test_the_morse_complex_of_the_3d_product_well_does_not_depend_on_the_seed(
         capsys):
     # the sphere search of the six index-2 sources on S^1 with another
-    # rotation of its seeds, and another perturbation direction
+    # rotation of its seeds, and another perturbation direction; the report
+    # at seed 5 pins the signs transported from the first direction of each
+    # run of a second rotation
+    assert cli.main(["hi", _path("product_well_3d.json"), "--seed", "5"]) == 0
+    out = capsys.readouterr().out
+    with open(_path("product_well_3d_hi_seed5.out"), "rb") as fh:
+        assert out.encode() == fh.read()
     with open(_path("product_well_3d_hi_seed3.out")) as fh:
         golden = json.load(fh)
-    _same_complex(golden, _hi(capsys, _path("product_well_3d.json"), 5))
+    _same_complex(golden, json.loads(out))
 
 
 def test_hi_on_the_3d_product_well(capsys):
     # one index-3 source, searched backward from its six targets
     code = cli.main(["hi", _path("product_well_3d.json"), "--seed", "3"])
-    out = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    with open(_path("product_well_3d_hi_seed3.out"), "rb") as fh:
+        assert text.encode() == fh.read()
+    out = json.loads(text)
     assert code == 0
     assert out["hi"]["betti"] == [1, 0, 0, 0]
     assert out["exit_theorem"] is True

@@ -303,35 +303,36 @@ def _label_directions(monkeypatch, finder, source, label):
 
 def _stub_search(monkeypatch, f, b, crits, label):
     """Search the index-2 source with ``_classify`` replaced by ``label``
-    and ``_collect`` by a recorder.  Returns the labelled direction keys,
-    the batch sizes, the witnesses handed to ``_collect`` and the
+    and ``_signs`` by a recorder that signs every witness +1.  Returns the
+    labelled directions as bytes, the batch sizes, the witnesses
+    (direction, target ident, capture time) handed to ``_signs`` and the
     finder."""
     source = next(c for c in crits if c.index == 2)
     finder = morse.ConnectionFinder(expr.negative_gradient(f, 2), b, crits)
     batches = _label_directions(monkeypatch, finder, source, label)
     got = []
-    monkeypatch.setattr(finder, "_collect", lambda x, found: got.extend(
-        (tuple(d), tgt, t) for d, tgt, t in found) or ())
+
+    def signs(jobs):
+        got.extend((d, y.ident, t) for _, y, d, t in jobs)
+        return [1] * len(jobs)
+
+    monkeypatch.setattr(finder, "_signs", signs)
     finder.sphere_search([source])
-    labelled = [sphere.direction_key(d) for dirs in batches for d in dirs]
+    labelled = [d.tobytes() for dirs in batches for d in dirs]
     return labelled, [len(dirs) for dirs in batches], got, finder
 
 
 def _depth_first(finder, label):
-    """The labels of the one-source depth-first search without look-ahead
-    on the triangulated circle of ``sphere_oracle``, {direction key:
-    (label, time)}, and its witnesses to saddles in order of first
-    touch."""
-    want, labels = [], {}
+    """The directions, as bytes, that the one-source depth-first bisection
+    of the triangulated circle of ``sphere_oracle`` labels: an arc whose
+    end labels differ is halved, down to ``dir_tol``, where its midpoint is
+    labelled instead."""
+    labels = {}
 
     def label_of(d):
-        key = sphere.direction_key(d)
-        if key not in labels:
-            labels[key] = label(d)
-            lab, t = labels[key]
-            if lab[1] in finder.by_id and finder.by_id[lab[1]].index == 1:
-                want.append((tuple(d), lab[1], t))
-        return labels[key][0]
+        if d.tobytes() not in labels:
+            labels[d.tobytes()] = label(d)[0]
+        return labels[d.tobytes()]
 
     work = list(oracle.initial_simplices(2, DEFAULT.n_dir_seeds,
                                          finder._rotation(2)))
@@ -346,86 +347,134 @@ def _depth_first(finder, label):
             label_of(oracle.midpoint(sp))
             continue
         work.extend(oracle.split(sp))
-    return labels, want
+    return labels
+
+
+def _angle(d):
+    return math.atan2(d[1], d[0])
 
 
 @pytest.mark.parametrize("n", [64, 128])
-def test_arcs_equal_the_triangulated_circle_bit_for_bit(n):
-    # the quarter arcs, halved and rotated, and two levels of their halves,
-    # chords and midpoints, against the cross-polytope of sphere_oracle
+def test_the_cycle_equals_the_triangulated_circle_bit_for_bit(n):
+    # the points of S^0 and of the initial circle, and the neighbours of the
+    # circle, against the vertices and arcs of the cross-polytope of
+    # sphere_oracle; the section of every gap against its split, and the
+    # midpoint of a gap below dir_tol against the oracle's
     f, b, crits = _product_double_well()
     gradfield = expr.negative_gradient(f, 2)
 
     def same(new, old):
-        assert [[v.tobytes() for v in sp] for sp in new] == \
-            [[v.tobytes() for v in sp] for sp in old]
+        assert [v.tobytes() for v in new] == [v.tobytes() for v in old]
 
-    same(sphere.initial_simplices(1, n, np.eye(1)),
-         oracle.initial_simplices(1, n, np.eye(1)))
+    same([d for c in sphere.cycles(1, n, np.eye(1)) for d in c],
+         [v for sp in oracle.initial_simplices(1, n, np.eye(1)) for v in sp])
     for seed in range(6):
         rot = morse.ConnectionFinder(gradfield, b, crits,
                                      seed=seed)._rotation(2)
-        arcs = sphere.initial_simplices(2, n, rot)
-        assert len(arcs) == n
-        same(arcs, oracle.initial_simplices(2, n, rot))
-        for _ in range(2):
-            for arc in arcs:
-                assert sphere.diameter(arc) == oracle.diameter(arc)
-                assert sphere._midpoint(arc).tobytes() == \
-                    oracle.midpoint(arc).tobytes()
-            halves = [h for arc in arcs for h in sphere.split(arc)]
-            same(halves, [h for arc in arcs for h in oracle.split(arc)])
-            arcs = halves
+        [cycle] = sphere.cycles(2, n, rot)
+        arcs = oracle.initial_simplices(2, n, rot)
+        assert len(cycle) == len(arcs) == n
+        vertices = {v.tobytes(): v for sp in arcs for v in sp}
+        same(sorted(cycle, key=_angle), sorted(vertices.values(), key=_angle))
+        gaps = [*zip(cycle, cycle[1:] + cycle[:1])]
+        assert {frozenset((u.tobytes(), v.tobytes())) for u, v in gaps} == \
+            {frozenset(v.tobytes() for v in sp) for sp in arcs}
+        fine = sphere.Circle(None, set(), [cycle], 0.0)
+        coarse = sphere.Circle(None, set(), [cycle], 1.0)
+        for u, v in gaps:
+            section = fine._section([u, None, False], v, sphere.DEPTH)
+            halves = [(u, v)]
+            for _ in range(sphere.DEPTH):
+                halves = [h for arc in halves for h in oracle.split(arc)]
+            same([d for d, _, _ in section], [h[0] for h in halves])
+            assert not any(final for *_, final in section)
+            [(_, _, final), (mid, _, final_mid)] = coarse._section(
+                [u, None, False], v, sphere.DEPTH)
+            same([mid], [oracle.midpoint((u, v))])
+            assert final and final_mid
 
 
-def test_witnesses_keep_depth_first_order(monkeypatch):
-    # The search labels ahead of its breadth-first walk: it must label
-    # every direction the old depth-first search labelled, none twice, in
-    # fewer batches than a walk without look-ahead, and hand _collect the
-    # witnesses in depth-first order of first touch.
+def test_the_search_labels_each_direction_once_and_one_witness_per_window(
+        monkeypatch):
+    # The search labels the section of every gap whose end labels differ:
+    # every direction that the depth-first bisection labels, none twice, in
+    # few batches; each window to a saddle is one run of neighbours, and so
+    # one witness inside it
     f, b, crits = _product_double_well()
     label = _quarter_labels(crits)
     labelled, calls, got, finder = _stub_search(monkeypatch, f, b, crits,
                                                 label)
-    with monkeypatch.context() as mp:
-        mp.setattr(sphere, "LOOK_AHEAD", 0)
-        _, level_calls, level_got, _ = _stub_search(mp, f, b, crits, label)
-    assert len(calls) < len(level_calls)
-    assert level_got == got
-
-    labels, want = _depth_first(finder, label)
+    labels = _depth_first(finder, label)
     assert set(labelled) >= set(labels)
     assert len(set(labelled)) == len(labelled)
-    assert len(level_calls) < len(labels) / 4
-    assert len(want) > 2 * sum(c.index == 1 for c in crits)
-    assert got == want
+    assert len(calls) < len(labels) / 4
+    assert sorted(tgt for _, tgt, _ in got) == \
+        sorted(c.ident for c in crits if c.index == 1)
+    for d, tgt, t in got:
+        assert label(d) == (("crit", tgt), t)
 
 
-def test_failed_orbits_stop_the_search_only_where_it_reads_them(
-        monkeypatch):
-    # Every look-ahead direction outside the depth-first search fails: the
-    # search still hands _collect the depth-first witnesses.  A failure of
-    # a direction that the depth-first search labelled is raised.
+def test_a_failed_label_stops_the_search_wherever_it_is(monkeypatch):
+    # Every label is read, so the failure of any labelled direction is
+    # raised: of a witness, of the last direction labelled, and of
+    # directions that the depth-first bisection never labels
     f, b, crits = _product_double_well()
     label = _quarter_labels(crits)
-    finder = morse.ConnectionFinder(expr.negative_gradient(f, 2), b, crits)
-    labels, want = _depth_first(finder, label)
-
-    def failing(fails):
-        def stub(d):
-            if fails(sphere.direction_key(d)):
+    labelled, _, got, finder = _stub_search(monkeypatch, f, b, crits, label)
+    ahead = [key for key in labelled if key not in _depth_first(finder,
+                                                                label)]
+    assert len(ahead) > 100
+    for key in (ahead[0], ahead[-1], got[0][0].tobytes(), labelled[-1]):
+        def failing(d):
+            if d.tobytes() == key:
                 return ("failed", flow.StepUnderflowError(0.5, d)), 0.5
             return label(d)
-        return stub
 
-    labelled, _, got, _ = _stub_search(
-        monkeypatch, f, b, crits, failing(lambda key: key not in labels))
-    assert len(set(labelled) - set(labels)) > 100
-    assert got == want
-    for d, _, _ in (want[0], want[-1]):
         with pytest.raises(flow.StepUnderflowError):
-            _stub_search(monkeypatch, f, b, crits, failing(
-                lambda key: key == sphere.direction_key(np.array(d))))
+            _stub_search(monkeypatch, f, b, crits, failing)
+
+
+def _runs(cycles, labels):
+    """The witnesses, {target: [capture time]}, and the budget hits of a
+    circle of ``cycles`` whose i-th direction is labelled ``labels[i]``,
+    with capture time i; the targets are 1 and 2."""
+    circle = sphere.Circle(None, {1, 2}, cycles, 1e-12)
+    assert len(circle.wanted()) == len(labels)
+    circle.learn((lab, float(i)) for i, lab in enumerate(labels))
+    found, hits = circle.witnesses()
+    return {tgt: [t for _, t in items] for tgt, items in found.items()}, hits
+
+
+def test_a_witness_is_a_run_of_neighbours_captured_at_one_target():
+    [cycle] = sphere.cycles(2, 8, np.eye(2))
+    q, r, other = ("crit", 1), ("crit", 2), ("crit", 9)
+    exit, budget = ("exit",), ("budget",)
+    # a run that wraps past the list start is one witness, at its first
+    # direction in cyclic order
+    assert _runs([cycle], [q, q, exit, r, r, exit, q, q]) == \
+        ({1: [6.0], 2: [3.0]}, 0)
+    # a run broken by an exit, a budget label or another critical point
+    assert _runs([cycle], [exit, q, q, exit, q, budget, q, other]) == \
+        ({1: [1.0, 4.0, 6.0]}, 1)
+    assert _runs([cycle], [q, r] * 4) == \
+        ({1: [0.0, 2.0, 4.0, 6.0], 2: [1.0, 3.0, 5.0, 7.0]}, 0)
+    # a cycle captured at one target throughout is one witness
+    assert _runs([cycle], [q] * 8) == ({1: [0.0]}, 0)
+    assert _runs([cycle], [budget] * 8) == ({}, 8)
+
+
+def test_s0_is_two_cycles_of_one_point():
+    # two seeds captured at one target are two witnesses, and the gap of
+    # each cycle, from its point to itself, is never split
+    q, r = ("crit", 1), ("crit", 2)
+    assert _runs(sphere.cycles(1, 8, np.eye(1)), [q, q]) == \
+        ({1: [0.0, 1.0]}, 0)
+    zero = sphere.Circle(None, {1, 2}, sphere.cycles(1, 8, np.eye(1)), 1.0)
+    zero.wanted()
+    zero.learn([(q, 0.0), (r, 1.0)])
+    assert zero.wanted() == []
+    assert _runs(sphere.cycles(1, 8, np.eye(1)), [q, r]) == \
+        ({1: [0.0], 2: [1.0]}, 0)
 
 
 def test_search_raises_failures_in_source_order(monkeypatch):
@@ -465,51 +514,11 @@ def test_search_raises_failures_in_source_order(monkeypatch):
         search([second, first], unsigned)
 
 
-def test_look_ahead_keeps_counts_and_witnesses(monkeypatch):
+def test_the_sphere_search_counts_each_connection_once():
     f, b, crits = _product_double_well()
-    ahead = _sphere_counts(f, b, crits, tols=_COARSE, seed=3)
-    monkeypatch.setattr(sphere, "LOOK_AHEAD", 0)
-    level = _sphere_counts(f, b, crits, tols=_COARSE, seed=3)
-    assert sorted(cc.n for cc in ahead if cc.n) == [-1] * 6 + [1] * 6
-    assert ahead == level  # counts and witnesses, bit for bit
-
-
-def test_look_ahead_orbits_that_fail_leave_the_complex_unchanged(
-        monkeypatch):
-    # every orbit that the search without look-ahead does not start fails
-    f, b, crits = _product_double_well()
-    classify = flow.classify_limit
-    started = set()
-
-    def record(gradfield, X0, *args, **kwargs):
-        started.update(col.tobytes() for col in X0.T)
-        return classify(gradfield, X0, *args, **kwargs)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(sphere, "LOOK_AHEAD", 0)
-        mp.setattr(flow, "classify_limit", record)
-        level = _sphere_counts(f, b, crits, tols=_COARSE, seed=3)
-    failed = []
-
-    def fail_the_rest(gradfield, X0, *args, **kwargs):
-        lc, run = classify(gradfield, X0, *args, **kwargs)
-        new = [col.tobytes() not in started for col in X0.T]
-        failed.extend(j for j, fails in enumerate(new) if fails)
-        return flow.LimitClass(
-            tuple("failed" if fails else tag
-                  for fails, tag in zip(new, lc.tag)),
-            tuple(-1 if fails else i for fails, i in zip(new, lc.crit_id)),
-            tuple(flow.StepUnderflowError(0.5, X0[:, j]) if fails else err
-                  for j, (fails, err) in enumerate(zip(new, lc.errors)))), run
-
-    monkeypatch.setattr(flow, "classify_limit", fail_the_rest)
-    # at the package's depth, and at depth 4, which starts more of them
-    for depth, least in ((sphere.LOOK_AHEAD, 50), (4, 100)):
-        failed.clear()
-        monkeypatch.setattr(sphere, "LOOK_AHEAD", depth)
-        ahead = _sphere_counts(f, b, crits, tols=_COARSE, seed=3)
-        assert len(failed) > least
-        assert ahead == level  # counts and witnesses, bit for bit
+    counts = _sphere_counts(f, b, crits, tols=_COARSE, seed=3)
+    assert sorted(cc.n for cc in counts if cc.n) == [-1] * 6 + [1] * 6
+    assert all(len(cc.witnesses) == abs(cc.n) for cc in counts)
 
 
 def test_lockstep_search_equals_per_source_searches(monkeypatch):
@@ -564,79 +573,6 @@ def test_signing_raises_for_the_first_failing_witness(monkeypatch):
         search(dataclasses.replace(DEFAULT, det_tol=10.0))
 
 
-def test_collect_labels_the_midpoints_of_the_sequential_clustering(
-        monkeypatch):
-    # Witness directions on the source's unstable circle, to two saddles.
-    # A midpoint is labelled by the angle windows below: inside a window of
-    # the target it joins the two directions into one orbit; elsewhere it
-    # exits, or hits the time budget, and they stay apart.
-    f, b, crits = _product_double_well()
-    finder = morse.ConnectionFinder(expr.negative_gradient(f, 2), b, crits)
-    source = next(c for c in crits if c.index == 2)
-    t1, t2 = [c.ident for c in crits if c.index == 1][:2]
-    windows = {t1: [(0.0, 0.5), (1.0, 1.2), (2.0, 2.6)],
-               t2: [(3.5, 4.0), (4.5, 5.2)], "budget": [(1.4, 1.7)]}
-
-    def label(d):
-        a = math.atan2(d[1], d[0]) % (2 * math.pi)
-        for tgt, ws in windows.items():
-            if any(lo <= a <= hi for lo, hi in ws):
-                return (("budget",) if tgt == "budget" else ("crit", tgt)), a
-        return ("exit",), a
-
-    angles = [(0.1, t1), (3.6, t2), (1.1, t1), (0.4, t1), (4.6, t2),
-              (2.1, t1), (3.9, t2), (1.15, t1), (5.1, t2), (2.5, t1),
-              (0.2, t1), (3.55, t2), (2.9, t1)]
-    found = [(np.array([math.cos(a), math.sin(a)]), tgt, a)
-             for a, tgt in angles]
-
-    # the sequential clustering, one midpoint label at a time
-    cluster_tol = max(100 * DEFAULT.dir_tol, 1e-8)
-    want, one_by_one, hits = [], 0, 0
-    for tgt in (t1, t2):
-        reps = []
-        for d, tg, t in found:
-            if tg != tgt:
-                continue
-            for rd, _ in reps:
-                if np.linalg.norm(d - rd) < cluster_tol:
-                    break
-                mid = (d + rd) / np.linalg.norm(d + rd)
-                one_by_one += 1
-                lab = label(mid)[0]
-                hits += lab == ("budget",)
-                if lab == ("crit", tgt):
-                    break
-            else:
-                reps.append((d, t))
-        want.append((tgt, [(tuple(d), t) for d, t in reps]))
-    assert 2 <= len(want[0][1]) < 7 and 2 <= len(want[1][1]) < 5
-    assert hits
-
-    stub = [label]
-    calls = _label_directions(monkeypatch, finder, source,
-                              lambda d: stub[0](d))
-    got = [(tgt, [(tuple(d), t) for d, t in reps])
-           for tgt, reps in finder._collect(source, found)]
-    assert got == want
-    assert finder.budget_hits == hits
-    assert len(calls) < one_by_one
-
-    # a failed midpoint label is raised where the clustering reads it,
-    # after the targets clustered before it
-    def failing(d):
-        lab, a = label(d)
-        if abs(a - 4.1) < 1e-9:  # the midpoint of 3.6 and 4.6
-            return ("failed", flow.StepUnderflowError(0.5, d)), a
-        return lab, a
-
-    stub[0] = failing
-    clusters = finder._collect(source, found)
-    assert next(clusters)[0] == t1
-    with pytest.raises(flow.StepUnderflowError):
-        next(clusters)
-
-
 # ---------------------------------------------------------------------------
 # connections counted on a zero-sphere
 
@@ -688,7 +624,7 @@ def test_zero_spheres_of_one_search_share_one_batch(monkeypatch):
         return classify(gradfield, X0, *args, **kwargs)
 
     monkeypatch.setattr(flow, "classify_limit", counted)
-    monkeypatch.setattr(sphere, "Sphere", None)
+    monkeypatch.setattr(sphere, "Circle", None)
     one = morse.ConnectionFinder(gradfield, b, crits, tols=_COARSE)
     one.search(ones + [top])
     assert widths == [16]
@@ -786,7 +722,7 @@ def test_backward_search_finds_the_top_connections_of_the_3d_product_well(
         return classify(gradfield, X0, *args, **kwargs)
 
     monkeypatch.setattr(flow, "classify_limit", counted)
-    monkeypatch.setattr(sphere, "Sphere", None)
+    monkeypatch.setattr(sphere, "Circle", None)
     finder = morse.ConnectionFinder(expr.negative_gradient(f, 3), b, crits)
     ws = finder.witnesses_for(top.ident)
     assert widths == [12]
