@@ -421,8 +421,8 @@ def test_a_failed_label_stops_the_search_wherever_it_is(monkeypatch):
     f, b, crits = _product_double_well()
     label = _quarter_labels(crits)
     labelled, _, got, finder = _stub_search(monkeypatch, f, b, crits, label)
-    ahead = [key for key in labelled if key not in _depth_first(finder,
-                                                                label)]
+    depth_first = _depth_first(finder, label)
+    ahead = [key for key in labelled if key not in depth_first]
     assert len(ahead) > 100
     for key in (ahead[0], ahead[-1], got[0][0].tobytes(), labelled[-1]):
         def failing(d):
