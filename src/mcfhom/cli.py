@@ -200,6 +200,14 @@ def load_system(path):
     return doc
 
 
+def _require(doc, keys):
+    """Check for the top-level ``keys`` a command reads beyond the schema's."""
+    for key in keys:
+        if key not in doc:
+            noun = "expression" if key == "lyapunov" else "section"
+            raise InputError(f"system file has no {key} {noun}")
+
+
 def _build_block(spec, m):
     try:
         if "box" in spec:
@@ -218,39 +226,34 @@ def _build_block(spec, m):
 
 
 def _parse_system(doc):
+    """The ``conley.System`` of a checked system file, lam left free."""
     m = doc["dimension"]
     opts = doc.get("options", {})
-    try:
-        fieldd = expr.parse_field(doc["field"], m)
-        lyap = expr.parse(doc["lyapunov"], m) if "lyapunov" in doc else None
-        pert = (expr.parse(opts["perturbation"], m)
-                if "perturbation" in opts else None)
-    except expr.ExprError as exc:
-        raise InputError(str(exc)) from exc
-    b = _build_block(doc["block"], m)
-    s_decl = _s_decl(doc.get("invariant_set"), m)
-    return fieldd, b, lyap, s_decl, opts.get("epsilon"), pert
+    fieldd = expr.parse_field(doc["field"], m)
+    lyap, pert = (None if text is None else expr.parse(text, m)
+                  for text in (doc.get("lyapunov"), opts.get("perturbation")))
+    return conley.System(fieldd, _build_block(doc["block"], m), lyap,
+                         _s_decl(doc.get("invariant_set"), m),
+                         opts.get("epsilon"), pert)
 
 
-def _fixed_system(doc):
+def _fixed_system(doc, *needs):
     """``_parse_system`` for the commands that work at one parameter value:
-    ``options.lam`` is substituted for lam in the field, the Lyapunov
-    function and the perturbation; without it, none may mention lam."""
-    fieldd, b, lyap, s_decl, eps, pert = _parse_system(doc)
+    the system at ``options.lam``; without it, no expression may mention
+    lam.  The file must hold the keys ``needs`` (see ``_require``)."""
+    system = _parse_system(doc)
     lam = doc.get("options", {}).get("lam")
-    if lam is None:
-        if fieldd.has_param or any(e is not None and expr.mentions_param(e)
-                                   for e in (lyap, pert)):
-            raise InputError(
-                "the system mentions lam but options.lam is absent")
-        return fieldd, b, lyap, s_decl, eps, pert
-    try:
-        lyap, pert = (None if e is None else
-                      expr.substitute_param(e, expr.Const(float(lam)))
-                      for e in (lyap, pert))
-        return expr.bind_field(fieldd, lam), b, lyap, s_decl, eps, pert
-    except expr.ExprError as exc:
-        raise InputError(f"at lam = {lam}: {exc}") from exc
+    if lam is not None:
+        try:
+            system = system.at(lam)
+        except expr.ExprError as exc:
+            raise InputError(f"at lam = {lam}: {exc}") from exc
+    elif system.field.has_param or any(
+            e is not None and expr.mentions_param(e)
+            for e in (system.lyapunov, system.perturbation)):
+        raise InputError("the system mentions lam but options.lam is absent")
+    _require(doc, needs)
+    return system
 
 
 def _s_decl(spec, m):
@@ -285,8 +288,8 @@ def _base_report(args):
 
 
 def cmd_block(args):
-    doc = load_system(args.file)
-    fieldd, b, *_ = _fixed_system(doc)
+    system = _fixed_system(load_system(args.file))
+    fieldd, b = system.field, system.block
     report, tols = _base_report(args)
     classified = block_mod.classify_boundary(b, fieldd, tols=tols)
     tags = sorted(zip(map(str, classified.face_list()),
@@ -304,12 +307,11 @@ def cmd_block(args):
 
 
 def cmd_lyapunov(args):
-    doc = load_system(args.file)
-    fieldd, b, lyap, s_decl, _, _ = _fixed_system(doc)
-    if lyap is None:
-        raise InputError("system file has no lyapunov expression")
+    system = _fixed_system(load_system(args.file), "lyapunov")
     report, tols = _base_report(args)
-    rep = lyapunov.verify_lyapunov(lyap, fieldd, b, s_decl, tols=tols)
+    rep = lyapunov.verify_lyapunov(system.lyapunov, system.field,
+                                   system.block, system.invariant_set,
+                                   tols=tols)
     report["lyapunov"] = {
         "verdict": rep.verdict,
         "min_decrease": rep.min_decrease,
@@ -321,14 +323,10 @@ def cmd_lyapunov(args):
 
 
 def cmd_hi(args):
-    doc = load_system(args.file)
-    fieldd, b, lyap, s_decl, eps, pert = _fixed_system(doc)
-    if lyap is None:
-        raise InputError("system file has no lyapunov expression")
+    system = _fixed_system(load_system(args.file), "lyapunov")
     report, tols = _base_report(args)
-    et, res = conley.verify_exit_theorem(
-        fieldd, b, lyap, s_decl, seed=args.seed, epsilon=eps,
-        perturbation=pert, coeff=args.coeff, tols=tols)
+    et, res = conley.verify_exit_theorem(system, seed=args.seed,
+                                         coeff=args.coeff, tols=tols)
     report["hi"] = _homology_table(et.hi)
     report["relative_cubical"] = _homology_table(et.relative)
     report["exit_theorem"] = et.verdict
@@ -346,10 +344,10 @@ def cmd_hi(args):
 
 
 def cmd_cubical(args):
-    doc = load_system(args.file)
-    fieldd, b, *_ = _fixed_system(doc)
+    system = _fixed_system(load_system(args.file))
     report, tols = _base_report(args)
-    classified = block_mod.classify_boundary(b, fieldd, tols=tols)
+    classified = block_mod.classify_boundary(system.block, system.field,
+                                             tols=tols)
     exitc = block_mod.exit_set(classified)
     h = homalg.cubical_relative_homology(classified, exitc, coeff=args.coeff)
     report["exit_cells"] = int(exitc.sum())
@@ -360,19 +358,14 @@ def cmd_cubical(args):
 
 def cmd_relations(args):
     doc = load_system(args.file)
-    fieldd, b, lyap, s_decl, eps, _ = _fixed_system(doc)
-    if "decomposition" not in doc:
-        raise InputError("system file has no decomposition section")
-    if lyap is None:
-        raise InputError("system file has no lyapunov expression")
+    system = _fixed_system(doc, "decomposition", "lyapunov")
     report, tols = _base_report(args)
-    # a set is read as the system with its block, Lyapunov function and
-    # invariant set: (block, bound Lyapunov function, declaration)
-    subs = [_fixed_system(dict(doc, **entry))[1:4]
-            for entry in doc["decomposition"]["sets"]]
-    dec, whole, parts = conley.decomposition_analysis(
-        fieldd, b, lyap, s_decl, subs, seed=args.seed,
-        epsilon=eps, coeff=args.coeff, tols=tols)
+    # a set is the file's system with the set's block, Lyapunov function
+    # and invariant set: it keeps the field and the options
+    parts = [_fixed_system(dict(doc, **entry))
+             for entry in doc["decomposition"]["sets"]]
+    dec, _, _ = conley.decomposition_analysis(
+        system, parts, seed=args.seed, coeff=args.coeff, tols=tols)
     report["poincare_whole"] = str(dec.whole)
     report["poincare_parts"] = [str(p) for p in dec.parts]
     report["q_t"] = str(dec.q)
@@ -382,22 +375,16 @@ def cmd_relations(args):
 
 def cmd_continue(args):
     doc = load_system(args.file)
-    if "continuation" not in doc:
-        raise InputError("system file has no continuation section")
-    fieldd, b, lyap, s_decl, eps, _ = _parse_system(doc)
-    if lyap is None:
-        raise InputError("system file has no lyapunov expression")
+    _require(doc, ("continuation", "lyapunov"))
+    start = _parse_system(doc)
     report, tols = _base_report(args)
-    cont = doc["continuation"]
-    m = doc["dimension"]
-    try:
-        lyap1 = expr.parse(cont["lyapunov_end"], m)
-    except expr.ExprError as exc:
-        raise InputError(str(exc)) from exc
+    cont, m = doc["continuation"], doc["dimension"]
+    end = dataclasses.replace(
+        start, lyapunov=expr.parse(cont["lyapunov_end"], m),
+        invariant_set=_s_decl(cont["invariant_set_end"], m))
     ok, r0, r1 = conley.continuation_invariance(
-        fieldd, b, cont["grid"], lyap, lyap1, s_decl,
-        _s_decl(cont["invariant_set_end"], m), seed=args.seed, epsilon=eps,
-        coeff=args.coeff, tols=tols)
+        start, end, cont["grid"], seed=args.seed, coeff=args.coeff,
+        tols=tols)
     report["hi_start"] = _homology_table(r0.homology)
     report["hi_end"] = _homology_table(r1.homology)
     report["verdict"] = ok
@@ -471,8 +458,8 @@ def main(argv=None):
     try:
         report, code = _COMMANDS[args.command](args)
     except (InputError, expr.ExprError) as exc:
-        # an ExprError that reaches here comes from folding the constants
-        # of the file's expressions, such as a literal zero denominator
+        # an ExprError is a file's expression that does not parse or whose
+        # constants fold to a domain error, such as a zero denominator
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (block_mod.BlockError, lyapunov.LyapunovError, morse.MorseError,

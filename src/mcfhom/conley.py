@@ -10,7 +10,7 @@ the mu circle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,24 +54,57 @@ class HIResult:
     counts: list
 
 
-def compute_HI(fieldd, b, lyap, s_decl, seed=0, epsilon=None,
-               perturbation=None, coeff="Z", tols=DEFAULT):
+@dataclass(frozen=True)
+class System:
+    """The data HI_*(S) is computed from: a flow, a block, a Lyapunov
+    function, the declared invariant set and the Morse perturbation's size
+    and direction (None: ``lyapunov.morse_perturb`` chooses).  Expressions
+    may mention lam until ``at`` binds it."""
+
+    field: expr.FieldDef
+    block: block_mod.GridBlock
+    lyapunov: expr.Expr | None
+    invariant_set: lyapunov.SDeclaration
+    epsilon: float | None = None
+    perturbation: expr.Expr | None = None
+
+    def at(self, lam):
+        """The system with ``lam`` substituted in the field, the Lyapunov
+        function and the perturbation; ExprError on a constant domain error."""
+        bind = (lambda e: None if e is None
+                else expr.substitute_param(e, expr.Const(float(lam))))
+        return replace(self, field=expr.bind_field(self.field, lam),
+                       lyapunov=bind(self.lyapunov),
+                       perturbation=bind(self.perturbation))
+
+
+def _shared(systems, *names):
+    """ConleyError unless ``systems`` share each attribute in ``names``."""
+    for name in names:
+        if any(getattr(s, name) != getattr(systems[0], name) for s in systems):
+            raise ConleyError(f"the systems given do not share one {name}")
+
+
+def compute_HI(system, seed=0, coeff="Z", tols=DEFAULT):
     """Full pipeline: verify the inputs, Morse-perturb the Lyapunov
     function, find critical points, count connections, take homology."""
+    fieldd, b = system.field, system.block
     classified = block_mod.classify_boundary(b, fieldd, tols=tols)
     block_mod.exit_set(classified)  # raises on unresolved faces
     iso = block_mod.check_isolation(b, fieldd, tols=tols)
     if not iso:
         raise PipelineError(
             f"block is not isolating (trapped samples {iso.failures[:3]})")
-    rep = lyapunov.verify_lyapunov(lyap, fieldd, b, s_decl, tols=tols)
+    rep = lyapunov.verify_lyapunov(system.lyapunov, fieldd, b,
+                                   system.invariant_set, tols=tols)
     if not rep:
         raise PipelineError(
             f"Lyapunov verification failed (min decrease "
             f"{rep.min_decrease:.3e} at {rep.min_location}, "
             f"f spread over S {rep.value_spread:.3e})")
-    f, cert = lyapunov.morse_perturb(lyap, b, epsilon=epsilon, seed=seed,
-                                     perturbation=perturbation, tols=tols)
+    f, cert = lyapunov.morse_perturb(
+        system.lyapunov, b, epsilon=system.epsilon, seed=seed,
+        perturbation=system.perturbation, tols=tols)
     crits = morse.find_critical_points(f, b, tols=tols)
     complex_, counts = morse.build_complex(
         f, b, crits, tols=tols, coeff=coeff, seed=seed)
@@ -87,26 +120,21 @@ class ExitTheoremReport:
     relative: homalg.HomologyResult
 
 
-def verify_exit_theorem(fieldd, b, lyap, s_decl, seed=0, epsilon=None,
-                        perturbation=None, coeff="Z", tols=DEFAULT):
+def verify_exit_theorem(system, seed=0, coeff="Z", tols=DEFAULT):
     """Compare HI against the relative cubical homology of the block and
     its exit set."""
-    res = compute_HI(fieldd, b, lyap, s_decl, seed=seed, epsilon=epsilon,
-                     perturbation=perturbation, coeff=coeff, tols=tols)
+    res = compute_HI(system, seed=seed, coeff=coeff, tols=tols)
     classified = res.quadruple.block
     exitc = block_mod.exit_set(classified)
     rel = homalg.cubical_relative_homology(classified, exitc, coeff=coeff)
     return ExitTheoremReport(res.homology == rel, res.homology, rel), res
 
 
-def block_independence(fieldd, lyap_a, block_a, lyap_b, block_b, s_decl_a,
-                       s_decl_b, seed=0, epsilon=None, coeff="Z",
-                       tols=DEFAULT):
-    """Two blocks isolating the same invariant set must give equal HI."""
-    ra = compute_HI(fieldd, block_a, lyap_a, s_decl_a, seed=seed,
-                    epsilon=epsilon, coeff=coeff, tols=tols)
-    rb = compute_HI(fieldd, block_b, lyap_b, s_decl_b, seed=seed,
-                    epsilon=epsilon, coeff=coeff, tols=tols)
+def block_independence(a, b, seed=0, coeff="Z", tols=DEFAULT):
+    """Two blocks of one flow isolating the same invariant set must give
+    equal HI."""
+    _shared((a, b), "field")
+    ra, rb = (compute_HI(s, seed=seed, coeff=coeff, tols=tols) for s in (a, b))
     return ra.homology == rb.homology, ra, rb
 
 
@@ -117,19 +145,13 @@ class DecompositionReport:
     whole: homalg.PoincarePolynomial
 
 
-def decomposition_analysis(fieldd, s_block, s_lyap, s_decl, sub_specs,
-                           seed=0, epsilon=None, coeff="Z", tols=DEFAULT):
-    """Morse relations for a declared decomposition.
-
-    ``sub_specs`` is a list of (block, lyapunov Expr, SDeclaration) for the
-    Morse sets, pairwise disjoint inside the S block.
-    """
-    whole = compute_HI(fieldd, s_block, s_lyap, s_decl, seed=seed,
-                       epsilon=epsilon, coeff=coeff, tols=tols)
-    parts = []
-    for sb, sl, sd in sub_specs:
-        parts.append(compute_HI(fieldd, sb, sl, sd, seed=seed,
-                                epsilon=epsilon, coeff=coeff, tols=tols))
+def decomposition_analysis(whole, parts, seed=0, coeff="Z", tols=DEFAULT):
+    """Morse relations for a declared decomposition: ``parts`` are the
+    systems of the Morse sets, on the flow of ``whole``, with blocks
+    pairwise disjoint inside its block."""
+    _shared((whole, *parts), "field")
+    whole, *parts = (compute_HI(s, seed=seed, coeff=coeff, tols=tols)
+                     for s in (whole, *parts))
     pw = homalg.poincare(whole.homology)
     pp = [homalg.poincare(p.homology) for p in parts]
     q = homalg.relations_check(pp, pw)
@@ -264,7 +286,6 @@ class ContinuationFunction:
 
     f_lam: object   # Expr in x and lam
     delta: float
-    kappa: float
     r: float
 
     @property
@@ -296,7 +317,7 @@ def continuation_r_bound(f_lam, b, delta):
     return float(best) / (math.pi * math.sin(math.pi * delta))
 
 
-def build_continuation_function(f_lam, b, delta=0.2, kappa=1.0, r=None):
+def build_continuation_function(f_lam, b, delta=0.2, r=None):
     """Assemble the continuation function, choosing the amplitude r from
     the sampled bound when not supplied."""
     if not 0.0 < delta < 0.25:
@@ -307,7 +328,7 @@ def build_continuation_function(f_lam, b, delta=0.2, kappa=1.0, r=None):
     elif r <= bound:
         raise ContinuationError(
             f"amplitude r = {r} does not exceed the sampled bound {bound}")
-    return ContinuationFunction(f_lam, delta, kappa, float(r))
+    return ContinuationFunction(f_lam, delta, float(r))
 
 
 @dataclass
@@ -336,20 +357,18 @@ def verify_index_split(cf, b, tols=DEFAULT):
                         max(10 * tols.newton_tol, 1e-7))
     index = np.sum(np.linalg.eigvalsh(0.5 * (H + H.transpose(0, 2, 1))) < 0,
                    axis=1)
-    crit_mu = []
-    failures = []
+    crit_mu, failures = [], []
     for p, idx in zip(P.T, index):
         mu = float(p[m])
         crit_mu.append((tuple(float(v) for v in p[:m]), mu, int(idx)))
-        dmu0 = min(mu, 2.0 - mu)
-        dmu1 = abs(mu - 1.0)
-        if min(dmu0, dmu1) > 1e-6:
+        if min(mu, 2.0 - mu, abs(mu - 1.0)) > 1e-6:
             failures.append(
                 f"critical point at interior mu = {mu} (r too small "
                 "or bound undersampled)")
     # endpoint Morse indices of f_lam at lam = 0 and 1
-    alpha = _endpoint_indices(cf.f_lam, b, 0.0, tols)
-    beta = _endpoint_indices(cf.f_lam, b, 1.0, tols)
+    alpha, beta = ([c.index for c in morse.find_critical_points(
+        expr.substitute_param(cf.f_lam, expr.Const(lam)), b, tols=tols)]
+        for lam in (0.0, 1.0))
     at0 = sorted(idx for _, mu, idx in crit_mu
                  if min(mu, 2.0 - mu) <= 1e-6)
     at1 = sorted(idx for _, mu, idx in crit_mu if abs(mu - 1.0) <= 1e-6)
@@ -362,9 +381,8 @@ def verify_index_split(cf, b, tols=DEFAULT):
     # chain-group split by cardinality: C_k(F) = C_{k-1}(f^a) + C_k(f^b)
     top = max([idx for _, _, idx in crit_mu], default=0)
     for k in range(top + 2):
-        lhs = sum(1 for _, _, idx in crit_mu if idx == k)
-        rhs = sum(1 for i in alpha if i == k - 1) \
-            + sum(1 for i in beta if i == k)
+        lhs = sum(idx == k for _, _, idx in crit_mu)
+        rhs = alpha.count(k - 1) + beta.count(k)
         if lhs != rhs:
             failures.append(
                 f"chain group split fails in degree {k}: {lhs} != {rhs}")
@@ -372,29 +390,22 @@ def verify_index_split(cf, b, tols=DEFAULT):
                             sorted(beta), failures)
 
 
-def _endpoint_indices(f_lam, b, lam, tols):
-    f = expr.substitute_param(f_lam, expr.Const(lam))
-    crits = morse.find_critical_points(f, b, tols=tols)
-    return [c.index for c in crits]
-
-
-def continuation_invariance(family, b, lam_grid, lyap0, lyap1, s_decl0,
-                            s_decl1, seed=0, epsilon=None, coeff="Z",
+def continuation_invariance(start, end, lam_grid, seed=0, coeff="Z",
                             tols=DEFAULT):
     """Check isolation along the grid, as one family batch, then equality
-    of HI at the grid's ends, where the family and the Lyapunov functions
-    are bound.  The error names the first lam at which the block is not
-    isolating."""
+    of HI of ``start`` at the grid's first value and of ``end`` at its
+    last.  Both are one family on one block; they differ in the Lyapunov
+    function and the invariant set.  The error names the first lam at which
+    the block is not isolating."""
+    _shared((start, end), "field", "block")
     lams = [float(lv) for lv in lam_grid]
-    rep = block_mod.check_isolation(b, family, lam=lams, tols=tols)
+    rep = block_mod.check_isolation(start.block, start.field, lam=lams,
+                                    tols=tols)
     for lv, r in zip(lams, rep.members):
         if not r:
             raise ContinuationError(
                 f"block stops isolating at lam = {lv} (trapped "
                 f"samples {r.failures[:3]}); not a continuation")
-    r0, r1 = (compute_HI(expr.bind_field(family, lv), b,
-                         expr.substitute_param(lyap, expr.Const(lv)), sd,
-                         seed=seed, epsilon=epsilon, coeff=coeff, tols=tols)
-              for lv, lyap, sd in ((lams[0], lyap0, s_decl0),
-                                   (lams[-1], lyap1, s_decl1)))
+    r0, r1 = (compute_HI(s.at(lv), seed=seed, coeff=coeff, tols=tols)
+              for s, lv in ((start, lams[0]), (end, lams[-1])))
     return r0.homology == r1.homology, r0, r1

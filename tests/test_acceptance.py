@@ -75,8 +75,8 @@ def _exit_case(name, field, box_or_cubes, h, lyap_text, samples, radius, m,
     sd = lyapunov.SDeclaration(tuple(tuple(s) for s in samples), radius,
                                vtol)
     p = expr.parse(pert, m) if pert else None
-    rep, _ = conley.verify_exit_theorem(fld, b, lyap, sd, seed=0,
-                                        epsilon=eps, perturbation=p)
+    rep, _ = conley.verify_exit_theorem(
+        conley.System(fld, b, lyap, sd, epsilon=eps, perturbation=p), seed=0)
     errs = []
     if not rep.verdict:
         errs.append(f"{name}: HI {rep.hi.describe()} != relative "
@@ -137,37 +137,34 @@ def test_criterion_02_exit_set_theorem_suite():
 
 
 def _dw_inputs():
-    fld = expr.parse_field(["x1 - x1^3"], 1)
-    b = block.build_block(box=[(-2, 2)], spacing=0.5)
-    V = expr.parse("x1^4/4 - x1^2/2", 1)
-    sd = lyapunov.SDeclaration(((-1.0,), (0.0,), (1.0,)), 0.15, 0.26)
-    subs = [
-        (block.build_block(box=[(-1.5, -0.5)], spacing=0.5), V,
-         lyapunov.SDeclaration(((-1.0,),), 0.1)),
-        (block.build_block(box=[(0.5, 1.5)], spacing=0.5), V,
-         lyapunov.SDeclaration(((1.0,),), 0.1)),
-        (block.build_block(box=[(-0.25, 0.25)], spacing=0.25), V,
-         lyapunov.SDeclaration(((0.0,),), 0.1)),
-    ]
-    return fld, b, V, sd, subs
+    dw = conley.System(
+        expr.parse_field(["x1 - x1^3"], 1),
+        block.build_block(box=[(-2, 2)], spacing=0.5),
+        expr.parse("x1^4/4 - x1^2/2", 1),
+        lyapunov.SDeclaration(((-1.0,), (0.0,), (1.0,)), 0.15, 0.26))
+    subs = [dataclasses.replace(
+        dw, block=block.build_block(box=box, spacing=h),
+        invariant_set=lyapunov.SDeclaration(((x,),), 0.1))
+        for box, h, x in (([(-1.5, -0.5)], 0.5, -1.0),
+                          ([(0.5, 1.5)], 0.5, 1.0),
+                          ([(-0.25, 0.25)], 0.25, 0.0))]
+    return dw, subs
 
 
 def test_criterion_03_morse_conley_relations():
     failures = []
-    fld, b, V, sd, subs = _dw_inputs()
+    dw, subs = _dw_inputs()
     try:
-        dec, _, _ = conley.decomposition_analysis(fld, b, V, sd, subs,
-                                                  seed=0)
+        dec, _, _ = conley.decomposition_analysis(dw, subs, seed=0)
         if str(dec.q) != "1":
             failures.append(f"double-well Q_t = {dec.q}, expected 1")
-        triv, _, _ = conley.decomposition_analysis(fld, b, V, sd,
-                                                   [(b, V, sd)], seed=0)
+        triv, _, _ = conley.decomposition_analysis(dw, [dw], seed=0)
         if str(triv.q) != "0":
             failures.append(f"trivial Q_t = {triv.q}, expected 0")
     except Exception as exc:
         failures.append(str(exc))
     try:
-        conley.decomposition_analysis(fld, b, V, sd, subs[:2], seed=0)
+        conley.decomposition_analysis(dw, subs[:2], seed=0)
         failures.append("chi-mismatch decomposition was not rejected")
     except homalg.RelationsError:
         pass
@@ -177,9 +174,9 @@ def test_criterion_03_morse_conley_relations():
 
 def test_criterion_04_attractor_repeller():
     failures = []
-    fld, b, V, sd, _ = _dw_inputs()
+    dw, _ = _dw_inputs()
     try:
-        res = conley.compute_HI(fld, b, V, sd, seed=0)
+        res = conley.compute_HI(dw, seed=0)
         a_block = block.build_block(cubes=[(1,), (2,), (5,), (6,)],
                                     origin=(-2.0,), spacing=0.5)
         r_block = block.build_block(box=[(-0.25, 0.25)], spacing=0.25)
@@ -215,8 +212,10 @@ def test_criterion_05_continuation_invariance():
         sd0 = lyapunov.SDeclaration(((-1.0,), (0.0,), (1.0,)), 0.15, 0.26)
         sd1 = lyapunov.SDeclaration(
             ((-0.946,), (-0.1024,), (1.0484,)), 0.15, 0.40)
+        start = conley.System(fam, b, V0, sd0)
         ok, r0, r1 = conley.continuation_invariance(
-            fam, b, [0, 0.25, 0.5, 0.75, 1.0], V0, V1, sd0, sd1, seed=0)
+            start, dataclasses.replace(start, lyapunov=V1, invariant_set=sd1),
+            [0, 0.25, 0.5, 0.75, 1.0], seed=0)
         if not ok:
             failures.append("translated double-well endpoints differ")
     except Exception as exc:
@@ -235,9 +234,10 @@ def test_criterion_05_continuation_invariance():
                                     expr.Const(1.0))
         b2 = block.build_block(box=[(-1, 1), (-1, 1)], spacing=0.5)
         sdo = lyapunov.SDeclaration(((0.0, 0.0),), 0.1)
+        start2 = conley.System(fam2, b2, V0b, sdo)
         ok2, q0, q1 = conley.continuation_invariance(
-            fam2, b2, [0, 0.2, 0.4, 0.6, 0.8, 1.0], V0b, V1b, sdo, sdo,
-            seed=0)
+            start2, dataclasses.replace(start2, lyapunov=V1b),
+            [0, 0.2, 0.4, 0.6, 0.8, 1.0], seed=0)
         if not ok2 or q0.homology.describe() != "H_1 = Z":
             failures.append("rotating saddle endpoints differ")
     except Exception as exc:
@@ -245,11 +245,10 @@ def test_criterion_05_continuation_invariance():
     try:
         fam3 = expr.parse_field(["x1^2 + 0.2 - 1.2*lam"], 1)
         b3 = block.build_block(box=[(-1, 1)], spacing=0.5)
-        sd = lyapunov.SDeclaration((), 0.0)
+        s3 = conley.System(fam3, b3, expr.parse("-x1", 1),
+                           lyapunov.SDeclaration((), 0.0))
         try:
-            conley.continuation_invariance(
-                fam3, b3, [0, 0.5, 1.0], expr.parse("-x1", 1),
-                expr.parse("-x1", 1), sd, sd, seed=0)
+            conley.continuation_invariance(s3, s3, [0, 0.5, 1.0], seed=0)
             failures.append("isolation-breaking family was not rejected")
         except conley.ContinuationError as exc:
             if "1.0" not in str(exc):
@@ -285,7 +284,7 @@ def test_criterion_06_index_split():
         if not rep1.verdict:
             failures.append(f"1d homotopy: {rep1.failures}")
         rep0 = conley.verify_index_split(
-            conley.ContinuationFunction(fl, 0.2, 1.0, 0.0), b1)
+            conley.ContinuationFunction(fl, 0.2, 0.0), b1)
         if rep0.verdict or not any("interior mu" in msg
                                    for msg in rep0.failures):
             failures.append("r = 0 did not produce an interior critical "
@@ -320,8 +319,9 @@ def test_criterion_07_block_independence():
                   block.build_block(box=[(-1.5, 1.75)], spacing=0.25)))
     for name, f, Vx, sx, ba, bb in cases:
         try:
-            ok, ra, rb = conley.block_independence(f, Vx, ba, Vx, bb, sx,
-                                                   sx, seed=0)
+            a = conley.System(f, ba, Vx, sx)
+            ok, ra, rb = conley.block_independence(
+                a, dataclasses.replace(a, block=bb), seed=0)
             if not ok:
                 failures.append(
                     f"{name}: {ra.homology.describe()} != "
@@ -350,8 +350,8 @@ def test_criterion_08_quadruple_independence():
     ]
     for name, fld, V, sd, b in systems:
         try:
-            hs = [conley.compute_HI(fld, b, V, sd, seed=seed).homology
-                  for seed in range(5)]
+            hs = [conley.compute_HI(conley.System(fld, b, V, sd),
+                                    seed=seed).homology for seed in range(5)]
             if not all(h == hs[0] for h in hs):
                 failures.append(f"{name}: homology varies with the seed")
         except Exception as exc:
@@ -385,9 +385,9 @@ def test_criterion_09_algebra_property_tests():
     try:
         fld = expr.parse_field(["x1", "-x2"], 2)
         b = block.build_block(box=[(-1, 1), (-1, 1)], spacing=0.5)
-        res = conley.compute_HI(
+        res = conley.compute_HI(conley.System(
             fld, b, expr.parse("-(x1^2 - x2^2)/2", 2),
-            lyapunov.SDeclaration(((0.0, 0.0),), 0.1), seed=0)
+            lyapunov.SDeclaration(((0.0, 0.0),), 0.1)), seed=0)
         if len(res.homology.betti) > 3 or any(bv < 0
                                               for bv in res.homology.betti):
             failures.append("homology outside degrees 0..m")

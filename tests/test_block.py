@@ -329,8 +329,8 @@ def test_faces_and_tags_equal_the_oracle_on_shipped_systems(path):
         doc = json.load(fh)
     if "continuation" in doc:  # it sweeps lam from 0
         doc["options"] = {"lam": 0.0}
-    fld, b, *_ = cli._fixed_system(doc)
-    _assert_faces_and_tags_match_the_oracle(b, fld)
+    system = cli._fixed_system(doc)
+    _assert_faces_and_tags_match_the_oracle(system.block, system.field)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

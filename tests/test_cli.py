@@ -15,7 +15,7 @@ import jsonschema
 import pytest
 
 import mcfhom
-from mcfhom import block, cli, conley, flow
+from mcfhom import block, cli, conley, expr, flow
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 ROOT = os.path.dirname(os.path.dirname(__file__))
@@ -480,43 +480,56 @@ def _nodes(doc, schema, path=()):
 
 
 def _replaced(doc, path, value):
+    """doc with value at path; only the containers on the path are
+    copied."""
     if not path:
         return value
-    out = copy.deepcopy(doc)
-    node = out
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    out = copy.copy(doc)
+    out[path[0]] = _replaced(doc[path[0]], path[1:], value)
     return out
 
 
 def _mutations(doc, rng):
-    """Single mutations of doc: a dropped or an extra key, a value of
-    another type, true for a number, 2.0 for an integer, numbers at and
-    past each bound, and arrays one short and one long."""
+    """Single mutations of doc, as (path, new value, schema at the path): a
+    dropped or an extra key, a value of another type, true for a number,
+    2.0 for an integer, numbers at and past each bound, and arrays one
+    short and one long."""
     for path, v, schema in _nodes(doc, cli.SYSTEM_SCHEMA):
-        for other in (None, True, "1", 1, 1.5, [], {}):
-            yield _replaced(doc, path, other)
+        values = [None, True, "1", 1, 1.5, [], {}]
         if isinstance(v, dict):
-            for key in v:
-                yield _replaced(doc, path, {k: x for k, x in v.items()
-                                            if k != key})
-            yield _replaced(doc, path, dict(v, extra=1))
+            values += [{k: x for k, x in v.items() if k != key} for key in v]
+            values.append(dict(v, extra=1))
         if isinstance(v, list):
-            yield _replaced(doc, path, v[:-1])
-            yield _replaced(doc, path, v + v[rng.randrange(len(v)):][:1])
+            values += [v[:-1], v + v[rng.randrange(len(v)):][:1]]
         if schema["type"] == "integer":
-            yield _replaced(doc, path, float(v))
+            values.append(float(v))
         for bound in ("minimum", "exclusiveMinimum"):
             if bound in schema:
                 b = schema[bound]
-                for x in (b, float(b), b - 1, b - 1e-9, b + 1e-9,
-                          rng.uniform(b - 2, b + 2)):
-                    yield _replaced(doc, path, x)
+                values += [b, float(b), b - 1, b - 1e-9, b + 1e-9,
+                           rng.uniform(b - 2, b + 2)]
+        for value in values:
+            yield path, value, schema
+
+
+# Each of these keywords checks the value at its own node, or hands each
+# child to the one sub-schema named for it (properties, items); none reads
+# a sibling or a parent.  With no other keyword in the schema, a valid
+# document with one subtree replaced is valid exactly when that subtree is
+# valid against the sub-schema at its path.
+_LOCAL_KEYWORDS = frozenset((
+    "type", "properties", "additionalProperties", "required", "items",
+    "minItems", "maxItems", "minimum", "exclusiveMinimum"))
 
 
 def test_walker_agrees_with_jsonschema():
+    assert cli.SCHEMA_KEYWORDS <= _LOCAL_KEYWORDS
+    for schema in _subschemas(cli.SYSTEM_SCHEMA):
+        # a schema here would apply to the keys that properties does not
+        # name, a second way for a child to be checked
+        assert schema.get("additionalProperties", False) is False
     reference = jsonschema.Draft202012Validator(cli.SYSTEM_SCHEMA)
+    validators = {}
     docs = []
     for f in sorted(glob.glob(os.path.join(DATA, "*.json"))
                     + glob.glob(os.path.join(ROOT, "benchmarks", "systems",
@@ -532,9 +545,14 @@ def test_walker_agrees_with_jsonschema():
     for doc in docs:
         assert cli._violation(doc, cli.SYSTEM_SCHEMA) is None
         assert reference.is_valid(doc)
-        for mutant in _mutations(doc, rng):
+        for path, value, schema in _mutations(doc, rng):
+            mutant = _replaced(doc, path, value)
             valid = cli._violation(mutant, cli.SYSTEM_SCHEMA) is None
-            assert valid == reference.is_valid(mutant), mutant
+            sub = validators.setdefault(
+                id(schema), jsonschema.Draft202012Validator(schema))
+            assert valid == sub.is_valid(value), mutant
+            if len(verdicts) % 100 == 0:  # the locality, on a sample
+                assert valid == reference.is_valid(mutant), mutant
             verdicts.append(valid)
     assert len(verdicts) > 3000
     assert 0 < verdicts.count(True) < verdicts.count(False)
@@ -745,6 +763,44 @@ def test_z2_coefficients_reach_every_homology(command, monkeypatch, capsys):
     if command == "continue":
         assert out["hi_start"]["pretty"] == "H_0 = Z2"
         assert out["hi_end"]["pretty"] == "H_0 = Z2"
+
+
+@pytest.mark.parametrize("command,calls", [("relations", 4),
+                                           ("continue", 2)])
+def test_the_file_perturbation_reaches_every_homology(
+        command, calls, monkeypatch, tmp_path, capsys):
+    # the whole system and every decomposition set, or both ends of the
+    # continuation, are perturbed along options.perturbation
+    with open(_path(f"double_well_{command}.json")) as fh:
+        doc = json.load(fh)
+    doc["options"] = {"perturbation": "x1^3"}
+    perturbations = []
+    compute = conley.compute_HI
+
+    def spy(system, **kwargs):
+        perturbations.append(system.perturbation)
+        return compute(system, **kwargs)
+
+    monkeypatch.setattr(conley, "compute_HI", spy)
+    assert cli.main([command, _write(tmp_path, doc)]) == 0
+    assert perturbations == [expr.parse("x1^3", 1)] * calls
+
+
+@pytest.mark.parametrize("command", ["hi", "relations", "continue"])
+def test_a_perturbation_that_fails_its_certificate_fails_every_command(
+        command, tmp_path, capsys):
+    # the gradient of sqrt(x1) is not finite on x1 <= 0, so the homotopy
+    # from the Lyapunov function stops isolating the block
+    name = "continue" if command == "continue" else "relations"
+    with open(_path(f"double_well_{name}.json")) as fh:
+        doc = json.load(fh)
+    doc["options"] = {"perturbation": "sqrt(x1)"}
+    assert cli.main([command, _write(tmp_path, doc), "--seed", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: homotopy certificate failed at lambda=0.1: block stops "
+        "isolating")
 
 
 def test_strict_profile_echoed(capsys):

@@ -1,5 +1,6 @@
 """Pipeline orchestration: exit theorem, decompositions, attractor-repeller
 pairs, and continuation."""
+import dataclasses
 import math
 import os
 import random
@@ -17,9 +18,27 @@ DW_SDECL = lyapunov.SDeclaration(((-1.0,), (0.0,), (1.0,)), 0.15, 0.26)
 
 
 def _dw():
-    fld = expr.parse_field(DW_FIELD, 1)
-    b = block.build_block(box=[(-2, 2)], spacing=0.5)
-    return fld, b, expr.parse(DW_LYAP, 1), DW_SDECL
+    return conley.System(expr.parse_field(DW_FIELD, 1),
+                         block.build_block(box=[(-2, 2)], spacing=0.5),
+                         expr.parse(DW_LYAP, 1), DW_SDECL)
+
+
+def test_system_at_binds_lam_in_every_expression():
+    system = conley.System(
+        expr.parse_field(["lam*x1", "-x2"], 2), None,
+        expr.parse("x1^2 - lam*x2^2", 2), DW_SDECL, epsilon=0.1,
+        perturbation=expr.parse("x1 + lam", 2))
+    at = system.at(2)
+    assert at.field == expr.parse_field(["2*x1", "-x2"], 2)
+    assert at.lyapunov == expr.parse("x1^2 - 2*x2^2", 2)
+    assert at.perturbation == expr.parse("x1 + 2", 2)
+    assert (at.block, at.invariant_set, at.epsilon) == \
+        (None, DW_SDECL, 0.1)
+    assert conley.System(system.field, None, None, DW_SDECL).at(2) \
+        == dataclasses.replace(at, lyapunov=None, epsilon=None,
+                               perturbation=None)
+    with pytest.raises(expr.ExprError, match="division by zero"):
+        dataclasses.replace(system, perturbation=expr.parse("x1/lam", 2)).at(0)
 
 
 # ---------------------------------------------------------------------------
@@ -28,8 +47,9 @@ def _dw():
 def test_hi_semistable_is_zero():
     fld = expr.parse_field(["x1^2/(1 + x1^2)"], 1)
     b = block.build_block(box=[(-1, 1)], spacing=0.5)
-    res = conley.compute_HI(fld, b, expr.parse("-x1", 1),
-                            lyapunov.SDeclaration(((0.0,),), 0.1), seed=0)
+    res = conley.compute_HI(conley.System(
+        fld, b, expr.parse("-x1", 1), lyapunov.SDeclaration(((0.0,),), 0.1)),
+        seed=0)
     assert res.homology.describe() == "0"
     assert res.quadruple.crits == []
 
@@ -37,16 +57,15 @@ def test_hi_semistable_is_zero():
 def test_hi_repeller():
     fld = expr.parse_field(["x1"], 1)
     b = block.build_block(box=[(-1, 1)], spacing=0.5)
-    rep, res = conley.verify_exit_theorem(
+    rep, res = conley.verify_exit_theorem(conley.System(
         fld, b, expr.parse("-(x1^4)/4", 1),
-        lyapunov.SDeclaration(((0.0,),), 0.1), seed=0)
+        lyapunov.SDeclaration(((0.0,),), 0.1)), seed=0)
     assert rep.verdict
     assert rep.hi.describe() == "H_1 = Z"
 
 
 def test_hi_attracting_interval():
-    fld, b, lyap, sd = _dw()
-    rep, res = conley.verify_exit_theorem(fld, b, lyap, sd, seed=0)
+    rep, res = conley.verify_exit_theorem(_dw(), seed=0)
     assert rep.verdict
     assert rep.hi.describe() == "H_0 = Z"
     assert [c.index for c in res.quadruple.crits] == [0, 1, 0]
@@ -54,7 +73,7 @@ def test_hi_attracting_interval():
 
 def test_exit_theorem_classifies_the_boundary_once(monkeypatch):
     path = os.path.join(os.path.dirname(__file__), "data", "saddle.json")
-    fld, b, lyap, sd, eps, pert = cli._parse_system(cli.load_system(path))
+    system = cli._parse_system(cli.load_system(path))
     calls = []
     classify = block.classify_boundary
 
@@ -63,8 +82,7 @@ def test_exit_theorem_classifies_the_boundary_once(monkeypatch):
         return classify(*args, **kwargs)
 
     monkeypatch.setattr(block, "classify_boundary", counting)
-    rep, res = conley.verify_exit_theorem(fld, b, lyap, sd, seed=0,
-                                          epsilon=eps, perturbation=pert)
+    rep, res = conley.verify_exit_theorem(system, seed=0)
     assert rep.verdict
     assert len(calls) == 1
     assert not (res.quadruple.block.tags == block.UNRESOLVED).any()
@@ -76,8 +94,9 @@ def test_hi_precheck_rejects_unresolved_faces():
     fld = expr.parse_field(DW_FIELD, 1)
     bad = block.build_block(box=[(0, 2)], spacing=0.5)
     with pytest.raises(block.UnresolvedFacesError):
-        conley.compute_HI(fld, bad, expr.parse(DW_LYAP, 1),
-                          lyapunov.SDeclaration(((1.0,),), 0.1), seed=0)
+        conley.compute_HI(conley.System(
+            fld, bad, expr.parse(DW_LYAP, 1),
+            lyapunov.SDeclaration(((1.0,),), 0.1)), seed=0)
 
 
 def test_hi_precheck_rejects_non_isolating_block():
@@ -88,46 +107,46 @@ def test_hi_precheck_rejects_non_isolating_block():
         ["(x1 - 1)^2 + (x2 - 1/3)^2", "(x1 - 1)^2 + (x2 - 1/3)^2"], 2)
     bad = block.build_block(box=[(0, 1), (0, 1)], spacing=1.0)
     with pytest.raises(conley.PipelineError, match="isolating"):
-        conley.compute_HI(fld, bad, expr.parse("-x1", 2),
-                          lyapunov.SDeclaration((), 0.0), seed=0)
+        conley.compute_HI(conley.System(
+            fld, bad, expr.parse("-x1", 2), lyapunov.SDeclaration((), 0.0)),
+            seed=0)
 
 
 def test_hi_precheck_rejects_bad_lyapunov():
     fld = expr.parse_field(["x1"], 1)
     b = block.build_block(box=[(-1, 1)], spacing=0.5)
     with pytest.raises(conley.PipelineError, match="Lyapunov"):
-        conley.compute_HI(fld, b, expr.parse("(x1^2)/2", 1),
-                          lyapunov.SDeclaration(((0.0,),), 0.1), seed=0)
+        conley.compute_HI(conley.System(
+            fld, b, expr.parse("(x1^2)/2", 1),
+            lyapunov.SDeclaration(((0.0,),), 0.1)), seed=0)
 
 
 # ---------------------------------------------------------------------------
 # Morse relations / decompositions
 
-def _dw_subspecs():
-    V = expr.parse(DW_LYAP, 1)
-    return [
-        (block.build_block(box=[(-1.5, -0.5)], spacing=0.5), V,
-         lyapunov.SDeclaration(((-1.0,),), 0.1)),
-        (block.build_block(box=[(0.5, 1.5)], spacing=0.5), V,
-         lyapunov.SDeclaration(((1.0,),), 0.1)),
-        (block.build_block(box=[(-0.25, 0.25)], spacing=0.25), V,
-         lyapunov.SDeclaration(((0.0,),), 0.1)),
-    ]
+def _dw_parts(dw):
+    """The Morse sets of the double well: its two wells and the repeller
+    between them, on the flow of ``dw``."""
+    return [dataclasses.replace(
+        dw, block=block.build_block(box=box, spacing=h),
+        invariant_set=lyapunov.SDeclaration(((x,),), 0.1))
+        for box, h, x in (([(-1.5, -0.5)], 0.5, -1.0),
+                          ([(0.5, 1.5)], 0.5, 1.0),
+                          ([(-0.25, 0.25)], 0.25, 0.0))]
 
 
 def test_decomposition_double_well():
-    fld, b, lyap, sd = _dw()
+    dw = _dw()
     dec, whole, parts = conley.decomposition_analysis(
-        fld, b, lyap, sd, _dw_subspecs(), seed=0)
+        dw, _dw_parts(dw), seed=0)
     assert str(dec.q) == "1"
     assert sorted(str(p) for p in dec.parts) == ["1", "1", "t"]
     assert str(dec.whole) == "1"
 
 
 def test_decomposition_trivial():
-    fld, b, lyap, sd = _dw()
-    dec, _, _ = conley.decomposition_analysis(
-        fld, b, lyap, sd, [(b, lyap, sd)], seed=0)
+    dw = _dw()
+    dec, _, _ = conley.decomposition_analysis(dw, [dw], seed=0)
     assert str(dec.q) == "0"
 
 
@@ -135,27 +154,38 @@ def test_decomposition_saddle_alone():
     fld = expr.parse_field(["x1", "-x2"], 2)
     b = block.build_block(box=[(-1, 1), (-1, 1)], spacing=0.5)
     lyap = expr.parse("-(x1^2 - x2^2)/2", 2)
-    sd = lyapunov.SDeclaration(((0.0, 0.0),), 0.1)
-    dec, _, _ = conley.decomposition_analysis(
-        fld, b, lyap, sd, [(b, lyap, sd)], seed=0)
+    saddle = conley.System(fld, b, lyap,
+                           lyapunov.SDeclaration(((0.0, 0.0),), 0.1))
+    dec, _, _ = conley.decomposition_analysis(saddle, [saddle], seed=0)
     assert str(dec.q) == "0"
     assert str(dec.whole) == "t"
 
 
 def test_decomposition_chi_mismatch_rejected():
-    fld, b, lyap, sd = _dw()
+    dw = _dw()
     # drop the repeller part: parts {1, 1} against whole {1}
     with pytest.raises(homalg.RelationsError):
-        conley.decomposition_analysis(fld, b, lyap, sd, _dw_subspecs()[:2],
-                                      seed=0)
+        conley.decomposition_analysis(dw, _dw_parts(dw)[:2], seed=0)
+
+
+def test_systems_compared_must_share_one_field():
+    dw = _dw()
+    other = dataclasses.replace(
+        dw, field=expr.parse_field(["x1 - x1^3 + 0.01"], 1))
+    with pytest.raises(conley.ConleyError, match="share one field"):
+        conley.decomposition_analysis(dw, [*_dw_parts(dw)[:2], other])
+    with pytest.raises(conley.ConleyError, match="share one field"):
+        conley.block_independence(dw, other)
+    # a field parsed again from the same text is the same field
+    again = dataclasses.replace(dw, field=expr.parse_field(DW_FIELD, 1))
+    assert conley.block_independence(dw, again)[0]
 
 
 # ---------------------------------------------------------------------------
 # attractor-repeller pairs and the connection matrix
 
 def test_attractor_repeller_double_well():
-    fld, b, lyap, sd = _dw()
-    res = conley.compute_HI(fld, b, lyap, sd, seed=0)
+    res = conley.compute_HI(_dw(), seed=0)
     a_block = block.build_block(cubes=[(1,), (2,), (5,), (6,)],
                                 origin=(-2.0,), spacing=0.5)
     r_block = block.build_block(box=[(-0.25, 0.25)], spacing=0.25)
@@ -172,14 +202,12 @@ def test_attractor_repeller_double_well():
 
 
 def test_attractor_repeller_matches_decomposition_q():
-    fld, b, lyap, sd = _dw()
-    res = conley.compute_HI(fld, b, lyap, sd, seed=0)
+    res = conley.compute_HI(_dw(), seed=0)
     a_block = block.build_block(cubes=[(1,), (2,), (5,), (6,)],
                                 origin=(-2.0,), spacing=0.5)
     r_block = block.build_block(box=[(-0.25, 0.25)], spacing=0.25)
     rep, _, _ = conley.attractor_repeller(res, a_block, r_block)
-    dec, _, _ = conley.decomposition_analysis(
-        fld, b, lyap, sd, _dw_subspecs(), seed=0)
+    dec, _, _ = conley.decomposition_analysis(_dw(), _dw_parts(_dw()), seed=0)
     assert str(rep.q) == str(dec.q)
 
 
@@ -190,7 +218,7 @@ def test_attractor_repeller_decoupled_pair():
                           spacing=0.5)
     lyap = expr.parse(DW_LYAP, 1)
     sd = lyapunov.SDeclaration(((-1.0,), (1.0,)), 0.15, 1e-8)
-    res = conley.compute_HI(fld, b, lyap, sd, seed=0)
+    res = conley.compute_HI(conley.System(fld, b, lyap, sd), seed=0)
     assert res.homology.describe() == "H_0 = Z^2"
     a_block = block.build_block(box=[(-1.75, -0.75)], spacing=0.5)
     r_block = block.build_block(box=[(0.75, 1.75)], spacing=0.5)
@@ -203,8 +231,7 @@ def test_attractor_repeller_decoupled_pair():
 def test_attractor_repeller_rejects_upward_connection():
     # hand-built S-result with a generator in the attractor block mapping
     # down to one in the repeller block: the lower-left block is nonzero
-    fld, b, lyap, sd = _dw()
-    res = conley.compute_HI(fld, b, lyap, sd, seed=0)
+    res = conley.compute_HI(_dw(), seed=0)
     # swap roles: call the repeller sub-block the attractor and vice versa
     a_block = block.build_block(box=[(-0.25, 0.25)], spacing=0.25)
     r_block = block.build_block(cubes=[(1,), (2,), (5,), (6,)],
@@ -214,8 +241,7 @@ def test_attractor_repeller_rejects_upward_connection():
 
 
 def test_attractor_repeller_rejects_uncovered_generator():
-    fld, b, lyap, sd = _dw()
-    res = conley.compute_HI(fld, b, lyap, sd, seed=0)
+    res = conley.compute_HI(_dw(), seed=0)
     a_block = block.build_block(box=[(-1.5, -0.5)], spacing=0.5)
     r_block = block.build_block(box=[(-0.25, 0.25)], spacing=0.25)
     with pytest.raises(conley.NotAttractorRepellerError, match="neither"):
@@ -252,8 +278,9 @@ def test_attractor_repeller_ring_and_its_repelling_centre():
     ring = tuple((math.cos(math.pi * i / 16), math.sin(math.pi * i / 16))
                  for i in range(32))
     sd = lyapunov.SDeclaration(ring + ((0.0, 0.0),), 0.15, 0.26)
-    res = conley.compute_HI(fld, b, V, sd, seed=0, epsilon=0.15,
-                            perturbation=expr.parse("x1", 2))
+    res = conley.compute_HI(conley.System(
+        fld, b, V, sd, epsilon=0.15, perturbation=expr.parse("x1", 2)),
+        seed=0)
     a_block = block.build_block(
         cubes=[(i, j) for i in range(8) for j in range(8)
                if not (3 <= i <= 4 and 3 <= j <= 4)],
@@ -347,7 +374,7 @@ def test_index_split_detects_interior_critical_point_when_r_zero():
     fl = expr.parse(
         "-(x1^2)/2 + lam*((-(x1^4)/4 + 0.001*x1) - (-(x1^2)/2))", 1)
     b = block.build_block(box=[(-1, 1)], spacing=0.5)
-    cf = conley.ContinuationFunction(fl, 0.2, 1.0, 0.0)
+    cf = conley.ContinuationFunction(fl, 0.2, 0.0)
     rep = conley.verify_index_split(cf, b)
     assert not rep.verdict
     assert any("interior mu" in msg for msg in rep.failures)
@@ -363,11 +390,31 @@ def test_continuation_translated_double_well():
     V1 = expr.parse("x1^4/4 - x1^2/2 - 0.1*x1", 1)
     sd1 = lyapunov.SDeclaration(
         ((-0.9460,), (-0.1024,), (1.0484,)), 0.15, 0.40)
-    ok, r0, r1 = conley.continuation_invariance(
-        fam, b, [0, 0.5, 1.0], V0, V1, DW_SDECL, sd1, seed=0)
+    start = conley.System(fam, b, V0, DW_SDECL)
+    end = dataclasses.replace(start, lyapunov=V1, invariant_set=sd1)
+    ok, r0, r1 = conley.continuation_invariance(start, end, [0, 0.5, 1.0],
+                                                seed=0)
     assert ok
     assert r0.homology.describe() == "H_0 = Z"
     assert r1.homology == r0.homology
+    with pytest.raises(conley.ConleyError, match="share one block"):
+        conley.continuation_invariance(
+            start, dataclasses.replace(end, block=_dw().block), [0, 1.0])
+
+
+def test_continuation_binds_the_perturbation_at_both_ends():
+    # the gradient of sqrt(x1 + lam + 3) is finite on the block [-2, 2]
+    # at lam = 0 and 1, and infinite at x1 = -2 when lam = -1: there the
+    # certificate fails, at either end of the grid
+    fam = expr.parse_field(["x1 - x1^3 + 0.1*lam"], 1)
+    b = block.build_block(box=[(-2, 2)], spacing=0.5)
+    system = conley.System(
+        fam, b, expr.parse(DW_LYAP, 1), DW_SDECL, epsilon=1e-3,
+        perturbation=expr.parse("sqrt(x1 + lam + 3)", 1))
+    assert conley.continuation_invariance(system, system, [0, 1.0])[0]
+    for grid in ([0, -1.0], [-1.0, 0]):
+        with pytest.raises(lyapunov.CertificationError, match="lambda=0.1"):
+            conley.continuation_invariance(system, system, grid)
 
 
 def test_continuation_breach_names_lambda():
@@ -375,11 +422,10 @@ def test_continuation_breach_names_lambda():
     # block boundary, so isolation fails there
     fam = expr.parse_field(["x1^2 + 0.2 - 1.2*lam"], 1)
     b = block.build_block(box=[(-1, 1)], spacing=0.5)
-    sd = lyapunov.SDeclaration((), 0.0)
+    system = conley.System(fam, b, expr.parse("-x1", 1),
+                           lyapunov.SDeclaration((), 0.0))
     with pytest.raises(conley.ContinuationError, match="lam = 1.0"):
-        conley.continuation_invariance(
-            fam, b, [0, 0.5, 1.0], expr.parse("-x1", 1),
-            expr.parse("-x1", 1), sd, sd, seed=0)
+        conley.continuation_invariance(system, system, [0, 0.5, 1.0], seed=0)
 
 
 @pytest.mark.parametrize("family", [
@@ -410,9 +456,10 @@ def test_isolation_family_equals_one_lam_at_a_time(family):
 def test_block_independence_repeller():
     fld = expr.parse_field(["x1"], 1)
     V = expr.parse("-(x1^4)/4", 1)
-    sd = lyapunov.SDeclaration(((0.0,),), 0.05)
+    a = conley.System(fld, block.build_block(box=[(-0.5, 0.5)], spacing=0.25),
+                      V, lyapunov.SDeclaration(((0.0,),), 0.05))
     ok, ra, rb = conley.block_independence(
-        fld, V, block.build_block(box=[(-0.5, 0.5)], spacing=0.25),
-        V, block.build_block(box=[(-1, 1)], spacing=0.5), sd, sd, seed=0)
+        a, dataclasses.replace(
+            a, block=block.build_block(box=[(-1, 1)], spacing=0.5)), seed=0)
     assert ok
     assert ra.homology.describe() == "H_1 = Z"

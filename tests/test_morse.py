@@ -760,10 +760,9 @@ def test_zero_sphere_counts_equal_sphere_counts_on_connections(seed):
     # witnesses are equal bit for bit
     path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                         "benchmarks", "systems", "connections.json")
-    fieldd, b, lyap, s_decl, eps, pert = cli._fixed_system(
-        cli.load_system(path))
-    res = conley.compute_HI(fieldd, b, lyap, s_decl, seed=seed,
-                            epsilon=eps, perturbation=pert)
+    system = cli._fixed_system(cli.load_system(path))
+    b = system.block
+    res = conley.compute_HI(system, seed=seed)
     crits = res.quadruple.crits
     finder = morse.ConnectionFinder(
         expr.negative_gradient(res.quadruple.f, 2), b, crits, seed=seed)
