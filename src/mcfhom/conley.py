@@ -1,21 +1,15 @@
 """Pipeline orchestration and structural theorems: exit-set equivalence,
 block independence, Morse decompositions with connection matrices, and
 continuation.
-
-For continuation, the critical points of F on B x S^1 come from the Newton
-solver of ``morse`` with mu as a periodic coordinate, and the sampled bound
-on the amplitude r is one array evaluation over the block's lattice and
-the mu circle.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import block as block_mod
-from . import expr, flow, homalg, lyapunov, morse
+from . import expr, homalg, lyapunov, morse
 from .config import DEFAULT
 
 
@@ -278,117 +272,6 @@ def _induced_rank(delta, dR_k, dA_k, nr_k):
 
 # ---------------------------------------------------------------------------
 # continuation
-
-@dataclass(frozen=True)
-class ContinuationFunction:
-    """F(x, mu) = f_{omega(mu)}(x) + r (1 + cos(pi mu)) on B x S^1, with
-    S^1 = R / 2Z and omega the flat-ended even ramp profile."""
-
-    f_lam: object   # Expr in x and lam
-    delta: float
-    r: float
-
-    @property
-    def expr_in_mu(self):
-        """F as an Expr in x1..xm and lam, where lam plays the role of mu."""
-        omega = expr.RampProfile(0, self.delta, expr.Param())
-        body = expr.substitute_param(self.f_lam, omega)
-        bump = expr.mul(expr.Const(self.r),
-                        expr.add(expr.ONE,
-                                 expr.call("cos",
-                                           expr.mul(expr.Const(math.pi),
-                                                    expr.Param()))))
-        return expr.add(body, bump)
-
-
-def continuation_r_bound(f_lam, b, delta):
-    """Sampled bound max |omega'(mu) d/dlam f_lam| / (pi sin(pi delta))
-    over a 9-per-axis lattice on the block times 41 points of the mu
-    circle, evaluated as one array."""
-    dflam = expr.compile_scalar(expr.derive(f_lam, "lam"))
-    mus = np.linspace(-1.0, 1.0, 41)[None, :]
-    w0, w1 = (expr.compile_scalar(expr.RampProfile(k, delta, expr.Var(0)))(
-        mus)[:, None] for k in (0, 1))
-    with np.errstate(all="ignore"):
-        v = np.abs(w1 * dflam(b.lattice(9).T, w0))
-    # a value of mu with omega' = 0 adds nothing, even where d/dlam f_lam
-    # is not finite, and NaN never raises the maximum
-    best = np.fmax.reduce(np.where(w1 != 0.0, v, 0.0), axis=None, initial=0.0)
-    return float(best) / (math.pi * math.sin(math.pi * delta))
-
-
-def build_continuation_function(f_lam, b, delta=0.2, r=None):
-    """Assemble the continuation function, choosing the amplitude r from
-    the sampled bound when not supplied."""
-    if not 0.0 < delta < 0.25:
-        raise ContinuationError(f"delta must lie in (0, 1/4), got {delta}")
-    bound = continuation_r_bound(f_lam, b, delta)
-    if r is None:
-        r = max(2.0 * bound, 1.0)
-    elif r <= bound:
-        raise ContinuationError(
-            f"amplitude r = {r} does not exceed the sampled bound {bound}")
-    return ContinuationFunction(f_lam, delta, float(r))
-
-
-@dataclass
-class IndexSplitReport:
-    verdict: bool
-    crit_mu: list        # (coords, mu, index of F)
-    alpha_indices: list  # Morse indices of f_lam at lam=0
-    beta_indices: list   # at lam=1
-    failures: list
-
-
-def verify_index_split(cf, b, tols=DEFAULT):
-    """Find the critical points of F on B x S^1 and check they sit at
-    mu in {0, 1} with the index shift of the endpoints' Morse functions.
-
-    F is searched as a function of m + 1 coordinates, the last being the
-    period-2 coordinate mu, by ``morse.newton`` from the seed lattice of the
-    block times 16 values of mu."""
-    m = b.dimension
-    F = expr.substitute_param(cf.expr_in_mu, expr.Var(m))
-    lat = b.lattice(tols.seed_density)
-    mu_seeds = np.linspace(0.0, 2.0, 17)[:-1]
-    seeds = np.column_stack([np.repeat(lat, mu_seeds.size, axis=0),
-                             np.tile(mu_seeds, len(lat))]).T
-    P, H = morse.newton(F, b, seeds, tols.newton_tol, 2.0,
-                        max(10 * tols.newton_tol, 1e-7))
-    index = np.sum(np.linalg.eigvalsh(0.5 * (H + H.transpose(0, 2, 1))) < 0,
-                   axis=1)
-    crit_mu, failures = [], []
-    for p, idx in zip(P.T, index):
-        mu = float(p[m])
-        crit_mu.append((tuple(float(v) for v in p[:m]), mu, int(idx)))
-        if min(mu, 2.0 - mu, abs(mu - 1.0)) > 1e-6:
-            failures.append(
-                f"critical point at interior mu = {mu} (r too small "
-                "or bound undersampled)")
-    # endpoint Morse indices of f_lam at lam = 0 and 1
-    alpha, beta = ([c.index for c in morse.find_critical_points(
-        expr.substitute_param(cf.f_lam, expr.Const(lam)), b, tols=tols)]
-        for lam in (0.0, 1.0))
-    at0 = sorted(idx for _, mu, idx in crit_mu
-                 if min(mu, 2.0 - mu) <= 1e-6)
-    at1 = sorted(idx for _, mu, idx in crit_mu if abs(mu - 1.0) <= 1e-6)
-    if at0 != sorted(i + 1 for i in alpha):
-        failures.append(
-            f"indices at mu=0 are {at0}, expected shift of {sorted(alpha)}")
-    if at1 != sorted(beta):
-        failures.append(
-            f"indices at mu=1 are {at1}, expected {sorted(beta)}")
-    # chain-group split by cardinality: C_k(F) = C_{k-1}(f^a) + C_k(f^b)
-    top = max([idx for _, _, idx in crit_mu], default=0)
-    for k in range(top + 2):
-        lhs = sum(idx == k for _, _, idx in crit_mu)
-        rhs = alpha.count(k - 1) + beta.count(k)
-        if lhs != rhs:
-            failures.append(
-                f"chain group split fails in degree {k}: {lhs} != {rhs}")
-    return IndexSplitReport(not failures, crit_mu, sorted(alpha),
-                            sorted(beta), failures)
-
 
 def continuation_invariance(start, end, lam_grid, seed=0, coeff="Z",
                             tols=DEFAULT):

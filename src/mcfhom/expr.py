@@ -76,16 +76,6 @@ class Pow(Expr):
     exponent: int
 
 
-@dataclass(frozen=True)
-class RampProfile(Expr):
-    """Even 2-periodic C^2 ramp: 0 on (-delta,delta), 1 for |t|>1-delta,
-    quintic smoothstep in between.  ``order`` is the derivative order."""
-
-    order: int
-    delta: float
-    arg: Expr
-
-
 FUNCS = ("sin", "cos", "exp", "log", "sqrt")
 
 ZERO = Const(0.0)
@@ -378,9 +368,6 @@ def _to_str(e):
         s, p = _to_str(e.base)
         exp = str(e.exponent) if e.exponent >= 0 else f"(-{-e.exponent})"
         return _paren(s, p, _PREC["atom"]) + "^" + exp, _PREC["pow"]
-    if isinstance(e, RampProfile):
-        s, _ = _to_str(e.arg)
-        return f"ramp{e.order}[{e.delta!r}]({s})", _PREC["atom"]
     ls, lp = _to_str(e.lhs)
     rs, rp = _to_str(e.rhs)
     p = _PREC[e.op]
@@ -399,9 +386,9 @@ def evaluate(e, point, lam=None):
 
     The package itself evaluates compiled code; this tree walk is the
     reference that ``compile_scalar`` is tested against.  Compiled code
-    gives the same floats for arithmetic, integer powers and the ramp, and
-    agrees within 1 ulp on sin, cos, exp, log and sqrt, which numpy may
-    take from faithfully rounded SIMD routines."""
+    gives the same floats for arithmetic and integer powers, and agrees
+    within 1 ulp on sin, cos, exp, log and sqrt, which numpy may take from
+    faithfully rounded SIMD routines."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
@@ -422,8 +409,6 @@ def evaluate(e, point, lam=None):
             return base ** e.exponent
         except OverflowError as exc:
             raise EvalDomainError(str(exc), e) from exc
-    if isinstance(e, RampProfile):
-        return ramp_eval(e.order, e.delta, evaluate(e.arg, point, lam))
     a = evaluate(e.lhs, point, lam)
     b = evaluate(e.rhs, point, lam)
     if e.op == "+":
@@ -435,58 +420,6 @@ def evaluate(e, point, lam=None):
     if b == 0.0:
         raise EvalDomainError("division by zero", e)
     return a / b
-
-
-# ---------------------------------------------------------------------------
-# ramp profile numerics
-
-def _smoothstep_deriv(order, s):
-    # derivatives of 6 s^5 - 15 s^4 + 10 s^3
-    if order == 0:
-        return ((6 * s - 15) * s + 10) * s * s * s
-    if order == 1:
-        return ((30 * s - 60) * s + 30) * s * s
-    if order == 2:
-        return ((120 * s - 180) * s + 60) * s
-    if order == 3:
-        return (360 * s - 360) * s + 60
-    if order == 4:
-        return 720 * s - 360
-    if order == 5:
-        return 720.0
-    return 0.0
-
-
-def ramp_eval(order, delta, mu):
-    """Value (order=0) or mu-derivative of the 2-periodic even ramp."""
-    t = math.fmod(mu + 1.0, 2.0)
-    if t < 0.0:
-        t += 2.0
-    t -= 1.0  # t in [-1, 1)
-    u = abs(t)
-    if u <= delta:
-        return 0.0
-    if u >= 1.0 - delta:
-        return 1.0 if order == 0 else 0.0
-    w = 1.0 - 2.0 * delta
-    s = (u - delta) / w
-    val = _smoothstep_deriv(order, s) / (w ** order)
-    if order % 2 == 1 and t < 0.0:
-        val = -val
-    return val
-
-
-def _ramp_array(order, delta, mu):
-    """``ramp_eval`` over an array of mu, with the same operations."""
-    t = np.fmod(np.asarray(mu, dtype=float) + 1.0, 2.0)
-    t = np.where(t < 0.0, t + 2.0, t) - 1.0
-    u = np.abs(t)
-    w = 1.0 - 2.0 * delta
-    val = _smoothstep_deriv(order, (u - delta) / w) / (w ** order)
-    if order % 2 == 1:
-        val = np.where(t < 0.0, -val, val)
-    val = np.where(u >= 1.0 - delta, 1.0 if order == 0 else 0.0, val)
-    return np.where(u <= delta, 0.0, val)
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +456,6 @@ def derive(e, var):
         if _is_const(db, 0.0):
             return ZERO
         return mul(mul(Const(float(e.exponent)), powi(e.base, e.exponent - 1)), db)
-    if isinstance(e, RampProfile):
-        da = derive(e.arg, var)
-        if _is_const(da, 0.0):
-            return ZERO
-        return mul(RampProfile(e.order + 1, e.delta, e.arg), da)
     dl = derive(e.lhs, var)
     dr = derive(e.rhs, var)
     if e.op == "+":
@@ -549,7 +477,7 @@ def mentions_param(e):
         return True
     if isinstance(e, (Const, Var)):
         return False
-    if isinstance(e, (Neg, Call, RampProfile)):
+    if isinstance(e, (Neg, Call)):
         return mentions_param(e.arg)
     if isinstance(e, Pow):
         return mentions_param(e.base)
@@ -561,7 +489,7 @@ def max_var_index(e):
         return e.index
     if isinstance(e, (Const, Param)):
         return -1
-    if isinstance(e, (Neg, Call, RampProfile)):
+    if isinstance(e, (Neg, Call)):
         return max_var_index(e.arg)
     if isinstance(e, Pow):
         return max_var_index(e.base)
@@ -578,8 +506,6 @@ def substitute_param(e, repl):
         return neg(substitute_param(e.arg, repl))
     if isinstance(e, Call):
         return call(e.func, substitute_param(e.arg, repl))
-    if isinstance(e, RampProfile):
-        return RampProfile(e.order, e.delta, substitute_param(e.arg, repl))
     if isinstance(e, Pow):
         return powi(substitute_param(e.base, repl), e.exponent)
     op = {"+": add, "-": sub, "*": mul, "/": div}[e.op]
@@ -602,8 +528,6 @@ def _to_py(e):
         return f"_{e.func}({_to_py(e.arg)})"
     if isinstance(e, Pow):
         return f"_pow({_to_py(e.base)}, {e.exponent})"
-    if isinstance(e, RampProfile):
-        return f"_ramp({e.order}, {e.delta!r}, {_to_py(e.arg)})"
     return f"({_to_py(e.lhs)} {e.op} {_to_py(e.rhs)})"
 
 
@@ -612,7 +536,7 @@ def _to_py(e):
 # operator may square by multiplication or use SIMD pow routines.
 # inf and nan: the reprs of non-finite constants, as 1e308/lam at 1e-10
 _ENV = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_log": np.log,
-        "_sqrt": np.sqrt, "_ramp": _ramp_array, "_pow": np.float_power,
+        "_sqrt": np.sqrt, "_pow": np.float_power,
         "inf": math.inf, "nan": math.nan}
 
 

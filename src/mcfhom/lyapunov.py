@@ -1,4 +1,4 @@
-"""Lyapunov verification, convex combinations, and Morse perturbations.
+"""Lyapunov verification and Morse perturbations.
 
 A Lyapunov function decreases strictly along the flow away from the
 invariant set.  The invariant set is user-declared as a collar (sample
@@ -108,23 +108,6 @@ def verify_lyapunov(f, fieldd, b, s_decl, tols=DEFAULT):
     return LyapunovReport(verdict, best, best_loc, spread, violating)
 
 
-def combine(fa, fb, lam_coeff, mu_coeff):
-    """Convex-cone combination lam*fa + mu*fb of Lyapunov functions; any
-    positive coefficients preserve the Lyapunov property."""
-    if lam_coeff <= 0 or mu_coeff <= 0:
-        raise LyapunovError("combination coefficients must be positive")
-    return expr.add(expr.mul(expr.Const(float(lam_coeff)), fa),
-                    expr.mul(expr.Const(float(mu_coeff)), fb))
-
-
-def shift(c, f, mu_coeff=1.0):
-    """Affine shift c + mu*f, also Lyapunov for mu > 0."""
-    if mu_coeff <= 0:
-        raise LyapunovError("scale coefficient must be positive")
-    return expr.add(expr.Const(float(c)),
-                    expr.mul(expr.Const(float(mu_coeff)), f))
-
-
 @dataclass
 class HomotopyCertificate:
     lambdas: tuple
@@ -161,7 +144,9 @@ def morse_perturb(base, b, epsilon=None, perturbation=None, seed=0,
     one array, and its isolation checks are two ``check_isolation``
     batches, each of half the grid, with s a value per column.  The error
     names the first lambda that fails, the boundary gradient before
-    isolation at each lambda.
+    isolation at each lambda.  Before any of this, -grad(perturbation) must
+    be finite at every boundary sample: if it is not, the perturbation has
+    no value there, and ExprError names it and the first such sample.
     """
     eps = tols.epsilon if epsilon is None else epsilon
     if eps <= 0:
@@ -186,6 +171,12 @@ def morse_perturb(base, b, epsilon=None, perturbation=None, seed=0,
         return grad_base(X) + np.where(s != 0.0, s * grad_pert(X), 0.0)
 
     samples = b.boundary_samples(tols.isolation_samples_per_face)
+    bad = np.flatnonzero(~np.logical_and.reduce(
+        np.isfinite(grad_pert(samples.T)), axis=0))
+    if bad.size:
+        raise expr.ExprError(
+            f"perturbation {expr.to_str(perturbation)} has no finite "
+            f"gradient at {tuple(float(v) for v in samples[bad[0]])}")
     with np.errstate(all="ignore"):
         G = interpolant(np.tile(samples.T, len(lambdas)),
                         np.repeat(coef, len(samples)))

@@ -2,11 +2,9 @@
 complex of a gradient flow on a cubical block.
 
 Critical points come from one damped Newton solver, ``newton``, which steps
-every seed of a lattice at once: one stacked linear solve per round, a
-least-squares step where a Hessian is singular, and an optional periodic
-last coordinate.  ``find_critical_points`` runs it on the block's
-bounding-box lattice, and the index split of ``conley.verify_index_split``
-on that lattice times the mu circle.
+every seed of a lattice at once: one stacked linear solve per round and a
+least-squares step where a Hessian is singular.  ``find_critical_points``
+runs it on the block's bounding-box lattice.
 
 Connections are counted only between critical points of adjacent index.  A
 connecting orbit p -> q, with ind p = k and ind q = k - 1, lies on the
@@ -111,30 +109,26 @@ def _norms(rows):
     return np.sqrt(np.vecdot(rows, rows))
 
 
-def newton(f, b, seeds, tol, period, radius):
+def newton(f, b, seeds, tol, radius):
     """Critical points of f reached by damped Newton iteration from every
-    column of the (n, N) array ``seeds`` at once.
+    column of the (m, N) array ``seeds`` at once, m = ``b.dimension``.
 
-    The first m = ``b.dimension`` coordinates are those of the block; with
-    a ``period``, the one more coordinate that follows is reduced by fmod
-    into [0, period) after every step.  A column takes at most 80 steps:
-    it converges once its gradient norm is below ``tol``, and fails once
-    its gradient is not finite or it leaves the bounding box widened by its
-    span on every side.  Steps are capped at the longest side of the box.
-    One stacked ``np.linalg.solve`` gives the steps of all running columns,
-    and a column whose Hessian is exactly singular takes the least-squares
-    step, so every column steps as it would alone.
+    A column takes at most 80 steps: it converges once its gradient norm
+    is below ``tol``, and fails once its gradient is not finite or it
+    leaves the bounding box widened by its span on every side.  Steps are
+    capped at the longest side of the box.  One stacked ``np.linalg.solve``
+    gives the steps of all running columns, and a column whose Hessian is
+    exactly singular takes the least-squares step, so every column steps as
+    it would alone.
 
-    Returns (P, H): as an (n, K) array in seed order, the converged points
-    inside the block that lie at least ``radius`` from every earlier one
-    (in block coordinates and, with a period, on the circle as well), and
-    the (K, n, n) Hessians there.
+    Returns (P, H): as an (m, K) array in seed order, the converged points
+    inside the block that lie at least ``radius`` from every earlier one,
+    and the (K, m, m) Hessians there.
     """
-    n, N = seeds.shape
-    m = b.dimension
-    grad = expr.compile_field(expr.FieldDef(n, expr.gradient(f, n)))
-    rows = [expr.compile_field(expr.FieldDef(n, row))
-            for row in expr.hessian(f, n)]
+    m, N = seeds.shape
+    grad = expr.compile_field(expr.FieldDef(m, expr.gradient(f, m)))
+    rows = [expr.compile_field(expr.FieldDef(m, row))
+            for row in expr.hessian(f, m)]
 
     def hess(Z):
         return np.stack([r(Z) for r in rows]).transpose(2, 0, 1)
@@ -167,26 +161,17 @@ def newton(f, b, seeds, tol, period, radius):
             long = ns > cap
             step[long] *= (cap / ns[long])[:, None]
             X = Z[:, cols] - step.T
-            if period is not None:
-                t = np.fmod(X[m], period)
-                t = np.where(t < 0.0, t + period, t)
-                # a tiny negative remainder plus the period rounds to it
-                X[m] = np.where(t == period, 0.0, t)
             Z[:, cols] = X
-            out = np.logical_or.reduce((X[:m] < lo - span)
-                                       | (X[:m] > hi + span), axis=0)
+            out = np.logical_or.reduce((X < lo - span) | (X > hi + span),
+                                       axis=0)
             cols = cols[~out]
-    P = Z[:, ok & b.contains_columns(Z[:m])]
+    P = Z[:, ok & b.contains_columns(Z)]
     # greedy in seed order: keep the first point left, drop all near it
     keep, rest = [], np.arange(P.shape[1])
     while rest.size:
         keep.append(rest[0])
-        d = P.T[rest] - P[:, rest[0]]
-        near = _norms(np.ascontiguousarray(d[:, :m])) < radius
-        if period is not None:
-            a = np.abs(d[:, m])
-            near &= np.minimum(a, period - a) < radius
-        rest = rest[~near]
+        d = np.ascontiguousarray(P.T[rest] - P[:, rest[0]])
+        rest = rest[~(_norms(d) < radius)]
     P = P[:, keep]
     return P, hess(P)
 
@@ -197,7 +182,7 @@ def find_critical_points(f, b, tols=DEFAULT):
     checked for nondegeneracy.  Idents follow the lexicographic order of
     the coordinates."""
     P, H = newton(f, b, b.lattice(tols.seed_density).T, tols.newton_tol,
-                  None, max(10 * tols.newton_tol, 1e-8))
+                  max(10 * tols.newton_tol, 1e-8))
     order = np.lexsort(P[::-1])
     evals, evecs = np.linalg.eigh(0.5 * (H + H.transpose(0, 2, 1))[order])
     with np.errstate(all="ignore"):

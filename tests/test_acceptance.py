@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import algebra_oracle
-from mcfhom import block, conley, expr, flow, homalg, lyapunov, morse
+from mcfhom import block, conley, expr, homalg, lyapunov, morse
 from mcfhom.config import DEFAULT
 import dataclasses
 
@@ -257,42 +257,6 @@ def test_criterion_05_continuation_invariance():
         failures.append(f"breach family: {exc}")
     _verdict(5, "continuation invariance on two families plus breach "
                 "detection", not failures, "; ".join(failures))
-
-
-def test_criterion_06_index_split():
-    failures = []
-    try:
-        f = expr.parse("(x1^2 - 1)^2 + x2^2", 2)
-        b = block.build_block(box=[(-2, 2), (-2, 2)], spacing=0.5)
-        cf = conley.build_continuation_function(f, b)
-        rep = conley.verify_index_split(cf, b)
-        if not rep.verdict:
-            failures.append(f"double-well homotopy: {rep.failures}")
-        mus = {round(min(mu, 2 - mu), 6) for _, mu, _ in rep.crit_mu} \
-            | {round(abs(mu - 1), 6) for _, mu, _ in rep.crit_mu}
-        if not all(min(min(mu, 2 - mu), abs(mu - 1)) <= 1e-6
-                   for _, mu, _ in rep.crit_mu):
-            failures.append("critical point off mu in {0, 1}")
-    except Exception as exc:
-        failures.append(f"double-well homotopy: {exc}")
-    try:
-        fl = expr.parse(
-            "-(x1^2)/2 + lam*((-(x1^4)/4 + 0.001*x1) - (-(x1^2)/2))", 1)
-        b1 = block.build_block(box=[(-1, 1)], spacing=0.5)
-        rep1 = conley.verify_index_split(
-            conley.build_continuation_function(fl, b1), b1)
-        if not rep1.verdict:
-            failures.append(f"1d homotopy: {rep1.failures}")
-        rep0 = conley.verify_index_split(
-            conley.ContinuationFunction(fl, 0.2, 0.0), b1)
-        if rep0.verdict or not any("interior mu" in msg
-                                   for msg in rep0.failures):
-            failures.append("r = 0 did not produce an interior critical "
-                            "point")
-    except Exception as exc:
-        failures.append(f"1d homotopy: {exc}")
-    _verdict(6, "index-split lemma with auto r, plus forced r = 0 failure",
-             not failures, "; ".join(failures))
 
 
 def test_criterion_07_block_independence():

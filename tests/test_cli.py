@@ -155,9 +155,8 @@ def test_a_constant_division_by_zero_of_a_derivative_exits_two(
 
 def test_an_infinite_perturbation_fails_the_certificate_without_a_warning(
         tmp_path, capsys):
-    # 1e308/lam at lam = 1e-10 binds to inf: the certificate's lambda
-    # family has no finite field, and the first field the integrator
-    # evaluates is inf * 0
+    # 1e308/lam at lam = 1e-10 binds to inf: the perturbation has no
+    # finite gradient anywhere, and it is refused as a file error
     with open(_path("saddle_lam.json")) as fh:
         doc = json.load(fh)
     doc["options"] = {"lam": 1e-10, "perturbation": "1e308/lam*x1 + x2"}
@@ -165,10 +164,9 @@ def test_an_infinite_perturbation_fails_the_certificate_without_a_warning(
         warnings.simplefilter("error")
         code = cli.main(["hi", _write(tmp_path, doc), "--seed", "3"])
     captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
+    assert code == 2 and captured.out == ""
     assert captured.err.startswith(
-        "error: homotopy certificate failed at lambda=0.1: block stops "
-        "isolating")
+        "input error: perturbation inf * x1 + x2 has no finite gradient at ")
 
 
 def test_reports_are_byte_identical_under_fixed_seed(tmp_path):
@@ -788,19 +786,30 @@ def test_the_file_perturbation_reaches_every_homology(
 
 @pytest.mark.parametrize("command", ["hi", "relations", "continue"])
 def test_a_perturbation_that_fails_its_certificate_fails_every_command(
-        command, tmp_path, capsys):
-    # the gradient of sqrt(x1) is not finite on x1 <= 0, so the homotopy
-    # from the Lyapunov function stops isolating the block
+        command, tmp_path, capsys, monkeypatch):
+    # the gradient of sqrt(x1) is not finite on x1 <= 0: the file is at
+    # fault, and the first boundary sample without a value is named before
+    # the certificate integrates any orbit
     name = "continue" if command == "continue" else "relations"
     with open(_path(f"double_well_{name}.json")) as fh:
         doc = json.load(fh)
     doc["options"] = {"perturbation": "sqrt(x1)"}
-    assert cli.main([command, _write(tmp_path, doc), "--seed", "3"]) == 1
+    calls = []
+    check = block.check_isolation
+
+    def spy(b, fieldd, *args, **kwargs):
+        calls.append(fieldd)
+        return check(b, fieldd, *args, **kwargs)
+
+    monkeypatch.setattr(block, "check_isolation", spy)
+    assert cli.main([command, _write(tmp_path, doc), "--seed", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(
-        "error: homotopy certificate failed at lambda=0.1: block stops "
-        "isolating")
+    assert captured.err == ("input error: perturbation sqrt(x1) has no "
+                            "finite gradient at (-2.0,)\n")
+    if command == "hi":
+        # the one unperturbed isolation check of compute_HI
+        assert len(calls) == 1 and isinstance(calls[0], expr.FieldDef)
 
 
 def test_strict_profile_echoed(capsys):

@@ -182,48 +182,6 @@ def test_hessian_symmetry_by_value():
 
 
 # ---------------------------------------------------------------------------
-# ramp profile
-
-def test_ramp_flat_zones_and_range():
-    delta = 0.2
-    for mu in np.linspace(-delta + 1e-9, delta - 1e-9, 9):
-        assert expr.ramp_eval(0, delta, mu) == 0.0
-    for mu in list(np.linspace(1 - delta, 1.0, 5)) + [1.1, 1.2 - 1e-9]:
-        assert expr.ramp_eval(0, delta, mu) == 1.0
-    for mu in np.linspace(-1, 1, 41):
-        assert 0.0 <= expr.ramp_eval(0, delta, mu) <= 1.0
-
-
-def test_ramp_even_and_periodic():
-    delta = 0.15
-    for mu in np.linspace(-1, 1, 31):
-        v = expr.ramp_eval(0, delta, mu)
-        assert expr.ramp_eval(0, delta, -mu) == pytest.approx(v)
-        assert expr.ramp_eval(0, delta, mu + 2.0) == pytest.approx(v)
-
-
-def test_ramp_derivatives_match_finite_differences():
-    delta = 0.2
-    h = 1e-6
-    # offset grid: central differences straddling the C^2 joints pick up
-    # the third-derivative jump, so sample away from them
-    for order in (1, 2):
-        for mu in np.linspace(-0.947, 0.947, 39):
-            exact = expr.ramp_eval(order, delta, mu)
-            approx = (expr.ramp_eval(order - 1, delta, mu + h)
-                      - expr.ramp_eval(order - 1, delta, mu - h)) / (2 * h)
-            assert abs(exact - approx) <= 1e-5 * (1 + abs(exact))
-
-
-def test_ramp_node_derivative_chain_rule():
-    node = expr.RampProfile(0, 0.2, expr.Param())
-    d = expr.derive(node, "lam")
-    mu = 0.5
-    assert expr.evaluate(d, (), lam=mu) == pytest.approx(
-        expr.ramp_eval(1, 0.2, mu))
-
-
-# ---------------------------------------------------------------------------
 # compiled columns against the Python-float reference ``evaluate``, which
 # calls the math module (the "math" of the test names)
 
@@ -254,19 +212,6 @@ def test_numpy_backend_integer_powers_match_math_backend():
         want = np.array([expr.evaluate(e, X[:, j])
                          for j in range(X.shape[1])])
         assert np.array_equal(got, want), n
-
-
-@pytest.mark.parametrize("order", range(7))
-def test_numpy_ramp_equals_math_ramp(order):
-    delta = 0.25
-    # both flat zones, the quintic, t < 0, u == delta and u == 1 - delta
-    mu = np.concatenate([np.linspace(-3.1, 3.1, 125),
-                         [delta, -delta, 1 - delta, delta - 1, 2 + delta,
-                          1.0, -1.0, 0.0]])
-    node = expr.RampProfile(order, delta, expr.Var(0))
-    got = expr.compile_scalar(node)(mu[None, :])
-    want = [expr.evaluate(node, (float(v),)) for v in mu]
-    assert np.array_equal(got, want)
 
 
 def test_numpy_field_broadcasts_constants_and_flags_domain_errors():

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -494,6 +495,21 @@ def test_numpy_backend_domain_error_is_a_rejected_step():
     assert all(run.rejected > 0)
     assert run.x[0] == pytest.approx(
         [(1e-3 - 0.95e-3) ** 2, (2e-3 - 0.95e-3) ** 2], rel=1e-6)
+
+
+def test_a_first_field_value_with_no_value_fails_without_a_warning():
+    # a raw family closure, as the certificate's interpolant is: inf * 0
+    # at lam = 0 is NaN, and inf at lam = 1, already in the first field
+    # value, which is evaluated under the same errstate as every stage
+    def F(X, lam):
+        return X + lam * np.inf
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = flow._dop853(F, np.array([[0.5, 0.5]]), 1, 1.0, DEFAULT.rtol,
+                           DEFAULT.atol, DEFAULT.max_steps,
+                           lam=np.array([0.0, 1.0]))
+    assert list(run.status) == [flow.UNDERFLOW, flow.UNDERFLOW]
 
 
 _PENDULUM = expr.parse_field(

@@ -1,4 +1,4 @@
-"""Lyapunov verification, combinations, and Morse perturbations."""
+"""Lyapunov verification and Morse perturbations."""
 import json
 import math
 import os
@@ -71,39 +71,6 @@ def test_verify_fails_where_the_decrease_has_no_value():
     assert not rep.verdict
     assert rep.violating_sample[0] > 0.5
     assert rep.min_decrease > 0
-
-
-def test_combine_scaling():
-    fa = expr.parse("-x1", 1)
-    g = lyapunov.combine(fa, fa, 1.0, 1.0)
-    rep = lyapunov.verify_lyapunov(
-        g, expr.parse_field(["x1^2/(1 + x1^2)"], 1), _b1(), S0)
-    assert rep.verdict
-    assert expr.evaluate(g, (0.5,)) == -1.0
-
-
-def test_combine_two_lyapunov_functions():
-    fa = expr.parse("-x1", 1)
-    fb = expr.parse("-x1 - x1^3/3", 1)
-    fld = expr.parse_field(["x1^2/(1 + x1^2)"], 1)
-    g = lyapunov.combine(fa, fb, 2.0, 3.0)
-    assert lyapunov.verify_lyapunov(g, fld, _b1(), S0).verdict
-
-
-def test_affine_shift():
-    fa = expr.parse("-x1", 1)
-    fld = expr.parse_field(["x1^2/(1 + x1^2)"], 1)
-    g = lyapunov.shift(5.0, fa)
-    assert lyapunov.verify_lyapunov(g, fld, _b1(), S0).verdict
-    assert expr.evaluate(g, (0.0,)) == 5.0
-
-
-def test_combine_rejects_nonpositive_coefficients():
-    fa = expr.parse("-x1", 1)
-    with pytest.raises(lyapunov.LyapunovError):
-        lyapunov.combine(fa, fa, 0.0, 1.0)
-    with pytest.raises(lyapunov.LyapunovError):
-        lyapunov.shift(1.0, fa, -2.0)
 
 
 def test_morse_perturb_repeller():
@@ -284,8 +251,15 @@ def test_batched_certificate_with_lam_in_the_lyapunov_function(monkeypatch):
 
 def test_batched_certificate_where_the_perturbation_has_no_value(
         monkeypatch):
-    # sqrt(x1) has no value on the sample x1 = -1: the perturbation drops
-    # out at lambda = 0 and the block first fails at lambda = 0.1
-    _, err = _same_certificate(monkeypatch, expr.parse("-(x1^4)/4", 1),
-                               _b1(), 1e-3, expr.parse("sqrt(x1)", 1))
-    assert err.lam == 0.1
+    # sqrt(x1) has no gradient on the sample x1 = -1: the file's
+    # perturbation is refused before any isolation batch runs
+    batches = []
+    monkeypatch.setattr(block, "check_isolation",
+                        lambda *args, **kwargs: batches.append(args))
+    with pytest.raises(expr.ExprError) as err:
+        lyapunov.morse_perturb(expr.parse("-(x1^4)/4", 1), _b1(),
+                               epsilon=1e-3, perturbation=expr.parse(
+                                   "sqrt(x1)", 1))
+    assert str(err.value) == \
+        "perturbation sqrt(x1) has no finite gradient at (-1.0,)"
+    assert batches == []
