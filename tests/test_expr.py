@@ -182,6 +182,63 @@ def test_hessian_symmetry_by_value():
 
 
 # ---------------------------------------------------------------------------
+# the seven node kinds through every visitor
+
+def test_expr_has_seven_node_kinds():
+    assert sorted(k.__name__ for k in expr.Expr.__subclasses__()) == \
+        ["BinOp", "Call", "Const", "Neg", "Param", "Pow", "Var"]
+
+
+_KINDS = {
+    "Const": (expr.Const(2.5), False, -1),
+    "Var": (expr.Var(1), False, 1),
+    "Param": (expr.Param(), True, -1),
+    "Neg": (expr.Neg(expr.parse("x1*lam + x2", 2)), True, 1),
+    "Call": (expr.Call("sin", expr.parse("x1*lam + x2^2", 2)), True, 1),
+    "BinOp": (expr.parse("x1/(1 + lam^2) - x2", 2), True, 1),
+    "Pow": (expr.Pow(expr.parse("x1 - lam", 2), 3), True, 0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_each_node_kind_through_every_visitor(kind):
+    e, param, top = _KINDS[kind]
+    assert type(e).__name__ == kind
+    assert expr.parse(expr.to_str(e), 2) == e
+    assert expr.mentions_param(e) == param
+    assert expr.max_var_index(e) == top
+    lam = 0.7
+    X = np.random.default_rng(11).uniform(-2, 2, size=(2, 50))
+    want = np.array([expr.evaluate(e, X[:, j], lam)
+                     for j in range(X.shape[1])])
+    got = np.broadcast_to(expr.compile_scalar(e)(X, lam), want.shape)
+    np.testing.assert_array_max_ulp(got, want, maxulp=1)
+    bound = expr.substitute_param(e, expr.Const(lam))
+    assert not expr.mentions_param(bound)
+    assert [expr.evaluate(bound, X[:, j]) for j in range(X.shape[1])] == \
+        pytest.approx(want, rel=1e-15, abs=1e-15)
+    # derivatives in x1, x2 and lam against central differences
+    h = 1e-6
+    for j in range(5):
+        p = X[:, j]
+        for var in (0, 1, "lam"):
+            d = expr.evaluate(expr.derive(e, var), p, lam)
+            if var == "lam":
+                fd = (expr.evaluate(e, p, lam + h)
+                      - expr.evaluate(e, p, lam - h)) / (2 * h)
+            else:
+                step = np.eye(2)[var] * h
+                fd = (expr.evaluate(e, p + step, lam)
+                      - expr.evaluate(e, p - step, lam)) / (2 * h)
+            assert d == pytest.approx(fd, rel=1e-6, abs=1e-6), var
+
+
+def test_ramp_is_not_a_function():
+    with pytest.raises(expr.ParseError, match="unknown identifier 'ramp'"):
+        expr.parse("ramp(x1)", 1)
+
+
+# ---------------------------------------------------------------------------
 # compiled columns against the Python-float reference ``evaluate``, which
 # calls the math module (the "math" of the test names)
 
@@ -212,6 +269,25 @@ def test_numpy_backend_integer_powers_match_math_backend():
         want = np.array([expr.evaluate(e, X[:, j])
                          for j in range(X.shape[1])])
         assert np.array_equal(got, want), n
+
+
+@pytest.mark.parametrize("func,lo,hi,bad", [
+    ("sin", -10, 10, math.inf), ("cos", -10, 10, math.inf),
+    ("exp", -30, 30, 1000.0), ("log", 1e-3, 50, 0.0),
+    ("sqrt", 0, 50, -1.0)])
+def test_numpy_function_matches_math_function(func, lo, hi, bad):
+    # every name of FUNCS, on its domain within 1 ulp; where the math
+    # module raises, the compiled column has no finite value
+    assert func in expr.FUNCS
+    e = expr.Call(func, expr.Var(0))
+    X = np.random.default_rng(7).uniform(lo, hi, size=(1, 400))
+    got = expr.compile_scalar(e)(X)
+    want = np.array([expr.evaluate(e, X[:, j]) for j in range(X.shape[1])])
+    np.testing.assert_array_max_ulp(got, want, maxulp=1)
+    with pytest.raises(expr.EvalDomainError, match=rf"in {func}\(x1\)"):
+        expr.evaluate(e, (bad,))
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(expr.compile_scalar(e)(np.array([[bad]]))[0])
 
 
 def test_numpy_field_broadcasts_constants_and_flags_domain_errors():

@@ -263,3 +263,22 @@ def test_batched_certificate_where_the_perturbation_has_no_value(
     assert str(err.value) == \
         "perturbation sqrt(x1) has no finite gradient at (-1.0,)"
     assert batches == []
+
+
+@pytest.mark.parametrize("text,sample", [
+    ("sqrt(x1 + 1)", (-1.0,)), ("log(x1 + 1)", (-1.0,)),
+    ("1/(x1 + 1)", (-1.0,)), ("sqrt(1 - x1)", (1.0,))])
+def test_a_perturbation_without_a_finite_gradient_is_refused(
+        monkeypatch, text, sample):
+    # on [-1, 1] each gradient is infinite or NaN at one end: the error
+    # names the perturbation and that sample, and no isolation batch runs
+    batches = []
+    monkeypatch.setattr(block, "check_isolation",
+                        lambda *args, **kwargs: batches.append(args))
+    pert = expr.parse(text, 1)
+    with pytest.raises(expr.ExprError) as err:
+        lyapunov.morse_perturb(expr.parse("-(x1^4)/4", 1), _b1(),
+                               epsilon=1e-3, perturbation=pert)
+    assert str(err.value) == (f"perturbation {expr.to_str(pert)} has no "
+                              f"finite gradient at {sample}")
+    assert batches == []

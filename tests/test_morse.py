@@ -1,5 +1,6 @@
 """Critical points, connection counting, and the Morse chain complex."""
 import dataclasses
+import itertools
 import logging
 import math
 import os
@@ -68,6 +69,45 @@ def test_newton_takes_a_least_squares_step_at_a_singular_hessian():
              for j in range(3)]
     assert np.array_equal(P[:, 0], alone[0][:, 0])
     assert np.array_equal(P[:, 1], alone[1][:, 0])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_newton_finds_every_critical_point_of_a_product_well(m):
+    # sum of (x_i^2 - 1)^2: the 3^m points of {-1, 0, 1}^m, each once,
+    # with the Hessian diag(8 or -4) there
+    f = expr.parse(" + ".join(f"(x{i + 1}^2 - 1)^2" for i in range(m)), m)
+    b = block.build_block(box=[(-2, 2)] * m, spacing=0.5)
+    P, H = morse.newton(f, b, b.lattice(7).T, 1e-10, 1e-8)
+    assert P.shape == (m, 3 ** m) and H.shape == (3 ** m, m, m)
+    R = np.round(P)
+    assert np.abs(P - R).max() < 1e-9
+    assert sorted(map(tuple, R.T.tolist())) == \
+        sorted(itertools.product((-1.0, 0.0, 1.0), repeat=m))
+    want = np.array([np.diag(np.where(r == 0.0, -4.0, 8.0)) for r in R.T])
+    assert H == pytest.approx(want, abs=1e-8)
+
+
+def test_newton_drops_a_root_outside_the_block():
+    # both seeds converge to (3, 0), inside the widened box but outside
+    # the block
+    f = expr.parse("(x1 - 3)^2 + x2^2", 2)
+    b = block.build_block(box=[(-2, 2), (-2, 2)], spacing=0.5)
+    P, H = morse.newton(f, b, np.array([[0.0, 0.0], [1.0, 1.0]]).T,
+                        1e-10, 1e-8)
+    assert P.shape == (2, 0) and H.shape == (0, 2, 2)
+
+
+def test_newton_keeps_the_first_of_nearby_roots_in_seed_order():
+    # every seed reaches the root 1 of x1^3/3 - x1 on [0, 2]; the points
+    # within the radius of the first are dropped
+    f = expr.parse("x1^3/3 - x1", 1)
+    b = block.build_block(box=[(0, 2)], spacing=0.5)
+    seeds = np.array([[0.5, 1.5, 1.0, 2.0]])
+    P, H = morse.newton(f, b, seeds, 1e-10, 1e-8)
+    first = morse.newton(f, b, seeds[:, :1], 1e-10, 1e-8)[0]
+    assert P.shape == (1, 1) and np.array_equal(P, first)
+    assert P[0, 0] == pytest.approx(1.0, abs=1e-10)
+    assert H == pytest.approx(np.array([[[2.0]]]))
 
 
 def _double_well():
