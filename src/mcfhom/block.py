@@ -154,7 +154,7 @@ class GridBlock:
         k *= strides
         flat = k[:, 0]
         for i in range(1, m):
-            flat = (flat[:, None] + k[None, :, i]).reshape(-1, n)
+            flat = (flat[:, None] + k[None, :, i]).reshape(2 << i, n)
         return np.logical_or.reduce(occ[flat], axis=0)
 
     def boundary_samples(self, per_face):

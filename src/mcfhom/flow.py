@@ -27,7 +27,9 @@ from .config import DEFAULT
 
 
 class IntegrationError(Exception):
-    column = None  # the failing column of a batch, where there is one
+    """An orbit the integrator cannot finish: ``classify_limit`` returns it
+    as the label of its column, and ``transport_frame`` raises that of its
+    first failing column."""
 
 
 class StepUnderflowError(IntegrationError):
@@ -302,7 +304,6 @@ def _failure(run, max_steps, j):
             f"exceeded {max_steps} steps at t={float(run.t[j])!r}")
     else:
         return None
-    err.column = j
     return err
 
 
@@ -346,7 +347,7 @@ def transport_frame(fieldd, X0, T, frames, tols=DEFAULT):
     A column fails when its start frame is dependent, a vector collapses to
     zero, its step underflows or it runs out of steps, or its transported
     frame has condition number above 1e8.  The error of the first failing
-    column is raised, with that column's index as its ``column``.
+    column is raised.
     """
     X0 = np.asarray(X0, dtype=float)
     frames = np.asarray(frames, dtype=float)
@@ -407,9 +408,8 @@ def transport_frame(fieldd, X0, T, frames, tols=DEFAULT):
             if s[-1] == 0.0 or cond > 1e8:
                 errors[j] = FrameDegenerateError(
                     f"transported frame degenerate (condition {cond:.3e})")
-    for j, err in enumerate(errors):
+    for err in errors:
         if err is not None:
-            err.column = j
             raise err
     return W, X
 

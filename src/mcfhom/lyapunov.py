@@ -145,8 +145,10 @@ def morse_perturb(base, b, epsilon=None, perturbation=None, seed=0,
     batches, each of half the grid, with s a value per column.  The error
     names the first lambda that fails, the boundary gradient before
     isolation at each lambda.  Before any of this, -grad(perturbation) must
-    be finite at every boundary sample: if it is not, the perturbation has
-    no value there, and ExprError names it and the first such sample.
+    be finite at every boundary sample, then at every point of the
+    ``tols.seed_density`` lattice in the block, where Newton seeds: if it
+    is not, the perturbation has no value there, and ExprError names it
+    and the first such point.
     """
     eps = tols.epsilon if epsilon is None else epsilon
     if eps <= 0:
@@ -171,12 +173,15 @@ def morse_perturb(base, b, epsilon=None, perturbation=None, seed=0,
         return grad_base(X) + np.where(s != 0.0, s * grad_pert(X), 0.0)
 
     samples = b.boundary_samples(tols.isolation_samples_per_face)
+    lattice = b.lattice(tols.seed_density)
+    points = np.concatenate([samples,
+                             lattice[b.contains_columns(lattice.T)]])
     bad = np.flatnonzero(~np.logical_and.reduce(
-        np.isfinite(grad_pert(samples.T)), axis=0))
+        np.isfinite(grad_pert(points.T)), axis=0))
     if bad.size:
         raise expr.ExprError(
             f"perturbation {expr.to_str(perturbation)} has no finite "
-            f"gradient at {tuple(float(v) for v in samples[bad[0]])}")
+            f"gradient at {tuple(float(v) for v in points[bad[0]])}")
     with np.errstate(all="ignore"):
         G = interpolant(np.tile(samples.T, len(lambdas)),
                         np.repeat(coef, len(samples)))

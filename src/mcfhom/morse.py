@@ -22,13 +22,15 @@ counted on a zero-sphere wherever one side is one:
   unstable frames, since the flow's Jacobian has positive determinant
   (Liouville's formula).
 
-Every seed of a zero-sphere is read, so its orbit must settle: one that
-hits the time budget, or that is captured at a critical point of another
-index than the adjacent one (a connection that is not Morse-Smale), raises
-``MorseError``.  All zero-sphere seeds of a search go in one
-``flow.classify_limit`` batch on the same field, each column with its own
-direction of time: the forward seeds first, then the backward ones, which
-are read in this order.
+One rule reads every label of a sphere (``ConnectionFinder._read``), right
+after its batch and in batch order: the first orbit of a batch that fails
+raises its error, and the first that hits the time budget, or that is
+captured at a critical point whose index is not below the source's (not
+above it, backward in time), a connection that is not Morse-Smale, raises
+``MorseError``.  On a zero-sphere this admits only the adjacent index.
+All zero-sphere seeds of a search go in one ``flow.classify_limit`` batch
+on the same field, each column with its own direction of time: the forward
+seeds first, then the backward ones.
 
 For k = 2 < m the seeds live on a small circle inside the unstable
 eigenspace of p (``ConnectionFinder.sphere_search``, also the test oracle
@@ -41,27 +43,20 @@ capture window, an interval of the circle, so a witness is a run of
 neighbours captured at one target, and its first direction receives a
 sign by transporting the source's unstable frame along its orbit; the
 witnesses of all sources with one frame size are signed by one
-``flow.transport_frame`` batch.  Every label is read: a failed orbit stops
-its circle, and its error is raised after the witnesses of the sources
-before it are signed.  Directions whose orbit hits the time budget count
-as non-connecting; they are counted in ``ConnectionFinder.budget_hits``
-and logged as a warning on the ``mcfhom.morse`` logger.  For
-3 <= k <= m - 1 the connecting directions are isolated points on curves of
-S^{k-1}, which bisection cannot find, so ``search`` raises ``MorseError``
-before any orbit runs.
+``flow.transport_frame`` batch, which raises the first fault of the batch.
+For 3 <= k <= m - 1 the connecting directions are isolated points on
+curves of S^{k-1}, which bisection cannot find, so ``search`` raises
+``MorseError`` before any orbit runs.
 """
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr, flow, homalg, sphere
 from .config import DEFAULT, normals
-
-log = logging.getLogger(__name__)
 
 
 class MorseError(Exception):
@@ -241,7 +236,6 @@ class ConnectionFinder:
         self.scale = flow.field_scale(gradfield, b)
         self.seed = seed
         self._witnesses = {}  # source ident -> {target ident: [Witness]}
-        self.budget_hits = 0  # directions whose orbit hit the time budget
 
     def _rotation(self, k):
         # random.Random takes no tuple; a str seeds it from its bytes
@@ -341,31 +335,40 @@ class ConnectionFinder:
     def _captures(self, orbits):
         """(x, sigma, c, capture time) for each orbit ((x, sigma, direction,
         seed point), (label, signed end time)) of a zero-sphere captured at
-        a critical point c, in seed order.
+        a critical point c, in seed order; every label is read by
+        ``_read``."""
+        return [(x, sigma, c, abs(t)) for (x, sigma, d, _), (lab, t) in orbits
+                if (c := self._read(x, d, (sigma,), lab)) is not None]
 
-        Every orbit is read, so the first one that fails raises its error;
-        that hits the time budget, or is captured at a critical point whose
-        index is not the adjacent one, x.index - direction (a connection
-        that is not Morse-Smale), raises MorseError."""
-        found = []
-        for (x, sigma, d, _), (lab, t) in orbits:
-            where = (f"the orbit from critical point {x.ident} at "
-                     f"{x.coords} along seed {sigma:+d} of its "
-                     f"{'unstable' if d > 0 else 'stable'} S^0")
-            if lab[0] == "failed":
-                raise lab[1]
-            if lab == ("budget",):
-                raise MorseError(f"{where} hit the time budget; a missed "
-                                 f"orbit would be a miscount")
-            if lab[0] == "crit":
-                c = self.by_id[lab[1]]
-                if c.index != x.index - d:
-                    raise MorseError(
-                        f"{where} is captured at critical point {c.ident} "
-                        f"of index {c.index}: the connection is not "
-                        f"Morse-Smale")
-                found.append((x, sigma, c, abs(t)))
-        return found
+    def _read(self, x, d, u, lab):
+        """The critical point at which the orbit from the seed along the
+        coefficients ``u`` of the unstable sphere of x (d = 1) or of its
+        stable sphere (d = -1) is captured, read from its label ``lab``;
+        None if the orbit exits.
+
+        The one rule for every label of a sphere: a failed orbit raises its
+        error; one that hits the time budget, or that is captured at a
+        critical point whose index is not below x's (forward) or not above
+        it (backward), a connection that is not Morse-Smale, raises
+        ``MorseError``."""
+        if lab[0] == "exit":
+            return None
+        if lab[0] == "failed":
+            raise lab[1]
+        if lab[0] == "crit":
+            c = self.by_id[lab[1]]
+            if (x.index - c.index) * d > 0:
+                return c
+        k = x.index - 1 if d > 0 else self.b.dimension - x.index - 1
+        where = (f"the orbit from critical point {x.ident} at {x.coords} "
+                 f"along seed {', '.join(f'{v:+g}' for v in u)} of its "
+                 f"{'unstable' if d > 0 else 'stable'} S^{k}")
+        if lab[0] == "budget":
+            raise MorseError(f"{where} hit the time budget; a missed orbit "
+                             f"would be a miscount")
+        raise MorseError(f"{where} is captured at critical point {c.ident} "
+                         f"of index {c.index}: the connection is not "
+                         f"Morse-Smale")
 
     def sphere_search(self, sources):
         """Find and sign the witnesses of every source not searched yet on
@@ -401,39 +404,25 @@ class ConnectionFinder:
         """Refine ``spheres`` in lockstep and sign their witnesses.
 
         Each step labels what every unfinished sphere wants in one
-        ``_classify`` batch.  Directions whose orbit hits the time budget
-        count as non-connecting; they are added to ``budget_hits`` and
-        logged as one warning per source.  The witnesses are signed by
-        ``_signs``.
-
-        Failures are raised in the order of a search of one source after
-        the other: the failure of a sphere is raised only after the
-        witnesses of the spheres before it are signed without one.  Of
-        several failures of one sphere, the first one labelled is
-        raised."""
+        ``_classify`` batch, and ``_read`` reads each of its labels, in
+        batch order, before any sphere learns them.  The witnesses are
+        signed by ``_signs``."""
         while True:
             asks = [(s, s.wanted()) for s in spheres]
-            asks = [(s, dirs) for s, dirs in asks if dirs]
-            if not asks:
+            seeds = [(s.x, u) for s, us in asks for u in us]
+            if not seeds:
                 break
-            labels = iter(self._classify([(self._seed_point(s.x, d), 1)
-                                          for s, dirs in asks for d in dirs]))
-            for s, dirs in asks:
-                s.learn(itertools.islice(labels, len(dirs)))
-        reps, jobs = [], []
-        for s in spheres:
-            if s.error is not None:
-                self._signs(jobs)  # a witness found before may fail first
-                raise s.error
-            by_target, hits = s.witnesses()
-            self.budget_hits += hits
-            if hits:
-                log.warning("%d directions on the unstable sphere of "
-                            "critical point %d hit the time budget; "
-                            "treated as non-connecting", hits, s.x.ident)
-            reps.append(by_target)
-            jobs.extend((s.x, self.by_id[tgt], d, t)
-                        for tgt, items in by_target.items() for d, t in items)
+            labels = self._classify([(self._seed_point(x, u), 1)
+                                     for x, u in seeds])
+            for (x, u), (lab, _) in zip(seeds, labels):
+                self._read(x, 1, u, lab)
+            labels = iter(labels)
+            for s, us in asks:
+                s.learn(itertools.islice(labels, len(us)))
+        reps = [s.witnesses() for s in spheres]
+        jobs = [(s.x, self.by_id[tgt], d, t)
+                for s, by_target in zip(spheres, reps)
+                for tgt, items in by_target.items() for d, t in items]
         signs = iter(self._signs(jobs))
         for s, by_target in zip(spheres, reps):
             self._witnesses[s.x.ident] = {
@@ -444,9 +433,9 @@ class ConnectionFinder:
     def _signs(self, jobs):
         """Orientation signs of the witnesses (source, target, direction,
         capture time) of ``jobs``.  Each run of witnesses whose sources
-        share one index (one frame size) is signed by one batch.  Raises for
-        the first witness, in the order of ``jobs``, whose transport or
-        orientation fails."""
+        share one index (one frame size) is signed by one batch.  Raises the
+        first fault of a batch: the first transport that fails, else the
+        first orientation that does."""
         return [sign for _, run in itertools.groupby(
             jobs, key=lambda job: job[0].index)
             for sign in self._sign_batch(list(run))]
@@ -458,14 +447,8 @@ class ConnectionFinder:
             return []
         P0 = np.column_stack([self._seed_point(x, d) for x, _, d, _ in jobs])
         frames = np.stack([np.array(x.frame) for x, *_ in jobs], axis=-1)
-        try:
-            W, P = flow.transport_frame(
-                self.gradfield, P0, [t for *_, t in jobs], frames,
-                tols=self.tols)
-        except flow.IntegrationError as err:
-            # a witness before the failing one may fail its orientation
-            self._sign_batch(jobs[:err.column])
-            raise
+        W, P = flow.transport_frame(self.gradfield, P0, [t for *_, t in jobs],
+                                    frames, tols=self.tols)
         V = expr.compile_field(self.gradfield)(P)
         return [self._orientation_sign(x, y, W[:, :, j], V[:, j])
                 for j, (x, y, _, _) in enumerate(jobs)]

@@ -63,13 +63,12 @@ class Circle:
     final] in angular order: the (label, signed end time) of the orbit from
     the direction, None until it is known, and whether the gap from the
     direction to the next one is final.  ``wanted`` refines every gap that
-    is not final and whose end labels differ, labels of directions that hit
-    the time budget aside: it inserts the points of the gap's section
-    ``DEPTH`` levels deep, where a gap below ``dir_tol`` is halved once
-    more and both halves are final.  It returns the directions with no
-    label yet, and ``learn`` stores their labels.  Every label is read, so
-    a failed one stops the circle: it keeps the error in ``error`` and
-    wants nothing more.
+    is not final and whose end labels differ: it inserts the points of the
+    gap's section ``DEPTH`` levels deep, where a gap below ``dir_tol`` is
+    halved once more and both halves are final.  It returns the directions
+    with no label yet, and ``learn`` stores their labels, which
+    ``morse.ConnectionFinder`` has read first: a failed orbit or one that
+    hits the time budget never reaches a circle.
     """
 
     def __init__(self, x, targets, cycles, dir_tol):
@@ -77,11 +76,8 @@ class Circle:
         self.targets = targets
         self.dir_tol = dir_tol
         self.cycles = [[[d, None, False] for d in c] for c in cycles]
-        self.error = None  # the first failed label learnt
 
     def wanted(self):
-        if self.error is not None:
-            return []
         for c in self.cycles:
             c[:] = [e for a, b in zip(c, c[1:] + c[:1])
                     for e in (self._section(a, b[0], DEPTH)
@@ -90,8 +86,8 @@ class Circle:
 
     @staticmethod
     def _refines(a, b):
-        return not a[2] and a[1] is not None and b[1] is not None and len(
-            {a[1][0], b[1][0]} - {("budget",)}) == 2
+        return not a[2] and a[1] is not None and b[1] is not None \
+            and a[1][0] != b[1][0]
 
     def _section(self, a, b, depth):
         """The entry a and the new entries after it, in angular order, of
@@ -112,23 +108,19 @@ class Circle:
         todo = (e for c in self.cycles for e in c if e[1] is None)
         for e, lab in zip(todo, labels):
             e[1] = lab
-            if lab[0][0] == "failed" and self.error is None:
-                self.error = lab[0][1]
 
     def witnesses(self):
-        """The witnesses {target ident: [(direction, capture time)]}, and
-        the number of directions whose orbit hit the time budget.
+        """The witnesses {target ident: [(direction, capture time)]}.
 
         A witness is a maximal run of neighbours captured at one target,
         the capture window of one connecting orbit; its direction is the
         first of the run in cyclic order, and a cycle captured at one
         target throughout is one run.  Witnesses of one target are in the
         order of the cycles, and of their first directions in them."""
-        found, hits = {}, 0
+        found = {}
         for c in self.cycles:
             labs = [lab if lab[0] == "crit" and lab[1] in self.targets
                     else None for _, (lab, _), _ in c]
-            hits += sum(lab == ("budget",) for _, (lab, _), _ in c)
             firsts = [i for i, lab in enumerate(labs)
                       if lab is not None and lab != labs[i - 1]]
             if not firsts and labs[0] is not None:
@@ -136,4 +128,4 @@ class Circle:
             for i in firsts:
                 d, (lab, t), _ = c[i]
                 found.setdefault(lab[1], []).append((d, abs(t)))
-        return found, hits
+        return found

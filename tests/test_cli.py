@@ -812,6 +812,23 @@ def test_a_perturbation_that_fails_its_certificate_fails_every_command(
         assert len(calls) == 1 and isinstance(calls[0], expr.FieldDef)
 
 
+def test_a_perturbation_without_a_value_inside_the_block_exits_two(
+        tmp_path, capsys):
+    # log(x1^2) has a finite gradient at every boundary sample but none at
+    # x1 = 0, a point of the Newton lattice inside the block, where the
+    # index-1 point sits
+    with open(_path("double_well_relations.json")) as fh:
+        doc = json.load(fh)
+    doc["options"] = {"perturbation": "log(x1^2)", "epsilon": 0.01}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["hi", _write(tmp_path, doc), "--seed", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("input error: perturbation log(x1^2) has no "
+                            "finite gradient at (0.0,)\n")
+
+
 def test_strict_profile_echoed(capsys):
     code = cli.main(["block", _path("saddle.json"), "--tol-profile",
                      "strict"])

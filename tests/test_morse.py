@@ -1,7 +1,6 @@
 """Critical points, connection counting, and the Morse chain complex."""
 import dataclasses
 import itertools
-import logging
 import math
 import os
 
@@ -94,6 +93,13 @@ def test_newton_drops_a_root_outside_the_block():
     b = block.build_block(box=[(-2, 2), (-2, 2)], spacing=0.5)
     P, H = morse.newton(f, b, np.array([[0.0, 0.0], [1.0, 1.0]]).T,
                         1e-10, 1e-8)
+    assert P.shape == (2, 0) and H.shape == (0, 2, 2)
+
+
+def test_newton_without_seeds_finds_nothing():
+    f = expr.parse("(x1 - 3)^2 + x2^2", 2)
+    b = block.build_block(box=[(-2, 2), (-2, 2)], spacing=0.5)
+    P, H = morse.newton(f, b, np.zeros((2, 0)), 1e-10, 1e-8)
     assert P.shape == (2, 0) and H.shape == (0, 2, 2)
 
 
@@ -265,26 +271,6 @@ def test_batched_labels_equal_one_column_labels(monkeypatch):
     _, complex_single = morse.build_complex(f, b, crits, tols=tols, seed=3)
     assert max(widths) > 1
     assert complex_single == complex_batched
-
-
-def test_budget_hits_are_counted_and_logged(caplog):
-    # index 2 at the origin, index 1 at (+-1, 0, 0): in 3-D the origin is
-    # searched forward on its unstable circle
-    f = expr.parse("(x1^2 - 1)^2 - x2^2 + x3^2", 3)
-    b = block.build_block(box=[(-2, 2)] * 3, spacing=0.5)
-    crits = morse.find_critical_points(f, b)
-    assert sorted(c.index for c in crits) == [1, 1, 2]
-    finder = morse.ConnectionFinder(
-        expr.negative_gradient(f, 3), b, crits,
-        tols=dataclasses.replace(DEFAULT, t_budget=1e-3))
-    source = next(c for c in crits if c.index == 2)
-    with caplog.at_level(logging.WARNING, logger="mcfhom.morse"):
-        assert finder.witnesses_for(source.ident) == {}
-    # every direction of the initial circle is still on its way
-    assert finder.budget_hits == DEFAULT.n_dir_seeds
-    records = [r for r in caplog.records if r.name == "mcfhom.morse"]
-    assert len(records) == 1 and records[0].levelno == logging.WARNING
-    assert f"{DEFAULT.n_dir_seeds} directions" in records[0].getMessage()
 
 
 def _quarter_labels(crits):
@@ -459,32 +445,31 @@ def test_a_failed_label_stops_the_search_wherever_it_is(monkeypatch):
 
 
 def _runs(cycles, labels):
-    """The witnesses, {target: [capture time]}, and the budget hits of a
-    circle of ``cycles`` whose i-th direction is labelled ``labels[i]``,
-    with capture time i; the targets are 1 and 2."""
+    """The witnesses, {target: [capture time]}, of a circle of ``cycles``
+    whose i-th direction is labelled ``labels[i]``, with capture time i;
+    the targets are 1 and 2."""
     circle = sphere.Circle(None, {1, 2}, cycles, 1e-12)
     assert len(circle.wanted()) == len(labels)
     circle.learn((lab, float(i)) for i, lab in enumerate(labels))
-    found, hits = circle.witnesses()
-    return {tgt: [t for _, t in items] for tgt, items in found.items()}, hits
+    return {tgt: [t for _, t in items]
+            for tgt, items in circle.witnesses().items()}
 
 
 def test_a_witness_is_a_run_of_neighbours_captured_at_one_target():
     [cycle] = sphere.cycles(2, 8, np.eye(2))
-    q, r, other = ("crit", 1), ("crit", 2), ("crit", 9)
-    exit, budget = ("exit",), ("budget",)
+    q, r, other, exit = ("crit", 1), ("crit", 2), ("crit", 9), ("exit",)
     # a run that wraps past the list start is one witness, at its first
     # direction in cyclic order
     assert _runs([cycle], [q, q, exit, r, r, exit, q, q]) == \
-        ({1: [6.0], 2: [3.0]}, 0)
-    # a run broken by an exit, a budget label or another critical point
-    assert _runs([cycle], [exit, q, q, exit, q, budget, q, other]) == \
-        ({1: [1.0, 4.0, 6.0]}, 1)
+        {1: [6.0], 2: [3.0]}
+    # a run broken by an exit or another critical point
+    assert _runs([cycle], [exit, q, q, exit, q, other, q, exit]) == \
+        {1: [1.0, 4.0, 6.0]}
     assert _runs([cycle], [q, r] * 4) == \
-        ({1: [0.0, 2.0, 4.0, 6.0], 2: [1.0, 3.0, 5.0, 7.0]}, 0)
+        {1: [0.0, 2.0, 4.0, 6.0], 2: [1.0, 3.0, 5.0, 7.0]}
     # a cycle captured at one target throughout is one witness
-    assert _runs([cycle], [q] * 8) == ({1: [0.0]}, 0)
-    assert _runs([cycle], [budget] * 8) == ({}, 8)
+    assert _runs([cycle], [q] * 8) == {1: [0.0]}
+    assert _runs([cycle], [exit] * 8) == {}
 
 
 def test_s0_is_two_cycles_of_one_point():
@@ -492,19 +477,20 @@ def test_s0_is_two_cycles_of_one_point():
     # each cycle, from its point to itself, is never split
     q, r = ("crit", 1), ("crit", 2)
     assert _runs(sphere.cycles(1, 8, np.eye(1)), [q, q]) == \
-        ({1: [0.0, 1.0]}, 0)
+        {1: [0.0, 1.0]}
     zero = sphere.Circle(None, {1, 2}, sphere.cycles(1, 8, np.eye(1)), 1.0)
     zero.wanted()
     zero.learn([(q, 0.0), (r, 1.0)])
     assert zero.wanted() == []
     assert _runs(sphere.cycles(1, 8, np.eye(1)), [q, r]) == \
-        ({1: [0.0], 2: [1.0]}, 0)
+        {1: [0.0], 2: [1.0]}
 
 
-def test_search_raises_failures_in_source_order(monkeypatch):
+def test_search_raises_the_first_fault_of_the_batch(monkeypatch):
     # Two saddles of the product double well: every orbit of the second
-    # fails.  Searched first, or after a first that signs cleanly, its
-    # failure is raised; after a first whose signing fails, that error is.
+    # fails.  Its failure is the first fault of the first batch, in either
+    # order, and raised before any witness is signed: also where the
+    # witnesses of the first would fail their orientation test.
     f, b, crits = _product_double_well()
     first, second = [c for c in crits if c.index == 1][:2]
 
@@ -530,12 +516,10 @@ def test_search_raises_failures_in_source_order(monkeypatch):
         finder.sphere_search(sources)
 
     unsigned = dataclasses.replace(_COARSE, det_tol=10.0)
-    with pytest.raises(flow.IntegrationError, match="injected"):
-        search([first, second], _COARSE)
-    with pytest.raises(morse.OrientationError, match="unresolved"):
-        search([first, second], unsigned)
-    with pytest.raises(flow.IntegrationError, match="injected"):
-        search([second, first], unsigned)
+    for sources in ([first, second], [second, first]):
+        for tols in (_COARSE, unsigned):
+            with pytest.raises(flow.IntegrationError, match="injected"):
+                search(sources, tols)
 
 
 def test_the_sphere_search_counts_each_connection_once():
@@ -571,17 +555,16 @@ def test_lockstep_search_equals_per_source_searches(monkeypatch):
 
 def test_signing_raises_for_the_first_failing_witness(monkeypatch):
     # the saddle of the double well has one witness to each minimum; the
-    # transport is made to fail on the second.  When the first witness
-    # fails its orientation test, that error comes first.
+    # transport is made to fail on the second.  That is the first fault of
+    # the batch, also where the first witness would fail its orientation
+    # test.
     f, b, crits = _double_well()
     transport = flow.transport_frame
 
     def second_fails(fieldd, X0, *args, **kwargs):
         out = transport(fieldd, X0, *args, **kwargs)
         if X0.shape[1] > 1:
-            err = flow.FrameDegenerateError("injected")
-            err.column = 1
-            raise err
+            raise flow.FrameDegenerateError("injected")
         return out
 
     saddle = next(c for c in crits if c.index == 1)
@@ -591,10 +574,9 @@ def test_signing_raises_for_the_first_failing_witness(monkeypatch):
                                tols=tols).sphere_search([saddle])
 
     monkeypatch.setattr(flow, "transport_frame", second_fails)
-    with pytest.raises(flow.FrameDegenerateError, match="injected"):
-        search(DEFAULT)
-    with pytest.raises(morse.OrientationError, match="unresolved"):
-        search(dataclasses.replace(DEFAULT, det_tol=10.0))
+    for tols in (DEFAULT, dataclasses.replace(DEFAULT, det_tol=10.0)):
+        with pytest.raises(flow.FrameDegenerateError, match="injected"):
+            search(tols)
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +590,21 @@ def _product_well_3d():
     return f, b, morse.find_critical_points(f, b)
 
 
+def _circle_source():
+    # index 2 at the origin, index 1 at (+-1, 0, 0): in 3-D the origin is
+    # searched forward on its unstable circle
+    f = expr.parse("(x1^2 - 1)^2 - x2^2 + x3^2", 3)
+    b = block.build_block(box=[(-2, 2)] * 3, spacing=0.5)
+    crits = morse.find_critical_points(f, b)
+    assert sorted(c.index for c in crits) == [1, 1, 2]
+    return f, b, crits, next(c for c in crits if c.index == 2)
+
+
 def test_zero_sphere_budget_hit_raises():
-    # forward on the unstable S^0 of the double well's saddle, and backward
-    # from the stable S^0 of the first index-1 target of an index-2 source
+    # forward on the unstable S^0 of the double well's saddle, backward
+    # from the stable S^0 of the first index-1 target of an index-2 source,
+    # and forward on the unstable S^1 of an index-2 source in 3-D, where
+    # every direction of the initial circle is still on its way
     short = dataclasses.replace(DEFAULT, t_budget=1e-3)
     f, b, crits = _double_well()
     saddle = next(c for c in crits if c.index == 1)
@@ -629,7 +623,13 @@ def test_zero_sphere_budget_hit_raises():
             rf"critical point {target.ident} at .* seed \+1 of its "
             r"stable S\^0 hit the time budget")):
         finder.witnesses_for(source.ident)
-    assert finder.budget_hits == 0
+    f, b, crits, source = _circle_source()
+    finder = morse.ConnectionFinder(expr.negative_gradient(f, 3), b, crits,
+                                    tols=short)
+    with pytest.raises(morse.MorseError, match=(
+            rf"critical point {source.ident} at .* of its unstable S\^1 hit "
+            r"the time budget")):
+        finder.witnesses_for(source.ident)
 
 
 def test_zero_spheres_of_one_search_share_one_batch(monkeypatch):
@@ -706,6 +706,20 @@ def test_zero_sphere_capture_outside_the_adjacent_index_raises(monkeypatch):
     with pytest.raises(morse.MorseError, match=(
             rf"critical point {first.ident} at .* stable S\^0 is captured "
             rf"at critical point {other.ident} of index 1")):
+        finder.witnesses_for(source.ident)
+
+
+def test_circle_capture_at_a_point_not_below_the_source_raises(
+        monkeypatch):
+    # the first orbit of the unstable circle of an index-2 source is made
+    # to end at the source itself: a capture at index 2, not below it
+    f, b, crits, source = _circle_source()
+    finder = morse.ConnectionFinder(expr.negative_gradient(f, 3), b, crits)
+    _first_orbit_captured_at(monkeypatch, source.ident)
+    with pytest.raises(morse.MorseError, match=(
+            rf"critical point {source.ident} at .* unstable S\^1 is "
+            rf"captured at critical point {source.ident} of index 2: the "
+            r"connection is not Morse-Smale")):
         finder.witnesses_for(source.ident)
 
 
