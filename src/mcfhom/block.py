@@ -299,8 +299,18 @@ def block_cells(b):
 
 @dataclass
 class IsolationReport:
+    """The outcome of ``check_isolation``.
+
+    ``samples`` is the (n, m) array of boundary samples and ``outcome``
+    their codes, each an index into ``OUTCOMES``; ``failures`` holds the
+    trapped samples as tuples.  ``worst_margin`` is the least time left in
+    the budget when a sample left.  A sample settled by the sign of its
+    flux leaves at time 0, so the margin comes from the integrated samples
+    only, or equals the budget when none was integrated."""
+
     verdict: bool
-    samples: list  # (point, outcome) with outcome in {forward, backward, trapped}
+    samples: np.ndarray
+    outcome: np.ndarray
     failures: list
     worst_margin: float
     members: tuple = ()  # of a family: the report of each member, in order
@@ -309,21 +319,34 @@ class IsolationReport:
         return self.verdict
 
 
-_OUTCOMES = ("trapped", "backward", "forward")
+OUTCOMES = ("trapped", "backward", "forward")
 
 
 def _worst_margin(exit_t, budget):
     """The least time left in the budget when a sample left, or 0.0 when
-    none left (``exit_t`` is NaN for a trapped sample)."""
+    none left (``exit_t`` is NaN for a trapped sample, and 0 for one
+    settled by the sign of its flux, which leaves at once)."""
     exited = exit_t[~np.isnan(exit_t)]
     return float(np.min(budget - exited)) if exited.size else 0.0
 
 
-def _isolation_report(points, outcome, exit_t, budget):
-    samples = [(p, _OUTCOMES[o]) for p, o in zip(points, outcome)]
-    failures = [s for s, o in samples if o == "trapped"]
-    return IsolationReport(not failures, samples, failures,
-                           _worst_margin(exit_t, budget))
+def _isolation_report(pts, outcome, exit_t, budget, members=None):
+    """The report of the (n, m) samples ``pts`` with their outcome codes and
+    exit times; with ``members``, the report of a family of that many
+    members, whose outcomes and exit times run member after member."""
+    if members is None:
+        trapped = pts[outcome == 0].tolist()
+        return IsolationReport(not trapped, pts, outcome,
+                               [tuple(p) for p in trapped],
+                               _worst_margin(exit_t, budget))
+    n = len(pts)
+    reps = tuple(_isolation_report(pts, outcome[i * n:(i + 1) * n],
+                                  exit_t[i * n:(i + 1) * n], budget)
+                 for i in range(members))
+    return IsolationReport(
+        all(reps), np.tile(pts, (members, 1)), outcome,
+        [s for r in reps for s in r.failures],
+        _worst_margin(exit_t, budget), reps)
 
 
 def check_isolation(b, field, lam=None, tols=DEFAULT):
@@ -334,45 +357,58 @@ def check_isolation(b, field, lam=None, tols=DEFAULT):
     ``field`` is a FieldDef or a compiled field ``F(X, lam)``.  ``lam`` is
     one value, or a sequence of values: a family of fields, checked as one
     batch whose columns are the samples of every member, each with its
-    member's value.  A single field is a family of one.  Every column
-    steps as it would alone, so each member's report is the report of its
-    own check.  The report of a family holds the samples of all members,
-    member after member, and the report of each member in ``members``.
+    member's value.  A single field is a family of one.  Every column is
+    settled as it would be alone, so each member's report is the report of
+    its own check.  The report of a family holds the samples of all
+    members, member after member, and the report of each member in
+    ``members``.
 
-    All samples are integrated as one batch, backward first: on
-    dissipative systems boundary points leave the block almost immediately
-    in reverse time.  The samples that did not leave backward, within the
-    budget or because their integration failed, then go forward as a
-    second batch."""
+    The field is evaluated once at every column.  A sample lies strictly
+    inside its face, and the cube across that face is not in the block, so
+    where the outward flux X . nu is at least ``margin_tol`` the orbit
+    leaves at once forward, and where it is at most ``-margin_tol`` it
+    leaves at once backward (Conley and Easton's isolating blocks): such a
+    column gets its outcome with exit time 0.  Only the other columns,
+    tangent or with a field that is not finite, are integrated, as one
+    batch backward first: on dissipative systems boundary points leave
+    the block almost immediately in reverse time.  The columns that did
+    not leave backward, within the budget or because their integration
+    failed, then go forward as a second batch."""
     from . import flow  # local import to avoid a cycle at module load
 
     family = np.ndim(lam) == 1
-    lams = np.asarray(lam, dtype=float) if family else None
-    k = len(lams) if family else 1
+    k = len(lam) if family else 1
     budget = tols.cert_t_budget
-    pts = b.boundary_samples(tols.isolation_samples_per_face)
+    per_face = tols.isolation_samples_per_face
+    pts = b.boundary_samples(per_face)
     n = len(pts)
     cols = np.tile(pts.T, k)
-    outcome = np.zeros(k * n, dtype=int)  # an index into _OUTCOMES
-    exit_t = np.full(k * n, np.nan)
-    todo = np.arange(k * n)
+    lam = np.repeat(np.asarray(lam, dtype=float), n) if family else lam
+    F = expr.compile_field(field) if isinstance(field, expr.FieldDef) \
+        else field
+    # each column's face axis and side: the samples run face by face,
+    # per_face ** (m - 1) to a face
+    axis, side = (np.tile(np.repeat(a, per_face ** (b.dimension - 1)), k)
+                  for a in b.faces[1:])
+    with np.errstate(all="ignore"):
+        V = F(cols, lam)
+        flux = np.where(side, 1.0, -1.0) * V[axis, np.arange(k * n)]
+    finite = np.logical_and.reduce(np.isfinite(V), axis=0)
+    tol = tols.margin_tol
+    # an index into OUTCOMES
+    outcome = np.where(finite & (flux >= tol), 2,
+                       np.where(finite & (flux <= -tol), 1, 0))
+    exit_t = np.where(outcome > 0, 0.0, np.nan)
+    todo = np.flatnonzero(outcome == 0)
     for direction, label in ((-1, 1), (1, 2)):
         if not todo.size:
             break
         t, left = flow.integrate_columns(
-            field, cols[:, todo], lambda X: ~b.contains_columns(X), budget,
-            direction=direction, lam=lams[todo // n] if family else lam,
+            F, cols[:, todo], lambda X: ~b.contains_columns(X), budget,
+            direction=direction, lam=lam[todo] if family else lam,
             tols=tols)
         outcome[todo[left]] = label
         exit_t[todo[left]] = np.abs(t[left])
         todo = todo[~left]
-    points = [tuple(float(v) for v in s) for s in pts]
-    if not family:
-        return _isolation_report(points, outcome, exit_t, budget)
-    members = tuple(_isolation_report(points, outcome[i * n:(i + 1) * n],
-                                      exit_t[i * n:(i + 1) * n], budget)
-                    for i in range(k))
-    return IsolationReport(
-        all(members), [s for r in members for s in r.samples],
-        [s for r in members for s in r.failures],
-        _worst_margin(exit_t, budget), members)
+    return _isolation_report(pts, outcome, exit_t, budget,
+                             k if family else None)

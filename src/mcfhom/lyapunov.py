@@ -142,7 +142,10 @@ def morse_perturb(base, b, epsilon=None, perturbation=None, seed=0,
     -grad(base) + s * -grad(perturbation), which rounds exactly as the
     compiled gradient of the interpolant itself.  Its gradient norms are
     one array, and its isolation checks are two ``check_isolation``
-    batches, each of half the grid, with s a value per column.  The error
+    batches, each of half the grid, with s a value per column; they settle
+    a sample whose outward flux has a strict sign by that sign, and
+    integrate only the columns where the interpolant is tangent to the
+    boundary or not finite.  The error
     names the first lambda that fails, the boundary gradient before
     isolation at each lambda.  Before any of this, -grad(perturbation) must
     be finite at every boundary sample, then at every point of the

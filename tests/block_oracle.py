@@ -9,6 +9,12 @@ reads the same faces from one shifted occupancy array per axis and side,
 and samples and tags all faces at once; the tests check that both give
 the same faces, in the same order, with the same tags.
 
+``check_isolation_by_orbits`` is the first form of the isolation check:
+it integrates every boundary sample, backward and then forward, where the
+package settles a sample whose outward flux has a strict sign by that sign
+and integrates only the others; the tests check that both give the same
+verdict and the same trapped samples.
+
 ``contains_columns`` below is the first, plain numpy form of the
 containment test: it builds all 2^m candidate cubes of every column as one
 (2^m, m, N) array of floats.  The package computes the same candidates as
@@ -19,7 +25,7 @@ import itertools
 
 import numpy as np
 
-from mcfhom import block, expr
+from mcfhom import block, expr, flow
 from mcfhom.config import DEFAULT
 
 
@@ -119,3 +125,31 @@ def contains_columns(b, X):
         k = np.fmin(np.fmax(shifted, 0), np.array(occ.shape)[:, None] - 1)
         occupied = occ[tuple(k.astype(np.intp).transpose(1, 0, 2))]
     return np.logical_or.reduce(occupied & inside, axis=0)
+
+
+def check_isolation_by_orbits(b, field, lam=None, tols=DEFAULT):
+    """``block.check_isolation`` with every sample of every member
+    integrated: all columns as one batch backward, then those that did not
+    leave as one batch forward, whatever the sign of their flux."""
+    family = np.ndim(lam) == 1
+    lams = np.asarray(lam, dtype=float) if family else None
+    k = len(lams) if family else 1
+    budget = tols.cert_t_budget
+    pts = b.boundary_samples(tols.isolation_samples_per_face)
+    n = len(pts)
+    cols = np.tile(pts.T, k)
+    outcome = np.zeros(k * n, dtype=int)  # an index into block.OUTCOMES
+    exit_t = np.full(k * n, np.nan)
+    todo = np.arange(k * n)
+    for direction, label in ((-1, 1), (1, 2)):
+        if not todo.size:
+            break
+        t, left = flow.integrate_columns(
+            field, cols[:, todo], lambda X: ~b.contains_columns(X), budget,
+            direction=direction, lam=lams[todo // n] if family else lam,
+            tols=tols)
+        outcome[todo[left]] = label
+        exit_t[todo[left]] = np.abs(t[left])
+        todo = todo[~left]
+    return block._isolation_report(pts, outcome, exit_t, budget,
+                                   k if family else None)

@@ -204,8 +204,8 @@ def test_isolation_drift_passes():
     fld = expr.parse_field(["1"], 1)
     rep = block.check_isolation(b, fld)
     assert rep.verdict
-    assert all(outcome in ("forward", "backward")
-               for _, outcome in rep.samples)
+    assert all(block.OUTCOMES[o] in ("forward", "backward")
+               for o in rep.outcome)
 
 
 def test_isolation_fails_on_trapped_boundary():
@@ -413,33 +413,99 @@ def test_batched_isolation_matches_single_orbits():
 
     F = expr.compile_field(fld)
     budget = DEFAULT.cert_t_budget
+    n = DEFAULT.isolation_samples_per_face
+    tol = DEFAULT.margin_tol
+    samples = [(f, p) for f in block_oracle.boundary_faces(b)
+               for p in block_oracle.face_lattice(b, f, n)]
+    assert np.array_equal(rep.samples, [p for _, p in samples])
     margins = []
-    for (s, outcome), p in zip(rep.samples,
-                               b.boundary_samples(
-                                   DEFAULT.isolation_samples_per_face)):
-        assert s == tuple(p)
-        want = "trapped"
-        for direction, label in ((-1, "backward"), (1, "forward")):
-            try:
-                _, sv = oracle.integrate_until(fld, p, left, budget,
-                                               direction=direction)
-            except flow.IntegrationError:
-                sv = None
-            if sv is not None:
-                want = label
-                break
-        assert outcome == want
-        if outcome != "trapped":
-            # the exit time of the same orbit as one column of the compiled
-            # field: the oracle's sin and exp agree with numpy's only to
-            # 1 ulp, and over the long steps of the integrator its exit
-            # times drift from the batch's by up to about 2e-9
-            t, out = flow.integrate_columns(
-                F, p[:, None], lambda X: ~b.contains_columns(X), budget,
-                -1 if outcome == "backward" else 1)
-            assert out[0]
-            margins.append(budget - abs(t[0]))
-    outcomes = {o for _, o in rep.samples}
+    for (f, p), outcome in zip(samples, rep.outcome):
+        # a sample whose outward flux has a strict sign leaves at once, by
+        # that sign; the others by their oracle orbits
+        v = [expr.evaluate(c, p) for c in fld.components]
+        flux = v[f.axis] if f.side else -v[f.axis]
+        if flux >= tol:
+            want, t = "forward", 0.0
+        elif flux <= -tol:
+            want, t = "backward", 0.0
+        else:
+            want = "trapped"
+            for direction, label in ((-1, "backward"), (1, "forward")):
+                try:
+                    _, sv = oracle.integrate_until(fld, p, left, budget,
+                                                   direction=direction)
+                except flow.IntegrationError:
+                    sv = None
+                if sv is not None:
+                    want = label
+                    break
+            if want != "trapped":
+                # the exit time of the same orbit as one column of the
+                # compiled field: the oracle's sin and exp agree with
+                # numpy's only to 1 ulp, and over the long steps of the
+                # integrator its exit times drift from the batch's by up
+                # to about 2e-9
+                ts, out = flow.integrate_columns(
+                    F, p[:, None], lambda X: ~b.contains_columns(X), budget,
+                    -1 if want == "backward" else 1)
+                assert out[0]
+                t = abs(ts[0])
+        assert block.OUTCOMES[outcome] == want
+        if want != "trapped":
+            margins.append(budget - t)
+    outcomes = {block.OUTCOMES[o] for o in rep.outcome}
     assert outcomes == {"backward", "forward", "trapped"}
     assert not rep.verdict
+    assert rep.failures == [tuple(p) for (_, p), o in zip(samples, rep.outcome)
+                            if block.OUTCOMES[o] == "trapped"]
     assert rep.worst_margin == min(margins)
+
+
+def test_only_the_tangent_samples_are_integrated(monkeypatch):
+    # X = (x2, 0) is tangent to the faces of axis 1, where X . nu = 0, and
+    # crosses those of axis 0, where no sample has x2 = 0
+    with open(os.path.join(os.path.dirname(__file__), "data",
+                           "tangent.json")) as fh:
+        system = cli._fixed_system(json.load(fh))
+    b, n = system.block, DEFAULT.isolation_samples_per_face
+    runs = []
+    integrate = flow.integrate_columns
+
+    def spy(field, x0, *args, **kwargs):
+        runs.append(x0.T)
+        return integrate(field, x0, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "integrate_columns", spy)
+    rep = block.check_isolation(b, system.field)
+    assert rep.verdict
+    # the tangent samples flow along their face and leave backward through
+    # the x1 = -1 side: one batch, of exactly the samples of axis 1
+    tangent = np.repeat(b.faces[1] == 1, n)
+    assert tangent.sum() == 16
+    assert len(runs) == 1
+    assert np.array_equal(runs[0], rep.samples[tangent])
+    # the others leave at once, forward where x2 has the sign of the side
+    forward = (np.repeat(b.faces[2], n)[~tangent] == 1) == \
+        (rep.samples[~tangent, 1] > 0)
+    assert np.array_equal(
+        rep.outcome[~tangent],
+        np.where(forward, block.OUTCOMES.index("forward"),
+                 block.OUTCOMES.index("backward")))
+
+
+@pytest.mark.parametrize("path", _shipped_systems(), ids=os.path.basename)
+def test_isolation_equals_the_all_orbit_oracle_on_shipped_systems(path):
+    # a continuation file is checked as continue checks it, as a family on
+    # its lam grid
+    with open(path) as fh:
+        doc = json.load(fh)
+    if "continuation" in doc:
+        system, lam = cli._parse_system(doc), doc["continuation"]["grid"]
+    else:
+        system, lam = cli._fixed_system(doc), None
+    rep = block.check_isolation(system.block, system.field, lam=lam)
+    want = block_oracle.check_isolation_by_orbits(system.block, system.field,
+                                                  lam=lam)
+    assert (rep.verdict, rep.failures) == (want.verdict, want.failures)
+    assert [(r.verdict, r.failures) for r in rep.members] == \
+        [(w.verdict, w.failures) for w in want.members]

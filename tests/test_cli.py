@@ -203,15 +203,16 @@ def test_hi_report_on_certificate_matches_the_golden_report(capsys):
 
 @pytest.mark.parametrize("system,stage,batches,most", [
     ("connections.json", "classify_limit", 1, 60),
-    ("certificate.json", "check_isolation", 3, 10),
+    ("certificate.json", "check_isolation", 0, 10),
 ])
 def test_hi_integrator_work_stays_low(system, stage, batches, most,
                                       monkeypatch, capsys):
     # attempts (accepted and rejected steps) of every column of each
     # integrator run of `hi --seed 3`, by the function that made the run.
     # The counts are deterministic; an order-5 pair took 241 attempts per
-    # column in the zero-sphere batch of connections and 41 in each
-    # isolation batch of certificate
+    # column in the zero-sphere batch of connections.  Every isolation
+    # sample of certificate crosses its face, so its isolation checks
+    # start no run
     runs = {"classify_limit": [], "check_isolation": [], None: []}
     caller = []
     dop853 = flow._dop853
@@ -378,15 +379,22 @@ def test_hi_on_the_4d_product_well_stops_before_any_orbit(monkeypatch,
     # eight index-3 sources would search an unstable S^2, where bisection
     # of label changes cannot isolate the connecting directions: the
     # connection search, the only stage that classifies orbit limits,
-    # raises before its first batch
-    calls = []
-    classify = flow.classify_limit
+    # raises before its first batch.  Every isolation sample, of the
+    # unperturbed field and of each member of the certificate's lambda
+    # grid, crosses its face, so no stage integrates an orbit at all
+    calls, runs = [], []
+    classify, dop853 = flow.classify_limit, flow._dop853
 
     def counted(*args, **kwargs):
         calls.append(1)
         return classify(*args, **kwargs)
 
+    def counted_runs(*args, **kwargs):
+        runs.append(1)
+        return dop853(*args, **kwargs)
+
     monkeypatch.setattr(flow, "classify_limit", counted)
+    monkeypatch.setattr(flow, "_dop853", counted_runs)
     code = cli.main(["hi", _path("product_well_4d.json"), "--seed", "3"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
@@ -395,7 +403,7 @@ def test_hi_on_the_4d_product_well_stops_before_any_orbit(monkeypatch,
         r"to index 2 leave its unstable sphere S\^2 through isolated points "
         r"on curves, which bisection cannot find; only S\^0 and S\^1 are "
         r"searched\n", captured.err)
-    assert calls == []
+    assert calls == [] and runs == []
 
 
 def test_malformed_json_exits_two(tmp_path, capsys):

@@ -6,6 +6,7 @@ import os
 import random
 import types
 
+import numpy as np
 import pytest
 
 import algebra_oracle
@@ -391,14 +392,19 @@ def test_isolation_family_equals_one_lam_at_a_time(family):
     assert len(rep.members) == len(grid)
     for lv, r in zip(grid, rep.members):
         w = block.check_isolation(b, fam, lam=lv)
-        assert (r.verdict, r.samples, r.failures, r.worst_margin) == \
-            (w.verdict, w.samples, w.failures, w.worst_margin)
+        assert np.array_equal(r.samples, w.samples)
+        assert np.array_equal(r.outcome, w.outcome)
+        assert (r.verdict, r.failures, r.worst_margin) == \
+            (w.verdict, w.failures, w.worst_margin)
     assert rep.verdict == all(rep.members)
-    assert rep.samples == [s for r in rep.members for s in r.samples]
+    assert np.array_equal(rep.samples,
+                          np.concatenate([r.samples for r in rep.members]))
+    assert np.array_equal(rep.outcome,
+                          np.concatenate([r.outcome for r in rep.members]))
+    assert rep.failures == [s for r in rep.members for s in r.failures]
     # the worst margin is over the samples that left, as in each member
     assert rep.worst_margin == min(
-        r.worst_margin for r in rep.members
-        if any(o != "trapped" for _, o in r.samples))
+        r.worst_margin for r in rep.members if r.outcome.any())
 
 
 def test_block_independence_repeller():

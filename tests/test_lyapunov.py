@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import block_oracle
 from mcfhom import block, expr, flow, lyapunov, morse
 from mcfhom.config import DEFAULT
 
@@ -192,13 +193,16 @@ def _batched(monkeypatch, base, b, eps, pert):
 def _same_certificate(monkeypatch, base, b, eps, pert):
     want_reports, want = _per_lambda(base, b, eps, pert)
     reports, got, runs = _batched(monkeypatch, base, b, eps, pert)
-    # two batches at most, each one backward run and at most one forward
+    # two batches at most; on these families every sample of every member
+    # has an outward flux of strict sign, so no batch integrates an orbit
     assert len(runs) <= 2
-    assert all(d in ([-1], [-1, 1]) for d in runs)
+    assert all(d == [] for d in runs)
     assert len(reports) >= len(want_reports)
     for r, w in zip(reports, want_reports):
-        assert (r.verdict, r.samples, r.failures, r.worst_margin) == \
-            (w.verdict, w.samples, w.failures, w.worst_margin)
+        assert np.array_equal(r.samples, w.samples)
+        assert np.array_equal(r.outcome, w.outcome)
+        assert (r.verdict, r.failures, r.worst_margin) == \
+            (w.verdict, w.failures, w.worst_margin)
     if isinstance(want, Exception):
         assert isinstance(got, lyapunov.CertificationError)
         assert (got.lam, str(got)) == (want.lam, str(want))
@@ -235,6 +239,40 @@ def test_batched_certificate_with_a_nonlinear_perturbation(monkeypatch, eps):
     b = block.build_block(box=[(-1, 1), (-1, 1)], spacing=0.5)
     _same_certificate(monkeypatch, expr.parse("-(x1^2 + x2^2)^2/4", 2), b,
                       eps, expr.parse("sin(x1)*x2 + x1^3", 2))
+
+
+@pytest.mark.parametrize("base,b,eps,pert", [
+    ("-(x1^4)/4", _b1(), 2.0, "x1"),
+    ("-(x1^4)/4", _b1(), 0.5, "x1"),
+    ("-(x1^2 + x2^2)^2/4", block.build_block(box=[(-1, 1), (-1, 1)],
+                                             spacing=0.5),
+     0.3, "sin(x1)*x2 + x1^3")], ids=["quartic-2", "quartic-0.5", "sin-0.3"])
+def test_certificate_isolation_equals_the_all_orbit_oracle(monkeypatch, base,
+                                                            b, eps, pert):
+    # the lambda families of the certificate cases above, each batch checked
+    # again with every sample integrated; at eps = 2.0 the interpolant has
+    # a critical point on the boundary at lambda = 0.5
+    pairs = []
+    check = block.check_isolation
+
+    def spy(*args, **kwargs):
+        rep = check(*args, **kwargs)
+        pairs.append((rep, block_oracle.check_isolation_by_orbits(
+            *args, **kwargs)))
+        return rep
+
+    monkeypatch.setattr(block, "check_isolation", spy)
+    m = b.dimension
+    try:
+        lyapunov.morse_perturb(expr.parse(base, m), b, epsilon=eps,
+                               perturbation=expr.parse(pert, m))
+    except lyapunov.CertificationError:
+        assert eps == 2.0
+    assert pairs
+    for rep, want in pairs:
+        assert [(r.verdict, r.failures) for r in rep.members] == \
+            [(w.verdict, w.failures) for w in want.members]
+        assert (rep.verdict, rep.failures) == (want.verdict, want.failures)
 
 
 def test_batched_certificate_with_lam_in_the_lyapunov_function(monkeypatch):
