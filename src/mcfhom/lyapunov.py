@@ -111,7 +111,10 @@ def verify_lyapunov(f, fieldd, b, s_decl, tols=DEFAULT):
 @dataclass
 class HomotopyCertificate:
     lambdas: tuple
-    min_boundary_gradient: float  # min |grad f_lam| over boundary samples
+    # a lower bound on |grad f_lam| over the boundary samples: for a sample
+    # settled by its two ends, min |flux| of the ends, which bounds it for
+    # every lam in [0, 1]; for an unsettled one, its minimum on the grid
+    min_boundary_gradient: float
     perturbation: object  # h of the homotopy base + lambda*eps*h
 
 
@@ -132,26 +135,36 @@ def morse_perturb(base, b, epsilon=None, perturbation=None, seed=0,
 
     Returns (perturbed Expr, HomotopyCertificate).  Without a
     ``perturbation`` the direction is ``linear_perturbation`` of ``seed``.
-    The certificate checks, on a lambda grid in [0, 1], that the gradient
-    flow of base + lambda*eps*perturbation keeps the block isolating and
-    that no critical point of the interpolant touches the boundary
-    (minimum gradient norm over boundary samples stays positive).
+    The certificate checks that the gradient flow of base +
+    lambda*eps*perturbation keeps the block isolating and that no critical
+    point of the interpolant touches the boundary (its gradient norm over
+    the boundary samples stays above ``tols.margin_tol``): for every lambda
+    in [0, 1] at the samples its two ends settle, on a lambda grid at the
+    others.
 
-    The grid runs as one family: -grad(base) and -grad(perturbation) are
-    compiled once, and the interpolant with coefficient s = lambda*eps is
-    -grad(base) + s * -grad(perturbation), which rounds exactly as the
-    compiled gradient of the interpolant itself.  Its gradient norms are
-    one array, and its isolation checks are two ``check_isolation``
-    batches, each of half the grid, with s a value per column; they settle
-    a sample whose outward flux has a strict sign by that sign, and
-    integrate only the columns where the interpolant is tangent to the
-    boundary or not finite.  The error
-    names the first lambda that fails, the boundary gradient before
-    isolation at each lambda.  Before any of this, -grad(perturbation) must
-    be finite at every boundary sample, then at every point of the
-    ``tols.seed_density`` lattice in the block, where Newton seeds: if it
-    is not, the perturbation has no value there, and ExprError names it
-    and the first such point.
+    -grad(base) and -grad(perturbation) are compiled once, and the
+    interpolant with coefficient s = lambda*eps is -grad(base) + s *
+    -grad(perturbation), which rounds exactly as the compiled gradient of
+    the interpolant itself.  It is affine in s, and so is its outward flux
+    at a boundary sample.  The two ends come first: a sample whose flux is
+    finite and beyond ``margin_tol`` with one strict sign at s = 0 and at
+    s = eps keeps that sign for every s between them (the rounded flux is
+    monotone in s too).  For every lambda it then leaves the block at once
+    by the sign rule of ``check_isolation`` (Conley and Easton's isolating
+    blocks), and its gradient norm is at least its flux, so no critical
+    point touches it.  Such a sample is settled by two evaluations.
+
+    Only unsettled samples, tangent or not finite at an end or changing
+    sign, go through the lambda grid of ``tols.cert_lambda_steps``: their
+    gradient norms are one array, and where any exists the grid's
+    isolation is checked as two ``check_isolation`` batches, each of half
+    the grid, with s a value per column (settled samples pass there by
+    their sign).  The error names the first lambda that fails, the
+    boundary gradient before isolation at each lambda.  Before any of
+    this, -grad(perturbation) must be finite at every boundary sample,
+    then at every point of the ``tols.seed_density`` lattice in the block,
+    where Newton seeds: if it is not, the perturbation has no value there,
+    and ExprError names it and the first such point.
     """
     eps = tols.epsilon if epsilon is None else epsilon
     if eps <= 0:
@@ -175,7 +188,8 @@ def morse_perturb(base, b, epsilon=None, perturbation=None, seed=0,
         ``np.errstate(all="ignore")``, as the integrator evaluates it."""
         return grad_base(X) + np.where(s != 0.0, s * grad_pert(X), 0.0)
 
-    samples = b.boundary_samples(tols.isolation_samples_per_face)
+    per_face = tols.isolation_samples_per_face
+    samples = b.boundary_samples(per_face)
     lattice = b.lattice(tols.seed_density)
     points = np.concatenate([samples,
                              lattice[b.contains_columns(lattice.T)]])
@@ -185,9 +199,33 @@ def morse_perturb(base, b, epsilon=None, perturbation=None, seed=0,
         raise expr.ExprError(
             f"perturbation {expr.to_str(perturbation)} has no finite "
             f"gradient at {tuple(float(v) for v in points[bad[0]])}")
+    # the interpolant at s = 0 and s = eps, and its outward flux at each
+    # sample's face axis and side: the samples run face by face,
+    # per_face ** (m - 1) to a face
+    axis, side = (np.repeat(a, per_face ** (m - 1)) for a in b.faces[1:])
     with np.errstate(all="ignore"):
-        G = interpolant(np.tile(samples.T, len(lambdas)),
-                        np.repeat(coef, len(samples)))
+        ends = np.stack([interpolant(samples.T, s) for s in (0.0, eps)])
+    flux = np.where(side, 1.0, -1.0) * ends[:, axis, np.arange(len(samples))]
+    tol = tols.margin_tol
+    settled = np.logical_and.reduce(np.isfinite(ends), axis=(0, 1)) & (
+        np.logical_and.reduce(flux > tol) | np.logical_and.reduce(flux < -tol))
+    min_bgrad = float(np.min(np.abs(flux[:, settled]), initial=math.inf))
+    todo = samples[~settled]
+    if len(todo):
+        min_bgrad = min(min_bgrad, _grid_certificate(
+            b, interpolant, todo, lambdas, coef, tols))
+    return perturbed, HomotopyCertificate(lambdas, min_bgrad, perturbation)
+
+
+def _grid_certificate(b, interpolant, todo, lambdas, coef, tols):
+    """The certificate on the lambda grid, for the boundary samples ``todo``
+    that their two ends do not settle: the minimum gradient norm of the
+    interpolant over them on the grid, or CertificationError at the first
+    lambda where it touches the boundary (its norm at most ``margin_tol``
+    at one of them) or where the block stops isolating."""
+    with np.errstate(all="ignore"):
+        G = interpolant(np.tile(todo.T, len(lambdas)),
+                        np.repeat(coef, len(todo)))
     gn = np.sqrt(np.add.reduce(G * G, axis=0)).reshape(len(lambdas), -1)
     min_bgrad = math.inf
     touching = None  # (lambda, the first sample it touches at)
@@ -195,7 +233,7 @@ def morse_perturb(base, b, epsilon=None, perturbation=None, seed=0,
         min_bgrad = min(min_bgrad, float(np.fmin.reduce(g)))
         near = np.flatnonzero(g <= tols.margin_tol)
         if near.size:
-            touching = (lambdas[i], samples[near[0]])
+            touching = (lambdas[i], todo[near[0]])
             break
     clear = i if touching else len(lambdas)  # the lambdas before it
     # in two batches: the integrator's memory grows with its width
@@ -214,4 +252,4 @@ def morse_perturb(base, b, epsilon=None, perturbation=None, seed=0,
         raise CertificationError(
             lv, f"critical point of the interpolant touches the "
                 f"boundary near {tuple(float(v) for v in s)}")
-    return perturbed, HomotopyCertificate(lambdas, min_bgrad, perturbation)
+    return min_bgrad

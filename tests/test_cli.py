@@ -379,9 +379,10 @@ def test_hi_on_the_4d_product_well_stops_before_any_orbit(monkeypatch,
     # eight index-3 sources would search an unstable S^2, where bisection
     # of label changes cannot isolate the connecting directions: the
     # connection search, the only stage that classifies orbit limits,
-    # raises before its first batch.  Every isolation sample, of the
-    # unperturbed field and of each member of the certificate's lambda
-    # grid, crosses its face, so no stage integrates an orbit at all
+    # raises before its first batch.  Every isolation sample of the
+    # unperturbed field crosses its face, and the certificate settles every
+    # sample by the two ends of its homotopy, so no stage integrates an
+    # orbit at all
     calls, runs = [], []
     classify, dop853 = flow.classify_limit, flow._dop853
 

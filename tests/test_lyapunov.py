@@ -1,4 +1,6 @@
 """Lyapunov verification and Morse perturbations."""
+import dataclasses
+import glob
 import json
 import math
 import os
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 import block_oracle
-from mcfhom import block, expr, flow, lyapunov, morse
+from mcfhom import block, cli, expr, flow, lyapunov, morse
 from mcfhom.config import DEFAULT
 
 
@@ -124,10 +126,75 @@ def test_morse_perturb_rejects_nonpositive_epsilon():
 
 
 # ---------------------------------------------------------------------------
-# the homotopy certificate as one family against one lambda at a time
+# the homotopy certificate: the two ends of the interpolant's flux, by the
+# scalar reference, and the grid against one lambda at a time
 
 _SYSTEMS = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                         "benchmarks", "systems")
+
+
+def _interpolant(base, eps, pert):
+    """base + lam*eps*pert, with lam the parameter of the expression."""
+    return expr.add(base, expr.mul(
+        expr.mul(expr.Param(), expr.Const(float(eps))), pert))
+
+
+def _variables(e):
+    """The indices of the variables ``e`` mentions."""
+    if isinstance(e, expr.Var):
+        return {e.index}
+    return set().union(*(
+        _variables(v) for v in vars(e).values() if isinstance(v, expr.Expr)))
+
+
+def _value(e, point, lam):
+    try:
+        return expr.evaluate(e, point, lam)
+    except expr.ExprError:
+        return math.nan
+
+
+def _sweep(base, b, eps, pert, lambdas):
+    """The outward flux of the negative gradient of base + lam*eps*pert at
+    every boundary sample and every lam of ``lambdas``, by the scalar
+    reference ``expr.evaluate``: its value at the first and the last lam,
+    and its least and greatest value over ``lambdas``, each an (n,) array
+    over the samples (NaN where the reference has no value).  The flux of a
+    sample is the gradient component of its face axis, which depends only
+    on the variables it mentions: it is evaluated once for each value of
+    them."""
+    m = b.dimension
+    per_face = DEFAULT.isolation_samples_per_face
+    samples = b.boundary_samples(per_face)
+    axis, side = (np.repeat(a, per_face ** (m - 1)) for a in b.faces[1:])
+    grads = expr.negative_gradient(_interpolant(base, eps, pert), m)
+    # per sample: the component at the first and last lam, its least and
+    # its greatest value
+    stats = np.empty((len(samples), 4))
+    for i, g in enumerate(grads.components):
+        mentioned = sorted(_variables(g))
+        on = np.flatnonzero(axis == i)
+        keys, inv = np.unique(samples[on][:, mentioned], axis=0,
+                              return_inverse=True)
+        point = np.zeros(m)
+        rows = []
+        for key in keys:
+            point[mentioned] = key
+            v = np.array([_value(g, point, lv) for lv in lambdas])
+            rows.append((v[0], v[-1], v.min(), v.max()))
+        stats[on] = np.array(rows)[inv.reshape(-1)]
+    # outward: on a low side the flux is minus the component
+    low = side == 0
+    stats[low] = -stats[low][:, [0, 1, 3, 2]]
+    return dict(zip(("first", "last", "lo", "hi"), stats.T))
+
+
+def _settled(sweep):
+    """The samples whose flux has one strict sign beyond ``margin_tol`` at
+    the first and the last lam of the sweep."""
+    ends, tol = np.array([sweep["first"], sweep["last"]]), DEFAULT.margin_tol
+    return np.logical_and.reduce(ends > tol) | \
+        np.logical_and.reduce(ends < -tol)
 
 
 def _per_lambda(base, b, eps, pert, tols=DEFAULT):
@@ -191,13 +258,21 @@ def _batched(monkeypatch, base, b, eps, pert):
 
 
 def _same_certificate(monkeypatch, base, b, eps, pert):
+    """morse_perturb against the reference ``_per_lambda``: the same
+    CertificationError, or a certificate whose gradient bound is positive
+    and at most the reference's grid minimum.  Where the two ends settle
+    every sample, no isolation batch runs; every batch that does run gives
+    the reference's member reports."""
     want_reports, want = _per_lambda(base, b, eps, pert)
     reports, got, runs = _batched(monkeypatch, base, b, eps, pert)
+    settled = _settled(_sweep(base, b, eps, pert, (0.0, 1.0)))
+    if settled.all():
+        assert runs == []
     # two batches at most; on these families every sample of every member
     # has an outward flux of strict sign, so no batch integrates an orbit
     assert len(runs) <= 2
     assert all(d == [] for d in runs)
-    assert len(reports) >= len(want_reports)
+    assert len(reports) >= len(want_reports) if runs else reports == []
     for r, w in zip(reports, want_reports):
         assert np.array_equal(r.samples, w.samples)
         assert np.array_equal(r.outcome, w.outcome)
@@ -207,9 +282,10 @@ def _same_certificate(monkeypatch, base, b, eps, pert):
         assert isinstance(got, lyapunov.CertificationError)
         assert (got.lam, str(got)) == (want.lam, str(want))
     else:
-        assert len(reports) == len(want_reports) == \
-            DEFAULT.cert_lambda_steps + 1
-        assert got == want
+        assert 0 < got <= want
+        if runs:
+            assert len(reports) == len(want_reports) == \
+                DEFAULT.cert_lambda_steps + 1
     return runs, got
 
 
@@ -225,20 +301,33 @@ def test_batched_certificate_equals_one_lambda_at_a_time(monkeypatch, name,
     base = expr.parse(doc["lyapunov"], m)
     pert = lyapunov.linear_perturbation(m, seed)
     runs, _ = _same_certificate(monkeypatch, base, b, DEFAULT.epsilon, pert)
-    assert len(runs) == 2
+    assert runs == []
 
 
 @pytest.mark.parametrize("eps", [2.0, 0.5, 1e-3])
 def test_batched_certificate_on_the_quartic_repeller(monkeypatch, eps):
-    _same_certificate(monkeypatch, expr.parse("-(x1^4)/4", 1), _b1(), eps,
-                      expr.parse("x1", 1))
+    runs, got = _same_certificate(monkeypatch, expr.parse("-(x1^4)/4", 1),
+                                  _b1(), eps, expr.parse("x1", 1))
+    if eps == 2.0:
+        # the flux x1^3 - s at x1 = 1 changes sign on [0, eps]: that
+        # sample goes through the grid, whose isolation batches cover the
+        # lambdas before the critical point reaches it
+        assert len(runs) == 2
+        assert got.lam == 0.5
+        assert str(got) == ("homotopy certificate failed at lambda=0.5: "
+                            "critical point of the interpolant touches the "
+                            "boundary near (1.0,)")
+    else:
+        assert runs == []
 
 
 @pytest.mark.parametrize("eps", [1e-3, 0.3])
 def test_batched_certificate_with_a_nonlinear_perturbation(monkeypatch, eps):
     b = block.build_block(box=[(-1, 1), (-1, 1)], spacing=0.5)
-    _same_certificate(monkeypatch, expr.parse("-(x1^2 + x2^2)^2/4", 2), b,
-                      eps, expr.parse("sin(x1)*x2 + x1^3", 2))
+    runs, _ = _same_certificate(
+        monkeypatch, expr.parse("-(x1^2 + x2^2)^2/4", 2), b, eps,
+        expr.parse("sin(x1)*x2 + x1^3", 2))
+    assert runs == []
 
 
 @pytest.mark.parametrize("base,b,eps,pert", [
@@ -249,9 +338,11 @@ def test_batched_certificate_with_a_nonlinear_perturbation(monkeypatch, eps):
      0.3, "sin(x1)*x2 + x1^3")], ids=["quartic-2", "quartic-0.5", "sin-0.3"])
 def test_certificate_isolation_equals_the_all_orbit_oracle(monkeypatch, base,
                                                             b, eps, pert):
-    # the lambda families of the certificate cases above, each batch checked
-    # again with every sample integrated; at eps = 2.0 the interpolant has
-    # a critical point on the boundary at lambda = 0.5
+    # every isolation batch the certificate cases above still run, checked
+    # again with every sample integrated.  At eps = 2.0 one sample is
+    # unsettled and the interpolant has a critical point on the boundary at
+    # lambda = 0.5; the other cases run no batch, and there the oracle
+    # integrates every sample of the whole grid and finds it isolating
     pairs = []
     check = block.check_isolation
 
@@ -263,16 +354,23 @@ def test_certificate_isolation_equals_the_all_orbit_oracle(monkeypatch, base,
 
     monkeypatch.setattr(block, "check_isolation", spy)
     m = b.dimension
+    base, pert = expr.parse(base, m), expr.parse(pert, m)
     try:
-        lyapunov.morse_perturb(expr.parse(base, m), b, epsilon=eps,
-                               perturbation=expr.parse(pert, m))
+        _, cert = lyapunov.morse_perturb(base, b, epsilon=eps,
+                                         perturbation=pert)
     except lyapunov.CertificationError:
         assert eps == 2.0
-    assert pairs
+    assert bool(pairs) == (eps == 2.0)
     for rep, want in pairs:
         assert [(r.verdict, r.failures) for r in rep.members] == \
             [(w.verdict, w.failures) for w in want.members]
         assert (rep.verdict, rep.failures) == (want.verdict, want.failures)
+    if not pairs:
+        want = block_oracle.check_isolation_by_orbits(
+            b, expr.negative_gradient(_interpolant(base, eps, pert), m),
+            lam=cert.lambdas)
+        assert want.verdict
+        assert all(w.verdict for w in want.members)
 
 
 def test_batched_certificate_with_lam_in_the_lyapunov_function(monkeypatch):
@@ -285,6 +383,120 @@ def test_batched_certificate_with_lam_in_the_lyapunov_function(monkeypatch):
             expr.parse("-(x1^4 + x2^4)/4 - lam*(x1^2 + x2^2)/2", 2), lam),
         b, 1e-2,
         expr.substitute_param(expr.parse("x1 - 0.5*x2 + lam*x1*x2", 2), lam))
+
+
+def _shipped_with_a_lyapunov_function():
+    """(name, system) of every shipped system file with a Lyapunov
+    function; a continuation file at the two ends of its grid, as
+    ``continue`` reads it."""
+    paths = sorted(glob.glob(os.path.join(_SYSTEMS, "*.json"))) + sorted(
+        glob.glob(os.path.join(os.path.dirname(__file__), "data", "*.json")))
+    out = []
+    for path in paths:
+        with open(path) as fh:
+            doc = json.load(fh)
+        name = os.path.basename(path)
+        if "lyapunov" not in doc:
+            continue
+        if "continuation" not in doc:
+            out.append((name, cli._fixed_system(doc)))
+            continue
+        start, cont = cli._parse_system(doc), doc["continuation"]
+        end = dataclasses.replace(
+            start, lyapunov=expr.parse(cont["lyapunov_end"], doc["dimension"]))
+        out.append((f"{name}@{cont['grid'][0]}", start.at(cont["grid"][0])))
+        out.append((f"{name}@{cont['grid'][-1]}", end.at(cont["grid"][-1])))
+    return out
+
+
+def _every_lambda_cases():
+    """(base, block, epsilon, perturbation, shipped) of the shipped systems
+    at seeds 0, 3 and 5 and of the certificate families above."""
+    cases = {}
+    for name, system in _shipped_with_a_lyapunov_function():
+        m = system.block.dimension
+        for seed in (0, 3, 5):
+            pert = system.perturbation or lyapunov.linear_perturbation(m, seed)
+            eps = system.epsilon or DEFAULT.epsilon
+            cases[f"{name}-{seed}"] = (system.lyapunov, system.block, eps,
+                                       pert, True)
+    square = block.build_block(box=[(-1, 1), (-1, 1)], spacing=0.5)
+    for eps in (2.0, 0.5, 1e-3):
+        cases[f"quartic-{eps}"] = (expr.parse("-(x1^4)/4", 1), _b1(), eps,
+                                   expr.parse("x1", 1), False)
+    for eps in (1e-3, 0.3):
+        cases[f"sin-{eps}"] = (expr.parse("-(x1^2 + x2^2)^2/4", 2), square,
+                               eps, expr.parse("sin(x1)*x2 + x1^3", 2), False)
+    lam = expr.Const(0.4)
+    cases["lam-0.4"] = (
+        expr.substitute_param(
+            expr.parse("-(x1^4 + x2^4)/4 - lam*(x1^2 + x2^2)/2", 2), lam),
+        square, 1e-2,
+        expr.substitute_param(expr.parse("x1 - 0.5*x2 + lam*x1*x2", 2), lam),
+        False)
+    return cases
+
+
+_EVERY_LAMBDA = _every_lambda_cases()
+
+
+def _counted(calls, fn):
+    """``fn``, appending its name to ``calls`` at every call."""
+    def spy(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return spy
+
+
+@pytest.mark.parametrize("case", _EVERY_LAMBDA)
+def test_the_two_ends_certify_every_lambda(monkeypatch, case):
+    # where the outward flux of the interpolant has one strict sign beyond
+    # margin_tol at lambda = 0 and 1, it keeps it at 1,001 evenly spaced
+    # lambdas, by the scalar reference, and the certificate's gradient bound
+    # is at most |flux| there, so at most the gradient norm, which is at
+    # least the size of any one component.  Every shipped system settles
+    # every sample, so its certificate runs no isolation batch
+    base, b, eps, pert, shipped = _EVERY_LAMBDA[case]
+    sweep = _sweep(base, b, eps, pert, [k / 1000 for k in range(1001)])
+    settled = _settled(sweep)
+    assert settled.any()
+    assert settled.all() or not shipped
+    tol = DEFAULT.margin_tol
+    assert np.all(np.where(sweep["first"] > 0, sweep["lo"] > tol,
+                           sweep["hi"] < -tol)[settled])
+    calls = []
+    monkeypatch.setattr(block, "check_isolation",
+                        _counted(calls, block.check_isolation))
+    try:
+        _, cert = lyapunov.morse_perturb(base, b, epsilon=eps,
+                                         perturbation=pert)
+    except lyapunov.CertificationError as exc:
+        # only an unsettled sample can fail, and it fails as in the
+        # reference
+        assert not settled.all()
+        _, want = _per_lambda(base, b, eps, pert)
+        assert (exc.lam, str(exc)) == (want.lam, str(want))
+        return
+    least = np.where(sweep["first"] > 0, sweep["lo"], -sweep["hi"])
+    assert 0 < cert.min_boundary_gradient <= least[settled].min()
+    if settled.all():
+        assert calls == []
+
+
+@pytest.mark.parametrize("name", ["product_well_3d.json",
+                                  "product_well_4d.json"])
+def test_the_wells_certificate_runs_no_isolation_batch(monkeypatch, name):
+    # every boundary sample of the 3-D and 4-D wells is settled by its two
+    # ends at seed 3: no isolation batch, and so no orbit
+    with open(os.path.join(os.path.dirname(__file__), "data", name)) as fh:
+        system = cli._fixed_system(json.load(fh))
+    calls = []
+    monkeypatch.setattr(block, "check_isolation",
+                        _counted(calls, block.check_isolation))
+    monkeypatch.setattr(flow, "_dop853", _counted(calls, flow._dop853))
+    _, cert = lyapunov.morse_perturb(system.lyapunov, system.block, seed=3)
+    assert calls == []
+    assert cert.min_boundary_gradient > DEFAULT.margin_tol
 
 
 def test_batched_certificate_where_the_perturbation_has_no_value(
