@@ -13,7 +13,8 @@ Q, and its V gives a kernel basis (``kernel_basis``).
 
 A cubical complex, given by two cell masks on a doubled grid (see
 ``block``), is never stored whole as columns.  The face ranks and signs of
-its cells, found by strides, are arrays, and d^2 = 0 is checked on them.
+its cells, found by strides, are arrays, and d^2 = 0 is checked on them:
+each path from a cell to a face of a face plus its partner, no sort.
 Rounds of coreductions and collapses, the elementary reductions that fill
 nothing in, then remove cells on the grid itself, and only the few cells
 left become sparse columns.
@@ -21,6 +22,7 @@ left become sparse columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress
 
 import numpy as np
@@ -442,28 +444,57 @@ def _not_a_complex(k, i, j, v):
     return NotAComplexError(f"d_{k} . d_{k + 1} has entry {v} at ({i}, {j})")
 
 
+@cache
+def _partners(k):
+    """The paths c -> f -> g from a (k+1)-cell c to its faces of faces, in
+    the pairs that reach the same (k-1)-cell g: two flat indices
+    ``(path, partner)``, one entry per pair, with path t * 2k + u going
+    through c's face at slot t and then that face's face at slot u of the
+    arrays of ``_cubical_arrays``.  The two paths of a pair remove the same
+    two odd axes of c, each on its own side, in the two orders."""
+    t, u = np.indices((2 * k + 2, 2 * k))
+    i, s = np.divmod(t, 2)
+    p, r = np.divmod(u, 2)
+    # path (t, u) removes c's i-th odd axis on side s, then the face's p-th
+    # on side r, which is c's j-th; its partner removes c's j-th on side r,
+    # after which c's i-th is the face's i-th or (i - 1)-th
+    j = p + (p >= i)
+    partner = ((2 * j + r) * 2 * k + 2 * (i - (i > j)) + s).ravel()
+    path = np.arange(partner.size)
+    one = path < partner
+    out = path[one], partner[one]
+    for a in out:
+        a.flags.writeable = False  # cached: every caller gets these arrays
+    return out
+
+
 def _check_d_squared(face, sign, coeff):
     """Check d_k . d_{k+1} = 0 over the coefficient ring on the arrays of
-    ``_cubical_arrays``: the products over the faces of faces are summed
-    per (row, column) key.  Raises ``NotAComplexError`` naming the entry
-    that ``verify_d_squared`` finds on the columns."""
+    ``_cubical_arrays``.  Entry (g, c) is the sum of the sign products
+    along the two paths c -> f -> g, a path and its partner
+    (``_partners``), so each path plus its partner is summed: no key, no
+    sort.  A path through a dropped cell gives 0.  Raises
+    ``NotAComplexError`` naming the entry that ``verify_d_squared`` finds
+    on the columns."""
     for k in range(1, len(face)):
-        j, t = np.nonzero(face[k + 1] >= 0)
-        f = face[k + 1][j, t]
-        g = face[k][f]
-        ok, n = g >= 0, len(face[k + 1])
-        key = (g * n + j[:, None])[ok]
-        # the stable sort: the default one loads about 0.25 MiB more code
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        first = np.flatnonzero(np.diff(key, prepend=-1))
-        tot = np.add.reduceat(
-            (sign[k + 1][j, t, None] * sign[k][f])[ok][order], first)
-        tot = tot % 2 if coeff == "Z2" else tot
-        bad = np.flatnonzero(tot)
-        if bad.size:
-            raise _not_a_complex(k, *divmod(int(key[first[bad[0]]]), n),
-                                 int(tot[bad[0]]))
+        if not (len(face[k]) and len(face[k + 1])):
+            continue  # no (k+1)-cell, or every face of one is dropped
+        f = face[k + 1]
+        prod = np.take(np.where(face[k] >= 0, sign[k], 0), f, axis=0)
+        prod *= np.where(f >= 0, sign[k + 1], 0)[:, :, None]
+        prod = prod.reshape(len(f), -1)
+        path, partner = _partners(k)
+        tot = np.take(prod, path, axis=1)
+        tot += np.take(prod, partner, axis=1)
+        if coeff == "Z2":
+            tot &= 1
+        if tot.any():
+            j, p = np.nonzero(tot)
+            t, u = np.divmod(path[p], 2 * k)
+            i = face[k][f[j, t], u]
+            # the smallest row, and in it the smallest column: j ascends
+            m = np.argmax(i == i.min())
+            raise _not_a_complex(k, int(i[m]), int(j[m]), int(tot[j[m], p[m]]))
 
 
 def _coreduce(live, code, off):

@@ -469,6 +469,54 @@ def test_d_squared_is_checked_on_the_whole_cubical_complex(monkeypatch):
                 homalg.build_cubical_complex(cells, coeff=coeff)
 
 
+@pytest.mark.parametrize("shape,cases", _RANDOM_PAIRS)
+def test_array_d_squared_check_leaves_out_the_dropped_cells(shape, cases):
+    # a sign at a slot whose face is in the relative subcomplex is on no
+    # path between live cells: changing it leaves both checks silent
+    rng = random.Random(-len(shape))
+    changed = 0
+    for _, _, cells, sub in _random_pairs(shape, cases):
+        *_, dims, face, sign = homalg._cubical_arrays(cells, sub)
+        for k in face:
+            dropped = np.argwhere(face[k] < 0).tolist()
+            for j, t in dropped:
+                sign[k][j, t] = rng.choice((0, 2, -3))
+            changed += len(dropped)
+        c = _complex_of(dims, face, sign)
+        for coeff in ("Z", "Z2"):
+            assert homalg.verify_d_squared(c, coeff) is None
+            homalg._check_d_squared(face, sign, coeff)
+    assert changed
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_each_face_of_face_path_has_one_partner(k):
+    # one (k+1)-cell of a 4-D grid, odd along axes that skip the first one
+    # for k < 3, on the doubled grid of two cubes per axis
+    axes = {1: (1, 3), 2: (1, 2, 3), 3: (0, 1, 2, 3)}[k]
+    cell = tuple((0, 1) if a in axes else (1, 1) for a in range(4))
+    cells = cubical_oracle.closure([cell])
+    *_, dims, face, sign = homalg._cubical_arrays(
+        cubical_oracle.mask_of(cells, (5,) * 4))
+    assert dims[k + 1:] == [1]
+    rank = {c: i for i, c in enumerate(sorted(
+        c for c in cells if cubical_oracle.cell_dim(c) == k - 1))}
+    reached, prod = [], []
+    for t, (f, sf) in enumerate(cubical_oracle.cell_boundary(cell)):
+        for u, (g, sg) in enumerate(cubical_oracle.cell_boundary(f)):
+            reached.append(face[k][face[k + 1][0, t], u])
+            prod.append(sign[k + 1][0, t] * sign[k][face[k + 1][0, t], u])
+            assert reached[-1] == rank[g] and prod[-1] == sf * sg
+    path, partner = homalg._partners(k)
+    assert homalg._partners(k) is homalg._partners(k)
+    other = dict(zip(path.tolist(), partner.tolist()))
+    other.update(zip(partner.tolist(), path.tolist()))
+    assert sorted(other) == list(range(len(reached)))
+    for p, q in other.items():
+        assert q != p and other[q] == p
+        assert reached[q] == reached[p] and prod[q] == -prod[p]
+
+
 def _dense_cubical_boundaries(cells, sub):
     """Dense boundary matrices of the pair, filled entry by entry from
     the oracle's ``cell_boundary`` with the cells of each dimension in
@@ -596,6 +644,22 @@ def test_cubical_cube_relative_to_its_boundary():
         for coeff in ("Z", "Z2"):
             c = homalg.build_cubical_complex(cells, cells & ~cube, coeff)
             assert homalg.homology(c, coeff).describe() == f"H_{m} = {coeff}"
+
+
+def test_cubical_cube_relative_to_its_boundary_beside_an_edge():
+    # live edges and a live cube, but no live square: d_1 . d_2 has no
+    # column and d_2 . d_3 no row
+    cube = np.zeros((7, 3, 3), dtype=bool)
+    cube[1, 1, 1] = True
+    edge = np.zeros_like(cube)
+    edge[5, 0, 0] = True
+    cells = block.closure(cube | edge)
+    sub = block.closure(cube) & ~cube
+    assert _full_complex(cells, sub).dims == [2, 1, 0, 1]
+    for coeff in ("Z", "Z2"):
+        c = homalg.build_cubical_complex(cells, sub, coeff)
+        assert homalg.homology(c, coeff).describe() == \
+            f"H_0 = {coeff}; H_3 = {coeff}"
 
 
 def test_cubical_annulus_absolute():
