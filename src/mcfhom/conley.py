@@ -1,12 +1,10 @@
 """Pipeline orchestration and structural theorems: exit-set equivalence,
-block independence, Morse decompositions with connection matrices, and
+block independence, the Morse relations of a decomposition, and
 continuation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from . import block as block_mod
 from . import expr, homalg, lyapunov, morse
@@ -18,10 +16,6 @@ class ConleyError(Exception):
 
 
 class PipelineError(ConleyError):
-    pass
-
-
-class NotAttractorRepellerError(ConleyError):
     pass
 
 
@@ -139,135 +133,34 @@ class DecompositionReport:
     whole: homalg.PoincarePolynomial
 
 
+def _disjoint(parts):
+    """ConleyError unless the blocks of ``parts`` share no interior point.
+    A cube is the box origin + spacing * [i, i + 1] per axis, on its own
+    block's spacing; two cubes overlap when their sides do, with positive
+    length, on every axis.  The error names the two sets by position."""
+    boxes = [(b.cubes * b.spacing + b.origin, b.spacing)
+             for b in (p.block for p in parts)]
+    for j, (lo_j, h_j) in enumerate(boxes):
+        for i, (lo_i, h_i) in enumerate(boxes[:j]):
+            if any(((lo < lo_j + h_j) & (lo_j < lo + h_i)).all(1).any()
+                   for lo in lo_i):
+                raise ConleyError(f"decomposition sets {i} and {j} overlap: "
+                                  "their blocks share an interior point")
+
+
 def decomposition_analysis(whole, parts, seed=0, coeff="Z", tols=DEFAULT):
     """Morse relations for a declared decomposition: ``parts`` are the
     systems of the Morse sets, on the flow of ``whole``, with blocks
-    pairwise disjoint inside its block."""
+    pairwise disjoint inside its block (overlapping ones are refused
+    before any HI is computed)."""
     _shared((whole, *parts), "field")
+    _disjoint(parts)
     whole, *parts = (compute_HI(s, seed=seed, coeff=coeff, tols=tols)
                      for s in (whole, *parts))
     pw = homalg.poincare(whole.homology)
     pp = [homalg.poincare(p.homology) for p in parts]
     q = homalg.relations_check(pp, pw)
     return DecompositionReport(q, pp, pw), whole, parts
-
-
-# ---------------------------------------------------------------------------
-# attractor-repeller pairs and connection matrices
-
-@dataclass
-class AttractorRepellerReport:
-    boundary_blocks: dict      # k -> (dA, delta, dR) integer matrices
-    delta_ranks: dict          # k -> rank of induced delta on homology
-    q: homalg.PoincarePolynomial
-    q_deficit: homalg.PoincarePolynomial
-    connection_matrix_squares_to_zero: bool
-
-    @property
-    def verdict(self):
-        return (self.connection_matrix_squares_to_zero
-                and self.q == self.q_deficit)
-
-
-def _split_complex(crits, top, a_block, r_block):
-    """Partition the generators of the S complex into attractor and
-    repeller generators by containment of their coordinates, and return
-    per-degree index lists (A first).  The generators of degree k are the
-    critical points of index k, in ``crits`` order, as ``morse.build_complex``
-    lays them out."""
-    by_degree = [[c for c in crits if c.index == k] for k in range(top + 1)]
-    points = [c.coords for cs in by_degree for c in cs]
-    X = np.array(points, dtype=float).reshape(len(points), a_block.dimension)
-    in_a = a_block.contains_columns(X.T)
-    bad = np.flatnonzero(in_a == r_block.contains_columns(X.T))
-    if bad.size:
-        raise NotAttractorRepellerError(
-            f"critical point {points[bad[0]]} is in "
-            f"{'both' if in_a[bad[0]] else 'neither'} sub-block")
-    ends = np.cumsum([len(cs) for cs in by_degree])[:-1]
-    return [(np.flatnonzero(a).tolist(), np.flatnonzero(~a).tolist())
-            for a in np.split(in_a, ends)]
-
-
-def attractor_repeller(s_result, a_block, r_block):
-    """Reorder the S-level Morse boundary into the attractor-repeller block
-    form, extract the connection data, and check the rank identity against
-    the Poincare deficit."""
-    complex_ = s_result.complex
-    top = complex_.top
-    order = _split_complex(s_result.quadruple.crits, top, a_block, r_block)
-    na = [len(a_idx) for a_idx, _ in order]
-    nr = [len(r_idx) for _, r_idx in order]
-    blocks, dA, dR, delta = {}, {}, {}, {}
-    for k in range(1, top + 1):
-        M = complex_.boundary(k)
-        arow, rrow = order[k - 1]
-        acol, rcol = order[k]
-        dA[k] = [[M[i][j] for j in acol] for i in arow]
-        dR[k] = [[M[i][j] for j in rcol] for i in rrow]
-        delta[k] = [[M[i][j] for j in rcol] for i in arow]
-        lower_left = [(i, j, M[i][j]) for i in rrow for j in acol if M[i][j]]
-        if lower_left:
-            i, j, v = lower_left[0]
-            raise NotAttractorRepellerError(
-                "connection from the attractor up to the repeller detected "
-                f"(entry {v} at boundary degree {k}, row {i}, col {j}); "
-                "not an attractor-repeller pair at this resolution")
-        blocks[k] = (dA[k], delta[k], dR[k])
-    ha = homalg.homology(homalg.ChainComplex(na, dA))
-    hr = homalg.homology(homalg.ChainComplex(nr, dR))
-    # induced map on homology: rank of delta_k restricted to cycles of the
-    # repeller complex, modulo boundaries of the attractor complex
-    dranks = {k: _induced_rank(delta[k], dR[k], dA[k], nr[k])
-              for k in range(1, top + 1)}
-    squares = _delta_squares_to_zero(top, dA, dR, delta, na, nr)
-    # rank identity: Q_t = sum_k rank(delta_k on homology) t^{k-1}
-    q = homalg.PoincarePolynomial(tuple(dranks[k] for k in range(1, top + 1)))
-    deficit = homalg.relations_check(
-        [homalg.poincare(ha), homalg.poincare(hr)],
-        homalg.poincare(s_result.homology))
-    return AttractorRepellerReport(blocks, dranks, q, deficit, squares), ha, hr
-
-
-def _rank(rows, *blocks):
-    """Rank over Q of the integer matrix [B_1 | B_2 | ...] with ``rows``
-    rows, as its number of Smith invariant factors.  A block with no
-    columns may be given with no rows."""
-    M = [[] for _ in range(rows)]
-    for B in blocks:
-        for out, row in zip(M, B):
-            out.extend(row)
-    return len(homalg.smith_normal_form(M)[0])
-
-
-def _delta_squares_to_zero(top, dA, dR, delta, na, nr):
-    """Check that the connection matrix Delta on H_*(A) + H_*(R) exists
-    and squares to zero.
-
-    Delta carries H_k(R) into H_{k-1}(A) via the induced delta_k and is
-    zero on H_*(A).  It exists when delta_k takes every R-cycle into
-    span(ker dA_{k-1}, im dA_k), that is when
-    rank [KA_{k-1} | dA_k | delta_k KR_k] = rank [KA_{k-1} | dA_k]
-    for the kernel bases KA and KR.  Its only nonzero block maps
-    R-coordinates into A-coordinates, so Delta^2 = 0 for any such Delta."""
-    for k in range(1, top + 1):
-        span = (homalg.kernel_basis(dA.get(k - 1, []), na[k - 1]), dA[k])
-        image = homalg.matmul(delta[k], homalg.kernel_basis(dR[k], nr[k]))
-        if _rank(na[k - 1], *span, image) != _rank(na[k - 1], *span):
-            return False  # delta of a cycle fails to be a cycle
-    return True
-
-
-def _induced_rank(delta, dR_k, dA_k, nr_k):
-    """Rank of the map H_k(R) -> H_{k-1}(A) induced by delta.
-
-    Restrict delta to ker(dR_k) and mod out by im(dA_k):
-    rank = rank([delta K | dA_k]) - rank(dA_k) over Q, where K is a
-    Z-basis of ker(dR_k), which is a basis over Q too.
-    """
-    K = homalg.kernel_basis(dR_k, nr_k)
-    rows = len(delta)
-    return _rank(rows, homalg.matmul(delta, K), dA_k) - _rank(rows, dA_k)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,7 @@ entry that is a unit of the coefficient ring (+-1 over Z, odd over Z/2)
 cancels its pair of generators by an elementary reduction, a chain
 homotopy equivalence.  What is left is small, and one Smith normal form
 over Z per degree of that residue gives the homology; over Z/2 the residue
-has no entries.  The Smith normal form is also the one routine of the
-connection-matrix algebra: its number of invariant factors is a rank over
-Q, and its V gives a kernel basis (``kernel_basis``).
+has no entries.
 
 A cubical complex, given by two cell masks on a doubled grid (see
 ``block``), is never stored whole as columns.  The face ranks and signs of
@@ -50,23 +48,6 @@ def identity(n):
     for i in range(n):
         M[i][i] = 1
     return M
-
-
-def matmul(A, B):
-    if not A or not B:
-        return []
-    n, k, m = len(A), len(B), len(B[0]) if B else 0
-    out = zeros(n, m)
-    for i in range(n):
-        Ai = A[i]
-        Oi = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                for j in range(m):
-                    Oi[j] += a * Bt[j]
-    return out
 
 
 def shape(A):
@@ -185,17 +166,6 @@ def smith_normal_form(A):
                 changed = True
     diag = [M[i][i] for i in range(t) if M[i][i]]
     return diag, U, V
-
-
-def kernel_basis(A, ncols):
-    """Z-basis of ker A, as the columns of an (ncols, nullity) matrix: the
-    columns of V after the rank, for U A V the Smith normal form.  Over Q
-    the same columns are a basis of the kernel.  A matrix with no rows
-    gives the identity basis."""
-    if not A:
-        return identity(ncols)
-    diag, _, V = smith_normal_form(A)
-    return [row[len(diag):] for row in V]
 
 
 # ---------------------------------------------------------------------------

@@ -734,6 +734,22 @@ def test_bad_expression_exits_two(tmp_path, capsys):
     assert cli.main(["hi", str(p)]) == 2
 
 
+def test_relations_refuses_overlapping_sets(tmp_path, monkeypatch, capsys):
+    # the left well twice and the saddle: the Poincare polynomials of the
+    # sets would still sum to the whole's plus (1 + t), but the sets overlap
+    with open(_path("double_well_relations.json")) as fh:
+        doc = json.load(fh)
+    left, _, saddle = doc["decomposition"]["sets"]
+    doc["decomposition"]["sets"] = [left, left, saddle]
+    calls = []
+    monkeypatch.setattr(conley, "compute_HI", calls.append)
+    assert cli.main(["relations", _write(tmp_path, doc), "--seed", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and calls == []
+    assert captured.err == ("error: decomposition sets 0 and 1 overlap: "
+                            "their blocks share an interior point\n")
+
+
 def test_relations_requires_decomposition_section(capsys):
     assert cli.main(["relations", _path("saddle.json")]) == 2
 

@@ -1,15 +1,12 @@
-"""Pipeline orchestration: exit theorem, decompositions, attractor-repeller
-pairs, and continuation."""
+"""Pipeline orchestration: exit theorem, decompositions and continuation."""
 import dataclasses
 import math
 import os
-import random
 import types
 
 import numpy as np
 import pytest
 
-import algebra_oracle
 from mcfhom import block, cli, conley, expr, homalg, lyapunov
 
 DW_FIELD = ["x1 - x1^3"]
@@ -69,6 +66,39 @@ def test_hi_attracting_interval():
     assert rep.verdict
     assert rep.hi.describe() == "H_0 = Z"
     assert [c.index for c in res.quadruple.crits] == [0, 1, 0]
+
+
+def test_hi_ring_and_its_repelling_centre():
+    # the unit circle attracts, the origin repels: an index-2 source on a
+    # flow that is not a gradient, over the square block, whose connecting
+    # orbits run down into the ring
+    fld = expr.parse_field(["x1*(1 - x1^2 - x2^2) - 0.2*x2",
+                            "x2*(1 - x1^2 - x2^2) + 0.2*x1"], 2)
+    b = block.build_block(box=[(-2, 2), (-2, 2)], spacing=0.5)
+    V = expr.parse("-((x1^2 + x2^2)/2 - (x1^2 + x2^2)^2/4)", 2)
+    ring = tuple((math.cos(math.pi * i / 16), math.sin(math.pi * i / 16))
+                 for i in range(32))
+    sd = lyapunov.SDeclaration(ring + ((0.0, 0.0),), 0.15, 0.26)
+    res = conley.compute_HI(conley.System(
+        fld, b, V, sd, epsilon=0.15, perturbation=expr.parse("x1", 2)),
+        seed=0)
+    assert res.homology.describe() == "H_0 = Z"
+    assert res.complex.dims == [1, 1, 1]
+    assert res.complex.boundary(1) == [[0]]
+    assert res.complex.boundary(2) in ([[1]], [[-1]])
+
+
+def test_hi_decoupled_pair():
+    # two attracting equilibria on a block of two components, no
+    # connecting orbit between them
+    fld = expr.parse_field(DW_FIELD, 1)
+    b = block.build_block(cubes=[(0,), (1,), (5,), (6,)], origin=(-1.75,),
+                          spacing=0.5)
+    sd = lyapunov.SDeclaration(((-1.0,), (1.0,)), 0.15, 1e-8)
+    res = conley.compute_HI(
+        conley.System(fld, b, expr.parse(DW_LYAP, 1), sd), seed=0)
+    assert res.homology.describe() == "H_0 = Z^2"
+    assert [c.index for c in res.quadruple.crits] == [0, 0]
 
 
 def test_exit_theorem_classifies_the_boundary_once(monkeypatch):
@@ -168,6 +198,37 @@ def test_decomposition_chi_mismatch_rejected():
         conley.decomposition_analysis(dw, _dw_parts(dw)[:2], seed=0)
 
 
+def test_decomposition_sets_must_not_overlap(monkeypatch):
+    dw = _dw()
+    left, right, centre = _dw_parts(dw)
+    # refused before any HI is computed
+    monkeypatch.setattr(conley, "compute_HI", None)
+    with pytest.raises(conley.ConleyError, match="^decomposition sets 0 "
+                       "and 1 overlap: their blocks share an interior point"):
+        conley.decomposition_analysis(dw, [left, left, centre])
+
+
+@pytest.mark.parametrize("box,spacing,overlap", [
+    ([(1, 1.5), (0.5, 1)], 0.5, False),        # a shared edge
+    ([(1, 1.25), (1, 1.25)], 0.25, False),     # a shared corner
+    ([(0.5, 0.75), (0.25, 0.5)], 0.25, False),  # between the two cubes
+    ([(0.25, 0.5), (0.25, 0.5)], 0.25, True),
+    ([(0.75, 1.75), (0.75, 1.75)], 0.25, True),
+])
+def test_disjoint_reads_the_cube_boxes_on_each_spacing(box, spacing, overlap):
+    # against the cubes [0, 0.5]^2 and [0.5, 1]^2: two sets overlap when
+    # two of their cubes do, with positive length on every axis
+    diagonal = types.SimpleNamespace(block=block.build_block(
+        cubes=[(0, 0), (1, 1)], spacing=0.5))
+    other = types.SimpleNamespace(
+        block=block.build_block(box=box, spacing=spacing))
+    if overlap:
+        with pytest.raises(conley.ConleyError, match="sets 0 and 1 overlap"):
+            conley._disjoint([diagonal, other])
+    else:
+        conley._disjoint([diagonal, other])
+
+
 def test_systems_compared_must_share_one_field():
     dw = _dw()
     other = dataclasses.replace(
@@ -179,153 +240,6 @@ def test_systems_compared_must_share_one_field():
     # a field parsed again from the same text is the same field
     again = dataclasses.replace(dw, field=expr.parse_field(DW_FIELD, 1))
     assert conley.block_independence(dw, again)[0]
-
-
-# ---------------------------------------------------------------------------
-# attractor-repeller pairs and the connection matrix
-
-def test_attractor_repeller_double_well():
-    res = conley.compute_HI(_dw(), seed=0)
-    a_block = block.build_block(cubes=[(1,), (2,), (5,), (6,)],
-                                origin=(-2.0,), spacing=0.5)
-    r_block = block.build_block(box=[(-0.25, 0.25)], spacing=0.25)
-    rep, ha, hr = conley.attractor_repeller(res, a_block, r_block)
-    assert ha.describe() == "H_0 = Z^2"
-    assert hr.describe() == "H_1 = Z"
-    assert rep.delta_ranks == {1: 1}
-    assert str(rep.q) == "1"
-    assert str(rep.q_deficit) == "1"
-    assert rep.connection_matrix_squares_to_zero
-    assert rep.verdict
-    dA, delta, dR = rep.boundary_blocks[1]
-    assert delta in ([[1], [-1]], [[-1], [1]])
-
-
-def test_attractor_repeller_matches_decomposition_q():
-    res = conley.compute_HI(_dw(), seed=0)
-    a_block = block.build_block(cubes=[(1,), (2,), (5,), (6,)],
-                                origin=(-2.0,), spacing=0.5)
-    r_block = block.build_block(box=[(-0.25, 0.25)], spacing=0.25)
-    rep, _, _ = conley.attractor_repeller(res, a_block, r_block)
-    dec, _, _ = conley.decomposition_analysis(_dw(), _dw_parts(_dw()), seed=0)
-    assert str(rep.q) == str(dec.q)
-
-
-def test_attractor_repeller_decoupled_pair():
-    # two attracting equilibria, no connecting orbits: delta = 0, Q = 0
-    fld = expr.parse_field(DW_FIELD, 1)
-    b = block.build_block(cubes=[(0,), (1,), (5,), (6,)], origin=(-1.75,),
-                          spacing=0.5)
-    lyap = expr.parse(DW_LYAP, 1)
-    sd = lyapunov.SDeclaration(((-1.0,), (1.0,)), 0.15, 1e-8)
-    res = conley.compute_HI(conley.System(fld, b, lyap, sd), seed=0)
-    assert res.homology.describe() == "H_0 = Z^2"
-    a_block = block.build_block(box=[(-1.75, -0.75)], spacing=0.5)
-    r_block = block.build_block(box=[(0.75, 1.75)], spacing=0.5)
-    rep, ha, hr = conley.attractor_repeller(res, a_block, r_block)
-    assert rep.delta_ranks.get(1, 0) == 0
-    assert str(rep.q) == "0"
-    assert rep.verdict
-
-
-def test_attractor_repeller_rejects_upward_connection():
-    # hand-built S-result with a generator in the attractor block mapping
-    # down to one in the repeller block: the lower-left block is nonzero
-    res = conley.compute_HI(_dw(), seed=0)
-    # swap roles: call the repeller sub-block the attractor and vice versa
-    a_block = block.build_block(box=[(-0.25, 0.25)], spacing=0.25)
-    r_block = block.build_block(cubes=[(1,), (2,), (5,), (6,)],
-                                origin=(-2.0,), spacing=0.5)
-    with pytest.raises(conley.NotAttractorRepellerError, match="connection"):
-        conley.attractor_repeller(res, a_block, r_block)
-
-
-def test_attractor_repeller_rejects_uncovered_generator():
-    res = conley.compute_HI(_dw(), seed=0)
-    a_block = block.build_block(box=[(-1.5, -0.5)], spacing=0.5)
-    r_block = block.build_block(box=[(-0.25, 0.25)], spacing=0.25)
-    with pytest.raises(conley.NotAttractorRepellerError, match="neither"):
-        conley.attractor_repeller(res, a_block, r_block)
-
-
-def test_split_complex_orders_by_degree_and_names_the_first_offender():
-    def crit(index, x):
-        return types.SimpleNamespace(index=index, coords=(x,))
-
-    wells = block.build_block(cubes=[(1,), (2,), (5,), (6,)],
-                              origin=(-2.0,), spacing=0.5)
-    centre = block.build_block(box=[(-0.25, 0.25)], spacing=0.25)
-    crits = [crit(1, 0.0), crit(0, 1.0), crit(0, -1.0)]
-    assert conley._split_complex(crits, 1, wells, centre) == \
-        [([0, 1], []), ([], [0])]
-    # degree 0 is tested before degree 1, whatever the order of crits
-    mixed = [crit(1, 5.0), crit(0, 0.0)]
-    wide = block.build_block(box=[(-1.5, 1.5)], spacing=0.5)
-    for a_block, text in ((wide, "(0.0,) is in both"),
-                          (wells, "(5.0,) is in neither")):
-        with pytest.raises(conley.NotAttractorRepellerError) as exc:
-            conley._split_complex(mixed, 1, a_block, centre)
-        assert str(exc.value) == f"critical point {text} sub-block"
-
-
-def test_attractor_repeller_ring_and_its_repelling_centre():
-    # the unit circle attracts, the origin repels; the connecting orbits
-    # run from the index-2 maximum at the origin down into the ring
-    fld = expr.parse_field(["x1*(1 - x1^2 - x2^2) - 0.2*x2",
-                            "x2*(1 - x1^2 - x2^2) + 0.2*x1"], 2)
-    b = block.build_block(box=[(-2, 2), (-2, 2)], spacing=0.5)
-    V = expr.parse("-((x1^2 + x2^2)/2 - (x1^2 + x2^2)^2/4)", 2)
-    ring = tuple((math.cos(math.pi * i / 16), math.sin(math.pi * i / 16))
-                 for i in range(32))
-    sd = lyapunov.SDeclaration(ring + ((0.0, 0.0),), 0.15, 0.26)
-    res = conley.compute_HI(conley.System(
-        fld, b, V, sd, epsilon=0.15, perturbation=expr.parse("x1", 2)),
-        seed=0)
-    a_block = block.build_block(
-        cubes=[(i, j) for i in range(8) for j in range(8)
-               if not (3 <= i <= 4 and 3 <= j <= 4)],
-        origin=(-2.0, -2.0), spacing=0.5)
-    r_block = block.build_block(box=[(-0.5, 0.5), (-0.5, 0.5)], spacing=0.5)
-    rep, ha, hr = conley.attractor_repeller(res, a_block, r_block)
-    assert ha.describe() == "H_0 = Z; H_1 = Z"
-    assert hr.describe() == "H_2 = Z"
-    assert rep.delta_ranks == {1: 0, 2: 1}
-    assert str(rep.q) == "t"
-    assert rep.q == rep.q_deficit
-    assert rep.connection_matrix_squares_to_zero
-    assert rep.verdict
-
-
-def _random_block_complex(rng):
-    """Blocks dA, dR and delta of a random upper block-triangular boundary
-    [[dA, delta], [0, dR]] with small entries; d^2 = 0 is not enforced."""
-    top = rng.randint(1, 3)
-    na = [rng.randint(0, 3) for _ in range(top + 1)]
-    nr = [rng.randint(0, 3) for _ in range(top + 1)]
-
-    def mat(rows, cols):
-        return [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(cols)]
-                for _ in range(rows)]
-
-    dA = {k: mat(na[k - 1], na[k]) for k in range(1, top + 1)}
-    dR = {k: mat(nr[k - 1], nr[k]) for k in range(1, top + 1)}
-    delta = {k: mat(na[k - 1], nr[k]) for k in range(1, top + 1)}
-    return top, dA, dR, delta, na, nr
-
-
-def test_connection_matrix_algebra_agrees_with_the_fraction_oracle():
-    rng = random.Random(5)
-    flags = []
-    for _ in range(300):
-        top, dA, dR, delta, na, nr = _random_block_complex(rng)
-        for k in range(1, top + 1):
-            assert conley._induced_rank(delta[k], dR[k], dA[k], nr[k]) == \
-                algebra_oracle.induced_rank(delta[k], dR[k], dA[k], nr[k])
-        flag = conley._delta_squares_to_zero(top, dA, dR, delta, na, nr)
-        assert flag == algebra_oracle.delta_squares_to_zero(
-            top, dA, dR, delta, na, nr)
-        flags.append(flag)
-    assert True in flags and False in flags
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ def _check_snf(A, rows, cols):
         det = _det_int(M)
         assert det in (1, -1)
     # reconstruction U A V = diag(d)
-    P = homalg.matmul(homalg.matmul(U, A), V) if A else []
+    P = algebra_oracle.matmul(algebra_oracle.matmul(U, A), V) if A else []
     for i in range(rows):
         for j in range(cols):
             want = d[i] if i == j and i < len(d) else 0
@@ -88,37 +88,17 @@ def test_rank_mod2():
     assert algebra_oracle.rank_mod2([[1, 0], [0, 1]]) == 2
 
 
-def test_kernel_basis_spans_kernel():
-    A = [[1, -1, 0], [0, 0, 0]]
-    K = algebra_oracle.kernel_basis_fractions(A, ncols=3)
-    assert len(K) == 2
-    for v in K:
-        for row in A:
-            assert sum(a * x for a, x in zip(row, v)) == 0
-
-
-def test_kernel_basis_of_empty_matrix_needs_ncols():
-    K = algebra_oracle.kernel_basis_fractions([], ncols=2)
-    assert len(K) == 2
-
-
-def test_solve_fractions():
-    A = [[2, 0], [0, 3]]
-    x = algebra_oracle.solve_fractions(A, [4, 9])
-    assert [int(v) for v in x] == [2, 3]
-    assert algebra_oracle.solve_fractions([[1, 0], [1, 0]], [1, 2]) is None
-
-
-def test_kernel_basis_is_a_z_basis_of_the_kernel():
+def test_snf_v_trailing_columns_are_a_z_basis_of_the_kernel():
     rng = random.Random(3)
     for trial in range(40):
         rows, cols = rng.randint(1, 5), rng.randint(1, 6)
         # rank at most 2 on odd trials, so that the kernel is large
         inner = rng.randint(1, 2) if trial % 2 else cols
-        A = homalg.matmul(
+        A = algebra_oracle.matmul(
             [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(rows)],
             [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(inner)])
-        K = homalg.kernel_basis(A, cols)
+        d, _, V = homalg.smith_normal_form(A)
+        K = [row[len(d):] for row in V]
         assert len(K) == cols
         nullity = cols - algebra_oracle.rank_fractions(A)
         assert all(len(row) == nullity for row in K)
@@ -129,9 +109,12 @@ def test_kernel_basis_is_a_z_basis_of_the_kernel():
         assert homalg.smith_normal_form(K)[0] == [1] * nullity
 
 
-def test_kernel_basis_of_a_matrix_with_no_rows():
-    assert homalg.kernel_basis([], 3) == homalg.identity(3)
-    assert homalg.kernel_basis([], 0) == []
+def test_snf_v_of_a_matrix_with_no_rows():
+    # no rank: V is the identity, whose columns are all a kernel basis
+    assert homalg.smith_normal_form([])[2] == homalg.identity(0) == []
+    for cols in range(4):
+        assert homalg.smith_normal_form([[0] * cols])[2] == \
+            homalg.identity(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +176,7 @@ def test_d_squared_reports_the_first_entry_in_row_major_order():
         for coeff in ("Z", "Z2"):
             want = None
             for k in (1, 2):
-                P = homalg.matmul(c.boundary(k), c.boundary(k + 1))
+                P = algebra_oracle.matmul(c.boundary(k), c.boundary(k + 1))
                 want = next(((k, i, j, v % 2 if coeff == "Z2" else v)
                              for i, row in enumerate(P)
                              for j, v in enumerate(row)
@@ -291,8 +274,8 @@ def _known_complex(rng, top):
         for s, t in enumerate(factors[k]):
             D[s][first + s] = t
         if dims[k - 1] and dims[k]:
-            boundaries[k] = homalg.matmul(homalg.matmul(P[k - 1][0], D),
-                                          P[k][1])
+            boundaries[k] = algebra_oracle.matmul(
+                algebra_oracle.matmul(P[k - 1][0], D), P[k][1])
     betti = [free[k] + factors[k].count(0) + factors[k + 1].count(0)
              for k in range(top + 1)]
     torsion = {k - 1: sorted(t for t in factors[k] if t > 1)
