@@ -194,6 +194,9 @@ def build_block(box=None, cubes=None, origin=None, spacing=None, dimension=None)
         counts = []
         for lo, hi in box:
             n = (hi - lo) / spacing
+            if not math.isfinite(n):
+                raise BlockError(f"box side [{lo}, {hi}] has too many cells "
+                                 f"to count at spacing {spacing}")
             ni = round(n)
             if ni < 1 or abs(n - ni) > 1e-9 * max(1.0, abs(n)):
                 raise BlockError(

@@ -5,7 +5,8 @@ pointwise evaluation with domain checking, and compilation to plain Python
 functions that evaluate the columns of an (m, N) array at once with numpy.
 ``evaluate``, a tree walk over one point with Python floats, is the
 reference that compiled code is tested against.  Decimal literals are
-parsed to the nearest binary floating point value.
+parsed to the nearest binary floating point value, and a subtree of
+constants to its value (``_fold``).
 """
 from __future__ import annotations
 
@@ -219,6 +220,23 @@ def _tokenize(text):
     return tokens
 
 
+def _fold(e):
+    """``e``, or its value when every operand of its root is a constant,
+    which raises EvalDomainError where it has none.  A divisor that is a
+    constant zero is an error wherever it stands, as in ``div``.  Nothing
+    else is simplified: 0*log(x1) keeps its log, which has no value at
+    x1 <= 0."""
+    if isinstance(e, BinOp):
+        if e.op == "/" and _is_const(e.rhs, 0.0):
+            raise ExprError("constant division by zero")
+        operands = (e.lhs, e.rhs)
+    else:
+        operands = (e.base if isinstance(e, Pow) else e.arg,)
+    if all(map(_is_const, operands)):
+        return Const(evaluate(e, ()))
+    return e
+
+
 class _Parser:
     def __init__(self, tokens, m):
         self.tokens = tokens
@@ -246,7 +264,7 @@ class _Parser:
             if kind == "op" and val in "+-":
                 self.take()
                 rhs = self.parse_term()
-                node = BinOp(val, node, rhs)
+                node = _fold(BinOp(val, node, rhs))
             else:
                 return node
 
@@ -257,7 +275,7 @@ class _Parser:
             if kind == "op" and val in "*/":
                 self.take()
                 rhs = self.parse_factor()
-                node = BinOp(val, node, rhs)
+                node = _fold(BinOp(val, node, rhs))
             else:
                 return node
 
@@ -265,12 +283,12 @@ class _Parser:
         kind, val, off = self.peek()
         if kind == "op" and val == "-":
             self.take()
-            return Neg(self.parse_factor())
+            return _fold(Neg(self.parse_factor()))
         node = self.parse_atom()
         kind, val, off = self.peek()
         if kind == "op" and val == "^":
             self.take()
-            node = Pow(node, self.parse_integer())
+            node = _fold(Pow(node, self.parse_integer()))
         return node
 
     def parse_integer(self):
@@ -303,7 +321,7 @@ class _Parser:
                 self.expect_op("(")
                 arg = self.parse_expr()
                 self.expect_op(")")
-                return Call(val, arg)
+                return _fold(Call(val, arg))
             if val.startswith("x") and val[1:].isdigit():
                 idx = int(val[1:])
                 if idx < 1:

@@ -1,12 +1,12 @@
 """Exact integer homological algebra.
 
 A chain complex stores each boundary d_k once, as sparse columns over Z
-(dicts {row: value}).  Other matrices are lists of int rows (Python big
-integers throughout).  Homology first reduces the complex: every boundary
-entry that is a unit of the coefficient ring (+-1 over Z, odd over Z/2)
-cancels its pair of generators by an elementary reduction, a chain
-homotopy equivalence.  What is left is small, and one Smith normal form
-over Z per degree of that residue gives the homology; over Z/2 the residue
+(dicts {row: value}, Python big integers throughout).  Homology first
+reduces the complex: every boundary entry that is a unit of the coefficient
+ring (+-1 over Z, odd over Z/2) cancels its pair of generators by an
+elementary reduction, a chain homotopy equivalence.  What is left is small,
+and the invariant factors of one Smith normal form over Z per degree of
+that residue, a list of int rows, give the homology; over Z/2 the residue
 has no entries.
 
 A cubical complex, given by two cell masks on a doubled grid (see
@@ -19,9 +19,9 @@ left become sparse columns.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress
 
 import numpy as np
 
@@ -37,135 +37,47 @@ class NotAComplexError(HomalgError):
 
 
 # ---------------------------------------------------------------------------
-# basic matrix helpers (dense lists of ints)
-
-def zeros(r, c):
-    return [[0] * c for _ in range(r)]
-
-
-def identity(n):
-    M = zeros(n, n)
-    for i in range(n):
-        M[i][i] = 1
-    return M
-
-
-def shape(A):
-    return len(A), len(A[0]) if A else 0
-
-
-# ---------------------------------------------------------------------------
 # Smith normal form
 
 def smith_normal_form(A):
-    """Return (diag, U, V) with U*A*V diagonal, d_i >= 1, d_i | d_{i+1},
-    U and V unimodular.  ``diag`` lists only the nonzero invariant factors."""
-    n, m = shape(A)
+    """The nonzero invariant factors d_1 | d_2 | ... of an integer matrix
+    given as a list of rows, each d_i >= 1.
+
+    Each step takes as pivot the entry of least absolute value and reduces
+    its row and column by it; a remainder left is a smaller pivot for the
+    next step.  Once the pivot divides everything it touched, its row and
+    column are cleared, and they leave with the pivot as a diagonal entry.
+    The diagonal is brought into a divisibility chain by replacing each
+    pair (d_i, d_j), i < j, with (gcd, lcm), which keeps the invariant
+    factors of diag(d_i, d_j).  Only a copy of A is transformed: the
+    unimodular transforms of the form are not built."""
     M = [row[:] for row in A]
-    U = identity(n)
-    V = identity(m)
-
-    def swap_rows(i, j):
-        M[i], M[j] = M[j], M[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in M:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        # row dst += q * row src
-        Ms, Md = M[src], M[dst]
-        for j in range(m):
-            Md[j] += q * Ms[j]
-        Us, Ud = U[src], U[dst]
-        for j in range(n):
-            Ud[j] += q * Us[j]
-
-    def add_col(src, dst, q):
-        for row in M:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        M[i] = [-v for v in M[i]]
-        U[i] = [-v for v in U[i]]
-
-    t = 0
-    r = min(n, m)
-    while t < r:
-        # pivot: smallest nonzero absolute value in the remaining block,
-        # re-selected after every reduction pass to limit entry growth
-        while True:
-            piv = None
-            best = None
-            for i in range(t, n):
-                for j in range(t, m):
-                    v = M[i][j]
-                    if v and (best is None or abs(v) < best):
-                        best = abs(v)
-                        piv = (i, j)
-            if piv is None:
-                break
-            i, j = piv
-            if i != t:
-                swap_rows(t, i)
-            if j != t:
-                swap_cols(t, j)
-            p = M[t][t]
-            clean = True
-            for i in range(t + 1, n):
-                v = M[i][t]
-                if v:
-                    add_row(t, i, -(v // p))
-                    if M[i][t]:
-                        clean = False
-            for j in range(t + 1, m):
-                v = M[t][j]
-                if v:
-                    add_col(t, j, -(v // p))
-                    if M[t][j]:
-                        clean = False
-            if clean:
-                break
-        if piv is None or M[t][t] == 0:
+    diag = []
+    while True:
+        nonzero = [(abs(v), i, j) for i, row in enumerate(M)
+                   for j, v in enumerate(row) if v]
+        if not nonzero:
             break
-        if M[t][t] < 0:
-            negate_row(t)
-        t += 1
-    # enforce divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(t - 1):
-            a, b = M[i][i], M[i + 1][i + 1]
-            if b % a != 0:
-                # standard 2x2 fix: add col i+1 to col i, re-reduce the block
-                add_col(i + 1, i, 1)
-                # now M[i+1][i] = b; clear it via row/col ops
-                while True:
-                    v = M[i + 1][i]
-                    if v == 0:
-                        break
-                    q = v // M[i][i]
-                    add_row(i, i + 1, -q)
-                    if M[i + 1][i]:
-                        swap_rows(i, i + 1)
-                # clear fill-in in row i
-                vij = M[i][i + 1]
-                if vij:
-                    q = vij // M[i][i]
-                    add_col(i, i + 1, -q)
-                if M[i][i] < 0:
-                    negate_row(i)
-                if M[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
-                changed = True
-    diag = [M[i][i] for i in range(t) if M[i][i]]
-    return diag, U, V
+        _, i, j = min(nonzero)
+        p, prow = M[i][j], M[i]
+        for r, row in enumerate(M):
+            if r != i and row[j]:
+                q = row[j] // p
+                M[r] = [a - q * b for a, b in zip(row, prow)]
+        for c, v in enumerate(prow):
+            if c != j and v:
+                q = v // p
+                for row in M:
+                    row[c] -= q * row[j]
+        if sum(map(bool, prow)) == 1 and sum(bool(row[j]) for row in M) == 1:
+            diag.append(abs(p))
+            del M[i]
+            M = [row[:j] + row[j + 1:] for row in M]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag
 
 
 # ---------------------------------------------------------------------------
@@ -177,31 +89,17 @@ class ChainComplex:
 
     Each boundary d_k : C_k -> C_{k-1} is stored once, as sparse columns:
     ``columns[k][j]`` is column j of d_k, a dict {row: value} with no zero
-    entry.  Pass ``columns`` (a degree left out is zero), or ``boundaries``,
-    dense matrices of shape (dims[k-1], dims[k]) that are converted here.
-    ``boundary(k)`` builds the dense matrix of d_k on request."""
+    entry.  A degree left out of ``columns`` is zero."""
 
-    def __init__(self, dims, boundaries=None, columns=None):
+    def __init__(self, dims, columns=None):
         self.dims = list(dims)
-        self.columns = {}
-        for k in range(1, self.top + 1):
-            ck = (columns or {}).get(k) or [{} for _ in range(self.dims[k])]
-            for i, row in enumerate((boundaries or {}).get(k, ())):
-                for j in compress(range(len(row)), row):
-                    ck[j][i] = row[j]
-            self.columns[k] = ck
+        self.columns = {k: (columns or {}).get(k)
+                        or [{} for _ in range(self.dims[k])]
+                        for k in range(1, self.top + 1)}
 
     @property
     def top(self):
         return len(self.dims) - 1
-
-    def boundary(self, k):
-        rows = self.dims[k - 1] if 1 <= k <= self.top else 0
-        M = zeros(rows, self.dims[k] if 0 <= k <= self.top else 0)
-        for j, col in enumerate(self.columns.get(k, ())):
-            for i, v in col.items():
-                M[i][j] = v
-        return M
 
 
 def verify_d_squared(c, coeff="Z"):
@@ -344,7 +242,7 @@ def homology(c, coeff="Z"):
         if coeff == "Z2":
             raise HomalgError(f"mod-2 residue of d_{k} is not empty")
         diag = smith_normal_form([[cols[k][j].get(i, 0) for j in keep[k]]
-                                  for i in keep[k - 1]])[0]
+                                  for i in keep[k - 1]])
         ranks[k] = len(diag)
         tors = [d for d in diag if d > 1]
         if tors:

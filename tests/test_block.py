@@ -370,6 +370,20 @@ def test_a_box_over_the_grid_limit_is_a_block_error():
         block.build_block(box=[(0, 1)] * 3, spacing=1e-3)
 
 
+@pytest.mark.parametrize("box,spacing,message", [
+    ([(-1e308, 1e308)], 1,
+     "box side [-1e+308, 1e+308] has too many cells to count at spacing 1"),
+    ([(-1, 1), (0, 1)], 1e-320,
+     "box side [-1, 1] has too many cells to count at spacing 1e-320"),
+], ids=["side-overflows", "spacing-underflows"])
+def test_a_box_whose_cell_count_overflows_is_a_block_error(box, spacing,
+                                                          message):
+    # (hi - lo) / spacing is inf, which no int holds
+    with pytest.raises(block.BlockError) as err:
+        block.build_block(box=box, spacing=spacing)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_contains_columns_equals_the_oracle(m):
     rng = np.random.default_rng(20 + m)

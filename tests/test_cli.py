@@ -143,14 +143,57 @@ def test_a_constant_domain_error_at_options_lam_exits_two(
 @pytest.mark.parametrize("command", ["hi", "lyapunov"])
 def test_a_constant_division_by_zero_of_a_derivative_exits_two(
         command, tmp_path, capsys):
-    # the literal zero denominator is folded where the Lyapunov function
-    # is differentiated, inside the pipeline
+    # the literal zero denominator is refused where the file is parsed,
+    # before the pipeline differentiates the Lyapunov function
     with open(_path("saddle.json")) as fh:
         doc = json.load(fh)
     doc["lyapunov"] = "-(x1^2 - x2^2)/2 + x1^3/0"
     assert cli.main([command, _write(tmp_path, doc)]) == 2
     assert capsys.readouterr().err == \
         "input error: constant division by zero\n"
+
+
+_COMMAND_FILES = [("block", "saddle.json"), ("cubical", "saddle.json"),
+                  ("lyapunov", "saddle.json"), ("hi", "saddle.json"),
+                  ("relations", "double_well_relations.json"),
+                  ("continue", "double_well_continue.json")]
+
+
+@pytest.mark.parametrize("command,name", _COMMAND_FILES)
+@pytest.mark.parametrize("key,text", [("field", "1/0"),
+                                      ("lyapunov", "x1^2 + 1/(1-1)")])
+@pytest.mark.parametrize("lam", [None, 0.5])
+def test_a_constant_division_by_zero_exits_two_with_or_without_lam(
+        command, name, key, text, lam, tmp_path, capsys):
+    # the constant subtree folds where the file is parsed, before lam is
+    # bound: one message with options.lam or without
+    with open(_path(name)) as fh:
+        doc = json.load(fh)
+    doc[key] = [text] + doc["field"][1:] if key == "field" else text
+    if lam is not None:
+        doc["options"] = {"lam": lam}
+    assert cli.main([command, _write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: constant division by zero\n"
+
+
+@pytest.mark.parametrize("command,name", _COMMAND_FILES)
+@pytest.mark.parametrize("side,spacing,message", [
+    ([-1e308, 1e308], 1, "box side [-1e+308, 1e+308] has too many cells to "
+                         "count at spacing 1"),
+    ([0, 1], 1e-320, "box side [0, 1] has too many cells to count at "
+                     "spacing 1e-320"),
+], ids=["side-overflows", "spacing-underflows"])
+def test_a_box_whose_cell_count_overflows_exits_two(
+        command, name, side, spacing, message, tmp_path, capsys):
+    with open(_path(name)) as fh:
+        doc = json.load(fh)
+    doc["block"] = {"box": [side] * doc["dimension"], "spacing": spacing}
+    assert cli.main([command, _write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
 
 
 def test_an_infinite_perturbation_fails_the_certificate_without_a_warning(

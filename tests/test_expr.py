@@ -77,6 +77,31 @@ def test_lam_parses_as_parameter():
     assert expr.evaluate(e, (1.0,), lam=0.5) == 1.5
 
 
+@pytest.mark.parametrize("text", ["1/0", "x1^2 + 1/(1-1)", "x1/0",
+                                  "x1/-(2 - 2)", "lam/(0*3)"])
+def test_a_constant_zero_divisor_is_an_error_where_it_is_parsed(text):
+    with pytest.raises(expr.ExprError) as err:
+        expr.parse(text, 1)
+    assert str(err.value) == "constant division by zero"
+
+
+def test_parse_folds_constant_subtrees_only():
+    assert expr.parse("2*3*x1", 1) == \
+        expr.BinOp("*", expr.Const(6.0), expr.Var(0))
+    assert expr.parse("-(1 - 3)^2/4 + sqrt(4)", 1) == expr.Const(1.0)
+    assert expr.parse("x1*2*3", 1) == expr.BinOp(
+        "*", expr.BinOp("*", expr.Var(0), expr.Const(2.0)), expr.Const(3.0))
+    with pytest.raises(expr.EvalDomainError, match=r"in log\(-1\)"):
+        expr.parse("x1*log(1 - 2)", 1)
+    # no algebraic simplification: 0*log(x1) has no value where log has none
+    e = expr.parse("0*log(x1)", 1)
+    assert e == expr.BinOp("*", expr.Const(0.0), expr.Call("log", expr.Var(0)))
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(expr.compile_scalar(e)(np.array([[-1.0]]))[0])
+    assert expr.parse("x1 - x1", 1) == \
+        expr.BinOp("-", expr.Var(0), expr.Var(0))
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
