@@ -9,44 +9,42 @@ runs it on the block's bounding-box lattice.
 Connections are counted only between critical points of adjacent index.  A
 connecting orbit p -> q, with ind p = k and ind q = k - 1, lies on the
 unstable manifold of p and on the stable manifold of q, so it crosses both
-the unstable sphere S^{k-1} of p and the stable sphere S^{m-k} of q.  It is
-counted on a zero-sphere wherever one side is one:
+the unstable sphere S^{k-1} of p and the stable sphere S^{m-k} of q.  Each
+sphere searched is a ``sphere.Circle``, a cycle of directions d in
+angular order seeded at x + delta_u (frame @ d) and followed in one
+direction of time (``ConnectionFinder._spheres``):
 
-- k = 1: forward on -grad f from the seeds p +- delta_u v_u, where v_u is
-  the unstable eigenvector of p.  The sign of a witness is the sign of its
-  direction coefficient, the orientation convention for an index-0 target.
-- k = m: backward in time on -grad f (forward on +grad f) from the seeds
-  q +- delta_u v_s of every target q, where v_s is the stable eigenvector
-  of q.  An orbit from q + sigma delta_u v_s that reaches p is a witness of
-  p -> q; its sign is sign det(U_p) * sign det[-sigma v_s, U_q], with U the
-  unstable frames, since the flow's Jacobian has positive determinant
-  (Liouville's formula).
+- k = 1: forward on -grad f from the unstable S^0 of p, the seeds
+  p +- delta_u v_u.  The sign of a witness is the sign of its direction
+  coefficient, the orientation convention for an index-0 target.
+- k = m > 1: backward in time from the stable S^0 of every target q of
+  index m - 1, the seeds q +- delta_u v_s.  An orbit from q + sigma
+  delta_u v_s that reaches p is a witness of p -> q; its sign is
+  sign det(U_p) * sign det[-sigma v_s, U_q], with U the unstable frames,
+  since the flow's Jacobian has positive determinant (Liouville's formula).
+- 1 < k < m, so k = 2: forward on the unstable circle of p.  A connecting
+  orbit has a capture window, an interval of the circle, so a witness is a
+  run of neighbours captured at one target, and its first direction
+  receives a sign by transporting p's unstable frame along its orbit; the
+  witnesses of all sources with one frame size are signed by one
+  ``flow.transport_frame`` batch, which raises the first fault of the
+  batch.
+- 3 <= k <= m - 1: the connecting directions are isolated points on curves
+  of S^{k-1}, which bisection cannot find, so ``search`` raises
+  ``MorseError`` before any orbit runs.
 
-One rule reads every label of a sphere (``ConnectionFinder._read``), right
-after its batch and in batch order: the first orbit of a batch that fails
-raises its error, and the first that hits the time budget, or that is
-captured at a critical point whose index is not below the source's (not
-above it, backward in time), a connection that is not Morse-Smale, raises
-``MorseError``.  On a zero-sphere this admits only the adjacent index.
-All zero-sphere seeds of a search go in one ``flow.classify_limit`` batch
-on the same field, each column with its own direction of time: the forward
-seeds first, then the backward ones.
-
-For k = 2 < m the seeds live on a small circle inside the unstable
-eigenspace of p (``ConnectionFinder.sphere_search``, also the test oracle
-for k = 1 and k = m = 2), held as a cycle of directions in angular order
-(``sphere.Circle``).  Every gap whose end labels differ is refined by
-halving, ``sphere.DEPTH`` levels in one batch, down to ``dir_tol``; the
-circles of all sources are refined in lockstep, so each batch is one
-``flow.classify_limit`` call for every source.  A connecting orbit has a
-capture window, an interval of the circle, so a witness is a run of
-neighbours captured at one target, and its first direction receives a
-sign by transporting the source's unstable frame along its orbit; the
-witnesses of all sources with one frame size are signed by one
-``flow.transport_frame`` batch, which raises the first fault of the batch.
-For 3 <= k <= m - 1 the connecting directions are isolated points on
-curves of S^{k-1}, which bisection cannot find, so ``search`` raises
-``MorseError`` before any orbit runs.
+All spheres of a search are refined in lockstep (``_search_spheres``):
+every gap whose end labels differ is refined by halving, ``sphere.DEPTH``
+levels in one batch, down to ``dir_tol``, and each batch is one
+``flow.classify_limit`` call on the same field for every sphere, each
+column with its own direction of time: the forward S^0 first, then the
+backward S^0, then the circles.  One rule reads every label of a sphere
+(``ConnectionFinder._read``), right after its batch and in batch order:
+the first orbit of a batch that fails raises its error, and the first that
+hits the time budget, or that is captured at a critical point whose index
+is not below the source's (not above it, backward in time), a connection
+that is not Morse-Smale, raises ``MorseError``.  On a zero-sphere this
+admits only the adjacent index.
 """
 from __future__ import annotations
 
@@ -243,9 +241,8 @@ class ConnectionFinder:
         Q, R = np.linalg.qr(A)
         return Q * np.sign(np.diag(R))
 
-    def _seed_point(self, x, d):
-        U = x.frame_matrix()
-        return np.asarray(x.coords) + self.tols.delta_u * (U @ d)
+    def _seed_point(self, s, d):
+        return np.asarray(s.x.coords) + self.tols.delta_u * (s.frame @ d)
 
     def _classify(self, seeds):
         """Classify as one ``flow.classify_limit`` batch the orbits from the
@@ -271,122 +268,32 @@ class ConnectionFinder:
         return self._witnesses[source_ident]
 
     def search(self, sources):
-        """Find and sign the witnesses of every source not searched yet.
-
-        A source of index 3 <= k <= m - 1 with targets raises
-        ``MorseError`` before any orbit runs.  Sources of index 1 are
-        searched forward on their unstable S^0 and sources of index m
-        backward from the stable S^0 of every target of index m - 1, which
-        finds the witnesses of all sources of index m at once.  Both kinds
-        of seed x + sigma delta_u v, sigma = 1, -1, run in one batch, the
-        forward ones first; its forward orbits are read and stored first,
-        then its backward ones.  Sources of index 2 < m are searched on
-        their unstable circle, as ``sphere_search`` does."""
-        m = self.b.dimension
-        todo = []
-        for x in sources:
-            if x.ident in self._witnesses:
-                continue
-            if any(c.index == x.index - 1 for c in self.crits):
-                todo.append(x)
-            else:
-                self._witnesses[x.ident] = {}
-        spheres = self._spheres([x for x in todo if 1 < x.index < m])
-        ones = [x for x in todo if x.index == 1]
-        backward = any(x.index == m > 1 for x in todo)
-        targets = [q for q in self.crits if q.index == m - 1] \
-            if backward else []
-        seeds = [(x, sigma, d, np.asarray(x.coords)
-                  + self.tols.delta_u * (sigma * np.asarray(v)))
-                 for x, v, d in [(x, x.frame[0], 1) for x in ones]
-                 + [(q, q.stable[0], -1) for q in targets]
-                 for sigma in (1, -1)]
-        orbits = [*zip(seeds, self._classify([(p, d)
-                                              for _, _, d, p in seeds]))]
-        found = self._captures(orbits[:2 * len(ones)])
-        for x in ones:
-            self._witnesses[x.ident] = {}
-        for x, sigma, c, t in found:
-            self._witnesses[x.ident].setdefault(c.ident, []).append(
-                Witness((float(sigma),), sigma, t))
-        if backward:
-            self._sign_backward(self._captures(orbits[2 * len(ones):]))
-        self._search_spheres(spheres)
-
-    def _sign_backward(self, found):
-        """Store the witnesses of every source of index m, from the
-        captures (q, sigma, x, t) of the orbits that leave the stable S^0
-        of each target q of index m - 1 backward in time."""
-        m = self.b.dimension
-        tops = [x for x in self.crits
-                if x.index == m and x.ident not in self._witnesses]
-        for x in tops:
-            self._witnesses[x.ident] = {}
-        orient = {x.ident: np.linalg.det(x.frame_matrix()) for x in tops}
-        for q, sigma, x, t in found:
-            if x.ident not in orient:
-                continue
-            B = np.column_stack([-sigma * np.asarray(q.stable[0]),
-                                 q.frame_matrix()])
-            sign = 1 if orient[x.ident] * np.linalg.det(B) > 0 else -1
-            self._witnesses[x.ident].setdefault(q.ident, []).append(
-                Witness((float(sigma),), sign, t))
-
-    def _captures(self, orbits):
-        """(x, sigma, c, capture time) for each orbit ((x, sigma, direction,
-        seed point), (label, signed end time)) of a zero-sphere captured at
-        a critical point c, in seed order; every label is read by
-        ``_read``."""
-        return [(x, sigma, c, abs(t)) for (x, sigma, d, _), (lab, t) in orbits
-                if (c := self._read(x, d, (sigma,), lab)) is not None]
-
-    def _read(self, x, d, u, lab):
-        """The critical point at which the orbit from the seed along the
-        coefficients ``u`` of the unstable sphere of x (d = 1) or of its
-        stable sphere (d = -1) is captured, read from its label ``lab``;
-        None if the orbit exits.
-
-        The one rule for every label of a sphere: a failed orbit raises its
-        error; one that hits the time budget, or that is captured at a
-        critical point whose index is not below x's (forward) or not above
-        it (backward), a connection that is not Morse-Smale, raises
-        ``MorseError``."""
-        if lab[0] == "exit":
-            return None
-        if lab[0] == "failed":
-            raise lab[1]
-        if lab[0] == "crit":
-            c = self.by_id[lab[1]]
-            if (x.index - c.index) * d > 0:
-                return c
-        k = x.index - 1 if d > 0 else self.b.dimension - x.index - 1
-        where = (f"the orbit from critical point {x.ident} at {x.coords} "
-                 f"along seed {', '.join(f'{v:+g}' for v in u)} of its "
-                 f"{'unstable' if d > 0 else 'stable'} S^{k}")
-        if lab[0] == "budget":
-            raise MorseError(f"{where} hit the time budget; a missed orbit "
-                             f"would be a miscount")
-        raise MorseError(f"{where} is captured at critical point {c.ident} "
-                         f"of index {c.index}: the connection is not "
-                         f"Morse-Smale")
-
-    def sphere_search(self, sources):
-        """Find and sign the witnesses of every source not searched yet on
-        its unstable direction sphere, S^0 or the circle S^1; a source of
-        index 3 or more with targets raises ``MorseError`` before any orbit
-        runs."""
+        """Find and sign the witnesses of every source not searched yet, on
+        the spheres ``_spheres`` picks, by ``_search_spheres``."""
         self._search_spheres(self._spheres(sources))
 
     def _spheres(self, sources):
-        """The unsearched ``sphere.Circle`` of each source of ``sources``
-        with targets; a source without any has no witnesses."""
-        spheres = []
+        """The ``sphere.Circle`` of each unsearched source of ``sources``
+        with targets; a source without any has no witnesses.
+
+        A source of index 1 is searched forward on its unstable S^0, and
+        one of index 1 < k < m on its unstable circle.  A source of index
+        m > 1 is searched backward from the stable S^0 of every target of
+        index m - 1, whose targets are all unsearched sources of index m.
+        A source of index 3 <= k <= m - 1 raises ``MorseError`` before any
+        orbit runs.  The list holds the forward S^0 in source order, the
+        backward S^0 in the order of the critical points, then the circles
+        in source order."""
+        m = self.b.dimension
+        forward, circles, top = [], [], False
         for x in sources:
             if x.ident in self._witnesses:
                 continue
             targets = {c.ident for c in self.crits if c.index == x.index - 1}
             if not targets:
                 self._witnesses[x.ident] = {}
+            elif x.index == m > 1:
+                top = True
             elif x.index > 2:
                 raise MorseError(
                     f"critical point {x.ident} at {x.coords} has index "
@@ -395,49 +302,101 @@ class ConnectionFinder:
                     f"isolated points on curves, which bisection cannot "
                     f"find; only S^0 and S^1 are searched")
             else:
-                rot = self._rotation(2) if x.index == 2 else np.eye(1)
-                spheres.append(sphere.Circle(x, targets, sphere.cycles(
-                    x.index, self.tols.n_dir_seeds, rot), self.tols.dir_tol))
-        return spheres
+                (forward if x.index == 1 else circles).append(
+                    self._circle(x, 1, x.frame_matrix(), targets))
+        tops = {x.ident for x in self.crits
+                if x.index == m and x.ident not in self._witnesses}
+        backward = [self._circle(q, -1, np.column_stack(q.stable), tops)
+                    for q in self.crits if top and q.index == m - 1]
+        return forward + backward + circles
+
+    def _circle(self, x, time, frame, targets):
+        """The ``sphere.Circle`` at x along the k columns of ``frame``, k =
+        1 or 2, before refinement."""
+        k = frame.shape[1]
+        return sphere.Circle(x, time, frame, targets, sphere.cycles(
+            k, self.tols.n_dir_seeds,
+            self._rotation(2) if k == 2 else np.eye(1)), self.tols.dir_tol)
+
+    def _read(self, s, u, lab):
+        """Read the label ``lab`` of the orbit from the seed along the
+        coefficients ``u`` of the sphere ``s``.
+
+        The one rule for every label of a sphere: an orbit that exits
+        passes; a failed orbit raises its error; one that hits the time
+        budget, or that is captured at a critical point whose index is not
+        below the sphere's point (forward) or not above it (backward), a
+        connection that is not Morse-Smale, raises ``MorseError``."""
+        if lab[0] == "exit":
+            return
+        if lab[0] == "failed":
+            raise lab[1]
+        x = s.x
+        if lab[0] == "crit":
+            c = self.by_id[lab[1]]
+            if (x.index - c.index) * s.time > 0:
+                return
+        where = (f"the orbit from critical point {x.ident} at {x.coords} "
+                 f"along seed {', '.join(f'{v:+g}' for v in u)} of its "
+                 f"{'unstable' if s.time > 0 else 'stable'} S^{len(u) - 1}")
+        if lab[0] == "budget":
+            raise MorseError(f"{where} hit the time budget; a missed orbit "
+                             f"would be a miscount")
+        raise MorseError(f"{where} is captured at critical point {c.ident} "
+                         f"of index {c.index}: the connection is not "
+                         f"Morse-Smale")
 
     def _search_spheres(self, spheres):
-        """Refine ``spheres`` in lockstep and sign their witnesses.
+        """Refine ``spheres`` in lockstep and store their signed witnesses.
 
         Each step labels what every unfinished sphere wants in one
         ``_classify`` batch, and ``_read`` reads each of its labels, in
-        batch order, before any sphere learns them.  The witnesses are
-        signed by ``_signs``."""
+        batch order, before any sphere learns them.  A witness of a forward
+        S^0 is signed by its direction coefficient, one of a backward S^0
+        by the determinant rule and stored under the source it reaches, and
+        those of the circles by ``_signs``."""
         while True:
             asks = [(s, s.wanted()) for s in spheres]
-            seeds = [(s.x, u) for s, us in asks for u in us]
+            seeds = [(s, u) for s, us in asks for u in us]
             if not seeds:
                 break
-            labels = self._classify([(self._seed_point(x, u), 1)
-                                     for x, u in seeds])
-            for (x, u), (lab, _) in zip(seeds, labels):
-                self._read(x, 1, u, lab)
+            labels = self._classify([(self._seed_point(s, u), s.time)
+                                     for s, u in seeds])
+            for (s, u), (lab, _) in zip(seeds, labels):
+                self._read(s, u, lab)
             labels = iter(labels)
             for s, us in asks:
                 s.learn(itertools.islice(labels, len(us)))
-        reps = [s.witnesses() for s in spheres]
-        jobs = [(s.x, self.by_id[tgt], d, t)
-                for s, by_target in zip(spheres, reps)
-                for tgt, items in by_target.items() for d, t in items]
-        signs = iter(self._signs(jobs))
-        for s, by_target in zip(spheres, reps):
-            self._witnesses[s.x.ident] = {
-                tgt: [Witness(tuple(float(v) for v in d), next(signs), t)
-                      for d, t in items]
-                for tgt, items in by_target.items()}
+        found = [(s, tgt, d, t) for s in spheres
+                 for tgt, items in s.witnesses().items() for d, t in items]
+        signs = iter(self._signs([(s, self.by_id[tgt], d, t)
+                                  for s, tgt, d, t in found if len(d) > 1]))
+        for s in spheres:
+            for x in (s.targets if s.time < 0 else [s.x.ident]):
+                self._witnesses[x] = {}
+        for s, tgt, d, t in found:
+            if len(d) > 1:
+                sign = next(signs)
+            elif s.time > 0:
+                sign = 1 if d[0] > 0 else -1
+            else:
+                p = self.by_id[tgt]
+                det = np.linalg.det(p.frame_matrix()) * np.linalg.det(
+                    np.column_stack([-d * s.frame, s.x.frame_matrix()]))
+                sign = 1 if det > 0 else -1
+            source, target = (tgt, s.x.ident) if s.time < 0 \
+                else (s.x.ident, tgt)
+            self._witnesses[source].setdefault(target, []).append(
+                Witness(tuple(float(v) for v in d), sign, t))
 
     def _signs(self, jobs):
-        """Orientation signs of the witnesses (source, target, direction,
-        capture time) of ``jobs``.  Each run of witnesses whose sources
-        share one index (one frame size) is signed by one batch.  Raises the
-        first fault of a batch: the first transport that fails, else the
-        first orientation that does."""
+        """Orientation signs of the witnesses (forward sphere, target,
+        direction, capture time) of ``jobs``.  Each run of witnesses whose
+        sources share one index (one frame size) is signed by one batch.
+        Raises the first fault of a batch: the first transport that fails,
+        else the first orientation that does."""
         return [sign for _, run in itertools.groupby(
-            jobs, key=lambda job: job[0].index)
+            jobs, key=lambda job: job[0].x.index)
             for sign in self._sign_batch(list(run))]
 
     def _sign_batch(self, jobs):
@@ -445,13 +404,13 @@ class ConnectionFinder:
         ``flow.transport_frame`` batch of the sources' unstable frames."""
         if not jobs:
             return []
-        P0 = np.column_stack([self._seed_point(x, d) for x, _, d, _ in jobs])
-        frames = np.stack([np.array(x.frame) for x, *_ in jobs], axis=-1)
+        P0 = np.column_stack([self._seed_point(s, d) for s, _, d, _ in jobs])
+        frames = np.stack([s.frame.T for s, *_ in jobs], axis=-1)
         W, P = flow.transport_frame(self.gradfield, P0, [t for *_, t in jobs],
                                     frames, tols=self.tols)
         V = expr.compile_field(self.gradfield)(P)
-        return [self._orientation_sign(x, y, W[:, :, j], V[:, j])
-                for j, (x, y, _, _) in enumerate(jobs)]
+        return [self._orientation_sign(s.x, y, W[:, :, j], V[:, j])
+                for j, (s, y, _, _) in enumerate(jobs)]
 
     def _orientation_sign(self, x, y, W, v_flow):
         """Sign of a witness orbit from its transported frame W (k, m) and

@@ -1,12 +1,14 @@
 """Direction spheres: the unit sphere S^{k-1} in the coefficient space of a
-source's unstable eigenspace, for k = 1 and k = 2, refined by bisection
-towards the basin boundaries of the orbits that leave the source.
+frame at a critical point, for k = 1 and k = 2, refined by bisection
+towards the basin boundaries of the orbits that leave it.
 
-A sphere is held as cycles of directions in angular order, each direction
-with the label of its orbit and each gap between neighbours with a flag
-that says whether it is final.  The circle S^1 is one cycle; S^0 is two
-cycles of one point each, whose only gap joins the point to itself and is
-never split.  On these two spheres the directions of the connections to
+A sphere is seeded along the unstable frame of a source and followed
+forward in time, or along the stable frame of a target and followed
+backward.  It is held as cycles of directions in angular order, each
+direction with the label of its orbit and each gap between neighbours with
+a flag that says whether it is final.  The circle S^1 is one cycle; S^0 is
+two cycles of one point each, whose only gap joins the point to itself and
+is never split.  On these two spheres the directions of the connections to
 the adjacent index are exactly the boundaries between open labels, which
 bisection finds: the orbit of each connection has a capture window, an
 interval of directions captured at its target, and so a witness is a run of
@@ -57,7 +59,11 @@ def cycles(k, n_min, rot):
 
 
 class Circle:
-    """The refinement of the unstable sphere S^0 or S^1 of one source.
+    """The refinement of a direction sphere S^0 or S^1 at the critical
+    point ``x``: seeded at x + delta_u (``frame`` @ d) for a direction d and
+    followed in the direction of time ``time``, forward (1) along the
+    (m, k) unstable frame of x or backward (-1) along its stable frame.
+    ``targets`` are the idents of the critical points a witness reaches.
 
     ``cycles`` holds one list per cycle of entries [direction, label,
     final] in angular order: the (label, signed end time) of the orbit from
@@ -71,8 +77,10 @@ class Circle:
     hits the time budget never reaches a circle.
     """
 
-    def __init__(self, x, targets, cycles, dir_tol):
+    def __init__(self, x, time, frame, targets, cycles, dir_tol):
         self.x = x
+        self.time = time
+        self.frame = frame
         self.targets = targets
         self.dir_tol = dir_tol
         self.cycles = [[[d, None, False] for d in c] for c in cycles]

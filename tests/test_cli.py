@@ -16,6 +16,7 @@ import pytest
 
 import mcfhom
 from mcfhom import block, cli, conley, expr, flow
+from mcfhom.config import DEFAULT
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 ROOT = os.path.dirname(os.path.dirname(__file__))
@@ -415,6 +416,34 @@ def test_hi_on_the_3d_product_well(capsys):
     assert out["exit_theorem"] is True
     assert sorted(c["index"] for c in out["critical_points"]) == \
         [0] * 8 + [1] * 12 + [2] * 6 + [3]
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_the_work_of_the_3d_product_well(seed, monkeypatch, capsys):
+    # the 24 forward and 12 backward zero-sphere seeds ride in the first
+    # batch of the six circles: 14 label batches of 3,252 orbits in
+    # all, and the 24 witnesses of the circles signed by one transport
+    # batch
+    batches, transports = [], []
+    classify, transport = flow.classify_limit, flow.transport_frame
+
+    def counted(gradfield, X0, *args, **kwargs):
+        batches.append(X0.shape[1])
+        return classify(gradfield, X0, *args, **kwargs)
+
+    def counted_transport(gradfield, X0, *args, **kwargs):
+        transports.append(X0.shape[1])
+        return transport(gradfield, X0, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "classify_limit", counted)
+    monkeypatch.setattr(flow, "transport_frame", counted_transport)
+    assert cli.main(["hi", _path("product_well_3d.json"),
+                     "--seed", str(seed)]) == 0
+    with open(_path(f"product_well_3d_hi_seed{seed}.out"), "rb") as fh:
+        assert capsys.readouterr().out.encode() == fh.read()
+    assert (len(batches), sum(batches)) == (14, 3252)
+    assert batches[0] == 36 + 6 * DEFAULT.n_dir_seeds
+    assert transports == [24]
 
 
 def test_hi_on_the_4d_product_well_stops_before_any_orbit(monkeypatch,

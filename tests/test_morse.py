@@ -229,11 +229,12 @@ def _product_double_well():
 
 def _sphere_counts(f, b, crits, tols=DEFAULT, seed=0):
     """The connection counts of ``morse.build_complex``, with every source
-    searched on its unstable direction sphere, as the search of 1 < k < m
-    does; in 2-D ``build_complex`` itself counts on zero-spheres only."""
+    searched forward on its unstable direction sphere by the oracle, as the
+    search of 1 < k < m does; in 2-D ``build_complex`` itself counts on
+    zero-spheres only."""
     finder = morse.ConnectionFinder(expr.negative_gradient(f, b.dimension),
                                     b, crits, tols=tols, seed=seed)
-    finder.sphere_search([x for x in crits if x.index])
+    oracle.forward_search(finder, [x for x in crits if x.index])
     return [morse.count_connections(x, y, finder) for x in crits
             for y in crits if x.index == y.index + 1]
 
@@ -300,8 +301,8 @@ def _label_directions(monkeypatch, finder, source, label):
     itself.  Returns the list of batches, each a list of directions."""
     batches = []
 
-    def seed_point(x, d):
-        assert x is source
+    def seed_point(s, d):
+        assert s.x is source
         return d
 
     def classify(seeds):
@@ -329,7 +330,7 @@ def _stub_search(monkeypatch, f, b, crits, label):
         return [1] * len(jobs)
 
     monkeypatch.setattr(finder, "_signs", signs)
-    finder.sphere_search([source])
+    oracle.forward_search(finder, [source])
     labelled = [d.tobytes() for dirs in batches for d in dirs]
     return labelled, [len(dirs) for dirs in batches], got, finder
 
@@ -391,8 +392,8 @@ def test_the_cycle_equals_the_triangulated_circle_bit_for_bit(n):
         gaps = [*zip(cycle, cycle[1:] + cycle[:1])]
         assert {frozenset((u.tobytes(), v.tobytes())) for u, v in gaps} == \
             {frozenset(v.tobytes() for v in sp) for sp in arcs}
-        fine = sphere.Circle(None, set(), [cycle], 0.0)
-        coarse = sphere.Circle(None, set(), [cycle], 1.0)
+        fine = sphere.Circle(None, 1, None, set(), [cycle], 0.0)
+        coarse = sphere.Circle(None, 1, None, set(), [cycle], 1.0)
         for u, v in gaps:
             section = fine._section([u, None, False], v, sphere.DEPTH)
             halves = [(u, v)]
@@ -450,7 +451,7 @@ def _runs(cycles, labels):
     """The witnesses, {target: [capture time]}, of a circle of ``cycles``
     whose i-th direction is labelled ``labels[i]``, with capture time i;
     the targets are 1 and 2."""
-    circle = sphere.Circle(None, {1, 2}, cycles, 1e-12)
+    circle = sphere.Circle(None, 1, None, {1, 2}, cycles, 1e-12)
     assert len(circle.wanted()) == len(labels)
     circle.learn((lab, float(i)) for i, lab in enumerate(labels))
     return {tgt: [t for _, t in items]
@@ -480,7 +481,8 @@ def test_s0_is_two_cycles_of_one_point():
     q, r = ("crit", 1), ("crit", 2)
     assert _runs(sphere.cycles(1, 8, np.eye(1)), [q, q]) == \
         {1: [0.0, 1.0]}
-    zero = sphere.Circle(None, {1, 2}, sphere.cycles(1, 8, np.eye(1)), 1.0)
+    zero = sphere.Circle(None, 1, None, {1, 2},
+                         sphere.cycles(1, 8, np.eye(1)), 1.0)
     zero.wanted()
     zero.learn([(q, 0.0), (r, 1.0)])
     assert zero.wanted() == []
@@ -489,12 +491,15 @@ def test_s0_is_two_cycles_of_one_point():
 
 
 def test_search_raises_the_first_fault_of_the_batch(monkeypatch):
-    # Two saddles of the product double well: every orbit of the second
-    # fails.  Its failure is the first fault of the first batch, in either
-    # order, and raised before any witness is signed: also where the
-    # witnesses of the first would fail their orientation test.
+    # The source of the product double well on its unstable circle and a
+    # saddle on its unstable S^0, searched forward: every orbit of the
+    # saddle fails.  Its failure is the first fault of the first batch, in
+    # either order, and raised before any witness is signed: also where
+    # the transported witnesses of the circle would fail their orientation
+    # test.
     f, b, crits = _product_double_well()
-    first, second = [c for c in crits if c.index == 1][:2]
+    first = next(c for c in crits if c.index == 2)
+    second = next(c for c in crits if c.index == 1)
 
     def search(sources, tols):
         finder = morse.ConnectionFinder(expr.negative_gradient(f, 2), b,
@@ -502,9 +507,9 @@ def test_search_raises_the_first_fault_of_the_batch(monkeypatch):
         seed_point, classify = finder._seed_point, finder._classify
         of_second = set()
 
-        def recorded(x, d):
-            p = seed_point(x, d)
-            if x is second:
+        def recorded(s, d):
+            p = seed_point(s, d)
+            if s.x is second:
                 of_second.add(p.tobytes())
             return p
 
@@ -515,9 +520,13 @@ def test_search_raises_the_first_fault_of_the_batch(monkeypatch):
 
         monkeypatch.setattr(finder, "_seed_point", recorded)
         monkeypatch.setattr(finder, "_classify", second_fails)
-        finder.sphere_search(sources)
+        oracle.forward_search(finder, sources)
 
     unsigned = dataclasses.replace(_COARSE, det_tol=10.0)
+    with pytest.raises(morse.OrientationError):
+        oracle.forward_search(morse.ConnectionFinder(
+            expr.negative_gradient(f, 2), b, crits, tols=unsigned, seed=3),
+            [first])
     for sources in ([first, second], [second, first]):
         for tols in (_COARSE, unsigned):
             with pytest.raises(flow.IntegrationError, match="injected"):
@@ -547,7 +556,7 @@ def test_lockstep_search_equals_per_source_searches(monkeypatch):
                                     tols=_COARSE, seed=3)
     for x in crits:
         if x.index:
-            finder.sphere_search([x])
+            oracle.forward_search(finder, [x])
     assert lockstep < len(batches) - lockstep
     assert counts
     for cc in counts:
@@ -556,29 +565,33 @@ def test_lockstep_search_equals_per_source_searches(monkeypatch):
 
 
 def test_signing_raises_for_the_first_failing_witness(monkeypatch):
-    # the saddle of the double well has one witness to each minimum; the
-    # transport is made to fail on the second.  That is the first fault of
-    # the batch, also where the first witness would fail its orientation
-    # test.
-    f, b, crits = _double_well()
+    # the source of the product double well has one witness to each saddle
+    # on its unstable circle, signed in one transport batch that is made
+    # to fail after the first witness.  That is the first fault of the
+    # batch, also where the first witness would fail its orientation test.
+    f, b, crits = _product_double_well()
     transport = flow.transport_frame
+    widths = []
 
     def second_fails(fieldd, X0, *args, **kwargs):
+        widths.append(X0.shape[1])
         out = transport(fieldd, X0, *args, **kwargs)
         if X0.shape[1] > 1:
             raise flow.FrameDegenerateError("injected")
         return out
 
-    saddle = next(c for c in crits if c.index == 1)
+    source = next(c for c in crits if c.index == 2)
 
     def search(tols):
-        morse.ConnectionFinder(expr.negative_gradient(f, 2), b, crits,
-                               tols=tols).sphere_search([saddle])
+        oracle.forward_search(morse.ConnectionFinder(
+            expr.negative_gradient(f, 2), b, crits, tols=tols, seed=3),
+            [source])
 
     monkeypatch.setattr(flow, "transport_frame", second_fails)
-    for tols in (DEFAULT, dataclasses.replace(DEFAULT, det_tol=10.0)):
+    for tols in (_COARSE, dataclasses.replace(_COARSE, det_tol=10.0)):
         with pytest.raises(flow.FrameDegenerateError, match="injected"):
             search(tols)
+    assert widths == [4, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +663,6 @@ def test_zero_spheres_of_one_search_share_one_batch(monkeypatch):
         return classify(gradfield, X0, *args, **kwargs)
 
     monkeypatch.setattr(flow, "classify_limit", counted)
-    monkeypatch.setattr(sphere, "Circle", None)
     one = morse.ConnectionFinder(gradfield, b, crits, tols=_COARSE)
     one.search(ones + [top])
     assert widths == [16]
@@ -673,6 +685,53 @@ def test_zero_spheres_of_one_search_share_one_batch(monkeypatch):
             r"unstable S\^0 hit the time budget")):
         finder.search([top, ones[0]])
     assert widths[3:] == [10]
+
+
+def test_zero_sphere_seeds_and_backward_witnesses(monkeypatch):
+    # the double well and the product double well, every source searched:
+    # one batch of the forward S^0 of each index-1 source, then the
+    # backward S^0 of each index-1 target of the index-2 source, each seed
+    # x + delta_u (sigma v) bit for bit, v the unstable or the stable
+    # vector of x.  Every backward witness is stored under the index-2
+    # source that its orbit reaches, with the sign det(U_p) det[-sigma v_s,
+    # U_q], and the index-1 sources keep only their forward witnesses
+    for f, b, crits in (_double_well(), _product_double_well()):
+        finder = morse.ConnectionFinder(expr.negative_gradient(f, 2), b,
+                                        crits)
+        classify, batches = finder._classify, []
+
+        def recorded(seeds):
+            batches.append((seeds, classify(seeds)))
+            return batches[-1][1]
+
+        monkeypatch.setattr(finder, "_classify", recorded)
+        finder.search([c for c in crits if c.index])
+        ones = [c for c in crits if c.index == 1]
+        tops = [c for c in crits if c.index == 2]
+        want = [(x, sigma, time, v) for xs, time, vec in (
+                    (ones, 1, lambda x: x.frame[0]),
+                    (ones if tops else [], -1, lambda q: q.stable[0]))
+                for x in xs for v in [np.asarray(vec(x))]
+                for sigma in (1.0, -1.0)]
+        [(seeds, labels)] = batches
+        assert [(p.tobytes(), time) for p, time in seeds] == \
+            [((np.asarray(x.coords) + DEFAULT.delta_u * (sigma * v))
+              .tobytes(), time) for x, sigma, time, v in want]
+        backward = {p.ident: {} for p in tops}
+        for (q, sigma, time, v), (lab, t) in zip(want, labels):
+            if time < 0 and lab[0] == "crit" and lab[1] in backward:
+                p = finder.by_id[lab[1]]
+                det = np.linalg.det(p.frame_matrix()) * np.linalg.det(
+                    np.column_stack([-sigma * v, q.frame_matrix()]))
+                backward[p.ident].setdefault(q.ident, []).append(
+                    morse.Witness((sigma,), 1 if det > 0 else -1, abs(t)))
+        for p in tops:
+            assert finder.witnesses_for(p.ident) == backward[p.ident]
+        assert sum(len(ws) for by_q in backward.values()
+                   for ws in by_q.values()) == 4 * len(tops)
+        for x in ones:
+            assert {finder.by_id[tgt].index
+                    for tgt in finder.witnesses_for(x.ident)} == {0}
 
 
 def _first_orbit_captured_at(monkeypatch, ident):
@@ -727,29 +786,35 @@ def test_circle_capture_at_a_point_not_below_the_source_raises(
 
 def test_closed_form_signs_equal_transported_signs():
     # every index-1 source of the double well and of the 3-D product well:
-    # the witnesses of the zero-sphere search, with the sign of the
-    # direction coefficient, are those of the sphere search, signed by
-    # frame transport, bit for bit
+    # the witnesses of the zero-sphere search are those of the forward
+    # search of the oracle, bit for bit, and the sign of each, its
+    # direction coefficient, is the sign that frame transport gives the
+    # same witness
     for f, b, crits in (_double_well(), _product_well_3d()):
         ones = [c for c in crits if c.index == 1]
         gradfield = expr.negative_gradient(f, b.dimension)
         closed = morse.ConnectionFinder(gradfield, b, crits)
         closed.search(ones)
         transported = morse.ConnectionFinder(gradfield, b, crits)
-        transported.sphere_search(ones)
-        signs = []
-        for x in ones:
-            assert closed.witnesses_for(x.ident) == \
-                transported.witnesses_for(x.ident)
-            signs.extend(w.sign for ws in closed.witnesses_for(
-                x.ident).values() for w in ws)
+        spheres = oracle.forward_search(transported, ones)
+        assert [s.x for s in spheres] == ones
+        jobs, signs = [], []
+        for s in spheres:
+            ws = closed.witnesses_for(s.x.ident)
+            assert ws == transported.witnesses_for(s.x.ident)
+            for tgt, items in ws.items():
+                for w in items:
+                    jobs.append((s, closed.by_id[tgt],
+                                 np.array(w.direction), w.capture_time))
+                    signs.append(w.sign)
+        assert transported._signs(jobs) == signs
         assert sorted(signs) == [-1] * len(ones) + [1] * len(ones)
 
 
 def test_backward_search_finds_the_top_connections_of_the_3d_product_well(
         monkeypatch):
     # the stable S^0 of each index-2 saddle, 12 orbits of +grad f in one
-    # batch, and no direction sphere: one orbit per saddle reaches the top
+    # batch, and no circle: one orbit per saddle reaches the top
     f, b, crits = _product_well_3d()
     assert sorted(c.index for c in crits) == \
         [0] * 8 + [1] * 12 + [2] * 6 + [3]
@@ -762,7 +827,6 @@ def test_backward_search_finds_the_top_connections_of_the_3d_product_well(
         return classify(gradfield, X0, *args, **kwargs)
 
     monkeypatch.setattr(flow, "classify_limit", counted)
-    monkeypatch.setattr(sphere, "Circle", None)
     finder = morse.ConnectionFinder(expr.negative_gradient(f, 3), b, crits)
     ws = finder.witnesses_for(top.ident)
     assert widths == [12]
@@ -772,31 +836,32 @@ def test_backward_search_finds_the_top_connections_of_the_3d_product_well(
         assert items[0].direction in ((1.0,), (-1.0,))
 
 
-def test_sphere_search_refuses_the_unstable_s2_before_any_orbit(
-        monkeypatch):
-    # the sources of the 3-D product well in ident order: the spheres of
-    # those before the index-3 source are built, and it raises before any
-    # of them runs an orbit, naming the point, its index and its S^2
-    f, b, crits = _product_well_3d()
-    top = next(c for c in crits if c.index == 3)
+def test_search_refuses_the_unstable_s2_before_any_orbit(monkeypatch):
+    # the sources of the 4-D product well in ident order: the spheres of
+    # those before the first index-3 source are built, and it raises before
+    # any of them runs an orbit, naming the point, its index and its S^2
+    f = expr.parse(" + ".join(f"(x{i}^2 - 1)^2" for i in range(1, 5)), 4)
+    b = block.build_block(box=[(-2, 2)] * 4, spacing=0.5)
+    crits = morse.find_critical_points(f, b)
+    three = next(c for c in crits if c.index == 3)
 
     def no_orbit(*args, **kwargs):
         raise AssertionError("an orbit ran")
 
     monkeypatch.setattr(flow, "classify_limit", no_orbit)
-    finder = morse.ConnectionFinder(expr.negative_gradient(f, 3), b, crits)
-    assert any(c.index and c.ident < top.ident for c in crits)
+    finder = morse.ConnectionFinder(expr.negative_gradient(f, 4), b, crits)
+    assert any(c.index in (1, 2) and c.ident < three.ident for c in crits)
     with pytest.raises(morse.MorseError, match=(
-            rf"critical point {top.ident} at .* has index 3: .* unstable "
+            rf"critical point {three.ident} at .* has index 3: .* unstable "
             r"sphere S\^2 .* only S\^0 and S\^1 are searched")):
-        finder.sphere_search([c for c in crits if c.index])
+        finder.search([c for c in crits if c.index])
 
 
 @pytest.mark.parametrize("seed", [3, 5, 11])
 def test_zero_sphere_counts_equal_sphere_counts_on_connections(seed):
     # the benchmark system `connections` through the pipeline: the counts
-    # of build_complex (zero-spheres only) against the forward sphere
-    # search of every source, equal in n and witness count; the index-1
+    # of build_complex (zero-spheres only) against the forward search of
+    # the oracle for every source, equal in n and witness count; the index-1
     # witnesses are equal bit for bit
     path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                         "benchmarks", "systems", "connections.json")
@@ -806,7 +871,7 @@ def test_zero_sphere_counts_equal_sphere_counts_on_connections(seed):
     crits = res.quadruple.crits
     finder = morse.ConnectionFinder(
         expr.negative_gradient(res.quadruple.f, 2), b, crits, seed=seed)
-    finder.sphere_search([x for x in crits if x.index])
+    oracle.forward_search(finder, [x for x in crits if x.index])
     source = next(c for c in crits if c.index == 2)
     assert sum(len(cc.witnesses) for cc in res.counts
                if cc.source == source.ident) == 4
