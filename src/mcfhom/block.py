@@ -236,24 +236,42 @@ def build_block(box=None, cubes=None, origin=None, spacing=None, dimension=None)
     return GridBlock(len(counts), origin, float(spacing), idx)
 
 
+def transverse_flux(b, V, per_face, tol):
+    """The outward flux X . nu at the boundary samples where they are
+    transverse, and 0 elsewhere.
+
+    ``V`` is an (m, ..., n) array of field values at the n samples of
+    ``b.boundary_samples(per_face)``; its middle axes hold the members of a
+    family or the two ends of a homotopy, and the result has shape
+    (..., n).  nu is the unit vector along a sample's face axis, signed by
+    its side.  A sample is transverse where every component of V is finite
+    and |X . nu| >= ``tol``: the one rule by which the faces are tagged,
+    isolation settles a sample without an orbit, and the certificate
+    settles a sample by its two ends."""
+    _, axis, side = b.faces
+    # the samples run face by face, per_face ** (m - 1) to a face; the
+    # index takes each face's axis component and puts the faces first
+    W = V.reshape(*V.shape[:-1], len(axis), per_face ** (b.dimension - 1))
+    flux = (np.moveaxis(W[axis, ..., np.arange(len(axis)), :], 0, -2)
+            * np.where(side, 1.0, -1.0)[:, None]).reshape(V.shape[1:])
+    finite = np.logical_and.reduce(np.isfinite(V), axis=0)
+    return np.where(finite & (np.abs(flux) >= tol), flux, 0.0)
+
+
 def classify_boundary(b, fieldd, tols=DEFAULT):
-    """Tag each boundary face Egress / Ingress / Unresolved by the sign of
-    the outward flux X . nu at a sample lattice, with the field at every
-    sample of every face evaluated as one array.  A sample where the field
-    is not finite is not transverse, so its face is Unresolved.  Returns a
-    copy of ``b`` with these tags, which shares its cube and face arrays."""
+    """Tag each boundary face Egress where ``transverse_flux`` is positive
+    at every sample of the face, Ingress where it is negative at every
+    sample, and Unresolved otherwise, with the field at every sample of
+    every face evaluated as one array.  Returns a copy of ``b`` with these
+    tags, which shares its cube and face arrays."""
     if fieldd.dimension != b.dimension:
         raise BlockError("field dimension does not match block")
-    _, axis, side = b.faces
-    rows = np.arange(len(axis))
-    X = b.boundary_samples(tols.face_samples).T
-    V = expr.compile_field(fieldd)(X).reshape(b.dimension, len(axis), -1)
-    # nu is the unit vector along the face's axis, signed by its side
-    flux = np.where(side, 1.0, -1.0)[:, None] * V[axis, rows]
-    finite = np.logical_and.reduce(np.isfinite(V), axis=0)
-    tol = tols.margin_tol
-    egress = np.logical_and.reduce(finite & (flux >= tol), axis=1)
-    ingress = np.logical_and.reduce(finite & (flux <= -tol), axis=1)
+    per_face = tols.face_samples
+    V = expr.compile_field(fieldd)(b.boundary_samples(per_face).T)
+    flux = transverse_flux(b, V, per_face, tols.margin_tol).reshape(
+        len(b.tags), -1)
+    egress = np.logical_and.reduce(flux > 0, axis=1)
+    ingress = np.logical_and.reduce(flux < 0, axis=1)
     out = copy.copy(b)
     out.tags = np.where(egress, EGRESS, np.where(ingress, INGRESS, UNRESOLVED))
     return out
@@ -368,15 +386,15 @@ def check_isolation(b, field, lam=None, tols=DEFAULT):
 
     The field is evaluated once at every column.  A sample lies strictly
     inside its face, and the cube across that face is not in the block, so
-    where the outward flux X . nu is at least ``margin_tol`` the orbit
-    leaves at once forward, and where it is at most ``-margin_tol`` it
-    leaves at once backward (Conley and Easton's isolating blocks): such a
-    column gets its outcome with exit time 0.  Only the other columns,
-    tangent or with a field that is not finite, are integrated, as one
-    batch backward first: on dissipative systems boundary points leave
-    the block almost immediately in reverse time.  The columns that did
-    not leave backward, within the budget or because their integration
-    failed, then go forward as a second batch."""
+    where ``transverse_flux`` is positive the orbit leaves at once forward,
+    and where it is negative it leaves at once backward (Conley and
+    Easton's isolating blocks): such a column gets its outcome with exit
+    time 0.  Only the columns where it is 0, tangent or with a field that
+    is not finite, are integrated, as one batch backward first: on
+    dissipative systems boundary points leave the block almost immediately
+    in reverse time.  The columns that did not leave backward, within the
+    budget or because their integration failed, then go forward as a
+    second batch."""
     from . import flow  # local import to avoid a cycle at module load
 
     family = np.ndim(lam) == 1
@@ -389,18 +407,12 @@ def check_isolation(b, field, lam=None, tols=DEFAULT):
     lam = np.repeat(np.asarray(lam, dtype=float), n) if family else lam
     F = expr.compile_field(field) if isinstance(field, expr.FieldDef) \
         else field
-    # each column's face axis and side: the samples run face by face,
-    # per_face ** (m - 1) to a face
-    axis, side = (np.tile(np.repeat(a, per_face ** (b.dimension - 1)), k)
-                  for a in b.faces[1:])
     with np.errstate(all="ignore"):
         V = F(cols, lam)
-        flux = np.where(side, 1.0, -1.0) * V[axis, np.arange(k * n)]
-    finite = np.logical_and.reduce(np.isfinite(V), axis=0)
-    tol = tols.margin_tol
+    flux = transverse_flux(b, V.reshape(b.dimension, k, n), per_face,
+                           tols.margin_tol).ravel()
     # an index into OUTCOMES
-    outcome = np.where(finite & (flux >= tol), 2,
-                       np.where(finite & (flux <= -tol), 1, 0))
+    outcome = np.where(flux > 0, 2, np.where(flux < 0, 1, 0))
     exit_t = np.where(outcome > 0, 0.0, np.nan)
     todo = np.flatnonzero(outcome == 0)
     for direction, label in ((-1, 1), (1, 2)):

@@ -502,18 +502,6 @@ def mentions_param(e):
     return mentions_param(e.lhs) or mentions_param(e.rhs)
 
 
-def max_var_index(e):
-    if isinstance(e, Var):
-        return e.index
-    if isinstance(e, (Const, Param)):
-        return -1
-    if isinstance(e, (Neg, Call)):
-        return max_var_index(e.arg)
-    if isinstance(e, Pow):
-        return max_var_index(e.base)
-    return max(max_var_index(e.lhs), max_var_index(e.rhs))
-
-
 def substitute_param(e, repl):
     """Replace every occurrence of lam by the expression ``repl``."""
     if isinstance(e, Param):
@@ -588,21 +576,12 @@ class FieldDef:
         return any(mentions_param(c) for c in self.components)
 
 
-def make_field(components, dimension=None):
-    components = tuple(components)
-    m = dimension if dimension is not None else len(components)
+def parse_field(texts, m):
+    components = tuple(parse(t, m) for t in texts)
     if len(components) != m:
         raise ExprError(
             f"field has {len(components)} components, expected {m}")
-    for c in components:
-        if max_var_index(c) >= m:
-            raise ExprError(
-                f"component {to_str(c)} uses a variable beyond dimension {m}")
     return FieldDef(m, components)
-
-
-def parse_field(texts, m):
-    return make_field([parse(t, m) for t in texts], m)
 
 
 def bind_field(field, lam):

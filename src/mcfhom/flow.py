@@ -232,7 +232,6 @@ def _dop853(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
     cols = np.arange(n)
     X = out.x.copy()
     t = np.zeros(n)
-    attempts = np.zeros(n, dtype=int)
     steps = np.zeros(n, dtype=int)
     rejected = np.zeros(n, dtype=int)
     with np.errstate(all="ignore"):
@@ -240,7 +239,7 @@ def _dop853(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
         h = np.minimum(np.minimum(1e-2 * (_norms(X) + 1.0)
                                   / (_norms(f0) + 1e-30), 1.0), target)
         code = np.where(target == 0.0, DONE,
-                        np.where(attempts >= max_steps, EXHAUSTED,
+                        np.where(max_steps <= 0, EXHAUSTED,
                                  np.where(h >= 1e-14, 0, UNDERFLOW)))
         while True:
             if code.any():
@@ -252,9 +251,8 @@ def _dop853(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
                 keep = ~gone
                 cols, X, f0, t, h = (cols[keep], X[:, keep], f0[:, keep],
                                      t[keep], h[keep])
-                attempts, steps, rejected, target, direction = (
-                    attempts[keep], steps[keep], rejected[keep], target[keep],
-                    direction[keep])
+                steps, rejected, target, direction = (
+                    steps[keep], rejected[keep], target[keep], direction[keep])
                 if per_column:
                     lam = lam[keep]
             if not cols.size:
@@ -272,11 +270,11 @@ def _dop853(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
             h = hc * (_factor(err, 0.333, 6.0) if every else np.where(
                 finite, np.where(ok, _factor(err, 0.333, 6.0),
                                  _factor(err, 0.1, 1.0)), 0.25))
-            attempts += 1
-            code = np.where(attempts >= max_steps, EXHAUSTED, 0)
+            steps += ok
+            rejected += ~ok
+            code = np.where(steps + rejected >= max_steps, EXHAUSTED, 0)
             if n_ok:
                 t = np.where(ok, t + hc, t)
-                steps += ok
                 sel = slice(None) if every else ok
                 xa, fa = (xnew, fnew) if every else (xnew[:, ok], fnew[:, ok])
                 stop = False
@@ -290,7 +288,6 @@ def _dop853(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
                     X[:, ok], f0[:, ok] = xa, fa
                 code[sel] = np.where(stop, STOPPED, np.where(
                     t[sel] >= target[sel], DONE, code[sel]))
-            rejected += ~ok
             code[(code == 0) & ~(h >= 1e-14 * (np.abs(t) + 1.0))] = UNDERFLOW
     return out
 

@@ -138,21 +138,22 @@ def morse_perturb(base, b, epsilon=None, perturbation=None, seed=0,
     The certificate checks that the gradient flow of base +
     lambda*eps*perturbation keeps the block isolating and that no critical
     point of the interpolant touches the boundary (its gradient norm over
-    the boundary samples stays above ``tols.margin_tol``): for every lambda
-    in [0, 1] at the samples its two ends settle, on a lambda grid at the
-    others.
+    the boundary samples stays at least ``tols.margin_tol``): for every
+    lambda in [0, 1] at the samples its two ends settle, on a lambda grid
+    at the others.
 
     -grad(base) and -grad(perturbation) are compiled once, and the
     interpolant with coefficient s = lambda*eps is -grad(base) + s *
     -grad(perturbation), which rounds exactly as the compiled gradient of
     the interpolant itself.  It is affine in s, and so is its outward flux
-    at a boundary sample.  The two ends come first: a sample whose flux is
-    finite and beyond ``margin_tol`` with one strict sign at s = 0 and at
-    s = eps keeps that sign for every s between them (the rounded flux is
-    monotone in s too).  For every lambda it then leaves the block at once
-    by the sign rule of ``check_isolation`` (Conley and Easton's isolating
-    blocks), and its gradient norm is at least its flux, so no critical
-    point touches it.  Such a sample is settled by two evaluations.
+    at a boundary sample.  The two ends come first: a sample that
+    ``block.transverse_flux`` finds transverse with one sign at s = 0 and
+    at s = eps stays transverse with that sign for every s between them
+    (the rounded flux is monotone in s too).  For every lambda it then
+    leaves the block at once by the sign rule of ``check_isolation``
+    (Conley and Easton's isolating blocks), and its gradient norm is at
+    least its |flux|, so no critical point touches it.  Such a sample is
+    settled by two evaluations.
 
     Only unsettled samples, tangent or not finite at an end or changing
     sign, go through the lambda grid of ``tols.cert_lambda_steps``: their
@@ -199,16 +200,11 @@ def morse_perturb(base, b, epsilon=None, perturbation=None, seed=0,
         raise expr.ExprError(
             f"perturbation {expr.to_str(perturbation)} has no finite "
             f"gradient at {tuple(float(v) for v in points[bad[0]])}")
-    # the interpolant at s = 0 and s = eps, and its outward flux at each
-    # sample's face axis and side: the samples run face by face,
-    # per_face ** (m - 1) to a face
-    axis, side = (np.repeat(a, per_face ** (m - 1)) for a in b.faces[1:])
+    # the interpolant at s = 0 and s = eps, an (m, 2, n) array
     with np.errstate(all="ignore"):
-        ends = np.stack([interpolant(samples.T, s) for s in (0.0, eps)])
-    flux = np.where(side, 1.0, -1.0) * ends[:, axis, np.arange(len(samples))]
-    tol = tols.margin_tol
-    settled = np.logical_and.reduce(np.isfinite(ends), axis=(0, 1)) & (
-        np.logical_and.reduce(flux > tol) | np.logical_and.reduce(flux < -tol))
+        ends = np.stack([interpolant(samples.T, s) for s in (0.0, eps)], 1)
+    flux = block_mod.transverse_flux(b, ends, per_face, tols.margin_tol)
+    settled = np.logical_and.reduce(flux > 0) | np.logical_and.reduce(flux < 0)
     min_bgrad = float(np.min(np.abs(flux[:, settled]), initial=math.inf))
     todo = samples[~settled]
     if len(todo):
@@ -221,8 +217,8 @@ def _grid_certificate(b, interpolant, todo, lambdas, coef, tols):
     """The certificate on the lambda grid, for the boundary samples ``todo``
     that their two ends do not settle: the minimum gradient norm of the
     interpolant over them on the grid, or CertificationError at the first
-    lambda where it touches the boundary (its norm at most ``margin_tol``
-    at one of them) or where the block stops isolating."""
+    lambda where it touches the boundary (its norm below ``margin_tol`` at
+    one of them) or where the block stops isolating."""
     with np.errstate(all="ignore"):
         G = interpolant(np.tile(todo.T, len(lambdas)),
                         np.repeat(coef, len(todo)))
@@ -231,7 +227,7 @@ def _grid_certificate(b, interpolant, todo, lambdas, coef, tols):
     touching = None  # (lambda, the first sample it touches at)
     for i, g in enumerate(gn):
         min_bgrad = min(min_bgrad, float(np.fmin.reduce(g)))
-        near = np.flatnonzero(g <= tols.margin_tol)
+        near = np.flatnonzero(g < tols.margin_tol)
         if near.size:
             touching = (lambdas[i], todo[near[0]])
             break

@@ -391,17 +391,10 @@ class ConnectionFinder:
 
     def _signs(self, jobs):
         """Orientation signs of the witnesses (forward sphere, target,
-        direction, capture time) of ``jobs``.  Each run of witnesses whose
-        sources share one index (one frame size) is signed by one batch.
-        Raises the first fault of a batch: the first transport that fails,
-        else the first orientation that does."""
-        return [sign for _, run in itertools.groupby(
-            jobs, key=lambda job: job[0].x.index)
-            for sign in self._sign_batch(list(run))]
-
-    def _sign_batch(self, jobs):
-        """The signs of witnesses whose sources share one index, from one
-        ``flow.transport_frame`` batch of the sources' unstable frames."""
+        direction, capture time) of ``jobs``, whose sources share one index
+        (one frame size), from one ``flow.transport_frame`` batch of the
+        sources' unstable frames.  Raises the first fault of the batch: the
+        first transport that fails, else the first orientation that does."""
         if not jobs:
             return []
         P0 = np.column_stack([self._seed_point(s, d) for s, _, d, _ in jobs])

@@ -23,7 +23,6 @@ def test_parse_polynomial_tree():
 
 def test_parse_two_variables():
     e = expr.parse("x1*x2 + sin(x1)", 2)
-    assert expr.max_var_index(e) == 1
     assert expr.evaluate(e, (2.0, 3.0)) == pytest.approx(6.0 + math.sin(2.0))
 
 
@@ -215,23 +214,22 @@ def test_expr_has_seven_node_kinds():
 
 
 _KINDS = {
-    "Const": (expr.Const(2.5), False, -1),
-    "Var": (expr.Var(1), False, 1),
-    "Param": (expr.Param(), True, -1),
-    "Neg": (expr.Neg(expr.parse("x1*lam + x2", 2)), True, 1),
-    "Call": (expr.Call("sin", expr.parse("x1*lam + x2^2", 2)), True, 1),
-    "BinOp": (expr.parse("x1/(1 + lam^2) - x2", 2), True, 1),
-    "Pow": (expr.Pow(expr.parse("x1 - lam", 2), 3), True, 0),
+    "Const": (expr.Const(2.5), False),
+    "Var": (expr.Var(1), False),
+    "Param": (expr.Param(), True),
+    "Neg": (expr.Neg(expr.parse("x1*lam + x2", 2)), True),
+    "Call": (expr.Call("sin", expr.parse("x1*lam + x2^2", 2)), True),
+    "BinOp": (expr.parse("x1/(1 + lam^2) - x2", 2), True),
+    "Pow": (expr.Pow(expr.parse("x1 - lam", 2), 3), True),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(_KINDS))
 def test_each_node_kind_through_every_visitor(kind):
-    e, param, top = _KINDS[kind]
+    e, param = _KINDS[kind]
     assert type(e).__name__ == kind
     assert expr.parse(expr.to_str(e), 2) == e
     assert expr.mentions_param(e) == param
-    assert expr.max_var_index(e) == top
     lam = 0.7
     X = np.random.default_rng(11).uniform(-2, 2, size=(2, 50))
     want = np.array([expr.evaluate(e, X[:, j], lam)
@@ -368,14 +366,23 @@ def _shipped_lam_fields():
     return out
 
 
+def _children(e):
+    return [getattr(e, a) for a in ("arg", "base", "lhs", "rhs")
+            if hasattr(e, a)]
+
+
+def _mentions_a_variable(e):
+    return isinstance(e, expr.Var) or any(map(_mentions_a_variable,
+                                              _children(e)))
+
+
 def _folds_a_function_of_lam(e):
     """Whether binding ``e`` folds a call on an argument in lam alone, which
     ``math`` evaluates where compiled code calls numpy."""
     if isinstance(e, expr.Call) and expr.mentions_param(e.arg) \
-            and expr.max_var_index(e.arg) < 0:
+            and not _mentions_a_variable(e.arg):
         return True
-    return any(_folds_a_function_of_lam(getattr(e, a))
-               for a in ("arg", "base", "lhs", "rhs") if hasattr(e, a))
+    return any(map(_folds_a_function_of_lam, _children(e)))
 
 
 @pytest.mark.parametrize("texts,lam", _shipped_lam_fields() + [

@@ -190,11 +190,11 @@ def _sweep(base, b, eps, pert, lambdas):
 
 
 def _settled(sweep):
-    """The samples whose flux has one strict sign beyond ``margin_tol`` at
-    the first and the last lam of the sweep."""
+    """The samples whose flux has one sign and a size of at least
+    ``margin_tol`` at the first and the last lam of the sweep."""
     ends, tol = np.array([sweep["first"], sweep["last"]]), DEFAULT.margin_tol
-    return np.logical_and.reduce(ends > tol) | \
-        np.logical_and.reduce(ends < -tol)
+    return np.logical_and.reduce(ends >= tol) | \
+        np.logical_and.reduce(ends <= -tol)
 
 
 def _per_lambda(base, b, eps, pert, tols=DEFAULT):
@@ -212,7 +212,7 @@ def _per_lambda(base, b, eps, pert, tols=DEFAULT):
         G = expr.compile_field(gradfield)(samples.T)
         gn = np.sqrt(np.add.reduce(G * G, axis=0))
         min_bgrad = min(min_bgrad, float(np.fmin.reduce(gn)))
-        touching = np.flatnonzero(gn <= tols.margin_tol)
+        touching = np.flatnonzero(gn < tols.margin_tol)
         if touching.size:
             s = samples[touching[0]]
             return reports, lyapunov.CertificationError(
@@ -450,11 +450,11 @@ def _counted(calls, fn):
 
 @pytest.mark.parametrize("case", _EVERY_LAMBDA)
 def test_the_two_ends_certify_every_lambda(monkeypatch, case):
-    # where the outward flux of the interpolant has one strict sign beyond
-    # margin_tol at lambda = 0 and 1, it keeps it at 1,001 evenly spaced
-    # lambdas, by the scalar reference, and the certificate's gradient bound
-    # is at most |flux| there, so at most the gradient norm, which is at
-    # least the size of any one component.  Every shipped system settles
+    # where the outward flux of the interpolant has one sign and a size of
+    # at least margin_tol at lambda = 0 and 1, it keeps both at 1,001 evenly
+    # spaced lambdas, by the scalar reference, and the certificate's
+    # gradient bound is at most |flux| there, so at most the gradient norm,
+    # which is at least the size of any one component.  Every shipped system settles
     # every sample, so its certificate runs no isolation batch
     base, b, eps, pert, shipped = _EVERY_LAMBDA[case]
     sweep = _sweep(base, b, eps, pert, [k / 1000 for k in range(1001)])
@@ -462,8 +462,8 @@ def test_the_two_ends_certify_every_lambda(monkeypatch, case):
     assert settled.any()
     assert settled.all() or not shipped
     tol = DEFAULT.margin_tol
-    assert np.all(np.where(sweep["first"] > 0, sweep["lo"] > tol,
-                           sweep["hi"] < -tol)[settled])
+    assert np.all(np.where(sweep["first"] > 0, sweep["lo"] >= tol,
+                           sweep["hi"] <= -tol)[settled])
     calls = []
     monkeypatch.setattr(block, "check_isolation",
                         _counted(calls, block.check_isolation))
@@ -497,6 +497,30 @@ def test_the_wells_certificate_runs_no_isolation_batch(monkeypatch, name):
     _, cert = lyapunov.morse_perturb(system.lyapunov, system.block, seed=3)
     assert calls == []
     assert cert.min_boundary_gradient > DEFAULT.margin_tol
+
+
+def test_a_flux_of_exactly_margin_tol_is_transverse_to_every_check(
+        monkeypatch):
+    # -grad(-1e-6*x1) is margin_tol exactly.  By the one rule of
+    # block.transverse_flux both boundary samples are transverse: the faces
+    # are tagged, isolation settles both samples with no orbit, and the
+    # certificate settles both by its two ends, with no lambda grid
+    b = block.build_block(box=[(-1, 1)], spacing=1)
+    base = expr.parse("-1e-6*x1", 1)
+    fld = expr.negative_gradient(base, 1)
+    assert fld.components == (expr.Const(DEFAULT.margin_tol),)
+    assert block.classify_boundary(b, fld).tags.tolist() == \
+        ["Ingress", "Egress"]
+    calls = []
+    monkeypatch.setattr(flow, "_dop853", _counted(calls, flow._dop853))
+    monkeypatch.setattr(lyapunov, "_grid_certificate",
+                        _counted(calls, lyapunov._grid_certificate))
+    rep = block.check_isolation(b, fld)
+    assert rep.verdict and rep.outcome.tolist() == [1, 2]
+    _, cert = lyapunov.morse_perturb(base, b,
+                                     perturbation=expr.parse("-x1", 1))
+    assert cert.min_boundary_gradient == 1e-6
+    assert calls == []
 
 
 def test_batched_certificate_where_the_perturbation_has_no_value(
