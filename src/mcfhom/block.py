@@ -114,12 +114,6 @@ class GridBlock:
         grid = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in grid], axis=-1)
 
-    def contains(self, point):
-        """Whether one point lies in the block: ``contains_columns`` of the
-        one column."""
-        X = np.asarray(point, dtype=float)[:, None]
-        return bool(self.contains_columns(X)[0])
-
     def contains_columns(self, X):
         """For each column of the (m, N) array X, whether it lies in a cube
         of the block widened by the boundary tolerance on every side.  A

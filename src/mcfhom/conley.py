@@ -1,6 +1,5 @@
 """Pipeline orchestration and structural theorems: exit-set equivalence,
-block independence, the Morse relations of a decomposition, and
-continuation.
+the Morse relations of a decomposition, and continuation.
 """
 from __future__ import annotations
 
@@ -116,14 +115,6 @@ def verify_exit_theorem(system, seed=0, coeff="Z", tols=DEFAULT):
     exitc = block_mod.exit_set(classified)
     rel = homalg.cubical_relative_homology(classified, exitc, coeff=coeff)
     return ExitTheoremReport(res.homology == rel, res.homology, rel), res
-
-
-def block_independence(a, b, seed=0, coeff="Z", tols=DEFAULT):
-    """Two blocks of one flow isolating the same invariant set must give
-    equal HI."""
-    _shared((a, b), "field")
-    ra, rb = (compute_HI(s, seed=seed, coeff=coeff, tols=tols) for s in (a, b))
-    return ra.homology == rb.homology, ra, rb
 
 
 @dataclass

@@ -569,7 +569,7 @@ class FieldDef:
     """A vector field on R^m, optionally depending on lam in [0, 1]."""
 
     dimension: int
-    components: tuple  # of Expr, length == dimension
+    components: tuple  # of Expr: dimension of them, m * m for a Jacobian
 
     @property
     def has_param(self):
@@ -606,20 +606,27 @@ def jacobian(field):
     return tuple(tuple(derive(c, j) for j in range(m)) for c in field.components)
 
 
+@lru_cache(maxsize=1024)
+def _compile_field_cached(components):
+    rows = "".join(f"        out[{i}] = {_to_py(e)}\n"
+                   for i, e in enumerate(components))
+    src = ("def F(x, lam=None):\n"
+           f"    out = _empty(({len(components)},) + x.shape[1:])\n"
+           "    with _errstate(all='ignore'):\n"
+           f"{rows}    return out\n")
+    env = dict(_ENV, _empty=np.empty, _errstate=np.errstate,
+               __builtins__={})
+    exec(src, env)  # noqa: S102 - generated
+    return env["F"]
+
+
 def compile_field(field):
     """Compile to ``F(X, lam=None)``, the (m, N) array of the field at the
-    columns of the (m, N) array X.  It evaluates under
-    ``np.errstate(all="ignore")``: a domain error is a non-finite entry."""
-    fns = tuple(compile_scalar(c) for c in field.components)
-
-    def F(X, lam=None):
-        out = np.empty((len(fns),) + np.shape(X)[1:])
-        with np.errstate(all="ignore"):
-            for i, fn in enumerate(fns):
-                out[i] = fn(X, lam)
-        return out
-
-    return F
+    columns of the (m, N) array X: one generated function that writes the
+    value of each component, as ``compile_scalar`` gives it, to its row.
+    It evaluates under ``np.errstate(all="ignore")``: a domain error is a
+    non-finite entry."""
+    return _compile_field_cached(field.components)
 
 
 def hessian(f, m):

@@ -112,6 +112,21 @@ _E5 = _terms([
     0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
     0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
     -0.2235530786388629525884427845e-1])
+# The 14 stage sums of one step: the rows of _A, then _E5 and _E3.
+_SUMS = (*_A, _E5, _E3)
+
+
+def _fold(j):
+    """The rows of _SUMS in which stage j has a nonzero weight, as a slice,
+    and those weights as a (rows, 1, 1) array.  Stage 0 is in every row;
+    stage j >= 1 first in row j, the input of stage j + 1, and then in
+    every row up to the last that uses it, with no zero weight between."""
+    w = np.array([dict(row).get(j, 0.0) for row in _SUMS])
+    rows = np.flatnonzero(w)
+    return slice(rows[0], rows[-1] + 1), w[rows[0]:rows[-1] + 1, None, None]
+
+
+_FOLD = tuple(_fold(j) for j in range(12))
 
 # column outcomes of _dop853; 0 while a column is still running
 DONE, STOPPED, UNDERFLOW, EXHAUSTED = 1, 2, 3, 4
@@ -127,18 +142,6 @@ class _Run:
     steps: np.ndarray
     rejected: np.ndarray
     status: np.ndarray
-
-
-def _combine(row, K):
-    """sum_j a_j K[j] over the (stage, a_j) terms of a row, added term by
-    term in stage order.  Every addition is elementwise, so a column sums
-    exactly as it would alone; a reduction over the stage axis would not,
-    as numpy sums it pairwise once that axis is the inner loop."""
-    (j, a), *rest = row
-    s = a * K[j]
-    for j, a in rest:
-        s += a * K[j]
-    return s
 
 
 def _rows(a):
@@ -170,19 +173,27 @@ def _attempt(F, X, f0, dh, hc, lam, rtol, atol):
     step dh of size hc: (x_new, f_new, err, finite), the 8th-order
     solution, the field there, the error norm of dop853.f, and whether
     every stage was finite.  The stages live only here, so their memory is
-    free again while the caller's ``accepted`` runs."""
-    K = [f0]
-    for row in _A[:-1]:
-        K.append(F(X + dh * _combine(row, K), lam))
-    xnew = X + dh * _combine(_A[-1], K)
-    fnew = F(xnew, lam)
-    finite = np.isfinite(xnew) & np.isfinite(fnew)
-    for k in K:
-        finite &= np.isfinite(k)
-    finite = np.logical_and.reduce(finite, axis=0)
+    free again while the caller's ``accepted`` runs.
+
+    The 14 stage sums are one (14, m, n) array S, row r that of _SUMS[r].
+    Each stage is added to the rows that use it as soon as it is known, so
+    row r < 12, the input of stage r + 1, is complete once stage r is in,
+    and every row adds its products elementwise in stage order: a column
+    sums exactly as it would alone (a reduction over the stage axis would
+    not, as numpy sums it pairwise once that axis is the inner loop)."""
+    K = np.empty((13,) + X.shape)  # the stage values; K[12] is f_new
+    K[0] = f0
+    S = _FOLD[0][1] * f0
+    for j, (rows, w) in enumerate(_FOLD[1:], 1):
+        K[j] = k = F(X + dh * S[j - 1], lam)
+        S[rows] += w * k
+    xnew = X + dh * S[11]
+    K[12] = fnew = F(xnew, lam)
+    finite = (np.logical_and.reduce(np.isfinite(K), axis=(0, 1))
+              & np.logical_and.reduce(np.isfinite(xnew), axis=0))
     scale = atol + rtol * np.maximum(np.abs(X), np.abs(xnew))
-    n5 = _sumsq(_combine(_E5, K) / scale)
-    n3 = _sumsq(_combine(_E3, K) / scale)
+    n5 = _sumsq(S[12] / scale)
+    n3 = _sumsq(S[13] / scale)
     den = n5 + 0.01 * n3
     err = hc * n5 / np.sqrt(np.where(den > 0.0, den, 1.0) * X.shape[0])
     return xnew, fnew, err, finite
@@ -219,9 +230,11 @@ def _dop853(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
     the result and dropped from the working arrays, so a round works on
     whole arrays.  Fancy indexing is needed only in a round where columns
     leave, or where some but not all steps are accepted; a single orbit
-    needs it only once, when it ends.  Stage sums add term by term, and
-    reductions over a column add in the order they would over a 1-D
-    vector, so every column steps exactly as it would alone.
+    needs it only once, when it ends.  Each stage is folded into every
+    stage sum that uses it as soon as it is known, so each sum adds its
+    terms elementwise in stage order (see ``_attempt``), and reductions
+    over a column add in the order they would over a 1-D vector, so every
+    column steps exactly as it would alone.
     """
     n = x0.shape[1]
     per_column = np.ndim(lam) == 1
@@ -359,13 +372,13 @@ def transport_frame(fieldd, X0, T, frames, tols=DEFAULT):
         errors[j] = FrameDegenerateError("initial frame vectors are dependent")
     go = np.flatnonzero((T != 0.0) & ~dependent)
     F = expr.compile_field(fieldd)
-    J = [expr.compile_field(expr.FieldDef(m, row))
-         for row in expr.jacobian(fieldd)]
+    J = expr.compile_field(expr.FieldDef(
+        m, tuple(e for row in expr.jacobian(fieldd) for e in row)))
 
     def G(Z, _):
         out = np.empty_like(Z)
         out[:m] = F(Z[:m])
-        DX = np.stack([row(Z[:m]) for row in J])  # (m, m, n)
+        DX = J(Z[:m]).reshape(m, m, Z.shape[1])
         V = Z[m:].reshape(k, m, -1)
         dV = out[m:].reshape(k, m, -1)
         # (DX v)_a = sum_b DX_ab v_b, added in the order of b

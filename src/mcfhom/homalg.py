@@ -142,9 +142,6 @@ class HomologyResult:
             b.pop()
         return b
 
-    def euler(self):
-        return sum((-1) ** k * b for k, b in enumerate(self.betti))
-
     def describe(self):
         parts = []
         for k, b in enumerate(self.betti):

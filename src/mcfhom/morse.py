@@ -120,11 +120,11 @@ def newton(f, b, seeds, tol, radius):
     """
     m, N = seeds.shape
     grad = expr.compile_field(expr.FieldDef(m, expr.gradient(f, m)))
-    rows = [expr.compile_field(expr.FieldDef(m, row))
-            for row in expr.hessian(f, m)]
+    second = expr.compile_field(expr.FieldDef(
+        m, tuple(e for row in expr.hessian(f, m) for e in row)))
 
     def hess(Z):
-        return np.stack([r(Z) for r in rows]).transpose(2, 0, 1)
+        return second(Z).reshape(m, m, Z.shape[1]).transpose(2, 0, 1)
 
     lo, hi = (np.asarray(v, dtype=float)[:, None] for v in b.bounding_box())
     span = hi - lo

@@ -20,6 +20,7 @@ containment test: it builds all 2^m candidate cubes of every column as one
 (2^m, m, N) array of floats.  The package computes the same candidates as
 a (2, m, N) array and gathers their occupancy through one flat (2^m, N)
 index; the tests check that both give the same answer, column for column.
+``contains`` asks the package's ``contains_columns`` about one point.
 """
 import itertools
 
@@ -125,6 +126,13 @@ def contains_columns(b, X):
         k = np.fmin(np.fmax(shifted, 0), np.array(occ.shape)[:, None] - 1)
         occupied = occ[tuple(k.astype(np.intp).transpose(1, 0, 2))]
     return np.logical_or.reduce(occupied & inside, axis=0)
+
+
+def contains(b, point):
+    """Whether one point lies in the block ``b``: the package's
+    ``contains_columns`` of the one column."""
+    X = np.asarray(point, dtype=float)[:, None]
+    return bool(b.contains_columns(X)[0])
 
 
 def check_isolation_by_orbits(b, field, lam=None, tols=DEFAULT):

@@ -321,6 +321,17 @@ def test_numpy_field_broadcasts_constants_and_flags_domain_errors():
     assert list(V[0]) == [2.0, 2.0, 2.0]
     assert V[1, 0] == 0.0 and np.isnan(V[1, 1])
     assert V[2, 0] == 0.25 and np.isinf(V[2, 2])
+    # each row is the component as compile_scalar gives it, bit for bit: a
+    # constant broadcast to its row, lam read where a component uses it,
+    # and a domain error a non-finite entry with no warning
+    fam = expr.parse_field(["-0.5", "sin(x1)*lam - x2^3", "log(x1 - lam)"], 3)
+    X = np.random.default_rng(5).uniform(-2, 2, size=(3, 40))
+    V = expr.compile_field(fam)(X, 0.3)
+    assert V.shape == (3, 40) and np.isnan(V[2]).any()
+    for row, e in zip(V, fam.components):
+        with np.errstate(all="ignore"):
+            want = np.broadcast_to(expr.compile_scalar(e)(X, 0.3), (40,))
+        assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

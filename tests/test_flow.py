@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import block_oracle
 import flow_oracle as oracle
 from mcfhom import block, expr, flow, morse
 from mcfhom.config import DEFAULT
@@ -259,7 +260,7 @@ def test_classify_exit_face():
     b = block.build_block(box=[(0, 1)], spacing=0.5)
     lc, run = flow.classify_limit(fld, np.array([[0.5]]), [], b)
     assert lc.tag == ("exited",) and lc.crit_id == (-1,)
-    assert not b.contains(run.x[:, 0])
+    assert not block_oracle.contains(b, run.x[:, 0])
     # outside the block, beyond its x1 = 1 side
     assert run.x[0, 0] > 1.0
 
@@ -335,7 +336,7 @@ def test_classify_columns_equal_single_columns_bit_for_bit(monkeypatch):
     coords = np.array([c.coords for c in crits])
 
     def stop(t, x_prev, x):
-        if not b.contains(x):
+        if not block_oracle.contains(b, x):
             return ("exited", -1)
         near = np.flatnonzero(np.linalg.norm(x - coords, axis=1)
                               < tols.capture_radius)
@@ -647,24 +648,65 @@ def test_tableau_weights_satisfy_the_quadrature_conditions():
         assert math.fsum(a for _, a in e) == pytest.approx(0.0, abs=1e-14)
 
 
-def test_stage_sums_add_term_by_term_for_every_batch_size():
+def test_each_stage_folds_into_exactly_the_rows_that_use_it():
+    # _attempt adds stage j to the rows of its slice with their weights; a
+    # zero weight inside the slice would add 0 * K_j, a nan where K_j is
+    # not finite, so the slice must hold exactly the nonzero weights
+    assert len(flow._FOLD) == 12
+    for j, (rows, w) in enumerate(flow._FOLD):
+        want = [(r, a) for r, row in enumerate(flow._SUMS)
+                for stage, a in row if stage == j]
+        assert list(zip(range(rows.start, rows.stop), w.ravel())) == want
+    # the field at the solution is the next step's stage 0, in no sum
+    assert all(stage < 12 for row in flow._SUMS for stage, _ in row)
+
+
+def _stage_sums(K, monkeypatch):
+    """The 14 stage sums that ``_attempt`` forms from the stage values K,
+    (13, m, n), as a (14, m, n) array.  A stub field returns K stage by
+    stage; from X = 0 with dh = 1 the input of stage i + 1 is the sum of
+    row i of _A itself, and the last input, the solution, that of the
+    last row.  With rtol = 0 and atol = 1 the error norms read the two
+    error rows unscaled."""
+    m, n = K.shape[1:]
+    inputs, errors = [], []
+    stages = iter(K[1:])
+
+    def F(X, lam):
+        inputs.append(X.copy())
+        return next(stages)
+
+    def sumsq(a):
+        errors.append(a.copy())
+        return np.zeros(n)
+
+    monkeypatch.setattr(flow, "_sumsq", sumsq)
+    xnew, fnew, _, finite = flow._attempt(
+        F, np.zeros((m, n)), K[0], np.ones(n), np.ones(n), None, 0.0, 1.0)
+    monkeypatch.undo()
+    assert finite.all()
+    assert np.array_equal(xnew, inputs[-1]) and np.array_equal(fnew, K[12])
+    return np.stack(inputs + errors)
+
+
+def test_stage_sums_add_term_by_term_for_every_batch_size(monkeypatch):
     # a reduction over the stage axis would add pairwise once that axis is
     # numpy's inner loop, as it is for one column of a 1-D field, so a
     # column's sum would depend on the batch it is in; widely spread
     # magnitudes make the order of the terms show
     rng = np.random.default_rng(3)
-    row = tuple((j, float(a)) for j, a in enumerate(rng.normal(size=13)))
     for m in (1, 3):
         K = rng.normal(size=(13, m, 1000)) \
             * 10.0 ** rng.integers(-12, 12, size=(13, m, 1000))
-        whole = flow._combine(row, K)
+        whole = _stage_sums(K, monkeypatch)
         for n in (1, 9):
             for j in range(0, 1000 - n, 97):
-                part = flow._combine(row,
-                                     np.ascontiguousarray(K[:, :, j:j + n]))
-                assert np.array_equal(part, whole[:, j:j + n])
-        for i, j in ((0, 0), (m - 1, 500), (0, 999)):
-            s = row[0][1] * float(K[0, i, j])
-            for stage, a in row[1:]:
-                s += a * float(K[stage, i, j])
-            assert s == whole[i, j]
+                part = _stage_sums(np.ascontiguousarray(K[:, :, j:j + n]),
+                                   monkeypatch)
+                assert np.array_equal(part, whole[:, :, j:j + n])
+        for r, row in enumerate(flow._SUMS):
+            for i, j in ((0, 0), (m - 1, 500), (0, 999)):
+                s = row[0][1] * float(K[row[0][0], i, j])
+                for stage, a in row[1:]:
+                    s += a * float(K[stage, i, j])
+                assert s == whole[r, i, j]
