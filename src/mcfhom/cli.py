@@ -330,13 +330,14 @@ def cmd_hi(args):
     report["hi"] = _homology_table(et.hi)
     report["relative_cubical"] = _homology_table(et.relative)
     report["exit_theorem"] = et.verdict
-    report["perturbation"] = expr.to_str(
-        res.quadruple.certificate.perturbation)
+    report["perturbation"] = expr.to_str(res.certificate.perturbation)
     report["critical_points"] = [
         {"coords": list(c.coords), "index": c.index, "f": c.f_value}
-        for c in res.quadruple.crits]
+        for c in res.crits]
+    # each count as its entry over the report's ring
     report["connection_counts"] = [
-        {"source": c.source, "target": c.target, "n": c.n,
+        {"source": c.source, "target": c.target,
+         "n": c.n % 2 if args.coeff == "Z2" else c.n,
          "witnesses": len(c.witnesses)}
         for c in res.counts]
     report["verdict"] = et.verdict

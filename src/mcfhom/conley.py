@@ -23,20 +23,16 @@ class ContinuationError(ConleyError):
 
 
 @dataclass
-class Quadruple:
-    """The data the homology is computed from: a Morse function on a block
+class HIResult:
+    """HI_* and the data it is computed from: a Morse function on a block
     with the Euclidean metric and the canonical orientation frames."""
 
+    homology: homalg.HomologyResult
     f: object          # Expr after perturbation
     block: object      # with its boundary faces classified
+    exit_cells: object  # the exit-set mask of ``block.exit_set``
     crits: list
     certificate: object
-
-
-@dataclass
-class HIResult:
-    homology: homalg.HomologyResult
-    quadruple: Quadruple
     complex: homalg.ChainComplex
     counts: list
 
@@ -77,7 +73,7 @@ def compute_HI(system, seed=0, coeff="Z", tols=DEFAULT):
     function, find critical points, count connections, take homology."""
     fieldd, b = system.field, system.block
     classified = block_mod.classify_boundary(b, fieldd, tols=tols)
-    block_mod.exit_set(classified)  # raises on unresolved faces
+    exitc = block_mod.exit_set(classified)  # raises on unresolved faces
     iso = block_mod.check_isolation(b, fieldd, tols=tols)
     if not iso:
         raise PipelineError(
@@ -93,11 +89,9 @@ def compute_HI(system, seed=0, coeff="Z", tols=DEFAULT):
         system.lyapunov, b, epsilon=system.epsilon, seed=seed,
         perturbation=system.perturbation, tols=tols)
     crits = morse.find_critical_points(f, b, tols=tols)
-    complex_, counts = morse.build_complex(
-        f, b, crits, tols=tols, coeff=coeff, seed=seed)
+    complex_, counts = morse.build_complex(f, b, crits, tols=tols, seed=seed)
     h = homalg.homology(complex_, coeff=coeff)
-    quad = Quadruple(f, classified, crits, cert)
-    return HIResult(h, quad, complex_, counts)
+    return HIResult(h, f, classified, exitc, crits, cert, complex_, counts)
 
 
 @dataclass
@@ -111,9 +105,8 @@ def verify_exit_theorem(system, seed=0, coeff="Z", tols=DEFAULT):
     """Compare HI against the relative cubical homology of the block and
     its exit set."""
     res = compute_HI(system, seed=seed, coeff=coeff, tols=tols)
-    classified = res.quadruple.block
-    exitc = block_mod.exit_set(classified)
-    rel = homalg.cubical_relative_homology(classified, exitc, coeff=coeff)
+    rel = homalg.cubical_relative_homology(res.block, res.exit_cells,
+                                           coeff=coeff)
     return ExitTheoremReport(res.homology == rel, res.homology, rel), res
 
 

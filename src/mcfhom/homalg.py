@@ -2,12 +2,12 @@
 
 A chain complex stores each boundary d_k once, as sparse columns over Z
 (dicts {row: value}, Python big integers throughout).  Homology first
-reduces the complex: every boundary entry that is a unit of the coefficient
-ring (+-1 over Z, odd over Z/2) cancels its pair of generators by an
-elementary reduction, a chain homotopy equivalence.  What is left is small,
-and the invariant factors of one Smith normal form over Z per degree of
-that residue, a list of int rows, give the homology; over Z/2 the residue
-has no entries.
+reduces the complex over Z: every boundary entry +-1 cancels its pair of
+generators by an elementary reduction, a chain homotopy equivalence.  What
+is left is small, and the invariant factors of one Smith normal form per
+degree of that residue, a list of int rows, give the homology over Z.  The
+homology over Z/2 is read off that answer by the universal coefficient
+theorem (Hatcher, Algebraic Topology, 3.A).
 
 A cubical complex, given by two cell masks on a doubled grid (see
 ``block``), is never stored whole as columns.  The face ranks and signs of
@@ -102,10 +102,9 @@ class ChainComplex:
         return len(self.dims) - 1
 
 
-def verify_d_squared(c, coeff="Z"):
-    """Check d_{k} . d_{k+1} = 0 exactly over the coefficient ring (entries
-    reduced mod 2 with ``coeff="Z2"``); returns the first offending entry
-    (k, row, column, value) in row-major order, or None."""
+def verify_d_squared(c):
+    """Check d_{k} . d_{k+1} = 0 exactly over Z; returns the first
+    offending entry (k, row, column, value) in row-major order, or None."""
     cols = c.columns
     for k in range(1, c.top):
         bad = []
@@ -114,11 +113,7 @@ def verify_d_squared(c, coeff="Z"):
             for t, a in col.items():
                 for i, b in cols[k][t].items():
                     acc[i] = acc.get(i, 0) + a * b
-            for i, v in acc.items():
-                if coeff == "Z2":
-                    v %= 2
-                if v:
-                    bad.append((i, j, v))
+            bad.extend((i, j, v) for i, v in acc.items() if v)
         if bad:
             return (k, *min(bad))
     return None
@@ -156,7 +151,7 @@ class HomologyResult:
         return "; ".join(parts) if parts else "0"
 
 
-def _reduce(cols, dims, coeff):
+def _reduce(cols, dims):
     """Cancel every unit entry of the sparse boundaries ``cols`` in place,
     top degree first and each degree in index order, and return the
     surviving generators of each degree.
@@ -191,8 +186,6 @@ def _reduce(cols, dims, coeff):
                     f = other[b] * u
                     for i, v in col.items():
                         w = other.get(i, 0) - f * v
-                        if coeff == "Z2":
-                            w %= 2
                         if w:
                             other[i] = w
                             rk[i].add(a2)
@@ -219,25 +212,22 @@ def homology(c, coeff="Z"):
     """Homology of a chain complex; Betti numbers and torsion over Z, or
     mod-2 Betti numbers with ``coeff="Z2"``.
 
-    d^2 = 0 is verified over the coefficient ring.  A copy of the stored
-    columns, reduced mod 2 over Z/2, is then reduced (``_reduce``), and a
-    residue degree with entries left, none of them a unit, gets one Smith
-    normal form.  Over Z/2 every nonzero entry is a unit, so the residue
-    has no entries and its ranks are 0; that is checked, not assumed."""
-    bad = verify_d_squared(c, coeff)
+    d^2 = 0 is verified over Z, also for ``coeff="Z2"``.  A copy of the
+    stored columns is reduced (``_reduce``), and a residue degree with
+    entries left, none of them a unit, gets one Smith normal form.  Over
+    Z/2 the universal coefficient theorem, H_k(C; Z/2) = H_k (x) Z/2 +
+    Tor(H_{k-1}, Z/2), gives the rank b_k + e_k + e_{k-1}, with e_k the
+    number of even invariant factors of H_k."""
+    bad = verify_d_squared(c)
     if bad is not None:
         raise _not_a_complex(*bad)
-    cols = {k: [{i: v % 2 for i, v in col.items() if v % 2}
-                if coeff == "Z2" else dict(col) for col in ck]
-            for k, ck in c.columns.items()}
-    keep = _reduce(cols, c.dims, coeff)
+    cols = {k: [dict(col) for col in ck] for k, ck in c.columns.items()}
+    keep = _reduce(cols, c.dims)
     ranks = [0] * (c.top + 2)
     torsion = {}
     for k in range(1, c.top + 1):
         if not any(cols[k][j] for j in keep[k]):
             continue
-        if coeff == "Z2":
-            raise HomalgError(f"mod-2 residue of d_{k} is not empty")
         diag = smith_normal_form([[cols[k][j].get(i, 0) for j in keep[k]]
                                   for i in keep[k - 1]])
         ranks[k] = len(diag)
@@ -249,6 +239,12 @@ def homology(c, coeff="Z"):
         betti.append(len(keep[k]) - ranks[k] - ranks[k + 1])
         if betti[-1] < 0:
             raise HomalgError(f"negative Betti number in degree {k}")
+    if coeff == "Z2":
+        # e[k + 1] = e_k, and e_{-1} = 0
+        e = [sum(d % 2 == 0 for d in torsion.get(k, ()))
+             for k in range(-1, c.top + 1)]
+        betti = [b + e[k + 1] + e[k] for k, b in enumerate(betti)]
+        torsion = {}
     return HomologyResult(betti, torsion, coeff)
 
 
@@ -333,14 +329,13 @@ def _partners(k):
     return out
 
 
-def _check_d_squared(face, sign, coeff):
-    """Check d_k . d_{k+1} = 0 over the coefficient ring on the arrays of
-    ``_cubical_arrays``.  Entry (g, c) is the sum of the sign products
-    along the two paths c -> f -> g, a path and its partner
-    (``_partners``), so each path plus its partner is summed: no key, no
-    sort.  A path through a dropped cell gives 0.  Raises
-    ``NotAComplexError`` naming the entry that ``verify_d_squared`` finds
-    on the columns."""
+def _check_d_squared(face, sign):
+    """Check d_k . d_{k+1} = 0 on the arrays of ``_cubical_arrays``.
+    Entry (g, c) is the sum of the sign products along the two paths
+    c -> f -> g, a path and its partner (``_partners``), so each path plus
+    its partner is summed: no key, no sort.  A path through a dropped cell
+    gives 0.  Raises ``NotAComplexError`` naming the entry that
+    ``verify_d_squared`` finds on the columns."""
     for k in range(1, len(face)):
         if not (len(face[k]) and len(face[k + 1])):
             continue  # no (k+1)-cell, or every face of one is dropped
@@ -351,8 +346,6 @@ def _check_d_squared(face, sign, coeff):
         path, partner = _partners(k)
         tot = np.take(prod, path, axis=1)
         tot += np.take(prod, partner, axis=1)
-        if coeff == "Z2":
-            tot &= 1
         if tot.any():
             j, p = np.nonzero(tot)
             t, u = np.divmod(path[p], 2 * k)
@@ -412,18 +405,18 @@ def _once(x, owner):
     return owner[x] == i
 
 
-def build_cubical_complex(cells, relative_to=None, coeff="Z"):
+def build_cubical_complex(cells, relative_to=None):
     """A small complex chain homotopy equivalent to the chain complex of a
     closed cubical cell set modulo a closed subset.
 
     The whole complex is built as arrays (``_cubical_arrays``), its d^2 = 0
-    is checked there over the coefficient ring, and coreductions and
-    collapses (``_coreduce``) remove most of its cells.  Only the cells left
-    become sparse columns, with the entries they had, in C order per
-    degree; the degrees run up to the top one of the whole complex."""
+    is checked there, and coreductions and collapses (``_coreduce``)
+    remove most of its cells.  Only the cells left become sparse columns,
+    with the entries they had, in C order per degree; the degrees run up to
+    the top one of the whole complex."""
     live, code, rank, off, dims, face, sign = _cubical_arrays(cells,
                                                               relative_to)
-    _check_d_squared(face, sign, coeff)
+    _check_d_squared(face, sign)
     _coreduce(live, code, off)
     left = np.flatnonzero(live)
     dim = ((code[left, None] >> np.arange(len(off) // 2)) & 1).sum(axis=1)
@@ -444,7 +437,7 @@ def cubical_relative_homology(b, subcells, coeff="Z"):
     sub = np.asarray(subcells, dtype=bool)
     if sub.shape != cells.shape or (sub & ~cells).any():
         raise HomalgError("subcomplex is not contained in the block")
-    return homology(build_cubical_complex(cells, sub, coeff), coeff)
+    return homology(build_cubical_complex(cells, sub), coeff)
 
 
 # ---------------------------------------------------------------------------

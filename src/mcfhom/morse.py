@@ -6,6 +6,12 @@ every seed of a lattice at once: one stacked linear solve per round and a
 least-squares step where a Hessian is singular.  ``find_critical_points``
 runs it on the block's bounding-box lattice.
 
+The complex is built once, over Z: ``ConnectionFinder.search`` runs one
+search pass over the whole critical set and returns the signed witnesses of
+each (source, target) pair, and ``build_complex`` sums their signs into the
+entries of d_k.  Homology over Z/2 is read off this same complex
+(``homalg.homology``).
+
 Connections are counted only between critical points of adjacent index.  A
 connecting orbit p -> q, with ind p = k and ind q = k - 1, lies on the
 unstable manifold of p and on the stable manifold of q, so it crosses both
@@ -31,7 +37,8 @@ direction of time (``ConnectionFinder._spheres``):
   batch.
 - 3 <= k <= m - 1: the connecting directions are isolated points on curves
   of S^{k-1}, which bisection cannot find, so ``search`` raises
-  ``MorseError`` before any orbit runs.
+  ``MorseError`` for the first such point in order of index before any
+  orbit runs.
 
 All spheres of a search are refined in lockstep (``_search_spheres``):
 every gap whose end labels differ is refined by halving, ``sphere.DEPTH``
@@ -233,7 +240,6 @@ class ConnectionFinder:
         self.tols = tols
         self.scale = flow.field_scale(gradfield, b)
         self.seed = seed
-        self._witnesses = {}  # source ident -> {target ident: [Witness]}
 
     def _rotation(self, k):
         # random.Random takes no tuple; a str seeds it from its bytes
@@ -262,37 +268,31 @@ class ConnectionFinder:
                 for tag, ident, err, t in zip(lc.tag, lc.crit_id, lc.errors,
                                               run.t)]
 
-    def witnesses_for(self, source_ident):
-        if source_ident not in self._witnesses:
-            self.search([self.by_id[source_ident]])
-        return self._witnesses[source_ident]
+    def search(self):
+        """The signed witnesses of every connection of the critical set,
+        {(source ident, target ident): [Witness]}, found on the spheres
+        ``_spheres`` picks by ``_search_spheres``; a pair without a witness
+        has no key."""
+        return self._search_spheres(self._spheres())
 
-    def search(self, sources):
-        """Find and sign the witnesses of every source not searched yet, on
-        the spheres ``_spheres`` picks, by ``_search_spheres``."""
-        self._search_spheres(self._spheres(sources))
-
-    def _spheres(self, sources):
-        """The ``sphere.Circle`` of each unsearched source of ``sources``
-        with targets; a source without any has no witnesses.
+    def _spheres(self):
+        """The ``sphere.Circle`` of each critical point with targets, in
+        order of index; one without any has no witnesses.
 
         A source of index 1 is searched forward on its unstable S^0, and
-        one of index 1 < k < m on its unstable circle.  A source of index
-        m > 1 is searched backward from the stable S^0 of every target of
-        index m - 1, whose targets are all unsearched sources of index m.
-        A source of index 3 <= k <= m - 1 raises ``MorseError`` before any
-        orbit runs.  The list holds the forward S^0 in source order, the
-        backward S^0 in the order of the critical points, then the circles
-        in source order."""
+        one of index 1 < k < m on its unstable circle.  The sources of
+        index m > 1 are searched backward from the stable S^0 of every
+        target of index m - 1.  A source of index 3 <= k <= m - 1 raises
+        ``MorseError`` before any orbit runs.  The list holds the forward
+        S^0 in source order, the backward S^0 in the order of the critical
+        points, then the circles in source order."""
         m = self.b.dimension
         forward, circles, top = [], [], False
-        for x in sources:
-            if x.ident in self._witnesses:
-                continue
+        for x in sorted(self.crits, key=lambda c: c.index):
             targets = {c.ident for c in self.crits if c.index == x.index - 1}
             if not targets:
-                self._witnesses[x.ident] = {}
-            elif x.index == m > 1:
+                continue
+            if x.index == m > 1:
                 top = True
             elif x.index > 2:
                 raise MorseError(
@@ -304,8 +304,7 @@ class ConnectionFinder:
             else:
                 (forward if x.index == 1 else circles).append(
                     self._circle(x, 1, x.frame_matrix(), targets))
-        tops = {x.ident for x in self.crits
-                if x.index == m and x.ident not in self._witnesses}
+        tops = {x.ident for x in self.crits if x.index == m}
         backward = [self._circle(q, -1, np.column_stack(q.stable), tops)
                     for q in self.crits if top and q.index == m - 1]
         return forward + backward + circles
@@ -347,13 +346,14 @@ class ConnectionFinder:
                          f"Morse-Smale")
 
     def _search_spheres(self, spheres):
-        """Refine ``spheres`` in lockstep and store their signed witnesses.
+        """Refine ``spheres`` in lockstep and return their signed
+        witnesses, {(source ident, target ident): [Witness]}.
 
         Each step labels what every unfinished sphere wants in one
         ``_classify`` batch, and ``_read`` reads each of its labels, in
         batch order, before any sphere learns them.  A witness of a forward
         S^0 is signed by its direction coefficient, one of a backward S^0
-        by the determinant rule and stored under the source it reaches, and
+        by the determinant rule and keyed by the source it reaches, and
         those of the circles by ``_signs``."""
         while True:
             asks = [(s, s.wanted()) for s in spheres]
@@ -371,9 +371,7 @@ class ConnectionFinder:
                  for tgt, items in s.witnesses().items() for d, t in items]
         signs = iter(self._signs([(s, self.by_id[tgt], d, t)
                                   for s, tgt, d, t in found if len(d) > 1]))
-        for s in spheres:
-            for x in (s.targets if s.time < 0 else [s.x.ident]):
-                self._witnesses[x] = {}
+        witnesses = {}
         for s, tgt, d, t in found:
             if len(d) > 1:
                 sign = next(signs)
@@ -384,10 +382,10 @@ class ConnectionFinder:
                 det = np.linalg.det(p.frame_matrix()) * np.linalg.det(
                     np.column_stack([-d * s.frame, s.x.frame_matrix()]))
                 sign = 1 if det > 0 else -1
-            source, target = (tgt, s.x.ident) if s.time < 0 \
-                else (s.x.ident, tgt)
-            self._witnesses[source].setdefault(target, []).append(
+            pair = (tgt, s.x.ident) if s.time < 0 else (s.x.ident, tgt)
+            witnesses.setdefault(pair, []).append(
                 Witness(tuple(float(v) for v in d), sign, t))
+        return witnesses
 
     def _signs(self, jobs):
         """Orientation signs of the witnesses (forward sphere, target,
@@ -427,29 +425,26 @@ class ConnectionFinder:
         return 1 if det > 0 else -1
 
 
-def count_connections(x, y, finder, coeff="Z"):
-    """Signed count of connecting orbits from x down to y (adjacent index).
-    """
+def count_connections(x, y, witnesses):
+    """Signed count of connecting orbits from x down to y (adjacent index),
+    from the witnesses of ``ConnectionFinder.search``."""
     if x.index != y.index + 1:
         raise MorseError(
             f"index difference must be 1, got {x.index} -> {y.index}")
-    ws = finder.witnesses_for(x.ident).get(y.ident, [])
-    n = sum(w.sign for w in ws)
-    if coeff == "Z2":
-        n = len(ws) % 2
-    return ConnectionCount(x.ident, y.ident, n, ws)
+    ws = witnesses.get((x.ident, y.ident), [])
+    return ConnectionCount(x.ident, y.ident, sum(w.sign for w in ws), ws)
 
 
-def build_complex(f, b, crits, tols=DEFAULT, coeff="Z", seed=0):
-    """Assemble the Morse chain complex over the given critical points:
-    C_k has the critical points of index k, in ``crits`` order.
+def build_complex(f, b, crits, tols=DEFAULT, seed=0):
+    """Assemble the Morse chain complex over Z on the given critical
+    points: C_k has the critical points of index k, in ``crits`` order, and
+    d_k the signed counts of ``count_connections``.
     ``homalg.homology`` checks its d^2 = 0, which a missed or double-counted
     connecting orbit breaks."""
-    finder = ConnectionFinder(expr.negative_gradient(f, b.dimension), b,
-                              crits, tols=tols, seed=seed)
+    witnesses = ConnectionFinder(expr.negative_gradient(f, b.dimension), b,
+                                 crits, tols=tols, seed=seed).search()
     top = max((c.index for c in crits), default=0)
     gens = [[c for c in crits if c.index == k] for k in range(top + 1)]
-    finder.search([x for g in gens[1:] for x in g])
     columns = {}
     counts = []
     for k in range(1, top + 1):
@@ -457,7 +452,7 @@ def build_complex(f, b, crits, tols=DEFAULT, coeff="Z", seed=0):
         for x in gens[k]:
             ck.append({})
             for i, y in enumerate(gens[k - 1]):
-                cc = count_connections(x, y, finder, coeff=coeff)
+                cc = count_connections(x, y, witnesses)
                 counts.append(cc)
                 if cc.n:
                     ck[-1][i] = cc.n

@@ -73,22 +73,17 @@ def midpoint(sp):
 
 
 def forward_search(finder, sources):
-    """Search every unsearched source of ``sources`` of index 1 or 2 with
-    targets forward on its unstable sphere, S^0 or the circle, by
+    """Search every source of ``sources`` of index 1 or 2 with targets
+    forward on its unstable sphere, S^0 or the circle, by
     ``finder._search_spheres``: also a source of index m = 2, which
     ``finder.search`` reaches backward from the stable S^0 of its targets.
-    A source without targets has no witnesses.  Returns the spheres; the
-    witnesses of an S^0 are signed by their direction coefficients, as in
-    ``finder.search``."""
+    A source without targets has no sphere.  Returns the spheres and their
+    witnesses {(source, target): [Witness]}; the witnesses of an S^0 are
+    signed by their direction coefficients, as in ``finder.search``."""
     circles = []
     for x in sources:
-        if x.ident in finder._witnesses:
-            continue
         targets = {c.ident for c in finder.crits if c.index == x.index - 1}
-        if not targets:
-            finder._witnesses[x.ident] = {}
-            continue
-        assert x.index <= 2, "the forward search has S^0 and S^1 only"
-        circles.append(finder._circle(x, 1, x.frame_matrix(), targets))
-    finder._search_spheres(circles)
-    return circles
+        if targets:
+            assert x.index <= 2, "the forward search has S^0 and S^1 only"
+            circles.append(finder._circle(x, 1, x.frame_matrix(), targets))
+    return circles, finder._search_spheres(circles)

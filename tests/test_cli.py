@@ -324,6 +324,9 @@ def test_block_report_matches_the_golden_report(system, golden, code, capsys):
     # a field and options.lam = 0.5 at one parameter value
     (["hi", "saddle_lam.json", "--seed", "3"], "saddle_lam_hi_seed3.out"),
     (["lyapunov", "saddle_lam.json"], "saddle_lam_lyapunov.out"),
+    # the signed counts of the Z complex, each printed mod 2
+    (["hi", CONNECTIONS, "--seed", "3", "--coeff", "Z2"],
+     "connections_hi_seed3_Z2.out"),
 ])
 def test_report_matches_the_golden_report(argv, golden, capsys):
     assert cli.main([argv[0], _path(argv[1]), *argv[2:]]) == 0

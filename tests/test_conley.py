@@ -50,7 +50,7 @@ def test_hi_semistable_is_zero():
         fld, b, expr.parse("-x1", 1), lyapunov.SDeclaration(((0.0,),), 0.1)),
         seed=0)
     assert res.homology.describe() == "0"
-    assert res.quadruple.crits == []
+    assert res.crits == []
 
 
 def test_hi_repeller():
@@ -67,7 +67,7 @@ def test_hi_attracting_interval():
     rep, res = conley.verify_exit_theorem(_dw(), seed=0)
     assert rep.verdict
     assert rep.hi.describe() == "H_0 = Z"
-    assert [c.index for c in res.quadruple.crits] == [0, 1, 0]
+    assert [c.index for c in res.crits] == [0, 1, 0]
 
 
 def test_hi_ring_and_its_repelling_centre():
@@ -100,7 +100,7 @@ def test_hi_decoupled_pair():
     res = conley.compute_HI(
         conley.System(fld, b, expr.parse(DW_LYAP, 1), sd), seed=0)
     assert res.homology.describe() == "H_0 = Z^2"
-    assert [c.index for c in res.quadruple.crits] == [0, 0]
+    assert [c.index for c in res.crits] == [0, 0]
 
 
 def test_exit_theorem_classifies_the_boundary_once(monkeypatch):
@@ -117,7 +117,7 @@ def test_exit_theorem_classifies_the_boundary_once(monkeypatch):
     rep, res = conley.verify_exit_theorem(system, seed=0)
     assert rep.verdict
     assert len(calls) == 1
-    assert not (res.quadruple.block.tags == block.UNRESOLVED).any()
+    assert not (res.block.tags == block.UNRESOLVED).any()
 
 
 def test_hi_precheck_rejects_unresolved_faces():

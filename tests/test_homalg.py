@@ -129,13 +129,14 @@ def test_homology_rejects_non_complex():
 
 
 def test_d_squared_is_checked_over_the_coefficient_ring():
-    # d_1 . d_2 = [[2]]: not a complex over Z, but one over Z/2
+    # d_1 . d_2 = [[2]]: a complex over Z/2 only.  The Z/2 homology is
+    # read off the homology over Z, so it is refused over both rings
     c = algebra_oracle.complex_of([1, 2, 1], {1: [[1, 1]], 2: [[1], [1]]})
     assert homalg.verify_d_squared(c) == (1, 0, 0, 2)
-    assert homalg.verify_d_squared(c, "Z2") is None
-    assert homalg.homology(c, coeff="Z2").betti == [0, 0, 0]
-    with pytest.raises(homalg.NotAComplexError):
-        homalg.homology(c)
+    for coeff in ("Z", "Z2"):
+        with pytest.raises(homalg.NotAComplexError,
+                           match=r"d_1 \. d_2 has entry 2 at \(0, 0\)"):
+            homalg.homology(c, coeff)
 
 
 def test_d_squared_reports_the_first_entry_in_row_major_order():
@@ -145,18 +146,15 @@ def test_d_squared_reports_the_first_entry_in_row_major_order():
         c = algebra_oracle.complex_of(dims, {
             k: [[rng.choice((0, 0, 1, -1, 2)) for _ in range(dims[k])]
                 for _ in range(dims[k - 1])] for k in (1, 2, 3)})
-        for coeff in ("Z", "Z2"):
-            want = None
-            for k in (1, 2):
-                P = algebra_oracle.matmul(algebra_oracle.dense(c, k),
-                                          algebra_oracle.dense(c, k + 1))
-                want = next(((k, i, j, v % 2 if coeff == "Z2" else v)
-                             for i, row in enumerate(P)
-                             for j, v in enumerate(row)
-                             if (v % 2 if coeff == "Z2" else v)), None)
-                if want:
-                    break
-            assert homalg.verify_d_squared(c, coeff) == want
+        want = None
+        for k in (1, 2):
+            P = algebra_oracle.matmul(algebra_oracle.dense(c, k),
+                                      algebra_oracle.dense(c, k + 1))
+            want = next(((k, i, j, v) for i, row in enumerate(P)
+                         for j, v in enumerate(row) if v), None)
+            if want:
+                break
+        assert homalg.verify_d_squared(c) == want
 
 
 def test_homology_invariant_under_column_negation():
@@ -179,15 +177,14 @@ def test_mod2_homology():
     assert h2.betti == [1, 1]
 
 
-def test_mod2_residue_with_an_entry_is_an_error(monkeypatch):
-    # over Z/2 every nonzero entry is a unit, so the reduction leaves no
-    # entry; a residue that keeps one is reported, not taken as rank 0
-    c = algebra_oracle.complex_of([1, 1], {1: [[1]]})
+def test_mod2_homology_of_a_residue_with_unit_entries(monkeypatch):
+    # with no cancellation, the Smith normal form takes the unit entries
+    # too, and the mod-2 ranks read off it are still right
+    c = algebra_oracle.complex_of([2, 2], {1: [[1, 0], [0, 2]]})
     monkeypatch.setattr(homalg, "_reduce",
-                        lambda cols, dims, coeff: [list(range(n))
-                                                   for n in dims])
-    with pytest.raises(homalg.HomalgError, match="mod-2 residue of d_1"):
-        homalg.homology(c, coeff="Z2")
+                        lambda cols, dims: [list(range(n)) for n in dims])
+    assert homalg.homology(c, coeff="Z2").betti == [1, 1]
+    assert homalg.homology(c).torsion == {0: [2]}
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +226,12 @@ def _unimodular(rng, n):
 
 def _known_complex(rng, top):
     """d_k = P_{k-1} D_k P_k^-1 with D_k diagonal over invariant factors
-    drawn from 1, 2, 6 and 0, together with its homology over Z and Z/2.
+    drawn from 1, 2, 3, 6 and 0, together with its homology over Z and
+    over Z/2, the latter from the mod-2 ranks of the D_k.
 
     C_k is spanned by the targets of d_{k+1}, some free generators and the
     sources of d_k, in that order, so that D_k D_{k+1} = 0."""
-    factors = [[]] + [[rng.choice((1, 1, 2, 6, 0)) for _ in
+    factors = [[]] + [[rng.choice((1, 1, 2, 3, 6, 0)) for _ in
                        range(rng.randint(0, 3))] for _ in range(top)]
     factors.append([])
     free = [rng.randint(0, 2) for _ in range(top + 1)]
@@ -251,8 +249,11 @@ def _known_complex(rng, top):
                 algebra_oracle.matmul(P[k - 1][0], D), P[k][1])
     betti = [free[k] + factors[k].count(0) + factors[k + 1].count(0)
              for k in range(top + 1)]
-    torsion = {k - 1: sorted(t for t in factors[k] if t > 1)
-               for k in range(1, top + 1)}
+    # diag(2, 3) has the invariant factors 1, 6
+    torsion = {k - 1: [d for d in algebra_oracle.invariant_factors(
+                   [[t * (i == j) for j in range(len(f))]
+                    for i, t in enumerate(f)]) if d > 1]
+               for k, f in enumerate(factors[1:top + 1], 1)}
     odd = [sum(t % 2 for t in f) for f in factors]
     betti2 = [dims[k] - odd[k] - odd[k + 1] for k in range(top + 1)]
     return (algebra_oracle.complex_of(dims, boundaries),
@@ -262,12 +263,18 @@ def _known_complex(rng, top):
 
 def test_reduction_recovers_known_invariant_factors():
     rng = random.Random(11)
+    seen = set()
     for _ in range(40):
         c, want, want2 = _known_complex(rng, rng.randint(1, 3))
         assert homalg.verify_d_squared(c) is None
         assert homalg.homology(c) == want == _oracle_homology(c, "Z")
         assert homalg.homology(c, "Z2") == want2 == \
             _oracle_homology(c, "Z2")
+        seen |= {"even" if d % 2 == 0 else "odd"
+                 for ds in want.torsion.values() for d in ds}
+        seen |= {"free"} if any(want.betti) else set()
+    # the universal coefficients are checked on every kind of summand
+    assert seen == {"even", "odd", "free"}
 
 
 def _random_picks(rng, shape):
@@ -349,10 +356,10 @@ def _assert_no_reduction_pair(c):
 def test_reduction_matches_snf_on_random_cubical_pairs(shape, cases):
     for cells, sub, cell_mask, sub_mask in _random_pairs(shape, cases):
         whole = cubical_oracle.build_cubical_complex(cells, sub)
+        c = homalg.build_cubical_complex(cell_mask, sub_mask)
+        assert len(c.dims) == len(whole.dims)
+        _assert_no_reduction_pair(c)
         for coeff in ("Z", "Z2"):
-            c = homalg.build_cubical_complex(cell_mask, sub_mask, coeff)
-            assert len(c.dims) == len(whole.dims)
-            _assert_no_reduction_pair(c)
             assert homalg.homology(c, coeff) == \
                 _oracle_homology(whole, coeff)
 
@@ -372,16 +379,16 @@ def _corrupted(rng, shape, cases, change):
         yield face, sign, _complex_of(dims, face, sign)
 
 
-def _assert_d_squared_check_agrees(face, sign, c, coeff):
+def _assert_d_squared_check_agrees(face, sign, c):
     """The array check raises exactly when ``verify_d_squared`` finds an
     entry, and names that entry."""
-    bad = homalg.verify_d_squared(c, coeff)
+    bad = homalg.verify_d_squared(c)
     if bad is None:
-        homalg._check_d_squared(face, sign, coeff)
+        homalg._check_d_squared(face, sign)
         return
     k, i, j, v = bad
     with pytest.raises(homalg.NotAComplexError) as err:
-        homalg._check_d_squared(face, sign, coeff)
+        homalg._check_d_squared(face, sign)
     assert str(err.value) == f"d_{k} . d_{k + 1} has entry {v} at ({i}, {j})"
 
 
@@ -391,22 +398,22 @@ def test_array_d_squared_check_names_the_entry_of_the_columns(shape, cases):
     failed = 0
     for face, sign, c in _corrupted(rng, shape, cases,
                                     lambda s: rng.choice((0, -s, 3 * s))):
-        for coeff in ("Z", "Z2"):
-            _assert_d_squared_check_agrees(face, sign, c, coeff)
+        _assert_d_squared_check_agrees(face, sign, c)
         failed += homalg.verify_d_squared(c) is not None
     assert failed or shape == (9,)  # a 1-D pair has no d_1 . d_2
 
 
-def test_array_d_squared_check_is_over_the_coefficient_ring():
+def test_array_d_squared_check_refuses_an_even_entry():
     # a sign turned over changes its entry by 2: the pair stays a complex
-    # over Z/2 but is none over Z
+    # over Z/2 but is none over Z, and the check, over Z, names the entry
     rng = random.Random(2)
     seen = 0
     for face, sign, c in _corrupted(rng, (3, 3, 3), 12, lambda s: -s):
-        homalg._check_d_squared(face, sign, "Z2")
-        if homalg.verify_d_squared(c) is not None:
+        bad = homalg.verify_d_squared(c)
+        if bad is not None:
             seen += 1
-            _assert_d_squared_check_agrees(face, sign, c, "Z")
+            assert bad[-1] % 2 == 0
+            _assert_d_squared_check_agrees(face, sign, c)
     assert seen
 
 
@@ -414,15 +421,16 @@ def test_d_squared_is_checked_on_the_whole_cubical_complex(monkeypatch):
     cube = np.zeros((5, 5, 5), dtype=bool)
     cube[1::2, 1::2, 1::2] = True
     cells = block.closure(cube)
-    # the check runs before any reduction, over the coefficient ring
+    # the check runs before any reduction, on an entry that is even (a
+    # sign turned over) and on one that is odd (a sign set to 0)
     monkeypatch.setattr(homalg, "_coreduce", None)
-    for change, coeff in ((-1, "Z"), (0, "Z2")):
+    for change in (-1, 0):
         arrays = homalg._cubical_arrays(cells)
         arrays[-1][2][0, 0] *= change
         with monkeypatch.context() as mp:
             mp.setattr(homalg, "_cubical_arrays", lambda *a: arrays)
             with pytest.raises(homalg.NotAComplexError, match="d_1 . d_2"):
-                homalg.build_cubical_complex(cells, coeff=coeff)
+                homalg.build_cubical_complex(cells)
 
 
 @pytest.mark.parametrize("shape,cases", _RANDOM_PAIRS)
@@ -439,9 +447,8 @@ def test_array_d_squared_check_leaves_out_the_dropped_cells(shape, cases):
                 sign[k][j, t] = rng.choice((0, 2, -3))
             changed += len(dropped)
         c = _complex_of(dims, face, sign)
-        for coeff in ("Z", "Z2"):
-            assert homalg.verify_d_squared(c, coeff) is None
-            homalg._check_d_squared(face, sign, coeff)
+        assert homalg.verify_d_squared(c) is None
+        homalg._check_d_squared(face, sign)
     assert changed
 
 
@@ -539,12 +546,11 @@ def test_complexes_from_matrices_and_from_columns_agree():
             cols = dims[k] if k < len(dims) else 0
             assert algebra_oracle.dense(sparse, k) == boundaries.get(
                 k, [[0] * cols for _ in range(rows)])
-        for coeff in ("Z", "Z2"):
-            bad = homalg.verify_d_squared(dense, coeff)
-            assert bad == homalg.verify_d_squared(sparse, coeff)
-            if bad is None:
-                assert homalg.homology(dense, coeff) == \
-                    homalg.homology(sparse, coeff)
+        bad = homalg.verify_d_squared(dense)
+        assert bad == homalg.verify_d_squared(sparse)
+        for coeff in ("Z", "Z2") if bad is None else ():
+            assert homalg.homology(dense, coeff) == \
+                homalg.homology(sparse, coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -600,8 +606,8 @@ def test_cubical_cube_relative_to_its_boundary():
         cube[(1,) * m] = True
         cells = block.closure(cube)
         assert _full_complex(cells, cells & ~cube).dims == [0] * m + [1]
+        c = homalg.build_cubical_complex(cells, cells & ~cube)
         for coeff in ("Z", "Z2"):
-            c = homalg.build_cubical_complex(cells, cells & ~cube, coeff)
             assert homalg.homology(c, coeff).describe() == f"H_{m} = {coeff}"
 
 
@@ -615,8 +621,8 @@ def test_cubical_cube_relative_to_its_boundary_beside_an_edge():
     cells = block.closure(cube | edge)
     sub = block.closure(cube) & ~cube
     assert _full_complex(cells, sub).dims == [2, 1, 0, 1]
+    c = homalg.build_cubical_complex(cells, sub)
     for coeff in ("Z", "Z2"):
-        c = homalg.build_cubical_complex(cells, sub, coeff)
         assert homalg.homology(c, coeff).describe() == \
             f"H_0 = {coeff}; H_3 = {coeff}"
 

@@ -123,9 +123,9 @@ def _double_well():
     return f, b, morse.find_critical_points(f, b)
 
 
-def _double_well_complex(coeff="Z", seed=0):
+def _double_well_complex(seed=0):
     f, b, crits = _double_well()
-    c, counts = morse.build_complex(f, b, crits, coeff=coeff, seed=seed)
+    c, counts = morse.build_complex(f, b, crits, seed=seed)
     return c, counts, crits
 
 
@@ -152,13 +152,12 @@ def test_double_well_witness_f_values_decrease():
 
 
 def test_mod2_mode_matches_integer_reduction():
-    cz, _, _ = _double_well_complex(coeff="Z")
-    c2, _, _ = _double_well_complex(coeff="Z2")
-    assert cz.dims == c2.dims
-    for k in range(1, cz.top + 1):
-        for ra, rb in zip(algebra_oracle.dense(cz, k),
-                          algebra_oracle.dense(c2, k)):
-            assert [v % 2 for v in ra] == [v % 2 for v in rb]
+    # the Z/2 homology of the signed complex is that of its entries mod 2
+    c, _, _ = _double_well_complex()
+    ranks = [0] + [algebra_oracle.rank_mod2(algebra_oracle.dense(c, k))
+                   for k in range(1, c.top + 1)] + [0]
+    assert homalg.homology(c, coeff="Z2").betti == \
+        [n - ranks[k] - ranks[k + 1] for k, n in enumerate(c.dims)]
 
 
 def test_no_counts_without_lower_index_target():
@@ -185,7 +184,7 @@ def test_count_connections_requires_adjacent_index():
     _, _, crits = _double_well_complex()
     mins = [c for c in crits if c.index == 0]
     with pytest.raises(morse.MorseError):
-        morse.count_connections(mins[0], mins[1], finder=None)
+        morse.count_connections(mins[0], mins[1], {})
 
 
 def test_build_complex_flags_missing_orbits():
@@ -234,8 +233,9 @@ def _sphere_counts(f, b, crits, tols=DEFAULT, seed=0):
     zero-spheres only."""
     finder = morse.ConnectionFinder(expr.negative_gradient(f, b.dimension),
                                     b, crits, tols=tols, seed=seed)
-    oracle.forward_search(finder, [x for x in crits if x.index])
-    return [morse.count_connections(x, y, finder) for x in crits
+    _, witnesses = oracle.forward_search(finder,
+                                         [x for x in crits if x.index])
+    return [morse.count_connections(x, y, witnesses) for x in crits
             for y in crits if x.index == y.index + 1]
 
 
@@ -554,14 +554,14 @@ def test_lockstep_search_equals_per_source_searches(monkeypatch):
     lockstep = len(batches)
     finder = morse.ConnectionFinder(expr.negative_gradient(f, 2), b, crits,
                                     tols=_COARSE, seed=3)
+    apart = {}
     for x in crits:
         if x.index:
-            oracle.forward_search(finder, [x])
+            apart.update(oracle.forward_search(finder, [x])[1])
     assert lockstep < len(batches) - lockstep
     assert counts
     for cc in counts:
-        assert finder.witnesses_for(cc.source).get(cc.target, []) == \
-            cc.witnesses
+        assert apart.get((cc.source, cc.target), []) == cc.witnesses
 
 
 def test_signing_raises_for_the_first_failing_witness(monkeypatch):
@@ -628,7 +628,7 @@ def test_zero_sphere_budget_hit_raises():
     with pytest.raises(morse.MorseError, match=(
             rf"critical point {saddle.ident} at .* seed \+1 of its "
             r"unstable S\^0 hit the time budget")):
-        finder.witnesses_for(saddle.ident)
+        finder.search()
     f, b, crits = _index_two_source()
     source = next(c for c in crits if c.index == 2)
     target = next(c for c in crits if c.index == 1)
@@ -637,14 +637,14 @@ def test_zero_sphere_budget_hit_raises():
     with pytest.raises(morse.MorseError, match=(
             rf"critical point {target.ident} at .* seed \+1 of its "
             r"stable S\^0 hit the time budget")):
-        finder.witnesses_for(source.ident)
+        finder.search()
     f, b, crits, source = _circle_source()
     finder = morse.ConnectionFinder(expr.negative_gradient(f, 3), b, crits,
                                     tols=short)
     with pytest.raises(morse.MorseError, match=(
             rf"critical point {source.ident} at .* of its unstable S\^1 hit "
             r"the time budget")):
-        finder.witnesses_for(source.ident)
+        finder.search()
 
 
 def test_zero_spheres_of_one_search_share_one_batch(monkeypatch):
@@ -663,28 +663,28 @@ def test_zero_spheres_of_one_search_share_one_batch(monkeypatch):
         return classify(gradfield, X0, *args, **kwargs)
 
     monkeypatch.setattr(flow, "classify_limit", counted)
-    one = morse.ConnectionFinder(gradfield, b, crits, tols=_COARSE)
-    one.search(ones + [top])
+    one = morse.ConnectionFinder(gradfield, b, crits, tols=_COARSE).search()
     assert widths == [16]
-    apart = morse.ConnectionFinder(gradfield, b, crits, tols=_COARSE)
-    apart.search(ones)
-    apart.search([top])
+    finder = morse.ConnectionFinder(gradfield, b, crits, tols=_COARSE)
+    spheres = finder._spheres()
+    assert [s.time for s in spheres] == [1] * 4 + [-1] * 4
+    apart = finder._search_spheres(spheres[:4])
+    apart.update(finder._search_spheres(spheres[4:]))
     assert widths == [16, 8, 8]
-    for x in ones + [top]:
-        assert one.witnesses_for(x.ident) == apart.witnesses_for(x.ident)
-    assert sum(len(ws) for ws in one.witnesses_for(top.ident).values()) == 4
+    assert one == apart
+    assert sum(len(ws) for (x, _), ws in one.items() if x == top.ident) == 4
 
     # in one batch the forward orbits are still read first: with a short
     # budget every orbit hits it, and the first one of the first index-1
-    # source is the one raised; the batch holds its two orbits and the
-    # eight from the stable S^0 of every index-1 target
+    # source is the one raised, though the batch also holds the eight from
+    # the stable S^0 of every index-1 target
     short = dataclasses.replace(_COARSE, t_budget=1e-3)
     finder = morse.ConnectionFinder(gradfield, b, crits, tols=short)
     with pytest.raises(morse.MorseError, match=(
             rf"critical point {ones[0].ident} at .* seed \+1 of its "
             r"unstable S\^0 hit the time budget")):
-        finder.search([top, ones[0]])
-    assert widths[3:] == [10]
+        finder.search()
+    assert widths[3:] == [16]
 
 
 def test_zero_sphere_seeds_and_backward_witnesses(monkeypatch):
@@ -705,7 +705,7 @@ def test_zero_sphere_seeds_and_backward_witnesses(monkeypatch):
             return batches[-1][1]
 
         monkeypatch.setattr(finder, "_classify", recorded)
-        finder.search([c for c in crits if c.index])
+        found = finder.search()
         ones = [c for c in crits if c.index == 1]
         tops = [c for c in crits if c.index == 2]
         want = [(x, sigma, time, v) for xs, time, vec in (
@@ -717,21 +717,20 @@ def test_zero_sphere_seeds_and_backward_witnesses(monkeypatch):
         assert [(p.tobytes(), time) for p, time in seeds] == \
             [((np.asarray(x.coords) + DEFAULT.delta_u * (sigma * v))
               .tobytes(), time) for x, sigma, time, v in want]
-        backward = {p.ident: {} for p in tops}
+        top = {p.ident for p in tops}
+        backward = {}
         for (q, sigma, time, v), (lab, t) in zip(want, labels):
-            if time < 0 and lab[0] == "crit" and lab[1] in backward:
+            if time < 0 and lab[0] == "crit" and lab[1] in top:
                 p = finder.by_id[lab[1]]
                 det = np.linalg.det(p.frame_matrix()) * np.linalg.det(
                     np.column_stack([-sigma * v, q.frame_matrix()]))
-                backward[p.ident].setdefault(q.ident, []).append(
+                backward.setdefault((p.ident, q.ident), []).append(
                     morse.Witness((sigma,), 1 if det > 0 else -1, abs(t)))
-        for p in tops:
-            assert finder.witnesses_for(p.ident) == backward[p.ident]
-        assert sum(len(ws) for by_q in backward.values()
-                   for ws in by_q.values()) == 4 * len(tops)
-        for x in ones:
-            assert {finder.by_id[tgt].index
-                    for tgt in finder.witnesses_for(x.ident)} == {0}
+        assert {pair: ws for pair, ws in found.items()
+                if pair[0] in top} == backward
+        assert sum(map(len, backward.values())) == 4 * len(tops)
+        assert {finder.by_id[tgt].index for x, tgt in found
+                if x not in top} == {0}
 
 
 def _first_orbit_captured_at(monkeypatch, ident):
@@ -758,7 +757,7 @@ def test_zero_sphere_capture_outside_the_adjacent_index_raises(monkeypatch):
                 rf"critical point {saddle.ident} at .* unstable S\^0 is "
                 rf"captured at critical point {saddle.ident} of index 1: "
                 r"the connection is not Morse-Smale")):
-            finder.witnesses_for(saddle.ident)
+            finder.search()
     f, b, crits = _index_two_source()
     source = next(c for c in crits if c.index == 2)
     first, other = [c for c in crits if c.index == 1]
@@ -767,7 +766,7 @@ def test_zero_sphere_capture_outside_the_adjacent_index_raises(monkeypatch):
     with pytest.raises(morse.MorseError, match=(
             rf"critical point {first.ident} at .* stable S\^0 is captured "
             rf"at critical point {other.ident} of index 1")):
-        finder.witnesses_for(source.ident)
+        finder.search()
 
 
 def test_circle_capture_at_a_point_not_below_the_source_raises(
@@ -781,7 +780,7 @@ def test_circle_capture_at_a_point_not_below_the_source_raises(
             rf"critical point {source.ident} at .* unstable S\^1 is "
             rf"captured at critical point {source.ident} of index 2: the "
             r"connection is not Morse-Smale")):
-        finder.witnesses_for(source.ident)
+        finder.search()
 
 
 def test_closed_form_signs_equal_transported_signs():
@@ -794,19 +793,20 @@ def test_closed_form_signs_equal_transported_signs():
         ones = [c for c in crits if c.index == 1]
         gradfield = expr.negative_gradient(f, b.dimension)
         closed = morse.ConnectionFinder(gradfield, b, crits)
-        closed.search(ones)
+        zero = closed._spheres()[:len(ones)]
+        assert [s.x for s in zero] == ones
+        found = closed._search_spheres(zero)
         transported = morse.ConnectionFinder(gradfield, b, crits)
-        spheres = oracle.forward_search(transported, ones)
+        spheres, ws = oracle.forward_search(transported, ones)
         assert [s.x for s in spheres] == ones
+        assert found == ws
+        sphere_of = {s.x.ident: s for s in spheres}
         jobs, signs = [], []
-        for s in spheres:
-            ws = closed.witnesses_for(s.x.ident)
-            assert ws == transported.witnesses_for(s.x.ident)
-            for tgt, items in ws.items():
-                for w in items:
-                    jobs.append((s, closed.by_id[tgt],
-                                 np.array(w.direction), w.capture_time))
-                    signs.append(w.sign)
+        for (x, tgt), items in ws.items():
+            for w in items:
+                jobs.append((sphere_of[x], closed.by_id[tgt],
+                             np.array(w.direction), w.capture_time))
+                signs.append(w.sign)
         assert transported._signs(jobs) == signs
         assert sorted(signs) == [-1] * len(ones) + [1] * len(ones)
 
@@ -828,18 +828,20 @@ def test_backward_search_finds_the_top_connections_of_the_3d_product_well(
 
     monkeypatch.setattr(flow, "classify_limit", counted)
     finder = morse.ConnectionFinder(expr.negative_gradient(f, 3), b, crits)
-    ws = finder.witnesses_for(top.ident)
+    ws = finder._search_spheres([s for s in finder._spheres() if s.time < 0])
     assert widths == [12]
-    assert sorted(ws) == sorted(c.ident for c in crits if c.index == 2)
+    assert sorted(ws) == [(top.ident, c.ident) for c in crits
+                          if c.index == 2]
     for items in ws.values():
         assert len(items) == 1 and abs(items[0].sign) == 1
         assert items[0].direction in ((1.0,), (-1.0,))
 
 
 def test_search_refuses_the_unstable_s2_before_any_orbit(monkeypatch):
-    # the sources of the 4-D product well in ident order: the spheres of
-    # those before the first index-3 source are built, and it raises before
-    # any of them runs an orbit, naming the point, its index and its S^2
+    # the sources of the 4-D product well in order of index: the spheres of
+    # the index-1 and index-2 sources are built, and the first index-3
+    # source raises before any of them runs an orbit, naming the point, its
+    # index and its S^2
     f = expr.parse(" + ".join(f"(x{i}^2 - 1)^2" for i in range(1, 5)), 4)
     b = block.build_block(box=[(-2, 2)] * 4, spacing=0.5)
     crits = morse.find_critical_points(f, b)
@@ -850,11 +852,11 @@ def test_search_refuses_the_unstable_s2_before_any_orbit(monkeypatch):
 
     monkeypatch.setattr(flow, "classify_limit", no_orbit)
     finder = morse.ConnectionFinder(expr.negative_gradient(f, 4), b, crits)
-    assert any(c.index in (1, 2) and c.ident < three.ident for c in crits)
+    assert any(c.index in (1, 2) for c in crits)
     with pytest.raises(morse.MorseError, match=(
             rf"critical point {three.ident} at .* has index 3: .* unstable "
             r"sphere S\^2 .* only S\^0 and S\^1 are searched")):
-        finder.search([c for c in crits if c.index])
+        finder.search()
 
 
 @pytest.mark.parametrize("seed", [3, 5, 11])
@@ -868,15 +870,15 @@ def test_zero_sphere_counts_equal_sphere_counts_on_connections(seed):
     system = cli._fixed_system(cli.load_system(path))
     b = system.block
     res = conley.compute_HI(system, seed=seed)
-    crits = res.quadruple.crits
+    crits = res.crits
     finder = morse.ConnectionFinder(
-        expr.negative_gradient(res.quadruple.f, 2), b, crits, seed=seed)
-    oracle.forward_search(finder, [x for x in crits if x.index])
+        expr.negative_gradient(res.f, 2), b, crits, seed=seed)
+    _, ws = oracle.forward_search(finder, [x for x in crits if x.index])
     source = next(c for c in crits if c.index == 2)
     assert sum(len(cc.witnesses) for cc in res.counts
                if cc.source == source.ident) == 4
     for cc in res.counts:
-        forward = finder.witnesses_for(cc.source).get(cc.target, [])
+        forward = ws.get((cc.source, cc.target), [])
         assert (cc.n, len(cc.witnesses)) == \
             (sum(w.sign for w in forward), len(forward))
         if cc.source != source.ident:
