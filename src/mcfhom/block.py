@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr
+from . import expr, flow
 from .config import DEFAULT
 
 EGRESS = "Egress"
@@ -384,13 +384,12 @@ def check_isolation(b, field, lam=None, tols=DEFAULT):
     and where it is negative it leaves at once backward (Conley and
     Easton's isolating blocks): such a column gets its outcome with exit
     time 0.  Only the columns where it is 0, tangent or with a field that
-    is not finite, are integrated, as one batch backward first: on
-    dissipative systems boundary points leave the block almost immediately
-    in reverse time.  The columns that did not leave backward, within the
-    budget or because their integration failed, then go forward as a
-    second batch."""
-    from . import flow  # local import to avoid a cycle at module load
-
+    is not finite, are integrated, as one ``flow.classify_limit`` batch with
+    no critical points and the budget ``tols.cert_t_budget``, backward
+    first: on dissipative systems boundary points leave the block almost
+    immediately in reverse time.  A column has left when its label is
+    ("exit",).  The columns that did not leave backward, out of time or
+    because their integration failed, then go forward as a second batch."""
     family = np.ndim(lam) == 1
     k = len(lam) if family else 1
     budget = tols.cert_t_budget
@@ -412,12 +411,12 @@ def check_isolation(b, field, lam=None, tols=DEFAULT):
     for direction, label in ((-1, 1), (1, 2)):
         if not todo.size:
             break
-        t, left = flow.integrate_columns(
-            F, cols[:, todo], lambda X: ~b.contains_columns(X), budget,
-            direction=direction, lam=lam[todo] if family else lam,
-            tols=tols)
+        lc, run = flow.classify_limit(
+            F, cols[:, todo], (), b, budget, scale=None,
+            lam=lam[todo] if family else lam, direction=direction, tols=tols)
+        left = np.array([lab == ("exit",) for lab in lc.tag])
         outcome[todo[left]] = label
-        exit_t[todo[left]] = np.abs(t[left])
+        exit_t[todo[left]] = np.abs(run.t[left])
         todo = todo[~left]
     return _isolation_report(pts, outcome, exit_t, budget,
                              k if family else None)

@@ -209,6 +209,10 @@ def _require(doc, keys):
 
 
 def _build_block(spec, m):
+    beside = [key for key in ("cubes", "origin") if key in spec]
+    if "box" in spec and beside:
+        raise InputError(f"block has box and {' and '.join(beside)}: a box "
+                         f"sets its own cubes and origin")
     try:
         if "box" in spec:
             if len(spec["box"]) != m:

@@ -6,15 +6,17 @@ advances an (m, N) state: N orbits side by side, each column with its own
 time, step size, attempt count and target time, and optionally its own
 direction of time and its own value of the field's parameter lam, so that
 one batch can integrate forward and backward orbits, or a whole family of
-fields.  Every entry point runs a
-whole batch.  ``integrate_columns`` runs orbits until a column-wise stop
-test; ``classify_limit`` labels the orbits of N start points (captured at
-a critical point, exited at the first point outside the block, out of
-time, or failed with its error, which is not raised), once the critical
-points lie at least twice the capture radius apart; ``transport_frame``
-carries a tangent frame along each of N orbits as one (m + k m, N)
-variational system.  All downstream orbit decisions (connection counting,
-isolation) sit on top of these entry points.
+fields.  Every entry point runs a whole batch.  ``classify_limit`` labels
+the orbits of N start points on a compiled field, in the one vocabulary of
+orbit outcomes: ("crit", ident) captured at a critical point, ("exit",) at
+the first point outside the block, ("budget",) out of time, or ("failed",
+error) with its error, which is not raised.  The critical points must lie
+at least twice the capture radius apart; with none, every orbit runs until
+it exits or runs out of time.  ``transport_frame`` carries a tangent frame
+along each of N orbits as one (m + k m, N) variational system.  Connection
+counting and Conley-Easton isolation both ask ``classify_limit`` whether an
+orbit leaves the block, and the orientation signs come from
+``transport_frame``.
 """
 from __future__ import annotations
 
@@ -28,8 +30,8 @@ from .config import DEFAULT
 
 class IntegrationError(Exception):
     """An orbit the integrator cannot finish: ``classify_limit`` returns it
-    as the label of its column, and ``transport_frame`` raises that of its
-    first failing column."""
+    in the label ("failed", error) of its column, and ``transport_frame``
+    raises that of its first failing column."""
 
 
 class StepUnderflowError(IntegrationError):
@@ -317,29 +319,6 @@ def _failure(run, max_steps, j):
     return err
 
 
-def integrate_columns(field, x0, stop, t_max, direction, lam=None,
-                      tols=DEFAULT):
-    """Integrate every column of the (m, N) array x0 until ``stop(X)``,
-    given the (m, n) states just reached, is True for it, or |t| reaches
-    t_max.
-
-    ``field`` is a FieldDef or a compiled field ``F(X, lam)``; ``lam`` is
-    one value, or an (N,) array of one value per column (see ``_dop853``).
-    Returns (t, stopped): the signed time at which each column ended, and
-    whether ``stop`` ended it.  A column whose step underflows or that runs
-    out of steps counts as not stopped.
-    """
-    F = expr.compile_field(field) if isinstance(field, expr.FieldDef) \
-        else field
-
-    def check(cols, t, x_old, x_new, f_new):
-        return stop(x_new)
-
-    run = _dop853(F, np.asarray(x0, dtype=float), direction, t_max,
-                  tols.rtol, tols.atol, tols.max_steps, check, lam)
-    return run.t, run.status == STOPPED
-
-
 def transport_frame(fieldd, X0, T, frames, tols=DEFAULT):
     """Transport a tangent frame along the orbit of every column of the
     (m, N) array X0, column j over the duration T[j] >= 0 (T may also be
@@ -440,31 +419,34 @@ def field_scale(fieldd, block):
 class LimitClass:
     """Per-column outcome of ``classify_limit``."""
 
-    tag: tuple  # "converged" | "exited" | "budget" | "failed", per column
-    crit_id: tuple  # ident of the capturing critical point, else -1
-    errors: tuple  # the error of a failed column, else None
+    # ("crit", ident) | ("exit",) | ("budget",) | ("failed", error), per column
+    tag: tuple
 
 
-def classify_limit(gradfield, X0, crits, block, tols=DEFAULT, scale=None,
-                   direction=1):
-    """Run the orbit of every column of the (m, N) array X0 until capture
-    at a critical point, exit from the block, or time budget, as one
-    ``_dop853`` batch.  ``direction`` is the direction of time, one sign
-    for all columns or an (N,) array of one sign per column.
+def classify_limit(F, X0, crits, block, t_end, scale, lam=None, direction=1,
+                   tols=DEFAULT):
+    """Run the orbit of every column of the (m, N) array X0 on the compiled
+    field ``F(X, lam)`` until capture at a critical point of ``crits``,
+    exit from the block, or |t| = ``t_end``, as one ``_dop853`` batch.
+    ``lam`` is one parameter value, or an (N,) array of one value per
+    column, and ``direction`` the direction of time, one sign for all
+    columns or an (N,) array of one sign per column.  ``scale``, the
+    ``field_scale`` of the field, sets the speed tolerance of capture; it
+    is read only when ``crits`` is not empty.
 
     Two critical points closer than twice the capture radius raise
     AmbiguousCaptureError before any orbit runs, so no point lies within
     the radius of two.  After each accepted step a column has exited once
     its new point lies outside the block, and is captured at the critical
     point within the radius once its speed is below the speed tolerance.
-    Returns (limits, run): the tag, the capturing ident and the error of
-    each column, and the ``_Run`` of the batch, whose ``t`` and ``x`` are
-    each column's signed end time and end point (for an exit, the first
-    point reached outside the block, with no bisection onto the boundary).
-
-    A column whose step underflows or that runs out of steps is tagged
-    "failed" and carries the error of ``_dop853``; nothing is raised, and
-    the other columns keep their labels."""
+    Returns (limits, run): the label of each column, and the ``_Run`` of
+    the batch, whose ``t`` and ``x`` are each column's signed end time and
+    end point (for an exit, the first point reached outside the block, with
+    no bisection onto the boundary).  A label is ("crit", ident) for a
+    capture, ("exit",) for an exit, ("budget",) for a column out of time,
+    and ("failed", error) for a column whose step underflows or that runs
+    out of steps, with the error of ``_dop853``; nothing is raised, and the
+    other columns keep their labels."""
     cap = tols.capture_radius
     X0 = np.asarray(X0, dtype=float)
     m, n = X0.shape
@@ -475,16 +457,14 @@ def classify_limit(gradfield, X0, crits, block, tols=DEFAULT, scale=None,
     if np.any(gap < 2 * cap):
         j = np.argmin(gap)
         raise AmbiguousCaptureError(crits[i[j]], crits[k[j]], gap[j])
-    if scale is None:
-        scale = field_scale(gradfield, block)
-    speed_tol = tols.speed_tol_factor * scale
-    F = expr.compile_field(gradfield)
+    # with no critical point no speed is below the tolerance
+    speed_tol = tols.speed_tol_factor * scale if len(crits) else 0.0
     captor = np.full(n, -1)  # index into crits of a captured column
 
     def stop(cols, t, x_old, X, f_new):
         out = ~block.contains_columns(X)
         slow = np.flatnonzero(~out & (_norms(f_new) < speed_tol))
-        if slow.size and len(crits):
+        if slow.size:
             d = _rows(X[:, slow]) - coords[:, None, :]  # (n_crits, slow, m)
             dist = np.sqrt(np.vecdot(d, d))
             hit = dist.min(axis=0) < cap
@@ -492,11 +472,10 @@ def classify_limit(gradfield, X0, crits, block, tols=DEFAULT, scale=None,
             out[slow[hit]] = True
         return out
 
-    run = _dop853(F, X0, direction, tols.t_budget, tols.rtol, tols.atol,
-                  tols.max_steps, stop)
-    errors = tuple(_failure(run, tols.max_steps, j) for j in range(n))
-    tag = tuple("failed" if e is not None else "budget" if s == DONE
-                else "exited" if c < 0 else "converged"
-                for s, c, e in zip(run.status, captor, errors))
-    ids = tuple(crits[c].ident if c >= 0 else -1 for c in captor)
-    return LimitClass(tag, ids, errors), run
+    run = _dop853(F, X0, direction, t_end, tols.rtol, tols.atol,
+                  tols.max_steps, stop, lam)
+    errors = (_failure(run, tols.max_steps, j) for j in range(n))
+    return LimitClass(tuple(
+        ("failed", e) if e is not None else ("budget",) if s == DONE
+        else ("exit",) if c < 0 else ("crit", crits[c].ident)
+        for s, c, e in zip(run.status, captor, errors))), run

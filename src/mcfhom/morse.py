@@ -238,6 +238,7 @@ class ConnectionFinder:
         self.crits = crits
         self.by_id = {c.ident: c for c in crits}
         self.tols = tols
+        self.F = expr.compile_field(gradfield)
         self.scale = flow.field_scale(gradfield, b)
         self.seed = seed
 
@@ -253,20 +254,14 @@ class ConnectionFinder:
     def _classify(self, seeds):
         """Classify as one ``flow.classify_limit`` batch the orbits from the
         seed points of ``seeds``, pairs (point, direction of time): one
-        (label, signed end time) per seed, with the label ("crit", ident),
-        ("exit",), ("budget",) or ("failed", error)."""
+        (label, signed end time) per seed."""
         if not seeds:
             return []
         lc, run = flow.classify_limit(
-            self.gradfield, np.column_stack([p for p, _ in seeds]),
-            self.crits, self.b, tols=self.tols, scale=self.scale,
-            direction=np.array([d for _, d in seeds]))
-        return [(("crit", ident) if tag == "converged" else
-                 ("exit",) if tag == "exited" else
-                 ("failed", err) if tag == "failed" else ("budget",),
-                 float(t))
-                for tag, ident, err, t in zip(lc.tag, lc.crit_id, lc.errors,
-                                              run.t)]
+            self.F, np.column_stack([p for p, _ in seeds]), self.crits,
+            self.b, self.tols.t_budget, self.scale,
+            direction=np.array([d for _, d in seeds]), tols=self.tols)
+        return list(zip(lc.tag, run.t.tolist()))
 
     def search(self):
         """The signed witnesses of every connection of the critical set,
@@ -399,7 +394,7 @@ class ConnectionFinder:
         frames = np.stack([s.frame.T for s, *_ in jobs], axis=-1)
         W, P = flow.transport_frame(self.gradfield, P0, [t for *_, t in jobs],
                                     frames, tols=self.tols)
-        V = expr.compile_field(self.gradfield)(P)
+        V = self.F(P)
         return [self._orientation_sign(s.x, y, W[:, :, j], V[:, j])
                 for j, (s, y, _, _) in enumerate(jobs)]
 

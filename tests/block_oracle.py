@@ -137,11 +137,14 @@ def contains(b, point):
 
 def check_isolation_by_orbits(b, field, lam=None, tols=DEFAULT):
     """``block.check_isolation`` with every sample of every member
-    integrated: all columns as one batch backward, then those that did not
-    leave as one batch forward, whatever the sign of their flux."""
+    integrated: all columns as one ``flow.classify_limit`` batch with no
+    critical points backward, then those that did not leave as one batch
+    forward, whatever the sign of their flux."""
     family = np.ndim(lam) == 1
     lams = np.asarray(lam, dtype=float) if family else None
     k = len(lams) if family else 1
+    F = expr.compile_field(field) if isinstance(field, expr.FieldDef) \
+        else field
     budget = tols.cert_t_budget
     pts = b.boundary_samples(tols.isolation_samples_per_face)
     n = len(pts)
@@ -152,12 +155,13 @@ def check_isolation_by_orbits(b, field, lam=None, tols=DEFAULT):
     for direction, label in ((-1, 1), (1, 2)):
         if not todo.size:
             break
-        t, left = flow.integrate_columns(
-            field, cols[:, todo], lambda X: ~b.contains_columns(X), budget,
-            direction=direction, lam=lams[todo // n] if family else lam,
+        lc, run = flow.classify_limit(
+            F, cols[:, todo], (), b, budget, scale=None,
+            lam=lams[todo // n] if family else lam, direction=direction,
             tols=tols)
+        left = np.array([lab == ("exit",) for lab in lc.tag])
         outcome[todo[left]] = label
-        exit_t[todo[left]] = np.abs(t[left])
+        exit_t[todo[left]] = np.abs(run.t[left])
         todo = todo[~left]
     return block._isolation_report(pts, outcome, exit_t, budget,
                                    k if family else None)

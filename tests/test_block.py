@@ -460,11 +460,11 @@ def test_batched_isolation_matches_single_orbits():
                 # numpy's only to 1 ulp, and over the long steps of the
                 # integrator its exit times drift from the batch's by up
                 # to about 2e-9
-                ts, out = flow.integrate_columns(
-                    F, p[:, None], lambda X: ~b.contains_columns(X), budget,
-                    -1 if want == "backward" else 1)
-                assert out[0]
-                t = abs(ts[0])
+                lc, run = flow.classify_limit(
+                    F, p[:, None], (), b, budget, scale=None,
+                    direction=-1 if want == "backward" else 1)
+                assert lc.tag == (("exit",),)
+                t = abs(run.t[0])
         assert block.OUTCOMES[outcome] == want
         if want != "trapped":
             margins.append(budget - t)
@@ -484,13 +484,13 @@ def test_only_the_tangent_samples_are_integrated(monkeypatch):
         system = cli._fixed_system(json.load(fh))
     b, n = system.block, DEFAULT.isolation_samples_per_face
     runs = []
-    integrate = flow.integrate_columns
+    classify = flow.classify_limit
 
-    def spy(field, x0, *args, **kwargs):
+    def spy(F, x0, *args, **kwargs):
         runs.append(x0.T)
-        return integrate(field, x0, *args, **kwargs)
+        return classify(F, x0, *args, **kwargs)
 
-    monkeypatch.setattr(flow, "integrate_columns", spy)
+    monkeypatch.setattr(flow, "classify_limit", spy)
     rep = block.check_isolation(b, system.field)
     assert rep.verdict
     # the tangent samples flow along their face and leave backward through

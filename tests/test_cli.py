@@ -256,7 +256,8 @@ def test_hi_integrator_work_stays_low(system, stage, batches, most,
     # The counts are deterministic; an order-5 pair took 241 attempts per
     # column in the zero-sphere batch of connections.  Every isolation
     # sample of certificate crosses its face, so its isolation checks
-    # start no run
+    # start no run.  A run is counted for the outermost of the two, as
+    # check_isolation integrates through classify_limit
     runs = {"classify_limit": [], "check_isolation": [], None: []}
     caller = []
     dop853 = flow._dop853
@@ -272,7 +273,7 @@ def test_hi_integrator_work_stays_low(system, stage, batches, most,
 
     def spy_dop853(*args, **kwargs):
         run = dop853(*args, **kwargs)
-        runs[caller[-1] if caller else None].append(run.steps + run.rejected)
+        runs[caller[0] if caller else None].append(run.steps + run.rejected)
         return run
 
     monkeypatch.setattr(flow, "_dop853", spy_dop853)
@@ -737,6 +738,27 @@ def test_origin_of_the_wrong_length_exits_two(origin, tmp_path, capsys):
     assert cli.main(["block", _write(tmp_path, doc)]) == 2
     assert capsys.readouterr().err == \
         f"input error: origin has {len(origin)} entries, dimension is 2\n"
+
+
+@pytest.mark.parametrize("beside,named", [
+    ({"cubes": [[5], [6]], "origin": [100]}, "cubes and origin"),
+    ({"cubes": [[5], [6]]}, "cubes"),
+    ({"origin": [100]}, "origin"),
+])
+def test_a_box_beside_cubes_or_origin_exits_two(beside, named, tmp_path,
+                                                capsys):
+    # the box alone would write the report: the keys beside it are not
+    # silently dropped, in the block of the file or of a decomposition set
+    with open(_path("double_well_relations.json")) as fh:
+        doc = json.load(fh)
+    message = (f"input error: block has box and {named}: a box sets its own "
+               f"cubes and origin\n")
+    top = dict(doc, block=dict(doc["block"], **beside))
+    assert cli.main(["block", _write(tmp_path, top)]) == 2
+    assert capsys.readouterr().err == message
+    doc["decomposition"]["sets"][1]["block"].update(beside)
+    assert cli.main(["relations", _write(tmp_path, doc), "--seed", "3"]) == 2
+    assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize("command", ["block", "cubical"])

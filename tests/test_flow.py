@@ -238,28 +238,39 @@ def _double_well_setup():
     return f, fld, b, crits
 
 
+def _classify(fld, X0, crits, b, tols=DEFAULT, scale=None, **kwargs):
+    """``flow.classify_limit`` on the compiled ``fld`` over the time budget
+    ``tols.t_budget``, at the ``field_scale`` of ``fld`` unless ``scale``
+    is given."""
+    if scale is None:
+        scale = flow.field_scale(fld, b)
+    return flow.classify_limit(expr.compile_field(fld), X0, crits, b,
+                               tols.t_budget, scale, tols=tols, **kwargs)
+
+
 def _captor(lc, crits, j=0):
-    assert lc.tag[j] == "converged"
-    return crits[[c.ident for c in crits].index(lc.crit_id[j])]
+    kind, ident = lc.tag[j]
+    assert kind == "crit"
+    return crits[[c.ident for c in crits].index(ident)]
 
 
 def test_classify_converges_to_nearest_minimum():
     _, fld, b, crits = _double_well_setup()
-    lc, _ = flow.classify_limit(fld, np.array([[0.5], [0.3]]), crits, b)
+    lc, _ = _classify(fld, np.array([[0.5], [0.3]]), crits, b)
     assert _captor(lc, crits).coords == pytest.approx((1.0, 0.0), abs=1e-6)
 
 
 def test_classify_stable_manifold_of_saddle():
     _, fld, b, crits = _double_well_setup()
-    lc, _ = flow.classify_limit(fld, np.array([[0.0], [0.7]]), crits, b)
+    lc, _ = _classify(fld, np.array([[0.0], [0.7]]), crits, b)
     assert _captor(lc, crits).coords == pytest.approx((0.0, 0.0), abs=1e-6)
 
 
 def test_classify_exit_face():
     fld = expr.parse_field(["1"], 1)
     b = block.build_block(box=[(0, 1)], spacing=0.5)
-    lc, run = flow.classify_limit(fld, np.array([[0.5]]), [], b)
-    assert lc.tag == ("exited",) and lc.crit_id == (-1,)
+    lc, run = _classify(fld, np.array([[0.5]]), [], b)
+    assert lc.tag == (("exit",),)
     assert not block_oracle.contains(b, run.x[:, 0])
     # outside the block, beyond its x1 = 1 side
     assert run.x[0, 0] > 1.0
@@ -270,22 +281,21 @@ def test_classify_exit_is_tested_before_capture():
     # the column still counts as exited
     fld = expr.parse_field(["1"], 1)
     b = block.build_block(box=[(0, 1)], spacing=0.5)
-    _, run = flow.classify_limit(fld, np.array([[0.5]]), [], b)
+    _, run = _classify(fld, np.array([[0.5]]), [], b)
     crit = types.SimpleNamespace(ident=7, coords=tuple(run.x[:, 0]))
-    lc, again = flow.classify_limit(fld, np.array([[0.5]]), [crit], b,
-                                    scale=1e7)
-    assert lc.tag == ("exited",) and again.t[0] == run.t[0]
-    lc, _ = flow.classify_limit(fld, np.array([[0.5]]), [crit],
-                                block.build_block(box=[(0, 2)], spacing=0.5),
-                                scale=1e7)
-    assert lc.tag == ("converged",) and lc.crit_id == (7,)
+    lc, again = _classify(fld, np.array([[0.5]]), [crit], b, scale=1e7)
+    assert lc.tag == (("exit",),) and again.t[0] == run.t[0]
+    lc, _ = _classify(fld, np.array([[0.5]]), [crit],
+                      block.build_block(box=[(0, 2)], spacing=0.5),
+                      scale=1e7)
+    assert lc.tag == (("crit", 7),)
 
 
 def test_classify_budget_exceeded():
     fld = expr.parse_field(["0"], 1)
     b = block.build_block(box=[(-1, 1)], spacing=0.5)
-    lc, run = flow.classify_limit(fld, np.array([[0.5]]), [], b)
-    assert lc.tag == ("budget",)
+    lc, run = _classify(fld, np.array([[0.5]]), [], b)
+    assert lc.tag == (("budget",),)
     assert run.t[0] == DEFAULT.t_budget
 
 
@@ -307,7 +317,7 @@ def test_ambiguous_capture_error(monkeypatch):
     _no_orbit(monkeypatch)
     with pytest.raises(flow.AmbiguousCaptureError, match=r"critical points "
                        r"0 and 1 lie 1e-06 apart, under twice") as err:
-        flow.classify_limit(fld, np.array([[0.5]]), [c0, twin], b)
+        _classify(fld, np.array([[0.5]]), [c0, twin], b)
     assert err.value.ids == [c0.ident, 1]
 
 
@@ -327,8 +337,8 @@ def test_classify_columns_equal_single_columns_bit_for_bit(monkeypatch):
     tols = dataclasses.replace(DEFAULT, t_budget=2.0)
     x1 = np.array([-1.9, -1.3, -0.6, -2e-4, 3e-4, 0.4, 1.2, 1.7])
     X0 = np.vstack([np.tile(x1, 3), np.repeat([0.0, 0.3, -1e-3], x1.size)])
-    lc, run = flow.classify_limit(fld, X0, crits, b, tols=tols)
-    assert set(lc.tag) == {"converged", "exited", "budget"}
+    lc, run = _classify(fld, X0, crits, b, tols=tols)
+    assert {lab[0] for lab in lc.tag} == {"crit", "exit", "budget"}
 
     # reference: each orbit alone through integrate_until (expr.evaluate),
     # stopped by the point tests contains, capture radius, then speed
@@ -337,37 +347,36 @@ def test_classify_columns_equal_single_columns_bit_for_bit(monkeypatch):
 
     def stop(t, x_prev, x):
         if not block_oracle.contains(b, x):
-            return ("exited", -1)
+            return ("exit",)
         near = np.flatnonzero(np.linalg.norm(x - coords, axis=1)
                               < tols.capture_radius)
         v = [expr.evaluate(c, x) for c in fld.components]
         if len(near) == 1 and np.linalg.norm(v) < speed_tol:
-            return ("converged", crits[near[0]].ident)
+            return ("crit", crits[near[0]].ident)
         return None
 
     for j in range(X0.shape[1]):
-        one, one_run = flow.classify_limit(fld, X0[:, j:j + 1], crits, b,
-                                           tols=tols)
-        assert (one.tag[0], one.crit_id[0]) == (lc.tag[j], lc.crit_id[j])
+        one, one_run = _classify(fld, X0[:, j:j + 1], crits, b, tols=tols)
+        assert one.tag[0] == lc.tag[j]
         assert one_run.t[0] == run.t[j]
         assert np.array_equal(one_run.x[:, 0], run.x[:, j])
         assert (one_run.steps[0], one_run.rejected[0]) == \
             (run.steps[j], run.rejected[j])
         traj, sv = oracle.integrate_until(fld, X0[:, j], stop, tols.t_budget,
                                         tols=tols)
-        assert (lc.tag[j], lc.crit_id[j]) == (sv or ("budget", -1))
+        assert lc.tag[j] == (sv or ("budget",))
         assert run.t[j] == traj.ts[-1] and run.steps[j] == traj.steps
         assert np.array_equal(run.x[:, j], traj.xs[-1])
 
     # a twin of the point (1, 0) within twice the capture radius: the
     # critical set is rejected before any orbit runs
     right = next(c for c in crits if c.coords[0] > 0.5)
-    assert right.ident in lc.crit_id
+    assert ("crit", right.ident) in lc.tag
     twin = dataclasses.replace(right, ident=99,
                                coords=(right.coords[0] + 1e-5, 0.0))
     _no_orbit(monkeypatch)
     with pytest.raises(flow.AmbiguousCaptureError) as err:
-        flow.classify_limit(fld, X0, crits + [twin], b, tols=tols)
+        _classify(fld, X0, crits + [twin], b, tols=tols)
     assert err.value.ids == [right.ident, 99]
 
 
@@ -383,17 +392,15 @@ def test_classify_next_to_a_critical_point_just_over_twice_the_radius():
                                coords=(right.coords[0] + gap, 0.0))
     x1 = np.array([-1.9, -1.3, -0.6, -2e-4, 3e-4, 0.4, 1.2, 1.7])
     X0 = np.vstack([np.tile(x1, 3), np.repeat([0.0, 0.3, -1e-3], x1.size)])
-    lc, run = flow.classify_limit(fld, X0, crits, b, tols=tols)
-    with_twin, twin_run = flow.classify_limit(fld, X0, crits + [twin], b,
-                                              tols=tols)
+    lc, run = _classify(fld, X0, crits, b, tols=tols)
+    with_twin, twin_run = _classify(fld, X0, crits + [twin], b, tols=tols)
     assert with_twin == lc
-    assert with_twin.crit_id[x1.size - 2:x1.size] == (right.ident,) * 2
-    assert set(with_twin.tag) == {"converged", "exited", "budget"}
+    assert with_twin.tag[x1.size - 2:x1.size] == (("crit", right.ident),) * 2
+    assert {lab[0] for lab in with_twin.tag} == {"crit", "exit", "budget"}
     for j in range(X0.shape[1]):
-        one, one_run = flow.classify_limit(fld, X0[:, j:j + 1],
-                                           crits + [twin], b, tols=tols)
-        assert (one.tag[0], one.crit_id[0], one.errors[0]) == \
-            (with_twin.tag[j], with_twin.crit_id[j], None)
+        one, one_run = _classify(fld, X0[:, j:j + 1], crits + [twin], b,
+                                 tols=tols)
+        assert one.tag[0] == with_twin.tag[j]
         for r in (run, twin_run):
             assert one_run.t[0] == r.t[j]
             assert np.array_equal(one_run.x[:, 0], r.x[:, j])
@@ -401,40 +408,55 @@ def test_classify_next_to_a_critical_point_just_over_twice_the_radius():
                 (r.steps[j], r.rejected[j])
 
 
-def test_classify_per_column_direction_equals_single_columns_bit_for_bit():
-    # the saddle sheet's -grad f, every third column backward in time:
+@pytest.mark.parametrize("per_column", ["direction", "lam"])
+def test_classify_per_column_direction_equals_single_columns_bit_for_bit(
+        per_column):
+    # the saddle sheet's -grad f with every third column backward in time:
     # those run into the index-2 point at the origin or leave through
-    # x1 = +-2
+    # x1 = +-2.  Or the sheet's x2 term scaled by lam, one of 0.3, 1 and 2
+    # per column, which sets how fast an orbit off the x1 axis leaves
+    # through x2 = +-2: the slowest are out of time, the fastest exit
     fld, b, crits = _saddle_sheet_setup()
     tols = dataclasses.replace(DEFAULT, t_budget=2.0)
     scale = flow.field_scale(fld, b)
     x1 = np.array([-1.9, -1.3, -0.6, -2e-4, 3e-4, 0.4, 1.2, 1.7])
     X0 = np.vstack([np.tile(x1, 3), np.repeat([0.0, 0.3, -1e-3], x1.size)])
     n = X0.shape[1]
-    direction = np.where(np.arange(n) % 3 == 0, -1, 1)
-    lc, run = flow.classify_limit(fld, X0, crits, b, tols=tols, scale=scale,
-                                  direction=direction)
-    for d in (1, -1):
-        assert {tag for tag, dj in zip(lc.tag, direction) if dj == d} == \
-            {"converged", "exited", "budget"}
+    direction, lam = np.ones(n, dtype=int), None
+    if per_column == "direction":
+        direction[::3] = -1
+    else:
+        fld = expr.negative_gradient(
+            expr.parse("(x1^2 - 1)^2 - lam*x2^2", 2), 2)
+        lam = np.array([0.3, 1.0, 2.0])[np.arange(n) % 3]
+    F = expr.compile_field(fld)
+    lc, run = flow.classify_limit(F, X0, crits, b, tols.t_budget, scale,
+                                  lam=lam, direction=direction, tols=tols)
+    for d in np.unique(direction):
+        assert {tag[0] for tag, dj in zip(lc.tag, direction) if dj == d} == \
+            {"crit", "exit", "budget"}
     assert np.array_equal(np.sign(run.t), direction)
     # columns leave in different rounds, and some rounds reject the steps
     # of some columns only
     assert len(set(run.steps + run.rejected)) > 1
     assert 0 < np.count_nonzero(run.rejected) < n
-    # a backward column is also, bit for bit, a forward column of +grad f
-    up = expr.FieldDef(2, tuple(expr.neg(c) for c in fld.components))
-    back = direction < 0
-    up_lc, up_run = flow.classify_limit(up, X0[:, back], crits, b, tols=tols,
-                                        scale=scale)
-    assert up_lc.tag == tuple(np.array(lc.tag)[back])
-    assert np.array_equal(-up_run.t, run.t[back])
-    assert np.array_equal(up_run.x, run.x[:, back])
+    if per_column == "direction":
+        # a backward column is also, bit for bit, a forward column of
+        # +grad f
+        up = expr.FieldDef(2, tuple(expr.neg(c) for c in fld.components))
+        back = direction < 0
+        up_lc, up_run = flow.classify_limit(
+            expr.compile_field(up), X0[:, back], crits, b, tols.t_budget,
+            scale, tols=tols)
+        assert up_lc.tag == tuple(lc.tag[j] for j in np.flatnonzero(back))
+        assert np.array_equal(-up_run.t, run.t[back])
+        assert np.array_equal(up_run.x, run.x[:, back])
     for j in range(n):
         one, one_run = flow.classify_limit(
-            fld, X0[:, j:j + 1], crits, b, tols=tols, scale=scale,
-            direction=int(direction[j]))
-        assert (one.tag[0], one.crit_id[0]) == (lc.tag[j], lc.crit_id[j])
+            F, X0[:, j:j + 1], crits, b, tols.t_budget, scale,
+            lam=None if lam is None else lam[j],
+            direction=int(direction[j]), tols=tols)
+        assert one.tag[0] == lc.tag[j]
         assert one_run.t[0] == run.t[j]
         assert np.array_equal(one_run.x[:, 0], run.x[:, j])
         assert (one_run.steps[0], one_run.rejected[0]) == \
@@ -446,19 +468,19 @@ def test_classify_raises_on_step_failure():
     X0 = np.array([[0.5, -0.5], [0.3, 0.0]])
     tols = dataclasses.replace(DEFAULT, max_steps=5)
     # every column fails with its own error, and nothing is raised
-    lc, _ = flow.classify_limit(fld, X0, crits, b, tols=tols)
-    assert lc.tag == ("failed", "failed") and lc.crit_id == (-1, -1)
-    assert lc.errors[0] is not lc.errors[1]
-    for err in lc.errors:
+    lc, _ = _classify(fld, X0, crits, b, tols=tols)
+    assert [kind for kind, _ in lc.tag] == ["failed", "failed"]
+    errors = [err for _, err in lc.tag]
+    assert errors[0] is not errors[1]
+    for err in errors:
         assert type(err) is flow.IntegrationError
         assert "exceeded 5 steps" in str(err)
     # x' = -1/x1 reaches the singular line x1 = 0 at t = 1/2
     blowup = expr.parse_field(["-1/x1"], 1)
     wide = block.build_block(box=[(-2, 2)], spacing=0.5)
-    lc, _ = flow.classify_limit(blowup, np.array([[1.0, 1.5]]), [], wide,
-                                scale=1.0)
-    assert lc.tag == ("failed", "failed")
-    assert all(isinstance(err, flow.StepUnderflowError) for err in lc.errors)
+    lc, _ = _classify(blowup, np.array([[1.0, 1.5]]), [], wide, scale=1.0)
+    assert [kind for kind, _ in lc.tag] == ["failed", "failed"]
+    assert all(isinstance(err, flow.StepUnderflowError) for _, err in lc.tag)
 
 
 # ---------------------------------------------------------------------------
@@ -620,9 +642,9 @@ def test_a_zero_target_is_done_at_once():
             (run.steps[j], run.rejected[j])
     # with no time budget every orbit is out of time, none has failed
     b = block.build_block(box=[(-4, 4), (-4, 4)], spacing=1.0)
-    lc, _ = flow.classify_limit(_PENDULUM, X0, [], b,
-                                tols=dataclasses.replace(DEFAULT, t_budget=0))
-    assert lc.tag == ("budget",) * 4
+    lc, _ = _classify(_PENDULUM, X0, [], b,
+                      tols=dataclasses.replace(DEFAULT, t_budget=0))
+    assert lc.tag == (("budget",),) * 4
 
 
 # The nodes c_i of DOP853 as published, stage by stage; the input of the

@@ -738,9 +738,7 @@ def _first_orbit_captured_at(monkeypatch, ident):
 
     def stub(*args, **kwargs):
         lc, run = classify(*args, **kwargs)
-        return dataclasses.replace(
-            lc, tag=("converged",) + lc.tag[1:],
-            crit_id=(ident,) + lc.crit_id[1:]), run
+        return flow.LimitClass((("crit", ident),) + lc.tag[1:]), run
 
     monkeypatch.setattr(flow, "classify_limit", stub)
 
