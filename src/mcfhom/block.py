@@ -261,7 +261,8 @@ def classify_boundary(b, fieldd, tols=DEFAULT):
     if fieldd.dimension != b.dimension:
         raise BlockError("field dimension does not match block")
     per_face = tols.face_samples
-    V = expr.compile_field(fieldd)(b.boundary_samples(per_face).T)
+    with np.errstate(all="ignore"):
+        V = expr.compile_field(fieldd)(b.boundary_samples(per_face).T)
     flux = transverse_flux(b, V, per_face, tols.margin_tol).reshape(
         len(b.tags), -1)
     egress = np.logical_and.reduce(flux > 0, axis=1)

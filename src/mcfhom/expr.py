@@ -38,9 +38,21 @@ class Expr:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Const(Expr):
     value: float
+
+    # 0.0 and -0.0 are equal floats but two constants, which can give two
+    # results (0*x1 and -0*x1 at x1 = 1), so that the compile caches, keyed
+    # by Expr, never serve the code of one for the other
+    def _key(self):
+        return self.value, math.copysign(1.0, self.value)
+
+    def __eq__(self, other):
+        return isinstance(other, Const) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -521,43 +533,68 @@ def substitute_param(e, repl):
 # ---------------------------------------------------------------------------
 # compilation
 
-def _to_py(e):
+def _to_py(e, consts, top=True):
+    """Python source of ``e`` over the columns of ``x``.  Each constant,
+    and each Pow exponent, is a name that this call binds in the dict
+    ``consts``: to a 0-d float64 array, which numpy does not convert again
+    on every call, except that a whole component that is one constant is
+    its Python float, so that it stays a scalar."""
     if isinstance(e, Const):
-        return repr(e.value)
+        return _bind(consts, e.value if top else np.array(e.value))
     if isinstance(e, Var):
         return f"x[{e.index}]"
     if isinstance(e, Param):
         return "lam"
     if isinstance(e, Neg):
-        return f"(-{_to_py(e.arg)})"
+        return f"(-{_to_py(e.arg, consts, False)})"
     if isinstance(e, Call):
-        return f"_{e.func}({_to_py(e.arg)})"
+        return f"_{e.func}({_to_py(e.arg, consts, False)})"
     if isinstance(e, Pow):
-        return f"_pow({_to_py(e.base)}, {e.exponent})"
-    return f"({_to_py(e.lhs)} {e.op} {_to_py(e.rhs)})"
+        exponent = _bind(consts, np.array(float(e.exponent)))
+        return f"_pow({_to_py(e.base, consts, False)}, {exponent})"
+    return (f"({_to_py(e.lhs, consts, False)} {e.op} "
+            f"{_to_py(e.rhs, consts, False)})")
+
+
+def _bind(consts, value):
+    name = f"_c{len(consts)}"
+    consts[name] = value
+    return name
+
+
+def _generate(src, consts):
+    """The function that the source ``src`` defines as F, with the names
+    of ``consts`` bound."""
+    env = dict(_ENV, **consts, __builtins__={})
+    exec(src, env)  # noqa: S102 - generated
+    return env["F"]
 
 
 # np.float_power calls the C library's pow, as Python's float ** does, so
 # integer powers agree bit for bit with ``evaluate``; the ndarray **
-# operator may square by multiplication or use SIMD pow routines.
-# inf and nan: the reprs of non-finite constants, as 1e308/lam at 1e-10
+# operator may square by multiplication or use SIMD pow routines.  The
+# constants are not in the source but bound by ``_to_py``: a 0-d array and
+# a literal run the same numpy loop, to the same bits.
 _ENV = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_log": np.log,
-        "_sqrt": np.sqrt, "_pow": np.float_power,
-        "inf": math.inf, "nan": math.nan}
+        "_sqrt": np.sqrt, "_pow": np.float_power, "_empty": np.empty}
 
 
 @lru_cache(maxsize=4096)
 def _compile_scalar_cached(e):
-    src = f"lambda x, lam=None: {_to_py(e)}"
-    return eval(src, dict(_ENV, __builtins__={}))  # noqa: S307 - generated
+    consts = {}
+    return _generate(f"def F(x, lam=None):\n    return {_to_py(e, consts)}\n",
+                     consts)
 
 
 def compile_scalar(e):
     """Compile an Expr to ``f(x, lam=None)``, the value of ``e`` at each
-    column of the (m, N) array ``x`` (a constant stays a scalar).  A domain
-    violation gives a non-finite value, and a numpy warning unless the
-    caller evaluates under ``np.errstate``.  ``evaluate`` is the reference
-    (see there for how closely the two agree)."""
+    column of the (m, N) array ``x`` (a constant stays a Python float).
+    The constants and integer exponents of ``e`` are bound once, as 0-d
+    float64 arrays, and give the bits that they would as literals.  The
+    contract of all compiled code: a domain violation gives a non-finite
+    value, and a numpy warning unless the caller evaluates under
+    ``np.errstate``.  ``evaluate`` is the reference (see there for how
+    closely the two agree)."""
     return _compile_scalar_cached(e)
 
 
@@ -608,24 +645,21 @@ def jacobian(field):
 
 @lru_cache(maxsize=1024)
 def _compile_field_cached(components):
-    rows = "".join(f"        out[{i}] = {_to_py(e)}\n"
+    consts = {}
+    rows = "".join(f"    out[{i}] = {_to_py(e, consts)}\n"
                    for i, e in enumerate(components))
-    src = ("def F(x, lam=None):\n"
-           f"    out = _empty(({len(components)},) + x.shape[1:])\n"
-           "    with _errstate(all='ignore'):\n"
-           f"{rows}    return out\n")
-    env = dict(_ENV, _empty=np.empty, _errstate=np.errstate,
-               __builtins__={})
-    exec(src, env)  # noqa: S102 - generated
-    return env["F"]
+    return _generate("def F(x, lam=None):\n"
+                     f"    out = _empty(({len(components)},) + x.shape[1:])\n"
+                     f"{rows}    return out\n", consts)
 
 
 def compile_field(field):
     """Compile to ``F(X, lam=None)``, the (m, N) array of the field at the
     columns of the (m, N) array X: one generated function that writes the
     value of each component, as ``compile_scalar`` gives it, to its row.
-    It evaluates under ``np.errstate(all="ignore")``: a domain error is a
-    non-finite entry."""
+    Under the same contract as ``compile_scalar``: a domain error is a
+    non-finite entry, and a numpy warning unless the caller evaluates
+    under ``np.errstate``."""
     return _compile_field_cached(field.components)
 
 

@@ -36,8 +36,8 @@ class IntegrationError(Exception):
 
 class StepUnderflowError(IntegrationError):
     def __init__(self, t, x):
-        super().__init__(
-            f"step size underflow at t={t!r}, x={list(x)!r} (stiffness?)")
+        super().__init__(f"step size underflow at t={t!r}, "
+                         f"x={[float(v) for v in x]!r} (stiffness?)")
         self.t = t
         self.x = x
 
@@ -137,7 +137,8 @@ DONE, STOPPED, UNDERFLOW, EXHAUSTED = 1, 2, 3, 4
 @dataclass
 class _Run:
     """Per-column result of ``_dop853``: signed end time, end state
-    (m, N), accepted and rejected attempts, and outcome code."""
+    (m, N), accepted and rejected attempts (the rounds the column ran less
+    its accepted ones), and outcome code."""
 
     t: np.ndarray
     x: np.ndarray
@@ -228,15 +229,19 @@ def _dop853(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
     by a factor in [0.333, 6]; after a rejection it shrinks by one in
     [0.1, 1].
 
-    The running columns are kept packed: a column that leaves is written to
-    the result and dropped from the working arrays, so a round works on
-    whole arrays.  Fancy indexing is needed only in a round where columns
-    leave, or where some but not all steps are accepted; a single orbit
-    needs it only once, when it ends.  Each stage is folded into every
-    stage sum that uses it as soon as it is known, so each sum adds its
-    terms elementwise in stage order (see ``_attempt``), and reductions
-    over a column add in the order they would over a 1-D vector, so every
-    column steps exactly as it would alone.
+    The columns run in lockstep rounds: in each round every running column
+    attempts one step, so a column's attempts are the rounds it ran, and
+    its rejected attempts are those rounds less its accepted steps.  Its
+    time t runs from 0 up to its target and is signed by ``direction``
+    only where it is reported.  The running columns are kept packed: a
+    column that leaves is written to the result and dropped from the
+    working arrays, so a round works on whole arrays.  Fancy indexing is
+    needed only in a round where columns leave, or where some but not all
+    steps are accepted; a single orbit needs it only once, when it ends.
+    Each stage is folded into every stage sum that uses it as soon as it
+    is known, so each sum adds its terms elementwise in stage order (see
+    ``_attempt``), and reductions over a column add in the order they would
+    over a 1-D vector, so every column steps exactly as it would alone.
     """
     n = x0.shape[1]
     per_column = np.ndim(lam) == 1
@@ -248,7 +253,7 @@ def _dop853(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
     X = out.x.copy()
     t = np.zeros(n)
     steps = np.zeros(n, dtype=int)
-    rejected = np.zeros(n, dtype=int)
+    rounds = 0
     with np.errstate(all="ignore"):
         f0 = F(X, lam)
         h = np.minimum(np.minimum(1e-2 * (_norms(X) + 1.0)
@@ -262,12 +267,13 @@ def _dop853(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
                 c = cols[gone]
                 out.t[c], out.x[:, c], out.steps[c] = \
                     direction[gone] * t[gone], X[:, gone], steps[gone]
-                out.rejected[c], out.status[c] = rejected[gone], code[gone]
+                out.rejected[c] = rounds - steps[gone]
+                out.status[c] = code[gone]
                 keep = ~gone
                 cols, X, f0, t, h = (cols[keep], X[:, keep], f0[:, keep],
                                      t[keep], h[keep])
-                steps, rejected, target, direction = (
-                    steps[keep], rejected[keep], target[keep], direction[keep])
+                steps, target, direction = (steps[keep], target[keep],
+                                            direction[keep])
                 if per_column:
                     lam = lam[keep]
             if not cols.size:
@@ -286,10 +292,13 @@ def _dop853(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
                 finite, np.where(ok, _factor(err, 0.333, 6.0),
                                  _factor(err, 0.1, 1.0)), 0.25))
             steps += ok
-            rejected += ~ok
-            code = np.where(steps + rejected >= max_steps, EXHAUSTED, 0)
+            rounds += 1
+            code = np.full(cols.size, EXHAUSTED if rounds >= max_steps else 0)
             if n_ok:
-                t = np.where(ok, t + hc, t)
+                if every:
+                    t += hc
+                else:
+                    np.add(t, hc, out=t, where=ok)
                 sel = slice(None) if every else ok
                 xa, fa = (xnew, fnew) if every else (xnew[:, ok], fnew[:, ok])
                 stop = False
@@ -303,7 +312,7 @@ def _dop853(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
                     X[:, ok], f0[:, ok] = xa, fa
                 code[sel] = np.where(stop, STOPPED, np.where(
                     t[sel] >= target[sel], DONE, code[sel]))
-            code[(code == 0) & ~(h >= 1e-14 * (np.abs(t) + 1.0))] = UNDERFLOW
+            code[(code == 0) & ~(h >= 1e-14 * (t + 1.0))] = UNDERFLOW
     return out
 
 
@@ -409,8 +418,8 @@ def field_scale(fieldd, block):
     (rather than the median) keeps the scale positive even when the lattice
     happens to hit several equilibria.  Lattice points where the field is
     not finite are left out."""
-    F = expr.compile_field(fieldd)
-    mags = _norms(F(block.lattice(5).T))
+    with np.errstate(all="ignore"):
+        mags = _norms(expr.compile_field(fieldd)(block.lattice(5).T))
     mags = mags[np.isfinite(mags)]
     return max(float(np.mean(mags)), 1e-12) if mags.size else 1.0
 

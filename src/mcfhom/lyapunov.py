@@ -75,10 +75,11 @@ def verify_lyapunov(f, fieldd, b, s_decl, tols=DEFAULT):
         d = pts - s
         keep &= np.sqrt(np.vecdot(d, d)) > s_decl.radius
     pts = pts[keep]
-    df = expr.compile_field(expr.FieldDef(m, expr.gradient(f, m)))(pts.T)
-    X = expr.compile_field(fieldd)(pts.T)
-    # summed from integer 0, as by Python's sum, so a zero decrease is -0.0
-    decrease = -sum(df[i] * X[i] for i in range(m))
+    with np.errstate(all="ignore"):
+        df = expr.compile_field(expr.FieldDef(m, expr.gradient(f, m)))(pts.T)
+        X = expr.compile_field(fieldd)(pts.T)
+        # summed from integer 0, as by Python's sum, so a zero decrease is -0.0
+        decrease = -sum(df[i] * X[i] for i in range(m))
     F = expr.compile_scalar(f)
 
     def values(P):
@@ -194,8 +195,9 @@ def morse_perturb(base, b, epsilon=None, perturbation=None, seed=0,
     lattice = b.lattice(tols.seed_density)
     points = np.concatenate([samples,
                              lattice[b.contains_columns(lattice.T)]])
-    bad = np.flatnonzero(~np.logical_and.reduce(
-        np.isfinite(grad_pert(points.T)), axis=0))
+    with np.errstate(all="ignore"):
+        bad = np.flatnonzero(~np.logical_and.reduce(
+            np.isfinite(grad_pert(points.T)), axis=0))
     if bad.size:
         raise expr.ExprError(
             f"perturbation {expr.to_str(perturbation)} has no finite "

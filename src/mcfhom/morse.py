@@ -173,7 +173,8 @@ def newton(f, b, seeds, tol, radius):
         d = np.ascontiguousarray(P.T[rest] - P[:, rest[0]])
         rest = rest[~(_norms(d) < radius)]
     P = P[:, keep]
-    return P, hess(P)
+    with np.errstate(all="ignore"):
+        return P, hess(P)
 
 
 def find_critical_points(f, b, tols=DEFAULT):
@@ -394,7 +395,8 @@ class ConnectionFinder:
         frames = np.stack([s.frame.T for s, *_ in jobs], axis=-1)
         W, P = flow.transport_frame(self.gradfield, P0, [t for *_, t in jobs],
                                     frames, tols=self.tols)
-        V = self.F(P)
+        with np.errstate(all="ignore"):
+            V = self.F(P)
         return [self._orientation_sign(s.x, y, W[:, :, j], V[:, j])
                 for j, (s, y, _, _) in enumerate(jobs)]
 

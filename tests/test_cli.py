@@ -288,6 +288,27 @@ def test_hi_integrator_work_stays_low(system, stage, batches, most,
     assert all(attempts.max() <= most for attempts in runs[stage])
 
 
+@pytest.mark.parametrize("seed", ["3", "4"])
+def test_the_integrator_work_of_connections(seed, monkeypatch, capsys):
+    # `hi` on connections makes one integrator batch, the zero-sphere
+    # search: 16 columns for 43 lockstep rounds, 452 accepted and 175
+    # rejected attempts. The counts are deterministic, so a change to the
+    # step sequence shows here
+    runs = []
+    dop853 = flow._dop853
+
+    def spy(*args, **kwargs):
+        run = dop853(*args, **kwargs)
+        runs.append(run)
+        return run
+
+    monkeypatch.setattr(flow, "_dop853", spy)
+    assert cli.main(["hi", CONNECTIONS, "--seed", seed]) == 0
+    capsys.readouterr()
+    assert [(r.t.size, int((r.steps + r.rejected).max()), int(r.steps.sum()),
+             int(r.rejected.sum())) for r in runs] == [(16, 43, 452, 175)]
+
+
 @pytest.mark.parametrize("system,name", [
     ("benchmarks/systems/cubical.json", "cubical"),
     ("tests/data/saddle.json", "saddle"),

@@ -316,22 +316,147 @@ def test_numpy_function_matches_math_function(func, lo, hi, bad):
 def test_numpy_field_broadcasts_constants_and_flags_domain_errors():
     fld = expr.parse_field(["2", "log(x1)", "1/x2"], 3)
     F = expr.compile_field(fld)
-    V = F(np.array([[1.0, -1.0, 2.0], [4.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))
+    with np.errstate(all="ignore"):
+        V = F(np.array([[1.0, -1.0, 2.0], [4.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))
     assert V.shape == (3, 3)
     assert list(V[0]) == [2.0, 2.0, 2.0]
     assert V[1, 0] == 0.0 and np.isnan(V[1, 1])
     assert V[2, 0] == 0.25 and np.isinf(V[2, 2])
     # each row is the component as compile_scalar gives it, bit for bit: a
     # constant broadcast to its row, lam read where a component uses it,
-    # and a domain error a non-finite entry with no warning
+    # and a domain error a non-finite entry
     fam = expr.parse_field(["-0.5", "sin(x1)*lam - x2^3", "log(x1 - lam)"], 3)
     X = np.random.default_rng(5).uniform(-2, 2, size=(3, 40))
-    V = expr.compile_field(fam)(X, 0.3)
+    with np.errstate(all="ignore"):
+        V = expr.compile_field(fam)(X, 0.3)
     assert V.shape == (3, 40) and np.isnan(V[2]).any()
     for row, e in zip(V, fam.components):
         with np.errstate(all="ignore"):
             want = np.broadcast_to(expr.compile_scalar(e)(X, 0.3), (40,))
         assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+
+
+def test_compiled_code_warns_at_a_domain_error_outside_errstate():
+    # a domain error is a non-finite entry and a RuntimeWarning, which the
+    # test configuration turns into an error, unless the caller evaluates
+    # under np.errstate; inside it the field and each compiled component
+    # give the same non-finite entries
+    fld = expr.FieldDef(2, tuple(expr.parse(t, 2) for t in
+                                 ("log(x1)", "1/x2", "sqrt(x1) + x2")))
+    X = np.array([[1.0, -1.0, 0.0, 4.0], [2.0, 0.0, 0.0, -1.0]])
+    with pytest.raises(RuntimeWarning):
+        expr.compile_field(fld)(X)
+    for e in fld.components:
+        with pytest.raises(RuntimeWarning):
+            expr.compile_scalar(e)(X)
+    with np.errstate(all="ignore"):
+        V = expr.compile_field(fld)(X)
+        rows = [expr.compile_scalar(e)(X) for e in fld.components]
+    assert np.array_equal(~np.isfinite(V), [[False, True, True, False],
+                                            [False, True, True, False],
+                                            [False, True, False, False]])
+    for row, want in zip(V, rows):
+        assert np.array_equal(row, want, equal_nan=True)
+
+
+def _literal_source(e):
+    """The source of e with each constant and each Pow exponent written as
+    a Python literal, the reference for the constants the code generator
+    binds as 0-d arrays."""
+    if isinstance(e, expr.Const):
+        return repr(e.value)
+    if isinstance(e, expr.Var):
+        return f"x[{e.index}]"
+    if isinstance(e, expr.Neg):
+        return f"(-{_literal_source(e.arg)})"
+    if isinstance(e, expr.Call):
+        return f"_{e.func}({_literal_source(e.arg)})"
+    if isinstance(e, expr.Pow):
+        return f"_pow({_literal_source(e.base)}, {e.exponent})"
+    return f"({_literal_source(e.lhs)} {e.op} {_literal_source(e.rhs)})"
+
+
+def _literal_scalar(e):
+    env = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_log": np.log,
+           "_sqrt": np.sqrt, "_pow": np.float_power, "inf": math.inf,
+           "nan": math.nan, "__builtins__": {}}
+    return eval(f"lambda x: {_literal_source(e)}", env)  # noqa: S307
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+_X1 = expr.Var(0)
+_EDGE_CONSTANTS = (math.inf, -math.inf, math.nan, -0.0, 0.0, 1e308, -1e308,
+                   5e-324, -5e-324, 2.5)
+_EDGE_EXPONENTS = (-1, -2, -3, -1075, 2, 3, 1000, 2 ** 53 + 1, 10 ** 20,
+                   -10 ** 20 + 1)
+
+
+def _edge_components():
+    for c in map(expr.Const, _EDGE_CONSTANTS):
+        for op in "+-*/":
+            yield expr.BinOp(op, c, _X1)
+            yield expr.BinOp(op, _X1, c)
+        yield expr.Call("sin", expr.BinOp("*", c, _X1))
+    for n in _EDGE_EXPONENTS:
+        yield expr.Pow(_X1, n)
+        yield expr.Pow(expr.BinOp("-", _X1, expr.Const(0.5)), n)
+        yield expr.Neg(expr.Pow(expr.BinOp("*", expr.Const(-0.0), _X1), n))
+
+
+def test_bound_constants_give_the_bits_of_literal_constants():
+    # constants at the edges of float64 and integer exponents that are
+    # negative or beyond 2^53, as 0-d arrays: the bits that the same source
+    # gives with the constants written as literals, the sign of zero and
+    # every NaN included, and the bits of evaluate wherever it has a value
+    # (a NaN of evaluate only as a NaN, whose sign the C library may set)
+    X = np.array([[0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -2.5, 1e-300, 1e300,
+                   5e-324, math.inf, -math.inf, math.nan]])
+    components = tuple(_edge_components())
+    with np.errstate(all="ignore"):
+        V = expr.compile_field(expr.FieldDef(1, components))(X)
+        for row, e in zip(V, components):
+            want = _literal_scalar(e)(X)
+            got = expr.compile_scalar(e)(X)
+            assert np.array_equal(_bits(got), _bits(want)), expr.to_str(e)
+            assert np.array_equal(_bits(row), _bits(want)), expr.to_str(e)
+            for x, v in zip(X[0], got):
+                try:
+                    ref = expr.evaluate(e, (x,))
+                except expr.EvalDomainError:
+                    continue
+                assert (math.isnan(v) and math.isnan(ref)
+                        or _bits(v) == _bits(ref)), (expr.to_str(e), x)
+
+
+def test_signed_zero_constants_compile_apart():
+    # 0.0 == -0.0, but 0*x1 and -0*x1 differ in the sign of their zero;
+    # compiled in either order, each gives the bits of evaluate
+    X = np.array([[1.0, -1.0]])
+    for texts in (("-0*x1", "0*x1"), ("0*x1", "-0*x1")):
+        expr._compile_scalar_cached.cache_clear()
+        expr._compile_field_cached.cache_clear()
+        for text in texts:
+            e = expr.parse(text, 1)
+            want = [expr.evaluate(e, (x,)) for x in X[0]]
+            assert np.array_equal(_bits(expr.compile_scalar(e)(X)),
+                                  _bits(want)), text
+            V = expr.compile_field(expr.FieldDef(1, (e,)))(X)
+            assert np.array_equal(_bits(V[0]), _bits(want)), text
+    assert expr.Const(0.0) != expr.Const(-0.0)
+    assert expr.Const(-0.0) == expr.Const(-0.0)
+
+
+@pytest.mark.parametrize("value", _EDGE_CONSTANTS)
+def test_a_constant_compiles_to_a_python_float(value):
+    f = expr.compile_scalar(expr.Const(value))
+    X = np.zeros((1, 3))
+    assert type(f(X)) is float
+    assert _bits(f(X)) == _bits(value)
+    V = expr.compile_field(expr.FieldDef(1, (expr.Const(value),)))(X)
+    assert np.array_equal(_bits(V), np.broadcast_to(_bits(value), (1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +555,9 @@ def test_a_field_bound_to_an_infinite_constant_compiles_and_prints():
     assert [expr.to_str(c) for c in bound.components] == \
         ["inf * x1", "x2 - inf"]
     X = np.array([[-1.0, 0.0, 2.0], [0.5, 0.0, -1.0]])
-    np.testing.assert_array_equal(expr.compile_field(bound)(X),
-                                  expr.compile_field(fld)(X, 1e-10))
+    with np.errstate(all="ignore"):
+        np.testing.assert_array_equal(expr.compile_field(bound)(X),
+                                      expr.compile_field(fld)(X, 1e-10))
 
 
 def test_substitute_param():

@@ -80,6 +80,22 @@ def test_step_underflow_reported():
         oracle.integrate(fld, (1.0,), 2.0)
 
 
+def test_step_underflow_message_prints_plain_floats():
+    # x1' = x1^2 blows up at t = 1 from x1 = 1: the step of the transport
+    # underflows there, and the message, which the command line prints,
+    # shows the point as Python floats, not as numpy scalar reprs
+    fld = expr.parse_field(["x1^2", "0"], 2)
+    with pytest.raises(flow.StepUnderflowError) as info:
+        flow.transport_frame(fld, np.array([[1.0], [0.0]]), 2.0,
+                             np.eye(2)[:, :, None])
+    err = info.value
+    assert "np.float64" not in str(err)
+    assert str(err) == (f"step size underflow at t={err.t!r}, "
+                        f"x={err.x.tolist()!r} (stiffness?)")
+    assert 0.99 < err.t < 1.01 and err.x[0] > 1e12
+    assert isinstance(err.x, np.ndarray) and err.x.shape == (6,)
+
+
 def test_integrate_until_stop_value():
     fld = expr.parse_field(["1"], 1)
 
