@@ -225,8 +225,9 @@ def build_block(box=None, cubes=None, origin=None, spacing=None, dimension=None)
                          f"more than {MAX_GRID_CELLS}")
     if box is not None:  # np.indices lists the cubes in sorted order
         idx = np.indices(counts, dtype=np.int64).reshape(len(counts), -1).T
-    else:
-        idx = np.unique(idx, axis=0)
+    else:  # sorted by rows, first column first, and each cube once
+        idx = idx[np.lexsort(idx.T[::-1])]
+        idx = idx[np.concatenate(([True], np.any(idx[1:] != idx[:-1], 1)))]
     return GridBlock(len(counts), origin, float(spacing), idx)
 
 

@@ -3,6 +3,8 @@
 Expressions are immutable trees supporting exact symbolic differentiation,
 pointwise evaluation with domain checking, and compilation to plain Python
 functions that evaluate the columns of an (m, N) array at once with numpy.
+A ``FieldDef`` is the one compiled form: a scalar is a one-row field, and
+``gradient``, ``jacobian`` and ``hessian`` return fields.
 ``evaluate``, a tree walk over one point with Python floats, is the
 reference that compiled code is tested against.  Decimal literals are
 parsed to the nearest binary floating point value, and a subtree of
@@ -415,7 +417,7 @@ def evaluate(e, point, lam=None):
     raise EvalDomainError naming the offending subexpression.
 
     The package itself evaluates compiled code; this tree walk is the
-    reference that ``compile_scalar`` is tested against.  Compiled code
+    reference that each row of ``compile_field`` is tested against.  A row
     gives the same floats for arithmetic and integer powers, and agrees
     within 1 ulp on sin, cos, exp, log and sqrt, which numpy may take from
     faithfully rounded SIMD routines."""
@@ -456,14 +458,12 @@ def evaluate(e, point, lam=None):
 # differentiation
 
 def derive(e, var):
-    """Exact symbolic derivative of ``e`` with respect to ``var`` (a 0-based
-    variable index, or the string "lam")."""
-    if isinstance(e, Const):
+    """Exact symbolic derivative of ``e`` with respect to the variable of
+    0-based index ``var``; lam is a constant of it."""
+    if isinstance(e, (Const, Param)):
         return ZERO
     if isinstance(e, Var):
         return ONE if var == e.index else ZERO
-    if isinstance(e, Param):
-        return ONE if var == "lam" else ZERO
     if isinstance(e, Neg):
         return neg(derive(e.arg, var))
     if isinstance(e, Call):
@@ -533,27 +533,25 @@ def substitute_param(e, repl):
 # ---------------------------------------------------------------------------
 # compilation
 
-def _to_py(e, consts, top=True):
+def _to_py(e, consts):
     """Python source of ``e`` over the columns of ``x``.  Each constant,
     and each Pow exponent, is a name that this call binds in the dict
-    ``consts``: to a 0-d float64 array, which numpy does not convert again
-    on every call, except that a whole component that is one constant is
-    its Python float, so that it stays a scalar."""
+    ``consts`` to a 0-d float64 array, which numpy does not convert again
+    on every call."""
     if isinstance(e, Const):
-        return _bind(consts, e.value if top else np.array(e.value))
+        return _bind(consts, np.array(e.value))
     if isinstance(e, Var):
         return f"x[{e.index}]"
     if isinstance(e, Param):
         return "lam"
     if isinstance(e, Neg):
-        return f"(-{_to_py(e.arg, consts, False)})"
+        return f"(-{_to_py(e.arg, consts)})"
     if isinstance(e, Call):
-        return f"_{e.func}({_to_py(e.arg, consts, False)})"
+        return f"_{e.func}({_to_py(e.arg, consts)})"
     if isinstance(e, Pow):
         exponent = _bind(consts, np.array(float(e.exponent)))
-        return f"_pow({_to_py(e.base, consts, False)}, {exponent})"
-    return (f"({_to_py(e.lhs, consts, False)} {e.op} "
-            f"{_to_py(e.rhs, consts, False)})")
+        return f"_pow({_to_py(e.base, consts)}, {exponent})"
+    return f"({_to_py(e.lhs, consts)} {e.op} {_to_py(e.rhs, consts)})"
 
 
 def _bind(consts, value):
@@ -579,34 +577,17 @@ _ENV = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_log": np.log,
         "_sqrt": np.sqrt, "_pow": np.float_power, "_empty": np.empty}
 
 
-@lru_cache(maxsize=4096)
-def _compile_scalar_cached(e):
-    consts = {}
-    return _generate(f"def F(x, lam=None):\n    return {_to_py(e, consts)}\n",
-                     consts)
-
-
-def compile_scalar(e):
-    """Compile an Expr to ``f(x, lam=None)``, the value of ``e`` at each
-    column of the (m, N) array ``x`` (a constant stays a Python float).
-    The constants and integer exponents of ``e`` are bound once, as 0-d
-    float64 arrays, and give the bits that they would as literals.  The
-    contract of all compiled code: a domain violation gives a non-finite
-    value, and a numpy warning unless the caller evaluates under
-    ``np.errstate``.  ``evaluate`` is the reference (see there for how
-    closely the two agree)."""
-    return _compile_scalar_cached(e)
-
-
 # ---------------------------------------------------------------------------
-# vector fields
+# fields
 
 @dataclass(frozen=True)
 class FieldDef:
-    """A vector field on R^m, optionally depending on lam in [0, 1]."""
+    """Expressions on R^m, optionally in lam in [0, 1]: the m components
+    of a vector field, the one of a scalar, or the m * m entries of a
+    Jacobian in row-major order."""
 
     dimension: int
-    components: tuple  # of Expr: dimension of them, m * m for a Jacobian
+    components: tuple  # of Expr
 
     @property
     def has_param(self):
@@ -634,16 +615,24 @@ def negative_gradient(f, m):
 
 
 def gradient(f, m):
-    return tuple(derive(f, i) for i in range(m))
+    """The field grad f for a scalar Expr f on R^m."""
+    return FieldDef(m, tuple(derive(f, i) for i in range(m)))
 
 
 def jacobian(field):
-    """Matrix of Exprs d(field_i)/d(x_j)."""
+    """The field of the entries d(field_i)/d(x_j), row by row: entry
+    (i, j) is component i * m + j."""
     m = field.dimension
-    return tuple(tuple(derive(c, j) for j in range(m)) for c in field.components)
+    return FieldDef(m, tuple(derive(c, j) for c in field.components
+                             for j in range(m)))
 
 
-@lru_cache(maxsize=1024)
+def hessian(f, m):
+    """The field of the m * m second derivatives of f, row by row."""
+    return jacobian(gradient(f, m))
+
+
+@lru_cache(maxsize=4096)
 def _compile_field_cached(components):
     consts = {}
     rows = "".join(f"    out[{i}] = {_to_py(e, consts)}\n"
@@ -654,14 +643,14 @@ def _compile_field_cached(components):
 
 
 def compile_field(field):
-    """Compile to ``F(X, lam=None)``, the (m, N) array of the field at the
-    columns of the (m, N) array X: one generated function that writes the
-    value of each component, as ``compile_scalar`` gives it, to its row.
-    Under the same contract as ``compile_scalar``: a domain error is a
-    non-finite entry, and a numpy warning unless the caller evaluates
-    under ``np.errstate``."""
+    """Compile to ``F(X, lam=None)``, the (k, N) array of the k components
+    of ``field`` at the columns of the (m, N) array X: one generated
+    function that writes each component to its row.  It is the one
+    compiled form: a scalar f compiles as the one-row field
+    ``FieldDef(m, (f,))``, and derivatives are fields.  The constants and
+    integer exponents are bound once, as 0-d float64 arrays, and give the
+    bits that they would as literals.  The contract of all compiled code:
+    a domain violation gives a non-finite entry, and a numpy warning unless
+    the caller evaluates under ``np.errstate``.  ``evaluate`` is the
+    reference (see there for how closely the two agree)."""
     return _compile_field_cached(field.components)
-
-
-def hessian(f, m):
-    return jacobian(FieldDef(m, gradient(f, m)))

@@ -316,10 +316,11 @@ def _dop853(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
     return out
 
 
-def _failure(run, max_steps, j):
-    """The error of column j of a run that ended in failure, else None."""
+def _failure(run, max_steps, j, m=None):
+    """The error of column j of a run that ended in failure, else None.
+    Its point is the first m rows of the state, all of them by default."""
     if run.status[j] == UNDERFLOW:
-        err = StepUnderflowError(float(run.t[j]), run.x[:, j].copy())
+        err = StepUnderflowError(float(run.t[j]), run.x[:m, j].copy())
     elif run.status[j] == EXHAUSTED:
         err = IntegrationError(
             f"exceeded {max_steps} steps at t={float(run.t[j])!r}")
@@ -360,8 +361,7 @@ def transport_frame(fieldd, X0, T, frames, tols=DEFAULT):
         errors[j] = FrameDegenerateError("initial frame vectors are dependent")
     go = np.flatnonzero((T != 0.0) & ~dependent)
     F = expr.compile_field(fieldd)
-    J = expr.compile_field(expr.FieldDef(
-        m, tuple(e for row in expr.jacobian(fieldd) for e in row)))
+    J = expr.compile_field(expr.jacobian(fieldd))
 
     def G(Z, _):
         out = np.empty_like(Z)
@@ -398,7 +398,8 @@ def transport_frame(fieldd, X0, T, frames, tols=DEFAULT):
         W[:, :, go] = run.x[m:].reshape(k, m, -1)
         for i, j in enumerate(go):
             errors[j] = (FrameDegenerateError("frame vector collapsed to zero")
-                         if collapsed[i] else _failure(run, tols.max_steps, i))
+                         if collapsed[i]
+                         else _failure(run, tols.max_steps, i, m))
         done = [j for j in go if errors[j] is None]
         sv = np.linalg.svd(W[:, :, done].transpose(2, 1, 0), compute_uv=False)
         for j, s in zip(done, sv):

@@ -456,9 +456,6 @@ class PoincarePolynomial:
         b = list(other.coeffs) + [0] * (n - len(other.coeffs))
         return PoincarePolynomial(tuple(x + y for x, y in zip(a, b)))
 
-    def __call__(self, t):
-        return sum(c * t ** k for k, c in enumerate(self.coeffs))
-
     def __str__(self):
         if not self.coeffs:
             return "0"

@@ -75,20 +75,14 @@ def verify_lyapunov(f, fieldd, b, s_decl, tols=DEFAULT):
         d = pts - s
         keep &= np.sqrt(np.vecdot(d, d)) > s_decl.radius
     pts = pts[keep]
+    F = expr.compile_field(expr.FieldDef(m, (f,)))
     with np.errstate(all="ignore"):
-        df = expr.compile_field(expr.FieldDef(m, expr.gradient(f, m)))(pts.T)
+        df = expr.compile_field(expr.gradient(f, m))(pts.T)
         X = expr.compile_field(fieldd)(pts.T)
         # summed from integer 0, as by Python's sum, so a zero decrease is -0.0
         decrease = -sum(df[i] * X[i] for i in range(m))
-    F = expr.compile_scalar(f)
-
-    def values(P):
-        """f at the rows of P; a constant f compiles to one scalar."""
-        with np.errstate(all="ignore"):
-            return np.broadcast_to(F(P.T), len(P))
-
-    # the symbolic df can be finite where f has no value, as for 0*sqrt(u)
-    decrease[~np.isfinite(values(pts))] = np.nan
+        # the symbolic df can be finite where f has no value, as for 0*sqrt(u)
+        decrease[~np.isfinite(F(pts.T)[0])] = np.nan
 
     best = math.inf
     best_loc = None
@@ -102,8 +96,8 @@ def verify_lyapunov(f, fieldd, b, s_decl, tols=DEFAULT):
         violating = tuple(float(v) for v in pts[bad[0]])
     spread = 0.0
     if s_pts:
-        vals = values(np.array(s_pts))
         with np.errstate(all="ignore"):
+            vals = F(np.array(s_pts).T)[0]
             spread = float(np.max(vals) - np.min(vals))
     verdict = bool(violating is None and spread <= s_decl.value_tol)
     return LyapunovReport(verdict, best, best_loc, spread, violating)

@@ -126,9 +126,8 @@ def newton(f, b, seeds, tol, radius):
     and the (K, m, m) Hessians there.
     """
     m, N = seeds.shape
-    grad = expr.compile_field(expr.FieldDef(m, expr.gradient(f, m)))
-    second = expr.compile_field(expr.FieldDef(
-        m, tuple(e for row in expr.hessian(f, m) for e in row)))
+    grad = expr.compile_field(expr.gradient(f, m))
+    second = expr.compile_field(expr.hessian(f, m))
 
     def hess(Z):
         return second(Z).reshape(m, m, Z.shape[1]).transpose(2, 0, 1)
@@ -187,8 +186,7 @@ def find_critical_points(f, b, tols=DEFAULT):
     order = np.lexsort(P[::-1])
     evals, evecs = np.linalg.eigh(0.5 * (H + H.transpose(0, 2, 1))[order])
     with np.errstate(all="ignore"):
-        fvals = np.broadcast_to(expr.compile_scalar(f)(P),
-                                order.shape)[order]
+        fvals = expr.compile_field(expr.FieldDef(len(P), (f,)))(P)[0][order]
     crits = []
     for i, p in enumerate(P.T[order]):
         margin = float(np.min(np.abs(evals[i])))

@@ -117,8 +117,7 @@ def transport_frame_one(fieldd, x0, T, frame, tols=DEFAULT):
     V = [np.asarray(v, dtype=float) for v in frame]
     kf = len(V)
     F = _point_function(fieldd.components, None)
-    J = _point_function([e for row in expr.jacobian(fieldd) for e in row],
-                        None)
+    J = _point_function(expr.jacobian(fieldd).components, None)
 
     def G(z):
         out = np.empty_like(z)

@@ -365,6 +365,17 @@ def test_cube_list_is_sorted_and_merged(m):
         [max(hi[i] for _, hi in corners) for i in range(m)])
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_a_cube_list_gives_the_rows_of_np_unique(m):
+    # random lists with repeats and negative indices, against np.unique
+    # over the rows as the oracle
+    rng = np.random.default_rng(70 + m)
+    for n in (1, 2, 7, 60):
+        idx = rng.integers(-3, 3, size=(n, m))
+        b = block.build_block(cubes=idx.tolist(), spacing=0.5)
+        assert np.array_equal(b.cubes, np.unique(idx, axis=0))
+
+
 def test_a_box_over_the_grid_limit_is_a_block_error():
     # checked before any array of the box is allocated, as for cube lists
     with pytest.raises(block.BlockError, match="more than 4294967296"):

@@ -309,6 +309,25 @@ def test_the_integrator_work_of_connections(seed, monkeypatch, capsys):
              int(r.rejected.sum())) for r in runs] == [(16, 43, 452, 175)]
 
 
+@pytest.mark.parametrize("name", ["connections", "certificate"])
+def test_the_compile_work_of_hi(name, monkeypatch, capsys):
+    # from an empty compile cache, `hi` at seed 3 generates 9 functions on
+    # either system: every field, gradient, Hessian and scalar f once
+    expr._compile_field_cached.cache_clear()
+    generated = []
+    generate = expr._generate
+
+    def spy(src, consts):
+        generated.append(src)
+        return generate(src, consts)
+
+    monkeypatch.setattr(expr, "_generate", spy)
+    path = os.path.join(ROOT, "benchmarks", "systems", f"{name}.json")
+    assert cli.main(["hi", path, "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert len(generated) == 9
+
+
 @pytest.mark.parametrize("system,name", [
     ("benchmarks/systems/cubical.json", "cubical"),
     ("tests/data/saddle.json", "saddle"),
@@ -719,6 +738,24 @@ def test_the_runtime_never_imports_numpy_random():
         "assert 'numpy.random' not in sys.modules\n"
         "sys.modules['numpy.random'] = None  # an import of it now fails\n"
         "run_all()\n")
+    src = os.path.dirname(os.path.dirname(mcfhom.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_block_never_imports_numpy_ma():
+    # np.unique imports numpy.ma on its first call; a cube list is merged
+    # without it
+    argv = ["block", _path("annulus_block.json")]
+    script = (
+        "import contextlib, io, sys\n"
+        "from mcfhom import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+        "assert 'numpy.ma' not in sys.modules\n")
     src = os.path.dirname(os.path.dirname(mcfhom.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))

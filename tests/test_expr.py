@@ -13,6 +13,11 @@ from mcfhom import expr
 ROOT = os.path.dirname(os.path.dirname(__file__))
 
 
+def _row(e, X, lam=None):
+    """The scalar e at the columns of X: the row of its one-row field."""
+    return expr.compile_field(expr.FieldDef(len(X), (e,)))(X, lam)[0]
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -96,7 +101,7 @@ def test_parse_folds_constant_subtrees_only():
     e = expr.parse("0*log(x1)", 1)
     assert e == expr.BinOp("*", expr.Const(0.0), expr.Call("log", expr.Var(0)))
     with np.errstate(invalid="ignore"):
-        assert np.isnan(expr.compile_scalar(e)(np.array([[-1.0]]))[0])
+        assert np.isnan(_row(e, np.array([[-1.0]]))[0])
     assert expr.parse("x1 - x1", 1) == \
         expr.BinOp("-", expr.Var(0), expr.Var(0))
 
@@ -137,12 +142,11 @@ def test_eval_is_pure():
 def test_compiled_matches_evaluate():
     rng = np.random.default_rng(3)
     e = expr.parse("sin(x1)*x2 + exp(x2/4) - x1^3 + lam*x1", 2)
-    f = expr.compile_scalar(e)
     for _ in range(50):
         p = rng.uniform(-2, 2, size=(2, 1))
         lv = rng.uniform(0, 1)
-        assert f(p, lv)[0] == pytest.approx(expr.evaluate(e, p[:, 0], lam=lv),
-                                            rel=1e-14, abs=1e-14)
+        assert _row(e, p, lv)[0] == pytest.approx(
+            expr.evaluate(e, p[:, 0], lam=lv), rel=1e-14, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -189,20 +193,11 @@ def test_derive_matches_central_differences():
                 assert abs(exact - approx) <= 1e-6 * (1 + abs(exact))
 
 
-def test_derive_wrt_parameter():
-    e = expr.parse("lam^2*x1 + cos(lam)", 1)
-    d = expr.derive(e, "lam")
-    for lv in (0.0, 0.3, 0.9):
-        assert expr.evaluate(d, (2.0,), lam=lv) == pytest.approx(
-            2 * lv * 2.0 - math.sin(lv))
-
-
 def test_hessian_symmetry_by_value():
     e = expr.parse("x1^3*x2 + sin(x1*x2)", 2)
-    H = expr.hessian(e, 2)
+    H = expr.hessian(e, 2).components  # row-major
     p = (0.7, -0.4)
-    assert expr.evaluate(H[0][1], p) == pytest.approx(
-        expr.evaluate(H[1][0], p))
+    assert expr.evaluate(H[1], p) == pytest.approx(expr.evaluate(H[2], p))
 
 
 # ---------------------------------------------------------------------------
@@ -234,25 +229,20 @@ def test_each_node_kind_through_every_visitor(kind):
     X = np.random.default_rng(11).uniform(-2, 2, size=(2, 50))
     want = np.array([expr.evaluate(e, X[:, j], lam)
                      for j in range(X.shape[1])])
-    got = np.broadcast_to(expr.compile_scalar(e)(X, lam), want.shape)
-    np.testing.assert_array_max_ulp(got, want, maxulp=1)
+    np.testing.assert_array_max_ulp(_row(e, X, lam), want, maxulp=1)
     bound = expr.substitute_param(e, expr.Const(lam))
     assert not expr.mentions_param(bound)
     assert [expr.evaluate(bound, X[:, j]) for j in range(X.shape[1])] == \
         pytest.approx(want, rel=1e-15, abs=1e-15)
-    # derivatives in x1, x2 and lam against central differences
+    # derivatives in x1 and x2 against central differences
     h = 1e-6
     for j in range(5):
         p = X[:, j]
-        for var in (0, 1, "lam"):
+        for var in (0, 1):
             d = expr.evaluate(expr.derive(e, var), p, lam)
-            if var == "lam":
-                fd = (expr.evaluate(e, p, lam + h)
-                      - expr.evaluate(e, p, lam - h)) / (2 * h)
-            else:
-                step = np.eye(2)[var] * h
-                fd = (expr.evaluate(e, p + step, lam)
-                      - expr.evaluate(e, p - step, lam)) / (2 * h)
+            step = np.eye(2)[var] * h
+            fd = (expr.evaluate(e, p + step, lam)
+                  - expr.evaluate(e, p - step, lam)) / (2 * h)
             assert d == pytest.approx(fd, rel=1e-6, abs=1e-6), var
 
 
@@ -273,7 +263,7 @@ def test_numpy_backend_matches_math_backend(text, exact):
     # SIMD routines that are faithfully rather than correctly rounded
     e = expr.parse(text, 2)
     X = np.random.default_rng(3).uniform(-4, 4, size=(2, 500))
-    got = expr.compile_scalar(e)(X)
+    got = _row(e, X)
     want = np.array([expr.evaluate(e, X[:, j]) for j in range(X.shape[1])])
     if exact:
         assert np.array_equal(got, want)
@@ -288,7 +278,7 @@ def test_numpy_backend_integer_powers_match_math_backend():
     X = np.random.default_rng(5).uniform(-4, 4, size=(1, 20000))
     for n in (2, 3, 4, 5, -1, -2):
         e = expr.powi(expr.parse("x1", 1), n)
-        got = expr.compile_scalar(e)(X)
+        got = _row(e, X)
         want = np.array([expr.evaluate(e, X[:, j])
                          for j in range(X.shape[1])])
         assert np.array_equal(got, want), n
@@ -304,13 +294,13 @@ def test_numpy_function_matches_math_function(func, lo, hi, bad):
     assert func in expr.FUNCS
     e = expr.Call(func, expr.Var(0))
     X = np.random.default_rng(7).uniform(lo, hi, size=(1, 400))
-    got = expr.compile_scalar(e)(X)
+    got = _row(e, X)
     want = np.array([expr.evaluate(e, X[:, j]) for j in range(X.shape[1])])
     np.testing.assert_array_max_ulp(got, want, maxulp=1)
     with pytest.raises(expr.EvalDomainError, match=rf"in {func}\(x1\)"):
         expr.evaluate(e, (bad,))
     with np.errstate(all="ignore"):
-        assert not np.isfinite(expr.compile_scalar(e)(np.array([[bad]]))[0])
+        assert not np.isfinite(_row(e, np.array([[bad]]))[0])
 
 
 def test_numpy_field_broadcasts_constants_and_flags_domain_errors():
@@ -322,7 +312,7 @@ def test_numpy_field_broadcasts_constants_and_flags_domain_errors():
     assert list(V[0]) == [2.0, 2.0, 2.0]
     assert V[1, 0] == 0.0 and np.isnan(V[1, 1])
     assert V[2, 0] == 0.25 and np.isinf(V[2, 2])
-    # each row is the component as compile_scalar gives it, bit for bit: a
+    # each row is the one-row field of its component, bit for bit: a
     # constant broadcast to its row, lam read where a component uses it,
     # and a domain error a non-finite entry
     fam = expr.parse_field(["-0.5", "sin(x1)*lam - x2^3", "log(x1 - lam)"], 3)
@@ -332,15 +322,15 @@ def test_numpy_field_broadcasts_constants_and_flags_domain_errors():
     assert V.shape == (3, 40) and np.isnan(V[2]).any()
     for row, e in zip(V, fam.components):
         with np.errstate(all="ignore"):
-            want = np.broadcast_to(expr.compile_scalar(e)(X, 0.3), (40,))
+            want = _row(e, X, 0.3)
         assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
 
 
 def test_compiled_code_warns_at_a_domain_error_outside_errstate():
     # a domain error is a non-finite entry and a RuntimeWarning, which the
     # test configuration turns into an error, unless the caller evaluates
-    # under np.errstate; inside it the field and each compiled component
-    # give the same non-finite entries
+    # under np.errstate; inside it the field and the one-row field of each
+    # component give the same non-finite entries
     fld = expr.FieldDef(2, tuple(expr.parse(t, 2) for t in
                                  ("log(x1)", "1/x2", "sqrt(x1) + x2")))
     X = np.array([[1.0, -1.0, 0.0, 4.0], [2.0, 0.0, 0.0, -1.0]])
@@ -348,10 +338,10 @@ def test_compiled_code_warns_at_a_domain_error_outside_errstate():
         expr.compile_field(fld)(X)
     for e in fld.components:
         with pytest.raises(RuntimeWarning):
-            expr.compile_scalar(e)(X)
+            _row(e, X)
     with np.errstate(all="ignore"):
         V = expr.compile_field(fld)(X)
-        rows = [expr.compile_scalar(e)(X) for e in fld.components]
+        rows = [_row(e, X) for e in fld.components]
     assert np.array_equal(~np.isfinite(V), [[False, True, True, False],
                                             [False, True, True, False],
                                             [False, True, False, False]])
@@ -419,7 +409,7 @@ def test_bound_constants_give_the_bits_of_literal_constants():
         V = expr.compile_field(expr.FieldDef(1, components))(X)
         for row, e in zip(V, components):
             want = _literal_scalar(e)(X)
-            got = expr.compile_scalar(e)(X)
+            got = _row(e, X)
             assert np.array_equal(_bits(got), _bits(want)), expr.to_str(e)
             assert np.array_equal(_bits(row), _bits(want)), expr.to_str(e)
             for x, v in zip(X[0], got):
@@ -436,26 +426,21 @@ def test_signed_zero_constants_compile_apart():
     # compiled in either order, each gives the bits of evaluate
     X = np.array([[1.0, -1.0]])
     for texts in (("-0*x1", "0*x1"), ("0*x1", "-0*x1")):
-        expr._compile_scalar_cached.cache_clear()
         expr._compile_field_cached.cache_clear()
         for text in texts:
             e = expr.parse(text, 1)
             want = [expr.evaluate(e, (x,)) for x in X[0]]
-            assert np.array_equal(_bits(expr.compile_scalar(e)(X)),
-                                  _bits(want)), text
-            V = expr.compile_field(expr.FieldDef(1, (e,)))(X)
-            assert np.array_equal(_bits(V[0]), _bits(want)), text
+            assert np.array_equal(_bits(_row(e, X)), _bits(want)), text
     assert expr.Const(0.0) != expr.Const(-0.0)
     assert expr.Const(-0.0) == expr.Const(-0.0)
 
 
 @pytest.mark.parametrize("value", _EDGE_CONSTANTS)
-def test_a_constant_compiles_to_a_python_float(value):
-    f = expr.compile_scalar(expr.Const(value))
-    X = np.zeros((1, 3))
-    assert type(f(X)) is float
-    assert _bits(f(X)) == _bits(value)
-    V = expr.compile_field(expr.FieldDef(1, (expr.Const(value),)))(X)
+def test_the_one_row_field_of_a_constant_gives_its_bits_in_every_column(
+        value):
+    V = expr.compile_field(expr.FieldDef(1, (expr.Const(value),)))(
+        np.zeros((1, 3)))
+    assert V.shape == (1, 3)
     assert np.array_equal(_bits(V), np.broadcast_to(_bits(value), (1, 3)))
 
 
@@ -474,9 +459,8 @@ def test_field_without_param_rejects_lam():
 
 def test_jacobian_of_linear_field():
     fld = expr.parse_field(["x1 + 2*x2", "3*x1 - x2"], 2)
-    J = [[expr.evaluate(e, (0.3, -0.7)) for e in row]
-         for row in expr.jacobian(fld)]
-    assert np.allclose(J, [[1.0, 2.0], [3.0, -1.0]])
+    J = [expr.evaluate(e, (0.3, -0.7)) for e in expr.jacobian(fld).components]
+    assert np.allclose(J, [1.0, 2.0, 3.0, -1.0])  # row-major
 
 
 def test_negative_gradient_field():

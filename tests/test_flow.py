@@ -93,7 +93,21 @@ def test_step_underflow_message_prints_plain_floats():
     assert str(err) == (f"step size underflow at t={err.t!r}, "
                         f"x={err.x.tolist()!r} (stiffness?)")
     assert 0.99 < err.t < 1.01 and err.x[0] > 1e12
-    assert isinstance(err.x, np.ndarray) and err.x.shape == (6,)
+    assert isinstance(err.x, np.ndarray) and err.x.shape == (2,)
+
+
+@pytest.mark.parametrize("frame", [np.eye(2), np.eye(2)[:1]])
+def test_transport_underflow_reports_the_point_not_the_frame(frame):
+    # the variational state is the point followed by the k*m coordinates of
+    # the frame; the error of a failing step gives the point alone
+    fld = expr.parse_field(["x1^2", "0"], 2)
+    with pytest.raises(flow.StepUnderflowError) as info:
+        flow.transport_frame(fld, np.array([[1.0], [0.0]]), 2.0,
+                             frame[:, :, None])
+    err = info.value
+    assert len(err.x) == 2
+    assert err.x[0] > 1e12 and err.x[1] == 0.0
+    assert f"x={err.x.tolist()!r}" in str(err)
 
 
 def test_integrate_until_stop_value():
