@@ -25,6 +25,8 @@ EGRESS = "Egress"
 INGRESS = "Ingress"
 UNRESOLVED = "Unresolved"
 
+BOUNDARY_TOL = 1e-9  # how far outside its cubes a point is in the block
+
 
 class BlockError(Exception):
     pass
@@ -116,7 +118,7 @@ class GridBlock:
 
     def contains_columns(self, X):
         """For each column of the (m, N) array X, whether it lies in a cube
-        of the block widened by the boundary tolerance on every side.  A
+        of the block widened by ``BOUNDARY_TOL`` on every side.  A
         column that is not finite lies in no cube.
 
         Along each axis, the cubes within tol of a point are the cube
@@ -125,7 +127,7 @@ class GridBlock:
         sent to the empty padding layer, and the 2^m products of the
         per-axis candidates are read from the occupancy through one flat
         (2^m, N) index."""
-        tol = DEFAULT.boundary_tol
+        tol = BOUNDARY_TOL
         h = self.spacing
         occ, lo_idx, top, strides = self._occupancy
         X = np.asarray(X, dtype=float)

@@ -25,9 +25,8 @@ class Tolerances:
     newton_tol: float = 1e-10
     seed_density: int = 9  # Newton seeds per axis
 
-    # boundary classification and containment
+    # boundary classification
     margin_tol: float = 1e-6
-    boundary_tol: float = 1e-9
     face_samples: int = 3  # transversality samples per face, per axis
     isolation_samples_per_face: int = 2
 
@@ -35,7 +34,6 @@ class Tolerances:
     delta_u: float = 1e-3      # unstable offset of orbit seeds
     n_dir_seeds: int = 64      # initial directions on the unstable sphere
     dir_tol: float = 1e-12     # bisection resolution on directions
-    det_tol: float = 1e-6      # orientation determinant threshold
 
     # perturbation and certification
     epsilon: float = 1e-3

@@ -1,4 +1,4 @@
-"""Numerical integration of flows, frame transport, and limit classification.
+"""Numerical integration of flows and limit classification.
 
 One embedded Runge-Kutta stepper of order 8, Hairer's DOP853 (the
 Dormand-Prince pair with 5th- and 3rd-order error estimates), ``_dop853``,
@@ -12,11 +12,10 @@ orbit outcomes: ("crit", ident) captured at a critical point, ("exit",) at
 the first point outside the block, ("budget",) out of time, or ("failed",
 error) with its error, which is not raised.  The critical points must lie
 at least twice the capture radius apart; with none, every orbit runs until
-it exits or runs out of time.  ``transport_frame`` carries a tangent frame
-along each of N orbits as one (m + k m, N) variational system.  Connection
-counting and Conley-Easton isolation both ask ``classify_limit`` whether an
-orbit leaves the block, and the orientation signs come from
-``transport_frame``.
+it exits or runs out of time.  Connection counting and Conley-Easton
+isolation both ask ``classify_limit`` whether an orbit leaves the block.
+No variational system is integrated: the connection search signs its
+witnesses by the labels of their neighbours (``mcfhom.morse``).
 """
 from __future__ import annotations
 
@@ -30,8 +29,7 @@ from .config import DEFAULT
 
 class IntegrationError(Exception):
     """An orbit the integrator cannot finish: ``classify_limit`` returns it
-    in the label ("failed", error) of its column, and ``transport_frame``
-    raises that of its first failing column."""
+    in the label ("failed", error) of its column."""
 
 
 class StepUnderflowError(IntegrationError):
@@ -40,10 +38,6 @@ class StepUnderflowError(IntegrationError):
                          f"x={[float(v) for v in x]!r} (stiffness?)")
         self.t = t
         self.x = x
-
-
-class FrameDegenerateError(IntegrationError):
-    pass
 
 
 class AmbiguousCaptureError(Exception):
@@ -316,101 +310,16 @@ def _dop853(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
     return out
 
 
-def _failure(run, max_steps, j, m=None):
-    """The error of column j of a run that ended in failure, else None.
-    Its point is the first m rows of the state, all of them by default."""
+def _failure(run, max_steps, j):
+    """The error of column j of a run that ended in failure, else None."""
     if run.status[j] == UNDERFLOW:
-        err = StepUnderflowError(float(run.t[j]), run.x[:m, j].copy())
+        err = StepUnderflowError(float(run.t[j]), run.x[:, j].copy())
     elif run.status[j] == EXHAUSTED:
         err = IntegrationError(
             f"exceeded {max_steps} steps at t={float(run.t[j])!r}")
     else:
         return None
     return err
-
-
-def transport_frame(fieldd, X0, T, frames, tols=DEFAULT):
-    """Transport a tangent frame along the orbit of every column of the
-    (m, N) array X0, column j over the duration T[j] >= 0 (T may also be
-    one scalar for all).
-
-    ``frames`` is a (k, m, N) array: frames[:, :, j] are the k vectors of
-    column j.  The variational equations v' = DX(x(t)) v of all vectors and
-    the orbits are solved as one (m + k m, N) system.  Vector magnitudes
-    are renormalized after each accepted step;
-    directions are never altered, so the sign pattern of each frame
-    determinant is preserved.  Returns (W, X): the transported (k, m, N)
-    frames and the (m, N) end points.  A column with T[j] = 0, or any
-    column when k = 0, keeps its frame and start point.
-
-    A column fails when its start frame is dependent, a vector collapses to
-    zero, its step underflows or it runs out of steps, or its transported
-    frame has condition number above 1e8.  The error of the first failing
-    column is raised.
-    """
-    X0 = np.asarray(X0, dtype=float)
-    frames = np.asarray(frames, dtype=float)
-    k, m, n = frames.shape
-    T = np.broadcast_to(np.asarray(T, dtype=float), (n,))
-    W, X = frames.copy(), X0.copy()
-    if not k:
-        return W, X
-    errors = [None] * n
-    dependent = np.linalg.matrix_rank(frames.transpose(2, 1, 0)) < k
-    for j in np.flatnonzero(dependent):
-        errors[j] = FrameDegenerateError("initial frame vectors are dependent")
-    go = np.flatnonzero((T != 0.0) & ~dependent)
-    F = expr.compile_field(fieldd)
-    J = expr.compile_field(expr.jacobian(fieldd))
-
-    def G(Z, _):
-        out = np.empty_like(Z)
-        out[:m] = F(Z[:m])
-        DX = J(Z[:m]).reshape(m, m, Z.shape[1])
-        V = Z[m:].reshape(k, m, -1)
-        dV = out[m:].reshape(k, m, -1)
-        # (DX v)_a = sum_b DX_ab v_b, added in the order of b
-        dV[:] = DX[None, :, 0] * V[:, None, 0]
-        for b in range(1, m):
-            dV += DX[None, :, b] * V[:, None, b]
-        return out
-
-    collapsed = np.zeros(go.size, dtype=bool)
-
-    def renormalize(cols, t, z_old, z, f):
-        # rescale magnitudes in place between steps; the variational block
-        # of G is linear in v, so the end-of-step derivative reused by the
-        # next step stays consistent when scaled by the same factor
-        V = np.ascontiguousarray(z[m:].reshape(k, m, -1).transpose(0, 2, 1))
-        nrm = np.sqrt(np.vecdot(V, V))  # (k, n), one per vector
-        zero = np.logical_or.reduce(nrm == 0.0, axis=0)
-        collapsed[cols[zero]] = True
-        by_row = np.repeat(nrm, m, axis=0)
-        z[m:] /= by_row
-        f[m:] /= by_row
-        return zero
-
-    if go.size:
-        Z0 = np.concatenate([X0[:, go], frames[:, :, go].reshape(k * m, -1)])
-        run = _dop853(G, Z0, 1, T[go], tols.rtol, tols.atol, tols.max_steps,
-                      renormalize)
-        X[:, go] = run.x[:m]
-        W[:, :, go] = run.x[m:].reshape(k, m, -1)
-        for i, j in enumerate(go):
-            errors[j] = (FrameDegenerateError("frame vector collapsed to zero")
-                         if collapsed[i]
-                         else _failure(run, tols.max_steps, i, m))
-        done = [j for j in go if errors[j] is None]
-        sv = np.linalg.svd(W[:, :, done].transpose(2, 1, 0), compute_uv=False)
-        for j, s in zip(done, sv):
-            cond = s[0] / max(s[-1], 1e-300)
-            if s[-1] == 0.0 or cond > 1e8:
-                errors[j] = FrameDegenerateError(
-                    f"transported frame degenerate (condition {cond:.3e})")
-    for err in errors:
-        if err is not None:
-            raise err
-    return W, X
 
 
 def field_scale(fieldd, block):

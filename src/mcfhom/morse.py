@@ -30,11 +30,11 @@ direction of time (``ConnectionFinder._spheres``):
   since the flow's Jacobian has positive determinant (Liouville's formula).
 - 1 < k < m, so k = 2: forward on the unstable circle of p.  A connecting
   orbit has a capture window, an interval of the circle, so a witness is a
-  run of neighbours captured at one target, and its first direction
-  receives a sign by transporting p's unstable frame along its orbit; the
-  witnesses of all sources with one frame size are signed by one
-  ``flow.transport_frame`` batch, which raises the first fault of the
-  batch.
+  run of neighbours captured at one target q.  Its sign is det R, R the
+  rotation of the seed cycle, times +1 if the direction just past the
+  window in angular order follows q's +v_u unstable branch and -1 if it
+  follows the -v_u branch, as the labels of q's forward S^0 tell (Schwarz,
+  Morse Homology, 1993); any other case raises ``MorseError``.
 - 3 <= k <= m - 1: the connecting directions are isolated points on curves
   of S^{k-1}, which bisection cannot find, so ``search`` raises
   ``MorseError`` for the first such point in order of index before any
@@ -75,10 +75,6 @@ class DegenerateCriticalPointError(MorseError):
             f"(eigenvalue margin {margin:.3e}); re-perturb")
         self.coords = coords
         self.margin = margin
-
-
-class OrientationError(MorseError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -232,7 +228,6 @@ class ConnectionFinder:
     is one and on the unstable circle of an index-2 source otherwise."""
 
     def __init__(self, gradfield, b, crits, tols=DEFAULT, seed=0):
-        self.gradfield = gradfield
         self.b = b
         self.crits = crits
         self.by_id = {c.ident: c for c in crits}
@@ -347,8 +342,8 @@ class ConnectionFinder:
         ``_classify`` batch, and ``_read`` reads each of its labels, in
         batch order, before any sphere learns them.  A witness of a forward
         S^0 is signed by its direction coefficient, one of a backward S^0
-        by the determinant rule and keyed by the source it reaches, and
-        those of the circles by ``_signs``."""
+        by the determinant rule and keyed by the source it reaches, and one
+        of a circle by ``_branch``."""
         while True:
             asks = [(s, s.wanted()) for s in spheres]
             seeds = [(s, u) for s, us in asks for u in us]
@@ -361,14 +356,17 @@ class ConnectionFinder:
             labels = iter(labels)
             for s, us in asks:
                 s.learn(itertools.islice(labels, len(us)))
-        found = [(s, tgt, d, t) for s in spheres
-                 for tgt, items in s.witnesses().items() for d, t in items]
-        signs = iter(self._signs([(s, self.by_id[tgt], d, t)
-                                  for s, tgt, d, t in found if len(d) > 1]))
-        witnesses = {}
-        for s, tgt, d, t in found:
+        found = [(s, tgt, *item) for s in spheres
+                 for tgt, items in s.witnesses().items() for item in items]
+        branches = {s.x.ident: [c[0][1][0] for c in s.cycles]
+                    for s in spheres if s.time > 0 and s.frame.shape[1] == 1}
+        witnesses, turn = {}, 0
+        for s, tgt, d, t, after in found:
             if len(d) > 1:
-                sign = next(signs)
+                # the orientation of the seed cycle, read once it is needed
+                turn = turn or int(np.sign(np.linalg.det(self._rotation(2))))
+                sign = turn * self._branch(s, self.by_id[tgt], after,
+                                           branches)
             elif s.time > 0:
                 sign = 1 if d[0] > 0 else -1
             else:
@@ -381,43 +379,29 @@ class ConnectionFinder:
                 Witness(tuple(float(v) for v in d), sign, t))
         return witnesses
 
-    def _signs(self, jobs):
-        """Orientation signs of the witnesses (forward sphere, target,
-        direction, capture time) of ``jobs``, whose sources share one index
-        (one frame size), from one ``flow.transport_frame`` batch of the
-        sources' unstable frames.  Raises the first fault of the batch: the
-        first transport that fails, else the first orientation that does."""
-        if not jobs:
-            return []
-        P0 = np.column_stack([self._seed_point(s, d) for s, _, d, _ in jobs])
-        frames = np.stack([s.frame.T for s, *_ in jobs], axis=-1)
-        W, P = flow.transport_frame(self.gradfield, P0, [t for *_, t in jobs],
-                                    frames, tols=self.tols)
-        with np.errstate(all="ignore"):
-            V = self.F(P)
-        return [self._orientation_sign(s.x, y, W[:, :, j], V[:, j])
-                for j, (s, y, _, _) in enumerate(jobs)]
+    @staticmethod
+    def _branch(s, q, after, branches):
+        """+1 if ``after``, the label past a window of the circle ``s`` at
+        q, is that of q's +v_u branch, -1 if of its -v_u branch; ``branches``
+        holds the labels of the points +1 and -1 of each forward S^0 by
+        ident.  A window lies only in a gap whose end labels differ, near q
+        its two branches, so no ``MorseError`` here loses a count."""
+        where = (f"the unstable S^1 of critical point {s.x.ident} at "
+                 f"{s.x.coords} has a witness at critical point {q.ident}")
+        if q.ident not in branches:
+            raise MorseError(f"{where}, which has no unstable S^0 in the "
+                             f"search, so the witness has no sign")
+        plus, minus = (_end(lab) for lab in branches[q.ident])
+        if plus == minus or after not in branches[q.ident]:
+            raise MorseError(f"{where}, past whose window the orbit ends in "
+                             f"{_end(after)}, and its +-v_u branches in "
+                             f"{plus} and {minus}: the witness has no sign")
+        return 1 if after == branches[q.ident][0] else -1
 
-    def _orientation_sign(self, x, y, W, v_flow):
-        """Sign of a witness orbit from its transported frame W (k, m) and
-        the flow direction at its arrival point: express the frame in the
-        basis (flow direction) + (unstable frame of y); the determinant
-        sign of that change of basis is the orientation number."""
-        nf = float(np.linalg.norm(v_flow))
-        if nf == 0.0:
-            raise OrientationError(
-                "zero flow direction at the arrival point")
-        cols = [v_flow / nf]
-        cols.extend(np.asarray(v, float) for v in y.frame)
-        B = np.column_stack(cols)
-        C, *_ = np.linalg.lstsq(B, W.T, rcond=None)
-        det = float(np.linalg.det(C))
-        if abs(det) < self.tols.det_tol:
-            raise OrientationError(
-                f"orientation unresolved for connection "
-                f"{x.ident} -> {y.ident} (|det| = {abs(det):.3e}); "
-                f"tighten tolerances")
-        return 1 if det > 0 else -1
+
+def _end(lab):
+    """Where the orbit of a circle label ends, in words."""
+    return "the exit" if lab[0] == "exit" else f"critical point {lab[1]}"
 
 
 def count_connections(x, y, witnesses):

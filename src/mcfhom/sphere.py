@@ -19,7 +19,8 @@ sees; ``morse.ConnectionFinder`` raises ``MorseError`` for them before any
 orbit.
 
 ``morse.ConnectionFinder`` labels what every ``Circle`` wants in one
-``flow.classify_limit`` batch, and signs the witnesses it returns.
+``flow.classify_limit`` batch, and signs the witnesses it returns, on S^1
+by the label just past each window.
 """
 from __future__ import annotations
 
@@ -118,13 +119,16 @@ class Circle:
             e[1] = lab
 
     def witnesses(self):
-        """The witnesses {target ident: [(direction, capture time)]}.
+        """The witnesses {target: [(direction, capture time, label after)]}.
 
         A witness is a maximal run of neighbours captured at one target,
         the capture window of one connecting orbit; its direction is the
         first of the run in cyclic order, and a cycle captured at one
-        target throughout is one run.  Witnesses of one target are in the
-        order of the cycles, and of their first directions in them."""
+        target throughout is one run.  The label after it is that of the
+        direction just past the run in angular order, the run's own where
+        nothing follows it: on S^0, or on a cycle of one run.  Witnesses of
+        one target are in the order of the cycles, and of their first
+        directions in them."""
         found = {}
         for c in self.cycles:
             labs = [lab if lab[0] == "crit" and lab[1] in self.targets
@@ -134,6 +138,9 @@ class Circle:
             if not firsts and labs[0] is not None:
                 firsts = [0]
             for i in firsts:
+                after = next((j for j in range(i + 1 - len(c), i)
+                              if labs[j] != labs[i]), i)
                 d, (lab, t), _ = c[i]
-                found.setdefault(lab[1], []).append((d, abs(t)))
+                found.setdefault(lab[1], []).append(
+                    (d, abs(t), c[after][1][0]))
         return found

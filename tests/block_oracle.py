@@ -102,7 +102,7 @@ def classify_boundary(b, fieldd, tols=DEFAULT):
 def contains_columns(b, X):
     """For each column of the (m, N) array X, whether it lies in a cube of
     the block ``b`` widened by the boundary tolerance on every side."""
-    tol = DEFAULT.boundary_tol
+    tol = block.BOUNDARY_TOL
     m = b.dimension
     idx = np.array(sorted(cube_set(b)))
     # occupancy padded by one empty layer on every side, so that clipped

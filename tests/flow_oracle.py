@@ -7,6 +7,11 @@ evaluated point by point with Python floats by the tree walk
 ``expr.evaluate``, not by compiled code, and record every accepted step.
 A domain error of the tree walk is raised as ValueError, which
 ``_dop853`` takes as a rejected step.
+
+``transport_frame_one`` and ``orientation_det`` are the sign oracle of the
+circle witnesses of ``mcfhom.morse``: the unstable frame of the source
+carried along the witness orbit, and its orientation against the flow
+direction and the unstable frame of the target.
 """
 from __future__ import annotations
 
@@ -141,3 +146,14 @@ def transport_frame_one(fieldd, x0, T, frame, tols=DEFAULT):
     _raise_failure(run, tols.max_steps)
     z = run.x[:, 0]
     return [z[m + i * m: m + (i + 1) * m].copy() for i in range(kf)], z[:m]
+
+
+def orientation_det(W, v_flow, frame):
+    """The orientation of a connecting orbit from its transported frame W,
+    k vectors of length m as rows, and the flow direction ``v_flow`` at its
+    end point: the determinant of W in the basis of the unit flow direction
+    and the k - 1 vectors ``frame``, the unstable frame of its target,
+    solved for by least squares.  Its sign is the orbit's sign."""
+    B = np.column_stack([v_flow / np.linalg.norm(v_flow), *frame])
+    C, *_ = np.linalg.lstsq(B, np.asarray(W, dtype=float).T, rcond=None)
+    return float(np.linalg.det(C))

@@ -77,13 +77,22 @@ def forward_search(finder, sources):
     forward on its unstable sphere, S^0 or the circle, by
     ``finder._search_spheres``: also a source of index m = 2, which
     ``finder.search`` reaches backward from the stable S^0 of its targets.
-    A source without targets has no sphere.  Returns the spheres and their
+    A source without targets has no sphere.  The forward S^0 of each
+    circle target that is not a source, whose labels sign the circle's
+    witnesses, is searched after them.  Returns the spheres and their
     witnesses {(source, target): [Witness]}; the witnesses of an S^0 are
     signed by their direction coefficients, as in ``finder.search``."""
+    def below(x):
+        return {c.ident for c in finder.crits if c.index == x.index - 1}
+
     circles = []
     for x in sources:
-        targets = {c.ident for c in finder.crits if c.index == x.index - 1}
-        if targets:
+        if below(x):
             assert x.index <= 2, "the forward search has S^0 and S^1 only"
-            circles.append(finder._circle(x, 1, x.frame_matrix(), targets))
+            circles.append(finder._circle(x, 1, x.frame_matrix(), below(x)))
+    searched = {x.ident for x in sources}
+    for q in finder.crits:
+        if q.ident not in searched and below(q) and any(
+                s.x.index == 2 and q.ident in s.targets for s in circles):
+            circles.append(finder._circle(q, 1, q.frame_matrix(), below(q)))
     return circles, finder._search_spheres(circles)

@@ -60,12 +60,12 @@ def test_contains_with_boundary_tolerance():
     assert block_oracle.contains(b, (1.0,))
     assert block_oracle.contains(b, (-1.0,))
     assert not block_oracle.contains(b, (1.1,))
-    assert block_oracle.contains(b, (1.0 + 0.5 * DEFAULT.boundary_tol,))
+    assert block_oracle.contains(b, (1.0 + 0.5 * block.BOUNDARY_TOL,))
 
 
 def test_boundary_tolerance_is_symmetric():
     # just outside the upper and the lower end, and every corner of a square
-    tol = DEFAULT.boundary_tol
+    tol = block.BOUNDARY_TOL
     for box in ([(0, 1)], [(0, 1), (0, 1)]):
         b = block.build_block(box=box, spacing=0.5)
         m = b.dimension
@@ -262,7 +262,7 @@ def test_lattice_rows_run_in_product_order(n):
 def _in_some_cube(b, p):
     """Brute force: p lies in some cube widened by the boundary tolerance
     on every side."""
-    tol = DEFAULT.boundary_tol
+    tol = block.BOUNDARY_TOL
     for c in block_oracle.cube_set(b):
         lo, hi = block_oracle.cube_bounds(b, c)
         if all(lo[i] - tol <= p[i] <= hi[i] + tol for i in range(b.dimension)):
@@ -274,7 +274,7 @@ def test_contains_columns_equals_contains():
     # both forms against a scan of every cube, which shares nothing with
     # their candidate-cube shortcut
     rng = np.random.default_rng(11)
-    tol = DEFAULT.boundary_tol
+    tol = block.BOUNDARY_TOL
     for b in (_l_shape(),
               block.build_block(box=[(-1, 1), (-1, 1)], spacing=0.25),
               block.build_block(box=[(0, 1)], spacing=0.5)):
@@ -399,7 +399,7 @@ def test_a_box_whose_cell_count_overflows_is_a_block_error(box, spacing,
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_contains_columns_equals_the_oracle(m):
     rng = np.random.default_rng(20 + m)
-    tol = DEFAULT.boundary_tol
+    tol = block.BOUNDARY_TOL
     blocks = (block.build_block(box=[(-1, 1)] * m, spacing=0.5),
               block.build_block(cubes=_irregular_cubes(m, rng),
                                 origin=tuple(rng.uniform(-1, 1, m)),

@@ -437,8 +437,8 @@ def test_the_morse_complex_of_the_3d_product_well_does_not_depend_on_the_seed(
         capsys):
     # the sphere search of the six index-2 sources on S^1 with another
     # rotation of its seeds, and another perturbation direction; the report
-    # at seed 5 pins the signs transported from the first direction of each
-    # run of a second rotation
+    # at seed 5 pins the branch signs of the windows of a second rotation,
+    # whose seed cycle turns the other way
     assert cli.main(["hi", _path("product_well_3d.json"), "--seed", "5"]) == 0
     out = capsys.readouterr().out
     with open(_path("product_well_3d_hi_seed5.out"), "rb") as fh:
@@ -465,29 +465,29 @@ def test_hi_on_the_3d_product_well(capsys):
 @pytest.mark.parametrize("seed", [3, 5])
 def test_the_work_of_the_3d_product_well(seed, monkeypatch, capsys):
     # the 24 forward and 12 backward zero-sphere seeds ride in the first
-    # batch of the six circles: 14 label batches of 3,252 orbits in
-    # all, and the 24 witnesses of the circles signed by one transport
-    # batch
-    batches, transports = [], []
-    classify, transport = flow.classify_limit, flow.transport_frame
+    # batch of the six circles: 14 label batches of 3,252 orbits in all.
+    # The 24 witnesses of the circles are signed from their labels, so
+    # every integration of the run is of a 3-row state, the orbits alone
+    batches, rows = [], []
+    classify, dop853 = flow.classify_limit, flow._dop853
 
     def counted(gradfield, X0, *args, **kwargs):
         batches.append(X0.shape[1])
         return classify(gradfield, X0, *args, **kwargs)
 
-    def counted_transport(gradfield, X0, *args, **kwargs):
-        transports.append(X0.shape[1])
-        return transport(gradfield, X0, *args, **kwargs)
+    def counted_dop853(F, x0, *args, **kwargs):
+        rows.append(x0.shape[0])
+        return dop853(F, x0, *args, **kwargs)
 
     monkeypatch.setattr(flow, "classify_limit", counted)
-    monkeypatch.setattr(flow, "transport_frame", counted_transport)
+    monkeypatch.setattr(flow, "_dop853", counted_dop853)
     assert cli.main(["hi", _path("product_well_3d.json"),
                      "--seed", str(seed)]) == 0
     with open(_path(f"product_well_3d_hi_seed{seed}.out"), "rb") as fh:
         assert capsys.readouterr().out.encode() == fh.read()
     assert (len(batches), sum(batches)) == (14, 3252)
     assert batches[0] == 36 + 6 * DEFAULT.n_dir_seeds
-    assert transports == [24]
+    assert rows and set(rows) == {3}
 
 
 def test_hi_on_the_4d_product_well_stops_before_any_orbit(monkeypatch,
@@ -861,7 +861,6 @@ def test_invariant_set_sample_of_the_wrong_length_exits_two(
 
 @pytest.mark.parametrize("error", [
     flow.StepUnderflowError(0.25, [0.5, 0.0]),
-    flow.FrameDegenerateError("frame vector collapsed to zero"),
     flow.IntegrationError("exceeded 5 steps at t=1.0"),
     flow.AmbiguousCaptureError(types.SimpleNamespace(ident=0),
                                types.SimpleNamespace(ident=1), 1e-05),

@@ -1,4 +1,5 @@
-"""Integrator, frame transport, and orbit limit classification."""
+"""Integrator, the frame transport of the sign oracle, and orbit limit
+classification."""
 import dataclasses
 import math
 import types
@@ -81,33 +82,20 @@ def test_step_underflow_reported():
 
 
 def test_step_underflow_message_prints_plain_floats():
-    # x1' = x1^2 blows up at t = 1 from x1 = 1: the step of the transport
-    # underflows there, and the message, which the command line prints,
-    # shows the point as Python floats, not as numpy scalar reprs
-    fld = expr.parse_field(["x1^2", "0"], 2)
-    with pytest.raises(flow.StepUnderflowError) as info:
-        flow.transport_frame(fld, np.array([[1.0], [0.0]]), 2.0,
-                             np.eye(2)[:, :, None])
-    err = info.value
+    # x1' = -1/x1 reaches the singular line x1 = 0 at t = 1/2 from x1 = 1,
+    # inside the block: the step of the orbit underflows there, and the
+    # message of its ("failed", error) label, which the command line
+    # prints, shows the point as Python floats, not as numpy scalar reprs
+    fld = expr.parse_field(["-1/x1", "0"], 2)
+    b = block.build_block(box=[(-2, 2)] * 2, spacing=0.5)
+    lc, _ = _classify(fld, np.array([[1.0], [0.0]]), [], b, scale=1.0)
+    [(kind, err)] = lc.tag
+    assert kind == "failed" and isinstance(err, flow.StepUnderflowError)
     assert "np.float64" not in str(err)
     assert str(err) == (f"step size underflow at t={err.t!r}, "
                         f"x={err.x.tolist()!r} (stiffness?)")
-    assert 0.99 < err.t < 1.01 and err.x[0] > 1e12
+    assert 0.49 < err.t < 0.51 and 0.0 < err.x[0] < 1e-3
     assert isinstance(err.x, np.ndarray) and err.x.shape == (2,)
-
-
-@pytest.mark.parametrize("frame", [np.eye(2), np.eye(2)[:1]])
-def test_transport_underflow_reports_the_point_not_the_frame(frame):
-    # the variational state is the point followed by the k*m coordinates of
-    # the frame; the error of a failing step gives the point alone
-    fld = expr.parse_field(["x1^2", "0"], 2)
-    with pytest.raises(flow.StepUnderflowError) as info:
-        flow.transport_frame(fld, np.array([[1.0], [0.0]]), 2.0,
-                             frame[:, :, None])
-    err = info.value
-    assert len(err.x) == 2
-    assert err.x[0] > 1e12 and err.x[1] == 0.0
-    assert f"x={err.x.tolist()!r}" in str(err)
 
 
 def test_integrate_until_stop_value():
@@ -128,13 +116,13 @@ def test_integrate_until_budget_returns_none():
 
 
 # ---------------------------------------------------------------------------
-# frame transport
+# frame transport along one orbit, the sign oracle of the circle witnesses
 
 def _transport(fld, x0, T, frame):
-    """One orbit through the batched transport: (vectors, end point)."""
-    W, X = flow.transport_frame(fld, np.asarray(x0, dtype=float)[:, None], T,
-                                np.array(frame, dtype=float)[:, :, None])
-    return list(W[:, :, 0]), X[:, 0]
+    """One orbit through the oracle's transport: (vectors, end point)."""
+    return oracle.transport_frame_one(fld, np.asarray(x0, dtype=float), T,
+                                      frame)
+
 
 def test_transport_identity_on_zero_duration():
     fld = expr.parse_field(["x1", "-x2"], 2)
@@ -189,72 +177,6 @@ def test_transport_matches_flow_map_differential():
     cos = float(np.dot(W[0], fd)
                 / (np.linalg.norm(W[0]) * np.linalg.norm(fd)))
     assert cos > 1 - 1e-6
-
-
-def _frames(*cols):
-    """(k, m, N) frames from N lists of k vectors."""
-    return np.stack([np.array(c, dtype=float) for c in cols], axis=-1)
-
-
-def test_batched_transport_matches_one_column_runs():
-    # each column of a batch equals its one-column run bit for bit, and
-    # the expr.evaluate reference up to the orientation of its frame; with
-    # a polynomial field the arithmetic differs only in the order of the
-    # Jacobian-vector sums, so the frames agree to rounding as well
-    poly = expr.negative_gradient(
-        expr.parse("(x1^2 - 1)^2 + (x2^2 - 1)^2", 2), 2)
-    trig = expr.parse_field(["x2", "-sin(x1) - 0.3*x2"], 2)
-    rng = np.random.default_rng(5)
-    for fld in (poly, trig):
-        for k in (1, 2):
-            X0 = rng.uniform(-0.9, 0.9, size=(2, 4))
-            T = rng.uniform(0.2, 1.5, size=4)
-            frames = rng.standard_normal((k, 2, 4))
-            W, X = flow.transport_frame(fld, X0, T, frames)
-            for j in range(4):
-                Wj, Xj = flow.transport_frame(fld, X0[:, [j]], T[j],
-                                              frames[:, :, [j]])
-                assert np.array_equal(Wj[:, :, 0], W[:, :, j])
-                assert np.array_equal(Xj[:, 0], X[:, j])
-                ref, xr = oracle.transport_frame_one(fld, X0[:, j], T[j],
-                                                     frames[:, :, j])
-                assert np.linalg.det(np.array(ref) @ W[:, :, j].T) > 0
-                if fld is poly:
-                    assert np.abs(W[:, :, j] - ref).max() < 1e-12
-                    assert np.abs(X[:, j] - xr).max() < 1e-12
-
-
-def test_batched_transport_raises_for_the_first_bad_column():
-    # x1 grows while x2 decays ten times as fast: the vectors (1, +-1) turn
-    # towards the x1 axis, and by t = 2 their frame has condition ~ e^22
-    fld = expr.parse_field(["x1", "-10*x2"], 2)
-    good = [[1.0, 0.0], [0.0, 1.0]]
-    pinch = [[1.0, 1.0], [1.0, -1.0]]
-    dependent = [[1.0, 1.0], [2.0, 2.0]]
-    X0 = np.full((2, 3), 0.1)
-    W, X = flow.transport_frame(fld, X0, [0.5, 0.5, 0.0],
-                                _frames(good, pinch, good[::-1]))
-    assert np.array_equal(W[:, :, 2], good[::-1])  # zero duration
-    assert np.array_equal(X[:, 2], X0[:, 2])
-    for frames, T, match in (
-            ((good, pinch, dependent), [0.5, 2.0, 2.0], "condition"),
-            ((good, dependent, pinch), [0.5, 0.5, 2.0], "dependent")):
-        with pytest.raises(flow.FrameDegenerateError, match=match):
-            flow.transport_frame(fld, X0, T, _frames(*frames))
-    # x1' = -1/x1 reaches the singular line x1 = 0 at t = 1/2 from x1 = 1,
-    # before the frame of the third column pinches
-    blowup = expr.parse_field(["-1/x1", "-10*x2"], 2)
-    with pytest.raises(flow.StepUnderflowError):
-        flow.transport_frame(blowup, np.array([[3.0, 1.0, 3.0],
-                                               [0.1, 0.1, 0.1]]),
-                             [2.0, 2.0, 2.0], _frames(good, good, pinch))
-
-
-def test_transport_rejects_dependent_frame():
-    fld = expr.parse_field(["x1", "-x2"], 2)
-    with pytest.raises(flow.FrameDegenerateError):
-        _transport(fld, (0.1, 0.1), 1.0,
-                             [np.array([1.0, 0.0]), np.array([2.0, 0.0])])
 
 
 # ---------------------------------------------------------------------------

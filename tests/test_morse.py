@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import algebra_oracle
+import flow_oracle
 import sphere_oracle as oracle
 from mcfhom import block, cli, conley, expr, flow, homalg, morse, sphere
 from mcfhom.config import DEFAULT
@@ -280,7 +281,10 @@ def _quarter_labels(crits):
     """A stub labelling that cuts the unstable circle of the product double
     well's source into four basins of minima, with a 2e-9 rad window to a
     saddle at each cut, so refinement runs down to dir_tol and several
-    directions of one window become witnesses."""
+    directions of one window become witnesses.  Returns it and the labels
+    of the branches of each saddle, {ident: (+v_u label, -v_u label)}: the
+    basin after its window in increasing angle, then the one before, so
+    that every witness has the sign +1."""
     saddles = [c.ident for c in crits if c.index == 1]
     minima = [c.ident for c in crits if c.index == 0]
     quarter = math.pi / 2
@@ -292,45 +296,44 @@ def _quarter_labels(crits):
             return ("crit", saddles[round(a / quarter) % 4]), a
         return ("crit", minima[q]), a
 
-    return label
+    return label, {saddles[j]: (("crit", minima[j]), ("crit", minima[j - 1]))
+                   for j in range(4)}
 
 
-def _label_directions(monkeypatch, finder, source, label):
+def _label_directions(monkeypatch, finder, source, label, branches):
     """Make ``finder._classify`` label each direction of the unstable
     sphere of ``source`` by ``label``: its seed point is the direction
-    itself.  Returns the list of batches, each a list of directions."""
+    itself.  The seed of the branch sigma = +-1 of another critical point
+    x is labelled ``branches[x.ident][sigma < 0]``.  Returns the list of
+    batches, each a list of directions of ``source``."""
     batches = []
 
     def seed_point(s, d):
-        assert s.x is source
-        return d
+        return d if s.x is source else (s.x.ident, d[0])
 
     def classify(seeds):
-        batches.append([d for d, _ in seeds])
-        return [label(d) for d, _ in seeds]
+        batches.append([p for p, _ in seeds if isinstance(p, np.ndarray)])
+        return [label(p) if isinstance(p, np.ndarray)
+                else (branches[p[0]][int(p[1] < 0)], 1.0) for p, _ in seeds]
 
     monkeypatch.setattr(finder, "_seed_point", seed_point)
     monkeypatch.setattr(finder, "_classify", classify)
     return batches
 
 
-def _stub_search(monkeypatch, f, b, crits, label):
-    """Search the index-2 source with ``_classify`` replaced by ``label``
-    and ``_signs`` by a recorder that signs every witness +1.  Returns the
-    labelled directions as bytes, the batch sizes, the witnesses
-    (direction, target ident, capture time) handed to ``_signs`` and the
-    finder."""
+def _stub_search(monkeypatch, f, b, crits, label, branches):
+    """Search the index-2 source, and the unstable S^0 of its targets, with
+    ``_classify`` replaced by ``label`` and ``branches``.  Returns the
+    labelled directions of the source as bytes, the batch sizes, the
+    witnesses of the source (direction, target ident, capture time, sign)
+    and the finder."""
     source = next(c for c in crits if c.index == 2)
     finder = morse.ConnectionFinder(expr.negative_gradient(f, 2), b, crits)
-    batches = _label_directions(monkeypatch, finder, source, label)
-    got = []
-
-    def signs(jobs):
-        got.extend((d, y.ident, t) for _, y, d, t in jobs)
-        return [1] * len(jobs)
-
-    monkeypatch.setattr(finder, "_signs", signs)
-    oracle.forward_search(finder, [source])
+    batches = _label_directions(monkeypatch, finder, source, label, branches)
+    _, found = oracle.forward_search(finder, [source])
+    got = [(np.array(w.direction), tgt, w.capture_time, w.sign)
+           for (x, tgt), ws in found.items() if x == source.ident
+           for w in ws]
     labelled = [d.tobytes() for dirs in batches for d in dirs]
     return labelled, [len(dirs) for dirs in batches], got, finder
 
@@ -414,17 +417,18 @@ def test_the_search_labels_each_direction_once_and_one_witness_per_window(
     # few batches; each window to a saddle is one run of neighbours, and so
     # one witness inside it
     f, b, crits = _product_double_well()
-    label = _quarter_labels(crits)
+    label, branches = _quarter_labels(crits)
     labelled, calls, got, finder = _stub_search(monkeypatch, f, b, crits,
-                                                label)
+                                                label, branches)
     labels = _depth_first(finder, label)
     assert set(labelled) >= set(labels)
     assert len(set(labelled)) == len(labelled)
     assert len(calls) < len(labels) / 4
-    assert sorted(tgt for _, tgt, _ in got) == \
+    assert sorted(tgt for _, tgt, _, _ in got) == \
         sorted(c.ident for c in crits if c.index == 1)
-    for d, tgt, t in got:
+    for d, tgt, t, sign in got:
         assert label(d) == (("crit", tgt), t)
+        assert sign == 1
 
 
 def test_a_failed_label_stops_the_search_wherever_it_is(monkeypatch):
@@ -432,8 +436,9 @@ def test_a_failed_label_stops_the_search_wherever_it_is(monkeypatch):
     # raised: of a witness, of the last direction labelled, and of
     # directions that the depth-first bisection never labels
     f, b, crits = _product_double_well()
-    label = _quarter_labels(crits)
-    labelled, _, got, finder = _stub_search(monkeypatch, f, b, crits, label)
+    label, branches = _quarter_labels(crits)
+    labelled, _, got, finder = _stub_search(monkeypatch, f, b, crits, label,
+                                            branches)
     depth_first = _depth_first(finder, label)
     ahead = [key for key in labelled if key not in depth_first]
     assert len(ahead) > 100
@@ -444,18 +449,61 @@ def test_a_failed_label_stops_the_search_wherever_it_is(monkeypatch):
             return label(d)
 
         with pytest.raises(flow.StepUnderflowError):
-            _stub_search(monkeypatch, f, b, crits, failing)
+            _stub_search(monkeypatch, f, b, crits, failing, branches)
 
 
-def _runs(cycles, labels):
-    """The witnesses, {target: [capture time]}, of a circle of ``cycles``
-    whose i-th direction is labelled ``labels[i]``, with capture time i;
-    the targets are 1 and 2."""
+def test_a_circle_witness_without_two_branch_labels_raises(monkeypatch):
+    # the stub labelling of the quarter circle with the saddles' branch
+    # labels taken away, made equal, or moved off the basins next to their
+    # windows: the first witness of the circle raises MorseError, naming
+    # the source's S^1 and the saddle its window is captured at
+    f, b, crits = _product_double_well()
+    label, branches = _quarter_labels(crits)
+    _, _, got, finder = _stub_search(monkeypatch, f, b, crits, label,
+                                     branches)
+    source = finder.by_id[next(c.ident for c in crits if c.index == 2)]
+    saddle = got[0][1]
+    where = (rf"the unstable S\^1 of critical point {source.ident} at .* "
+             rf"has a witness at critical point {saddle}, ")
+    circle = finder._circle(source, 1, source.frame_matrix(),
+                            {c.ident for c in crits if c.index == 1})
+    with pytest.raises(morse.MorseError, match=(
+            where + r"which has no unstable S\^0 in the search")):
+        finder._search_spheres([circle])
+    minima = [c.ident for c in crits if c.index == 0]
+    for bad in ({q: (plus, plus) for q, (plus, _) in branches.items()},
+                {q: (("crit", minima[minima.index(plus[1]) - 2]), ("exit",))
+                 for q, (plus, _) in branches.items()}):
+        plus, minus = (rf"critical point {lab[1]}" if lab[0] == "crit"
+                       else "the exit" for lab in bad[saddle])
+        with pytest.raises(morse.MorseError, match=(
+                where + r"past whose window the orbit ends in critical "
+                rf"point \d+, and its \+-v_u branches in {plus} and "
+                rf"{minus}: the witness has no sign")):
+            _stub_search(monkeypatch, f, b, crits, label, bad)
+
+
+def _witnesses(cycles, labels):
+    """The witnesses of a circle of ``cycles`` whose i-th direction is
+    labelled ``labels[i]``, with capture time i; the targets are 1 and 2."""
     circle = sphere.Circle(None, 1, None, {1, 2}, cycles, 1e-12)
     assert len(circle.wanted()) == len(labels)
     circle.learn((lab, float(i)) for i, lab in enumerate(labels))
-    return {tgt: [t for _, t in items]
-            for tgt, items in circle.witnesses().items()}
+    return circle.witnesses()
+
+
+def _runs(cycles, labels):
+    """The capture times of the witnesses of ``_witnesses``, {target:
+    [capture time]}."""
+    return {tgt: [t for _, t, _ in items]
+            for tgt, items in _witnesses(cycles, labels).items()}
+
+
+def _afters(cycles, labels):
+    """The labels after the witnesses of ``_witnesses``, {target:
+    [label]}."""
+    return {tgt: [after for *_, after in items]
+            for tgt, items in _witnesses(cycles, labels).items()}
 
 
 def test_a_witness_is_a_run_of_neighbours_captured_at_one_target():
@@ -473,6 +521,14 @@ def test_a_witness_is_a_run_of_neighbours_captured_at_one_target():
     # a cycle captured at one target throughout is one witness
     assert _runs([cycle], [q] * 8) == {1: [0.0]}
     assert _runs([cycle], [exit] * 8) == {}
+    # the label after a run is that of the next direction in angular
+    # order, past the list end too; a cycle of one run is followed by
+    # its own label
+    assert _afters([cycle], [q, q, exit, r, r, other, q, q]) == \
+        {1: [exit], 2: [other]}
+    assert _afters([cycle], [q, r, r, q, q, q, exit, q]) == \
+        {1: [exit, r], 2: [q]}
+    assert _afters([cycle], [q] * 8) == {1: [q]}
 
 
 def test_s0_is_two_cycles_of_one_point():
@@ -488,15 +544,15 @@ def test_s0_is_two_cycles_of_one_point():
     assert zero.wanted() == []
     assert _runs(sphere.cycles(1, 8, np.eye(1)), [q, r]) == \
         {1: [0.0], 2: [1.0]}
+    assert _afters(sphere.cycles(1, 8, np.eye(1)), [q, r]) == \
+        {1: [q], 2: [r]}
 
 
 def test_search_raises_the_first_fault_of_the_batch(monkeypatch):
     # The source of the product double well on its unstable circle and a
     # saddle on its unstable S^0, searched forward: every orbit of the
     # saddle fails.  Its failure is the first fault of the first batch, in
-    # either order, and raised before any witness is signed: also where
-    # the transported witnesses of the circle would fail their orientation
-    # test.
+    # either order, and raised before any witness is signed.
     f, b, crits = _product_double_well()
     first = next(c for c in crits if c.index == 2)
     second = next(c for c in crits if c.index == 1)
@@ -522,15 +578,9 @@ def test_search_raises_the_first_fault_of_the_batch(monkeypatch):
         monkeypatch.setattr(finder, "_classify", second_fails)
         oracle.forward_search(finder, sources)
 
-    unsigned = dataclasses.replace(_COARSE, det_tol=10.0)
-    with pytest.raises(morse.OrientationError):
-        oracle.forward_search(morse.ConnectionFinder(
-            expr.negative_gradient(f, 2), b, crits, tols=unsigned, seed=3),
-            [first])
     for sources in ([first, second], [second, first]):
-        for tols in (_COARSE, unsigned):
-            with pytest.raises(flow.IntegrationError, match="injected"):
-                search(sources, tols)
+        with pytest.raises(flow.IntegrationError, match="injected"):
+            search(sources, _COARSE)
 
 
 def test_the_sphere_search_counts_each_connection_once():
@@ -564,34 +614,61 @@ def test_lockstep_search_equals_per_source_searches(monkeypatch):
         assert apart.get((cc.source, cc.target), []) == cc.witnesses
 
 
-def test_signing_raises_for_the_first_failing_witness(monkeypatch):
-    # the source of the product double well has one witness to each saddle
-    # on its unstable circle, signed in one transport batch that is made
-    # to fail after the first witness.  That is the first fault of the
-    # batch, also where the first witness would fail its orientation test.
+def _transported_sign(fld, finder, s, q, w):
+    """The sign of the witness ``w`` of the forward sphere ``s``, captured
+    at q, by the oracle: the unstable frame of s.x carried along the
+    witness orbit to its capture, against the flow direction and the
+    unstable frame of q there.  The orientation must be clear of zero."""
+    x0 = finder._seed_point(s, np.array(w.direction))
+    W, end = flow_oracle.transport_frame_one(fld, x0, w.capture_time,
+                                             s.frame.T, tols=finder.tols)
+    v = np.array([expr.evaluate(e, end) for e in fld.components])
+    det = flow_oracle.orientation_det(W, v, q.frame)
+    assert abs(det) > 1e-6
+    return 1 if det > 0 else -1
+
+
+def _assert_circle_signs_are_transported(fld, finder, spheres, witnesses):
+    """Every witness of a circle of ``spheres`` has the oracle's sign;
+    returns how many there are."""
+    circles = {s.x.ident: s for s in spheres if s.frame.shape[1] == 2}
+    n = 0
+    for (x, tgt), ws in witnesses.items():
+        for w in ws if x in circles else []:
+            assert w.sign == _transported_sign(fld, finder, circles[x],
+                                               finder.by_id[tgt], w)
+            n += 1
+    return n
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_branch_signs_equal_transported_signs_on_the_3d_product_well(seed):
+    # the six circles of the 3-D product well at the seeds of its goldens,
+    # whose seed cycles turn opposite ways: the sign of each of the 24
+    # witnesses, read off the branch of its target past its window, is the
+    # sign that frame transport gives it
+    f, b, crits = _product_well_3d()
+    fld = expr.negative_gradient(f, 3)
+    finder = morse.ConnectionFinder(fld, b, crits, seed=seed)
+    assert np.sign(np.linalg.det(finder._rotation(2))) == {3: -1, 5: 1}[seed]
+    spheres = [s for s in finder._spheres() if s.time > 0]
+    witnesses = finder._search_spheres(spheres)
+    assert _assert_circle_signs_are_transported(
+        fld, finder, spheres, witnesses) == 24
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_branch_signs_equal_transported_signs_on_2d_forward_circles(seed):
+    # the unstable circle of the 2-D product well's source, searched
+    # forward with the S^0 of its four saddles; its seed cycle turns
+    # clockwise at seed 3
     f, b, crits = _product_double_well()
-    transport = flow.transport_frame
-    widths = []
-
-    def second_fails(fieldd, X0, *args, **kwargs):
-        widths.append(X0.shape[1])
-        out = transport(fieldd, X0, *args, **kwargs)
-        if X0.shape[1] > 1:
-            raise flow.FrameDegenerateError("injected")
-        return out
-
+    fld = expr.negative_gradient(f, 2)
     source = next(c for c in crits if c.index == 2)
-
-    def search(tols):
-        oracle.forward_search(morse.ConnectionFinder(
-            expr.negative_gradient(f, 2), b, crits, tols=tols, seed=3),
-            [source])
-
-    monkeypatch.setattr(flow, "transport_frame", second_fails)
-    for tols in (_COARSE, dataclasses.replace(_COARSE, det_tol=10.0)):
-        with pytest.raises(flow.FrameDegenerateError, match="injected"):
-            search(tols)
-    assert widths == [4, 4]
+    finder = morse.ConnectionFinder(fld, b, crits, tols=_COARSE, seed=seed)
+    spheres, witnesses = oracle.forward_search(finder, [source])
+    assert _assert_circle_signs_are_transported(
+        fld, finder, spheres, witnesses) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -799,13 +876,10 @@ def test_closed_form_signs_equal_transported_signs():
         assert [s.x for s in spheres] == ones
         assert found == ws
         sphere_of = {s.x.ident: s for s in spheres}
-        jobs, signs = [], []
-        for (x, tgt), items in ws.items():
-            for w in items:
-                jobs.append((sphere_of[x], closed.by_id[tgt],
-                             np.array(w.direction), w.capture_time))
-                signs.append(w.sign)
-        assert transported._signs(jobs) == signs
+        signs = [w.sign for items in ws.values() for w in items]
+        assert [_transported_sign(gradfield, transported, sphere_of[x],
+                                  closed.by_id[tgt], w)
+                for (x, tgt), items in ws.items() for w in items] == signs
         assert sorted(signs) == [-1] * len(ones) + [1] * len(ones)
 
 
