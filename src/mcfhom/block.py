@@ -2,7 +2,7 @@
 
 A block is a finite union of closed grid cubes ``origin + h * [i, i+1]``
 per axis.  Boundary faces are the codimension-one faces not shared by two
-cubes of the block; each carries a transversality tag once classified.
+cubes of the block; ``classify_boundary`` returns their transversality tags.
 
 A set of cubical cells is a boolean mask on the doubled grid of the
 block's cube-index box: the interval (lo, hi) of an axis sits at lo + hi
@@ -11,7 +11,6 @@ the C order of the mask is the lexicographic order of the intervals.
 """
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -61,14 +60,12 @@ class GridBlock:
     ``cubes`` is an (n, m) int64 array of cube indices in lexicographic
     order with no repeats.  ``faces`` holds the boundary faces, the sides
     of the cubes with no cube beyond them, as three arrays (cube row, axis,
-    side 0 or 1): cube by cube, then axis, then side.  ``tags`` holds one
-    tag per face, all Unresolved until ``classify_boundary``."""
+    side 0 or 1): cube by cube, then axis, then side."""
 
     dimension: int
     origin: tuple
     spacing: float
     cubes: np.ndarray
-    tags: np.ndarray = None
 
     def __post_init__(self):
         if not len(self.cubes):
@@ -93,8 +90,6 @@ class GridBlock:
         # one shifted read of the occupancy per axis and side
         self.faces = np.nonzero(
             ~occ[(at @ step)[:, None, None] + np.stack([-step, step], 1)])
-        if self.tags is None:
-            self.tags = np.full(len(self.faces[0]), UNRESOLVED)
 
     def face_list(self, which=slice(None)):
         """The faces selected by ``which`` (a mask or index over the faces)
@@ -189,6 +184,8 @@ def build_block(box=None, cubes=None, origin=None, spacing=None, dimension=None)
         origin = tuple(float(lo) for lo, _ in box)
         counts = []
         for lo, hi in box:
+            if not hi > lo:
+                raise BlockError(f"box side [{lo}, {hi}] is empty")
             n = (hi - lo) / spacing
             if not math.isfinite(n):
                 raise BlockError(f"box side [{lo}, {hi}] has too many cells "
@@ -259,20 +256,18 @@ def classify_boundary(b, fieldd, tols=DEFAULT):
     """Tag each boundary face Egress where ``transverse_flux`` is positive
     at every sample of the face, Ingress where it is negative at every
     sample, and Unresolved otherwise, with the field at every sample of
-    every face evaluated as one array.  Returns a copy of ``b`` with these
-    tags, which shares its cube and face arrays."""
+    every face evaluated as one array.  Returns the tags as an array, one
+    per face in ``b.faces`` order."""
     if fieldd.dimension != b.dimension:
         raise BlockError("field dimension does not match block")
     per_face = tols.face_samples
     with np.errstate(all="ignore"):
         V = expr.compile_field(fieldd)(b.boundary_samples(per_face).T)
     flux = transverse_flux(b, V, per_face, tols.margin_tol).reshape(
-        len(b.tags), -1)
+        len(b.faces[0]), -1)
     egress = np.logical_and.reduce(flux > 0, axis=1)
     ingress = np.logical_and.reduce(flux < 0, axis=1)
-    out = copy.copy(b)
-    out.tags = np.where(egress, EGRESS, np.where(ingress, INGRESS, UNRESOLVED))
-    return out
+    return np.where(egress, EGRESS, np.where(ingress, INGRESS, UNRESOLVED))
 
 
 def closure(mask):
@@ -295,16 +290,16 @@ def _grid_mask(b, cubes, shift=0):
     return closure(mask)
 
 
-def exit_set(b):
-    """The closed cubical subcomplex spanned by the Egress faces, as a mask
-    on the grid of ``block_cells``.
+def exit_set(b, tags):
+    """The closed cubical subcomplex spanned by the faces that ``tags`` calls
+    Egress, as a mask on the grid of ``block_cells``.
 
-    Raises if any face is still Unresolved; Ingress-only blocks give the
-    empty complex."""
-    unresolved = b.tags == UNRESOLVED
+    Raises if any face is Unresolved; Ingress-only blocks give the empty
+    complex."""
+    unresolved = tags == UNRESOLVED
     if unresolved.any():
         raise UnresolvedFacesError(b.face_list(unresolved))
-    cube, axis, side = np.compress(b.tags == EGRESS, b.faces, axis=1)
+    cube, axis, side = np.compress(tags == EGRESS, b.faces, axis=1)
     # a face lies one step below or above its cube along its axis
     shift = (2 * side - 1)[:, None] * (axis[:, None] == np.arange(b.dimension))
     return _grid_mask(b, b.cubes[cube], shift)

@@ -6,7 +6,7 @@ keywords it uses; JSON numbers must be finite.
 
 Exit codes: 0 on pass, 1 on a mathematical failure (failed verdicts or
 pipeline errors), 2 on input errors (bad JSON, non-finite numbers, files
-that break the schema, unknown expressions).
+that break the schema, unknown expressions, an ``--out`` it cannot write).
 """
 from __future__ import annotations
 
@@ -269,7 +269,7 @@ def _s_decl(spec, m):
                              f"coordinates, dimension is {m}")
     return lyapunov.SDeclaration(
         tuple(tuple(p) for p in spec["samples"]), spec["radius"],
-        spec.get("value_tol", 1e-8))
+        **({"value_tol": spec["value_tol"]} if "value_tol" in spec else {}))
 
 
 def _homology_table(h):
@@ -295,9 +295,8 @@ def cmd_block(args):
     system = _fixed_system(load_system(args.file))
     fieldd, b = system.field, system.block
     report, tols = _base_report(args)
-    classified = block_mod.classify_boundary(b, fieldd, tols=tols)
-    tags = sorted(zip(map(str, classified.face_list()),
-                      classified.tags.tolist()))
+    tags = block_mod.classify_boundary(b, fieldd, tols=tols).tolist()
+    tags = sorted(zip(map(str, b.face_list()), tags))
     iso = block_mod.check_isolation(b, fieldd, tols=tols)
     report["faces"] = [{"face": f, "tag": t} for f, t in tags]
     report["unresolved"] = [f for f, t in tags if t == block_mod.UNRESOLVED]
@@ -329,11 +328,11 @@ def cmd_lyapunov(args):
 def cmd_hi(args):
     system = _fixed_system(load_system(args.file), "lyapunov")
     report, tols = _base_report(args)
-    et, res = conley.verify_exit_theorem(system, seed=args.seed,
-                                         coeff=args.coeff, tols=tols)
-    report["hi"] = _homology_table(et.hi)
-    report["relative_cubical"] = _homology_table(et.relative)
-    report["exit_theorem"] = et.verdict
+    res = conley.compute_HI(system, seed=args.seed, coeff=args.coeff,
+                            tols=tols)
+    report["hi"] = _homology_table(res.homology)
+    report["relative_cubical"] = _homology_table(res.relative)
+    report["exit_theorem"] = res.exit_theorem
     report["perturbation"] = expr.to_str(res.certificate.perturbation)
     report["critical_points"] = [
         {"coords": list(c.coords), "index": c.index, "f": c.f_value}
@@ -344,17 +343,17 @@ def cmd_hi(args):
          "n": c.n % 2 if args.coeff == "Z2" else c.n,
          "witnesses": len(c.witnesses)}
         for c in res.counts]
-    report["verdict"] = et.verdict
-    return report, 0 if et.verdict else 1
+    report["verdict"] = res.exit_theorem
+    return report, 0 if res.exit_theorem else 1
 
 
 def cmd_cubical(args):
     system = _fixed_system(load_system(args.file))
     report, tols = _base_report(args)
-    classified = block_mod.classify_boundary(system.block, system.field,
-                                             tols=tols)
-    exitc = block_mod.exit_set(classified)
-    h = homalg.cubical_relative_homology(classified, exitc, coeff=args.coeff)
+    b = system.block
+    exitc = block_mod.exit_set(
+        b, block_mod.classify_boundary(b, system.field, tols=tols))
+    h = homalg.cubical_relative_homology(b, exitc, coeff=args.coeff)
     report["exit_cells"] = int(exitc.sum())
     report["relative_cubical"] = _homology_table(h)
     report["verdict"] = True
@@ -452,8 +451,11 @@ def _emit(report, args):
     text = json.dumps(_finite(report), sort_keys=True, indent=2,
                       default=str, allow_nan=False) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
     if args.json or not args.out:
         sys.stdout.write(text)
 
@@ -462,6 +464,7 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         report, code = _COMMANDS[args.command](args)
+        _emit(report, args)
     except (InputError, expr.ExprError) as exc:
         # an ExprError is a file's expression that does not parse or whose
         # constants fold to a domain error, such as a zero denominator
@@ -472,7 +475,6 @@ def main(argv=None):
             flow.IntegrationError, flow.AmbiguousCaptureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(report, args)
     return code
 
 

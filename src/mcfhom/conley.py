@@ -1,4 +1,4 @@
-"""Pipeline orchestration and structural theorems: exit-set equivalence,
+"""Pipeline orchestration and structural theorems: the exit-set theorem,
 the Morse relations of a decomposition, and continuation.
 """
 from __future__ import annotations
@@ -25,12 +25,13 @@ class ContinuationError(ConleyError):
 @dataclass
 class HIResult:
     """HI_* and the data it is computed from: a Morse function on a block
-    with the Euclidean metric and the canonical orientation frames."""
+    with the Euclidean metric and the canonical orientation frames, and
+    H_*(B, B-), which the exit-set theorem says HI_* equals."""
 
     homology: homalg.HomologyResult
+    relative: homalg.HomologyResult
+    exit_theorem: bool  # homology == relative
     f: object          # Expr after perturbation
-    block: object      # with its boundary faces classified
-    exit_cells: object  # the exit-set mask of ``block.exit_set``
     crits: list
     certificate: object
     complex: homalg.ChainComplex
@@ -70,10 +71,11 @@ def _shared(systems, *names):
 
 def compute_HI(system, seed=0, coeff="Z", tols=DEFAULT):
     """Full pipeline: verify the inputs, Morse-perturb the Lyapunov
-    function, find critical points, count connections, take homology."""
+    function, find critical points, count connections, take homology, and
+    take H_*(B, B-) from the block and its exit set."""
     fieldd, b = system.field, system.block
-    classified = block_mod.classify_boundary(b, fieldd, tols=tols)
-    exitc = block_mod.exit_set(classified)  # raises on unresolved faces
+    tags = block_mod.classify_boundary(b, fieldd, tols=tols)
+    exitc = block_mod.exit_set(b, tags)  # raises on unresolved faces
     iso = block_mod.check_isolation(b, fieldd, tols=tols)
     if not iso:
         raise PipelineError(
@@ -91,23 +93,18 @@ def compute_HI(system, seed=0, coeff="Z", tols=DEFAULT):
     crits = morse.find_critical_points(f, b, tols=tols)
     complex_, counts = morse.build_complex(f, b, crits, tols=tols, seed=seed)
     h = homalg.homology(complex_, coeff=coeff)
-    return HIResult(h, f, classified, exitc, crits, cert, complex_, counts)
+    rel = homalg.cubical_relative_homology(b, exitc, coeff=coeff)
+    return HIResult(h, rel, h == rel, f, crits, cert, complex_, counts)
 
 
-@dataclass
-class ExitTheoremReport:
-    verdict: bool
-    hi: homalg.HomologyResult
-    relative: homalg.HomologyResult
-
-
-def verify_exit_theorem(system, seed=0, coeff="Z", tols=DEFAULT):
-    """Compare HI against the relative cubical homology of the block and
-    its exit set."""
-    res = compute_HI(system, seed=seed, coeff=coeff, tols=tols)
-    rel = homalg.cubical_relative_homology(res.block, res.exit_cells,
-                                           coeff=coeff)
-    return ExitTheoremReport(res.homology == rel, res.homology, rel), res
+def _checked(name, res):
+    """``res``, the HI of the system ``name``, if it passes the exit-set
+    theorem; PipelineError naming both homologies if not."""
+    if not res.exit_theorem:
+        raise PipelineError(f"exit-set theorem fails for {name}: HI is "
+                            f"{res.homology.describe()}, H(B, B-) is "
+                            f"{res.relative.describe()}")
+    return res
 
 
 @dataclass
@@ -136,11 +133,12 @@ def decomposition_analysis(whole, parts, seed=0, coeff="Z", tols=DEFAULT):
     """Morse relations for a declared decomposition: ``parts`` are the
     systems of the Morse sets, on the flow of ``whole``, with blocks
     pairwise disjoint inside its block (overlapping ones are refused
-    before any HI is computed)."""
+    before any HI is computed), and each HI passing the exit-set theorem."""
     _shared((whole, *parts), "field")
     _disjoint(parts)
-    whole, *parts = (compute_HI(s, seed=seed, coeff=coeff, tols=tols)
-                     for s in (whole, *parts))
+    whole, *parts = (_checked(f"set {i - 1}" if i else "the whole",
+                              compute_HI(s, seed=seed, coeff=coeff, tols=tols))
+                     for i, s in enumerate((whole, *parts)))
     pw = homalg.poincare(whole.homology)
     pp = [homalg.poincare(p.homology) for p in parts]
     q = homalg.relations_check(pp, pw)
@@ -156,7 +154,7 @@ def continuation_invariance(start, end, lam_grid, seed=0, coeff="Z",
     of HI of ``start`` at the grid's first value and of ``end`` at its
     last.  Both are one family on one block; they differ in the Lyapunov
     function and the invariant set.  The error names the first lam at which
-    the block is not isolating."""
+    the block is not isolating; both HI must pass the exit-set theorem."""
     _shared((start, end), "field", "block")
     lams = [float(lv) for lv in lam_grid]
     rep = block_mod.check_isolation(start.block, start.field, lam=lams,
@@ -166,6 +164,8 @@ def continuation_invariance(start, end, lam_grid, seed=0, coeff="Z",
             raise ContinuationError(
                 f"block stops isolating at lam = {lv} (trapped "
                 f"samples {r.failures[:3]}); not a continuation")
-    r0, r1 = (compute_HI(s.at(lv), seed=seed, coeff=coeff, tols=tols)
-              for s, lv in ((start, lams[0]), (end, lams[-1])))
+    ends = (("the start", start, lams[0]), ("the end", end, lams[-1]))
+    r0, r1 = (_checked(f"{name} (lam = {lv})",
+                       compute_HI(s.at(lv), seed=seed, coeff=coeff, tols=tols))
+              for name, s, lv in ends)
     return r0.homology == r1.homology, r0, r1

@@ -515,11 +515,12 @@ def mentions_param(e):
 
 
 def substitute_param(e, repl):
-    """Replace every occurrence of lam by the expression ``repl``."""
+    """Replace every occurrence of lam by the expression ``repl``; a subtree
+    without lam is returned as it is, not simplified."""
+    if not mentions_param(e):
+        return e
     if isinstance(e, Param):
         return repl
-    if isinstance(e, (Const, Var)):
-        return e
     if isinstance(e, Neg):
         return neg(substitute_param(e.arg, repl))
     if isinstance(e, Call):

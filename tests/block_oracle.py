@@ -57,10 +57,11 @@ def boundary_faces(b):
     return faces
 
 
-def face_tags(b):
-    """The faces of the block ``b`` with their tags, as a dict from
+def face_tags(b, tags):
+    """The faces of the block ``b`` with their ``tags`` (one per face, as
+    ``block.classify_boundary`` returns them), as a dict from
     ``block.Face`` to tag in the order of its face arrays."""
-    return dict(zip(b.face_list(), b.tags.tolist()))
+    return dict(zip(b.face_list(), tags.tolist()))
 
 
 def face_lattice(b, f, n):

@@ -97,10 +97,10 @@ def block_cells(b):
                     for c in block_oracle.cube_set(b)])
 
 
-def exit_set(b):
-    """The closure of the Egress faces of a classified block."""
+def exit_set(b, tags):
+    """The closure of the faces of ``b`` that ``tags`` calls Egress."""
     top = []
-    for f, tag in block_oracle.face_tags(b).items():
+    for f, tag in block_oracle.face_tags(b, tags).items():
         if tag == block.EGRESS:
             top.append(tuple((v + f.side,) * 2 if i == f.axis else (v, v + 1)
                              for i, v in enumerate(f.cube)))

@@ -76,14 +76,14 @@ def _exit_case(name, field, box_or_cubes, h, lyap_text, samples, radius, m,
     sd = lyapunov.SDeclaration(tuple(tuple(s) for s in samples), radius,
                                vtol)
     p = expr.parse(pert, m) if pert else None
-    rep, _ = conley.verify_exit_theorem(
+    res = conley.compute_HI(
         conley.System(fld, b, lyap, sd, epsilon=eps, perturbation=p), seed=0)
     errs = []
-    if not rep.verdict:
-        errs.append(f"{name}: HI {rep.hi.describe()} != relative "
-                    f"{rep.relative.describe()}")
-    if rep.hi.describe() != want:
-        errs.append(f"{name}: HI {rep.hi.describe()}, expected {want}")
+    if not res.exit_theorem:
+        errs.append(f"{name}: HI {res.homology.describe()} != relative "
+                    f"{res.relative.describe()}")
+    if res.homology.describe() != want:
+        errs.append(f"{name}: HI {res.homology.describe()}, expected {want}")
     return errs
 
 

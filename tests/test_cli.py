@@ -15,7 +15,7 @@ import jsonschema
 import pytest
 
 import mcfhom
-from mcfhom import block, cli, conley, expr, flow
+from mcfhom import block, cli, conley, expr, flow, homalg
 from mcfhom.config import DEFAULT
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -876,8 +876,101 @@ def test_flow_errors_exit_one(error, monkeypatch, capsys):
     assert captured.out == "" and captured.err == f"error: {error}\n"
 
 
+def _wrong_relative_homology(monkeypatch, bad_call):
+    """Make the ``bad_call``-th relative homology (from 1) H_3 = Z."""
+    real = homalg.cubical_relative_homology
+    calls = []
+
+    def fake(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == bad_call:
+            return homalg.HomologyResult([0, 0, 0, 1], {})
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(homalg, "cubical_relative_homology", fake)
+
+
+def test_hi_reports_a_failed_exit_theorem_and_exits_one(monkeypatch,
+                                                        capsys):
+    _wrong_relative_homology(monkeypatch, 1)
+    assert cli.main(["hi", _path("saddle.json")]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["exit_theorem"] is False and out["verdict"] is False
+    assert out["hi"]["pretty"] == "H_1 = Z"
+    assert out["relative_cubical"]["pretty"] == "H_3 = Z"
+
+
+@pytest.mark.parametrize("command,bad_call,name,hi", [
+    ("relations", 1, "the whole", "H_0 = Z"),
+    ("relations", 2, "set 0", "H_0 = Z"),
+    ("relations", 4, "set 2", "H_1 = Z"),
+    ("continue", 1, "the start (lam = 0.0)", "H_0 = Z"),
+    ("continue", 2, "the end (lam = 1.0)", "H_0 = Z"),
+])
+def test_a_failed_exit_theorem_stops_relations_and_continue(
+        command, bad_call, name, hi, monkeypatch, capsys):
+    _wrong_relative_homology(monkeypatch, bad_call)
+    assert cli.main([command, _path(f"double_well_{command}.json"),
+                     "--seed", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: exit-set theorem fails for {name}: "
+                            f"HI is {hi}, H(B, B-) is H_3 = Z\n")
+
+
 def test_missing_file_exits_two(capsys):
     assert cli.main(["hi", "/nonexistent/system.json"]) == 2
+
+
+def test_an_out_path_that_cannot_be_written_exits_two(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "r.json"
+    assert cli.main(["block", _path("saddle.json"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: cannot write {out}: ")
+    assert "No such file or directory" in captured.err
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_out_writes_the_report_and_json_also_prints_it(flags, tmp_path,
+                                                       capsys):
+    out = tmp_path / "r.json"
+    assert cli.main(["block", _path("saddle.json"), "--out", str(out),
+                     *flags]) == 0
+    printed = capsys.readouterr().out
+    with open(_path("saddle_block.out")) as fh:
+        assert out.read_text() == fh.read()
+    assert printed == (out.read_text() if flags else "")
+
+
+@pytest.mark.parametrize("side,message", [
+    ([1, -1], "box side [1, -1] is empty"),
+    ([0, 0], "box side [0, 0] is empty"),
+    ([0, 0.75], "box side [0, 0.75] is not a whole number of cells at "
+                "spacing 0.5"),
+], ids=["reversed", "zero-length", "not-whole"])
+def test_a_box_side_that_is_empty_or_not_whole_cells_exits_two(
+        side, message, tmp_path, capsys):
+    doc = {"dimension": 1, "field": ["x1"],
+           "block": {"box": [side], "spacing": 0.5}}
+    assert cli.main(["block", _write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
+def test_options_lam_leaves_a_field_without_lam_as_it_is(tmp_path, capsys):
+    # 0*sqrt(x1 + 0.5) has no value on the side x1 = -1, with or without
+    # a value of lam to bind
+    doc = {"dimension": 1, "field": ["x1 + 0*sqrt(x1 + 0.5)"],
+           "block": {"box": [[-1, 1]], "spacing": 0.5}}
+    assert cli.main(["block", _write(tmp_path, doc)]) == 1
+    plain = capsys.readouterr().out
+    assert json.loads(plain)["unresolved"] == [
+        "face(cube=(0,), axis=0, side=-)"]
+    doc["options"] = {"lam": 0}
+    assert cli.main(["block", _write(tmp_path, doc)]) == 1
+    assert capsys.readouterr().out == plain
 
 
 def test_bad_expression_exits_two(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Pipeline orchestration: exit theorem, decompositions and continuation."""
 import dataclasses
+import json
 import math
 import os
 import types
@@ -56,17 +57,17 @@ def test_hi_semistable_is_zero():
 def test_hi_repeller():
     fld = expr.parse_field(["x1"], 1)
     b = block.build_block(box=[(-1, 1)], spacing=0.5)
-    rep, res = conley.verify_exit_theorem(conley.System(
+    res = conley.compute_HI(conley.System(
         fld, b, expr.parse("-(x1^4)/4", 1),
         lyapunov.SDeclaration(((0.0,),), 0.1)), seed=0)
-    assert rep.verdict
-    assert rep.hi.describe() == "H_1 = Z"
+    assert res.exit_theorem
+    assert res.homology.describe() == "H_1 = Z"
 
 
 def test_hi_attracting_interval():
-    rep, res = conley.verify_exit_theorem(_dw(), seed=0)
-    assert rep.verdict
-    assert rep.hi.describe() == "H_0 = Z"
+    res = conley.compute_HI(_dw(), seed=0)
+    assert res.exit_theorem
+    assert res.homology.describe() == "H_0 = Z"
     assert [c.index for c in res.crits] == [0, 1, 0]
 
 
@@ -103,21 +104,24 @@ def test_hi_decoupled_pair():
     assert [c.index for c in res.crits] == [0, 0]
 
 
-def test_exit_theorem_classifies_the_boundary_once(monkeypatch):
+def test_hi_classifies_the_boundary_once_and_takes_one_relative_homology(
+        monkeypatch, capsys):
     path = os.path.join(os.path.dirname(__file__), "data", "saddle.json")
-    system = cli._parse_system(cli.load_system(path))
     calls = []
-    classify = block.classify_boundary
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return classify(*args, **kwargs)
+    def counting(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(block, "classify_boundary", counting)
-    rep, res = conley.verify_exit_theorem(system, seed=0)
-    assert rep.verdict
-    assert len(calls) == 1
-    assert not (res.block.tags == block.UNRESOLVED).any()
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+
+    counting(block, "classify_boundary")
+    counting(homalg, "cubical_relative_homology")
+    assert cli.main(["hi", path]) == 0
+    assert json.loads(capsys.readouterr().out)["exit_theorem"] is True
+    assert calls == ["classify_boundary", "cubical_relative_homology"]
 
 
 def test_hi_precheck_rejects_unresolved_faces():

@@ -549,3 +549,15 @@ def test_substitute_param():
     s = expr.substitute_param(e, expr.Const(0.5))
     assert not expr.mentions_param(s)
     assert expr.evaluate(s, (1.0,)) == 1.25
+
+
+def test_substitute_param_keeps_the_subtrees_without_lam():
+    # 0*sqrt(x1 + 0.5) has no value at x1 = -1; binding lam elsewhere in
+    # the expression must not fold it away
+    free = expr.parse("0*sqrt(x1 + 0.5)", 1)
+    assert expr.substitute_param(free, expr.Const(0.0)) is free
+    e = expr.parse("lam*x1 + 0*sqrt(x1 + 0.5)", 1)
+    bound = expr.substitute_param(e, expr.Const(0.0))
+    assert bound == free and not expr.mentions_param(bound)
+    with pytest.raises(expr.EvalDomainError):
+        expr.evaluate(bound, (-1.0,))

@@ -560,26 +560,26 @@ def _classified(box, field_text, spacing=0.5):
     m = len(box)
     b = block.build_block(box=box, spacing=spacing)
     fld = expr.parse_field(field_text, m)
-    cb = block.classify_boundary(b, fld)
-    return cb, block.exit_set(cb)
+    tags = block.classify_boundary(b, fld)
+    return b, tags, block.exit_set(b, tags)
 
 
 def test_cubical_square_relative_two_edges():
-    cb, ex = _classified([(-1, 1), (-1, 1)], ["x1", "-x2"])
-    h = homalg.cubical_relative_homology(cb, ex)
+    b, _, ex = _classified([(-1, 1), (-1, 1)], ["x1", "-x2"])
+    h = homalg.cubical_relative_homology(b, ex)
     assert h.describe() == "H_1 = Z"
 
 
-def _assert_block_matches_the_oracle(b, ex=None):
-    """The cells, the exit set ``ex`` (none by default) and the relative
-    complex of a block agree with the oracle's tuple forms."""
+def _assert_block_matches_the_oracle(b, tags=None):
+    """The cells, the exit set of the face ``tags`` (none by default) and
+    the relative complex of a block agree with the oracle's tuple forms."""
     lo = b.cubes.min(axis=0)
     cells = block.block_cells(b)
     assert cubical_oracle.cells_of(cells, lo) == cubical_oracle.block_cells(b)
-    if ex is None:
+    if tags is None:
         ex, oex = np.zeros_like(cells), set()
     else:
-        oex = cubical_oracle.exit_set(b)
+        ex, oex = block.exit_set(b, tags), cubical_oracle.exit_set(b, tags)
     assert cubical_oracle.cells_of(ex, lo) == oex
     _assert_matches_the_oracle(_full_complex(cells, ex),
                                cubical_oracle.build_cubical_complex(
@@ -587,15 +587,15 @@ def _assert_block_matches_the_oracle(b, ex=None):
 
 
 def test_cubical_interval_absolute():
-    cb, ex = _classified([(-2, 2)], ["x1 - x1^3"])
+    b, _, ex = _classified([(-2, 2)], ["x1 - x1^3"])
     assert np.count_nonzero(ex) == 0
-    h = homalg.cubical_relative_homology(cb, ex)
+    h = homalg.cubical_relative_homology(b, ex)
     assert h.describe() == "H_0 = Z"
 
 
 def test_cubical_interval_relative_endpoints():
-    cb, ex = _classified([(-1, 1)], ["x1"])
-    h = homalg.cubical_relative_homology(cb, ex)
+    b, _, ex = _classified([(-1, 1)], ["x1"])
+    h = homalg.cubical_relative_homology(b, ex)
     assert h.describe() == "H_1 = Z"
 
 
@@ -651,36 +651,38 @@ def test_cubical_annulus_at_negative_cube_indices():
 
 def test_cubical_saddle_3d_quarter_spacing():
     # 512 cubes, chain groups [567, 1656, 1600, 512]
-    cb, ex = _classified([(-1, 1)] * 3, ["x1", "-x2", "-x3"], spacing=0.25)
-    _assert_block_matches_the_oracle(cb, ex)
+    b, tags, ex = _classified([(-1, 1)] * 3, ["x1", "-x2", "-x3"],
+                              spacing=0.25)
+    _assert_block_matches_the_oracle(b, tags)
     # the coreductions and collapses leave one edge, the generator
-    c = homalg.build_cubical_complex(block.block_cells(cb), ex)
+    c = homalg.build_cubical_complex(block.block_cells(b), ex)
     assert c.dims == [0, 1, 0, 0]
     for coeff, want in (("Z", "H_1 = Z"), ("Z2", "H_1 = Z2")):
-        h = homalg.cubical_relative_homology(cb, ex, coeff=coeff)
+        h = homalg.cubical_relative_homology(b, ex, coeff=coeff)
         assert h.describe() == want
 
 
 def test_cubical_path_builds_no_dense_matrix(monkeypatch):
     # the residue of the saddle has no entry: no degree needs the Smith
     # normal form, the one place a dense matrix is built
-    cb, ex = _classified([(-1, 1)] * 3, ["x1", "-x2", "-x3"], spacing=0.25)
+    b, _, ex = _classified([(-1, 1)] * 3, ["x1", "-x2", "-x3"], spacing=0.25)
 
     def dense(A):
         raise AssertionError("dense matrix on the cubical path")
 
     monkeypatch.setattr(homalg, "smith_normal_form", dense)
     for coeff, want in (("Z", "H_1 = Z"), ("Z2", "H_1 = Z2")):
-        h = homalg.cubical_relative_homology(cb, ex, coeff=coeff)
+        h = homalg.cubical_relative_homology(b, ex, coeff=coeff)
         assert h.describe() == want
 
 
 def test_cubical_saddle_3d_eighth_spacing():
     # 4,096 cubes, chain groups [4335, 12784, 12544, 4096]
-    cb, ex = _classified([(-1, 1)] * 3, ["x1", "-x2", "-x3"], spacing=0.125)
-    _assert_block_matches_the_oracle(cb, ex)
+    b, tags, ex = _classified([(-1, 1)] * 3, ["x1", "-x2", "-x3"],
+                              spacing=0.125)
+    _assert_block_matches_the_oracle(b, tags)
     for coeff, want in (("Z", "H_1 = Z"), ("Z2", "H_1 = Z2")):
-        h = homalg.cubical_relative_homology(cb, ex, coeff=coeff)
+        h = homalg.cubical_relative_homology(b, ex, coeff=coeff)
         assert h.describe() == want
 
 

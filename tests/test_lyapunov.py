@@ -509,7 +509,7 @@ def test_a_flux_of_exactly_margin_tol_is_transverse_to_every_check(
     base = expr.parse("-1e-6*x1", 1)
     fld = expr.negative_gradient(base, 1)
     assert fld.components == (expr.Const(DEFAULT.margin_tol),)
-    assert block.classify_boundary(b, fld).tags.tolist() == \
+    assert block.classify_boundary(b, fld).tolist() == \
         ["Ingress", "Egress"]
     calls = []
     monkeypatch.setattr(flow, "_dop853", _counted(calls, flow._dop853))
