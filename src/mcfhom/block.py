@@ -191,7 +191,10 @@ def build_block(box=None, cubes=None, origin=None, spacing=None, dimension=None)
                 raise BlockError(f"box side [{lo}, {hi}] has too many cells "
                                  f"to count at spacing {spacing}")
             ni = round(n)
-            if ni < 1 or abs(n - ni) > 1e-9 * max(1.0, abs(n)):
+            if ni < 1:
+                raise BlockError(f"box side [{lo}, {hi}] is shorter than one "
+                                 f"cell at spacing {spacing}")
+            if abs(n - ni) > 1e-9 * max(1.0, abs(n)):
                 raise BlockError(
                     f"box side [{lo}, {hi}] is not a whole number of cells "
                     f"at spacing {spacing}")
@@ -235,13 +238,13 @@ def transverse_flux(b, V, per_face, tol):
     transverse, and 0 elsewhere.
 
     ``V`` is an (m, ..., n) array of field values at the n samples of
-    ``b.boundary_samples(per_face)``; its middle axes hold the members of a
-    family or the two ends of a homotopy, and the result has shape
-    (..., n).  nu is the unit vector along a sample's face axis, signed by
-    its side.  A sample is transverse where every component of V is finite
-    and |X . nu| >= ``tol``: the one rule by which the faces are tagged,
-    isolation settles a sample without an orbit, and the certificate
-    settles a sample by its two ends."""
+    ``b.boundary_samples(per_face)``; its middle axes, if any, hold the two
+    ends of a homotopy, and the result has shape (..., n).  nu is the unit
+    vector along a sample's face axis, signed by its side.  A sample is
+    transverse where every component of V is finite and |X . nu| >=
+    ``tol``: the one rule by which the faces are tagged, isolation settles
+    a sample without an orbit, and the certificate settles a sample by its
+    two ends."""
     _, axis, side = b.faces
     # the samples run face by face, per_face ** (m - 1) to a face; the
     # index takes each face's axis component and puts the faces first
@@ -318,16 +321,16 @@ class IsolationReport:
     ``samples`` is the (n, m) array of boundary samples and ``outcome``
     their codes, each an index into ``OUTCOMES``; ``failures`` holds the
     trapped samples as tuples.  ``worst_margin`` is the least time left in
-    the budget when a sample left.  A sample settled by the sign of its
-    flux leaves at time 0, so the margin comes from the integrated samples
-    only, or equals the budget when none was integrated."""
+    the budget when a sample left, or 0.0 when none left.  A sample settled
+    by the sign of its flux leaves at time 0, so the margin comes from the
+    integrated samples only, or equals the budget when none was
+    integrated."""
 
     verdict: bool
     samples: np.ndarray
     outcome: np.ndarray
     failures: list
     worst_margin: float
-    members: tuple = ()  # of a family: the report of each member, in order
 
     def __bool__(self):
         return self.verdict
@@ -336,86 +339,53 @@ class IsolationReport:
 OUTCOMES = ("trapped", "backward", "forward")
 
 
-def _worst_margin(exit_t, budget):
-    """The least time left in the budget when a sample left, or 0.0 when
-    none left (``exit_t`` is NaN for a trapped sample, and 0 for one
-    settled by the sign of its flux, which leaves at once)."""
-    exited = exit_t[~np.isnan(exit_t)]
-    return float(np.min(budget - exited)) if exited.size else 0.0
-
-
-def _isolation_report(pts, outcome, exit_t, budget, members=None):
-    """The report of the (n, m) samples ``pts`` with their outcome codes and
-    exit times; with ``members``, the report of a family of that many
-    members, whose outcomes and exit times run member after member."""
-    if members is None:
-        trapped = pts[outcome == 0].tolist()
-        return IsolationReport(not trapped, pts, outcome,
-                               [tuple(p) for p in trapped],
-                               _worst_margin(exit_t, budget))
-    n = len(pts)
-    reps = tuple(_isolation_report(pts, outcome[i * n:(i + 1) * n],
-                                  exit_t[i * n:(i + 1) * n], budget)
-                 for i in range(members))
-    return IsolationReport(
-        all(reps), np.tile(pts, (members, 1)), outcome,
-        [s for r in reps for s in r.failures],
-        _worst_margin(exit_t, budget), reps)
-
-
-def check_isolation(b, field, lam=None, tols=DEFAULT):
+def check_isolation(b, field, tols=DEFAULT):
     """Every boundary sample must leave the block in forward or backward
     time within the budget; otherwise the invariant set touches the
     boundary and the block is not isolating.
 
-    ``field`` is a FieldDef or a compiled field ``F(X, lam)``.  ``lam`` is
-    one value, or a sequence of values: a family of fields, checked as one
-    batch whose columns are the samples of every member, each with its
-    member's value.  A single field is a family of one.  Every column is
-    settled as it would be alone, so each member's report is the report of
-    its own check.  The report of a family holds the samples of all
-    members, member after member, and the report of each member in
-    ``members``.
+    ``field`` is a FieldDef or a compiled field ``F(X)``, with lam bound: a
+    family is checked one member at a time, each bound by
+    ``expr.bind_field``.
 
-    The field is evaluated once at every column.  A sample lies strictly
+    The field is evaluated once at every sample.  A sample lies strictly
     inside its face, and the cube across that face is not in the block, so
     where ``transverse_flux`` is positive the orbit leaves at once forward,
     and where it is negative it leaves at once backward (Conley and
-    Easton's isolating blocks): such a column gets its outcome with exit
-    time 0.  Only the columns where it is 0, tangent or with a field that
+    Easton's isolating blocks): such a sample gets its outcome with exit
+    time 0.  Only the samples where it is 0, tangent or with a field that
     is not finite, are integrated, as one ``flow.classify_limit`` batch with
     no critical points and the budget ``tols.cert_t_budget``, backward
     first: on dissipative systems boundary points leave the block almost
-    immediately in reverse time.  A column has left when its label is
-    ("exit",).  The columns that did not leave backward, out of time or
+    immediately in reverse time.  A sample has left when its label is
+    ("exit",).  The samples that did not leave backward, out of time or
     because their integration failed, then go forward as a second batch."""
-    family = np.ndim(lam) == 1
-    k = len(lam) if family else 1
     budget = tols.cert_t_budget
     per_face = tols.isolation_samples_per_face
     pts = b.boundary_samples(per_face)
-    n = len(pts)
-    cols = np.tile(pts.T, k)
-    lam = np.repeat(np.asarray(lam, dtype=float), n) if family else lam
+    cols = pts.T
     F = expr.compile_field(field) if isinstance(field, expr.FieldDef) \
         else field
     with np.errstate(all="ignore"):
-        V = F(cols, lam)
-    flux = transverse_flux(b, V.reshape(b.dimension, k, n), per_face,
-                           tols.margin_tol).ravel()
+        V = F(cols)
+    flux = transverse_flux(b, V, per_face, tols.margin_tol)
     # an index into OUTCOMES
     outcome = np.where(flux > 0, 2, np.where(flux < 0, 1, 0))
+    # NaN for a sample that did not leave
     exit_t = np.where(outcome > 0, 0.0, np.nan)
     todo = np.flatnonzero(outcome == 0)
     for direction, label in ((-1, 1), (1, 2)):
         if not todo.size:
             break
-        lc, run = flow.classify_limit(
-            F, cols[:, todo], (), b, budget, scale=None,
-            lam=lam[todo] if family else lam, direction=direction, tols=tols)
+        lc, run = flow.classify_limit(F, cols[:, todo], (), b, budget,
+                                      scale=None, direction=direction,
+                                      tols=tols)
         left = np.array([lab == ("exit",) for lab in lc.tag])
         outcome[todo[left]] = label
         exit_t[todo[left]] = np.abs(run.t[left])
         todo = todo[~left]
-    return _isolation_report(pts, outcome, exit_t, budget,
-                             k if family else None)
+    exited = exit_t[~np.isnan(exit_t)]
+    trapped = pts[outcome == 0].tolist()
+    return IsolationReport(
+        not trapped, pts, outcome, [tuple(p) for p in trapped],
+        float(np.min(budget - exited)) if exited.size else 0.0)

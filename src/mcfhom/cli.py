@@ -248,10 +248,7 @@ def _fixed_system(doc, *needs):
     system = _parse_system(doc)
     lam = doc.get("options", {}).get("lam")
     if lam is not None:
-        try:
-            system = system.at(lam)
-        except expr.ExprError as exc:
-            raise InputError(f"at lam = {lam}: {exc}") from exc
+        system = system.at(lam)
     elif system.field.has_param or any(
             e is not None and expr.mentions_param(e)
             for e in (system.lyapunov, system.perturbation)):

@@ -54,9 +54,9 @@ class System:
 
     def at(self, lam):
         """The system with ``lam`` substituted in the field, the Lyapunov
-        function and the perturbation; ExprError on a constant domain error."""
-        bind = (lambda e: None if e is None
-                else expr.substitute_param(e, expr.Const(float(lam))))
+        function and the perturbation by ``expr.bind``; ExprError naming
+        ``lam`` on a constant domain error."""
+        bind = (lambda e: None if e is None else expr.bind(e, lam))
         return replace(self, field=expr.bind_field(self.field, lam),
                        lyapunov=bind(self.lyapunov),
                        perturbation=bind(self.perturbation))
@@ -150,20 +150,22 @@ def decomposition_analysis(whole, parts, seed=0, coeff="Z", tols=DEFAULT):
 
 def continuation_invariance(start, end, lam_grid, seed=0, coeff="Z",
                             tols=DEFAULT):
-    """Check isolation along the grid, as one family batch, then equality
-    of HI of ``start`` at the grid's first value and of ``end`` at its
-    last.  Both are one family on one block; they differ in the Lyapunov
-    function and the invariant set.  The error names the first lam at which
-    the block is not isolating; both HI must pass the exit-set theorem."""
+    """Check isolation along the grid, one value at a time in grid order,
+    each on the field bound there by ``expr.bind_field``, then equality of
+    HI of ``start`` at the grid's first value and of ``end`` at its last.
+    Both are one family on one block; they differ in the Lyapunov function
+    and the invariant set.  The error names the first lam at which the
+    field has no value (an ExprError) or the block is not isolating; both
+    HI must pass the exit-set theorem."""
     _shared((start, end), "field", "block")
     lams = [float(lv) for lv in lam_grid]
-    rep = block_mod.check_isolation(start.block, start.field, lam=lams,
-                                    tols=tols)
-    for lv, r in zip(lams, rep.members):
-        if not r:
+    for lv in lams:
+        rep = block_mod.check_isolation(
+            start.block, expr.bind_field(start.field, lv), tols=tols)
+        if not rep:
             raise ContinuationError(
                 f"block stops isolating at lam = {lv} (trapped "
-                f"samples {r.failures[:3]}); not a continuation")
+                f"samples {rep.failures[:3]}); not a continuation")
     ends = (("the start", start, lams[0]), ("the end", end, lams[-1]))
     r0, r1 = (_checked(f"{name} (lam = {lv})",
                        compute_HI(s.at(lv), seed=seed, coeff=coeff, tols=tols))

@@ -3,9 +3,10 @@
 Expressions are immutable trees supporting exact symbolic differentiation,
 pointwise evaluation with domain checking, and compilation to plain Python
 functions that evaluate the columns of an (m, N) array at once with numpy.
-A ``FieldDef`` is the one compiled form: a scalar is a one-row field, and
-``gradient``, ``jacobian`` and ``hessian`` return fields.
-``evaluate``, a tree walk over one point with Python floats, is the
+Compiled code takes no lam: ``bind`` and ``bind_field`` fix it first, by
+substitution.  A ``FieldDef`` is the one compiled form: a scalar is a
+one-row field, and ``gradient``, ``jacobian`` and ``hessian`` return
+fields.  ``evaluate``, a tree walk over one point with Python floats, is the
 reference that compiled code is tested against.  Decimal literals are
 parsed to the nearest binary floating point value, and a subtree of
 constants to its value (``_fold``).
@@ -544,7 +545,7 @@ def _to_py(e, consts):
     if isinstance(e, Var):
         return f"x[{e.index}]"
     if isinstance(e, Param):
-        return "lam"
+        raise ExprError("compiled code takes no lam: bind lam first")
     if isinstance(e, Neg):
         return f"(-{_to_py(e.arg, consts)})"
     if isinstance(e, Call):
@@ -603,11 +604,20 @@ def parse_field(texts, m):
     return FieldDef(m, components)
 
 
+def bind(e, lam):
+    """``e`` at the value ``lam``, by ``substitute_param``: the one place
+    lam is fixed.  A constant domain error raises ExprError naming
+    ``lam``."""
+    try:
+        return substitute_param(e, Const(float(lam)))
+    except ExprError as exc:
+        raise ExprError(f"at lam = {lam}: {exc}") from exc
+
+
 def bind_field(field, lam):
-    """The field of the family ``field`` at the value ``lam``, by
-    ``substitute_param``; a constant domain error raises ExprError."""
-    return FieldDef(field.dimension, tuple(
-        substitute_param(e, Const(float(lam))) for e in field.components))
+    """The field of the family ``field`` at the value ``lam``, by ``bind``."""
+    return FieldDef(field.dimension,
+                    tuple(bind(e, lam) for e in field.components))
 
 
 def negative_gradient(f, m):
@@ -638,15 +648,16 @@ def _compile_field_cached(components):
     consts = {}
     rows = "".join(f"    out[{i}] = {_to_py(e, consts)}\n"
                    for i, e in enumerate(components))
-    return _generate("def F(x, lam=None):\n"
+    return _generate("def F(x):\n"
                      f"    out = _empty(({len(components)},) + x.shape[1:])\n"
                      f"{rows}    return out\n", consts)
 
 
 def compile_field(field):
-    """Compile to ``F(X, lam=None)``, the (k, N) array of the k components
-    of ``field`` at the columns of the (m, N) array X: one generated
-    function that writes each component to its row.  It is the one
+    """Compile to ``F(X)``, the (k, N) array of the k components of
+    ``field`` at the columns of the (m, N) array X: one generated function
+    that writes each component to its row.  A field that mentions lam
+    raises ExprError: ``bind_field`` fixes lam first.  It is the one
     compiled form: a scalar f compiles as the one-row field
     ``FieldDef(m, (f,))``, and derivatives are fields.  The constants and
     integer exponents are bound once, as 0-d float64 arrays, and give the

@@ -4,18 +4,19 @@ One embedded Runge-Kutta stepper of order 8, Hairer's DOP853 (the
 Dormand-Prince pair with 5th- and 3rd-order error estimates), ``_dop853``,
 advances an (m, N) state: N orbits side by side, each column with its own
 time, step size, attempt count and target time, and optionally its own
-direction of time and its own value of the field's parameter lam, so that
-one batch can integrate forward and backward orbits, or a whole family of
-fields.  Every entry point runs a whole batch.  ``classify_limit`` labels
-the orbits of N start points on a compiled field, in the one vocabulary of
-orbit outcomes: ("crit", ident) captured at a critical point, ("exit",) at
-the first point outside the block, ("budget",) out of time, or ("failed",
-error) with its error, which is not raised.  The critical points must lie
-at least twice the capture radius apart; with none, every orbit runs until
-it exits or runs out of time.  Connection counting and Conley-Easton
-isolation both ask ``classify_limit`` whether an orbit leaves the block.
-No variational system is integrated: the connection search signs its
-witnesses by the labels of their neighbours (``mcfhom.morse``).
+direction of time, so that one batch can integrate forward and backward
+orbits.  The field is one compiled field ``F(X)``, with lam already bound
+(``expr.bind_field``).  Every entry point runs a whole batch.
+``classify_limit`` labels the orbits of N start points, in the one
+vocabulary of orbit outcomes: ("crit", ident) captured at a critical
+point, ("exit",) at the first point outside the block, ("budget",) out of
+time, or ("failed", error) with its error, which is not raised.  The
+critical points must lie at least twice the capture radius apart; with
+none, every orbit runs until it exits or runs out of time.  Connection
+counting and Conley-Easton isolation both ask ``classify_limit`` whether
+an orbit leaves the block.  No variational system is integrated: the
+connection search signs its witnesses by the labels of their neighbours
+(``mcfhom.morse``).
 """
 from __future__ import annotations
 
@@ -165,7 +166,7 @@ def _factor(err, lo, hi):
     return np.fmin(hi, np.fmax(lo, 0.9 * np.float_power(err, -1 / 8)))
 
 
-def _attempt(F, X, f0, dh, hc, lam, rtol, atol):
+def _attempt(F, X, f0, dh, hc, rtol, atol):
     """One step of every column of X, whose field is f0, by the signed
     step dh of size hc: (x_new, f_new, err, finite), the 8th-order
     solution, the field there, the error norm of dop853.f, and whether
@@ -182,10 +183,10 @@ def _attempt(F, X, f0, dh, hc, lam, rtol, atol):
     K[0] = f0
     S = _FOLD[0][1] * f0
     for j, (rows, w) in enumerate(_FOLD[1:], 1):
-        K[j] = k = F(X + dh * S[j - 1], lam)
+        K[j] = k = F(X + dh * S[j - 1])
         S[rows] += w * k
     xnew = X + dh * S[11]
-    K[12] = fnew = F(xnew, lam)
+    K[12] = fnew = F(xnew)
     finite = (np.logical_and.reduce(np.isfinite(K), axis=(0, 1))
               & np.logical_and.reduce(np.isfinite(xnew), axis=0))
     scale = atol + rtol * np.maximum(np.abs(X), np.abs(xnew))
@@ -196,19 +197,15 @@ def _attempt(F, X, f0, dh, hc, lam, rtol, atol):
     return xnew, fnew, err, finite
 
 
-def _dop853(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
-            lam=None):
+def _dop853(F, x0, direction, target, rtol, atol, max_steps, accepted=None):
     """Advance every column of the (m, N) state x0 from t = 0 until
     |t| = target, a scalar or one value per column.
 
     ``direction`` is the direction of time, +1 or -1, for all columns or as
-    an (N,) array of one sign per column.  ``F(X, lam)`` maps an (m, n)
-    array of states to a new array of their derivatives.  ``lam`` is one
-    parameter value for all columns, or an (N,) array of one value per
-    column; an array is packed with the running columns, so ``F`` gets the
-    values of the n columns it evaluates.  A stage that is not finite, or
-    for which F raises ValueError, ZeroDivisionError or OverflowError,
-    rejects the step of its column with h *= 0.25.
+    an (N,) array of one sign per column.  ``F(X)`` maps an (m, n) array
+    of states to a new array of their derivatives.  A stage that is not
+    finite, or for which F raises ValueError, ZeroDivisionError or
+    OverflowError, rejects the step of its column with h *= 0.25.
     ``accepted(cols, t, x_old, x_new, f_new)``, if given, is called after
     each round for the columns ``cols`` (indices into x0) whose step was
     accepted, with their signed times, old and new states and the field at
@@ -238,7 +235,6 @@ def _dop853(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
     over a 1-D vector, so every column steps exactly as it would alone.
     """
     n = x0.shape[1]
-    per_column = np.ndim(lam) == 1
     target = np.broadcast_to(np.asarray(target, dtype=float), (n,)).copy()
     direction = np.broadcast_to(np.asarray(direction, dtype=float), (n,))
     out = _Run(np.zeros(n), np.array(x0, dtype=float), np.zeros(n, int),
@@ -249,7 +245,7 @@ def _dop853(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
     steps = np.zeros(n, dtype=int)
     rounds = 0
     with np.errstate(all="ignore"):
-        f0 = F(X, lam)
+        f0 = F(X)
         h = np.minimum(np.minimum(1e-2 * (_norms(X) + 1.0)
                                   / (_norms(f0) + 1e-30), 1.0), target)
         code = np.where(target == 0.0, DONE,
@@ -268,15 +264,13 @@ def _dop853(F, x0, direction, target, rtol, atol, max_steps, accepted=None,
                                      t[keep], h[keep])
                 steps, target, direction = (steps[keep], target[keep],
                                             direction[keep])
-                if per_column:
-                    lam = lam[keep]
             if not cols.size:
                 break
             hc = np.minimum(h, target - t)
             dh = direction * hc
             try:
-                xnew, fnew, err, finite = _attempt(F, X, f0, dh, hc, lam,
-                                                   rtol, atol)
+                xnew, fnew, err, finite = _attempt(F, X, f0, dh, hc, rtol,
+                                                   atol)
             except (ValueError, ZeroDivisionError, OverflowError):
                 err, finite = hc, np.zeros(cols.size, dtype=bool)
             ok = finite & (err <= 1.0)
@@ -342,14 +336,13 @@ class LimitClass:
     tag: tuple
 
 
-def classify_limit(F, X0, crits, block, t_end, scale, lam=None, direction=1,
+def classify_limit(F, X0, crits, block, t_end, scale, direction=1,
                    tols=DEFAULT):
     """Run the orbit of every column of the (m, N) array X0 on the compiled
-    field ``F(X, lam)`` until capture at a critical point of ``crits``,
-    exit from the block, or |t| = ``t_end``, as one ``_dop853`` batch.
-    ``lam`` is one parameter value, or an (N,) array of one value per
-    column, and ``direction`` the direction of time, one sign for all
-    columns or an (N,) array of one sign per column.  ``scale``, the
+    field ``F(X)`` until capture at a critical point of ``crits``, exit
+    from the block, or |t| = ``t_end``, as one ``_dop853`` batch.
+    ``direction`` is the direction of time, one sign for all columns or an
+    (N,) array of one sign per column.  ``scale``, the
     ``field_scale`` of the field, sets the speed tolerance of capture; it
     is read only when ``crits`` is not empty.
 
@@ -392,7 +385,7 @@ def classify_limit(F, X0, crits, block, t_end, scale, lam=None, direction=1,
         return out
 
     run = _dop853(F, X0, direction, t_end, tols.rtol, tols.atol,
-                  tols.max_steps, stop, lam)
+                  tols.max_steps, stop)
     errors = (_failure(run, tols.max_steps, j) for j in range(n))
     return LimitClass(tuple(
         ("failed", e) if e is not None else ("budget",) if s == DONE

@@ -7,6 +7,7 @@ assumption and reports against it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -151,16 +152,15 @@ def morse_perturb(base, b, epsilon=None, perturbation=None, seed=0,
     settled by two evaluations.
 
     Only unsettled samples, tangent or not finite at an end or changing
-    sign, go through the lambda grid of ``tols.cert_lambda_steps``: their
-    gradient norms are one array, and where any exists the grid's
-    isolation is checked as two ``check_isolation`` batches, each of half
-    the grid, with s a value per column (settled samples pass there by
-    their sign).  The error names the first lambda that fails, the
-    boundary gradient before isolation at each lambda.  Before any of
-    this, -grad(perturbation) must be finite at every boundary sample,
-    then at every point of the ``tols.seed_density`` lattice in the block,
-    where Newton seeds: if it is not, the perturbation has no value there,
-    and ExprError names it and the first such point.
+    sign, go through the lambda grid of ``tols.cert_lambda_steps``, one
+    lambda at a time: their gradient norms, then one ``check_isolation``
+    of the interpolant at that lambda (settled samples pass there by their
+    sign).  The error names the first lambda that fails, the boundary
+    gradient before isolation at each lambda.  Before any of this,
+    -grad(perturbation) must be finite at every boundary sample, then at
+    every point of the ``tols.seed_density`` lattice in the block, where
+    Newton seeds: if it is not, the perturbation has no value there, and
+    ExprError names it and the first such point.
     """
     eps = tols.epsilon if epsilon is None else epsilon
     if eps <= 0:
@@ -172,15 +172,13 @@ def morse_perturb(base, b, epsilon=None, perturbation=None, seed=0,
     m = b.dimension
     steps = tols.cert_lambda_steps
     lambdas = tuple(i / steps for i in range(steps + 1))
-    coef = np.array([lv * eps for lv in lambdas])
     grad_base = expr.compile_field(expr.negative_gradient(base, m))
     grad_pert = expr.compile_field(expr.negative_gradient(perturbation, m))
 
     def interpolant(X, s):
-        """-grad(base + s*perturbation) at the columns of X, column j with
-        the coefficient s[j] (an (n,) array, or one value for all).  At
-        s = 0 the perturbation drops out, as it does from the Expr, even
-        where its gradient has no value.  It is evaluated under
+        """-grad(base + s*perturbation) at the columns of X.  At s = 0 the
+        perturbation drops out, as it does from the Expr, even where its
+        gradient has no value.  It is evaluated under
         ``np.errstate(all="ignore")``, as the integrator evaluates it."""
         return grad_base(X) + np.where(s != 0.0, s * grad_pert(X), 0.0)
 
@@ -205,43 +203,33 @@ def morse_perturb(base, b, epsilon=None, perturbation=None, seed=0,
     todo = samples[~settled]
     if len(todo):
         min_bgrad = min(min_bgrad, _grid_certificate(
-            b, interpolant, todo, lambdas, coef, tols))
+            b, interpolant, todo, lambdas, eps, tols))
     return perturbed, HomotopyCertificate(lambdas, min_bgrad, perturbation)
 
 
-def _grid_certificate(b, interpolant, todo, lambdas, coef, tols):
+def _grid_certificate(b, interpolant, todo, lambdas, eps, tols):
     """The certificate on the lambda grid, for the boundary samples ``todo``
     that their two ends do not settle: the minimum gradient norm of the
     interpolant over them on the grid, or CertificationError at the first
     lambda where it touches the boundary (its norm below ``margin_tol`` at
-    one of them) or where the block stops isolating."""
-    with np.errstate(all="ignore"):
-        G = interpolant(np.tile(todo.T, len(lambdas)),
-                        np.repeat(coef, len(todo)))
-    gn = np.sqrt(np.add.reduce(G * G, axis=0)).reshape(len(lambdas), -1)
+    one of them) or, checked after that, where the block stops isolating,
+    one ``check_isolation`` of the interpolant at that lambda."""
     min_bgrad = math.inf
-    touching = None  # (lambda, the first sample it touches at)
-    for i, g in enumerate(gn):
+    for lv in lambdas:
+        s = lv * eps
+        with np.errstate(all="ignore"):
+            G = interpolant(todo.T, s)
+        g = np.sqrt(np.add.reduce(G * G, axis=0))
         min_bgrad = min(min_bgrad, float(np.fmin.reduce(g)))
         near = np.flatnonzero(g < tols.margin_tol)
         if near.size:
-            touching = (lambdas[i], todo[near[0]])
-            break
-    clear = i if touching else len(lambdas)  # the lambdas before it
-    # in two batches: the integrator's memory grows with its width
-    width = max(-(-clear // 2), 1)
-    for lo in range(0, clear, width):
-        hi = min(lo + width, clear)
-        rep = block_mod.check_isolation(b, interpolant, lam=coef[lo:hi],
-                                        tols=tols)
-        for lv, r in zip(lambdas[lo:hi], rep.members):
-            if not r:
-                raise CertificationError(
-                    lv, f"block stops isolating (trapped boundary samples "
-                        f"{r.failures[:3]})")
-    if touching:
-        lv, s = touching
-        raise CertificationError(
-            lv, f"critical point of the interpolant touches the "
-                f"boundary near {tuple(float(v) for v in s)}")
+            raise CertificationError(
+                lv, f"critical point of the interpolant touches the "
+                    f"boundary near {tuple(float(v) for v in todo[near[0]])}")
+        rep = block_mod.check_isolation(
+            b, functools.partial(interpolant, s=s), tols=tols)
+        if not rep:
+            raise CertificationError(
+                lv, f"block stops isolating (trapped boundary samples "
+                    f"{rep.failures[:3]})")
     return min_bgrad

@@ -136,33 +136,31 @@ def contains(b, point):
     return bool(b.contains_columns(X)[0])
 
 
-def check_isolation_by_orbits(b, field, lam=None, tols=DEFAULT):
-    """``block.check_isolation`` with every sample of every member
-    integrated: all columns as one ``flow.classify_limit`` batch with no
-    critical points backward, then those that did not leave as one batch
-    forward, whatever the sign of their flux."""
-    family = np.ndim(lam) == 1
-    lams = np.asarray(lam, dtype=float) if family else None
-    k = len(lams) if family else 1
+def check_isolation_by_orbits(b, field, tols=DEFAULT):
+    """``block.check_isolation`` with every sample integrated: all samples
+    as one ``flow.classify_limit`` batch with no critical points backward,
+    then those that did not leave as one batch forward, whatever the sign
+    of their flux."""
     F = expr.compile_field(field) if isinstance(field, expr.FieldDef) \
         else field
     budget = tols.cert_t_budget
     pts = b.boundary_samples(tols.isolation_samples_per_face)
     n = len(pts)
-    cols = np.tile(pts.T, k)
-    outcome = np.zeros(k * n, dtype=int)  # an index into block.OUTCOMES
-    exit_t = np.full(k * n, np.nan)
-    todo = np.arange(k * n)
+    outcome = np.zeros(n, dtype=int)  # an index into block.OUTCOMES
+    exit_t = np.full(n, np.nan)
+    todo = np.arange(n)
     for direction, label in ((-1, 1), (1, 2)):
         if not todo.size:
             break
         lc, run = flow.classify_limit(
-            F, cols[:, todo], (), b, budget, scale=None,
-            lam=lams[todo // n] if family else lam, direction=direction,
-            tols=tols)
+            F, pts.T[:, todo], (), b, budget, scale=None,
+            direction=direction, tols=tols)
         left = np.array([lab == ("exit",) for lab in lc.tag])
         outcome[todo[left]] = label
         exit_t[todo[left]] = np.abs(run.t[left])
         todo = todo[~left]
-    return block._isolation_report(pts, outcome, exit_t, budget,
-                                   k if family else None)
+    exited = exit_t[~np.isnan(exit_t)]
+    trapped = [tuple(p) for p in pts[outcome == 0].tolist()]
+    return block.IsolationReport(
+        not trapped, pts, outcome, trapped,
+        float(np.min(budget - exited)) if exited.size else 0.0)

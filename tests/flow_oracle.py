@@ -39,12 +39,12 @@ class Trajectory:
         return self.ts[-1] - self.ts[0]
 
 
-def _point_function(exprs, lam):
+def _point_function(exprs):
     """The Exprs ``exprs`` at one point (1-D state in, list out) by
     ``expr.evaluate``, with a domain error raised as ValueError."""
     def F1(x):
         try:
-            return [expr.evaluate(e, x, lam) for e in exprs]
+            return [expr.evaluate(e, x) for e in exprs]
         except expr.EvalDomainError as exc:
             raise ValueError(str(exc)) from exc
     return F1
@@ -53,7 +53,7 @@ def _point_function(exprs, lam):
 def _single(F1):
     """A one-point function ``F1(x)`` (1-D state in, sequence out) as the
     (m, 1) column function ``_dop853`` expects."""
-    def F(X, lam=None):
+    def F(X):
         return np.array(F1(X[:, 0]), dtype=float)[:, None]
     return F
 
@@ -64,7 +64,7 @@ def _raise_failure(run, max_steps):
         raise err
 
 
-def integrate(fieldd, x0, T, rtol=None, atol=None, lam=None, tols=DEFAULT):
+def integrate(fieldd, x0, T, rtol=None, atol=None, tols=DEFAULT):
     """Integrate x' = X(x) from x0 over signed duration T."""
     rtol = tols.rtol if rtol is None else rtol
     atol = tols.atol if atol is None else atol
@@ -72,7 +72,7 @@ def integrate(fieldd, x0, T, rtol=None, atol=None, lam=None, tols=DEFAULT):
     traj = Trajectory([0.0], [x.copy()])
     if T == 0.0:
         return traj
-    F1 = _point_function(fieldd.components, lam)
+    F1 = _point_function(fieldd.components)
     direction = 1 if T > 0 else -1
 
     def record(cols, t, x_old, x_new, f_new):
@@ -86,15 +86,14 @@ def integrate(fieldd, x0, T, rtol=None, atol=None, lam=None, tols=DEFAULT):
     return traj
 
 
-def integrate_until(fieldd, x0, stop, t_max, direction=1, lam=None,
-                    tols=DEFAULT):
+def integrate_until(fieldd, x0, stop, t_max, direction=1, tols=DEFAULT):
     """Integrate until ``stop(t, x_prev, x) -> truthy`` or |t| reaches t_max.
 
     Returns (trajectory, stop_value).  stop_value is None on budget end.
     The stop callback sees the signed time and the endpoints of the step
     just taken.
     """
-    F1 = _point_function(fieldd.components, lam)
+    F1 = _point_function(fieldd.components)
     x = np.asarray(x0, dtype=float)
     traj = Trajectory([0.0], [x.copy()])
     hit = [None]
@@ -121,8 +120,8 @@ def transport_frame_one(fieldd, x0, T, frame, tols=DEFAULT):
     m = fieldd.dimension
     V = [np.asarray(v, dtype=float) for v in frame]
     kf = len(V)
-    F = _point_function(fieldd.components, None)
-    J = _point_function(expr.jacobian(fieldd).components, None)
+    F = _point_function(fieldd.components)
+    J = _point_function(expr.jacobian(fieldd).components)
 
     def G(z):
         out = np.empty_like(z)

@@ -516,17 +516,18 @@ def test_only_the_tangent_samples_are_integrated(monkeypatch):
 
 @pytest.mark.parametrize("path", _shipped_systems(), ids=os.path.basename)
 def test_isolation_equals_the_all_orbit_oracle_on_shipped_systems(path):
-    # a continuation file is checked as continue checks it, as a family on
-    # its lam grid
+    # a continuation file is checked as continue checks it, on the field
+    # bound at each value of its lam grid
     with open(path) as fh:
         doc = json.load(fh)
     if "continuation" in doc:
-        system, lam = cli._parse_system(doc), doc["continuation"]["grid"]
+        system = cli._parse_system(doc)
+        fields = [expr.bind_field(system.field, lv)
+                  for lv in doc["continuation"]["grid"]]
     else:
-        system, lam = cli._fixed_system(doc), None
-    rep = block.check_isolation(system.block, system.field, lam=lam)
-    want = block_oracle.check_isolation_by_orbits(system.block, system.field,
-                                                  lam=lam)
-    assert (rep.verdict, rep.failures) == (want.verdict, want.failures)
-    assert [(r.verdict, r.failures) for r in rep.members] == \
-        [(w.verdict, w.failures) for w in want.members]
+        system = cli._fixed_system(doc)
+        fields = [system.field]
+    for fld in fields:
+        rep = block.check_isolation(system.block, fld)
+        want = block_oracle.check_isolation_by_orbits(system.block, fld)
+        assert (rep.verdict, rep.failures) == (want.verdict, want.failures)

@@ -89,6 +89,50 @@ def test_continue_command(capsys):
     assert out["hi_end"]["pretty"] == "H_0 = Z"
 
 
+def test_continue_checks_isolation_on_the_field_bound_at_each_lam(
+        monkeypatch, capsys):
+    # one check per grid value, in grid order, each on the field bound
+    # there; compute_HI then checks each end system once more
+    path = _path("double_well_continue.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    calls, check, compute = [], block.check_isolation, conley.compute_HI
+
+    def spy_check(b, field, **kwargs):
+        calls.append(field)
+        return check(b, field, **kwargs)
+
+    def spy_compute(system, **kwargs):
+        calls.append("compute_HI")
+        return compute(system, **kwargs)
+
+    monkeypatch.setattr(block, "check_isolation", spy_check)
+    monkeypatch.setattr(conley, "compute_HI", spy_compute)
+    assert cli.main(["continue", path]) == 0
+    fam = expr.parse_field(doc["field"], doc["dimension"])
+    grid = doc["continuation"]["grid"]
+    assert len(grid) == 3
+    assert calls == [expr.bind_field(fam, lv) for lv in grid] + [
+        "compute_HI", expr.bind_field(fam, grid[0]),
+        "compute_HI", expr.bind_field(fam, grid[-1])]
+
+
+@pytest.mark.parametrize("grid", [[0, 0.5, 1], [1, 0.5, 0]])
+def test_continue_names_the_lam_at_which_the_field_has_no_value(
+        grid, tmp_path, capsys):
+    # the field has no value at lam = 0, first or last in the grid: an
+    # input error naming that lam, not a block that stops isolating
+    with open(_path("double_well_continue.json")) as fh:
+        doc = json.load(fh)
+    doc["field"] = ["x1 - x1^3 + 0.1*x1/lam"]
+    doc["continuation"]["grid"] = grid
+    assert cli.main(["continue", _write(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "input error: at lam = 0.0: constant division by zero\n"
+
+
 @pytest.mark.parametrize("command",
                          ["hi", "block", "lyapunov", "cubical", "relations"])
 def test_lam_without_a_value_is_an_input_error(command, capsys):
@@ -948,7 +992,9 @@ def test_out_writes_the_report_and_json_also_prints_it(flags, tmp_path,
     ([0, 0], "box side [0, 0] is empty"),
     ([0, 0.75], "box side [0, 0.75] is not a whole number of cells at "
                 "spacing 0.5"),
-], ids=["reversed", "zero-length", "not-whole"])
+    ([0, 1e-12], "box side [0, 1e-12] is shorter than one cell at spacing "
+                 "0.5"),
+], ids=["reversed", "zero-length", "not-whole", "shorter-than-a-cell"])
 def test_a_box_side_that_is_empty_or_not_whole_cells_exits_two(
         side, message, tmp_path, capsys):
     doc = {"dimension": 1, "field": ["x1"],

@@ -297,36 +297,6 @@ def test_continuation_breach_names_lambda():
         conley.continuation_invariance(system, system, [0, 0.5, 1.0], seed=0)
 
 
-@pytest.mark.parametrize("family", [
-    "x1^2 + 0.2 - 1.2*lam",
-    "x1 - x1^3 + 0.1*sin(3*lam)",
-    "x1*cos(lam) - x1^3 + 0.05*lam^2",
-    "exp(-lam)*x1 - x1^3/(1 + lam)"])
-def test_isolation_family_equals_one_lam_at_a_time(family):
-    # the grid as one batch, lam a value per column, against a check of
-    # every lam by itself
-    fam = expr.parse_field([family], 1)
-    b = block.build_block(box=[(-1, 1)], spacing=0.5)
-    grid = [0.0, 0.25, 0.5, 0.75, 1.0]
-    rep = block.check_isolation(b, fam, lam=grid)
-    assert len(rep.members) == len(grid)
-    for lv, r in zip(grid, rep.members):
-        w = block.check_isolation(b, fam, lam=lv)
-        assert np.array_equal(r.samples, w.samples)
-        assert np.array_equal(r.outcome, w.outcome)
-        assert (r.verdict, r.failures, r.worst_margin) == \
-            (w.verdict, w.failures, w.worst_margin)
-    assert rep.verdict == all(rep.members)
-    assert np.array_equal(rep.samples,
-                          np.concatenate([r.samples for r in rep.members]))
-    assert np.array_equal(rep.outcome,
-                          np.concatenate([r.outcome for r in rep.members]))
-    assert rep.failures == [s for r in rep.members for s in r.failures]
-    # the worst margin is over the samples that left, as in each member
-    assert rep.worst_margin == min(
-        r.worst_margin for r in rep.members if r.outcome.any())
-
-
 def test_block_independence_repeller():
     fld = expr.parse_field(["x1"], 1)
     V = expr.parse("-(x1^4)/4", 1)

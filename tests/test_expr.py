@@ -14,8 +14,11 @@ ROOT = os.path.dirname(os.path.dirname(__file__))
 
 
 def _row(e, X, lam=None):
-    """The scalar e at the columns of X: the row of its one-row field."""
-    return expr.compile_field(expr.FieldDef(len(X), (e,)))(X, lam)[0]
+    """The scalar e at the columns of X, with lam bound at ``lam`` when it
+    is given: the row of its one-row field."""
+    if lam is not None:
+        e = expr.bind(e, lam)
+    return expr.compile_field(expr.FieldDef(len(X), (e,)))(X)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +316,12 @@ def test_numpy_field_broadcasts_constants_and_flags_domain_errors():
     assert V[1, 0] == 0.0 and np.isnan(V[1, 1])
     assert V[2, 0] == 0.25 and np.isinf(V[2, 2])
     # each row is the one-row field of its component, bit for bit: a
-    # constant broadcast to its row, lam read where a component uses it,
+    # constant broadcast to its row, lam bound where a component uses it,
     # and a domain error a non-finite entry
     fam = expr.parse_field(["-0.5", "sin(x1)*lam - x2^3", "log(x1 - lam)"], 3)
     X = np.random.default_rng(5).uniform(-2, 2, size=(3, 40))
     with np.errstate(all="ignore"):
-        V = expr.compile_field(fam)(X, 0.3)
+        V = expr.compile_field(expr.bind_field(fam, 0.3))(X)
     assert V.shape == (3, 40) and np.isnan(V[2]).any()
     for row, e in zip(V, fam.components):
         with np.errstate(all="ignore"):
@@ -486,62 +489,61 @@ def _shipped_lam_fields():
     return out
 
 
-def _children(e):
-    return [getattr(e, a) for a in ("arg", "base", "lhs", "rhs")
-            if hasattr(e, a)]
-
-
-def _mentions_a_variable(e):
-    return isinstance(e, expr.Var) or any(map(_mentions_a_variable,
-                                              _children(e)))
-
-
-def _folds_a_function_of_lam(e):
-    """Whether binding ``e`` folds a call on an argument in lam alone, which
-    ``math`` evaluates where compiled code calls numpy."""
-    if isinstance(e, expr.Call) and expr.mentions_param(e.arg) \
-            and not _mentions_a_variable(e.arg):
-        return True
-    return any(map(_folds_a_function_of_lam, _children(e)))
-
-
 @pytest.mark.parametrize("texts,lam", _shipped_lam_fields() + [
-    # the families of test_isolation_family_equals_one_lam_at_a_time
     (["x1^2 + 0.2 - 1.2*lam"], 0.5),
     (["x1 - x1^3 + 0.1*sin(3*lam)"], 0.5),
     (["x1*cos(lam) - x1^3 + 0.05*lam^2"], 0.5),
     (["exp(-lam)*x1 - x1^3/(1 + lam)"], 0.5)])
 def test_a_bound_field_computes_the_field_at_that_lam(texts, lam):
+    # binding folds the calls on lam alone with ``math``, as the reference
+    # does, and these fields call no function of a variable: the same
+    # floats, but for the sign of a zero
     m = len(texts)
     fld = expr.parse_field(texts, m)
     X = np.array(list(itertools.product(np.linspace(-2, 2, 9), repeat=m))).T
-    folds = any(_folds_a_function_of_lam(c) for c in fld.components)
     for lv in [lam, *np.linspace(0.0, 1.0, 41)]:
         bound = expr.bind_field(fld, lv)
         assert not bound.has_param
         got = expr.compile_field(bound)(X)
-        want = expr.compile_field(fld)(X, lv)
-        if folds:
-            # a folded call within 1 ulp of numpy's (see expr.evaluate)
-            # moves these O(1) values by about an ulp
-            np.testing.assert_allclose(got, want, rtol=2 ** -52,
-                                       atol=2 ** -52)
-        else:
-            # the same floats, but for the sign of a zero
-            np.testing.assert_array_equal(got, want)
+        want = [[expr.evaluate(e, x, lam=lv) for x in X.T]
+                for e in fld.components]
+        np.testing.assert_array_equal(got, want)
 
 
 def test_a_field_bound_to_an_infinite_constant_compiles_and_prints():
-    # 1e308/lam folds to inf at lam = 1e-10, where the compiled field
-    # divides to inf as well
+    # 1e308/lam folds to inf at lam = 1e-10, where the reference divides
+    # to inf as well
     fld = expr.parse_field(["1e308/lam*x1", "x2 - 1e308/lam"], 2)
     bound = expr.bind_field(fld, 1e-10)
     assert [expr.to_str(c) for c in bound.components] == \
         ["inf * x1", "x2 - inf"]
     X = np.array([[-1.0, 0.0, 2.0], [0.5, 0.0, -1.0]])
     with np.errstate(all="ignore"):
-        np.testing.assert_array_equal(expr.compile_field(bound)(X),
-                                      expr.compile_field(fld)(X, 1e-10))
+        got = expr.compile_field(bound)(X)
+    np.testing.assert_array_equal(
+        got, [[expr.evaluate(e, x, lam=1e-10) for x in X.T]
+              for e in fld.components])
+
+
+def test_compiling_an_expression_in_lam_is_an_error():
+    # compiled code takes no lam: a family is compiled member by member,
+    # each bound first
+    with pytest.raises(expr.ExprError, match="bind lam first"):
+        expr.compile_field(expr.parse_field(["x1 - lam"], 1))
+    with pytest.raises(expr.ExprError, match="bind lam first"):
+        expr.compile_field(expr.gradient(expr.parse("lam*x1^2", 1), 1))
+    assert expr.compile_field(expr.bind_field(
+        expr.parse_field(["x1 - lam"], 1), 0.5))(np.array([[2.0]]))[0, 0] \
+        == 1.5
+
+
+def test_a_constant_domain_error_of_binding_names_lam():
+    with pytest.raises(expr.ExprError,
+                       match=r"^at lam = 0\.0: constant division by zero$"):
+        expr.bind_field(expr.parse_field(["x1/lam"], 1), 0.0)
+    with pytest.raises(expr.ExprError,
+                       match=r"^at lam = -1: log of non-positive value"):
+        expr.bind(expr.parse("x1*log(lam)", 1), -1)
 
 
 def test_substitute_param():

@@ -360,30 +360,21 @@ def test_classify_next_to_a_critical_point_just_over_twice_the_radius():
                 (r.steps[j], r.rejected[j])
 
 
-@pytest.mark.parametrize("per_column", ["direction", "lam"])
-def test_classify_per_column_direction_equals_single_columns_bit_for_bit(
-        per_column):
+def test_classify_per_column_direction_equals_single_columns_bit_for_bit():
     # the saddle sheet's -grad f with every third column backward in time:
     # those run into the index-2 point at the origin or leave through
-    # x1 = +-2.  Or the sheet's x2 term scaled by lam, one of 0.3, 1 and 2
-    # per column, which sets how fast an orbit off the x1 axis leaves
-    # through x2 = +-2: the slowest are out of time, the fastest exit
+    # x1 = +-2
     fld, b, crits = _saddle_sheet_setup()
     tols = dataclasses.replace(DEFAULT, t_budget=2.0)
     scale = flow.field_scale(fld, b)
     x1 = np.array([-1.9, -1.3, -0.6, -2e-4, 3e-4, 0.4, 1.2, 1.7])
     X0 = np.vstack([np.tile(x1, 3), np.repeat([0.0, 0.3, -1e-3], x1.size)])
     n = X0.shape[1]
-    direction, lam = np.ones(n, dtype=int), None
-    if per_column == "direction":
-        direction[::3] = -1
-    else:
-        fld = expr.negative_gradient(
-            expr.parse("(x1^2 - 1)^2 - lam*x2^2", 2), 2)
-        lam = np.array([0.3, 1.0, 2.0])[np.arange(n) % 3]
+    direction = np.ones(n, dtype=int)
+    direction[::3] = -1
     F = expr.compile_field(fld)
     lc, run = flow.classify_limit(F, X0, crits, b, tols.t_budget, scale,
-                                  lam=lam, direction=direction, tols=tols)
+                                  direction=direction, tols=tols)
     for d in np.unique(direction):
         assert {tag[0] for tag, dj in zip(lc.tag, direction) if dj == d} == \
             {"crit", "exit", "budget"}
@@ -392,21 +383,18 @@ def test_classify_per_column_direction_equals_single_columns_bit_for_bit(
     # of some columns only
     assert len(set(run.steps + run.rejected)) > 1
     assert 0 < np.count_nonzero(run.rejected) < n
-    if per_column == "direction":
-        # a backward column is also, bit for bit, a forward column of
-        # +grad f
-        up = expr.FieldDef(2, tuple(expr.neg(c) for c in fld.components))
-        back = direction < 0
-        up_lc, up_run = flow.classify_limit(
-            expr.compile_field(up), X0[:, back], crits, b, tols.t_budget,
-            scale, tols=tols)
-        assert up_lc.tag == tuple(lc.tag[j] for j in np.flatnonzero(back))
-        assert np.array_equal(-up_run.t, run.t[back])
-        assert np.array_equal(up_run.x, run.x[:, back])
+    # a backward column is also, bit for bit, a forward column of +grad f
+    up = expr.FieldDef(2, tuple(expr.neg(c) for c in fld.components))
+    back = direction < 0
+    up_lc, up_run = flow.classify_limit(
+        expr.compile_field(up), X0[:, back], crits, b, tols.t_budget, scale,
+        tols=tols)
+    assert up_lc.tag == tuple(lc.tag[j] for j in np.flatnonzero(back))
+    assert np.array_equal(-up_run.t, run.t[back])
+    assert np.array_equal(up_run.x, run.x[:, back])
     for j in range(n):
         one, one_run = flow.classify_limit(
             F, X0[:, j:j + 1], crits, b, tols.t_budget, scale,
-            lam=None if lam is None else lam[j],
             direction=int(direction[j]), tols=tols)
         assert one.tag[0] == lc.tag[j]
         assert one_run.t[0] == run.t[j]
@@ -473,17 +461,17 @@ def test_numpy_backend_domain_error_is_a_rejected_step():
 
 
 def test_a_first_field_value_with_no_value_fails_without_a_warning():
-    # a raw family closure, as the certificate's interpolant is: inf * 0
-    # at lam = 0 is NaN, and inf at lam = 1, already in the first field
-    # value, which is evaluated under the same errstate as every stage
-    def F(X, lam):
-        return X + lam * np.inf
+    # a raw closure, as the certificate's interpolant is: inf * 0 is NaN
+    # in the first column, and inf * 1 is inf in the second, already in the
+    # first field value, which is evaluated under the same errstate as
+    # every stage
+    def F(X):
+        return X + np.array([0.0, 1.0]) * np.inf
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         run = flow._dop853(F, np.array([[0.5, 0.5]]), 1, 1.0, DEFAULT.rtol,
-                           DEFAULT.atol, DEFAULT.max_steps,
-                           lam=np.array([0.0, 1.0]))
+                           DEFAULT.atol, DEFAULT.max_steps)
     assert list(run.status) == [flow.UNDERFLOW, flow.UNDERFLOW]
 
 
@@ -646,7 +634,7 @@ def _stage_sums(K, monkeypatch):
     inputs, errors = [], []
     stages = iter(K[1:])
 
-    def F(X, lam):
+    def F(X):
         inputs.append(X.copy())
         return next(stages)
 
@@ -656,7 +644,7 @@ def _stage_sums(K, monkeypatch):
 
     monkeypatch.setattr(flow, "_sumsq", sumsq)
     xnew, fnew, _, finite = flow._attempt(
-        F, np.zeros((m, n)), K[0], np.ones(n), np.ones(n), None, 0.0, 1.0)
+        F, np.zeros((m, n)), K[0], np.ones(n), np.ones(n), 0.0, 1.0)
     monkeypatch.undo()
     assert finite.all()
     assert np.array_equal(xnew, inputs[-1]) and np.array_equal(fnew, K[12])

@@ -228,15 +228,15 @@ def _per_lambda(base, b, eps, pert, tols=DEFAULT):
 
 
 def _batched(monkeypatch, base, b, eps, pert):
-    """morse_perturb, with the member reports of its isolation batches and
-    the direction of every integrator run it makes, batch by batch."""
+    """morse_perturb, with the reports of its isolation checks, one per
+    lambda, and the direction of every integrator run each check makes."""
     batches = []
     check, dop853 = block.check_isolation, flow._dop853
 
     def spy_check(*args, **kwargs):
         batches.append([])
         rep = check(*args, **kwargs)
-        batches[-1] = (batches[-1], rep.members)
+        batches[-1] = (batches[-1], rep)
         return rep
 
     def spy_dop853(F, x0, direction, *args, **kwargs):
@@ -254,23 +254,24 @@ def _batched(monkeypatch, base, b, eps, pert):
     finally:
         monkeypatch.undo()
     runs = [d for d, _ in batches]
-    return [r for _, members in batches for r in members], result, runs
+    return [r for _, r in batches], result, runs
 
 
 def _same_certificate(monkeypatch, base, b, eps, pert):
     """morse_perturb against the reference ``_per_lambda``: the same
     CertificationError, or a certificate whose gradient bound is positive
     and at most the reference's grid minimum.  Where the two ends settle
-    every sample, no isolation batch runs; every batch that does run gives
-    the reference's member reports."""
+    every sample, no isolation check runs; every check that does run gives
+    the reference's report at its lambda."""
     want_reports, want = _per_lambda(base, b, eps, pert)
     reports, got, runs = _batched(monkeypatch, base, b, eps, pert)
     settled = _settled(_sweep(base, b, eps, pert, (0.0, 1.0)))
     if settled.all():
         assert runs == []
-    # two batches at most; on these families every sample of every member
-    # has an outward flux of strict sign, so no batch integrates an orbit
-    assert len(runs) <= 2
+    # one check per lambda at most; on these families every sample has an
+    # outward flux of strict sign at every lambda, so no check integrates
+    # an orbit
+    assert len(runs) <= DEFAULT.cert_lambda_steps + 1
     assert all(d == [] for d in runs)
     assert len(reports) >= len(want_reports) if runs else reports == []
     for r, w in zip(reports, want_reports):
@@ -310,9 +311,9 @@ def test_batched_certificate_on_the_quartic_repeller(monkeypatch, eps):
                                   _b1(), eps, expr.parse("x1", 1))
     if eps == 2.0:
         # the flux x1^3 - s at x1 = 1 changes sign on [0, eps]: that
-        # sample goes through the grid, whose isolation batches cover the
-        # lambdas before the critical point reaches it
-        assert len(runs) == 2
+        # sample goes through the grid, which checks isolation at each
+        # lambda before the critical point reaches it, 0 to 0.4
+        assert len(runs) == 5
         assert got.lam == 0.5
         assert str(got) == ("homotopy certificate failed at lambda=0.5: "
                             "critical point of the interpolant touches the "
@@ -338,11 +339,12 @@ def test_batched_certificate_with_a_nonlinear_perturbation(monkeypatch, eps):
      0.3, "sin(x1)*x2 + x1^3")], ids=["quartic-2", "quartic-0.5", "sin-0.3"])
 def test_certificate_isolation_equals_the_all_orbit_oracle(monkeypatch, base,
                                                             b, eps, pert):
-    # every isolation batch the certificate cases above still run, checked
+    # every isolation check the certificate cases above still run, checked
     # again with every sample integrated.  At eps = 2.0 one sample is
     # unsettled and the interpolant has a critical point on the boundary at
-    # lambda = 0.5; the other cases run no batch, and there the oracle
-    # integrates every sample of the whole grid and finds it isolating
+    # lambda = 0.5; the other cases run no check, and there the oracle
+    # integrates every sample at every lambda of the grid and finds the
+    # block isolating
     pairs = []
     check = block.check_isolation
 
@@ -362,15 +364,12 @@ def test_certificate_isolation_equals_the_all_orbit_oracle(monkeypatch, base,
         assert eps == 2.0
     assert bool(pairs) == (eps == 2.0)
     for rep, want in pairs:
-        assert [(r.verdict, r.failures) for r in rep.members] == \
-            [(w.verdict, w.failures) for w in want.members]
         assert (rep.verdict, rep.failures) == (want.verdict, want.failures)
     if not pairs:
-        want = block_oracle.check_isolation_by_orbits(
-            b, expr.negative_gradient(_interpolant(base, eps, pert), m),
-            lam=cert.lambdas)
-        assert want.verdict
-        assert all(w.verdict for w in want.members)
+        family = expr.negative_gradient(_interpolant(base, eps, pert), m)
+        for lv in cert.lambdas:
+            assert block_oracle.check_isolation_by_orbits(
+                b, expr.bind_field(family, lv)).verdict
 
 
 def test_batched_certificate_with_lam_in_the_lyapunov_function(monkeypatch):
