@@ -469,7 +469,7 @@ def main(argv=None):
         return 2
     except (block_mod.BlockError, lyapunov.LyapunovError, morse.MorseError,
             homalg.HomalgError, conley.ConleyError,
-            flow.IntegrationError, flow.AmbiguousCaptureError) as exc:
+            flow.IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code

@@ -18,7 +18,6 @@ class Tolerances:
     t_budget: float = 200.0
 
     # limit classification
-    capture_radius: float = 1e-4
     speed_tol_factor: float = 1e-6  # times a sampled field magnitude scale
 
     # critical point search

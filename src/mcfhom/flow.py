@@ -10,13 +10,18 @@ orbits.  The field is one compiled field ``F(X)``, with lam already bound
 ``classify_limit`` labels the orbits of N start points, in the one
 vocabulary of orbit outcomes: ("crit", ident) captured at a critical
 point, ("exit",) at the first point outside the block, ("budget",) out of
-time, or ("failed", error) with its error, which is not raised.  The
-critical points must lie at least twice the capture radius apart; with
-none, every orbit runs until it exits or runs out of time.  Connection
-counting and Conley-Easton isolation both ask ``classify_limit`` whether
-an orbit leaves the block.  No variational system is integrated: the
-connection search signs its witnesses by the labels of their neighbours
-(``mcfhom.morse``).
+time, or ("failed", error) with its error, which is not raised.  Capture
+is decided in local charts: the field is -grad f, each critical point of
+f carries the eigenvalues and eigenvectors of its Hessian, and when an
+orbit's step end first lands in the ball of radius a tenth of the
+distance from a critical point q to the nearest other one or to the
+block's bounding box, q's linear flow decides once whether the orbit
+falls into q, by the least future speed of the linear orbit.  With no
+critical point, every orbit runs until it exits or runs out of time.
+Connection counting and Conley-Easton isolation both ask
+``classify_limit`` whether an orbit leaves the block.  No variational
+system is integrated: the connection search signs its witnesses by the
+labels of their neighbours (``mcfhom.morse``).
 """
 from __future__ import annotations
 
@@ -39,14 +44,6 @@ class StepUnderflowError(IntegrationError):
                          f"x={[float(v) for v in x]!r} (stiffness?)")
         self.t = t
         self.x = x
-
-
-class AmbiguousCaptureError(Exception):
-    def __init__(self, a, b, distance):
-        super().__init__(f"critical points {a.ident} and {b.ident} lie "
-                         f"{float(distance)!r} apart, under twice the "
-                         f"capture radius; decrease the capture radius")
-        self.ids = [a.ident, b.ident]
 
 
 def _terms(row):
@@ -197,6 +194,16 @@ def _attempt(F, X, f0, dh, hc, rtol, atol):
     return xnew, fnew, err, finite
 
 
+def _first_step(F, X, f0, direction, target, rtol, atol):
+    """The size of the first step of every column of X, whose field is f0
+    and whose direction of time and target are ``direction`` and
+    ``target``: 1e-2 (|x| + 1) / |f0|, at most 1 and at most the target.
+    ``F``, ``rtol`` and ``atol`` are there for a rule that probes the field
+    or weighs the state, as HINIT of Hairer's dop853.f does."""
+    return np.minimum(np.minimum(1e-2 * (_norms(X) + 1.0)
+                                 / (_norms(f0) + 1e-30), 1.0), target)
+
+
 def _dop853(F, x0, direction, target, rtol, atol, max_steps, accepted=None):
     """Advance every column of the (m, N) state x0 from t = 0 until
     |t| = target, a scalar or one value per column.
@@ -246,8 +253,7 @@ def _dop853(F, x0, direction, target, rtol, atol, max_steps, accepted=None):
     rounds = 0
     with np.errstate(all="ignore"):
         f0 = F(X)
-        h = np.minimum(np.minimum(1e-2 * (_norms(X) + 1.0)
-                                  / (_norms(f0) + 1e-30), 1.0), target)
+        h = _first_step(F, X, f0, direction, target, rtol, atol)
         code = np.where(target == 0.0, DONE,
                         np.where(max_steps <= 0, EXHAUSTED,
                                  np.where(h >= 1e-14, 0, UNDERFLOW)))
@@ -336,52 +342,168 @@ class LimitClass:
     tag: tuple
 
 
+# The radius of a critical point's chart ball, as a fraction of the
+# distance from the point to its nearest other critical point or to the
+# side of the block's bounding box nearest to it; under a half, no two
+# balls meet.
+_CHART = 0.1
+
+
+def _charts(crits, block):
+    """The chart balls of the critical points ``crits`` in the block:
+    centres (K, m), radii (K,), the Hessian eigenvalues (K, m) in ascending
+    order and the eigenbases (K, m, m), whose column i is the eigenvector of
+    eigenvalue i."""
+    m = block.dimension
+    centres = np.array([c.coords for c in crits], dtype=float).reshape(-1, m)
+    lo, hi = (np.array(v) for v in block.bounding_box())
+    d = centres[:, None, :] - centres[None, :, :]
+    gap = np.sqrt(np.vecdot(d, d))
+    np.fill_diagonal(gap, np.inf)
+    edge = np.minimum(centres - lo, hi - centres).min(axis=1, initial=np.inf)
+    edge = np.maximum(edge, 0.0)  # a point outside the box has no ball
+    radius = _CHART * np.minimum(gap.min(axis=1, initial=np.inf), edge)
+    lams = np.array([c.eigenvalues for c in crits], dtype=float).reshape(-1, m)
+    basis = np.array([np.column_stack(c.frame + c.stable) for c in crits],
+                     dtype=float).reshape(-1, m, m)
+    return centres, radius, lams, basis
+
+
+def _log_sum(L, mask, rate):
+    """For each row of L, log sum_i exp(L_i) over the entries of ``mask``,
+    and the mean of ``rate`` over them weighted by exp(L_i), its
+    derivative when L_i grows at ``rate``."""
+    top = np.max(L, axis=1, where=mask, initial=-np.inf)
+    e = np.exp(L - top[:, None])
+    s = np.add.reduce(e, axis=1, where=mask)
+    return top + np.log(s), np.add.reduce(rate * e, axis=1, where=mask) / s
+
+
+def _least_speed(a, mu):
+    """For each row of the (n, m) arrays a >= 0 and mu, the least value over
+    tau >= 0 of sqrt(g(tau)), g(tau) = sum_i a_i exp(2 mu_i tau): the least
+    future speed of a linear flow whose component i has speed sqrt(a_i) and
+    rate mu_i.
+
+    g is convex.  With no growing term (mu_i > 0 and a_i > 0) its infimum,
+    as tau grows, is 0; where g'(0) >= 0 its least value is g(0).
+    Otherwise g' = P - N, P the sum of its growing terms and N minus the sum
+    of its decaying ones, has one root, where the increasing function
+    phi = log P - log N crosses 0, at most at the least tau at which one
+    growing term alone reaches N(0).  Newton steps on phi, which is linear
+    where one term dominates each sum, find it, with a bisection of the
+    bracket where a step leaves it; the sums are taken in logs, so no term
+    overflows or underflows.  Each row stops on its own, so it takes the
+    same steps in any batch."""
+    w = 2.0 * mu * a  # the terms of g'(0)
+    up, down = w > 0, w < 0
+    least = np.where(np.logical_or.reduce(up, axis=1),
+                     np.sqrt(np.add.reduce(a, axis=1)), 0.0)
+    hunt = np.flatnonzero(np.logical_or.reduce(up, axis=1)
+                          & (np.add.reduce(w, axis=1) < 0))
+    if not hunt.size:
+        return least
+    a, mu, up, down = a[hunt], mu[hunt], up[hunt], down[hunt]
+    rate = 2.0 * mu
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        logw = np.log(np.abs(w[hunt]))
+        bound = (_log_sum(logw, down, rate)[0][:, None] - logw) / rate
+        lo = np.zeros(hunt.size)
+        hi = np.min(bound, axis=1, where=up, initial=np.inf)
+        tau = 0.5 * hi
+        live = np.arange(hunt.size)
+        for _ in range(100):
+            t = tau[live]
+            L = logw[live] + rate[live] * t[:, None]
+            lp, rp = _log_sum(L, up[live], rate[live])
+            ln, rn = _log_sum(L, down[live], rate[live])
+            phi = lp - ln
+            step = phi / (rp - rn)
+            lo[live] = np.where(phi < 0, t, lo[live])
+            hi[live] = np.where(phi > 0, t, hi[live])
+            done = np.abs(step) <= 1e-12 * t
+            nxt = t - step
+            nxt = np.where((nxt > lo[live]) & (nxt < hi[live]), nxt,
+                           0.5 * (lo[live] + hi[live]))
+            tau[live] = np.where(done, t, nxt)
+            live = live[~done]
+            if not live.size:
+                break
+        least[hunt] = np.sqrt(np.add.reduce(
+            a * np.exp(rate * tau[:, None]), axis=1))
+    return least
+
+
 def classify_limit(F, X0, crits, block, t_end, scale, direction=1,
                    tols=DEFAULT):
     """Run the orbit of every column of the (m, N) array X0 on the compiled
     field ``F(X)`` until capture at a critical point of ``crits``, exit
     from the block, or |t| = ``t_end``, as one ``_dop853`` batch.
     ``direction`` is the direction of time, one sign for all columns or an
-    (N,) array of one sign per column.  ``scale``, the
-    ``field_scale`` of the field, sets the speed tolerance of capture; it
-    is read only when ``crits`` is not empty.
+    (N,) array of one sign per column.  ``F`` is -grad f, and ``crits``
+    are critical points of f with the eigenvalues and eigenvectors of its
+    Hessian (``morse.CriticalPoint``).  ``scale``, the ``field_scale`` of
+    the field, sets the speed tolerance of capture; it is read only when
+    ``crits`` is not empty.
 
-    Two critical points closer than twice the capture radius raise
-    AmbiguousCaptureError before any orbit runs, so no point lies within
-    the radius of two.  After each accepted step a column has exited once
-    its new point lies outside the block, and is captured at the critical
-    point within the radius once its speed is below the speed tolerance.
+    Each critical point q has a chart ball of radius R_q, a tenth of the
+    distance from q to the nearest other critical point or to the nearest
+    side of the block's bounding box, so no two balls meet.  After each
+    accepted step a column has exited once its new point lies outside the
+    block.  Otherwise, when the new point lies in the ball of q and the
+    column's last step end did not, q's linear flow decides once whether
+    the column is captured: with y = x - q in q's eigenbasis, d the
+    column's direction of time and mu_i = -d lam_i, it is captured when the
+    least future speed of the linear orbit, min over tau >= 0 of
+    sqrt(sum_i (mu_i y_i)^2 exp(2 mu_i tau)) (``_least_speed``), is below
+    ``tols.speed_tol_factor`` * ``scale``.  A column that is not captured
+    runs on, and is decided again only once it has left the ball and
+    entered one again.
+
     Returns (limits, run): the label of each column, and the ``_Run`` of
     the batch, whose ``t`` and ``x`` are each column's signed end time and
     end point (for an exit, the first point reached outside the block, with
-    no bisection onto the boundary).  A label is ("crit", ident) for a
-    capture, ("exit",) for an exit, ("budget",) for a column out of time,
-    and ("failed", error) for a column whose step underflows or that runs
-    out of steps, with the error of ``_dop853``; nothing is raised, and the
-    other columns keep their labels."""
-    cap = tols.capture_radius
+    no bisection onto the boundary; for a capture, the first point in the
+    ball).  A label is ("crit", ident) for a capture, ("exit",) for an
+    exit, ("budget",) for a column out of time, and ("failed", error) for a
+    column whose step underflows or that runs out of steps, with the error
+    of ``_dop853``; nothing is raised, and the other columns keep their
+    labels."""
     X0 = np.asarray(X0, dtype=float)
-    m, n = X0.shape
-    coords = np.array([c.coords for c in crits], dtype=float).reshape(
-        len(crits), m)
-    i, k = np.triu_indices(len(crits), 1)  # every pair once
-    gap = _norms((coords[i] - coords[k]).T)
-    if np.any(gap < 2 * cap):
-        j = np.argmin(gap)
-        raise AmbiguousCaptureError(crits[i[j]], crits[k[j]], gap[j])
-    # with no critical point no speed is below the tolerance
+    n = X0.shape[1]
+    centres, radius, lams, basis = _charts(crits, block)
     speed_tol = tols.speed_tol_factor * scale if len(crits) else 0.0
+    sign = np.broadcast_to(np.asarray(direction, dtype=float), (n,))
+    ball = np.full(n, -1)  # the ball of each column's last step end, or -1
     captor = np.full(n, -1)  # index into crits of a captured column
+    # |c|^2 - (2 R)^2 - 2 c.x, which is below -|x|^2 in the ball of radius
+    # 2 R about c alone: no two of these balls meet either, and the
+    # rounding of the product cannot drop a point of the ball of radius R
+    lift = np.column_stack([-2.0 * centres,
+                            _sumsq(centres.T) - 4.0 * radius ** 2])
 
     def stop(cols, t, x_old, X, f_new):
         out = ~block.contains_columns(X)
-        slow = np.flatnonzero(~out & (_norms(f_new) < speed_tol))
-        if slow.size:
-            d = _rows(X[:, slow]) - coords[:, None, :]  # (n_crits, slow, m)
-            dist = np.sqrt(np.vecdot(d, d))
-            hit = dist.min(axis=0) < cap
-            captor[cols[slow[hit]]] = np.argmin(dist[:, hit], axis=0)
-            out[slow[hit]] = True
+        if not len(crits):
+            return out
+        G = lift[:, :-1] @ X
+        G += lift[:, -1:]
+        near = np.flatnonzero(G.min(axis=0) < -_sumsq(X))
+        q = np.argmin(G[:, near], axis=0)
+        d = X[:, near] - centres[q].T
+        inside = (_sumsq(d) < radius[q] ** 2) & ~out[near]
+        now = np.full(cols.size, -1)
+        now[near[inside]] = q[inside]
+        new = np.flatnonzero((now >= 0) & (now != ball[cols]))
+        ball[cols] = now
+        if new.size:
+            q = now[new]
+            y = np.add.reduce(basis[q] * _rows(X[:, new] - centres[q].T)[
+                :, :, None], axis=1)
+            mu = -sign[cols[new], None] * lams[q]
+            hit = _least_speed((mu * y) ** 2, mu) < speed_tol
+            captor[cols[new[hit]]] = q[hit]
+            out[new[hit]] = True
         return out
 
     run = _dop853(F, X0, direction, t_end, tols.rtol, tols.atol,

@@ -12,15 +12,30 @@ A domain error of the tree walk is raised as ValueError, which
 circle witnesses of ``mcfhom.morse``: the unstable frame of the source
 carried along the witness orbit, and its orientation against the flow
 direction and the unstable frame of the target.
+
+Capture at a critical point has two references.  ``classify_by_speed`` is
+the step-end rule that ``flow.classify_limit`` used before it decided
+capture in charts: a column is captured once a step end lies within
+``SPEED_CAPTURE_RADIUS`` of a critical point and its speed there is below
+the speed tolerance, deep in the point's linear region.  ``chart_stop`` is
+the chart rule of ``classify_limit`` for one orbit, point by point, with
+the radii of ``chart_radii`` and the least linear speed of
+``least_speed``, a golden-section search on the convex log of the squared
+speed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+import block_oracle
 from mcfhom import expr, flow
 from mcfhom.config import DEFAULT
+
+# the capture radius of the step-end rule
+SPEED_CAPTURE_RADIUS = 1e-4
 
 
 @dataclass
@@ -156,3 +171,114 @@ def orientation_det(W, v_flow, frame):
     B = np.column_stack([v_flow / np.linalg.norm(v_flow), *frame])
     C, *_ = np.linalg.lstsq(B, np.asarray(W, dtype=float).T, rcond=None)
     return float(np.linalg.det(C))
+
+
+def classify_by_speed(F, X0, crits, b, t_end, scale, direction=1,
+                      tols=DEFAULT):
+    """The labels of the columns of X0 under the step-end rule, as one
+    ``flow._dop853`` batch on the compiled field ``F``: after each accepted
+    step a column has exited once its new point lies outside the block, and
+    is captured at the critical point within ``SPEED_CAPTURE_RADIUS`` once
+    its speed is below ``tols.speed_tol_factor`` * ``scale``.  The critical
+    points must lie more than twice the radius apart.  Returns the labels
+    and the ``flow._Run``, as ``flow.classify_limit`` does."""
+    X0 = np.asarray(X0, dtype=float)
+    coords = np.array([c.coords for c in crits], dtype=float)
+    speed_tol = tols.speed_tol_factor * scale
+    captor = np.full(X0.shape[1], -1)
+
+    def stop(cols, t, x_old, X, f_new):
+        out = ~b.contains_columns(X)
+        slow = np.flatnonzero(~out & (np.linalg.norm(f_new, axis=0)
+                                      < speed_tol))
+        if slow.size:
+            dist = np.linalg.norm(X[:, slow].T[None] - coords[:, None],
+                                  axis=2)  # (critical points, slow)
+            hit = dist.min(axis=0) < SPEED_CAPTURE_RADIUS
+            captor[cols[slow[hit]]] = np.argmin(dist[:, hit], axis=0)
+            out[slow[hit]] = True
+        return out
+
+    run = flow._dop853(F, X0, direction, t_end, tols.rtol, tols.atol,
+                       tols.max_steps, stop)
+    tags = []
+    for j in range(X0.shape[1]):
+        err = flow._failure(run, tols.max_steps, j)
+        tags.append(("failed", err) if err is not None
+                    else ("budget",) if run.status[j] == flow.DONE
+                    else ("exit",) if captor[j] < 0
+                    else ("crit", crits[captor[j]].ident))
+    return tags, run
+
+
+def least_speed(a, mu):
+    """min over tau >= 0 of sqrt(sum_i a_i exp(2 mu_i tau)) for one 1-D a
+    and mu: 0 with no growing term; otherwise a golden-section search of
+    the convex log of the sum on [0, T], T doubled from 1e-3 until the sum
+    no longer falls there."""
+    a, mu = np.asarray(a, dtype=float), np.asarray(mu, dtype=float)
+    if not np.any((mu > 0) & (a > 0)):
+        return 0.0
+    keep = a > 0
+    la, rate = np.log(a[keep]), 2.0 * mu[keep]
+
+    def log_g(t):
+        return float(np.logaddexp.reduce(la + rate * t))
+
+    def slope(t):  # the derivative of log g
+        w = np.exp(la + rate * t - log_g(t))
+        return float(np.sum(rate * w))
+
+    if slope(0.0) >= 0:
+        return math.sqrt(float(np.sum(a)))
+    lo, hi = 0.0, 1e-3
+    while slope(hi) < 0:
+        lo, hi = hi, 2 * hi
+    r = (math.sqrt(5) - 1) / 2
+    for _ in range(200):
+        m1, m2 = hi - r * (hi - lo), lo + r * (hi - lo)
+        if log_g(m1) < log_g(m2):
+            hi = m2
+        else:
+            lo = m1
+    return math.exp(0.5 * log_g(0.5 * (lo + hi)))
+
+
+def chart_radii(crits, b):
+    """The chart radius of each critical point: a tenth of its distance to
+    the nearest other one or to the nearest side of the block's bounding
+    box, and 0 outside the box."""
+    lo, hi = b.bounding_box()
+    radii = []
+    for c in crits:
+        edge = min(min(x - l, h - x) for x, l, h in zip(c.coords, lo, hi))
+        near = [math.dist(c.coords, o.coords) for o in crits if o is not c]
+        radii.append(0.1 * max(0.0, min(near + [edge])))
+    return radii
+
+
+def chart_stop(crits, b, speed_tol, direction=1):
+    """A stop for ``integrate_until`` that applies the chart rule of
+    ``flow.classify_limit`` to one orbit: ("exit",) at the first point
+    outside the block; otherwise, at a point in the ball of q where the
+    last step end was not, ("crit", q.ident) if the least future speed of
+    q's linear flow from there is below ``speed_tol``."""
+    radii = chart_radii(crits, b)
+    last = [None]
+
+    def stop(t, x_prev, x):
+        if not block_oracle.contains(b, x):
+            return ("exit",)
+        ball = next((c for c, r in zip(crits, radii)
+                     if math.dist(x, c.coords) < r), None)
+        entered = ball is not None and ball is not last[0]
+        last[0] = ball
+        if entered:
+            basis = np.column_stack(ball.frame + ball.stable)
+            y = basis.T @ (np.asarray(x) - np.asarray(ball.coords))
+            mu = -direction * np.asarray(ball.eigenvalues)
+            if least_speed((mu * y) ** 2, mu) < speed_tol:
+                return ("crit", ball.ident)
+        return None
+
+    return stop

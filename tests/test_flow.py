@@ -2,7 +2,6 @@
 classification."""
 import dataclasses
 import math
-import types
 import warnings
 
 import numpy as np
@@ -228,18 +227,31 @@ def test_classify_exit_face():
     assert run.x[0, 0] > 1.0
 
 
+def _sink(ident, coords):
+    """A critical point of index 0 at ``coords`` whose Hessian is the
+    identity: every linear orbit near it falls into it forward in time."""
+    m = len(coords)
+    return morse.CriticalPoint(
+        ident=ident, coords=tuple(float(v) for v in coords), f_value=0.0,
+        eigenvalues=(1.0,) * m, index=0, frame=(),
+        stable=tuple(tuple(float(v) for v in e) for e in np.eye(m)))
+
+
 def test_classify_exit_is_tested_before_capture():
-    # a slow critical point placed on the first point outside the block:
-    # the column still counts as exited
+    # a sink placed on the first point outside a block with a hole, inside
+    # the bounding box, so that its chart ball holds that point: the column
+    # still counts as exited
     fld = expr.parse_field(["1"], 1)
-    b = block.build_block(box=[(0, 1)], spacing=0.5)
-    _, run = _classify(fld, np.array([[0.5]]), [], b)
-    crit = types.SimpleNamespace(ident=7, coords=tuple(run.x[:, 0]))
-    lc, again = _classify(fld, np.array([[0.5]]), [crit], b, scale=1e7)
+    holed = block.build_block(cubes=[(0,), (2,)], origin=(0.0,), spacing=0.5,
+                              dimension=1)
+    _, run = _classify(fld, np.array([[0.25]]), [], holed)
+    assert 0.5 < run.x[0, 0] < 1.0
+    crit = _sink(7, run.x[:, 0])
+    assert oracle.chart_radii([crit], holed)[0] > 0
+    lc, again = _classify(fld, np.array([[0.25]]), [crit], holed)
     assert lc.tag == (("exit",),) and again.t[0] == run.t[0]
-    lc, _ = _classify(fld, np.array([[0.5]]), [crit],
-                      block.build_block(box=[(0, 2)], spacing=0.5),
-                      scale=1e7)
+    lc, _ = _classify(fld, np.array([[0.25]]), [crit],
+                      block.build_block(box=[(0, 2)], spacing=0.5))
     assert lc.tag == (("crit", 7),)
 
 
@@ -251,38 +263,19 @@ def test_classify_budget_exceeded():
     assert run.t[0] == DEFAULT.t_budget
 
 
-def _no_orbit(monkeypatch):
-    """Make every later ``flow._dop853`` call fail the test."""
-    def spy(*args, **kwargs):
-        raise AssertionError("an orbit ran")
-    monkeypatch.setattr(flow, "_dop853", spy)
-
-
-def test_ambiguous_capture_error(monkeypatch):
-    # two critical points within twice the capture radius: the critical set
-    # is rejected before any orbit runs
-    f = expr.parse("x1^2/2", 1)
-    fld = expr.negative_gradient(f, 1)
-    b = block.build_block(box=[(-1, 1)], spacing=0.5)
-    c0 = morse.find_critical_points(f, b)[0]
-    twin = dataclasses.replace(c0, ident=1, coords=(1e-6,))
-    _no_orbit(monkeypatch)
-    with pytest.raises(flow.AmbiguousCaptureError, match=r"critical points "
-                       r"0 and 1 lie 1e-06 apart, under twice") as err:
-        _classify(fld, np.array([[0.5]]), [c0, twin], b)
-    assert err.value.ids == [c0.ident, 1]
+_SADDLE_SHEET = "(x1^2 - 1)^2 - x2^2"
 
 
 def _saddle_sheet_setup():
     # -grad of (x1^2 - 1)^2 - x2^2 on [-2, 2]^2: orbits on the x1 axis run
     # into the index-1 points (+-1, 0), all others leave through x2 = +-2
-    f = expr.parse("(x1^2 - 1)^2 - x2^2", 2)
+    f = expr.parse(_SADDLE_SHEET, 2)
     fld = expr.negative_gradient(f, 2)
     b = block.build_block(box=[(-2, 2), (-2, 2)], spacing=0.5)
     return fld, b, morse.find_critical_points(f, b)
 
 
-def test_classify_columns_equal_single_columns_bit_for_bit(monkeypatch):
+def test_classify_columns_equal_single_columns_bit_for_bit():
     fld, b, crits = _saddle_sheet_setup()
     # with t = 2 the orbits that start next to the index-2 point at the
     # origin are still on their way
@@ -293,20 +286,8 @@ def test_classify_columns_equal_single_columns_bit_for_bit(monkeypatch):
     assert {lab[0] for lab in lc.tag} == {"crit", "exit", "budget"}
 
     # reference: each orbit alone through integrate_until (expr.evaluate),
-    # stopped by the point tests contains, capture radius, then speed
+    # stopped by the chart rule of the oracle, point by point
     speed_tol = tols.speed_tol_factor * flow.field_scale(fld, b)
-    coords = np.array([c.coords for c in crits])
-
-    def stop(t, x_prev, x):
-        if not block_oracle.contains(b, x):
-            return ("exit",)
-        near = np.flatnonzero(np.linalg.norm(x - coords, axis=1)
-                              < tols.capture_radius)
-        v = [expr.evaluate(c, x) for c in fld.components]
-        if len(near) == 1 and np.linalg.norm(v) < speed_tol:
-            return ("crit", crits[near[0]].ident)
-        return None
-
     for j in range(X0.shape[1]):
         one, one_run = _classify(fld, X0[:, j:j + 1], crits, b, tols=tols)
         assert one.tag[0] == lc.tag[j]
@@ -314,36 +295,33 @@ def test_classify_columns_equal_single_columns_bit_for_bit(monkeypatch):
         assert np.array_equal(one_run.x[:, 0], run.x[:, j])
         assert (one_run.steps[0], one_run.rejected[0]) == \
             (run.steps[j], run.rejected[j])
-        traj, sv = oracle.integrate_until(fld, X0[:, j], stop, tols.t_budget,
-                                        tols=tols)
+        traj, sv = oracle.integrate_until(
+            fld, X0[:, j], oracle.chart_stop(crits, b, speed_tol),
+            tols.t_budget, tols=tols)
         assert lc.tag[j] == (sv or ("budget",))
         assert run.t[j] == traj.ts[-1] and run.steps[j] == traj.steps
         assert np.array_equal(run.x[:, j], traj.xs[-1])
 
-    # a twin of the point (1, 0) within twice the capture radius: the
-    # critical set is rejected before any orbit runs
-    right = next(c for c in crits if c.coords[0] > 0.5)
-    assert ("crit", right.ident) in lc.tag
-    twin = dataclasses.replace(right, ident=99,
-                               coords=(right.coords[0] + 1e-5, 0.0))
-    _no_orbit(monkeypatch)
-    with pytest.raises(flow.AmbiguousCaptureError) as err:
-        _classify(fld, X0, crits + [twin], b, tols=tols)
-    assert err.value.ids == [right.ident, 99]
 
-
-def test_classify_next_to_a_critical_point_just_over_twice_the_radius():
-    # a twin of the point (1, 0) on the x1 axis, just over twice the capture
-    # radius from it: the orbits that run into (1, 0) along the axis cross
-    # the twin's capture ball, too fast to be captured there
+def test_classify_runs_on_through_a_ball_it_enters_off_the_stable_set():
+    # a copy of the index-1 point (1, 0) at (1, 1): the orbits from
+    # (0.4, 0.3), (1.2, 0.3) and (1.7, 0.3) fall to x1 = 1 and cross its
+    # chart ball on their way out through x2 = 2, along the unstable axis
+    # of the copy's chart, too fast to be captured there.  The copy leaves
+    # every other ball's radius as it was, so every column runs as before,
+    # bit for bit
     fld, b, crits = _saddle_sheet_setup()
     tols = dataclasses.replace(DEFAULT, t_budget=2.0)
     right = next(c for c in crits if c.coords[0] > 0.5)
-    gap = 2 * tols.capture_radius * (1 + 1e-6)
-    twin = dataclasses.replace(right, ident=99,
-                               coords=(right.coords[0] + gap, 0.0))
+    twin = dataclasses.replace(right, ident=99, coords=(right.coords[0], 1.0))
+    assert oracle.chart_radii(crits + [twin], b)[:len(crits)] == \
+        oracle.chart_radii(crits, b)
     x1 = np.array([-1.9, -1.3, -0.6, -2e-4, 3e-4, 0.4, 1.2, 1.7])
     X0 = np.vstack([np.tile(x1, 3), np.repeat([0.0, 0.3, -1e-3], x1.size)])
+    radius = oracle.chart_radii(crits + [twin], b)[-1]
+    for x in (0.4, 1.2, 1.7):
+        traj = oracle.integrate(fld, [x, 0.3], 1.0, tols=tols)
+        assert any(math.dist(p, twin.coords) < radius for p in traj.xs)
     lc, run = _classify(fld, X0, crits, b, tols=tols)
     with_twin, twin_run = _classify(fld, X0, crits + [twin], b, tols=tols)
     assert with_twin == lc
@@ -363,12 +341,14 @@ def test_classify_next_to_a_critical_point_just_over_twice_the_radius():
 def test_classify_per_column_direction_equals_single_columns_bit_for_bit():
     # the saddle sheet's -grad f with every third column backward in time:
     # those run into the index-2 point at the origin or leave through
-    # x1 = +-2
+    # x1 = +-2.  By t = 1 the backward orbit from (3e-4, 0.9) has not yet
+    # reached the origin's chart ball, nor the forward orbits from
+    # x2 = -1e-3 the side x2 = -2
     fld, b, crits = _saddle_sheet_setup()
-    tols = dataclasses.replace(DEFAULT, t_budget=2.0)
+    tols = dataclasses.replace(DEFAULT, t_budget=1.0)
     scale = flow.field_scale(fld, b)
     x1 = np.array([-1.9, -1.3, -0.6, -2e-4, 3e-4, 0.4, 1.2, 1.7])
-    X0 = np.vstack([np.tile(x1, 3), np.repeat([0.0, 0.3, -1e-3], x1.size)])
+    X0 = np.vstack([np.tile(x1, 3), np.repeat([0.0, 0.9, -1e-3], x1.size)])
     n = X0.shape[1]
     direction = np.ones(n, dtype=int)
     direction[::3] = -1
@@ -383,12 +363,16 @@ def test_classify_per_column_direction_equals_single_columns_bit_for_bit():
     # of some columns only
     assert len(set(run.steps + run.rejected)) > 1
     assert 0 < np.count_nonzero(run.rejected) < n
-    # a backward column is also, bit for bit, a forward column of +grad f
+    # a backward column is also, bit for bit, a forward column of
+    # +grad f = -grad(-f), whose critical points carry the Hessian of -f
     up = expr.FieldDef(2, tuple(expr.neg(c) for c in fld.components))
+    up_crits = morse.find_critical_points(
+        expr.neg(expr.parse(_SADDLE_SHEET, 2)), b)
+    assert [c.coords for c in up_crits] == [c.coords for c in crits]
     back = direction < 0
     up_lc, up_run = flow.classify_limit(
-        expr.compile_field(up), X0[:, back], crits, b, tols.t_budget, scale,
-        tols=tols)
+        expr.compile_field(up), X0[:, back], up_crits, b, tols.t_budget,
+        scale, tols=tols)
     assert up_lc.tag == tuple(lc.tag[j] for j in np.flatnonzero(back))
     assert np.array_equal(-up_run.t, run.t[back])
     assert np.array_equal(up_run.x, run.x[:, back])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import algebra_oracle
+import block_oracle
 import flow_oracle
 import sphere_oracle as oracle
 from mcfhom import block, cli, conley, expr, flow, homalg, morse, sphere
@@ -220,7 +221,7 @@ def _index_two_source(f="(x1^2 - 1)^2 - x2^2", box=2.0):
 # keep the orbits short.
 _COARSE = dataclasses.replace(
     DEFAULT, rtol=1e-6, atol=1e-9, n_dir_seeds=8, dir_tol=1e-4,
-    capture_radius=1e-3, speed_tol_factor=1e-3, delta_u=1e-2)
+    speed_tol_factor=1e-3, delta_u=1e-2)
 
 
 def _product_double_well():
@@ -955,3 +956,127 @@ def test_zero_sphere_counts_equal_sphere_counts_on_connections(seed):
             (sum(w.sign for w in forward), len(forward))
         if cc.source != source.ident:
             assert cc.witnesses == forward
+
+
+# ---------------------------------------------------------------------------
+# capture in the chart of a critical point against the step-end speed rule
+
+def _ball_entries(monkeypatch):
+    """Spy on every ``flow.classify_limit`` batch with critical points.
+    Returns a list that fills with one (batch, entries) pair per batch, the
+    batch the arguments (F, crits, block, t_end, scale, tols) and the
+    entries (point, direction of time, index of the critical point,
+    stopped) of every accepted step end that lies in the chart ball
+    (``flow_oracle.chart_radii``) of a critical point and inside the block
+    where the column's last step end did not, and whether the batch stopped
+    the column there."""
+    batches, batch = [], [None]
+    classify, dop853 = flow.classify_limit, flow._dop853
+
+    def spy(F, X0, crits, b, t_end, scale, direction=1, tols=DEFAULT):
+        if len(crits):
+            batch[0] = ((F, crits, b, t_end, scale, tols), [])
+            batches.append(batch[0])
+        try:
+            return classify(F, X0, crits, b, t_end, scale,
+                            direction=direction, tols=tols)
+        finally:
+            batch[0] = None
+
+    def dop(F, x0, direction, target, rtol, atol, max_steps, accepted=None):
+        if batch[0] is None:
+            return dop853(F, x0, direction, target, rtol, atol, max_steps,
+                          accepted)
+        (_, crits, b, *_), entries = batch[0]
+        radii = flow_oracle.chart_radii(crits, b)
+        signs = np.broadcast_to(direction, (x0.shape[1],))
+        last = [None] * x0.shape[1]
+
+        def stop(cols, t, x_old, X, f_new):
+            out = accepted(cols, t, x_old, X, f_new)
+            for k, j in enumerate(cols):
+                x = X[:, k]
+                q = next((i for i, (c, r) in enumerate(zip(crits, radii))
+                          if math.dist(x, c.coords) < r), None)
+                if q is not None and q != last[j] and \
+                        block_oracle.contains(b, x):
+                    entries.append((x.copy(), int(signs[j]), q, bool(out[k])))
+                last[j] = q
+            return out
+
+        return dop853(F, x0, direction, target, rtol, atol, max_steps, stop)
+
+    monkeypatch.setattr(flow, "classify_limit", spy)
+    monkeypatch.setattr(flow, "_dop853", dop)
+    return batches
+
+
+def _assert_chart_decisions_equal_the_speed_rule(batches, slack=1.0):
+    """Run each ball entry of ``batches`` on from its point under the
+    step-end speed rule of ``flow_oracle.classify_by_speed``, whose speed
+    tolerance is ``slack`` times the batch's where the chart captured the
+    column and 1 / ``slack`` times it where the column ran on: the speed
+    rule must capture the column at the ball's critical point exactly where
+    the chart did.  Returns the critical points of the balls where columns
+    were captured, and of those where they ran on."""
+    captured, ran_on = [], []
+    for (F, crits, b, t_end, scale, tols), entries in batches:
+        if not entries:
+            continue
+        X = np.column_stack([x for x, *_ in entries])
+        direction = np.array([d for _, d, _, _ in entries])
+        labels = {}
+        for stopped, factor in ((True, slack), (False, 1 / slack)):
+            labels[stopped], _ = flow_oracle.classify_by_speed(
+                F, X, crits, b, t_end, scale, direction=direction,
+                tols=dataclasses.replace(
+                    tols, speed_tol_factor=tols.speed_tol_factor * factor))
+        for j, (x, _, q, stopped) in enumerate(entries):
+            label = labels[stopped][j]
+            assert (label == ("crit", crits[q].ident)) == stopped, (x, label)
+            (captured if stopped else ran_on).append(crits[q])
+    return captured, ran_on
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_chart_captures_equal_the_speed_rule_on_connections(seed,
+                                                             monkeypatch):
+    # the 16 orbits of the zero-spheres of `connections` start in the ball
+    # of their index-1 source and run on from it; 12 are captured at the
+    # first ball they enter next, at a point that attracts them in their
+    # direction of time, and 4 leave the block
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "benchmarks", "systems", "connections.json")
+    system = cli._fixed_system(cli.load_system(path))
+    batches = _ball_entries(monkeypatch)
+    conley.compute_HI(system, seed=seed)
+    assert len(batches) == 1
+    captured, ran_on = _assert_chart_decisions_equal_the_speed_rule(batches)
+    assert (len(captured), len(ran_on)) == (12, 16)
+    assert {c.index for c in ran_on} == {1}
+
+
+def test_chart_captures_equal_the_speed_rule_on_a_3d_circle(monkeypatch):
+    # the unstable circle of one index-2 point of the 3-D product well at
+    # seed 3, with the zero-spheres of its index-1 targets: its orbits enter
+    # the balls of the targets, on their stable sets or off them, and of the
+    # minima past them.  Bisection puts most of the orbits at the edges of
+    # the windows of capture at a target, where the least speed of the
+    # orbit is the tolerance: there the least speed of the linear flow of
+    # the target's ball, of radius 0.1, is up to about 5% below that of the
+    # orbit, so the speed rule needs a tolerance 10% higher to capture
+    # every column that the chart captures at an index-1 point
+    f, b, crits = _product_well_3d()
+    finder = morse.ConnectionFinder(expr.negative_gradient(f, 3), b, crits,
+                                    seed=3)
+    forward = [s for s in finder._spheres() if s.time > 0]
+    circle = next(s for s in forward if s.x.index == 2)
+    batches = _ball_entries(monkeypatch)
+    witnesses = finder._search_spheres(
+        [s for s in forward if s.x.index == 1] + [circle])
+    captured, ran_on = _assert_chart_decisions_equal_the_speed_rule(
+        batches, slack=1.1)
+    assert {c.index for c in captured} == {0, 1}
+    assert {c.index for c in ran_on} >= {1, 2}
+    assert sum(len(w) for (source, _), w in witnesses.items()
+               if source == circle.x.ident) == 4
