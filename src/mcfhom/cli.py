@@ -367,9 +367,9 @@ def cmd_relations(args):
              for entry in doc["decomposition"]["sets"]]
     dec, _, _ = conley.decomposition_analysis(
         system, parts, seed=args.seed, coeff=args.coeff, tols=tols)
-    report["poincare_whole"] = str(dec.whole)
-    report["poincare_parts"] = [str(p) for p in dec.parts]
-    report["q_t"] = str(dec.q)
+    report["poincare_whole"] = dec.whole
+    report["poincare_parts"] = dec.parts
+    report["q_t"] = dec.q
     report["verdict"] = True
     return report, 0
 

@@ -1,5 +1,6 @@
 """Pipeline orchestration and structural theorems: the exit-set theorem,
-the Morse relations of a decomposition, and continuation.
+the Morse-Conley relations of a decomposition, as arithmetic on the Betti
+numbers of the HI of its sets and of the whole, and continuation.
 """
 from __future__ import annotations
 
@@ -19,6 +20,10 @@ class PipelineError(ConleyError):
 
 
 class ContinuationError(ConleyError):
+    pass
+
+
+class RelationsError(ConleyError):
     pass
 
 
@@ -109,9 +114,45 @@ def _checked(name, res):
 
 @dataclass
 class DecompositionReport:
-    q: homalg.PoincarePolynomial
+    """Q_t, and P_t of each set and of the whole, as text (``poincare``)."""
+
+    q: str
     parts: list
-    whole: homalg.PoincarePolynomial
+    whole: str
+
+
+def poincare(coeffs):
+    """The polynomial with the coefficients ``coeffs``, lowest degree
+    first, as text: "1 + 2*t + t^3", or "0"."""
+    terms = [str(c) if k == 0 else
+             ("" if c == 1 else f"{c}*") + ("t" if k == 1 else f"t^{k}")
+             for k, c in enumerate(coeffs) if c]
+    return " + ".join(terms) or "0"
+
+
+def relations_check(parts, whole):
+    """Check Sum_i P_t(part_i) = P_t(whole) + (1+t) Q_t on lists of Betti
+    numbers, lowest degree first, and return the coefficients of Q_t.  The
+    deficit must be divisible by (1+t) with nonnegative quotient: otherwise
+    the data is inconsistent with a Morse decomposition (Conley and
+    Zehnder, CPAM 37, 1984)."""
+    n = max(len(b) for b in (*parts, whole))
+    rows = [list(b) + [0] * (n - len(b)) for b in (*parts, whole)]
+    # synthetic division of the deficit by (1 + t), low degree first:
+    # d_0 = q_0, d_k = q_k + q_{k-1}; the last q_k is the remainder
+    q, prev = [], 0
+    for *col, w in zip(*rows):
+        prev = sum(col) - w - prev
+        q.append(prev)
+    if prev:
+        raise RelationsError(
+            "data inconsistent with a Morse decomposition: "
+            f"(1+t) does not divide the deficit (remainder {prev})")
+    if any(v < 0 for v in q):
+        raise RelationsError(
+            "data inconsistent with a Morse decomposition: "
+            f"negative coefficient in Q_t = {q}")
+    return q[:-1]
 
 
 def _disjoint(parts):
@@ -139,10 +180,11 @@ def decomposition_analysis(whole, parts, seed=0, coeff="Z", tols=DEFAULT):
     whole, *parts = (_checked(f"set {i - 1}" if i else "the whole",
                               compute_HI(s, seed=seed, coeff=coeff, tols=tols))
                      for i, s in enumerate((whole, *parts)))
-    pw = homalg.poincare(whole.homology)
-    pp = [homalg.poincare(p.homology) for p in parts]
-    q = homalg.relations_check(pp, pw)
-    return DecompositionReport(q, pp, pw), whole, parts
+    pw = whole.homology.trimmed_betti()
+    pp = [p.homology.trimmed_betti() for p in parts]
+    q = relations_check(pp, pw)
+    return (DecompositionReport(poincare(q), [poincare(p) for p in pp],
+                                poincare(pw)), whole, parts)
 
 
 # ---------------------------------------------------------------------------

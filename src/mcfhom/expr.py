@@ -186,6 +186,15 @@ def _apply_func(func, v, node):
 # ---------------------------------------------------------------------------
 # parsing
 
+# The deepest expression ``parse`` takes: its text nests at most this many
+# factors (a unary minus, a parenthesis or a function call opens one), and
+# its tree has at most this many nodes from the root to a leaf, so that no
+# recursion over it or its derivatives reaches Python's limit.  Sums of
+# polynomial terms at this depth, as field and Lyapunov function, make
+# ``mcfhom hi`` compile nothing deeper than 186 levels (``_CODE_DEPTH``).
+MAX_DEPTH = 180
+_TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
+
 _TOKEN_OPS = set("+-*/^()")
 
 
@@ -241,13 +250,9 @@ def _fold(e):
     constant zero is an error wherever it stands, as in ``div``.  Nothing
     else is simplified: 0*log(x1) keeps its log, which has no value at
     x1 <= 0."""
-    if isinstance(e, BinOp):
-        if e.op == "/" and _is_const(e.rhs, 0.0):
-            raise ExprError("constant division by zero")
-        operands = (e.lhs, e.rhs)
-    else:
-        operands = (e.base if isinstance(e, Pow) else e.arg,)
-    if all(map(_is_const, operands)):
+    if isinstance(e, BinOp) and e.op == "/" and _is_const(e.rhs, 0.0):
+        raise ExprError("constant division by zero")
+    if all(map(_is_const, _children(e))):
         return Const(evaluate(e, ()))
     return e
 
@@ -257,6 +262,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.m = m
+        self.level = 0  # parse_factor calls open one inside another
 
     def peek(self):
         return self.tokens[self.pos]
@@ -295,15 +301,21 @@ class _Parser:
                 return node
 
     def parse_factor(self):
+        # every recursion of the parser passes here: a unary minus, a
+        # parenthesis and a function call each open one more level
         kind, val, off = self.peek()
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            raise ParseError(_TOO_DEEP, off)
         if kind == "op" and val == "-":
             self.take()
-            return _fold(Neg(self.parse_factor()))
-        node = self.parse_atom()
-        kind, val, off = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            node = _fold(Pow(node, self.parse_integer()))
+            node = _fold(Neg(self.parse_factor()))
+        else:
+            node = self.parse_atom()
+            if self.peek()[:2] == ("op", "^"):
+                self.take()
+                node = _fold(Pow(node, self.parse_integer()))
+        self.level -= 1
         return node
 
     def parse_integer(self):
@@ -350,12 +362,15 @@ class _Parser:
 
 
 def parse(text, m):
-    """Parse ``text`` into an Expr with variables x1..x{m} and lam."""
+    """Parse ``text`` into an Expr with variables x1..x{m} and lam, if it
+    nests at most ``MAX_DEPTH`` levels."""
     parser = _Parser(_tokenize(text), m)
     node = parser.parse_expr()
     kind, _, off = parser.peek()
     if kind != "end":
         raise ParseError("trailing input", off)
+    if depth(node) > MAX_DEPTH:
+        raise ParseError(_TOO_DEEP, 0)
     return node
 
 
@@ -503,16 +518,28 @@ def derive(e, var):
 # ---------------------------------------------------------------------------
 # structure utilities
 
-def mentions_param(e):
-    if isinstance(e, Param):
-        return True
-    if isinstance(e, (Const, Var)):
-        return False
+def _children(e):
+    if isinstance(e, BinOp):
+        return e.lhs, e.rhs
     if isinstance(e, (Neg, Call)):
-        return mentions_param(e.arg)
+        return (e.arg,)
     if isinstance(e, Pow):
-        return mentions_param(e.base)
-    return mentions_param(e.lhs) or mentions_param(e.rhs)
+        return (e.base,)
+    return ()
+
+
+def depth(e):
+    """The number of nodes on the longest path from ``e`` to a leaf, level
+    by level with no recursion, each shared subtree once per level."""
+    n, level = 0, {id(e): e}
+    while level:
+        n, level = n + 1, {id(k): k for x in level.values()
+                           for k in _children(x)}
+    return n
+
+
+def mentions_param(e):
+    return isinstance(e, Param) or any(map(mentions_param, _children(e)))
 
 
 def substitute_param(e, repl):
@@ -653,6 +680,11 @@ def _compile_field_cached(components):
                      f"{rows}    return out\n", consts)
 
 
+# CPython refuses source nested deeper than 200 brackets, and ``_to_py``
+# writes one per node from the root to a leaf
+_CODE_DEPTH = 200
+
+
 def compile_field(field):
     """Compile to ``F(X)``, the (k, N) array of the k components of
     ``field`` at the columns of the (m, N) array X: one generated function
@@ -664,5 +696,10 @@ def compile_field(field):
     bits that they would as literals.  The contract of all compiled code:
     a domain violation gives a non-finite entry, and a numpy warning unless
     the caller evaluates under ``np.errstate``.  ``evaluate`` is the
-    reference (see there for how closely the two agree)."""
+    reference (see there for how closely the two agree).  A component
+    deeper than ``_CODE_DEPTH`` raises ExprError before it is hashed."""
+    deepest = max(map(depth, field.components), default=0)
+    if deepest > _CODE_DEPTH:
+        raise ExprError(f"an expression to compile nests {deepest} levels, "
+                        f"more than the {_CODE_DEPTH} of compiled code")
     return _compile_field_cached(field.components)

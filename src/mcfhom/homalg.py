@@ -15,7 +15,8 @@ its cells, found by strides, are arrays, and d^2 = 0 is checked on them:
 each path from a cell to a face of a face plus its partner, no sort.
 Rounds of coreductions and collapses, the elementary reductions that fill
 nothing in, then remove cells on the grid itself, and only the few cells
-left become sparse columns.
+left become sparse columns.  Homology is the module's one job: the
+Morse-Conley relations on its Betti numbers are arithmetic in ``conley``.
 """
 from __future__ import annotations
 
@@ -438,83 +439,3 @@ def cubical_relative_homology(b, subcells, coeff="Z"):
     if sub.shape != cells.shape or (sub & ~cells).any():
         raise HomalgError("subcomplex is not contained in the block")
     return homology(build_cubical_complex(cells, sub), coeff)
-
-
-# ---------------------------------------------------------------------------
-# Poincare polynomials and Morse relations
-
-@dataclass(frozen=True)
-class PoincarePolynomial:
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return PoincarePolynomial(tuple(x + y for x, y in zip(a, b)))
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            else:
-                tk = "t" if k == 1 else f"t^{k}"
-                terms.append(tk if c == 1 else f"{c}*{tk}")
-        return " + ".join(terms) if terms else "0"
-
-
-def _trim(coeffs):
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def poincare(h):
-    """Free ranks as a polynomial; torsion carries no rank and is reported
-    separately on the HomologyResult."""
-    return PoincarePolynomial(tuple(h.betti))
-
-
-class RelationsError(HomalgError):
-    pass
-
-
-def relations_check(parts, whole):
-    """Check Sum_i P_t(part_i) = P_t(whole) + (1+t) Q_t; return Q_t.
-
-    The deficit polynomial must be divisible by (1+t) with nonnegative
-    quotient coefficients, otherwise the data is inconsistent with a Morse
-    decomposition."""
-    total = PoincarePolynomial(())
-    for p in parts:
-        total = total + p
-    n = max(len(total.coeffs), len(whole.coeffs))
-    a = list(total.coeffs) + [0] * (n - len(total.coeffs))
-    b = list(whole.coeffs) + [0] * (n - len(whole.coeffs))
-    deficit = [x - y for x, y in zip(a, b)]
-    # synthetic division of deficit by (1 + t), low degree first:
-    # d_0 = q_0, d_k = q_k + q_{k-1}
-    q = []
-    prev = 0
-    for d in deficit:
-        qk = d - prev
-        q.append(qk)
-        prev = qk
-    if prev != 0:
-        raise RelationsError(
-            "data inconsistent with a Morse decomposition: "
-            f"(1+t) does not divide the deficit (remainder {prev})")
-    if any(v < 0 for v in q):
-        raise RelationsError(
-            "data inconsistent with a Morse decomposition: "
-            f"negative coefficient in Q_t = {q}")
-    return PoincarePolynomial(tuple(q))

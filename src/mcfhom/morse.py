@@ -249,8 +249,6 @@ class ConnectionFinder:
         """Classify as one ``flow.classify_limit`` batch the orbits from the
         seed points of ``seeds``, pairs (point, direction of time): one
         (label, signed end time) per seed."""
-        if not seeds:
-            return []
         lc, run = flow.classify_limit(
             self.F, np.column_stack([p for p, _ in seeds]), self.crits,
             self.b, self.tols.t_budget, self.scale,

@@ -28,10 +28,11 @@ import numpy as np
 
 # Levels of halving labelled in one batch inside a gap whose end labels
 # differ: the interior points of its 8-section.  `mcfhom hi
-# tests/data/product_well_3d.json --seed 3` with the DOP853 integrator on a
-# 2-core Xeon, as depth: integrator batches and orbits of the whole run,
-# median CPU seconds of the whole run over 7 alternating runs:
-#   3: 19, 21,708, 1.32   5: 14, 25,908, 1.70
+# tests/data/product_well_3d.json --seed 3` on a 2-core Xeon, as depth:
+# integrator batches and orbits of the run, median CPU seconds of the
+# process over 5 alternating runs, all with the same report:
+#   2: 20, 2,364, 0.89   3: 14, 3,252, 0.86   4: 11, 4,884, 0.89
+#   5: 9, 7,452, 1.09
 # A deeper section takes fewer batches, but every batch pays for orbits
 # inside gaps whose labels agree.
 DEPTH = 3

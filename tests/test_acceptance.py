@@ -167,7 +167,7 @@ def test_criterion_03_morse_conley_relations():
     try:
         conley.decomposition_analysis(dw, subs[:2], seed=0)
         failures.append("chi-mismatch decomposition was not rejected")
-    except homalg.RelationsError:
+    except conley.RelationsError:
         pass
     _verdict(3, "Morse-Conley relations with Q_t = 1 / 0 / rejection",
              not failures, "; ".join(failures))

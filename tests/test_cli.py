@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import mcfhom
-from mcfhom import block, cli, conley, expr, flow, homalg
+from mcfhom import block, cli, conley, expr, flow, homalg, lyapunov
 from mcfhom.config import DEFAULT
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -738,7 +738,7 @@ def test_walker_agrees_with_jsonschema():
                                              "*.json"))):
         with open(f) as fh:
             docs.append(json.load(fh))
-    assert len(docs) == 13
+    assert len(docs) == 14
     docs.append({"dimension": 2, "field": ["x1", "-x2"],
                  "block": {"cubes": [[0, 0], [1, 0]], "origin": [-1, -0.5],
                            "spacing": 0.5}})
@@ -1076,6 +1076,22 @@ def test_relations_refuses_overlapping_sets(tmp_path, monkeypatch, capsys):
                             "their blocks share an interior point\n")
 
 
+@pytest.mark.parametrize("keep,remainder", [((0, 1), 1), ((2,), 2)])
+def test_relations_that_fail_exit_one(keep, remainder, tmp_path, capsys):
+    # the two wells, P_t = 2, or the repeller alone, P_t = t, against the
+    # whole's 1: (1 + t) does not divide the deficit
+    with open(_path("double_well_relations.json")) as fh:
+        doc = json.load(fh)
+    sets = doc["decomposition"]["sets"]
+    doc["decomposition"]["sets"] = [sets[i] for i in keep]
+    assert cli.main(["relations", _write(tmp_path, doc), "--seed", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: data inconsistent with a Morse decomposition: (1+t) does "
+        f"not divide the deficit (remainder {remainder})\n")
+
+
 def test_relations_requires_decomposition_section(capsys):
     assert cli.main(["relations", _path("saddle.json")]) == 2
 
@@ -1249,3 +1265,120 @@ def test_non_finite_report_values_are_null(tmp_path, capsys):
     assert code == 1
     assert out["lyapunov"]["value_spread"] is None
     assert out["lyapunov"]["verdict"] is False
+
+
+_LINE = {"dimension": 1, "field": ["x1"],
+         "block": {"box": [[-1, 1]], "spacing": 0.5}}
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"field": ["1.2.3"]}, "bad number literal '1.2.3' (at offset 0)"),
+    ({"field": ["x1 $ 2"]}, "unexpected character '$' (at offset 3)"),
+    ({"field": ["(x1 + 1"]}, "expected ')' (at offset 7)"),
+    ({"field": ["x1^x1"]}, "expected integer exponent (at offset 3)"),
+    ({"field": ["x0"]}, "bad variable 'x0' (at offset 0)"),
+    ({"field": ["x1 x1"]}, "trailing input (at offset 3)"),
+    ({"dimension": 2, "block": {"box": [[-1, 1], [-1, 1]], "spacing": 0.5}},
+     "field has 1 components, expected 2"),
+    ({"block": {"box": [[-1, 1], [-1, 1]], "spacing": 0.5}},
+     "box has 2 sides, dimension is 1"),
+    ({"block": {"spacing": 0.5}}, "block needs either box or cubes"),
+])
+def test_each_input_error_names_its_fault(change, message, tmp_path, capsys):
+    assert cli.main(["block", _write(tmp_path, dict(_LINE, **change))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
+def _double_well(field, lyap):
+    with open(_path("double_well_relations.json")) as fh:
+        doc = json.load(fh)
+    del doc["decomposition"]
+    return dict(doc, field=[field], lyapunov=lyap)
+
+
+def _terms(term, n):
+    """The sum of n copies of ``term`` % n: n - 1 additions over it."""
+    return " + ".join([term % n] * n)
+
+
+def test_hi_runs_expressions_at_the_depth_bound(tmp_path, capsys):
+    # the double well, its field and its Lyapunov function each a sum of
+    # polynomial terms that nests expr.MAX_DEPTH levels: hi compiles the
+    # Hessian of the perturbed Lyapunov function and finds HI of the whole
+    field = _terms("(x1 - x1^3)/%d", expr.MAX_DEPTH - 3)
+    lyap = _terms("(x1^4/4 - x1^2/2)/%d", expr.MAX_DEPTH - 4)
+    assert [expr.depth(expr.parse(t, 1)) for t in (field, lyap)] == \
+        [expr.MAX_DEPTH] * 2
+    path = _write(tmp_path, _double_well(field, lyap))
+    assert cli.main(["hi", path, "--seed", "3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["hi"]["pretty"] == "H_0 = Z"
+    assert [c["index"] for c in out["critical_points"]] == [0, 1, 0]
+
+
+_TOO_DEEP = ("input error: expression nests deeper than "
+             f"{expr.MAX_DEPTH} levels")
+
+
+@pytest.mark.parametrize("field,lyap,offset", [
+    # one level past the bound
+    (_terms("(x1 - x1^3)/%d", expr.MAX_DEPTH - 2), "x1^4/4 - x1^2/2", 0),
+    ("x1 - x1^3", _terms("(x1^4/4 - x1^2/2)/%d", expr.MAX_DEPTH - 3), 0),
+    # sums that reached the source nesting of compiled code and Python's
+    # recursion limit
+    (_terms("(x1 - x1^3)/%d", 200), _terms("(x1^4/4 - x1^2/2)/%d", 200), 0),
+    (_terms("(x1 - x1^3)/%d", 600), _terms("(x1^4/4 - x1^2/2)/%d", 600), 0),
+    # the parser's own recursion
+    ("(" * 1200 + "x1 - x1^3" + ")" * 1200, "x1^4/4 - x1^2/2",
+     expr.MAX_DEPTH),
+    ("-" * 3000 + "(x1 - x1^3)", "x1^4/4 - x1^2/2", expr.MAX_DEPTH),
+], ids=["field past", "lyapunov past", "200 terms", "600 terms",
+        "1200 parentheses", "3000 minus signs"])
+@pytest.mark.parametrize("command", ["block", "hi"])
+def test_an_expression_past_the_depth_bound_is_an_input_error(
+        command, field, lyap, offset, tmp_path, capsys):
+    path = _write(tmp_path, _double_well(field, lyap))
+    assert cli.main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{_TOO_DEEP} (at offset {offset})\n"
+
+
+@pytest.mark.parametrize("seed", ["0", "3", "5"])
+def test_hi_certifies_a_perturbation_on_the_lambda_grid(seed, monkeypatch,
+                                                        capsys):
+    # -grad f of saddle_grid.json has zero outward flux at four isolation
+    # samples, such as (1, 1/3): the two ends of the homotopy settle every
+    # other sample, and the four go through the lambda grid once, one
+    # isolation check per lambda, which integrates them once, at lambda = 0
+    calls = []
+    grid, check, dop853 = (lyapunov._grid_certificate, block.check_isolation,
+                           flow._dop853)
+
+    def spy_grid(b, interpolant, todo, *args, **kwargs):
+        calls.append(("grid", len(todo)))
+        return grid(b, interpolant, todo, *args, **kwargs)
+
+    def spy_check(*args, **kwargs):
+        calls.append("check")
+        return check(*args, **kwargs)
+
+    def spy_dop853(F, x0, *args, **kwargs):
+        calls.append(("orbits", x0.shape[1]))
+        return dop853(F, x0, *args, **kwargs)
+
+    monkeypatch.setattr(lyapunov, "_grid_certificate", spy_grid)
+    monkeypatch.setattr(block, "check_isolation", spy_check)
+    monkeypatch.setattr(flow, "_dop853", spy_dop853)
+    assert cli.main(["hi", _path("saddle_grid.json"), "--seed", seed]) == 0
+    out = json.loads(capsys.readouterr().out)
+    # the field's own check, then the grid
+    assert calls == ["check", ("grid", 4), "check", ("orbits", 4)] + \
+        ["check"] * DEFAULT.cert_lambda_steps
+    assert out["hi"]["pretty"] == out["relative_cubical"]["pretty"] == \
+        "H_1 = Z"
+    assert [c["index"] for c in out["critical_points"]] == [1]
+    assert out["connection_counts"] == []
+    assert out["exit_theorem"] is True and out["verdict"] is True

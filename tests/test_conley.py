@@ -200,8 +200,45 @@ def test_decomposition_saddle_alone():
 def test_decomposition_chi_mismatch_rejected():
     dw = _dw()
     # drop the repeller part: parts {1, 1} against whole {1}
-    with pytest.raises(homalg.RelationsError):
+    with pytest.raises(conley.RelationsError):
         conley.decomposition_analysis(dw, _dw_parts(dw)[:2], seed=0)
+
+
+def test_poincare_text():
+    assert conley.poincare([1, 1]) == "1 + t"
+    assert conley.poincare([1, 2, 0, 1]) == "1 + 2*t + t^3"
+    assert conley.poincare([0, 3]) == "3*t"
+    # torsion carries no rank: H_1 = Z/2 alone has no Betti number
+    h = homalg.HomologyResult([0, 0], {1: [2]})
+    assert conley.poincare(h.trimmed_betti()) == "0"
+    assert conley.poincare([0, 0]) == "0"
+
+
+def test_relations_double_well_betti():
+    assert conley.relations_check([[1], [1], [0, 1]], [1]) == [1]
+
+
+def test_relations_trivial_betti():
+    assert not any(conley.relations_check([[1]], [1]))
+
+
+def test_relations_remainder_refused():
+    with pytest.raises(conley.RelationsError, match="remainder 1"):
+        conley.relations_check([[1], [1]], [1])
+
+
+def test_relations_negative_coefficient_refused():
+    # deficit t^2 - 1 = (1+t)(t-1) has a negative quotient coefficient
+    with pytest.raises(conley.RelationsError,
+                       match=r"negative coefficient in Q_t = \[-1, 1, 0\]"):
+        conley.relations_check([[0, 0, 1]], [1])
+
+
+def test_relations_q_at_one_is_rank_slack():
+    parts, whole = [[1], [1], [0, 1]], [1]
+    q = conley.relations_check(parts, whole)
+    # a Poincare polynomial at t = 1 is the sum of its coefficients
+    assert 2 * sum(q) == sum(map(sum, parts)) - sum(whole)
 
 
 def test_decomposition_sets_must_not_overlap(monkeypatch):

@@ -55,6 +55,95 @@ def test_parse_syntax_error_reports_offset():
     assert exc.value.offset == 5
 
 
+# ---------------------------------------------------------------------------
+# the depth bound
+
+D = expr.MAX_DEPTH
+
+
+def _nested(opening, inner, n):
+    """``inner`` inside ``n`` copies of ``opening``, each closed again."""
+    return opening * n + inner + ")" * (n * opening.count("("))
+
+
+def test_depth_counts_the_nodes_of_the_longest_path():
+    assert expr.depth(expr.parse("2", 1)) == 1
+    assert expr.depth(expr.parse("x1 + 2*x1^3", 1)) == 4
+    # a shared subtree counts on each path through it
+    e = expr.parse("sin(x1) - 1", 1)
+    assert expr.depth(expr.BinOp("*", e, expr.Neg(e))) == 5
+
+
+# a sum of n terms nests n - 1 additions over its deepest term, and the
+# term (x1 - x1^3) nests 3 levels
+_AT_THE_BOUND = {
+    "sum": " + ".join(["(x1 - x1^3)"] * (D - 2)),
+    "sum in lam": " + ".join(["(x1 - lam*x1^3)"] * (D - 3)),
+    "parentheses": _nested("(", "x1", D - 1),
+    "minus": "-" * (D - 1) + "x1",
+    "calls": _nested("sin(", "x1", D - 1),
+    "minus and parentheses": _nested("-(", "x1", D // 2 - 1),
+}
+
+
+@pytest.mark.parametrize("case", _AT_THE_BOUND)
+def test_parse_takes_an_expression_at_the_depth_bound(case):
+    e = expr.parse(_AT_THE_BOUND[case], 1)
+    assert expr.depth(e) <= D
+    e = expr.bind(e, 0.5)
+    x = np.array([[0.5]])
+    assert expr.compile_field(expr.FieldDef(1, (e,)))(x)[0, 0] == \
+        expr.evaluate(e, (0.5,))
+
+
+_PAST_THE_BOUND = {
+    "sum": (" + ".join(["(x1 - x1^3)"] * (D - 1)), 0),
+    "parentheses": (_nested("(", "x1", D), D),
+    "minus": ("-" * D + "x1", D),
+    "calls": (_nested("sin(", "x1", D), 4 * D),
+    "minus and parentheses": (_nested("-(", "x1", D // 2), D),
+    "1,200 open parentheses": ("(" * 1200 + "x1", D),
+    "3,000 minus signs of a constant": ("-" * 3000 + "2", D),
+    "10,000 terms": (" + ".join(["x1"] * 10000), 0),
+}
+
+
+@pytest.mark.parametrize("case", _PAST_THE_BOUND)
+def test_parse_refuses_an_expression_past_the_depth_bound(case):
+    text, offset = _PAST_THE_BOUND[case]
+    with pytest.raises(expr.ParseError) as exc:
+        expr.parse(text, 1)
+    assert str(exc.value) == \
+        f"expression nests deeper than {D} levels (at offset {offset})"
+
+
+def test_a_derivative_too_deep_to_compile_is_an_expression_error():
+    # each x1/ adds about three levels to the derivative and six to the
+    # second derivative, more than the source nesting that compiled code
+    # takes and than Python's recursion limit: the error comes before the
+    # field is hashed or its source generated
+    f = expr.parse(_nested("x1/(", "x1", D - 1), 1)
+    assert expr.depth(f) == D
+    for field in (expr.gradient(f, 1), expr.hessian(f, 1)):
+        deepest = expr.depth(field.components[0])
+        assert deepest > 500
+        with pytest.raises(expr.ExprError) as exc:
+            expr.compile_field(field)
+        assert str(exc.value) == (f"an expression to compile nests {deepest} "
+                                  "levels, more than the 200 of compiled code")
+
+
+def test_compiled_code_takes_a_tree_of_the_compile_bound():
+    e = expr.Var(0)
+    for _ in range(199):
+        e = expr.add(e, expr.ONE)
+    assert expr.depth(e) == 200
+    F = expr.compile_field(expr.FieldDef(1, (e,)))
+    assert F(np.array([[0.5]]))[0, 0] == 199.5
+    with pytest.raises(expr.ExprError, match="nests 201 levels"):
+        expr.compile_field(expr.FieldDef(1, (expr.add(e, expr.ONE),)))
+
+
 def test_parse_precedence():
     # ^ binds tighter than unary -, * tighter than +
     assert expr.evaluate(expr.parse("-x1^2", 1), (3.0,)) == -9.0

@@ -720,50 +720,3 @@ def test_cell_boundary_of_boundary_vanishes():
                     for sub, s2 in c.columns[k - 1][face].items():
                         acc[sub] = acc.get(sub, 0) + s * s2
                 assert all(v == 0 for v in acc.values())
-
-
-# ---------------------------------------------------------------------------
-# Poincare polynomials and Morse relations
-
-def test_poincare_from_homology():
-    h = homalg.HomologyResult([1, 1], {})
-    assert str(homalg.poincare(h)) == "1 + t"
-    t_only = homalg.HomologyResult([0, 0], {1: [2]})
-    assert str(homalg.poincare(t_only)) == "0"
-
-
-def test_relations_double_well_decomposition():
-    one = homalg.PoincarePolynomial((1,))
-    t = homalg.PoincarePolynomial((0, 1))
-    q = homalg.relations_check([one, one, t], one)
-    assert q.coeffs == (1,)
-
-
-def test_relations_trivial():
-    one = homalg.PoincarePolynomial((1,))
-    assert homalg.relations_check([one], one).coeffs == ()
-
-
-def test_relations_chi_mismatch():
-    one = homalg.PoincarePolynomial((1,))
-    with pytest.raises(homalg.RelationsError, match="remainder"):
-        homalg.relations_check([one, one], one)
-
-
-def test_relations_negative_quotient():
-    one = homalg.PoincarePolynomial((1,))
-    t2 = homalg.PoincarePolynomial((0, 0, 1))
-    # deficit t^2 - 1 = (1+t)(t-1) has a negative quotient coefficient
-    with pytest.raises(homalg.RelationsError, match="negative"):
-        homalg.relations_check([t2], one)
-
-
-def test_relations_q_at_one_is_rank_slack():
-    parts = [homalg.PoincarePolynomial((1,)),
-             homalg.PoincarePolynomial((1,)),
-             homalg.PoincarePolynomial((0, 1))]
-    whole = homalg.PoincarePolynomial((1,))
-    q = homalg.relations_check(parts, whole)
-    # a Poincare polynomial at t = 1 is the sum of its coefficients
-    assert 2 * sum(q.coeffs) == \
-        sum(sum(p.coeffs) for p in parts) - sum(whole.coeffs)

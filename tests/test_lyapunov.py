@@ -410,7 +410,9 @@ def _shipped_with_a_lyapunov_function():
 
 def _every_lambda_cases():
     """(base, block, epsilon, perturbation, shipped) of the shipped systems
-    at seeds 0, 3 and 5 and of the certificate families above."""
+    at seeds 0, 3 and 5 and of the certificate families above.  A shipped
+    system is settled by the two ends, except saddle_grid.json, which is
+    shipped to run the lambda grid."""
     cases = {}
     for name, system in _shipped_with_a_lyapunov_function():
         m = system.block.dimension
@@ -418,7 +420,7 @@ def _every_lambda_cases():
             pert = system.perturbation or lyapunov.linear_perturbation(m, seed)
             eps = system.epsilon or DEFAULT.epsilon
             cases[f"{name}-{seed}"] = (system.lyapunov, system.block, eps,
-                                       pert, True)
+                                       pert, name != "saddle_grid.json")
     square = block.build_block(box=[(-1, 1), (-1, 1)], spacing=0.5)
     for eps in (2.0, 0.5, 1e-3):
         cases[f"quartic-{eps}"] = (expr.parse("-(x1^4)/4", 1), _b1(), eps,
@@ -453,8 +455,9 @@ def test_the_two_ends_certify_every_lambda(monkeypatch, case):
     # at least margin_tol at lambda = 0 and 1, it keeps both at 1,001 evenly
     # spaced lambdas, by the scalar reference, and the certificate's
     # gradient bound is at most |flux| there, so at most the gradient norm,
-    # which is at least the size of any one component.  Every shipped system settles
-    # every sample, so its certificate runs no isolation batch
+    # which is at least the size of any one component.  Every shipped system
+    # but saddle_grid.json settles every sample, so its certificate runs no
+    # isolation batch
     base, b, eps, pert, shipped = _EVERY_LAMBDA[case]
     sweep = _sweep(base, b, eps, pert, [k / 1000 for k in range(1001)])
     settled = _settled(sweep)
@@ -520,6 +523,29 @@ def test_a_flux_of_exactly_margin_tol_is_transverse_to_every_check(
                                      perturbation=expr.parse("-x1", 1))
     assert cert.min_boundary_gradient == 1e-6
     assert calls == []
+
+
+def test_the_grid_names_the_lambda_where_the_block_stops_isolating(
+        monkeypatch):
+    # -grad f is tangent to the faces x1 = +-1, which it leaves invariant,
+    # and along them it runs from x2 = -1/2 up to x2 = 1/2, two critical
+    # points of f between the isolation samples.  The samples between them
+    # are unsettled at lambda = 0, their gradient norm is above margin_tol,
+    # and their orbits stay on the face in both directions of time
+    b = block.build_block(box=[(-1, 1), (-1, 1)], spacing=0.5)
+    base = expr.parse("x1^3/3 - x1 + x2^3/3 - x2/4", 2)
+    pert = expr.parse("x1 + x2/3", 2)
+    reports, got, runs = _batched(monkeypatch, base, b, 1e-3, pert)
+    assert isinstance(got, lyapunov.CertificationError)
+    assert got.lam == 0.0
+    assert str(got) == (
+        "homotopy certificate failed at lambda=0.0: block stops isolating "
+        "(trapped boundary samples [(-1.0, -0.33333333333333337), "
+        "(-1.0, -0.16666666666666669), (-1.0, 0.16666666666666666)])")
+    assert [r.verdict for r in reports] == [False]
+    assert runs == [[-1, 1]]
+    _, want = _per_lambda(base, b, 1e-3, pert)
+    assert (got.lam, str(got)) == (want.lam, str(want))
 
 
 def test_batched_certificate_where_the_perturbation_has_no_value(
