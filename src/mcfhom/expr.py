@@ -399,7 +399,7 @@ def _paren(child_s, child_p, min_p):
 
 def _to_str(e):
     if isinstance(e, Const):
-        if e.value < 0:
+        if math.copysign(1.0, e.value) < 0:  # -0.0 prints as -0
             return "-" + _fmt_const(-e.value), _PREC["neg"]
         return _fmt_const(e.value), _PREC["atom"]
     if isinstance(e, Var):
@@ -411,7 +411,10 @@ def _to_str(e):
         return f"{e.func}({s})", _PREC["atom"]
     if isinstance(e, Neg):
         s, p = _to_str(e.arg)
-        return "-" + _paren(s, p, _PREC["pow"]), _PREC["neg"]
+        # --x1 reads as -(-x1): a chain of signs nests as deep as its tree
+        if not isinstance(e.arg, Neg):
+            s = _paren(s, p, _PREC["pow"])
+        return "-" + s, _PREC["neg"]
     if isinstance(e, Pow):
         s, p = _to_str(e.base)
         exp = str(e.exponent) if e.exponent >= 0 else f"(-{-e.exponent})"

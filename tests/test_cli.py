@@ -855,6 +855,103 @@ def test_a_seed_that_is_not_a_non_negative_integer_exits_two(
         f"argument --seed: {seed!r} is not a non-negative integer\n")
 
 
+_OPTIONS = ("--seed", "--tol-profile", "--coeff", "--out", "--json")
+
+
+def _run(argv, capsys):
+    """The exit code and report of ``argv``, its system files in tests/data."""
+    if argv is not None:
+        argv = [_path(a) if a.endswith(".json") else a for a in argv]
+    code = cli.main(argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args,named", [
+    (["foo", "saddle.json"], "'foo'"),
+    (["hi"], "file"),
+    (["hi", "saddle.json", "--foo"], "--foo"),
+    (["hi", "saddle.json", "--coeff", "Q"], "--coeff: invalid choice: 'Q'"),
+    (["hi", "saddle.json", "--tol-profile", "loose"],
+     "--tol-profile: invalid choice: 'loose'"),
+    (["hi", "saddle.json", "--seed"], "--seed"),
+    (["hi", "saddle.json", "extra"], "extra"),
+    (["hi", "saddle.json", "--json=1"], "--json"),
+    (["hi", "saddle.json", "--out", "--json"], "--out"),
+])
+def test_a_bad_argument_exits_two_with_a_usage_and_an_error_line(
+        args, named, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run(args, capsys)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: mcfhom ")
+    error = captured.err.splitlines()[-1]
+    assert error.startswith("mcfhom: error: ") and named in error
+
+
+def test_an_abbreviated_option_is_refused(capsys):
+    # argparse took a prefix of an option for the option
+    with pytest.raises(SystemExit) as exc:
+        _run(["hi", "saddle.json", "--tol", "strict"], capsys)
+    assert exc.value.code == 2
+    assert "mcfhom: error: unrecognized arguments: --tol" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cubical", "saddle.json", "--coeff", "Z2"],
+    ["cubical", "saddle.json", "--coeff=Z2"],
+    ["--coeff", "Z2", "cubical", "saddle.json"],
+    ["cubical", "--coeff=Z2", "saddle.json", "--seed=0"],
+])
+def test_an_option_may_stand_anywhere_and_take_its_value_after_equals(
+        argv, capsys):
+    with open(_path("saddle_cubical_Z2.out")) as fh:
+        assert _run(argv, capsys) == (0, fh.read())
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_names_every_command_and_option(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["hi", flag])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("usage: mcfhom ")
+    for name in [*cli._COMMANDS, *_OPTIONS, "file"]:
+        assert name in captured.out, name
+
+
+def test_main_reads_sys_argv_without_an_argument(monkeypatch, capsys):
+    # the argv=None path that the console script takes
+    argv = ["cubical", _path("saddle.json"), "--coeff", "Z2"]
+    expected = _run(argv, capsys)
+    monkeypatch.setattr(sys, "argv", ["mcfhom", *argv])
+    assert _run(None, capsys) == expected
+
+
+def test_commands_never_import_argparse_gettext_or_locale():
+    # the command line is read by hand: argparse costs about 3 ms of CPU
+    # per process, a third of a small cubical run
+    runs = [["hi", _path("saddle.json")],
+            ["cubical", _path("saddle.json"), "--coeff", "Z2"]]
+    script = (
+        "import contextlib, io, sys\n"
+        "from mcfhom import cli\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "loaded = {'argparse', 'gettext', 'locale'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n")
+    src = os.path.dirname(os.path.dirname(mcfhom.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_the_reported_perturbation_gives_the_same_report(tmp_path, capsys):
     # the seeded direction, passed back as options.perturbation
     report = _hi(capsys, CONNECTIONS, 3)

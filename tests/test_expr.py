@@ -108,6 +108,15 @@ _PAST_THE_BOUND = {
 }
 
 
+@pytest.mark.parametrize("case", _AT_THE_BOUND)
+def test_the_text_of_an_expression_at_the_depth_bound_parses_back(case):
+    # a chain of minus signs prints as one: --x1, not -(-x1)
+    e = expr.parse(_AT_THE_BOUND[case], 1)
+    assert expr.parse(expr.to_str(e), 1) == e
+    if case == "minus":
+        assert expr.to_str(e) == _AT_THE_BOUND[case]
+
+
 @pytest.mark.parametrize("case", _PAST_THE_BOUND)
 def test_parse_refuses_an_expression_past_the_depth_bound(case):
     text, offset = _PAST_THE_BOUND[case]
@@ -563,15 +572,20 @@ def test_negative_gradient_field():
     assert v[1] == pytest.approx(-0.6)
 
 
-def _shipped_lam_fields():
-    """The fields of the shipped system files that mention lam, with the
-    parameter value of the file (0.0 where ``continue`` sweeps it)."""
-    out = []
+def _shipped_systems():
+    """The shipped system files, read."""
     for path in sorted(glob.glob(os.path.join(ROOT, "tests", "data", "*.json"))
                        + glob.glob(os.path.join(ROOT, "benchmarks", "systems",
                                                 "*.json"))):
         with open(path) as fh:
-            doc = json.load(fh)
+            yield json.load(fh)
+
+
+def _shipped_lam_fields():
+    """The fields of the shipped system files that mention lam, with the
+    parameter value of the file (0.0 where ``continue`` sweeps it)."""
+    out = []
+    for doc in _shipped_systems():
         fld = expr.parse_field(doc["field"], doc["dimension"])
         if fld.has_param:
             out.append((doc["field"], doc.get("options", {}).get("lam", 0.0)))
@@ -612,6 +626,38 @@ def test_a_field_bound_to_an_infinite_constant_compiles_and_prints():
     np.testing.assert_array_equal(
         got, [[expr.evaluate(e, x, lam=1e-10) for x in X.T]
               for e in fld.components])
+
+
+def test_every_shipped_expression_and_its_derivatives_parse_back():
+    # a Jacobian holds -0.0, the derivative of -x1 in x2, which prints as -0
+    n = 0
+    for doc in _shipped_systems():
+        m = doc["dimension"]
+        fld = expr.parse_field(doc["field"], m)
+        exprs = [*fld.components, *expr.jacobian(fld).components]
+        texts = [doc.get("lyapunov"),
+                 doc.get("continuation", {}).get("lyapunov_end"),
+                 *(s["lyapunov"]
+                   for s in doc.get("decomposition", {}).get("sets", []))]
+        for f in (expr.parse(t, m) for t in texts if t):
+            exprs += [f, *expr.gradient(f, m).components,
+                      *expr.hessian(f, m).components]
+        for e in exprs:
+            assert expr.parse(expr.to_str(e), m) == e, expr.to_str(e)
+        n += 1
+    assert n == 14
+
+
+@pytest.mark.parametrize("name", sorted(
+    os.path.basename(p)
+    for p in glob.glob(os.path.join(ROOT, "tests", "data", "*_hi_*.out"))))
+def test_the_perturbation_of_a_hi_report_is_the_text_of_its_expression(name):
+    # so it parses back to the expression that the report used
+    with open(os.path.join(ROOT, "tests", "data", name)) as fh:
+        report = json.load(fh)
+    m = len(report["critical_points"][0]["coords"])
+    text = report["perturbation"]
+    assert expr.to_str(expr.parse(text, m)) == text
 
 
 def test_compiling_an_expression_in_lam_is_an_error():
